@@ -41,7 +41,9 @@ Four measurements:
     vector tier at 256 and 1024 lanes (big-int backing, plus an honest
     forced-ndarray row) — identity vs the per-point reference is
     required unconditionally at every width, and the 256-lane row
-    carries the >= 2x-over-packed CI gate (target >= 3x).  The section
+    carries the >= 1.25x-over-packed CI gate (2x until the packed-64
+    chunks started exiting early on the busy-window walker; a 256-lane
+    chunk of this campaign flips in every cycle and cannot).  The section
     also records the source-interning effect on a cold det-program
     sweep (sites vs unique compiled sources, cold vs warm).
 11. **SoA core**: the big-int backing against the level-batched SoA

@@ -18,9 +18,17 @@ when the engine's perf claims regress:
 * pattern shipping stopped engaging on an over-threshold payload,
   stopped shrinking the pickled backend, or changed campaign outcomes;
 * the vector tier lost per-point identity at any lane width or backing
-  (unconditional), or the 256-lane vector SEU campaign fell below 2x
-  over the packed-64 compiled path (the headline target is >= 3x), or
-  source interning stopped deduplicating det-program sources;
+  (unconditional), or the 256-lane vector SEU campaign fell below
+  1.25x over the packed-64 compiled path, or source interning stopped
+  deduplicating det-program sources.  (The floor was 2x while both
+  rows ran every cycle from the first flip to the end of the workload.
+  The busy-window walker sped up the *denominator*: the packed-64
+  chunks of this flop-major campaign settle and exit early, 59.0k ->
+  82.2k injections/s on the recording host, while a 256-lane chunk
+  flips in every cycle and runs full length as before, 119.5k ->
+  125.5k injections/s — so the ratio reads 2.0-2.8x -> 1.5-1.65x over
+  three runs each with no row slower, and the floor was re-derived
+  from the new rows with the old floor's margin);
 * the SoA kernel tier lost identity — between the int and SoA backings
   at any lane width, or against the per-point ``inject_seu`` probe —
   (unconditional), or fusion stopped working (fused numpy ops no longer
@@ -142,10 +150,10 @@ def check(record: dict) -> list[str]:
                 failures.append(
                     f"vector core {key} ({row['backing']}) is no longer "
                     "identical to the per-point reference")
-        if vcore["vector_speedup_256"] < 2.0:
+        if vcore["vector_speedup_256"] < 1.25:
             failures.append(
                 f"vector SEU at 256 lanes {vcore['vector_speedup_256']}x "
-                "fell below the 2x-over-packed floor (target >= 3x)")
+                "fell below the 1.25x-over-packed floor")
         intern = vcore["interning"]
         if intern["unique_sources"] >= intern["compiled_sites"]:
             failures.append(

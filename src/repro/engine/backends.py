@@ -160,7 +160,9 @@ class SeuBackend:
     sequential run via :mod:`repro.engine.lanes`: bit-lane *i* carries
     fault instance *i* and outcomes come back per lane by XOR against
     the golden trace — byte-identical to the per-point path, ~W× fewer
-    circuit evaluations.  ``lane_width=1`` keeps the per-point
+    circuit evaluations, and only over the cycles in which some lane is
+    still undecided (the busy window, see :mod:`repro.engine.lanes`).
+    ``lane_width=1`` keeps the per-point
     :func:`inject_seu` path for parity testing.  Widths above 64 run on
     the vector tier: packed big ints by default, the level-batched SoA
     kernel via ``lane_backing="soa"`` (auto from ~1k lanes on circuits
@@ -245,15 +247,23 @@ class SeuBackend:
         return kept, skipped
 
     def prepare(self) -> None:
-        if self._golden is None:  # idempotent: re-run per worker process
-            self._golden = _golden_run(self.circuit, self.stimuli)
-        if self.lane_width > 1 and self._lane_ctx is None:
+        # idempotent (re-run per worker process); one golden pass either
+        # way: the per-point path keeps a trace, the packed path a
+        # lane context
+        if self.lane_width == 1:
+            if self._golden is None:
+                self._golden = _golden_run(self.circuit, self.stimuli)
+        elif self._lane_ctx is None:
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
                 backing=getattr(self, "lane_backing", None))
 
+    def campaign_finished(self) -> None:
+        lanes.log_walk_summary(self.name, self._lane_ctx)
+
     def __getstate__(self) -> dict:
-        """The golden trace is dropped: workers re-run it in ``prepare``."""
+        """The golden pass (trace or lane context) is dropped: workers
+        re-run it in ``prepare``."""
         state = self.__dict__.copy()
         state["_golden"] = None
         state["_lane_ctx"] = None

@@ -16,9 +16,20 @@ replicated golden trace:
 * **latent**  — outputs match but the lane's final state differs;
 * **masked**  — neither.
 
-The cost of a packed run is one circuit evaluation per cycle regardless
-of lane count (Python bigint bitwise ops are width-insensitive at these
-sizes), so a ``W``-lane run replaces ``W`` sequential resimulations.
+The cost of a packed run is one circuit evaluation per *executed* cycle
+regardless of lane count (Python bigint bitwise ops are width-insensitive
+at these sizes), so a ``W``-lane run replaces ``W`` sequential
+resimulations — and only the **busy window** is executed.  An injected
+lane is decided within a few cycles of its flip (its primary outputs
+have diverged: ``failure``, sticky; or its state is back on the golden
+state: ``masked``), so after every cycle with no flip due next the
+walker (:func:`_walk`) tests whether any lane is still undecided.  If
+none is, every unfailed lane is bit-for-bit golden and stays golden
+until its next flip, and a failed lane stays failed whatever it does, so
+the walk jumps to the next scheduled flip — re-seeding the state from
+the golden entering-state kept in the :class:`LaneContext`, a checkpoint
+restore — or stops when no flip remains (then no lane is latent).  A
+schedule with a flip every cycle never pays for the test.
 
 Widths beyond 64 engage the **vector tier**: the packed word outgrows
 the machine word and is carried by an arbitrary-precision int (big-int
@@ -32,10 +43,16 @@ handful of fused numpy calls.  The backing auto-picks per
 :func:`repro.sim.vector.resolve_backing` (force with ``backing=`` /
 ``RESCUE_VECTOR_BACKING``).  Per-lane flips become index-computed XOR
 masks into the packed word (for the SoA backing, one fancy-indexed XOR
-into the state rows *and their complement mirror* — ``~x ^ b ==
-~(x ^ b)``, so one write keeps the mirror invariant) and outcome
-recovery is a vectorized XOR against the golden trace; all backings
-are byte-identical to the 64-lane and 1-lane references.  Without
+into the flop rows of the state matrix, whose complement mirror is
+refreshed at the top of every step) and outcome recovery is a
+vectorized XOR against the golden trace; all backings are
+byte-identical to the 64-lane and 1-lane references.  The SoA lane
+word is additionally walked in fixed-width **column bands**
+(:data:`SOA_BAND_BLOCKS`): each band has its own slice of the flip
+schedule and its own busy window, so a 4096-lane group whose
+cycle-sorted lanes flip a few dozen per cycle advances a few hundred
+columns for a few dozen cycles per band instead of 4096 columns for the
+whole workload.  Without
 numpy installed, widths above 64 degrade to 64 with a one-time logged
 warning (:func:`resolve_lane_width`).
 
@@ -53,13 +70,16 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_, xor
 from typing import Any, Callable, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
 from ..sim import compiled as _compiled
 from ..sim import vector as _vector
-from ..sim.logic import mask_of, simulate
+from ..sim.logic import mask_of
 from ..sim.sequential import SequentialSim
 from .core import _chunked
 
@@ -125,7 +145,10 @@ def packed_dispatch(
 
     Points are visited by ascending injection cycle so each packed run
     starts at its group's earliest cycle (lanes are golden before their
-    flip, so nothing earlier needs simulating), but the returned
+    flip, so nothing earlier needs simulating), a group's flips fall in
+    a short run of cycles and neighbouring lanes flip together (what
+    keeps the busy window of a run — and of each SoA column band —
+    short), but the returned
     outcome list follows the original point order — what ``run_batch``
     must preserve for executor-identity.
     """
@@ -161,16 +184,38 @@ class LaneContext:
     #: or ``"soa"`` (the level-batched structure-of-arrays kernel).
     backing: str = "int"
     n_blocks: int = 1
+    #: Work the busy-window walker actually did on this context (see
+    #: :func:`_walk`): cycles executed, golden cycles jumped over
+    #: between flips, walks that returned before the last workload
+    #: cycle, quiescence tests paid for, and SoA column bands walked.
+    steps_run: int = 0
+    cycles_skipped: int = 0
+    early_exits: int = 0
+    quiescence_tests: int = 0
+    bands_run: int = 0
+    _count_lock: Any = field(default_factory=threading.Lock, repr=False,
+                             compare=False)
 
     @property
     def n_cycles(self) -> int:
         return len(self.rep_stimuli)
+
+    def count(self, **deltas: int) -> None:
+        """Add one finished walk's tallies (thread executors share the
+        context, so the read-modify-write takes the lock)."""
+        with self._count_lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
 
     # Raw views aligned with the circuit's compiled StepProgram slots
     # (stimulus/trace/state tuples instead of dicts), built lazily on
     # the first compiled propagation and dropped if the program cache is
     # invalidated.  They let `propagate` drive the generated step
     # function directly — per-cycle dict packing/unpacking disappears.
+    # ``states`` has ``n_cycles + 1`` entries: the golden state entering
+    # each cycle, then the golden final state ("entering" the cycle
+    # after the workload), so the quiescence test and the latent check
+    # are the same comparison.
     def raw_views(self, program) -> tuple:
         cached = getattr(self, "_raw", None)
         if cached is not None and cached[0] is program:
@@ -181,11 +226,9 @@ class LaneContext:
                  for cyc in self.rep_trace]
         mask = self.mask
         states = [tuple(mask if st[q] else 0 for q in program.flop_qs)
-                  for st in self.states]
-        final = tuple(mask if self.final_state[q] else 0
-                      for q in program.flop_qs)
-        self._raw = (program, stim, trace, states, final)
-        return stim, trace, states, final
+                  for st in self.states + [self.final_state]]
+        self._raw = (program, stim, trace, states)
+        return stim, trace, states
 
     def raw_views_nd(self, program) -> tuple:
         """Block-array raw views for the ndarray backing.
@@ -215,36 +258,48 @@ class LaneContext:
         return stim, trace, states, final, ones
 
     def raw_views_soa(self, program) -> tuple:
-        """Matrix raw views for the SoA backing.
+        """Column raw views for the SoA backing.
 
-        The replicated golden data becomes dense uint64 matrices —
-        ``stim[cycle]`` is the ``(n_inputs, n_blocks)`` slab assigned
-        straight into the state matrix's PI rows, ``trace[cycle]`` the
-        PO slab XORed against the gathered outputs, ``states[cycle]`` /
-        ``final`` the flop slabs.  Built directly from the 1-bit
-        golden data (every replicated word is all-zero or the lane
-        mask), no big-int round trips.
+        Every replicated golden word is all-ones or all-zero, so one
+        ``(rows, 1)`` uint64 column per cycle serves every column band
+        at every width by broadcasting: ``stim[cycle]`` is assigned
+        into the state matrix's PI rows, ``trace[cycle]`` is XORed
+        against the gathered outputs, ``states[cycle]`` seeds (and is
+        compared against) the flop rows.  As in :meth:`raw_views`,
+        ``states`` ends with the golden final state.  (All-ones rather
+        than the lane mask: the dead lanes of a partial block are then
+        golden lanes like any other instead of garbage.)
         """
         cached = getattr(self, "_raw_soa", None)
         if cached is not None and cached[0] is program:
             return cached[1:]
         np = _vector.np
-        ones = _vector.mask_array(self.width, self.n_blocks)
-        zero = np.uint64(0)
 
-        def mat(bit_rows):
+        def columns(bit_rows):
             bits = np.asarray(bit_rows, dtype=bool)
-            return np.where(bits[..., None], ones, zero)
+            return np.where(bits, ~np.uint64(0), np.uint64(0))[..., None]
 
-        stim = mat([[bool(cyc.get(pi, 0)) for pi in program.inputs]
-                    for cyc in self.rep_stimuli])
-        trace = mat([[bool(cyc[po]) for po in program.outputs]
-                     for cyc in self.rep_trace])
-        states = mat([[bool(st[q]) for q in program.flop_qs]
-                      for st in self.states])
-        final = mat([bool(self.final_state[q]) for q in program.flop_qs])
-        self._raw_soa = (program, stim, trace, states, final, ones)
-        return stim, trace, states, final, ones
+        stim = columns([[bool(cyc.get(pi, 0)) for pi in program.inputs]
+                        for cyc in self.rep_stimuli])
+        trace = columns([[bool(cyc[po]) for po in program.outputs]
+                         for cyc in self.rep_trace])
+        states = columns([[bool(st[q]) for q in program.flop_qs]
+                          for st in self.states + [self.final_state]])
+        self._raw_soa = (program, stim, trace, states)
+        return stim, trace, states
+
+
+def log_walk_summary(name: str, ctx: LaneContext | None) -> None:
+    """One debug line with the walker counters of a backend's context
+    (backends call this from their ``campaign_finished`` hook; a
+    process-pool parent, whose workers did the walking, stays quiet)."""
+    if ctx is not None and ctx.steps_run:
+        log.debug(
+            "%s lanes[%s x%d]: %d steps run, %d golden cycles skipped, "
+            "%d early exits, %d quiescence tests, %d bands",
+            name, ctx.backing, ctx.width, ctx.steps_run,
+            ctx.cycles_skipped, ctx.early_exits, ctx.quiescence_tests,
+            ctx.bands_run)
 
 
 def build_context(
@@ -255,6 +310,10 @@ def build_context(
     backing: str | None = None,
 ) -> LaneContext:
     """Run (or reuse) the golden pass and replicate it across lanes.
+
+    The pass is one 1-bit :class:`~repro.sim.sequential.SequentialSim`
+    run — on the compiled step program, which the packed runs need
+    anyway, or on the interpreter when compilation is off.
 
     ``golden`` may hand in an existing ``(states, values)`` pair in the
     :func:`repro.safety.slicing._golden_states` format — per-cycle
@@ -300,14 +359,15 @@ def build_context(
                        {q: (1 if f.init else 0)
                         for q, f in circuit.flops.items()})
     else:
-        state = {q: (1 if f.init else 0) for q, f in circuit.flops.items()}
+        # one 1-bit pass on the step program the packed runs use anyway
+        # (the interpreter when compilation is off): the full-circuit
+        # program is never generated on this path
+        sim = SequentialSim(circuit, 1)
         states, trace = [], []
         for stim in stimuli:
-            vals = simulate(circuit, stim, 1, state)
-            states.append(state)
-            trace.append({po: vals.get(po, 0) & 1 for po in circuit.outputs})
-            state = {q: vals[f.d] & 1 for q, f in circuit.flops.items()}
-        final_state = state
+            states.append(sim.state)  # step() rebinds, never mutates
+            trace.append(sim.step(stim))
+        final_state = sim.state
     rep_stimuli = [
         {pi: (mask if (stim.get(pi, 0) & 1) else 0) for pi in circuit.inputs}
         for stim in stimuli
@@ -351,7 +411,14 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     *before* the cycle is evaluated (an SEU flip, or the state delta a
     transient injection left behind).  Lanes are golden until their
     first flip, so starting at ``start`` (the earliest flip cycle) from
-    the replicated golden entering-state loses nothing.
+    the replicated golden entering-state loses nothing; flips scheduled
+    before ``start`` or past the workload never fire.
+
+    The compiled int and SoA carriers simulate only the **busy window**
+    (:func:`_walk`): a cycle is executed only while some lane is still
+    undecided.  The interpreter fallback below and the ndarray carrier
+    run every cycle from ``start`` to the end of the workload — they are
+    the references the walker is tested against.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
@@ -362,34 +429,19 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     if ctx.backing == "soa":
         soa = _compiled.soa_step_program(ctx.circuit, ctx.width)
         if soa is not None:
-            return _propagate_soa(ctx, soa, flips, start, lanes)
+            return _propagate_soa(ctx, soa, flips, start, n_lanes)
     program = _compiled.step_program(ctx.circuit)
     if program is not None and ctx.backing == "ndarray":
         return _propagate_ndarray(ctx, program, flips, start, lanes)
     if program is not None:
-        # compiled fast path: drive the generated step function on raw
-        # slot tuples — flips XOR into state slots by index, outputs
-        # compare against the replicated golden trace tuple-to-tuple
-        stim, trace, states, final = ctx.raw_views(program)
-        q_index = program.q_index
-        fn = program.program.fn
-        state = states[start]
-        fail = 0
-        for cyc in range(start, ctx.n_cycles):
-            cyc_flips = flips.get(cyc)
-            if cyc_flips:
-                slots = list(state)
-                for q, lane_mask in cyc_flips.items():
-                    slots[q_index[q]] ^= lane_mask & mask
-                state = tuple(slots)
-            out, state = fn(stim[cyc], state, mask)
-            for val, golden in zip(out, trace[cyc]):
-                fail |= val ^ golden
-        diff = 0
-        for val, golden in zip(state, final):
-            diff |= val ^ golden
-        fail &= lanes
-        return fail, diff & lanes & ~fail
+        cycles = _flip_cycles(ctx, flips, start)
+        if not cycles:
+            return 0, 0
+        carrier = _IntCarrier(ctx, program, flips, lanes & mask)
+        settled = _walk(ctx, carrier, cycles)
+        fail = carrier.fail & lanes
+        latent = 0 if settled else carrier.diff(ctx.n_cycles)
+        return fail, latent & lanes & ~fail
     sim = SequentialSim(ctx.circuit, ctx.width)
     for q, bit in ctx.states[start].items():
         sim.state[q] = mask if bit else 0
@@ -409,12 +461,122 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     return fail, diff & lanes & ~fail
 
 
+def _flip_cycles(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
+                 start: int) -> list[int]:
+    """The cycles at which ``flips`` fires inside ``[start, n_cycles)``,
+    ascending."""
+    start = max(start, 0)  # a negative index would wrap into golden data
+    return sorted(cyc for cyc, cyc_flips in flips.items()
+                  if cyc_flips and start <= cyc < ctx.n_cycles)
+
+
+def _walk(ctx: LaneContext, carrier, cycles: Sequence[int]) -> bool:
+    """Drive ``carrier`` through the busy window of one flip schedule.
+
+    ``cycles`` are the (ascending, non-empty) cycles with a flip due.
+    The walk seeds the carrier with the golden state entering the first
+    of them and then, per cycle, applies the due flips and executes the
+    cycle.  After executing cycle *t*, iff no flip is due at *t + 1*,
+    it asks the carrier whether any lane is still *undecided*: neither
+    failed already nor back on the golden state entering *t + 1*.  If
+    none is, every unfailed lane is bit-for-bit golden, so its future is
+    golden until its next flip (same state, same stimulus), while
+    failure is sticky and dominates latent — nothing between here and
+    the next flip can change an outcome.  The walk therefore jumps to
+    the next flip cycle and re-seeds from the golden entering state
+    (checkpoint restore), or, when no flip remains, stops.
+
+    A schedule with a flip every cycle never takes the test and
+    executes exactly ``n_cycles - cycles[0]`` steps.  Returns whether
+    the walk ended on such an all-golden state (then no lane is latent);
+    otherwise it ran to the last workload cycle and the caller compares
+    the final state.
+    """
+    n_cycles = ctx.n_cycles
+    stops = [*cycles, n_cycles]  # every flip cycle, then the workload end
+    due = 0  # index into stops of the next one not reached yet
+    steps = skipped = tests = 0
+    settled = False
+    cyc = stops[0]
+    carrier.seed(cyc)
+    while cyc < n_cycles:
+        if cyc == stops[due]:
+            carrier.flip(cyc)
+            due += 1
+        carrier.step(cyc)
+        steps += 1
+        cyc += 1
+        if cyc == stops[due]:
+            continue
+        tests += 1
+        if carrier.undecided(cyc):
+            continue
+        skipped += stops[due] - cyc
+        cyc = stops[due]
+        if cyc == n_cycles:
+            settled = True
+        else:
+            carrier.seed(cyc)
+    ctx.count(steps_run=steps, cycles_skipped=skipped,
+              early_exits=int(settled), quiescence_tests=tests)
+    return settled
+
+
+def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
+    """Lanes in which any word differs from its golden counterpart."""
+    return reduce(or_, map(xor, words, golden), 0)
+
+
+class _IntCarrier:
+    """The packed big-int lane word on the compiled step function.
+
+    Drives the generated function on raw slot tuples — flips XOR into
+    state slots by index, outputs compare against the replicated golden
+    trace tuple-to-tuple.  Flips are confined to the ``live`` lanes, so
+    every other lane of the word is one more golden lane and can never
+    hold the walk up.
+    """
+
+    def __init__(self, ctx: LaneContext, program, flips, live: int) -> None:
+        self.stim, self.trace, self.states = ctx.raw_views(program)
+        self.fn = program.program.fn
+        self.q_index = program.q_index
+        self.mask = ctx.mask
+        self.flips = flips
+        self.live = live
+        self.state: tuple = ()
+        self.fail = 0
+
+    def seed(self, cyc: int) -> None:
+        self.state = self.states[cyc]
+
+    def flip(self, cyc: int) -> None:
+        slots = list(self.state)
+        q_index, live = self.q_index, self.live
+        for q, lane_mask in self.flips[cyc].items():
+            slots[q_index[q]] ^= lane_mask & live
+        self.state = tuple(slots)
+
+    def step(self, cyc: int) -> None:
+        out, self.state = self.fn(self.stim[cyc], self.state, self.mask)
+        self.fail |= _diverged(out, self.trace[cyc])
+
+    def diff(self, cyc: int) -> int:
+        """Lanes whose state differs from the golden one entering
+        ``cyc`` (``n_cycles``: the golden final state)."""
+        return _diverged(self.state, self.states[cyc])
+
+    def undecided(self, cyc: int) -> int:
+        return self.diff(cyc) & ~self.fail
+
+
 def _propagate_ndarray(ctx: LaneContext, program, flips, start: int,
                        lanes: int) -> tuple[int, int]:
     """The ndarray-backed packed propagation.
 
-    Same loop as the compiled int path, but every slot is a uint64
-    block array: the generated step function broadcasts over blocks,
+    The compiled int path's loop before the busy-window walker — every
+    cycle from ``start`` to the end — but every slot is a uint64 block
+    array: the generated step function broadcasts over blocks,
     per-lane flips become block arrays XORed into fresh state slots
     (never in place — golden slots are shared), and fail/latent words
     accumulate elementwise before one conversion back to ints for the
@@ -446,71 +608,155 @@ def _propagate_ndarray(ctx: LaneContext, program, flips, start: int,
     return fail_int, latent_int
 
 
-def _propagate_soa(ctx: LaneContext, program, flips, start: int,
-                   lanes: int) -> tuple[int, int]:
-    """The SoA-backed packed propagation.
+#: 64-lane blocks per SoA column band.  One SoA step costs about
+#: ``35 us + 50 us * lanes / 1024`` on the benchmark's 12 800-gate
+#: circuit, so narrow bands pay more fixed dispatch per lane-cycle but
+#: walk a shorter window: a band only runs from its own first flip to
+#: its last flip plus settle time.  Swept on ``seu_soa4096`` (43 520
+#: points, 136 cycles, ~30 cycle-sorted lanes flipping per cycle; table
+#: in the README's SoA section): 8 to 16 blocks are level, narrower and
+#: wider both lose.  16 blocks = 1024 lanes is also the narrowest word
+#: the auto backing hands the SoA tier (``vector.SOA_MIN_LANES``), so a
+#: group at the crossover width is walked as one band.
+SOA_BAND_BLOCKS = 16
 
-    The whole multi-cycle loop stays inside numpy: stimuli are slab
-    assignments into the state matrix's PI rows, the kernel evaluates
-    each level as fused array ops, PO divergence and the next state
-    come back as row gathers.  Per-lane flips XOR the same words into a
-    flop's row *and* its mirror row in one fancy-indexed update
-    (``~x ^ b == ~(x ^ b)`` keeps the complement invariant).  The state
-    matrix is allocated per call — contexts are shared across thread
-    executors — while the flip words, converted from packed ints in one
-    bytes pass per cycle, stay local anyway.
+
+def _propagate_soa(ctx: LaneContext, program, flips, start: int,
+                   n_lanes: int) -> tuple[int, int]:
+    """The SoA-backed packed propagation, one column band at a time.
+
+    The lane word is cut into bands of :data:`SOA_BAND_BLOCKS` blocks.
+    Each band gets the slice of the flip schedule that lands in its
+    lanes and is walked on its own (:func:`_walk`) — from *its* first
+    flip to *its* last flip plus settle time — on one reused
+    ``(2 * slots, band)`` state matrix.  ``packed_dispatch`` hands over
+    lanes sorted by injection cycle, so a band's flips are a short run
+    of adjacent cycles and a flip's lane mask touches one band; only
+    the blocks the ``n_lanes`` present occupy are ever computed.
     """
     np = _vector.np
-    mask = ctx.mask
-    blocks = ctx.n_blocks
-    stim, trace, states, final, ones = ctx.raw_views_soa(program)
-    kernel = program.kernel
-    n = kernel.n_slots
-    pa, pb = program.pi_slice
-    qa, qb = program.q_slice
+    n_lanes = min(n_lanes, ctx.width)
+    blocks = _vector.blocks_for(n_lanes)
+    lanes = mask_of(n_lanes)
+    cycles = _flip_cycles(ctx, flips, start)
+    if not cycles:
+        return 0, 0
+    # the whole schedule as arrays, one row per flip in cycle order: its
+    # cycle, its flop row, its lane word (one bytes pass)
+    qa = program.q_slice[0]
     q_index = program.q_index
-    po_rows = program.po_rows
-    d_rows = program.d_rows
-    sched = {}
-    for cyc, cyc_flips in flips.items():
-        packed = b"".join((m & mask).to_bytes(blocks * 8, "little")
-                          for m in cyc_flips.values())
-        bits = np.frombuffer(packed, dtype="<u8").astype(
-            np.uint64).reshape(len(cyc_flips), blocks)
-        rows = np.asarray([qa + q_index[q] for q in cyc_flips],
-                          dtype=np.intp)
-        sched[cyc] = (np.concatenate([rows, rows + n]),
-                      np.concatenate([bits, bits]))
-    S = np.zeros((2 * n, blocks), dtype=np.uint64)
-    S[n] = ones
-    S[qa:qb] = states[start]
-    np.invert(S[qa:qb], out=S[n + qa:n + qb])
-    bound = kernel.bind(S)  # output views are replayed every cycle
+    flip_cycle = np.repeat(cycles, [len(flips[cyc]) for cyc in cycles])
+    flip_row = np.asarray([qa + q_index[q] for cyc in cycles
+                           for q in flips[cyc]], dtype=np.intp)
+    flip_word = np.frombuffer(
+        b"".join((lane_mask & lanes).to_bytes(blocks * 8, "little")
+                 for cyc in cycles for lane_mask in flips[cyc].values()),
+        dtype="<u8").reshape(len(flip_row), blocks)
     fail = _vector.zeros(blocks)
-    tmp = np.empty(blocks, dtype=np.uint64)
-    for cyc in range(start, ctx.n_cycles):
-        cyc_sched = sched.get(cyc)
-        if cyc_sched is not None:
-            rows, bits = cyc_sched
-            S[rows] ^= bits
-        S[pa:pb] = stim[cyc]
-        np.invert(S[pa:pb], out=S[n + pa:n + pb])
-        kernel.execute_bound(S, bound)
-        if len(po_rows):
-            po = S.take(po_rows, axis=0)
-            po ^= trace[cyc]
-            np.bitwise_or.reduce(po, axis=0, out=tmp)
-            fail |= tmp
-        nxt = S.take(d_rows, axis=0)
-        S[qa:qb] = nxt
-        np.invert(nxt, out=nxt)
-        S[n + qa:n + qb] = nxt
-    diff = _vector.zeros(blocks)
-    if qb > qa:
-        np.bitwise_or.reduce(S[qa:qb] ^ final, axis=0, out=diff)
+    latent = _vector.zeros(blocks)
+    carrier = None
+    bands = 0
+    for b0 in range(0, blocks, SOA_BAND_BLOCKS):
+        b1 = min(blocks, b0 + SOA_BAND_BLOCKS)
+        words = flip_word[:, b0:b1]
+        mine = np.flatnonzero(words.any(axis=1))  # flips landing in the band
+        if not len(mine):
+            continue  # all lanes golden: neither failed nor latent
+        if carrier is None or carrier.width != b1 - b0:
+            carrier = _SoaBand(ctx, program, b1 - b0)
+        band_cycles, firsts = np.unique(flip_cycle[mine], return_index=True)
+        band_cycles = band_cycles.tolist()
+        bounds = [*firsts.tolist(), len(mine)]
+        carrier.load(dict(zip(band_cycles, zip(bounds, bounds[1:]))),
+                     flip_row[mine],
+                     words[mine].astype(np.uint64, copy=False))
+        settled = _walk(ctx, carrier, band_cycles)
+        fail[b0:b1] = carrier.fail
+        if not settled:
+            latent[b0:b1] = carrier.diff(ctx.n_cycles)
+        bands += 1
+    ctx.count(bands_run=bands)
     fail_int = _vector.from_blocks(fail) & lanes
-    latent_int = _vector.from_blocks(diff) & lanes & ~fail_int
-    return fail_int, latent_int
+    return fail_int, _vector.from_blocks(latent) & lanes & ~fail_int
+
+
+class _SoaBand:
+    """One column band of the SoA lane word.
+
+    The whole multi-cycle walk stays inside numpy: stimuli are column
+    broadcasts into the state matrix's PI rows, the kernel evaluates
+    each level as fused array ops, PO divergence and the next state
+    come back as row gathers.  Flips XOR into the flop rows only — the
+    complement mirror of all source rows is refreshed in one ``invert``
+    at the top of every step.  The golden columns seed every lane of
+    a block and flips are confined to the lanes present, so the dead
+    lanes of a partial block are golden lanes like any other: nothing
+    needs masking before the final readout.  The matrix is allocated
+    per ``propagate`` call (contexts are shared across thread
+    executors) and reused by every band of that call.
+    """
+
+    def __init__(self, ctx: LaneContext, program, width: int) -> None:
+        np = _vector.np
+        self.stim, self.trace, self.states = ctx.raw_views_soa(program)
+        self.kernel = kernel = program.kernel
+        self.width = width
+        n = kernel.n_slots
+        S = np.zeros((2 * n, width), dtype=np.uint64)
+        S[n] = ~np.uint64(0)
+        self.S = S
+        self.bound = kernel.bind(S)  # output views, replayed every cycle
+        pa, pb = program.pi_slice
+        qa, qb = program.q_slice
+        lo, hi = kernel.src_span
+        self.pi_rows = S[pa:pb]
+        self.q_rows = S[qa:qb]
+        self.src_rows, self.src_mirror = S[lo:hi], S[n + lo:n + hi]
+        self.po_rows = program.po_rows
+        self.d_rows = program.d_rows
+        self.q_buf = np.empty((qb - qa, width), dtype=np.uint64)
+        self.tmp = np.empty(width, dtype=np.uint64)
+
+    def load(self, spans: Mapping[int, tuple[int, int]], rows, bits) -> None:
+        """Target the next band: the flop row and band-wide word of each
+        of its flips in cycle order, ``spans[cycle]`` bounding the flips
+        due at ``cycle``."""
+        self.fail = _vector.zeros(self.width)
+        self.spans = spans
+        self.rows = rows
+        self.bits = bits
+
+    def seed(self, cyc: int) -> None:
+        self.q_rows[...] = self.states[cyc]
+
+    def flip(self, cyc: int) -> None:
+        a, b = self.spans[cyc]
+        self.S[self.rows[a:b]] ^= self.bits[a:b]
+
+    def step(self, cyc: int) -> None:
+        np = _vector.np
+        S = self.S
+        self.pi_rows[...] = self.stim[cyc]
+        np.invert(self.src_rows, out=self.src_mirror)
+        self.kernel.execute_bound(S, self.bound)
+        if len(self.po_rows):
+            po = S.take(self.po_rows, axis=0)
+            po ^= self.trace[cyc]
+            np.bitwise_or.reduce(po, axis=0, out=self.tmp)
+            self.fail |= self.tmp
+        self.q_rows[...] = S.take(self.d_rows, axis=0)
+
+    def diff(self, cyc: int):
+        """Lanes whose state differs from the golden one entering
+        ``cyc`` (``n_cycles``: the golden final state)."""
+        np = _vector.np
+        np.bitwise_xor(self.q_rows, self.states[cyc], out=self.q_buf)
+        return np.bitwise_or.reduce(self.q_buf, axis=0)
+
+    def undecided(self, cyc: int) -> bool:
+        word = self.diff(cyc)
+        word &= ~self.fail
+        return bool(word.any())
 
 
 def _outcome_list(fail: int, latent: int, count: int) -> list[str]:
@@ -555,9 +801,9 @@ def seu_outcomes(ctx: LaneContext,
         raise ValueError(f"{len(points)} points exceed lane width "
                          f"{ctx.width}")
     flips: dict[int, dict[str, int]] = {}
-    start = ctx.n_cycles
+    n_cycles = start = ctx.n_cycles
     for lane, (flop, cyc) in enumerate(points):
-        if cyc < 0 or cyc >= ctx.n_cycles:
+        if cyc < 0 or cyc >= n_cycles:
             # the flip never fires inside the workload: provably masked
             # (matching inject_seu; a negative index must not reach the
             # context lists, where it would wrap around)
@@ -565,7 +811,7 @@ def seu_outcomes(ctx: LaneContext,
         per_cycle = flips.setdefault(cyc, {})
         per_cycle[flop] = per_cycle.get(flop, 0) | (1 << lane)
         start = min(start, cyc)
-    if start >= ctx.n_cycles:
+    if start >= n_cycles:
         return [MASKED] * len(points)
     fail, latent = propagate(ctx, flips, start, len(points))
     return _outcome_list(fail, latent, len(points))

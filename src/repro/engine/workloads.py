@@ -416,6 +416,9 @@ class SlicingBackend:
                 golden=self._golden,
                 backing=getattr(self, "lane_backing", None))
 
+    def campaign_finished(self) -> None:
+        lanes.log_walk_summary(self.name, self._lane_ctx)
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_golden"] = None  # workers re-run the golden pass
@@ -562,6 +565,12 @@ class CompositeBackend:
     def prepare(self) -> None:
         for _, backend in self.parts:
             backend.prepare()
+
+    def campaign_finished(self) -> None:
+        for _, backend in self.parts:
+            finished = getattr(backend, "campaign_finished", None)
+            if finished is not None:
+                finished()
 
     def run_batch(self, points: Sequence[tuple[str, Any]]) -> list[Injection]:
         out: list[Injection | None] = [None] * len(points)

@@ -200,15 +200,29 @@ class TestPickling:
     def test_prepare_is_idempotent(self):
         backend = _seu_backend()
         backend.prepare()
+        ctx = backend._lane_ctx
+        assert ctx is not None
+        assert backend._golden is None  # packed path: one golden pass
+        backend.prepare()
+        assert backend._lane_ctx is ctx  # not recomputed
+
+    def test_prepare_is_idempotent_per_point(self):
+        circuit = load("rand_seq")
+        backend = SeuBackend(circuit, random_workload(circuit, 6, seed=7),
+                             lane_width=1)
+        backend.prepare()
         golden = backend._golden
+        assert golden is not None and backend._lane_ctx is None
         backend.prepare()
         assert backend._golden is golden  # not recomputed
 
     def test_prepared_state_not_shipped(self):
         backend = _seu_backend()
         backend.prepare()
+        assert backend._lane_ctx is not None
         clone = pickle.loads(pickle.dumps(backend))
-        assert clone._golden is None  # workers rebuild it via prepare()
+        # workers rebuild it via prepare()
+        assert clone._lane_ctx is None and clone._golden is None
         clone.prepare()
         points = list(backend.enumerate_points())[:6]
         assert clone.run_batch(points) == backend.run_batch(points)

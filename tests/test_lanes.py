@@ -9,7 +9,9 @@ the point-filter stage.
 """
 
 import logging
+import random
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,182 @@ class TestVectorLanes:
         run_campaign(backend, EngineConfig(batch_size=32, executor="serial"),
                      on_chunk=on_chunk)
         assert all(size == 32 for size in sizes[:-1])
+
+
+# ----------------------------------------------------------------------
+# busy-window walker: quiescence rule, column bands, work bounds
+# ----------------------------------------------------------------------
+def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
+    """A flip schedule in ``propagate``'s format: every lane flips one
+    to three flops in one cycle, lanes in no particular order."""
+    flops = list(circuit.flops)
+    flips = {}
+    for lane in rng.sample(range(n_lanes), n_lanes):
+        cyc = {"first": 0, "last": n_cycles - 1,
+               "anywhere": rng.randrange(-2, n_cycles + 3),
+               "sparse": rng.choice((0, n_cycles // 2, n_cycles - 1)),
+               }[shape]
+        per_cycle = flips.setdefault(cyc, {})
+        for q in rng.sample(flops, rng.randint(1, min(3, len(flops)))):
+            per_cycle[q] = per_cycle.get(q, 0) | (1 << lane)
+    return flips
+
+
+def _start_of(flips, n_cycles):
+    return min((c for c in flips if 0 <= c < n_cycles), default=0)
+
+
+def _interpreter_reference(circuit, workload, width, flips, n_lanes):
+    """The full-length interpreter ``propagate``: no walker involved."""
+    with compiled.disabled():
+        ctx = lanes.build_context(circuit.copy(), workload, width)
+        return lanes.propagate(ctx, flips, _start_of(flips, len(workload)),
+                               n_lanes)
+
+
+def _observable_toy():
+    """Three flops with known fates.  ``hold`` recirculates unobserved
+    (a flip stays *latent* to the end); ``seen`` reloads from the input
+    every cycle and drives the PO (a flip *fails*, then the lane is back
+    on the golden state one cycle later); ``blind`` reloads unobserved
+    (a flip is *masked* after one cycle)."""
+    from repro.circuit.netlist import Circuit
+
+    circuit = Circuit("walker_toy")
+    circuit.add_input("a")
+    for q in ("hold", "seen", "blind"):
+        circuit.add_gate(f"{q}_d", "BUF", ["hold" if q == "hold" else "a"])
+        circuit.add_flop(q, f"{q}_d")
+    circuit.add_gate("po", "BUF", ["seen"])
+    circuit.add_output("po")
+    circuit.validate()
+    return circuit
+
+
+@needs_numpy
+class TestBusyWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           n_flops=st.sampled_from((1, 2, 7)),
+           n_outputs=st.sampled_from((0, 1, 4)),
+           n_cycles=st.integers(1, 12),
+           n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200)),
+           shape=st.sampled_from(("first", "last", "anywhere", "sparse")),
+           band=st.sampled_from((1, 2, 8)))
+    def test_property_walkers_equal_full_length_interpreter(
+            self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape, band):
+        circuit = random_sequential(n_inputs=3, n_gates=25, n_flops=n_flops,
+                                    n_outputs=n_outputs, seed=seed)
+        workload = random_workload(circuit, n_cycles, seed=seed + 1)
+        flips = _random_schedule(random.Random(seed), circuit, n_cycles,
+                                 n_lanes, shape)
+        width = 256
+        expected = _interpreter_reference(circuit, workload, width, flips,
+                                          n_lanes)
+        start = _start_of(flips, n_cycles)
+        for backing in ("int", "soa"):
+            ctx = lanes.build_context(circuit.copy(), workload, width,
+                                      backing=backing)
+            assert ctx.backing == backing
+            with mock.patch.object(lanes, "SOA_BAND_BLOCKS", band):
+                got = lanes.propagate(ctx, flips, start, n_lanes)
+            assert got == expected, backing
+            if backing == "int":  # one walk: every cycle is run or skipped
+                fires = any(0 <= cyc < n_cycles for cyc in flips)
+                assert ctx.steps_run + ctx.cycles_skipped == (
+                    n_cycles - start if fires else 0)
+
+    @pytest.mark.parametrize("backing", ("int", "soa"))
+    def test_fail_then_reconverge_latent_and_masked(self, backing):
+        circuit = _observable_toy()
+        workload = [{"a": cyc & 1} for cyc in range(10)]
+        # lane 0 fails at cycle 1 and is golden again at cycle 2, lane 1
+        # stays latent, lane 2 is masked, lane 3 flips in the last cycle
+        flips = {1: {"seen": 0b0001, "hold": 0b0010, "blind": 0b0100},
+                 9: {"hold": 0b1000}}
+        ctx = lanes.build_context(circuit, workload, 70, backing=backing)
+        assert ctx.backing == backing
+        assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1010)
+        assert lanes.propagate(ctx, flips, 1, 4) == _interpreter_reference(
+            circuit, workload, 70, flips, 4)
+        # without the latent lane the walk settles after one cycle, jumps
+        # to the last flip, and runs 2 of the 9 cycles
+        before = ctx.steps_run
+        flips[1].pop("hold")
+        assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1000)
+        assert ctx.steps_run - before == 2
+
+    @pytest.mark.parametrize("backing", ("int", "soa"))
+    def test_flips_outside_the_workload_never_fire(self, backing):
+        circuit = _observable_toy()
+        workload = [{"a": 1}] * 4
+        ctx = lanes.build_context(circuit, workload, 70, backing=backing)
+        flips = {-1: {"seen": 1}, 4: {"seen": 2}, 7: {"hold": 4}}
+        assert lanes.propagate(ctx, flips, 0, 3) == (0, 0)
+        assert ctx.steps_run == 0
+
+    def test_packed64_shaped_campaign_runs_under_70_percent(self):
+        # the seu_packed64 shape: flop-major points over 120 cycles in
+        # 64-lane chunks, so a chunk is one flop at cycles 0..63 (the 56
+        # cycles after its last flip are settle time, then golden) or at
+        # 64..119 plus the next flop at 0..7 (golden in between)
+        circuit = random_sequential(n_inputs=8, n_gates=300, n_flops=24,
+                                    n_outputs=8, seed=11)
+        n_cycles = 120
+        workload = random_workload(circuit, n_cycles, seed=5)
+        backend = SeuBackend(circuit, workload, lane_width=64)
+        backend.prepare()
+        ctx = backend._lane_ctx
+        points = list(backend.enumerate_points())
+        full_length = 0
+        for chunk in lanes.lane_groups(points, 64):
+            backend.run_batch(chunk)
+            full_length += n_cycles - min(cyc for _flop, cyc in chunk)
+        assert ctx.steps_run + ctx.cycles_skipped == full_length
+        assert ctx.steps_run <= 0.7 * full_length
+        assert ctx.early_exits > 0
+
+    @pytest.mark.parametrize("backing", ("int", "soa"))
+    def test_flip_every_cycle_pays_no_quiescence_test(self, backing):
+        # the slicing_filtered shape: a dense schedule must cost exactly
+        # what the full-length loop cost
+        circuit = random_sequential(n_inputs=4, n_gates=40, n_flops=6,
+                                    n_outputs=3, seed=3)
+        n_cycles, first = 30, 4
+        workload = random_workload(circuit, n_cycles, seed=9)
+        flops = list(circuit.flops)
+        flips = {cyc: {flops[cyc % len(flops)]: 1 << (cyc - first)}
+                 for cyc in range(first, n_cycles)}
+        ctx = lanes.build_context(circuit, workload, 128, backing=backing)
+        got = lanes.propagate(ctx, flips, first, n_cycles - first)
+        assert got == _interpreter_reference(circuit, workload, 128, flips,
+                                             n_cycles - first)
+        assert ctx.quiescence_tests == 0
+        assert ctx.steps_run == n_cycles - first
+        assert ctx.cycles_skipped == ctx.early_exits == 0
+
+    def test_bands_cover_only_the_lanes_present(self, monkeypatch):
+        monkeypatch.setattr(lanes, "SOA_BAND_BLOCKS", 1)
+        circuit = load("rand_seq")
+        workload = random_workload(circuit, 20, seed=7)
+        ctx = lanes.build_context(circuit, workload, 4096, backing="soa")
+        points = [(flop, cyc) for cyc in range(20)
+                  for flop in circuit.flops][:200]
+        lanes.seu_outcomes(ctx, points)
+        assert ctx.bands_run == 4  # 200 lanes, not the context's 4096
+        # each 64-lane band walks its own ~6 flip cycles plus settle
+        # time, not the 20-cycle workload
+        assert ctx.steps_run < 4 * 20
+
+    def test_campaign_end_logs_one_walk_summary(self, seq_setup, caplog):
+        circuit, workload = seq_setup
+        backend = SeuBackend(circuit.copy(), workload, lane_width=64)
+        with caplog.at_level(logging.DEBUG, logger="repro.engine"):
+            run_campaign(backend, EngineConfig(executor="serial"))
+        lines = [rec.message for rec in caplog.records
+                 if "steps run" in rec.message]
+        assert len(lines) == 1
+        assert f"{backend._lane_ctx.steps_run} steps run" in lines[0]
 
 
 # ----------------------------------------------------------------------

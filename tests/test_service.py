@@ -354,8 +354,14 @@ class TestHostChaosProcesses:
             _backend(n_cycles=24), config,
             db_path=tmp_path / "s.sqlite", n_workers=3,
             worker_kwargs={"lease_ttl": 1.0},
-            per_worker={1: {"chaos": HostChaos(
-                [HostFault("sigkill", after_chunks=2)])}},
+            # the peers pause on their first chunk: whichever worker
+            # finishes importing first would otherwise drain all 24
+            # short chunks before the victim reaches its 2nd claim
+            per_worker={
+                0: {"chaos": HostChaos([HostFault("stall", stall_s=0.6)])},
+                1: {"chaos": HostChaos(
+                    [HostFault("sigkill", after_chunks=2)])},
+                2: {"chaos": HostChaos([HostFault("stall", stall_s=0.6)])}},
             wait_timeout=120)
         assert _signature(report) == _signature(serial)
         with CampaignQueue(tmp_path / "s.sqlite") as queue:
