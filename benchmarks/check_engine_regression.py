@@ -12,9 +12,17 @@ when the engine's perf claims regress:
   workload (the headline target is >= 5x; 3x is the regression floor);
 * the persistent worker pool changed campaign outcomes vs fresh pools;
 * the compiled simulation core lost interpreter identity on any path
-  (unconditional), or its warm PPSFP speedup fell below the 3x CI floor
-  (the headline target is >= 5x), or the compiled packed-SEU path lost
-  identity or fell below 2x;
+  (unconditional), or its warm PPSFP speedup fell below the 2x CI floor,
+  or the compiled packed-SEU path lost identity or fell below 2x.  (The
+  PPSFP floor was 3x while the dictionary sweep walked every fault once
+  per 16-pattern batch.  Pattern windows make the sweep's 12 batches
+  one 192-bit word and one walk per fault, which sped up *both* rows —
+  interpreted 1.36 s -> 0.13 s, compiled warm 0.23 s -> 0.036 s on the
+  recording host — but the interpreted denominator more, because what
+  is left of a warm compiled sweep is per-fault fixed cost: program
+  lookup, result bookkeeping, ~9 us a fault.  The ratio reads 5.9-6.2x
+  -> 3.1-5.3x (seven runs) with no row slower, and the floor was
+  re-derived from the new rows with the old floor's margin);
 * pattern shipping stopped engaging on an over-threshold payload,
   stopped shrinking the pickled backend, or changed campaign outcomes;
 * the vector tier lost per-point identity at any lane width or backing
@@ -118,10 +126,10 @@ def check(record: dict) -> list[str]:
                     f"compiled {path} path is no longer interpreter-"
                     "identical")
         ppsfp_c = csim.get("ppsfp")
-        if ppsfp_c and ppsfp_c["warm_speedup"] < 3.0:
+        if ppsfp_c and ppsfp_c["warm_speedup"] < 2.0:
             failures.append(
                 f"compiled PPSFP warm speedup {ppsfp_c['warm_speedup']}x "
-                "fell below the 3x floor (target >= 5x)")
+                "fell below the 2x floor")
         seu_c = csim.get("seu")
         if seu_c and seu_c["speedup"] < 2.0:
             failures.append(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 
 class GateType(str, Enum):
@@ -106,7 +106,9 @@ class Circuit:
         self._topo_cache: list[Gate] | None = None
         self._fanout_cache: dict[str, tuple[str, ...]] | None = None
         self._topo_index_cache: dict[str, int] | None = None
-        self._cone_cache: dict[tuple[str, ...], list[Gate]] = {}
+        # fan-out cones by start-net tuple, plus (under the key None) the
+        # reachability table they are read from — repro.sim.fault_sim
+        self._cone_cache: dict[tuple[str, ...] | None, Any] = {}
         # compiled simulation programs (repro.sim.compiled), keyed by
         # program kind; invalidated with the structural caches above
         self._program_cache: dict = {}

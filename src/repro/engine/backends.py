@@ -32,7 +32,9 @@ from ..autosoc.fi import SocInjection, run_injection
 from ..autosoc.soc import SocConfig
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
-from ..sim.fault_sim import _batch_goods, _batched_detection, _observe_nets
+from ..sim.fault_sim import (PatternWindows, _batched_detection,
+                             _observe_nets, _pattern_windows,
+                             log_walk_summary)
 from ..sim.logic import mask_of, simulate
 from ..soft_error.seu import _golden_run, inject_seu
 from . import lanes
@@ -48,9 +50,11 @@ class PpsfpBackend:
 
     Injection points are the faults; each fault is simulated against the
     pattern batches in order with fault dropping (first detecting batch
-    wins).  The fan-out-cone cache on the circuit makes repeat visits to
-    a fault site O(1), so batches after the first cost a dict lookup per
-    surviving fault instead of a BFS plus a topo-order scan.
+    wins).  ``prepare()`` concatenates the batches into pattern windows
+    (:data:`repro.sim.fault_sim.WINDOW_BITS` patterns wide, one good
+    simulation each), so a fault costs one cone walk per window rather
+    than one per batch it survives, and its cone is read off the
+    circuit's reachability table the first time and cached after.
 
     Large pattern payloads ship via the engine's temp-file channel: when
     the pickled batches cross :data:`repro.engine.executors
@@ -81,8 +85,7 @@ class PpsfpBackend:
         self.state = state
         self.full_scan = full_scan
         self.drop_detected = drop_detected
-        self._goods: list[tuple[dict[str, int], int]] = []
-        self._offsets: list[int] = []
+        self._windows: PatternWindows | None = None
         self._observe: tuple[str, ...] = ()
         self._batches_blob = None  # ShippedBlob once patterns ship
         self._ship_memo: tuple | None = None  # (src, len, blob) — parent only
@@ -94,14 +97,17 @@ class PpsfpBackend:
     def prepare(self) -> None:
         if self.batches is None:  # shipped patterns: load once per worker
             self.batches = self._batches_blob.load()
-        if self._goods:  # idempotent: re-run per process-pool worker
+        if self._windows is not None:  # idempotent: re-run per worker
             return
-        self._goods, self._offsets, _ = _batch_goods(
-            self.circuit, self.batches, self.state)
+        self._windows = _pattern_windows(self.circuit, self.batches,
+                                         self.state)
         self._observe = _observe_nets(self.circuit, self.full_scan)
 
+    def campaign_finished(self) -> None:
+        log_walk_summary(self.name, self.circuit, self._windows)
+
     def __getstate__(self) -> dict:
-        """Prepared state (good-machine values, observe list) is dropped:
+        """Prepared state (pattern windows, observe list) is dropped:
         process-pool workers rebuild it via their own ``prepare()``.
 
         Pattern batches past the shipping threshold are parked in a temp
@@ -116,8 +122,7 @@ class PpsfpBackend:
         from .executors import ship_if_large
 
         state = self.__dict__.copy()
-        state["_goods"] = []
-        state["_offsets"] = []
+        state["_windows"] = None
         state["_observe"] = ()
         state["_ship_memo"] = None  # parent-side memo never travels
         batches = self.batches
@@ -140,9 +145,8 @@ class PpsfpBackend:
     def run_batch(self, points: Sequence[StuckAtFault]) -> list[Injection]:
         out: list[Injection] = []
         for fault in points:
-            acc = _batched_detection(self.circuit, fault, self._goods,
-                                     self._offsets, self._observe,
-                                     self.drop_detected)
+            acc = _batched_detection(self.circuit, fault, self._windows,
+                                     self._observe, self.drop_detected)
             out.append(Injection(
                 point=fault, location=fault.describe(), cycle=0,
                 outcome=DETECTED if acc else UNDETECTED, detail=acc))

@@ -100,11 +100,17 @@ from . import vector as _vector
 ENV_FLAG = "RESCUE_NO_COMPILE"
 
 #: Per-site programs (cones, detection) compile only after this many
-#: (weighted) evaluations of the same site.  Codegen plus ``compile()``
-#: costs roughly 15-20 interpreted evaluations of the same cone, so
-#: one-shot and small batched fault simulations stay entirely on the
-#: interpreter, while campaign workloads — which revisit every
-#: surviving site per pattern batch, per cycle, or per campaign sweep —
+#: (weighted) evaluations of the same site.  Measured break-even —
+#: (codegen + ``compile()``) / (interpreted − compiled evaluation), warm
+#: cone cache, 400 collapsed faults each — is 28-32 evaluations on the
+#: 3.2k-gate combinational benchmark circuit (2.1 ms to build, 110-135
+#: us interpreted, 44-56 us compiled; median site 16-18), ~14 on the
+#: 800-gate smoke circuit and ~4 on a small-cone sequential one (80 us
+#: to build, 21 us vs 2 us), the same at 64 and at 1024 patterns per
+#: word.  20 sits inside that range.  A dropping PPSFP campaign visits
+#: a site once or twice (one evaluation per pattern window) and stays
+#: entirely on the interpreter; workloads that revisit a site per
+#: cycle, per window of a no-dropping dictionary sweep, or per campaign
 #: cross the threshold and settle into compiled steady state.
 #: Per-circuit programs (full evaluation, step) are compiled eagerly:
 #: they amortize over every evaluation of the circuit.  Tests and

@@ -10,14 +10,19 @@ to test compaction.
 
 from __future__ import annotations
 
-from collections import deque
+import logging
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Any, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.models import Line, StuckAtFault
 from . import compiled as _compiled
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -47,44 +52,79 @@ class FaultSimResult:
         return essential
 
 
+#: Key of the reachability table inside ``Circuit._cone_cache`` (cone
+#: keys are tuples of net names, so ``None`` cannot collide with one).
+_REACH_KEY = None
+
+_BIN_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _reach_table(circuit: Circuit) -> tuple[dict[str, int], list]:
+    """Per-net bitsets of the gates combinationally reachable from it.
+
+    Bit *i* stands for ``circuit.topo_order()[i]``.  One sweep in reverse
+    topological order suffices because every consumer of a gate comes
+    later in that order: ``bits[out] = 1 << topo_index | OR(bits[c] for
+    consumers c)``, not through flops; primary inputs and flop Qs are
+    the OR of their consumers alone.  A big int is width-insensitive up
+    to ~1k bits and a memcpy-speed word loop beyond, so the whole table
+    builds in 2.8 ms at 3.2k gates — about sixteen BFS cones — and
+    holds ``nets x gates / 8`` bytes at most (1.3 MB at 3.2k gates,
+    ~20 MB at 12.8k).
+    """
+    order = circuit.topo_order()
+    fmap = circuit.fanout_map()
+    flops = circuit.flops
+    bits: dict[str, int] = {}
+
+    def consumers(net: str) -> int:
+        acc = 0
+        for dst in fmap.get(net, ()):
+            if dst not in flops:  # combinational cone only
+                acc |= bits[dst]
+        return acc
+
+    for i in range(len(order) - 1, -1, -1):
+        out = order[i].output
+        bits[out] = 1 << i | consumers(out)
+    for net in (*circuit.inputs, *flops):
+        bits[net] = consumers(net)
+    return bits, order
+
+
 def _cone_gates(circuit: Circuit, start_nets: Sequence[str]) -> list:
     """Gates in the fan-out cone of ``start_nets``, in topological order.
 
-    Memoized per fault site on the circuit (invalidated on mutation):
-    campaigns re-simulate the same sites across pattern batches, cycles
-    and workloads, so the BFS and the ordering are paid once per site
-    instead of once per injection.  Cone membership is collected from the
-    fan-out map and ordered by cached topological index — no full
-    topo-order scan per fault.
+    The cone is the set bits of ``OR(bits[start])`` from the circuit's
+    reachability table (:func:`_reach_table`), read off in index order —
+    which *is* topological order, so there is no traversal and no sort.
+    Both the table and the materialised cones are memoized on the
+    circuit (invalidated on mutation, dropped by pickling): campaigns
+    re-simulate the same sites across pattern windows, cycles and
+    workloads.
     """
     key = tuple(start_nets)
-    cached = circuit._cone_cache.get(key)
+    cache = circuit._cone_cache
+    cached = cache.get(key)
     if cached is not None:
         return cached
-    fmap = circuit.fanout_map()
-    reach: set[str] = set()
-    work = deque(start_nets)
-    while work:
-        net = work.popleft()
-        if net in reach:
-            continue
-        reach.add(net)
-        for dst in fmap.get(net, ()):
-            if dst in circuit.flops:
-                continue  # combinational cone only
-            work.append(dst)
-    members: dict[str, object] = {}
-    for net in reach:
-        gate = circuit.gates.get(net)
-        if gate is not None:
-            members[net] = gate
-        for dst in fmap.get(net, ()):
-            consumer = circuit.gates.get(dst)
-            if consumer is not None:
-                members[dst] = consumer
-    index = circuit.topo_index()
-    cone = sorted(members.values(), key=lambda g: index[g.output])
-    circuit._cone_cache[key] = cone
+    table = cache.get(_REACH_KEY)
+    if table is None:
+        table = cache[_REACH_KEY] = _reach_table(circuit)
+    bits, order = table
+    reach = 0
+    for net in key:
+        reach |= bits.get(net, 0)
+    if reach:
+        # bin() + compress() select the members in C; starting at the
+        # lowest set bit keeps the scan to the cone's own index span
+        low = (reach & -reach).bit_length() - 1
+        flags = format(reach >> low, "b")[::-1].encode().translate(
+            _BIN_TO_FLAGS)
+        cone = list(compress(order[low:], flags))
+    else:
+        cone = []
+    cache[key] = cone
     return cone
 
 
@@ -142,7 +182,8 @@ def _faulty_values_interp(
     cone = _cone_gates(circuit, [sink]) if sink in circuit.gates else []
     if sink in circuit.gates:
         gate = circuit.gates[sink]
-        shadow = dict(values)
+        # the sink alone sees the forced value: shadow just its inputs
+        shadow = {src: values[src] for src in gate.inputs}
         shadow[line.net] = forced
         values[sink] = eval_gate(gate, shadow, mask)
         for downstream in cone:
@@ -221,64 +262,165 @@ def fault_simulate(
     return result
 
 
-def _batch_goods(
+#: Widest word a pattern window may span.  Consecutive batches are
+#: concatenated up to this many patterns and evaluated in one walk.
+#: Picked from the 256 ... 4096 sweeps in the README's "PPSFP hot path":
+#: under fault dropping the cost per fault bottoms out here and turns
+#: up at 4096, where a walk stops being width-free.
+WINDOW_BITS = 1024
+
+
+@dataclass
+class PatternWindows:
+    """Good-machine values of pattern batches concatenated into windows.
+
+    Each window is ``(good, mask, offset, starts, batch_masks)``: the
+    good values of its batches side by side in one word per net, the
+    window's width mask, its first pattern's global number, and per
+    batch the bit position it starts at inside the window and its own
+    mask already shifted there.  The tallies count what the detection
+    sweeps did with the windows; thread executors share the object, so
+    :meth:`count` takes the lock.  They never influence an outcome.
+    """
+
+    windows: list[tuple[dict[str, int], int, int, list[int], list[int]]]
+    n_patterns: int
+    evaluations: int = 0
+    never_activated: int = 0
+    first_window_drops: int = 0
+    _count_lock: Any = field(default_factory=threading.Lock, repr=False,
+                             compare=False)
+
+    def count(self, evaluations: int, never_activated: int,
+              first_window_drop: bool) -> None:
+        """Add one fault sweep's tallies."""
+        with self._count_lock:
+            self.evaluations += evaluations
+            self.never_activated += never_activated
+            self.first_window_drops += first_window_drop
+
+
+def log_walk_summary(name: str, circuit: Circuit,
+                     windows: PatternWindows | None) -> None:
+    """One debug line with the sweep tallies of a backend's windows
+    (backends call this from their ``campaign_finished`` hook; a
+    process-pool parent, whose workers did the walking, stays quiet)."""
+    if windows is not None and windows.evaluations + windows.never_activated:
+        cache = circuit._cone_cache
+        log.debug(
+            "%s windows[%d x<=%d]: %d window evaluations, %d never-activated "
+            "skips, %d first-window drops, %d cones materialised",
+            name, len(windows.windows), WINDOW_BITS, windows.evaluations,
+            windows.never_activated, windows.first_window_drops,
+            len(cache) - (_REACH_KEY in cache))
+
+
+def _pattern_windows(
     circuit: Circuit,
     batches: Sequence[tuple[Mapping[str, int], int]],
     state: Mapping[str, int] | None,
-) -> tuple[list[tuple[dict[str, int], int]], list[int], int]:
-    """Good-machine values and global pattern offsets per batch."""
-    goods: list[tuple[dict[str, int], int]] = []
-    offsets: list[int] = []
+) -> PatternWindows:
+    """Simulate the good machine once per window of concatenated batches.
+
+    A Python int is width-insensitive to about a thousand bits, so
+    walking a cone over sixteen 64-pattern batches costs what walking it
+    over one does.  Every batch's PI and state words are masked to the
+    batch's own width and shifted to its offset, which makes each bit
+    column of the window exactly the pattern it was in its batch.  A
+    batch is never split; one wider than :data:`WINDOW_BITS` is a window
+    of its own.
+    """
+    groups: list[list[tuple[Mapping[str, int], int]]] = []
+    width = 0
+    for batch in batches:
+        if not groups or width + batch[1] > WINDOW_BITS:
+            groups.append([])
+            width = 0
+        groups[-1].append(batch)
+        width += batch[1]
+    inputs = circuit.inputs
+    windows = []
     total = 0
-    for pi_values, n in batches:
-        goods.append((simulate(circuit, pi_values, n, state), mask_of(n)))
-        offsets.append(total)
-        total += n
-    return goods, offsets, total
+    for group in groups:
+        pis = dict.fromkeys(inputs, 0)
+        flops = None if state is None else dict.fromkeys(state, 0)
+        starts: list[int] = []
+        batch_masks: list[int] = []
+        width = 0
+        for pi_values, n in group:
+            mask = mask_of(n)
+            starts.append(width)
+            batch_masks.append(mask << width)
+            for pi in inputs:
+                pis[pi] |= (pi_values.get(pi, 0) & mask) << width
+            if flops is not None:
+                for q, word in state.items():
+                    flops[q] |= (word & mask) << width
+            width += n
+        windows.append((simulate(circuit, pis, width, flops), mask_of(width),
+                        total, starts, batch_masks))
+        total += width
+    return PatternWindows(windows, total)
 
 
 def _batched_detection(
     circuit: Circuit,
     fault: StuckAtFault,
-    goods: Sequence[tuple[Mapping[str, int], int]],
-    offsets: Sequence[int],
+    windows: PatternWindows,
     observe: Sequence[str],
     drop_detected: bool,
 ) -> int:
-    """Detection bits of one fault across batches, in global numbering.
+    """Detection bits of one fault across windows, in global numbering.
 
-    With ``drop_detected`` the fault stops being re-simulated after the
-    first detecting batch — the classic fault-dropping acceleration.
+    The fault is evaluated once per window — by its compiled detection
+    program when the site is hot, by the interpreter otherwise; both are
+    width-agnostic.  A window in which the site's good word already
+    equals the forced word never activates the fault and is skipped.
+
+    With ``drop_detected`` the fault stops at the first detecting batch
+    — the classic fault-dropping acceleration.  Batches inside a window
+    are independent bit columns, so the window's mask restricted to the
+    batch holding its lowest set bit is exactly what per-batch dropping
+    reports; later windows are not evaluated at all.
 
     The compiled detection program is resolved once per fault for the
     whole sweep — the cache key hashes the observation list, which can
-    be thousands of nets under full scan, so probing it per batch would
+    be thousands of nets under full scan, so probing it per window would
     rival the compiled call itself.  Without dropping the hit counter
-    is bumped by the full batch count up front (every batch will
-    evaluate the fault); with dropping a sweep counts once.  A fault
-    still below the compile threshold runs the interpreter directly,
-    with no further counting this sweep.
+    is bumped by the window count up front (every window will evaluate
+    the fault); with dropping a sweep counts once.  A fault still below
+    the compile threshold runs the interpreter directly, with no further
+    counting this sweep.
     """
-    acc = 0
+    spans = windows.windows
     program = _compiled.det_program(
         circuit, fault.line, observe,
-        weight=1 if drop_detected else len(goods))
-    if program is not None:
-        fn = program.program.fn
-        value = fault.value
-        for (good, mask), offset in zip(goods, offsets):
-            det = fn(good, mask if value else 0, mask)
-            if det:
-                acc |= det << offset
-                if drop_detected:
-                    break
-        return acc
-    for (good, mask), offset in zip(goods, offsets):
-        det = _detection_mask_interp(circuit, fault, good, mask, observe)
+        weight=1 if drop_detected else len(spans))
+    fn = program.program.fn if program is not None else None
+    site = fault.line.net
+    value = fault.value
+    acc = evaluations = skipped = 0
+    first_window_drop = False
+    for good, mask, offset, starts, batch_masks in spans:
+        forced = mask if value else 0
+        if good.get(site) == forced:
+            skipped += 1  # never activated in this window
+            continue
+        evaluations += 1
+        if fn is not None:
+            det = fn(good, forced, mask)
+        else:
+            det = _detection_mask_interp(circuit, fault, good, mask, observe)
         if det:
-            acc |= det << offset
             if drop_detected:
+                if len(starts) > 1:
+                    first = (det & -det).bit_length() - 1
+                    det &= batch_masks[bisect_right(starts, first) - 1]
+                acc = det << offset
+                first_window_drop = good is spans[0][0]
                 break
+            acc |= det << offset
+    windows.count(evaluations, skipped, first_window_drop)
     return acc
 
 
@@ -294,15 +436,18 @@ def fault_simulate_batched(
 
     ``batches`` is a list of ``(pi_values, n_patterns)`` pairs; detection
     bits are reported in the global pattern numbering (batch 0 first).
+    Batches are concatenated into windows of up to :data:`WINDOW_BITS`
+    patterns and a fault is walked once per window, not once per batch.
     The detected/undetected split (and hence coverage) is identical to
     simulating all patterns in one pass; only the detection masks of
-    later batches are forgone for dropped faults.
+    batches after the first detecting one are forgone for dropped
+    faults, exactly as if every batch had been simulated on its own.
     """
-    goods, offsets, total = _batch_goods(circuit, batches, state)
+    windows = _pattern_windows(circuit, batches, state)
     observe = _observe_nets(circuit, full_scan)
-    result = FaultSimResult(total)
+    result = FaultSimResult(windows.n_patterns)
     for fault in faults:
-        acc = _batched_detection(circuit, fault, goods, offsets, observe,
+        acc = _batched_detection(circuit, fault, windows, observe,
                                  drop_detected)
         if acc:
             result.detected[fault] = acc

@@ -3,6 +3,7 @@ counts, statistical early stop, CampaignDb streaming, backend adapters
 matching their pre-engine serial implementations, and the PPSFP
 cone-cache / fault-dropping fast path."""
 
+import logging
 import random
 
 import pytest
@@ -301,6 +302,28 @@ class TestPpsfpFastPath:
         assert rebuilt.undetected == direct.undetected
         assert rebuilt.coverage == direct.coverage
         assert report.rate(DETECTED) == pytest.approx(direct.coverage)
+
+    def test_campaign_end_logs_one_walk_summary(self, caplog):
+        circuit = load("rand_seq")
+        faults, _ = collapse(circuit)
+        batches = [(random_patterns(circuit.inputs, 8, seed=s), 8)
+                   for s in range(4)]
+        backend = PpsfpBackend(circuit, faults, batches)
+        with caplog.at_level(logging.DEBUG, logger="repro.sim.fault_sim"):
+            report = run_campaign(backend, EngineConfig(batch_size=16,
+                                                        workers=2,
+                                                        executor="thread"))
+        lines = [rec.message for rec in caplog.records
+                 if "window evaluations" in rec.message]
+        assert len(lines) == 1
+        tallies = backend._windows
+        assert len(tallies.windows) == 1  # 32 patterns: one window
+        # one window: every fault is either walked or never activated,
+        # and every detection is a first-window drop
+        assert tallies.evaluations + tallies.never_activated == len(faults)
+        assert tallies.first_window_drops == report.count(DETECTED)
+        assert f"{tallies.evaluations} window evaluations" in lines[0]
+        assert f"{tallies.never_activated} never-activated" in lines[0]
 
 
 # ----------------------------------------------------------------------

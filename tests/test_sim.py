@@ -2,14 +2,19 @@
 event-driven, fault simulation."""
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder, GateType, load
-from repro.circuit.library import random_combinational
+from repro.circuit.levelize import fanout_cone
+from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
+from repro.sim import compiled
+from repro.sim.fault_sim import (WINDOW_BITS, _REACH_KEY, _cone_gates,
+                                 _pattern_windows)
 from repro.sim import (
     EventSim,
     SequentialSim,
@@ -17,6 +22,7 @@ from repro.sim import (
     eval_gate_3v,
     exhaustive_patterns,
     fault_simulate,
+    fault_simulate_batched,
     mask_of,
     output_trace,
     pack_patterns,
@@ -276,3 +282,141 @@ def test_ppsfp_agrees_with_serial(seed):
             batch_bit = bool((batch.detected.get(fault, 0) >> i) & 1)
             single_bit = fault in single.detected
             assert batch_bit == single_bit
+
+
+# ----------------------------------------------------------------------
+# fan-out cones from the reachability table
+# ----------------------------------------------------------------------
+class TestConeGates:
+    @staticmethod
+    def _check(circuit, starts):
+        cone = _cone_gates(circuit, starts)
+        # one BFS per start: a multi-seed fanout_cone stops at a flop Q
+        # it reached through that flop's D even when the Q is a seed too
+        reference = {net for start in starts
+                     for net in fanout_cone(circuit, [start],
+                                            through_flops=False)
+                     if net in circuit.gates}
+        assert {gate.output for gate in cone} == reference, starts
+        index = circuit.topo_index()
+        positions = [index[gate.output] for gate in cone]
+        assert positions == sorted(set(positions)), starts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bfs_cone_in_topo_order(self, seed):
+        circuit = random_sequential(5, 60, 6, 3, seed=seed)
+        nets = circuit.nets
+        fmap = circuit.fanout_map()
+        # single starts: every PI, flop Q and gate output, which includes
+        # nets nothing consumes and nets consumed only by a flop D
+        assert any(not fmap.get(net) for net in nets)
+        assert any(fmap.get(net) and all(d in circuit.flops
+                                         for d in fmap[net])
+                   for net in nets)
+        for net in nets:
+            self._check(circuit, [net])
+        rng = random.Random(seed)
+        for _ in range(40):
+            self._check(circuit, rng.sample(nets, rng.randint(2, 4)))
+        self._check(circuit, [])
+        self._check(circuit, ["no_such_net"])
+
+    def test_table_dropped_on_mutation(self):
+        circuit = random_combinational(4, 20, 2, seed=1)
+        pi = circuit.inputs[0]
+        before = _cone_gates(circuit, [pi])
+        assert _REACH_KEY in circuit._cone_cache
+        circuit.add_gate("tap", GateType.NOT, [pi])
+        assert circuit._cone_cache == {}
+        after = _cone_gates(circuit, [pi])
+        assert {g.output for g in after} \
+            == {g.output for g in before} | {"tap"}
+        self._check(circuit, [pi])
+
+
+# ----------------------------------------------------------------------
+# pattern windows: one walk per window == one walk per batch
+# ----------------------------------------------------------------------
+def _partition(tokens, rng):
+    """Batch widths from tokens: an int is a width, ``fill`` ends the
+    current window exactly on ``WINDOW_BITS``, ``wide`` overflows it."""
+    widths, used = [], 0
+    for token in tokens:
+        if token == "fill":
+            n = WINDOW_BITS - used if used < WINDOW_BITS else WINDOW_BITS
+        elif token == "wide":
+            n = WINDOW_BITS + rng.randint(1, 70)
+        else:
+            n = token
+        used = n if used + n > WINDOW_BITS else used + n
+        widths.append(n)
+    return widths
+
+
+def test_windows_never_split_a_batch():
+    circuit = load("c17")
+    widths = [WINDOW_BITS - 64, 64, 1, WINDOW_BITS + 5, 7, WINDOW_BITS - 7,
+              3]
+    batches = [(random_patterns(circuit.inputs, n, seed=n), n)
+               for n in widths]
+    windows = _pattern_windows(circuit, batches, None)
+    assert windows.n_patterns == sum(widths)
+    shape = [(offset, starts, mask.bit_length())
+             for _, mask, offset, starts, _ in windows.windows]
+    assert shape == [
+        (0, [0, WINDOW_BITS - 64], WINDOW_BITS),  # boundary lands exactly
+        (WINDOW_BITS, [0], 1),                    # the next would overflow
+        (WINDOW_BITS + 1, [0], WINDOW_BITS + 5),  # wider than a window
+        (2 * WINDOW_BITS + 6, [0, 7], WINDOW_BITS),
+        (3 * WINDOW_BITS + 6, [0], 3),
+    ]
+    assert _pattern_windows(circuit, [], None).windows == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 5_000), sequential=st.booleans(),
+       tokens=st.lists(st.one_of(st.integers(1, 40),
+                                 st.sampled_from(["fill", "wide"])),
+                       max_size=6),
+       with_state=st.booleans(), drop=st.booleans(), hot=st.booleans())
+def test_windowed_detection_matches_per_batch_reference(
+        seed, sequential, tokens, with_state, drop, hot):
+    """Property: ``fault_simulate_batched`` reports exactly what
+    simulating every batch on its own would — the first detecting
+    batch's bits under dropping, the OR of all batches without."""
+    rng = random.Random(seed)
+    circuit = (random_sequential(5, 30, 4, 3, seed=seed) if sequential
+               else random_combinational(6, 25, 3, seed=seed))
+    universe = all_stuck_at(circuit)
+    faults = rng.sample(universe, min(10, len(universe)))
+    faults += [f for f in universe  # branches into flop D pins
+               if f.line.sink in circuit.flops and f not in faults]
+    # PI words carry garbage above the batch width; the state word is
+    # wider than some batches and narrower than others
+    batches = [({pi: rng.getrandbits(n + 9) for pi in circuit.inputs}, n)
+               for n in _partition(tokens, rng)]
+    state = ({q: rng.getrandbits(50) for q in list(circuit.flops)[1:]}
+             if with_state else None)
+
+    expected, offset = {}, 0
+    reference = circuit.copy()
+    with compiled.disabled():
+        for pi_values, n in batches:
+            single = fault_simulate(reference, faults, pi_values, n,
+                                    state=state)
+            for fault, det in single.detected.items():
+                if not (drop and fault in expected):
+                    expected[fault] = expected.get(fault, 0) | det << offset
+            offset += n
+
+    old_hits = compiled.COMPILE_AFTER_HITS
+    compiled.COMPILE_AFTER_HITS = 0  # hot: compiled from the first call
+    try:
+        with nullcontext() if hot else compiled.disabled():
+            result = fault_simulate_batched(circuit, faults, batches,
+                                            state=state, drop_detected=drop)
+    finally:
+        compiled.COMPILE_AFTER_HITS = old_hits
+    assert result.n_patterns == offset
+    assert result.detected == expected
+    assert result.undetected == [f for f in faults if f not in expected]
