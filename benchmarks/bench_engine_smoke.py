@@ -38,12 +38,12 @@ Four measurements:
    crosses the temp-file threshold — campaign payload size with the
    patterns parked vs inlined, identity gated.
 10. **Vector core**: the packed-64 compiled SEU campaign against the
-    vector tier at 256 and 1024 lanes (big-int backing, plus an honest
-    forced-ndarray row) — identity vs the per-point reference is
-    required unconditionally at every width, and the 256-lane row
-    carries the >= 1.25x-over-packed CI gate (2x until the packed-64
-    chunks started exiting early on the busy-window walker; a 256-lane
-    chunk of this campaign flips in every cycle and cannot).  The section
+    same big-int carrier at 256 and 1024 lanes — identity vs the
+    per-point reference is required unconditionally at every width, and
+    the 256-lane row carries the >= 1.25x-over-packed CI gate (2x until
+    the packed-64 chunks started exiting early on the busy-window
+    walker; a 256-lane chunk of this campaign flips in every cycle and
+    cannot).  The section
     also records the source-interning effect on a cold det-program
     sweep (sites vs unique compiled sources, cold vs warm).
 11. **SoA core**: the big-int backing against the level-batched SoA
@@ -52,9 +52,8 @@ Four measurements:
     circuit at 256/1024/4096 lanes, via direct ``seu_outcomes`` calls
     best-of-3.  Identity is required unconditionally — between the two
     backings at every width, and against a per-point ``inject_seu``
-    probe — and the 1024-lane row carries the >= 2x-over-int CI gate
-    (warning-only when the host's calibrated crossover sits above 1024
-    lanes); the 4096-lane row must not regress below parity.
+    probe — and the 1024-lane row carries the >= 2x-over-int CI gate;
+    the 4096-lane row must not regress below parity.
 12. **Resilience**: a campaign aborted mid-flight and resumed from its
     CampaignDb checkpoints against the uninterrupted reference
     (byte-identical rows, outcomes, counts and convergence — gated
@@ -601,8 +600,7 @@ def _vector_core_measurement(n_cycles=120):
         if backing is not None:
             kwargs["lane_backing"] = backing
         # one shared circuit instance: the step program compiles once
-        # and every width reuses the same code object (the vector
-        # wrappers add only lane geometry)
+        # and every width reuses the same code object
         backend = SeuBackend(circuit, workload, **kwargs)
         report = run_campaign(backend,
                               EngineConfig(executor="serial"))
@@ -615,8 +613,7 @@ def _vector_core_measurement(n_cycles=120):
 
     variants = (("w64_packed", 64, None),
                 ("w256_vector", 256, None),
-                ("w1024_vector", 1024, None),
-                ("w1024_ndarray", 1024, "ndarray"))
+                ("w1024_vector", 1024, None))
     rows = {}
     identical = True
     for label, width, backing in variants:
@@ -739,21 +736,15 @@ def _soa_core_measurement(n_cycles=24, probe_points=48):
     for width in (256, 1024, 4096):
         group = points[:width]
         times, outcomes = {}, {}
-        # the per-net ndarray row rides along as the honest baseline the
-        # SoA tier replaces (it loses to int everywhere below ~32k lanes)
-        for backing in ("int", "ndarray", "soa"):
+        for backing in ("int", "soa"):
             ctx = _lanes.build_context(circuit, workload, width,
                                        backing=backing)
             times[backing], outcomes[backing] = timed(ctx, group)
-        same = (outcomes["int"] == outcomes["soa"]
-                == outcomes["ndarray"])
+        same = outcomes["int"] == outcomes["soa"]
         identical = identical and same
         rows[f"w{width}"] = {
             "int_s": round(times["int"], 4),
-            "ndarray_s": round(times["ndarray"], 4),
             "soa_s": round(times["soa"], 4),
-            "ndarray_speedup": round(times["int"] / times["ndarray"], 2)
-            if times["ndarray"] else float("inf"),
             "soa_speedup": round(times["int"] / times["soa"], 2)
             if times["soa"] else float("inf"),
             "identical": same,
@@ -767,11 +758,6 @@ def _soa_core_measurement(n_cycles=24, probe_points=48):
         "gates_per_level": round(stats.gates / stats.levels, 1),
         "fused_ops": stats.fused_ops,
         "scratch_kb_1024": stats.scratch_bytes // 1024,
-        # the auto crossover in effect on this host (env/calibration
-        # included) — the regression gate softens to a warning when it
-        # sits above 1024, i.e. when this host measurably shouldn't run
-        # SoA at that width
-        "soa_min_lanes": _vector.SOA_MIN_LANES,
         "probe_identical_vs_inject_seu": probe_identical,
         "grid": rows,
         "outcome_identical": identical,
@@ -1137,9 +1123,8 @@ def test_engine_smoke(benchmark):
     soa = record["soa_core"]
     if "grid" in soa:
         for key, row in soa["grid"].items():
-            rows.append((f"soa {key} int/ndarray/soa",
-                         f"{row['int_s']:.3f}s / {row['ndarray_s']:.3f}s"
-                         f" / {row['soa_s']:.3f}s",
+            rows.append((f"soa {key} int/soa",
+                         f"{row['int_s']:.3f}s / {row['soa_s']:.3f}s",
                          f"{soa['gates_per_level']} gates/level, "
                          f"{soa['fused_ops']} fused ops",
                          f"{row['soa_speedup']:.2f}x"

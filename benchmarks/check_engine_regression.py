@@ -41,9 +41,8 @@ when the engine's perf claims regress:
   at any lane width, or against the per-point ``inject_seu`` probe —
   (unconditional), or fusion stopped working (fused numpy ops no longer
   a small fraction of the gate count), or SoA at 1024 lanes fell below
-  the 2x-over-int floor (enforced when the host's crossover record says
-  SoA should win there; a warning otherwise, mirroring the multicore
-  scaling gate), or SoA at 4096 lanes dropped below parity with int;
+  the 2x-over-int floor, or SoA at 4096 lanes dropped below parity
+  with int;
 * kill-and-resume no longer reproduces the uninterrupted campaign
   byte-for-byte (unconditional), a persistently-failing chunk stopped
   being quarantined cleanly, or the armed fault-tolerance machinery
@@ -186,17 +185,9 @@ def check(record: dict) -> list[str]:
                 f"soa fusion degraded: {soa['fused_ops']} numpy calls for "
                 f"{soa['gates']} gates (floor: 4 gates per call)")
         if soa["soa_speedup_1024"] < 2.0:
-            if soa.get("soa_min_lanes", 0) <= 1024:
-                failures.append(
-                    f"soa speedup at 1024 lanes {soa['soa_speedup_1024']}x "
-                    "fell below the 2x-over-int floor (target >= 2x)")
-            else:
-                # this host's measured crossover says SoA shouldn't win at
-                # 1024 lanes — report, don't enforce (mirrors the multicore
-                # scaling gate on single-CPU hosts)
-                print(f"warning: soa speedup at 1024 lanes "
-                      f"{soa['soa_speedup_1024']}x below 2x, but host "
-                      f"crossover is {soa['soa_min_lanes']} lanes")
+            failures.append(
+                f"soa speedup at 1024 lanes {soa['soa_speedup_1024']}x "
+                "fell below the 2x-over-int floor (target >= 2x)")
         if soa["soa_speedup_4096"] < 1.0:
             failures.append(
                 f"soa speedup at 4096 lanes {soa['soa_speedup_4096']}x "

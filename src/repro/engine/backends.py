@@ -167,14 +167,14 @@ class SeuBackend:
     circuit evaluations, and only over the cycles in which some lane is
     still undecided (the busy window, see :mod:`repro.engine.lanes`).
     ``lane_width=1`` keeps the per-point
-    :func:`inject_seu` path for parity testing.  Widths above 64 run on
-    the vector tier: packed big ints by default, the level-batched SoA
-    kernel via ``lane_backing="soa"`` (auto from ~1k lanes on circuits
-    with wide levels), or per-net numpy block arrays via
-    ``lane_backing="ndarray"`` — see :mod:`repro.sim.vector` for the
-    crossovers and overrides.  Without numpy they degrade to 64 with a
-    logged warning.  Outcomes are byte-identical at every width and
-    backing.
+    :func:`inject_seu` path for parity testing.  ``lane_backing`` names
+    the carrier of the packed word: ``"int"`` (a big int, any width),
+    ``"soa"`` (the level-batched SoA kernel) or ``None`` — auto, which
+    picks SoA from 1024 lanes on circuits with wide levels and ints
+    otherwise (:func:`repro.engine.lanes.resolve_backing`); any other
+    name raises ``ValueError`` here, not in a worker.  Without numpy
+    widths above 64 degrade to 64 with a logged warning.  Outcomes are
+    byte-identical at every width and backing.
 
     ``skip_dead_flops=True`` opts into the engine's point-filter stage:
     a flop whose single-cycle fan-out cone reaches no primary output and
@@ -213,6 +213,9 @@ class SeuBackend:
         # resolved here, before the engine chunks points, so parent and
         # process-pool workers agree on the effective width
         self.lane_width = lanes.resolve_lane_width(lane_width)
+        # rejected here, in the parent: prepare() runs per worker, where
+        # a bad name would surface as a broken pool
+        lanes.check_backing(lane_backing)
         self.lane_backing = lane_backing
         self._golden: tuple | None = None
         self._lane_ctx: lanes.LaneContext | None = None

@@ -31,30 +31,30 @@ the golden entering-state kept in the :class:`LaneContext`, a checkpoint
 restore — or stops when no flip remains (then no lane is latent).  A
 schedule with a flip every cycle never pays for the test.
 
-Widths beyond 64 engage the **vector tier**: the packed word outgrows
-the machine word and is carried by an arbitrary-precision int (big-int
-ops stay near width-insensitive to very large widths), by a numpy
-``uint64`` block array per net fed through the same compiled step
-function, or — the default from ~1k lanes on circuits with wide
-levels — by the structure-of-arrays kernel tier
-(:class:`repro.sim.compiled.SoaStepProgram`), which holds the whole
-net state in one 2-D block matrix and runs each topological level as a
-handful of fused numpy calls.  The backing auto-picks per
-:func:`repro.sim.vector.resolve_backing` (force with ``backing=`` /
-``RESCUE_VECTOR_BACKING``).  Per-lane flips become index-computed XOR
-masks into the packed word (for the SoA backing, one fancy-indexed XOR
-into the flop rows of the state matrix, whose complement mirror is
-refreshed at the top of every step) and outcome recovery is a
-vectorized XOR against the golden trace; all backings are
-byte-identical to the 64-lane and 1-lane references.  The SoA lane
-word is additionally walked in fixed-width **column bands**
-(:data:`SOA_BAND_BLOCKS`): each band has its own slice of the flip
-schedule and its own busy window, so a 4096-lane group whose
-cycle-sorted lanes flip a few dozen per cycle advances a few hundred
-columns for a few dozen cycles per band instead of 4096 columns for the
-whole workload.  Without
-numpy installed, widths above 64 degrade to 64 with a one-time logged
-warning (:func:`resolve_lane_width`).
+Two **carriers** hold the packed word, and one function
+(:func:`resolve_backing`, called once per :func:`build_context`) picks
+between them.  ``"int"`` is an arbitrary-precision int driven through
+the compiled step function (:class:`repro.sim.compiled.StepProgram`) —
+the word simply outgrows the machine word beyond 64 lanes, and big-int
+ops stay near width-insensitive to very large widths.  ``"soa"`` — the
+choice from ~1k lanes on circuits with wide levels — is the
+structure-of-arrays kernel (:class:`repro.sim.compiled
+.SoaStepProgram`), which holds the whole net state in one 2-D block
+matrix and runs each topological level as a handful of fused numpy
+calls.  Per-lane flips become index-computed XOR masks into the packed
+word (for the SoA carrier, one fancy-indexed XOR into the flop rows of
+the state matrix, whose complement mirror is refreshed at the top of
+every step) and outcome recovery is a vectorized XOR against the golden
+trace; both carriers are byte-identical to the 64-lane and 1-lane
+references, and to the reference interpreter that runs underneath them
+when compilation is off.  The SoA lane word is additionally walked in
+fixed-width **column bands** (:data:`SOA_BAND_BLOCKS`): each band has
+its own slice of the flip schedule and its own busy window, so a
+4096-lane group whose cycle-sorted lanes flip a few dozen per cycle
+advances a few hundred columns for a few dozen cycles per band instead
+of 4096 columns for the whole workload.  Without numpy installed,
+widths above 64 degrade to 64 with a one-time logged warning
+(:func:`resolve_lane_width`).
 
 Two front-ends are provided: :func:`seu_outcomes` (flip one flop at one
 cycle — :class:`repro.engine.backends.SeuBackend`) and
@@ -69,7 +69,6 @@ so outcome multisets are byte-identical at every lane width.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
@@ -92,10 +91,11 @@ DEFAULT_LANE_WIDTH = 64
 def resolve_lane_width(width: int) -> int:
     """Clamp a requested lane width to what the host supports.
 
-    Widths above 64 belong to the vector tier, which is declared
-    against numpy; without it they degrade to the classic 64-lane
-    packing with a one-time logged warning.  (Outcomes are identical at
-    every width, so degradation only costs throughput.)
+    Widths above 64 are declared against numpy (the SoA carrier and the
+    one-pass unpacking of wide outcome words need it); without it they
+    degrade to the classic 64-lane packing with a one-time logged
+    warning.  (Outcomes are identical at every width, so degradation
+    only costs throughput.)
     """
     width = max(1, int(width))
     if width > DEFAULT_LANE_WIDTH and not _vector.HAVE_NUMPY:
@@ -179,11 +179,10 @@ class LaneContext:
     rep_trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
-    #: ``"int"`` (packed big int — any width), ``"ndarray"`` (numpy
-    #: uint64 blocks per net through the same compiled step function)
-    #: or ``"soa"`` (the level-batched structure-of-arrays kernel).
+    #: The carrier :func:`resolve_backing` picked: ``"int"`` (packed
+    #: big int — any width) or ``"soa"`` (the level-batched
+    #: structure-of-arrays kernel).
     backing: str = "int"
-    n_blocks: int = 1
     #: Work the busy-window walker actually did on this context (see
     #: :func:`_walk`): cycles executed, golden cycles jumped over
     #: between flips, walks that returned before the last workload
@@ -229,33 +228,6 @@ class LaneContext:
                   for st in self.states + [self.final_state]]
         self._raw = (program, stim, trace, states)
         return stim, trace, states
-
-    def raw_views_nd(self, program) -> tuple:
-        """Block-array raw views for the ndarray backing.
-
-        Every replicated word is either all-zero or all-lanes, so the
-        views share two arrays (``zero`` and the lane mask) across all
-        nets and cycles — the generated step function never mutates its
-        inputs, and `propagate` replaces (not updates) flipped slots.
-        """
-        cached = getattr(self, "_raw_nd", None)
-        if cached is not None and cached[0] is program:
-            return cached[1:]
-        zero = _vector.zeros(self.n_blocks)
-        ones = _vector.mask_array(self.width, self.n_blocks)
-
-        def conv(packed: int):
-            return ones if packed else zero
-
-        stim = [tuple(conv(cyc.get(pi, 0)) for pi in program.inputs)
-                for cyc in self.rep_stimuli]
-        trace = [tuple(conv(cyc[po]) for po in program.outputs)
-                 for cyc in self.rep_trace]
-        states = [tuple(conv(st[q]) for q in program.flop_qs)
-                  for st in self.states]
-        final = tuple(conv(self.final_state[q]) for q in program.flop_qs)
-        self._raw_nd = (program, stim, trace, states, final, ones)
-        return stim, trace, states, final, ones
 
     def raw_views_soa(self, program) -> tuple:
         """Column raw views for the SoA backing.
@@ -320,34 +292,19 @@ def build_context(
     entering states plus full net values — to avoid a second golden
     simulation when the backend already keeps one.
 
-    ``backing`` selects the packed-word representation for widths
-    beyond 64 (``None`` auto-picks per :func:`repro.sim.vector
-    .resolve_backing`, fed the step program's mean gates-per-level so
-    narrow circuits — where the SoA kernel cannot amortize per-level
-    dispatch — stay on packed ints); the ndarray and SoA backings
-    additionally need compiled programs, so they fall back to packed
-    ints when compilation is globally disabled (identical outcomes
-    either way).
+    ``backing`` requests a carrier by name (``None``: auto); what the
+    context actually runs on is :func:`resolve_backing`'s answer,
+    recorded as ``LaneContext.backing``.
     """
     mask = mask_of(width)
-    resolved_backing = _vector.resolve_backing(
-        width, backing, level_width=_level_width_hint(circuit, width,
-                                                      backing))
-    if resolved_backing in ("ndarray", "soa") \
-            and not _compiled.compilation_enabled():
-        resolved_backing = "int"  # interpreter path carries big ints
+    resolved_backing = resolve_backing(backing, circuit, width)
     if resolved_backing == "soa":
-        program = _compiled.soa_step_program(circuit, width)
-        if program is None:  # pragma: no cover - numpy checked above
-            resolved_backing = "int"
-        else:
-            st = program.stats
-            log.debug(
-                "lane backing=soa width=%d: %d gates / %d levels "
-                "(%.1f gates/level), %d fused ops/cycle, %d B scratch",
-                width, st.gates, st.levels,
-                st.gates / max(1, st.levels), st.fused_ops,
-                st.scratch_bytes)
+        st = _compiled.soa_step_program(circuit, width).stats
+        log.debug(
+            "lane backing=soa width=%d: %d gates / %d levels "
+            "(%.1f gates/level), %d fused ops/cycle, %d B scratch",
+            width, st.gates, st.levels, st.gates / max(1, st.levels),
+            st.fused_ops, st.scratch_bytes)
     if golden is not None:
         states = [dict(st) for st in golden[0]]
         values = golden[1]
@@ -375,32 +332,52 @@ def build_context(
     rep_trace = [{po: (mask if bit else 0) for po, bit in cyc.items()}
                  for cyc in trace]
     return LaneContext(circuit, width, mask, rep_stimuli, rep_trace,
-                       states, final_state, backing=resolved_backing,
-                       n_blocks=_vector.blocks_for(width))
+                       states, final_state, backing=resolved_backing)
 
 
-def _level_width_hint(circuit: Circuit, width: int,
-                      backing: str | None) -> float | None:
-    """Mean gates-per-level of the step kernel, when it could steer the
-    auto backing choice.
+def check_backing(requested: str | None) -> None:
+    """Reject a requested carrier that is neither ``None`` (auto) nor
+    one of ``vector.BACKINGS`` — what backends call at construction, so
+    a bad name fails in the parent instead of in a worker's
+    ``prepare()``."""
+    if requested is not None and requested not in _vector.BACKINGS:
+        raise ValueError(f"unknown lane backing {requested!r} (expected "
+                         f"None or one of {_vector.BACKINGS})")
 
-    Computed only when auto-selection is actually in play (no explicit
-    or env-forced backing) and the width is in the range where the SoA
-    crossover depends on circuit shape — building the schedule is one
-    pass over the netlist and is cached on the circuit regardless of
-    the choice made.
+
+def resolve_backing(requested: str | None, circuit: Circuit,
+                    width: int) -> str:
+    """The carrier — ``"int"`` or ``"soa"`` — for ``width`` lanes of
+    ``circuit``: the one place that decides it.
+
+    The SoA kernel needs numpy and compiled programs; without either
+    every request resolves to ``"int"`` (same packed-int semantics, so
+    outcomes are unchanged), with the one-time no-numpy warning when
+    ``"soa"`` was asked for by name.  An explicit ``"int"`` or ``"soa"``
+    is otherwise honoured at any width.  Auto (``None``) picks ``"soa"``
+    iff ``width >= vector.SOA_MIN_LANES`` and the step kernel averages
+    at least ``vector.SOA_MIN_LEVEL_WIDTH`` gates per level — below
+    that the per-level dispatch is not amortized and packed ints win.
+    (The kernel schedule this reads is one netlist pass, cached on the
+    circuit whichever way the choice falls.)  An unknown name raises
+    ``ValueError``.
     """
-    if backing is not None or os.environ.get(_vector.ENV_BACKING):
-        return None
-    if not _vector.HAVE_NUMPY or not _compiled.compilation_enabled():
-        return None
-    if width < _vector.SOA_MIN_LANES or width >= _vector.NDARRAY_MIN_LANES:
-        return None  # the hint cannot change the outcome there
-    program = _compiled.soa_step_program(circuit, width)
-    if program is None:
-        return None
-    st = program.stats
-    return st.gates / max(1, st.levels)
+    check_backing(requested)
+    if requested == "int":
+        return "int"
+    if not _vector.HAVE_NUMPY:
+        if requested == "soa":
+            _vector._warn_no_numpy("soa backing requested")
+        return "int"
+    if not _compiled.compilation_enabled():
+        return "int"  # the interpreter carries big ints
+    if requested is None:
+        if width < _vector.SOA_MIN_LANES:
+            return "int"
+        st = _compiled.soa_step_program(circuit, width).stats
+        if st.gates / max(1, st.levels) < _vector.SOA_MIN_LEVEL_WIDTH:
+            return "int"
+    return "soa"
 
 
 def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
@@ -414,11 +391,13 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     the replicated golden entering-state loses nothing; flips scheduled
     before ``start`` or past the workload never fire.
 
-    The compiled int and SoA carriers simulate only the **busy window**
-    (:func:`_walk`): a cycle is executed only while some lane is still
-    undecided.  The interpreter fallback below and the ndarray carrier
-    run every cycle from ``start`` to the end of the workload — they are
-    the references the walker is tested against.
+    Both carriers simulate only the **busy window** (:func:`_walk`): a
+    cycle is executed only while some lane is still undecided.  With
+    compilation off (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``,
+    possibly entered after the context was built) neither carrier has a
+    program and the reference interpreter below runs every cycle from
+    ``start`` to the end of the workload — the full-length reference
+    the walker is tested against.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
@@ -426,14 +405,12 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     """
     mask = ctx.mask
     lanes = mask_of(n_lanes)
-    if ctx.backing == "soa":
-        soa = _compiled.soa_step_program(ctx.circuit, ctx.width)
-        if soa is not None:
-            return _propagate_soa(ctx, soa, flips, start, n_lanes)
-    program = _compiled.step_program(ctx.circuit)
-    if program is not None and ctx.backing == "ndarray":
-        return _propagate_ndarray(ctx, program, flips, start, lanes)
+    soa = ctx.backing == "soa"
+    program = (_compiled.soa_step_program(ctx.circuit, ctx.width) if soa
+               else _compiled.step_program(ctx.circuit))
     if program is not None:
+        if soa:
+            return _propagate_soa(ctx, program, flips, start, n_lanes)
         cycles = _flip_cycles(ctx, flips, start)
         if not cycles:
             return 0, 0
@@ -568,44 +545,6 @@ class _IntCarrier:
 
     def undecided(self, cyc: int) -> int:
         return self.diff(cyc) & ~self.fail
-
-
-def _propagate_ndarray(ctx: LaneContext, program, flips, start: int,
-                       lanes: int) -> tuple[int, int]:
-    """The ndarray-backed packed propagation.
-
-    The compiled int path's loop before the busy-window walker — every
-    cycle from ``start`` to the end — but every slot is a uint64 block
-    array: the generated step function broadcasts over blocks,
-    per-lane flips become block arrays XORed into fresh state slots
-    (never in place — golden slots are shared), and fail/latent words
-    accumulate elementwise before one conversion back to ints for the
-    caller's per-lane bit extraction.
-    """
-    mask = ctx.mask
-    blocks = ctx.n_blocks
-    stim, trace, states, final, ones = ctx.raw_views_nd(program)
-    q_index = program.q_index
-    fn = program.program.fn
-    state = states[start]
-    fail = _vector.zeros(blocks)
-    for cyc in range(start, ctx.n_cycles):
-        cyc_flips = flips.get(cyc)
-        if cyc_flips:
-            slots = list(state)
-            for q, lane_mask in cyc_flips.items():
-                flip = _vector.to_blocks(lane_mask & mask, blocks)
-                slots[q_index[q]] = slots[q_index[q]] ^ flip
-            state = tuple(slots)
-        out, state = fn(stim[cyc], state, ones)
-        for val, golden in zip(out, trace[cyc]):
-            fail |= val ^ golden
-    diff = _vector.zeros(blocks)
-    for val, golden in zip(state, final):
-        diff |= val ^ golden
-    fail_int = _vector.from_blocks(fail) & lanes
-    latent_int = _vector.from_blocks(diff) & lanes & ~fail_int
-    return fail_int, latent_int
 
 
 #: 64-lane blocks per SoA column band.  One SoA step costs about

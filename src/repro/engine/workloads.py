@@ -367,9 +367,10 @@ class SlicingBackend:
     to unfiltered ones while skipping most of the simulation cost.
 
     ``lane_width`` > 1 packs the multi-cycle propagation of surviving
-    state perturbations into bit lanes; widths above 64 ride the vector
-    tier (``lane_backing`` picks ``"int"``, ``"soa"`` or ``"ndarray"``,
-    auto-resolved when ``None`` — see :mod:`repro.sim.vector`).
+    state perturbations into bit lanes, at any width; ``lane_backing``
+    names the carrier (``"int"``, ``"soa"``, or ``None`` for the auto
+    rule of :func:`repro.engine.lanes.resolve_backing`) and any other
+    name raises ``ValueError`` at construction.
     """
 
     name = "slicing"
@@ -394,6 +395,7 @@ class SlicingBackend:
             raise ValueError(f"negative injection cycles in {self.cycles}")
         self.use_filter = use_filter
         self.lane_width = lanes.resolve_lane_width(lane_width)
+        lanes.check_backing(lane_backing)  # in the parent, not a worker
         self.lane_backing = lane_backing
         self.workload = (f"slicing[{len(self.stimuli)} cycles, "
                          f"{'sliced' if use_filter else 'naive'}]")

@@ -50,41 +50,33 @@ rebuilt lazily on first call in the receiving process (the same
 cache-drop pattern ``Circuit.__getstate__`` uses), so compiled backends
 ship to process-pool workers unchanged.
 
-**Vector tier**: the generated expressions are polymorphic — fed numpy
-``uint64`` block arrays instead of ints, the same source evaluates 64
-lanes *per block* per op.  :class:`VectorCircuitProgram` /
-:class:`VectorStepProgram` / :class:`VectorConeProgram` /
-:class:`VectorDetProgram` wrap the scalar programs with an ``n_lanes``
-parameter, converting packed ints to block arrays at the boundary (see
-:mod:`repro.sim.vector` for the backing model and the int/ndarray
-crossover).  The scalar and vector variants share one compiled code
-object per source.
-
-**SoA tier**: the per-net representations above pay one interpreter or
-numpy dispatch *per gate*; :class:`SoaCircuitProgram` /
-:class:`SoaStepProgram` / :class:`SoaConeProgram` / :class:`SoaDetProgram`
-instead keep the whole net state in one ``(2 * n_slots, n_blocks)``
-uint64 matrix whose top half mirrors the bottom half complemented, and
-execute each topological level as a handful of fused numpy calls over
-*every* gate in the level (:class:`_SoaKernel`).  Polarity — NAND/NOR/
-XNOR outputs, folded NOTs, the complemented inputs of the De Morgan
-rewrite ``a | b == ~(~a & ~b)`` — costs nothing at runtime: it is
-encoded as a row index into the complement mirror at schedule-build
-time, so a level is just two row-gathers, one ``bitwise_and`` over the
-and-family slab, one ``bitwise_xor`` over the xor-family slab, and one
-``invert`` refreshing the level's mirror rows.  Dead lanes of a partial
-last block may hold garbage mid-flight (complement garbage propagates
-only within dead lanes through ``& ^ ~``); the lane mask is applied
-once at each readout boundary, which keeps every returned word
-bit-identical to the interpreter.  SoA programs hold no code objects at
-all — they pickle as plain index-array metadata and rebuild their state
-matrix per worker.  See :mod:`repro.sim.vector` for when this tier wins
-(from ~1k lanes on circuits with wide levels) and the measured per-op
-cost model behind the kernel's idioms.
+**SoA tier**: the per-net representation above pays one interpreter
+dispatch *per gate*; :class:`SoaStepProgram` instead keeps the whole
+net state in one ``(2 * n_slots, n_blocks)`` uint64 matrix whose top
+half mirrors the bottom half complemented, and executes each
+topological level as a handful of fused numpy calls over *every* gate
+in the level (:class:`_SoaKernel`).  Polarity — NAND/NOR/XNOR outputs,
+folded NOTs, the complemented inputs of the De Morgan rewrite
+``a | b == ~(~a & ~b)`` — costs nothing at runtime: it is encoded as a
+row index into the complement mirror at schedule-build time, so a level
+is just two row-gathers, one ``bitwise_and`` over the and-family slab,
+one ``bitwise_xor`` over the xor-family slab, and one ``invert``
+refreshing the level's mirror rows.  Dead lanes of a partial last block
+may hold garbage mid-flight (complement garbage propagates only within
+dead lanes through ``& ^ ~``); the lane mask is applied once at each
+readout boundary, which keeps every returned word bit-identical to the
+interpreter.  The SoA program holds no code object at all — it pickles
+as plain index arrays.  Only the fused step exists in SoA form: it is
+the one shape a multi-cycle lane propagation runs (PPSFP evaluates
+cones on int pattern windows of at most 1024 bits).  See
+:mod:`repro.sim.vector` for the measured per-op cost model behind the
+kernel's idioms and :func:`repro.engine.lanes.resolve_backing` for when
+this tier runs.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import re
@@ -352,6 +344,23 @@ class CircuitProgram:
 # ----------------------------------------------------------------------
 # fused sequential step (SequentialSim.step)
 # ----------------------------------------------------------------------
+def _live_gates(circuit: Circuit) -> list[Gate]:
+    """The gates in the cone of influence of the observables (POs and
+    flop D inputs), in topo order — all a clock step has to evaluate."""
+    needed: set[str] = set()
+    work = list(circuit.outputs) + [f.d for f in circuit.flops.values()]
+    gates = circuit.gates
+    while work:
+        net = work.pop()
+        if net in needed:
+            continue
+        needed.add(net)
+        gate = gates.get(net)
+        if gate is not None:
+            work.extend(gate.inputs)
+    return [g for g in circuit.topo_order() if g.output in needed]
+
+
 class StepProgram:
     """One clock: ``fn(pis, state, mask)`` returns ``(po_values,
     next_state)`` tuples.  Only gates in the cone of influence of the
@@ -367,23 +376,11 @@ class StepProgram:
         self.flop_inits = tuple(f.init for f in circuit.flops.values())
         self.outputs = tuple(circuit.outputs)
         self.q_index = {q: i for i, q in enumerate(self.flop_qs)}
-        needed: set[str] = set()
-        work = list(self.outputs) + [f.d for f in circuit.flops.values()]
-        gates = circuit.gates
-        while work:
-            net = work.pop()
-            if net in needed:
-                continue
-            needed.add(net)
-            gate = gates.get(net)
-            if gate is not None:
-                work.extend(gate.inputs)
         emit = _Emitter()
         pi_slots = emit.bind_sources(self.inputs)
         q_slots = emit.bind_sources(self.flop_qs)
-        for gate in circuit.topo_order():
-            if gate.output in needed:
-                emit.emit_gate(gate)
+        for gate in _live_gates(circuit):
+            emit.emit_gate(gate)
         po_atoms = [emit.atoms[po] for po in self.outputs]
         d_atoms = [emit.atoms[f.d] for f in circuit.flops.values()]
         ret = f"({_tuple_expr(po_atoms)}, {_tuple_expr(d_atoms)},)"
@@ -686,184 +683,6 @@ def det_program(circuit: Circuit, line, observe: Sequence[str],
 
 
 # ----------------------------------------------------------------------
-# vector tier: the same generated sources over uint64 block arrays
-# ----------------------------------------------------------------------
-class _VectorProgram:
-    """Shared shape of the vector variants: a scalar program plus the
-    lane geometry.  The generated function is reused as-is — numpy
-    broadcasting makes the emitted ``& | ^ ~ ... & mask`` expressions
-    evaluate block-arrays exactly like ints — so scalar and vector
-    variants share one compiled code object (and one ``compile()``).
-    The block-array mask is rebuilt lazily after unpickling; only the
-    scalar program (which pickles as source) and ``n_lanes`` travel.
-    """
-
-    __slots__ = ("scalar", "n_lanes", "n_blocks", "_mask")
-
-    def __init__(self, scalar, n_lanes: int) -> None:
-        if not _vector.HAVE_NUMPY:  # factories return None instead
-            raise RuntimeError("vector programs require numpy")
-        self.scalar = scalar
-        self.n_lanes = n_lanes
-        self.n_blocks = _vector.blocks_for(n_lanes)
-        self._mask = None
-
-    @property
-    def mask(self):
-        mask = self._mask
-        if mask is None:
-            mask = self._mask = _vector.mask_array(self.n_lanes,
-                                                   self.n_blocks)
-        return mask
-
-    @property
-    def fn(self):
-        return self.scalar.program.fn
-
-    def __getstate__(self):
-        return (self.scalar, self.n_lanes)
-
-    def __setstate__(self, state) -> None:
-        self.scalar, self.n_lanes = state
-        self.n_blocks = _vector.blocks_for(self.n_lanes)
-        self._mask = None
-
-
-class VectorCircuitProgram(_VectorProgram):
-    """Vector variant of :class:`CircuitProgram`: ``run`` takes packed
-    ints of up to ``n_lanes`` patterns and returns every net as a
-    uint64 block array (const-folded nets may come back as plain
-    ``0``/mask — :func:`repro.sim.vector.from_blocks` plus an
-    ``isinstance`` check recovers ints uniformly)."""
-
-    def run(self, pi_values: Mapping[str, int],
-            state: Mapping[str, int] | None = None) -> dict:
-        scalar = self.scalar
-        mask = self.mask
-        blocks = self.n_blocks
-        full = (1 << self.n_lanes) - 1
-        pis = tuple(_vector.to_blocks(pi_values.get(pi, 0) & full, blocks)
-                    for pi in scalar.inputs)
-        if state is None:
-            flop_state = tuple(mask if init else 0
-                               for _, init in scalar.flop_inits)
-        else:
-            flop_state = tuple(
-                _vector.to_blocks(state[q] & full, blocks) if q in state
-                else (mask if init else 0)
-                for q, init in scalar.flop_inits)
-        return dict(zip(scalar.net_names, self.fn(pis, flop_state, mask)))
-
-
-class VectorStepProgram(_VectorProgram):
-    """Vector variant of :class:`StepProgram`: one clock over block
-    arrays.  ``run`` mirrors ``StepProgram.run`` with packed-int
-    boundaries; :mod:`repro.engine.lanes` drives :attr:`fn` directly on
-    raw block-array tuples instead."""
-
-    def run(self, pi_values: Mapping[str, int],
-            state: Mapping[str, int]) -> tuple[dict, dict]:
-        scalar = self.scalar
-        mask = self.mask
-        blocks = self.n_blocks
-        full = (1 << self.n_lanes) - 1
-        pis = tuple(_vector.to_blocks(pi_values.get(pi, 0) & full, blocks)
-                    for pi in scalar.inputs)
-        flop_state = tuple(
-            _vector.to_blocks(state[q] & full, blocks) if q in state
-            else (mask if init else 0)
-            for q, init in zip(scalar.flop_qs, scalar.flop_inits))
-        pos, nxt = self.fn(pis, flop_state, mask)
-        return (dict(zip(scalar.outputs, pos)),
-                dict(zip(scalar.flop_qs, nxt)))
-
-
-class VectorConeProgram(_VectorProgram):
-    """Vector variant of :class:`ConeProgram`: ``good`` values and the
-    forced word are block arrays; ``apply`` folds the recomputed cone
-    back into a full faulty-values dict, like the scalar version."""
-
-    def apply(self, good: Mapping, forced) -> dict:
-        scalar = self.scalar
-        values = dict(good)
-        if scalar.stem is not None:
-            values[scalar.stem] = forced
-        for net, val in zip(scalar.out_names,
-                            self.fn(good, forced, self.mask)):
-            values[net] = val
-        return values
-
-
-class VectorDetProgram(_VectorProgram):
-    """Vector variant of :class:`DetProgram`: ``detect`` returns the
-    detection word over a block-array good dict (``0`` when the site is
-    unobservable — callers test ``bool(np.any(det))`` or convert with
-    :func:`repro.sim.vector.from_blocks`)."""
-
-    def detect(self, good: Mapping, forced):
-        return self.fn(good, forced, self.mask)
-
-
-def vector_circuit_program(circuit: Circuit, n_lanes: int,
-                           enable: bool | None = None
-                           ) -> VectorCircuitProgram | None:
-    """The ``n_lanes``-wide full-circuit program, or ``None`` when
-    compilation is off or numpy is missing (callers fall back to the
-    packed-int paths, which carry any width through big ints)."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
-        return None
-    cache = _cache(circuit)
-    key = ("vfull", n_lanes)
-    prog = cache.get(key)
-    if prog is None:
-        scalar = circuit_program(circuit, enable)
-        prog = cache[key] = VectorCircuitProgram(scalar, n_lanes)
-    return prog
-
-
-def vector_step_program(circuit: Circuit, n_lanes: int,
-                        enable: bool | None = None
-                        ) -> VectorStepProgram | None:
-    """The ``n_lanes``-wide fused step program (``None``: see
-    :func:`vector_circuit_program`)."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
-        return None
-    cache = _cache(circuit)
-    key = ("vstep", n_lanes)
-    prog = cache.get(key)
-    if prog is None:
-        scalar = step_program(circuit, enable)
-        prog = cache[key] = VectorStepProgram(scalar, n_lanes)
-    return prog
-
-
-def vector_cone_program(circuit: Circuit, line, n_lanes: int,
-                        enable: bool | None = None,
-                        weight: int = 1) -> VectorConeProgram | None:
-    """The ``n_lanes``-wide cone sub-program for ``line`` (same hit
-    gate as :func:`cone_program`; the wrapper itself is free)."""
-    if not _vector.HAVE_NUMPY:
-        return None
-    scalar = cone_program(circuit, line, enable, weight)
-    if scalar is None:
-        return None
-    return VectorConeProgram(scalar, n_lanes)
-
-
-def vector_det_program(circuit: Circuit, line, observe: Sequence[str],
-                       n_lanes: int, enable: bool | None = None,
-                       weight: int = 1) -> VectorDetProgram | None:
-    """The ``n_lanes``-wide detection program for ``line`` (same hit
-    gate as :func:`det_program`; the wrapper itself is free)."""
-    if not _vector.HAVE_NUMPY:
-        return None
-    scalar = det_program(circuit, line, observe, enable, weight)
-    if scalar is None:
-        return None
-    return VectorDetProgram(scalar, n_lanes)
-
-
-# ----------------------------------------------------------------------
 # SoA tier: level-batched kernels over a complement-mirror state matrix
 # ----------------------------------------------------------------------
 #: Input polarity per and-family gate: OR/NOR read the complement rows
@@ -902,8 +721,7 @@ class _SoaKernel:
     slices), and one ``invert`` refreshing the level's mirror rows.
 
     The schedule is plain picklable data — index arrays and slices, no
-    code objects; ``execute`` is the only runtime code and is shared by
-    every program shape.
+    code objects; ``execute_bound`` is the only runtime code.
     """
 
     def __init__(self, gates: Sequence[Gate],
@@ -1051,189 +869,81 @@ class _SoaKernel:
         self.execute_bound(S, self.bind(S))
 
 
-class _SoaCircuitMeta:
-    """Width-independent schedule + readout maps for the full circuit."""
+class SoaStepProgram:
+    """One clock over the mirror matrix, ``n_lanes`` wide.
 
-    __slots__ = ("kernel", "inputs", "flop_inits", "net_names", "out_rows")
-
-
-class _SoaStepMeta:
-    """Width-independent schedule + readout maps for one clock step."""
+    The SoA counterpart of :class:`StepProgram`: the kernel schedule
+    restricted to the cone of influence of the observables, plus the
+    row maps that load PIs/flops and read POs/next state.  ``run``
+    mirrors ``StepProgram.run`` with packed-int boundaries;
+    :mod:`repro.engine.lanes` instead drives the exposed :attr:`kernel`
+    and row maps directly, keeping the whole multi-cycle loop inside
+    numpy.  There is no generated source: the program pickles as index
+    arrays.  Everything but ``n_lanes`` is width-independent and shared
+    by :meth:`at_width` copies.
+    """
 
     __slots__ = ("kernel", "inputs", "flop_qs", "flop_inits", "outputs",
-                 "q_index", "po_rows", "d_rows")
+                 "q_index", "po_rows", "d_rows", "n_lanes")
 
-
-class _SoaConeMeta:
-    """Width-independent schedule for one fault site's cone."""
-
-    __slots__ = ("kernel", "externals", "ext_lo", "forced_row",
-                 "out_names", "out_rows", "stem")
-
-
-class _SoaDetMeta:
-    """Width-independent schedule for fused cone detection."""
-
-    __slots__ = ("kernel", "externals", "ext_lo", "forced_row",
-                 "obs_names", "obs_rows")
-
-
-class _SoaProgram:
-    """Shared shape of the SoA variants: width-independent metadata
-    (the kernel schedule plus readout maps) and the lane geometry.
-    Unlike the per-net tiers there is no generated source at all — the
-    whole program pickles as index arrays and rebuilds only its lane
-    mask per process."""
-
-    __slots__ = ("meta", "n_lanes", "n_blocks", "_mask")
-
-    def __init__(self, meta, n_lanes: int) -> None:
-        if not _vector.HAVE_NUMPY:  # factories return None instead
+    def __init__(self, circuit: Circuit, n_lanes: int) -> None:
+        if not _vector.HAVE_NUMPY:  # the factory returns None instead
             raise RuntimeError("SoA programs require numpy")
-        self.meta = meta
+        self.inputs = tuple(circuit.inputs)
+        self.flop_qs = tuple(circuit.flops)
+        self.flop_inits = tuple(f.init for f in circuit.flops.values())
+        self.outputs = tuple(circuit.outputs)
+        self.q_index = {q: i for i, q in enumerate(self.flop_qs)}
+        self.kernel = kernel = _SoaKernel(_live_gates(circuit),
+                                          (self.inputs, self.flop_qs))
+        self.po_rows = kernel.rows_of(self.outputs)
+        self.d_rows = kernel.rows_of([f.d for f in circuit.flops.values()])
         self.n_lanes = n_lanes
-        self.n_blocks = _vector.blocks_for(n_lanes)
-        self._mask = None
+
+    def at_width(self, n_lanes: int) -> "SoaStepProgram":
+        """The same schedule at another lane width (one netlist pass per
+        circuit, however many widths run on it)."""
+        clone = copy.copy(self)
+        clone.n_lanes = n_lanes
+        return clone
 
     @property
-    def kernel(self) -> _SoaKernel:
-        return self.meta.kernel
+    def n_blocks(self) -> int:
+        return _vector.blocks_for(self.n_lanes)
 
     @property
-    def mask(self):
-        mask = self._mask
-        if mask is None:
-            mask = self._mask = _vector.mask_array(self.n_lanes,
-                                                   self.n_blocks)
-        return mask
+    def pi_slice(self) -> tuple[int, int]:
+        return self.kernel.src_slices[0]
+
+    @property
+    def q_slice(self) -> tuple[int, int]:
+        return self.kernel.src_slices[1]
 
     @property
     def stats(self) -> ProgramStats:
-        k = self.meta.kernel
+        k = self.kernel
         return ProgramStats(gates=k.n_gates, levels=k.n_levels,
                             fused_ops=k.n_calls,
                             scratch_bytes=2 * k.n_slots * self.n_blocks * 8)
 
-    def new_state(self):
-        """A fresh zeroed state matrix with the constant rows seeded.
-        Allocated per evaluation: programs are shared across threads
-        (``run_batch`` may fan out on thread executors), so the matrix
-        is never cached on the program."""
-        np = _vector.np
-        k = self.meta.kernel
-        S = np.zeros((2 * k.n_slots, self.n_blocks), dtype=np.uint64)
-        S[k.n_slots] = self.mask
-        return S
-
-    def _blocks(self, value, full: int):
-        """A source word as a block array (packed ints converted)."""
-        if isinstance(value, int):
-            return _vector.to_blocks(value & full, self.n_blocks)
-        return value
-
-    def __getstate__(self):
-        return (self.meta, self.n_lanes)
-
-    def __setstate__(self, state) -> None:
-        self.meta, self.n_lanes = state
-        self.n_blocks = _vector.blocks_for(self.n_lanes)
-        self._mask = None
-
-
-class SoaCircuitProgram(_SoaProgram):
-    """SoA variant of :class:`CircuitProgram`: ``run`` takes packed
-    ints of up to ``n_lanes`` patterns and returns every net as a
-    masked uint64 block array, in the interpreter's insertion order."""
-
-    def run(self, pi_values: Mapping[str, int],
-            state: Mapping[str, int] | None = None) -> dict:
-        m = self.meta
-        k = m.kernel
-        np = _vector.np
-        n = k.n_slots
-        blocks = self.n_blocks
-        mask = self.mask
-        full = (1 << self.n_lanes) - 1
-        S = self.new_state()
-        (pa, _pb), (qa, _qb) = k.src_slices
-        for i, pi in enumerate(m.inputs):
-            v = pi_values.get(pi, 0) & full
-            if v:
-                S[pa + i] = _vector.to_blocks(v, blocks)
-        for i, (q, init) in enumerate(m.flop_inits):
-            if state is not None and q in state:
-                v = state[q] & full
-                if v:
-                    S[qa + i] = _vector.to_blocks(v, blocks)
-            elif init:
-                S[qa + i] = mask
-        lo, hi = k.src_span
-        np.invert(S[lo:hi], out=S[n + lo:n + hi])
-        k.execute(S)
-        vals = S.take(m.out_rows, axis=0)
-        vals &= mask
-        return dict(zip(m.net_names, vals))
-
-
-class SoaStepProgram(_SoaProgram):
-    """SoA variant of :class:`StepProgram`: one clock over the mirror
-    matrix.  ``run`` mirrors ``StepProgram.run`` with packed-int
-    boundaries; :mod:`repro.engine.lanes` instead drives the exposed
-    :attr:`kernel` / row maps directly, keeping the whole multi-cycle
-    loop inside numpy."""
-
-    @property
-    def inputs(self):
-        return self.meta.inputs
-
-    @property
-    def flop_qs(self):
-        return self.meta.flop_qs
-
-    @property
-    def flop_inits(self):
-        return self.meta.flop_inits
-
-    @property
-    def outputs(self):
-        return self.meta.outputs
-
-    @property
-    def q_index(self):
-        return self.meta.q_index
-
-    @property
-    def po_rows(self):
-        return self.meta.po_rows
-
-    @property
-    def d_rows(self):
-        return self.meta.d_rows
-
-    @property
-    def pi_slice(self):
-        return self.meta.kernel.src_slices[0]
-
-    @property
-    def q_slice(self):
-        return self.meta.kernel.src_slices[1]
-
     def run(self, pi_values: Mapping[str, int],
             state: Mapping[str, int]) -> tuple[dict, dict]:
-        m = self.meta
-        k = m.kernel
+        k = self.kernel
         np = _vector.np
         n = k.n_slots
         blocks = self.n_blocks
-        mask = self.mask
+        mask = _vector.mask_array(self.n_lanes, blocks)
         full = (1 << self.n_lanes) - 1
-        S = self.new_state()
+        # a fresh matrix per evaluation: programs are shared across
+        # threads, so the state is never cached on the program
+        S = np.zeros((2 * n, blocks), dtype=np.uint64)
+        S[n] = mask
         (pa, _pb), (qa, _qb) = k.src_slices
-        for i, pi in enumerate(m.inputs):
+        for i, pi in enumerate(self.inputs):
             v = pi_values.get(pi, 0) & full
             if v:
                 S[pa + i] = _vector.to_blocks(v, blocks)
-        for i, (q, init) in enumerate(zip(m.flop_qs, m.flop_inits)):
+        for i, (q, init) in enumerate(zip(self.flop_qs, self.flop_inits)):
             if q in state:
                 v = state[q] & full
                 if v:
@@ -1243,268 +953,28 @@ class SoaStepProgram(_SoaProgram):
         lo, hi = k.src_span
         np.invert(S[lo:hi], out=S[n + lo:n + hi])
         k.execute(S)
-        pos = S.take(m.po_rows, axis=0)
+        pos = S.take(self.po_rows, axis=0)
         pos &= mask
-        nxt = S.take(m.d_rows, axis=0)
+        nxt = S.take(self.d_rows, axis=0)
         nxt &= mask
-        return dict(zip(m.outputs, pos)), dict(zip(m.flop_qs, nxt))
-
-
-class SoaConeProgram(_SoaProgram):
-    """SoA variant of :class:`ConeProgram`: ``apply`` re-evaluates one
-    fault site's cone in the mirror matrix and folds the recomputed
-    outputs back into the good-machine dict.  ``good`` values and the
-    forced word may be block arrays or packed ints."""
-
-    def apply(self, good: Mapping, forced) -> dict:
-        m = self.meta
-        k = m.kernel
-        np = _vector.np
-        n = k.n_slots
-        full = (1 << self.n_lanes) - 1
-        S = self.new_state()
-        for i, net in enumerate(m.externals):
-            S[m.ext_lo + i] = self._blocks(good[net], full)
-        S[m.forced_row] = self._blocks(forced, full)
-        lo, hi = k.src_span
-        np.invert(S[lo:hi], out=S[n + lo:n + hi])
-        k.execute(S)
-        vals = S.take(m.out_rows, axis=0)
-        vals &= self.mask
-        values = dict(good)
-        if m.stem is not None:
-            values[m.stem] = forced
-        values.update(zip(m.out_names, vals))
-        return values
-
-
-class SoaDetProgram(_SoaProgram):
-    """SoA variant of :class:`DetProgram`: ``detect`` returns the
-    detection word (a masked block array) for one fault site under the
-    observation points baked into the schedule."""
-
-    def detect(self, good: Mapping, forced):
-        m = self.meta
-        k = m.kernel
-        np = _vector.np
-        n = k.n_slots
-        full = (1 << self.n_lanes) - 1
-        S = self.new_state()
-        for i, net in enumerate(m.externals):
-            S[m.ext_lo + i] = self._blocks(good[net], full)
-        S[m.forced_row] = self._blocks(forced, full)
-        lo, hi = k.src_span
-        np.invert(S[lo:hi], out=S[n + lo:n + hi])
-        k.execute(S)
-        det = _vector.zeros(self.n_blocks)
-        if len(m.obs_rows):
-            faulty = S.take(m.obs_rows, axis=0)
-            for i, net in enumerate(m.obs_names):
-                det |= faulty[i] ^ self._blocks(good.get(net, 0), full)
-        det &= self.mask
-        return det
-
-
-def _build_soa_circuit_meta(circuit: Circuit) -> _SoaCircuitMeta:
-    m = _SoaCircuitMeta()
-    order = circuit.topo_order()
-    m.inputs = tuple(circuit.inputs)
-    m.flop_inits = tuple((q, f.init) for q, f in circuit.flops.items())
-    kernel = _SoaKernel(order, (m.inputs, tuple(circuit.flops)))
-    m.kernel = kernel
-    names = (list(m.inputs) + list(circuit.flops)
-             + [g.output for g in order])
-    m.net_names = tuple(names)
-    m.out_rows = kernel.rows_of(names)
-    return m
-
-
-def _build_soa_step_meta(circuit: Circuit) -> _SoaStepMeta:
-    m = _SoaStepMeta()
-    m.inputs = tuple(circuit.inputs)
-    m.flop_qs = tuple(circuit.flops)
-    m.flop_inits = tuple(f.init for f in circuit.flops.values())
-    m.outputs = tuple(circuit.outputs)
-    m.q_index = {q: i for i, q in enumerate(m.flop_qs)}
-    # same cone-of-influence restriction as StepProgram: dead logic
-    # cannot change the POs or the next state
-    needed: set[str] = set()
-    work = list(m.outputs) + [f.d for f in circuit.flops.values()]
-    gates = circuit.gates
-    while work:
-        net = work.pop()
-        if net in needed:
-            continue
-        needed.add(net)
-        gate = gates.get(net)
-        if gate is not None:
-            work.extend(gate.inputs)
-    kernel = _SoaKernel(
-        [g for g in circuit.topo_order() if g.output in needed],
-        (m.inputs, m.flop_qs))
-    m.kernel = kernel
-    m.po_rows = kernel.rows_of(m.outputs)
-    m.d_rows = kernel.rows_of([f.d for f in circuit.flops.values()])
-    return m
-
-
-#: Placeholder source net carrying the forced word into a branch
-#: fault's shadow gate (the branched net itself stays good everywhere
-#: else, exactly like the interpreter's shadow dict).
-_FORCED_NET = "__forced__"
-
-
-def _soa_cone_parts(circuit: Circuit, site: str, shadow_sink: str | None):
-    """The (possibly shadow-rewritten) cone gates, their external input
-    nets in first-use order, and the name the forced word binds to."""
-    cone = _gather_cone(circuit, site, shadow_sink)
-    forced_name = site
-    if shadow_sink is not None:
-        forced_name = _FORCED_NET
-        cone = [Gate(gtype=g.gtype, output=g.output,
-                     inputs=tuple(forced_name if net == site else net
-                                  for net in g.inputs))
-                if g.output == shadow_sink else g
-                for g in cone]
-    produced = {g.output for g in cone}
-    externals: list[str] = []
-    seen: set[str] = set()
-    for g in cone:
-        for net in g.inputs:
-            if net not in produced and net != forced_name \
-                    and net not in seen:
-                seen.add(net)
-                externals.append(net)
-    return cone, externals, forced_name
-
-
-def _build_soa_cone_meta(circuit: Circuit, site: str,
-                         shadow_sink: str | None) -> _SoaConeMeta:
-    cone, externals, forced_name = _soa_cone_parts(circuit, site,
-                                                   shadow_sink)
-    m = _SoaConeMeta()
-    kernel = _SoaKernel(cone, (tuple(externals), (forced_name,)))
-    m.kernel = kernel
-    m.externals = tuple(externals)
-    m.ext_lo = kernel.src_slices[0][0]
-    m.forced_row = kernel.src_slices[1][0]
-    m.out_names = tuple(g.output for g in cone)
-    m.out_rows = kernel.rows_of(m.out_names)
-    m.stem = site if shadow_sink is None else None
-    return m
-
-
-def _build_soa_det_meta(circuit: Circuit, site: str,
-                        shadow_sink: str | None,
-                        observe: Sequence[str]) -> _SoaDetMeta:
-    observed = set(observe)
-    cone, _externals, forced_name = _soa_cone_parts(circuit, site,
-                                                    shadow_sink)
-    # observability pruning, identical to _build_det_program: keep only
-    # gates feeding an observation point directly or transitively
-    needed: set[str] = set()
-    kept: list[Gate] = []
-    for gate in reversed(cone):
-        if gate.output in observed or gate.output in needed:
-            kept.append(gate)
-            needed.update(gate.inputs)
-    kept.reverse()
-    produced = {g.output for g in kept}
-    externals: list[str] = []
-    seen: set[str] = set()
-    for g in kept:
-        for net in g.inputs:
-            if net not in produced and net != forced_name \
-                    and net not in seen:
-                seen.add(net)
-                externals.append(net)
-    m = _SoaDetMeta()
-    kernel = _SoaKernel(kept, (tuple(externals), (forced_name,)))
-    m.kernel = kernel
-    m.externals = tuple(externals)
-    m.ext_lo = kernel.src_slices[0][0]
-    m.forced_row = kernel.src_slices[1][0]
-    obs_names = []
-    for net in dict.fromkeys(observe):  # dedup, order-preserving
-        if (shadow_sink is None and net == site) or net in produced:
-            obs_names.append(net)
-        # else: untouched by the fault — its XOR term is identically 0
-    m.obs_names = tuple(obs_names)
-    m.obs_rows = kernel.rows_of(obs_names)
-    return m
-
-
-def soa_circuit_program(circuit: Circuit, n_lanes: int,
-                        enable: bool | None = None
-                        ) -> SoaCircuitProgram | None:
-    """The ``n_lanes``-wide SoA full-circuit program, or ``None`` when
-    compilation is off or numpy is missing.  The kernel schedule is
-    width-independent and cached once; per-width wrappers are thin."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
-        return None
-    cache = _cache(circuit)
-    key = ("soa_full", n_lanes)
-    prog = cache.get(key)
-    if prog is None:
-        meta = cache.get("soa_full_meta")
-        if meta is None:
-            meta = cache["soa_full_meta"] = _build_soa_circuit_meta(circuit)
-        prog = cache[key] = SoaCircuitProgram(meta, n_lanes)
-    return prog
+        return dict(zip(self.outputs, pos)), dict(zip(self.flop_qs, nxt))
 
 
 def soa_step_program(circuit: Circuit, n_lanes: int,
                      enable: bool | None = None) -> SoaStepProgram | None:
-    """The ``n_lanes``-wide SoA fused step program (``None``: see
-    :func:`soa_circuit_program`)."""
+    """The ``n_lanes``-wide SoA fused step program, or ``None`` when
+    compilation is off or numpy is missing (callers fall back to the
+    packed-int paths, which carry any width through big ints).  The
+    kernel schedule is built once per circuit; per-width programs are
+    thin copies."""
     if not _vector.HAVE_NUMPY or not _active(enable):
         return None
     cache = _cache(circuit)
     key = ("soa_step", n_lanes)
     prog = cache.get(key)
     if prog is None:
-        meta = cache.get("soa_step_meta")
-        if meta is None:
-            meta = cache["soa_step_meta"] = _build_soa_step_meta(circuit)
-        prog = cache[key] = SoaStepProgram(meta, n_lanes)
+        base = cache.get("soa_step")
+        if base is None:
+            base = cache["soa_step"] = SoaStepProgram(circuit, n_lanes)
+        prog = cache[key] = base.at_width(n_lanes)
     return prog
-
-
-def soa_cone_program(circuit: Circuit, line, n_lanes: int,
-                     enable: bool | None = None,
-                     weight: int = 1) -> SoaConeProgram | None:
-    """The ``n_lanes``-wide SoA cone program for fault site ``line``
-    (same hit gate as :func:`cone_program`; the width wrapper is
-    free)."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
-        return None
-    resolved = _site_of(circuit, line)
-    if resolved is None:
-        return None
-    site, shadow_sink = resolved
-    meta = _counted(_cache(circuit), ("soa_cone", site, shadow_sink),
-                    lambda: _build_soa_cone_meta(circuit, site, shadow_sink),
-                    weight)
-    if meta is None:
-        return None
-    return SoaConeProgram(meta, n_lanes)
-
-
-def soa_det_program(circuit: Circuit, line, observe: Sequence[str],
-                    n_lanes: int, enable: bool | None = None,
-                    weight: int = 1) -> SoaDetProgram | None:
-    """The ``n_lanes``-wide SoA detection program for ``line`` under
-    ``observe`` (same hit gate and keying as :func:`det_program`)."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
-        return None
-    resolved = _site_of(circuit, line)
-    if resolved is None:
-        return None
-    site, shadow_sink = resolved
-    meta = _counted(
-        _cache(circuit), ("soa_det", site, shadow_sink, tuple(observe)),
-        lambda: _build_soa_det_meta(circuit, site, shadow_sink, observe),
-        weight)
-    if meta is None:
-        return None
-    return SoaDetProgram(meta, n_lanes)

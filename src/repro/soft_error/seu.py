@@ -125,12 +125,13 @@ def run_campaign(
     (serial/thread/process/auto) — results are identical to the serial
     run for any combination.  ``lane_width`` overrides the engine's
     lane packing (injections simulated per packed sequential run;
-    default 64, ``1`` forces the per-point reference path, widths above
-    64 ride the vector tier — packed big ints or, via
-    ``lane_backing="ndarray"``, numpy block arrays) — outcomes are
-    byte-identical at every width and backing.  ``resume`` restarts a
-    checkpointed campaign (requires the ``db`` it was recorded in) from
-    its last committed chunk, byte-identical to an uninterrupted run.
+    default 64, ``1`` forces the per-point reference path) and
+    ``lane_backing`` names the carrier of the packed word (``"int"``,
+    ``"soa"``, default auto; anything else raises ``ValueError``) —
+    outcomes are byte-identical at every width and backing.  ``resume``
+    restarts a checkpointed campaign (requires the ``db`` it was
+    recorded in) from its last committed chunk, byte-identical to an
+    uninterrupted run.
     """
     from ..engine.backends import SeuBackend
     from ..engine.core import EngineConfig, run_campaign as run_engine

@@ -327,7 +327,7 @@ class TestLanesCompiled:
 
 
 # ----------------------------------------------------------------------
-# vector tier: the same sources over uint64 block arrays
+# packed int <-> uint64 block conversions
 # ----------------------------------------------------------------------
 VECTOR_WIDTHS = (1, 64, 65, 192, 1000)
 
@@ -335,117 +335,8 @@ needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
 
 
-def _as_int(value) -> int:
-    """Normalise a vector-program net value (block array or folded
-    constant int) to the packed-int representation."""
-    return value if isinstance(value, int) else vector.from_blocks(value)
-
-
 @needs_numpy
 class TestVectorPrograms:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), sequential=st.booleans(),
-           width=st.sampled_from(VECTOR_WIDTHS))
-    def test_vector_circuit_program_matches_interpreter(self, seed,
-                                                        sequential, width):
-        circuit = _random_circuit(seed, sequential)
-        prog = compiled.vector_circuit_program(circuit, width)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 1)
-        state = random_patterns(circuit.flops, width, seed=seed + 2) \
-            if circuit.flops else None
-        got = {net: _as_int(val)
-               for net, val in prog.run(pis, state).items()}
-        reference = simulate(circuit, pis, width, state, compile=False)
-        assert got == reference
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000), width=st.sampled_from(VECTOR_WIDTHS))
-    def test_vector_step_program_matches_scalar(self, seed, width):
-        circuit = _random_circuit(seed, sequential=True)
-        vprog = compiled.vector_step_program(circuit, width)
-        sprog = compiled.step_program(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 3)
-        state = random_patterns(circuit.flops, width, seed=seed + 4)
-        mask = mask_of(width)
-        pos_s, nxt_s = sprog.run(pis, state, mask)
-        pos_v, nxt_v = vprog.run(pis, state)
-        assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
-        assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
-
-    def test_vector_det_program_matches_detection_mask(self):
-        width = 192
-        circuit = random_combinational(8, 80, seed=11)
-        faults, _ = collapse(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=12)
-        good = simulate(circuit, pis, width)
-        mask = mask_of(width)
-        observe = _observe_nets(circuit, True)
-        blocks = vector.blocks_for(width)
-        good_nd = vector.to_block_dict(good, blocks)
-        checked = 0
-        for fault in faults[:40]:
-            expected = detection_mask(circuit, fault, good, mask, observe)
-            vdet = compiled.vector_det_program(circuit, fault.line, observe,
-                                               width)
-            if vdet is None:  # no combinational cone for this line
-                continue
-            forced = vector.mask_array(width) if fault.value \
-                else vector.zeros(blocks)
-            assert _as_int(vdet.detect(good_nd, forced)) == expected, fault
-            checked += 1
-        assert checked  # the loop exercised real detection programs
-
-    def test_vector_program_pickle_roundtrip(self):
-        circuit = load("rand_seq")
-        width = 256
-        prog = compiled.vector_step_program(circuit, width)
-        pis = random_patterns(circuit.inputs, width, seed=6)
-        state = random_patterns(circuit.flops, width, seed=7)
-        prog.run(pis, state)  # force compile before shipping
-        clone = pickle.loads(pickle.dumps(prog))
-        assert clone.scalar.program._fn is None  # only source travelled
-        assert clone._mask is None  # lane mask rebuilds lazily
-        pos_c, nxt_c = clone.run(pis, state)
-        pos_p, nxt_p = prog.run(pis, state)
-        assert {k: _as_int(v) for k, v in pos_c.items()} \
-            == {k: _as_int(v) for k, v in pos_p.items()}
-        assert {k: _as_int(v) for k, v in nxt_c.items()} \
-            == {k: _as_int(v) for k, v in nxt_p.items()}
-
-    def test_mutation_invalidates_vector_programs(self):
-        circuit = random_combinational(6, 30, seed=4)
-        width = 65
-        pis = random_patterns(circuit.inputs, width, seed=1)
-        compiled.vector_circuit_program(circuit, width).run(pis)
-        assert ("vfull", width) in circuit._program_cache
-        circuit.add_gate("vmut", "NAND",
-                         [circuit.inputs[0], circuit.inputs[1]])
-        circuit.add_output("vmut")
-        assert not circuit._program_cache  # invalidated with topo/cones
-        after = compiled.vector_circuit_program(circuit, width).run(pis)
-        assert {net: _as_int(v) for net, v in after.items()} \
-            == simulate(circuit, pis, width, compile=False)
-
-    def test_scalar_and_vector_share_compiled_source(self):
-        circuit = load("rand_seq")
-        sprog = compiled.step_program(circuit)
-        vprog = compiled.vector_step_program(circuit, 192)
-        assert vprog.scalar is sprog  # one codegen, one compile()
-
-    def test_backing_resolution(self, monkeypatch):
-        assert vector.resolve_backing(64) == "int"
-        assert vector.resolve_backing(1000) == "int"  # below crossover
-        assert vector.resolve_backing(1000, "ndarray") == "ndarray"
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 512)
-        # past the old per-net crossover the SoA kernel tier takes over
-        # (it strictly dominates the per-net ndarray backing there); the
-        # per-net backing is still reachable explicitly or via the env.
-        assert vector.resolve_backing(1000) == "soa"
-        monkeypatch.setenv(vector.ENV_BACKING, "ndarray")
-        assert vector.resolve_backing(65) == "ndarray"
-        with pytest.raises(ValueError, match="backing"):
-            vector.resolve_backing(65, "bogus")
-
     def test_block_conversions_roundtrip(self):
         for width in VECTOR_WIDTHS:
             blocks = vector.blocks_for(width)

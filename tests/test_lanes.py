@@ -3,13 +3,17 @@ the persistent worker pool, and the round-batching facades.
 
 The load-bearing property is *lane exactness*: packed campaigns must
 produce byte-identical outcome multisets to the per-point path at every
-lane width — including vector-tier widths beyond 64, on both the
-packed-int and ndarray backings — on every executor, with and without
-the point-filter stage.
+lane width — including widths beyond 64, on both the packed-int and
+the SoA carrier — on every executor, with and without the point-filter
+stage.
 """
 
+import json
 import logging
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from unittest import mock
 
@@ -37,7 +41,7 @@ from repro.soft_error.seu import _golden_run, inject_seu
 
 WIDTHS = (1, 7, 64)
 VECTOR_WIDTHS = (65, 192, 1000)
-BACKINGS = ("int", "ndarray", "soa")
+BACKINGS = ("int", "soa")
 EXECUTORS = ("serial", "thread", "process")
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
@@ -157,7 +161,7 @@ class TestSeuLanes:
 
 
 # ----------------------------------------------------------------------
-# vector tier: widths beyond 64 on both backings
+# widths beyond 64 on both carriers
 # ----------------------------------------------------------------------
 class TestVectorLanes:
     @pytest.fixture(scope="class")
@@ -232,44 +236,6 @@ class TestVectorLanes:
         assert _rows(other) == _rows(serial)
         shutdown_pools()
 
-    @needs_numpy
-    def test_ndarray_backing_survives_process_pickling(self, seq_setup):
-        circuit, workload = seq_setup
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(executor="serial"))
-        shipped = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=192,
-                       lane_backing="ndarray"),
-            EngineConfig(batch_size=64, workers=2, executor="process"))
-        assert _rows(shipped) == _rows(serial)
-        shutdown_pools()
-
-    @needs_numpy
-    def test_auto_backing_crossover(self, seq_setup, monkeypatch):
-        circuit, workload = seq_setup
-        ctx = lanes.build_context(circuit, workload, 256)
-        assert ctx.backing == "int"  # below the crossover
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 128)
-        ctx = lanes.build_context(circuit, workload, 256)
-        # past the old per-net crossover the SoA kernel tier takes over
-        # (it strictly dominates the per-net ndarray backing there)
-        assert ctx.backing == "soa"
-        monkeypatch.setenv(vector.ENV_BACKING, "int")
-        ctx = lanes.build_context(circuit, workload, 256)
-        assert ctx.backing == "int"  # env override beats auto
-
-    @needs_numpy
-    def test_ndarray_backing_falls_back_under_no_compile(self, seq_setup):
-        # the ndarray fast path rides the compiled step program; with
-        # compilation disabled the context must fall back to big ints
-        # (SequentialSim carries them at any width)
-        circuit, workload = seq_setup
-        with compiled.disabled():
-            ctx = lanes.build_context(circuit, workload, 192,
-                                      backing="ndarray")
-            assert ctx.backing == "int"
-
     def test_degrades_to_64_without_numpy(self, seq_setup, monkeypatch,
                                           caplog):
         circuit, workload = seq_setup
@@ -316,6 +282,154 @@ class TestVectorLanes:
         run_campaign(backend, EngineConfig(batch_size=32, executor="serial"),
                      on_chunk=on_chunk)
         assert all(size == 32 for size in sizes[:-1])
+
+
+# ----------------------------------------------------------------------
+# the carrier decision: one resolver, one table
+# ----------------------------------------------------------------------
+REMOVED_KNOBS = ("RESCUE_VECTOR_BACKING", "RESCUE_SOA_MIN_LANES",
+                 "RESCUE_NDARRAY_MIN_LANES", "RESCUE_CALIBRATE_CROSSOVER")
+
+
+# ~48 live gates per level of the step kernel (threshold: 32)
+WIDE = dict(n_inputs=80, n_gates=2400, n_flops=120, n_outputs=16, seed=3)
+
+
+@needs_numpy
+class TestBackingResolver:
+    @pytest.fixture(scope="class")
+    def circuits(self):
+        found = {"wide": random_sequential(**WIDE),
+                 "narrow": load("rand_seq")}
+        per_level = {}
+        for shape, circuit in found.items():
+            st_ = compiled.soa_step_program(circuit, 1024).stats
+            per_level[shape] = st_.gates / st_.levels
+        assert per_level["narrow"] < vector.SOA_MIN_LEVEL_WIDTH \
+            <= per_level["wide"], per_level
+        return found
+
+    # (requested, numpy?, compile?, width, gates/level) -> backing
+    @pytest.mark.parametrize(
+        "requested, have_numpy, compiling, width, shape, expected", [
+            pytest.param("soa", True, True, 256, "narrow", "soa",
+                         id="explicit-soa-at-256"),
+            pytest.param("soa", True, True, 65, "narrow", "soa",
+                         id="explicit-soa-any-width"),
+            pytest.param("int", True, True, 4096, "wide", "int",
+                         id="explicit-int-at-4096"),
+            pytest.param(None, True, True, 1023, "wide", "int",
+                         id="auto-1023-wide"),
+            pytest.param(None, True, True, 1024, "wide", "soa",
+                         id="auto-1024-wide"),
+            pytest.param(None, True, True, 1023, "narrow", "int",
+                         id="auto-1023-narrow"),
+            pytest.param(None, True, True, 1024, "narrow", "int",
+                         id="auto-1024-narrow"),
+            pytest.param(None, True, True, 1 << 16, "narrow", "int",
+                         id="auto-65536-narrow"),
+            pytest.param(None, True, True, 4096, "wide", "soa",
+                         id="auto-4096-wide"),
+            pytest.param("soa", False, True, 4096, "wide", "int",
+                         id="soa-without-numpy"),
+            pytest.param(None, False, True, 4096, "wide", "int",
+                         id="auto-without-numpy"),
+            pytest.param("soa", True, False, 4096, "wide", "int",
+                         id="soa-compile-off"),
+            pytest.param(None, True, False, 4096, "wide", "int",
+                         id="auto-compile-off"),
+            pytest.param("bogus", True, True, 4096, "wide", ValueError,
+                         id="unknown-name"),
+            pytest.param("ndarray", True, True, 4096, "wide", ValueError,
+                         id="removed-name"),
+        ])
+    def test_resolver_table(self, circuits, monkeypatch, caplog, requested,
+                            have_numpy, compiling, width, shape, expected):
+        circuit = circuits[shape]
+        monkeypatch.setattr(vector, "HAVE_NUMPY", have_numpy)
+        monkeypatch.setattr(vector, "_warned_no_numpy", False)
+        for knob in REMOVED_KNOBS:  # the resolver reads no environment
+            monkeypatch.setenv(knob, "garbage")
+
+        def resolve():
+            if compiling:
+                return lanes.resolve_backing(requested, circuit, width)
+            with compiled.disabled():
+                return lanes.resolve_backing(requested, circuit, width)
+
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="backing"):
+                resolve()
+            return
+        with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
+            assert resolve() == expected
+            assert resolve() == expected
+        # a named "soa" that cannot run says so, once; nothing else warns
+        assert len(caplog.records) == int(requested == "soa"
+                                          and not have_numpy)
+
+    def test_build_context_records_the_resolved_carrier(self, circuits):
+        workload = random_workload(circuits["wide"], 2, seed=1)
+        for requested, width, expected in ((None, 1024, "soa"),
+                                           (None, 1023, "int"),
+                                           ("soa", 256, "soa")):
+            ctx = lanes.build_context(circuits["wide"], workload, width,
+                                      backing=requested)
+            assert ctx.backing == expected
+
+    def test_removed_env_knobs_are_never_read(self):
+        # a fresh interpreter with every removed knob set to garbage:
+        # the import must not raise (the parent parsed two of them with
+        # int() at import time) and the choices must not move
+        script = (
+            "import json\n"
+            "from repro.circuit import load\n"
+            "from repro.circuit.library import random_sequential\n"
+            "from repro.engine import lanes\n"
+            f"wide = random_sequential(**{WIDE!r})\n"
+            "print(json.dumps([\n"
+            "    lanes.resolve_backing(None, wide, 1024),\n"
+            "    lanes.resolve_backing(None, wide, 1023),\n"
+            "    lanes.resolve_backing(None, load('rand_seq'), 65536),\n"
+            "    lanes.resolve_backing('soa', load('rand_seq'), 256)]))\n")
+        env = dict(os.environ, **dict.fromkeys(REMOVED_KNOBS, "garbage"))
+        env.pop("RESCUE_NO_COMPILE", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["soa", "int", "int", "soa"]
+
+
+class TestBackingValidatedAtConstruction:
+    """A bad ``lane_backing`` must fail where it is given: ``prepare()``
+    runs in the worker initializer, where the same error is a broken
+    pool and a trip down the recovery ladder."""
+
+    def test_backends_reject_unknown_backing_without_a_pool(self, seq_setup):
+        circuit, workload = seq_setup
+        faults, _ = collapse(circuit)
+        shutdown_pools()
+        with pytest.raises(ValueError, match="backing"):
+            SeuBackend(circuit.copy(), workload, lane_backing="bogus")
+        with pytest.raises(ValueError, match="backing"):
+            SlicingBackend(circuit.copy(), faults[:4], workload,
+                           lane_backing="ndarray")
+        assert not executors_mod._pool_registry  # nothing was spawned
+
+    def test_facades_reject_unknown_backing(self, seq_setup):
+        from repro.safety.slicing import run_sliced_campaign
+        from repro.soft_error.seu import run_campaign as seu_campaign
+
+        circuit, workload = seq_setup
+        faults, _ = collapse(circuit)
+        with pytest.raises(ValueError, match="backing"):
+            seu_campaign(circuit.copy(), workload, workers=2,
+                         executor="process", lane_backing="bogus")
+        with pytest.raises(ValueError, match="backing"):
+            run_sliced_campaign(circuit.copy(), faults[:4], workload,
+                                workers=2, executor="process",
+                                lane_backing="bogus")
+        assert not executors_mod._pool_registry
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Tests for the SoA compiled tier (`repro.sim.compiled` SoA section).
 
-The contract under test: every SoA program — full-circuit, fused step,
-cone, detection — is byte-identical to the scalar compiled tier and the
-reference interpreter at any lane width (the whole point of the tier is
-perf, so identity must hold unconditionally); programs pickle as pure
-index-array metadata and rebuild per worker; circuit mutation
-invalidates them like every other program cache; and the tier degrades
+The contract under test: the SoA step program is byte-identical to the
+scalar compiled step and the reference interpreter at any lane width
+(the whole point of the tier is perf, so identity must hold
+unconditionally); it pickles as pure index arrays; circuit mutation
+invalidates it like every other program cache; and the tier degrades
 to the packed-int path (never crashes, never diverges) when numpy or
 compilation is unavailable.
 """
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import load
-from repro.circuit.library import random_combinational, random_sequential
+from repro.circuit.library import random_sequential
 from repro.engine import (
     EngineConfig,
     SeuBackend,
@@ -29,8 +28,8 @@ from repro.engine import (
 from repro.engine import lanes
 from repro.faults import collapse
 from repro.sim import compiled, vector
-from repro.sim.fault_sim import _observe_nets, detection_mask, faulty_values
-from repro.sim.logic import mask_of, random_patterns, simulate
+from repro.sim.logic import mask_of, random_patterns
+from repro.sim.sequential import SequentialSim
 from repro.soft_error import random_workload
 
 # program-level identity runs the full ISSUE width ladder; campaign
@@ -48,16 +47,67 @@ def _compile_eagerly(monkeypatch):
     monkeypatch.setattr(compiled, "COMPILE_AFTER_HITS", 0)
 
 
-def _random_circuit(seed: int, sequential: bool):
-    if sequential:
-        return random_sequential(n_inputs=5, n_gates=40, n_flops=6,
-                                 n_outputs=4, seed=seed)
-    return random_combinational(n_inputs=6, n_gates=50, n_outputs=4,
-                                seed=seed)
+def _random_circuit(seed: int, observe_all: bool = False):
+    """A small sequential circuit; with ``observe_all`` every gate
+    output is also a primary output, so the step program's readout
+    covers every net the kernel computes (no cone-of-influence pruning,
+    every folded alias observed)."""
+    circuit = random_sequential(n_inputs=5, n_gates=40, n_flops=6,
+                                n_outputs=4, seed=seed)
+    if observe_all:
+        for net in list(circuit.gates):
+            if net not in circuit.outputs:
+                circuit.add_output(net)
+    return circuit
+
+
+def _every_gate_kind():
+    """Every gate type, arities 1 to 4, and BUF/NOT/CONST chains that
+    fold into row aliases — all of it observed."""
+    from repro.circuit.netlist import Circuit
+
+    circuit = Circuit("soa_zoo")
+    for pi in "abcd":
+        circuit.add_input(pi)
+    circuit.add_flop("q", "x3")
+    circuit.add_gate("k0", "CONST0", [])
+    circuit.add_gate("k1", "CONST1", [])
+    circuit.add_gate("nk0", "NOT", ["k0"])          # folded constant
+    circuit.add_gate("bq", "BUF", ["q"])
+    circuit.add_gate("nbq", "NOT", ["bq"])          # NOT of BUF of source
+    circuit.add_gate("nnbq", "NOT", ["nbq"])        # double inversion
+    for kind in ("AND", "NAND", "OR", "NOR", "XOR", "XNOR"):
+        low = kind.lower()
+        circuit.add_gate(f"{low}2", kind, ["a", "nbq"])
+        circuit.add_gate(f"{low}3", kind, ["a", "b", f"{low}2"])
+        circuit.add_gate(f"{low}4", kind, ["k1", "c", "d", f"{low}3"])
+    circuit.add_gate("x3", "XOR", ["and4", "nor3", "nk0"])
+    circuit.add_gate("tail", "BUF", ["xnor4"])      # alias of a gate row
+    for net in list(circuit.gates):
+        circuit.add_output(net)
+    circuit.validate()
+    return circuit
 
 
 def _as_int(value) -> int:
     return value if isinstance(value, int) else vector.from_blocks(value)
+
+
+def _check_step(circuit, width, seed):
+    """SoA step == compiled scalar step == reference interpreter, on
+    every observed net and the next state."""
+    soa = compiled.soa_step_program(circuit, width)
+    scalar = compiled.step_program(circuit)
+    pis = random_patterns(circuit.inputs, width, seed=seed + 3)
+    state = random_patterns(circuit.flops, width, seed=seed + 4)
+    pos_s, nxt_s = scalar.run(pis, state, mask_of(width))
+    pos_v, nxt_v = soa.run(pis, state)
+    assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
+    assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
+    sim = SequentialSim(circuit, width, compile=False)
+    sim.state = dict(state)
+    assert sim.step(pis) == pos_s
+    assert sim.state == nxt_s
 
 
 # ----------------------------------------------------------------------
@@ -65,34 +115,18 @@ def _as_int(value) -> int:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSoaPrograms:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000), sequential=st.booleans(),
-           width=st.sampled_from(SOA_WIDTHS), with_state=st.booleans())
-    def test_circuit_program_matches_interpreter(self, seed, sequential,
-                                                 width, with_state):
-        circuit = _random_circuit(seed, sequential)
-        prog = compiled.soa_circuit_program(circuit, width)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 1)
-        state = (random_patterns(circuit.flops, width, seed=seed + 2)
-                 if with_state and circuit.flops else None)
-        got = {net: _as_int(val) for net, val in prog.run(pis, state).items()}
-        assert got == simulate(circuit, pis, width, state, compile=False)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), width=st.sampled_from(SOA_WIDTHS),
+           observe_all=st.booleans())
+    def test_step_program_matches_scalar(self, seed, width, observe_all):
+        _check_step(_random_circuit(seed, observe_all), width, seed)
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), width=st.sampled_from(SOA_WIDTHS))
-    def test_step_program_matches_scalar(self, seed, width):
-        circuit = _random_circuit(seed, sequential=True)
-        soa = compiled.soa_step_program(circuit, width)
-        scalar = compiled.step_program(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 3)
-        state = random_patterns(circuit.flops, width, seed=seed + 4)
-        pos_s, nxt_s = scalar.run(pis, state, mask_of(width))
-        pos_v, nxt_v = soa.run(pis, state)
-        assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
-        assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
+    @pytest.mark.parametrize("width", SOA_WIDTHS)
+    def test_step_covers_every_gate_kind_arity_and_fold(self, width):
+        _check_step(_every_gate_kind(), width, seed=width)
 
     def test_step_partial_state_falls_back_to_flop_init(self):
-        circuit = _random_circuit(77, sequential=True)
+        circuit = _random_circuit(77)
         width = 192
         soa = compiled.soa_step_program(circuit, width)
         scalar = compiled.step_program(circuit)
@@ -103,37 +137,6 @@ class TestSoaPrograms:
         pos_v, nxt_v = soa.run(pis, state)
         assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
         assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 10_000),
-           width=st.sampled_from((65, 192, 1024)))
-    def test_cone_and_det_match_interpreter(self, seed, width):
-        circuit = _random_circuit(seed, sequential=False)
-        faults, _ = collapse(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 5)
-        good = simulate(circuit, pis, width)
-        mask = mask_of(width)
-        observe = _observe_nets(circuit, True)
-        blocks = vector.blocks_for(width)
-        good_nd = vector.to_block_dict(good, blocks)
-        interp = circuit.copy()
-        checked = 0
-        for fault in faults[::3]:
-            cone = compiled.soa_cone_program(circuit, fault.line, width)
-            det = compiled.soa_det_program(circuit, fault.line, observe,
-                                           width)
-            if cone is None or det is None:  # PI/stem corner with no cone
-                continue
-            forced = (vector.mask_array(width, blocks) if fault.value
-                      else vector.zeros(blocks))
-            with compiled.disabled():
-                ref_vals = faulty_values(interp, fault, good, mask)
-                ref_det = detection_mask(interp, fault, good, mask, observe)
-            got = cone.apply(good_nd, forced)
-            assert {n: _as_int(v) for n, v in got.items()} == ref_vals, fault
-            assert _as_int(det.detect(good_nd, forced)) == ref_det, fault
-            checked += 1
-        assert checked  # the loop exercised real programs
 
     def test_stats_describe_the_schedule(self):
         circuit = load("rand_seq")
@@ -249,29 +252,9 @@ class TestSoaLanes:
             ctx = lanes.build_context(circuit, workload, 192, backing="soa")
             assert ctx.backing == "int"
 
-    def test_auto_resolution_uses_level_width(self, seq_setup, monkeypatch):
-        circuit, workload = seq_setup
-        # rand_seq is tiny: a handful of gates per level, so auto keeps
-        # the int backing even past SOA_MIN_LANES
-        monkeypatch.setattr(vector, "SOA_MIN_LANES", 128)
-        ctx = lanes.build_context(circuit, workload, 256)
-        assert ctx.backing == "int"
-        # ...unless the level-width gate is disabled
-        monkeypatch.setattr(vector, "SOA_MIN_LEVEL_WIDTH", 0)
-        ctx = lanes.build_context(circuit, workload, 256)
-        assert ctx.backing == "soa"
-        # explicit request always wins over the hint
-        monkeypatch.setattr(vector, "SOA_MIN_LEVEL_WIDTH", 32)
-        ctx = lanes.build_context(circuit, workload, 256, backing="soa")
-        assert ctx.backing == "soa"
-        # beyond the per-net crossover SoA takes over regardless
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 256)
-        ctx = lanes.build_context(circuit, workload, 256)
-        assert ctx.backing == "soa"
-
 
 # ----------------------------------------------------------------------
-# pickling: metadata ships, lane mask rebuilds lazily
+# pickling: the schedule ships as index arrays
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSoaPickling:
@@ -282,8 +265,9 @@ class TestSoaPickling:
         pis = random_patterns(circuit.inputs, width, seed=6)
         state = random_patterns(circuit.flops, width, seed=7)
         prog.run(pis, state)
-        clone = pickle.loads(pickle.dumps(prog))
-        assert clone._mask is None  # lane mask rebuilds lazily
+        blob = pickle.dumps(prog)
+        assert b"def _run" not in blob  # index arrays, no source
+        clone = pickle.loads(blob)
         assert clone.n_blocks == prog.n_blocks
         pos_c, nxt_c = clone.run(pis, state)
         pos_p, nxt_p = prog.run(pis, state)
@@ -306,25 +290,26 @@ class TestSoaPickling:
 @needs_numpy
 class TestSoaInvalidation:
     def test_mutation_invalidates_soa_programs(self):
-        circuit = random_combinational(6, 30, seed=4)
+        circuit = _random_circuit(4)
         width = 65
-        pis = random_patterns(circuit.inputs, width, seed=1)
-        compiled.soa_circuit_program(circuit, width).run(pis)
-        assert ("soa_full", width) in circuit._program_cache
+        compiled.soa_step_program(circuit, width)
+        assert ("soa_step", width) in circuit._program_cache
         circuit.add_gate("smut", "NOR",
                          [circuit.inputs[0], circuit.inputs[1]])
         circuit.add_output("smut")
         assert not circuit._program_cache  # invalidated with topo/cones
-        after = compiled.soa_circuit_program(circuit, width).run(pis)
-        assert {net: _as_int(v) for net, v in after.items()} \
-            == simulate(circuit, pis, width, compile=False)
+        after = compiled.soa_step_program(circuit, width)
+        assert "smut" in after.outputs
+        _check_step(circuit, width, seed=1)
 
     def test_width_wrappers_share_one_meta(self):
         circuit = load("rand_seq")
         a = compiled.soa_step_program(circuit, 128)
         b = compiled.soa_step_program(circuit, 1024)
-        assert a.meta is b.meta  # schedule built once per circuit
+        assert a.kernel is b.kernel  # schedule built once per circuit
+        assert a.po_rows is b.po_rows and a.d_rows is b.d_rows
         assert a.n_blocks != b.n_blocks
+        assert compiled.soa_step_program(circuit, 128) is a  # cached
 
 
 # ----------------------------------------------------------------------
@@ -335,15 +320,16 @@ class TestSoaDegradation:
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
         circuit = load("rand_seq")
         assert compiled.soa_step_program(circuit, 256) is None
-        assert compiled.soa_circuit_program(circuit, 256) is None
 
     def test_backing_degrades_with_warning(self, monkeypatch, caplog):
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
         monkeypatch.setattr(vector, "_warned_no_numpy", False)
+        circuit = load("rand_seq")
         with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
-            assert vector.resolve_backing(4096, "soa") == "int"
-        assert any("numpy unavailable" in rec.message
-                   for rec in caplog.records)
+            assert lanes.resolve_backing("soa", circuit, 4096) == "int"
+            assert lanes.resolve_backing("soa", circuit, 4096) == "int"
+        assert ["numpy unavailable" in rec.message
+                for rec in caplog.records] == [True]  # warned once
 
     def test_campaign_without_numpy_matches_packed_64(self, monkeypatch):
         circuit = load("rand_seq")
@@ -378,18 +364,6 @@ class TestVectorHelpers:
         arr = vector.to_blocks(0, 16)
         assert arr.shape == (16,) and not arr.any()
         arr[0] = 1  # writable (frombuffer views are not)
-
-    def test_calibrate_crossover_cached(self, monkeypatch):
-        # register restores: calibration rewrites the module crossovers
-        monkeypatch.setattr(vector, "_calibrated", None)
-        monkeypatch.setattr(vector, "SOA_MIN_LANES", vector.SOA_MIN_LANES)
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES",
-                            vector.NDARRAY_MIN_LANES)
-        first = vector.calibrate_crossover(level_width=8,
-                                           candidates=(64, 256))
-        assert first in (64, 256, 1 << 62)
-        # second call is a cache hit returning the same value
-        assert vector.calibrate_crossover() == first
 
     def test_outcome_list_wide_matches_probe(self):
         rng = __import__("random").Random(3)
