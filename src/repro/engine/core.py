@@ -11,9 +11,12 @@ accounting.  This module is the one execution core behind all of them:
   some points from golden-run data alone (``filter_points``); those
   points are accounted as first-class outcomes without ever being
   simulated — the engine-level form of dynamic-slicing skip rules;
-* chunked batch execution over a ``concurrent.futures`` worker pool with
-  results accounted in deterministic chunk order — the same campaign
-  yields bit-identical results at any worker count;
+* one campaign loop, four stages: :func:`plan_campaign` → a
+  **chunk-event source** (:func:`executed`, :func:`replayed`) yielding
+  ``done`` / ``failed`` events in chunk-index order → one **accounting
+  fold** (:class:`CampaignFold`) → a **sink** (:class:`CheckpointSink`).
+  A fresh run, a resume and the service's report assembly differ only
+  in the sources, so results are bit-identical at any worker count;
 * seeded sampling of the injection space (Leveugle-style statistical
   campaigns) and optional statistical early stop: the campaign converges
   when the Wilson interval of the tracked outcome rate is narrower than
@@ -43,34 +46,19 @@ import pickle
 import random
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import (Any, Callable, Iterator, Protocol, Sequence,
+                    runtime_checkable)
 
 from ..core.campaign import CampaignDb
 from ..core.stats import Interval, wilson_interval
 from ..faults.sampling import sample_size
 from . import executors as _executors
-from .executors import EXECUTOR_CHOICES, ExecutorPlan, chunk_seed, plan_executor
+from .executors import (EXECUTOR_CHOICES, ChunkError, ChunkTimeout,
+                        ExecutorPlan, chunk_seed, plan_executor)
 
 log = logging.getLogger("repro.engine")
-
-
-class _AccountingError(Exception):
-    """An error raised *by* the accounting path (an ``on_chunk`` hook, a
-    checkpoint flush) while an executor was delivering chunks.
-
-    The executor strategies call the accounting callback directly, so
-    without this tag an ``OSError`` from a hook would be indistinguishable
-    from a pool failure in the recovery ladder — and fed to the retry
-    loop after ``accounted`` already advanced, re-executing the wrong
-    chunk and swallowing the error.  The ladder unwraps the tag and
-    re-raises the original exception raw, as the accounting contract
-    promises.
-    """
-
-    def __init__(self, cause: BaseException) -> None:
-        super().__init__(f"{type(cause).__name__}: {cause}")
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -217,6 +205,10 @@ class EngineConfig:
             raise ValueError("chunk_timeout must be positive (or None)")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
+        if min(self.batch_size, self.workers, self.commit_every) < 1:
+            raise ValueError("batch_size, workers, commit_every must be >= 1")
+        if self.sample is not None and self.sample < 0:
+            raise ValueError("sample must be >= 0 (or None)")
 
 
 @dataclass(frozen=True)
@@ -344,30 +336,6 @@ def _chunked(points: Sequence[Any], size: int) -> list[Sequence[Any]]:
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
-def stop_satisfied(stop: EarlyStop | None, accounted_total: int,
-                   executed_hits: int, executed_total: int,
-                   n_kept_planned: int, planned: int) -> bool:
-    """The engine's convergence arithmetic, callable outside the run loop.
-
-    ``accounted_total`` is every point with a known outcome so far
-    (executed + filter-census); the filtered stratum has zero variance,
-    so the executed sample's Wilson half-width is scaled by the kept
-    stratum's share of the campaign.  The service layer replays this
-    exact check over a campaign's committed chunk prefix, so a
-    distributed early stop lands on the same chunk a serial run stops
-    at.
-    """
-    if stop is None or accounted_total < stop.min_injections:
-        return False
-    if n_kept_planned == 0:
-        return True  # the filter resolved every point: nothing uncertain
-    if executed_total == 0:
-        return False
-    kept_weight = n_kept_planned / planned if planned else 0.0
-    ci = wilson_interval(executed_hits, executed_total, stop.confidence)
-    return (ci.width / 2) * kept_weight <= stop.margin
-
-
 @dataclass(frozen=True)
 class CampaignPlan:
     """The deterministic half of a campaign: everything derived from
@@ -485,88 +453,29 @@ def _campaign_fingerprint(backend: InjectionBackend, config: EngineConfig,
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
-def run_campaign(
-    backend: InjectionBackend,
-    config: EngineConfig = EngineConfig(),
-    db: CampaignDb | None = None,
-    on_chunk: Callable[[CampaignReport], None] | None = None,
-    resume: int | None = None,
-) -> CampaignReport:
-    """Run a campaign: enumerate → (sample) → filter → chunk → execute.
-
-    Deterministic at any worker count and executor choice: the sampled
-    point list depends only on ``config.seed``, chunks (and their
-    per-chunk RNG seeds) are formed before dispatch, and both result
-    accounting and the early-stop decision walk chunks in index order.
-    ``on_chunk`` (if given) observes the report after each accounted
-    chunk — the hook used for progress streaming; it always runs in the
-    calling thread, as does all CampaignDb persistence.
-
-    If the backend provides ``filter_points``, it runs exactly once here
-    in the parent (after ``prepare()``), on the post-sampling point
-    list; the outcomes it proves are accounted and persisted up front.
-    Early stop treats them as a census — known outcomes with zero
-    sampling variance — so the convergence check scales the executed
-    sample's Wilson half-width by the kept stratum's share of the
-    campaign; a filter that resolves every point converges the campaign
-    before executing a single batch.
-
-    With a ``db``, every executed chunk is checkpointed (rows + a chunk
-    record keyed by ``(campaign_id, chunk_index)``) in crash-consistent
-    batches of ``config.commit_every`` chunks.  ``resume=campaign_id``
-    rebuilds the same point list and chunk partition from the config
-    (the stored fingerprint guards against a mismatched backend or
-    config), replays the contiguous prefix of committed chunks through
-    the normal accounting path — early-stop and filter-census decisions
-    replay identically — and executes only the remainder, so the
-    returned report is byte-identical (outcomes, counts, intervals,
-    convergence) to an uninterrupted run.  Chunks that were quarantined
-    in the previous run are re-executed, and their records upgraded on
-    success.
-
-    Chunk failures (a backend raise, a malformed worker result, a
-    result overdue past ``config.chunk_timeout``) are retried with
-    bounded exponential backoff in the parent — on a fresh rung of the
-    recovery ladder (process → thread → serial) when the pool itself
-    broke or hung — and quarantined into ``report.quarantined`` after
-    ``config.max_chunk_retries`` failed retries.  Errors raised by the
-    accounting path itself (``on_chunk`` hooks, database writes) are
-    *not* retried: they propagate and abort the campaign.
-    """
-    plan_spec = plan_campaign(backend, config)
-    points, skipped = plan_spec.points, plan_spec.skipped
-    chunks, seeds = plan_spec.chunks, plan_spec.seeds
-    lane_width = plan_spec.lane_width
-    batch_size = plan_spec.batch_size
-    population, planned = plan_spec.population, plan_spec.planned
-    fingerprint = plan_spec.fingerprint
-
+def open_campaign(backend: InjectionBackend, config: EngineConfig,
+                  plan: CampaignPlan, db: CampaignDb | None,
+                  resume: int | None = None,
+                  executor: str | None = None) -> CampaignReport:
+    """The empty report of ``plan``, bound to its campaign row in ``db``:
+    the checkpointed campaign ``resume`` once its fingerprint checks out,
+    else a new row (``executor`` labels who runs it)."""
     report = CampaignReport(
-        backend=backend.name,
-        circuit=backend.circuit_name,
-        fault_model=backend.fault_model,
-        workload=backend.workload,
-        skipped=skipped,
-        population=population,
-        planned=planned,
-        n_workers=max(1, config.workers),
-    )
-    done_records: dict[int, Any] = {}
-    done_rows: dict[int, list[tuple[str, int, str]]] = {}
+        backend=backend.name, circuit=backend.circuit_name,
+        fault_model=backend.fault_model, workload=backend.workload,
+        skipped=plan.skipped, population=plan.population,
+        planned=plan.planned, n_workers=config.workers, campaign_id=resume)
     if resume is not None:
         if db is None:
             raise ValueError(
                 "resume requires the CampaignDb the campaign was "
                 "checkpointed to")
         stored = db.campaign_params(resume).get("fingerprint")
-        if stored != fingerprint:
+        if stored != plan.fingerprint:
             raise ValueError(
                 f"campaign {resume} was checkpointed with a different "
                 f"backend/config (fingerprint {stored!r} != "
-                f"{fingerprint!r}); resume needs the identical campaign")
-        report.campaign_id = resume
-        done_records = db.chunk_records(resume)
-        done_rows = db.chunk_rows(resume)
+                f"{plan.fingerprint!r}); resume needs the identical campaign")
     elif db is not None:
         # campaign row + filtered outcomes land in ONE transaction: the
         # campaign record exists iff its census rows do, so a crash here
@@ -579,310 +488,426 @@ def run_campaign(
                 workload=backend.workload,
                 params={
                     "batch_size": config.batch_size,
-                    "chunk_size": batch_size,
+                    "chunk_size": plan.batch_size,
                     "workers": config.workers,
-                    "executor": config.executor,
-                    "lane_width": lane_width,
+                    "executor": executor or config.executor,
+                    "lane_width": plan.lane_width,
                     "sample": config.sample,
                     "seed": config.seed,
-                    "filtered": len(skipped),
+                    "filtered": len(plan.skipped),
                     "early_stop": (config.early_stop.outcome
                                    if config.early_stop else None),
-                    "fingerprint": fingerprint,
+                    "fingerprint": plan.fingerprint,
                 },
             )
-            if skipped:  # filtered outcomes are first-class rows in the DB
+            if plan.skipped:  # filtered outcomes are first-class DB rows
                 db.record_many(report.campaign_id,
-                               [inj.row() for inj in skipped])
+                               [inj.row() for inj in plan.skipped])
+    return report
 
-    stop = config.early_stop
-    # executed chunks pending checkpoint: (index, rows, status, attempts,
-    # error), committed as one transaction every ``commit_every`` chunks
-    pending_checkpoints: list[
-        tuple[int, list[tuple[str, int, str]], str, int, str | None]] = []
-    chunks_since_commit = 0
-    start = time.perf_counter()
 
-    def flush_checkpoints() -> None:
-        nonlocal chunks_since_commit
-        chunks_since_commit = 0
-        if db is None or report.campaign_id is None or not pending_checkpoints:
-            pending_checkpoints.clear()
-            return
-        with db.transaction():
-            for index, rows, status, n_attempts, error in pending_checkpoints:
-                db.record_chunk(report.campaign_id, index, rows,
-                                seed=seeds[index], status=status,
-                                attempts=n_attempts, error=error)
-        pending_checkpoints.clear()
+@dataclass(frozen=True)
+class ChunkEvent:
+    """One resolved chunk, as every source reports it to the fold:
+    ``batch`` is the result (*done*) or ``None`` (*failed*: quarantined,
+    ``error`` says why) after ``attempts`` executions.  ``executor``
+    names the ladder rung that resolved it — ``None`` for an event
+    replayed from a checkpoint, which the fold neither re-checkpoints
+    nor counts as a retry; its ``batch`` is the checkpointed ``(location,
+    cycle, outcome)`` rows, to which the fold re-attaches the points."""
 
-    # Early-stop bookkeeping.  Filtered points are a *census* of their
-    # stratum (known outcomes, zero variance); only the executed sample
-    # of the kept points is uncertain.  The overall-rate half-width is
-    # therefore the executed-sample Wilson half-width scaled by the kept
-    # stratum's share of the campaign — treating skips as Bernoulli
-    # draws would bias the interval whenever the filtered subpopulation
-    # differs from the kept one.  Running tallies keep the per-chunk
-    # check O(batch), not O(history).
-    n_kept_planned = len(points)
-    executed_hits = 0
-    executed_total = 0
+    index: int
+    attempts: int
+    batch: list | None = None
+    error: str | None = None
+    executor: str | None = None
 
-    def converged_now() -> bool:
-        """Is the overall outcome rate pinned down tightly enough?"""
-        return stop_satisfied(stop, report.total, executed_hits,
-                              executed_total, n_kept_planned, planned)
 
-    attempts: dict[int, int] = {}  # chunk index -> failed executions
+def check_batch(batch: Any, chunk: Sequence[Any], index: int) -> None:
+    """O(1) shape check on a chunk result: a malformed batch (a crashed
+    deserialization, a corrupted return) becomes a chunk failure —
+    retried, then quarantined — not corrupt accounting."""
+    if (not isinstance(batch, list) or len(batch) != len(chunk)
+            or (batch and not isinstance(batch[0], Injection))):
+        got = (f"{type(batch).__name__}[{len(batch)}]"
+               if isinstance(batch, (list, tuple)) else type(batch).__name__)
+        raise ChunkError(ValueError(
+            f"malformed result for chunk {index}: expected "
+            f"{len(chunk)} Injection entries, got {got}"))
 
-    def account(batch: list[Injection], index: int,
-                checkpoint: bool = True) -> bool:
-        """Fold one chunk into the report; True = converged, stop."""
-        nonlocal chunks_since_commit, executed_hits, executed_total
-        report.injections.extend(batch)
-        executed_total += len(batch)
-        if stop is not None:
-            executed_hits += sum(1 for inj in batch
-                                 if inj.outcome == stop.outcome)
-        if checkpoint and db is not None and report.campaign_id is not None:
-            pending_checkpoints.append(
-                (index, [inj.row() for inj in batch], "done",
-                 attempts.get(index, 0) + 1, None))
-            chunks_since_commit += 1
-            if chunks_since_commit >= max(1, config.commit_every):
-                flush_checkpoints()
-        if on_chunk is not None:
-            on_chunk(report)
-        return converged_now()
 
-    accounted = 0  # index of the first chunk not yet accounted
+def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,
+                  timeout: float | None
+                  ) -> tuple[list[Injection] | None, str | None]:
+    """Execute chunk ``index`` once, here: ``(batch, None)``, or ``(None,
+    error)`` when the backend raised or the result was malformed or
+    overdue — ``timeout`` is a deadline, so a deterministically hung
+    chunk spends its budget and quarantines instead of blocking."""
+    chunk = plan.chunks[index]
+    try:
+        batch = _executors.execute_chunk_timed(backend, chunk,
+                                               plan.seeds[index], timeout)
+        check_batch(batch, chunk, index)
+    except Exception as exc:
+        cause = exc.cause if isinstance(exc, ChunkError) else exc
+        return None, f"{type(cause).__name__}: {cause}"
+    return batch, None
 
-    def validate_batch(batch: Any, index: int) -> None:
-        """O(1) shape check on a worker result: a malformed batch (a
-        crashed deserialization, a corrupted return) becomes a chunk
-        failure — retried, then quarantined — not corrupt accounting."""
-        if (not isinstance(batch, list) or len(batch) != len(chunks[index])
-                or (batch and not isinstance(batch[0], Injection))):
-            got = (f"{type(batch).__name__}[{len(batch)}]"
-                   if isinstance(batch, (list, tuple))
-                   else type(batch).__name__)
-            raise _executors.ChunkError(ValueError(
-                f"malformed result for chunk {index}: expected "
-                f"{len(chunks[index])} Injection entries, got {got}"))
 
-    def account_chunk(batch: list[Injection]) -> bool:
-        nonlocal accounted
-        index = accounted
-        validate_batch(batch, index)
-        accounted += 1
-        return account(batch, index)
+def retry_backoff_s(config: EngineConfig, attempts: int) -> float:
+    """Capped exponential wait before retry number ``attempts``."""
+    return min(RETRY_BACKOFF_CAP_S,
+               config.retry_backoff_s * 2 ** (attempts - 1))
 
-    def guarded_account(batch: list[Injection]) -> bool:
-        """``account_chunk`` as handed to the executors: errors from the
-        accounting path are tagged :class:`_AccountingError` so the
-        recovery ladder re-raises them raw instead of mistaking them for
-        chunk or pool failures (an ``OSError`` from a checkpoint flush
-        must not burn a chunk's retry budget)."""
-        try:
-            return account_chunk(batch)
-        except _executors.ChunkError:
-            raise  # malformed batch: a chunk failure, retried as usual
-        except Exception as exc:
-            raise _AccountingError(exc) from exc
 
-    # a filter that resolves every point (or enough that the residual
-    # uncertainty cannot exceed the margin) converges with zero execution
-    converged = bool(skipped) and converged_now()
+def _retried(backend: InjectionBackend, plan: CampaignPlan,
+             config: EngineConfig, index: int, error: str,
+             executor: str) -> ChunkEvent:
+    """Chunk ``index`` failed on a rung: bounded-backoff retries in the
+    parent (immune to pool state), then quarantine."""
+    attempts, budget = 1, config.max_chunk_retries
+    while attempts <= budget:
+        delay = retry_backoff_s(config, attempts)
+        log.warning(
+            "engine: chunk %d failed (%s); retry %d/%d in the parent after "
+            "%.2fs", index, error, attempts, budget, delay)
+        if delay > 0:
+            time.sleep(delay)
+        # outside the chunk-failure net: a setup error is the campaign's
+        # failure, not this chunk's, and raises on every executor alike
+        backend.prepare()
+        batch, error = attempt_chunk(backend, plan, index,
+                                     config.chunk_timeout)
+        attempts += 1
+        if error is None:
+            return ChunkEvent(index, attempts, batch, executor=executor)
+    log.error(
+        "engine: quarantining chunk %d (%d points) after %d failed "
+        "execution(s) (%s)", index, len(plan.chunks[index]), attempts, error)
+    return ChunkEvent(index, attempts, error=error, executor=executor)
 
-    # Resume replay: walk the contiguous prefix of committed 'done'
-    # chunks through the normal accounting path — same chunk order, same
-    # early-stop arithmetic — without re-executing or re-checkpointing.
-    # The prefix stops at the first missing or quarantined record; later
-    # committed chunks (a crash mid-commit-batch cannot produce any, as
-    # checkpoints commit in chunk order) would re-execute idempotently.
-    if resume is not None and not converged:
-        for i in range(len(chunks)):
-            record = done_records.get(i)
-            if record is None or record.status != "done":
-                break
-            rows = done_rows.get(i, [])
-            if len(rows) != len(chunks[i]):
-                raise ValueError(
-                    f"campaign {resume} checkpointed {len(rows)} rows for "
-                    f"chunk {i} of {len(chunks[i])} points; the database "
-                    "does not match this campaign")
-            batch = [Injection(point=point, location=loc, cycle=cyc,
-                               outcome=out)
-                     for point, (loc, cyc, out) in zip(chunks[i], rows)]
-            accounted += 1
-            report.resumed_chunks += 1
-            attempts[i] = max(0, record.attempts - 1)
-            if account(batch, i, checkpoint=False):
-                converged = True
-                break
 
-    # resolve the executor over the *remaining* chunks (auto probes
-    # picklability and per-batch cost; any chunks it executed while
-    # probing are accounted first, exactly once)
-    if accounted < len(chunks) and not converged:
-        try:
-            plan = plan_executor(backend, chunks[accounted:], config,
-                                 seeds[accounted:])
-        except Exception as exc:
-            # a probe crash is a chunk failure in disguise: start on the
-            # ladder floor and let the retry loop deal with the chunk
-            log.warning(
-                "engine: executor auto-probe failed (%s: %s); starting "
-                "on the serial rung", type(exc).__name__, exc)
-            plan = ExecutorPlan("serial", "auto-probe failed")
-    else:
-        plan = ExecutorPlan(
-            "serial",
-            "pre-converged by filtered outcomes" if converged
-            else ("resumed campaign already complete" if resume is not None
-                  else "empty campaign"))
-    if plan.reason:
-        log.info("engine: executor=%s for %s:%s (%s)", plan.name,
-                 backend.name, backend.circuit_name, plan.reason)
-    report.executor = plan.name
+def _open_rung(strategy: str, backend: InjectionBackend, plan: CampaignPlan,
+               config: EngineConfig, start: int,
+               payload: bytes | None) -> Iterator[list]:
+    if strategy == "process":
+        return _executors.run_process(
+            backend, plan.chunks, plan.seeds, config.workers, start=start,
+            payload=payload, reuse_pool=config.reuse_pool,
+            timeout=config.chunk_timeout)
+    backend.prepare()
+    if strategy == "thread":
+        return _executors.run_thread(
+            backend, plan.chunks, plan.seeds, config.workers, start=start,
+            timeout=config.chunk_timeout)
+    return _executors.run_serial(backend, plan.chunks, plan.seeds, start)
 
-    strategy = plan.name
+
+def executed(backend: InjectionBackend, plan: CampaignPlan,
+             config: EngineConfig, start: int) -> Iterator[ChunkEvent]:
+    """Source: execute ``plan.chunks[start:]``, one event per chunk.
+
+    The recovery ladder, composed from rung sources.  The executor is
+    resolved over the *remaining* chunks (auto probes picklability and
+    per-batch cost; chunks it ran while probing head the source), then
+    the current rung is opened at the first undelivered chunk.  Whatever
+    a rung raises is a chunk failure (resolved by :func:`_retried`)
+    and/or an executor failure (one step down); the next rung re-enters
+    behind it.  Closing the source drains the rung.
+    """
+    chunks, seeds = plan.chunks, plan.seeds
+    if start >= len(chunks):
+        return
+    try:
+        resolved = plan_executor(backend, chunks[start:], config,
+                                 seeds[start:])
+    except Exception as exc:
+        # a probe crash is a chunk failure in disguise: start on the
+        # ladder floor and let the retry loop deal with the chunk
+        log.warning(
+            "engine: executor auto-probe failed (%s: %s); starting "
+            "on the serial rung", type(exc).__name__, exc)
+        resolved = ExecutorPlan("serial", "auto-probe failed")
+    if resolved.reason:
+        log.info("engine: executor=%s for %s:%s (%s)", resolved.name,
+                 backend.name, backend.circuit_name, resolved.reason)
+    strategy = lower = resolved.name
+    reason = ""
     # The auto-probe's payload pickles the *sliced* (remaining) lists,
     # but process workers index them with absolute chunk indices — only
     # usable when the slice started at chunk 0.  On resume, drop it so
-    # run_process re-pickles the full (backend, chunks, seeds) and a
-    # resumed campaign executes exactly the chunks (and seeds) it claims.
-    payload = plan.payload if accounted == 0 else None
-    LADDER_FLOOR = "serial"
-
-    def degrade(next_strategy: str, reason: str) -> None:
-        """Step down the recovery ladder (process → thread → serial).
-
-        The ladder is monotonic, so each degradation logs exactly once.
-        """
-        nonlocal strategy
-        if strategy == next_strategy:
-            return
-        log.warning(
-            "engine: %s executor failing; falling back to %s from chunk "
-            "%d (%s)", strategy, next_strategy, accounted, reason)
-        strategy = next_strategy
-        report.executor = next_strategy
-
-    def retry_or_quarantine(cause: BaseException) -> None:
-        """Chunk ``accounted`` failed: bounded-backoff retries in the
-        parent (immune to pool state), then quarantine."""
-        nonlocal converged, accounted
-        index = accounted
-        attempts[index] = attempts.get(index, 0) + 1
-        budget = config.max_chunk_retries
-        error: BaseException = cause
-        while attempts[index] <= budget:
-            delay = min(RETRY_BACKOFF_CAP_S,
-                        config.retry_backoff_s * 2 ** (attempts[index] - 1))
-            log.warning(
-                "engine: chunk %d failed (%s: %s); retry %d/%d in the "
-                "parent after %.2fs", index, type(error).__name__, error,
-                attempts[index], budget, delay)
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                backend.prepare()
-                # the retry honours chunk_timeout too: a deterministically
-                # hung chunk must exhaust its budget and quarantine, not
-                # block the campaign forever in the parent
-                batch = _executors.execute_chunk_timed(
-                    backend, chunks[index], seeds[index],
-                    config.chunk_timeout)
-                validate_batch(batch, index)
-            except Exception as exc:
-                error = (exc.cause
-                         if isinstance(exc, _executors.ChunkError) else exc)
-                attempts[index] += 1
-                continue
-            report.retried_chunks += 1
-            converged = account_chunk(batch)
-            return
-        log.error(
-            "engine: quarantining chunk %d (%d points) after %d failed "
-            "execution(s) (%s: %s)", index, len(chunks[index]),
-            attempts[index], type(error).__name__, error)
-        report.quarantined.append(QuarantinedChunk(
-            index=index, n_points=len(chunks[index]),
-            attempts=attempts[index],
-            error=f"{type(error).__name__}: {error}"))
-        accounted += 1
-        if db is not None and report.campaign_id is not None:
-            pending_checkpoints.append(
-                (index, [], "failed", attempts[index],
-                 f"{type(error).__name__}: {error}"))
-            # the campaign just proved unstable: checkpoint immediately
-            flush_checkpoints()
-
-    try:
-        for batch in plan.probe_batches or ():
-            if account_chunk(batch):
-                converged = True
-                break
-    except _executors.ChunkError as exc:
-        retry_or_quarantine(exc.cause)
-
-    # The ladder driver: run the chosen strategy over the remaining
-    # chunks; classify anything it raises as a chunk failure (retry in
-    # the parent, quarantine when the budget is spent) and/or an
-    # executor failure (degrade one rung), then re-enter from the first
-    # undelivered chunk — accounting is chunk-ordered, so ``accounted``
-    # is exactly that index.  Accounting-path errors propagate raw.
-    while not converged and accounted < len(chunks):
+    # the full (backend, chunks, seeds) is re-pickled and a resumed
+    # campaign executes exactly the chunks (and seeds) it claims.
+    payload = resolved.payload if start == 0 else None
+    if strategy == "process" and payload is None:
+        # serialize here (if the auto probe didn't already) so pickling
+        # failures are distinguishable from pool failures — and from
+        # backend bugs, which propagate
         try:
-            if strategy == "process":
-                if payload is None:
-                    # serialize here (if the auto probe didn't already)
-                    # so pickling failures are distinguishable from pool
-                    # failures — and from backend bugs, which propagate
-                    try:
-                        payload = pickle.dumps(
-                            (backend, chunks, seeds),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                    except Exception as exc:
-                        degrade("thread",
-                                f"backend not picklable "
-                                f"({type(exc).__name__}: {exc})")
-                        continue
-                converged = _executors.run_process(
-                    backend, chunks, seeds, guarded_account, config.workers,
-                    start=accounted, payload=payload,
-                    reuse_pool=config.reuse_pool,
-                    timeout=config.chunk_timeout)
-            elif strategy == "thread":
-                backend.prepare()
-                converged = _executors.run_thread(
-                    backend, chunks, seeds, guarded_account, config.workers,
-                    start=accounted, timeout=config.chunk_timeout)
-            else:
-                backend.prepare()
-                converged = _executors.run_serial(
-                    backend, chunks, seeds, guarded_account, start=accounted)
-        except _AccountingError as exc:
-            raise exc.cause  # accounting-path errors propagate raw
-        except _executors.ChunkTimeout as exc:
+            payload = pickle.dumps((backend, chunks, seeds),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            lower, reason = "thread", (f"backend not picklable "
+                                       f"({type(exc).__name__}: {exc})")
+    index = start
+    rung: Iterator[list] = (batch for batch in resolved.probe_batches or ())
+    while True:
+        failure: BaseException | None = None
+        try:
+            with closing(rung):
+                for batch in rung:
+                    check_batch(batch, chunks[index], index)
+                    yield ChunkEvent(index, 1, batch, executor=strategy)
+                    index += 1
+        except ChunkTimeout as exc:
             # the hung task may never return; its pool is already
             # abandoned (persistent pools: evicted), so step down a rung
             # and retry the chunk in the parent
-            degrade("thread" if strategy == "process" else LADDER_FLOOR,
-                    f"chunk {accounted} timed out after "
-                    f"{config.chunk_timeout}s")
-            retry_or_quarantine(exc)
+            failure, lower = exc, ("thread" if strategy == "process"
+                                   else "serial")
+            reason = f"chunk {index} timed out after {config.chunk_timeout}s"
         except (BrokenProcessPool, OSError) as exc:
+            failure = exc
             if strategy == "process":
-                degrade("thread", f"process pool failed "
-                        f"({type(exc).__name__}: {exc})")
-            retry_or_quarantine(exc)
-        except _executors.ChunkError as exc:
-            retry_or_quarantine(exc.cause)
-    report.converged = converged
+                lower, reason = "thread", (f"process pool failed "
+                                           f"({type(exc).__name__}: {exc})")
+        except ChunkError as exc:
+            failure = exc.cause
+        if lower != strategy:
+            # one step down the ladder (process → thread → serial): it is
+            # monotonic, so each degradation logs exactly once
+            log.warning(
+                "engine: %s executor failing; falling back to %s from "
+                "chunk %d (%s)", strategy, lower, index, reason)
+            strategy = lower
+        if failure is not None:
+            yield _retried(backend, plan, config, index,
+                           f"{type(failure).__name__}: {failure}", strategy)
+            index += 1
+        if index >= len(chunks):
+            return
+        rung = _open_rung(strategy, backend, plan, config, index, payload)
 
-    flush_checkpoints()
+
+def replayed(db: CampaignDb, campaign_id: int,
+             n_chunks: int) -> Iterator[ChunkEvent]:
+    """Source: the campaign's checkpointed chunks as events in index
+    order — nothing executed — up to the first chunk without a record;
+    records past that gap (a peer worker's speculative chunks) are
+    ignored and would re-execute idempotently."""
+    records = db.chunk_records(campaign_id)
+    rows = db.chunk_rows(campaign_id)
+    for index in range(n_chunks):
+        record = records.get(index)
+        if record is None:
+            return
+        yield ChunkEvent(index, record.attempts, error=record.error, batch=(
+            rows.get(index, []) if record.status == "done" else None))
+
+
+class StopRule:
+    """The convergence arithmetic and the chunk cursor, implemented once.
+
+    Filtered points are a *census* of their stratum (known outcomes,
+    zero variance); only the executed sample of the kept points is
+    uncertain.  The overall-rate half-width is therefore the
+    executed-sample Wilson half-width scaled by the kept stratum's share
+    of the campaign — treating skips as Bernoulli draws would bias the
+    interval whenever the filtered subpopulation differs from the kept
+    one.  Running tallies keep the per-chunk check O(batch), not
+    O(history).  ``index`` is the first chunk not yet folded; fed in
+    chunk order — by the engine's fold or, counts only, by
+    :func:`replayed_stop` — the rule converges on the same chunk.
+    """
+
+    def __init__(self, stop: EarlyStop | None, plan: CampaignPlan) -> None:
+        self.stop = stop
+        self.census = len(plan.skipped)
+        self.kept, self.planned = plan.n_kept, plan.planned
+        self.executed = self.hits = self.index = 0
+
+    def add(self, outcomes: list[str]) -> None:
+        """Fold one executed chunk's outcomes."""
+        self.index += 1
+        self.executed += len(outcomes)
+        if self.stop is not None:
+            self.hits += outcomes.count(self.stop.outcome)
+
+    def skip(self) -> None:
+        """Pass a quarantined chunk: an unexecuted point has no outcome,
+        so the tallies and the kept stratum's weight stand."""
+        self.index += 1
+
+    @property
+    def converged(self) -> bool:
+        """Is the overall outcome rate pinned down tightly enough?"""
+        stop = self.stop
+        if stop is None or self.census + self.executed < stop.min_injections:
+            return False
+        if self.kept == 0:
+            # the filter resolved every point: nothing uncertain (an
+            # empty campaign, though, has nothing to converge on)
+            return self.census > 0
+        if self.executed == 0:
+            return False  # a census alone never pins the kept stratum
+        kept_weight = self.kept / self.planned if self.planned else 0.0
+        ci = wilson_interval(self.hits, self.executed, stop.confidence)
+        return (ci.width / 2) * kept_weight <= stop.margin
+
+
+def replayed_stop(db: CampaignDb, campaign_id: int, plan: CampaignPlan,
+                  stop: EarlyStop) -> StopRule:
+    """The stop rule fed, counts only, from the committed records: where
+    a serial run would stand — what pins a distributed stop to its chunk."""
+    rule = StopRule(stop, plan)
+    for event in replayed(db, campaign_id, len(plan.chunks)):
+        if rule.converged:
+            break
+        if event.batch is None:
+            rule.skip()
+        else:
+            rule.add([outcome for _, _, outcome in event.batch])
+    return rule
+
+
+class CheckpointSink:
+    """Sink: chunk events → crash-consistent ``CampaignDb`` checkpoints
+    (a chunk's rows plus its record keyed by ``(campaign_id,
+    chunk_index)``), one transaction per ``commit_every`` chunks."""
+
+    def __init__(self, db: CampaignDb, campaign_id: int,
+                 seeds: Sequence[int], commit_every: int) -> None:
+        self.db, self.campaign_id = db, campaign_id
+        self.seeds, self.commit_every = seeds, commit_every
+        self.pending: list[ChunkEvent] = []
+
+    def __call__(self, event: ChunkEvent) -> None:
+        self.pending.append(event)
+        # a quarantine proves the campaign unstable: checkpoint at once
+        if event.batch is None or len(self.pending) >= self.commit_every:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        with self.db.transaction():
+            for event in self.pending:
+                done = event.batch is not None
+                self.db.record_chunk(
+                    self.campaign_id, event.index,
+                    [inj.row() for inj in event.batch] if done else [],
+                    seed=self.seeds[event.index],
+                    status="done" if done else "failed",
+                    attempts=event.attempts, error=event.error)
+        self.pending.clear()
+
+
+class CampaignFold:
+    """The one accounting path: ``fold(event)`` folds a chunk event into
+    the report and the stop rule, hands executed ones to the sink, and
+    returns ``report.converged``: True means stop.
+
+    Events must arrive in chunk-index order — that, not the source, is
+    what makes the report and the stop decision deterministic.  It runs
+    in the consumer's frame, so its errors (an ``on_chunk`` hook, a
+    checkpoint flush) are the caller's, never a chunk failure.
+    """
+
+    def __init__(self, report: CampaignReport, plan: CampaignPlan,
+                 stop: EarlyStop | None, sink: CheckpointSink | None = None,
+                 on_chunk: Callable[[CampaignReport], None] | None = None
+                 ) -> None:
+        self.report, self.plan = report, plan
+        self.rule = StopRule(stop, plan)
+        self.sink, self.on_chunk = sink, on_chunk
+        report.converged = self.rule.converged
+
+    def __call__(self, event: ChunkEvent) -> bool:
+        report, rule = self.report, self.rule
+        fresh = event.executor is not None
+        if fresh:
+            report.executor = event.executor
+            if self.sink is not None:
+                self.sink(event)
+        if event.batch is None:
+            report.quarantined.append(QuarantinedChunk(
+                event.index, len(self.plan.chunks[event.index]),
+                event.attempts, event.error))
+            rule.skip()
+            return False
+        batch = event.batch
+        if fresh:
+            report.retried_chunks += event.attempts > 1
+        else:
+            report.resumed_chunks += 1
+            chunk = self.plan.chunks[event.index]
+            if len(batch) != len(chunk):
+                raise ValueError(
+                    f"campaign {report.campaign_id} checkpointed {len(batch)} "
+                    f"rows for chunk {event.index} of {len(chunk)} points; "
+                    "the database does not match this campaign")
+            batch = [Injection(point, *row)
+                     for point, row in zip(chunk, batch)]
+        report.injections.extend(batch)
+        rule.add([inj.outcome for inj in batch])
+        if self.on_chunk is not None:
+            self.on_chunk(report)
+        report.converged = rule.converged
+        return report.converged
+
+
+def run_campaign(
+    backend: InjectionBackend,
+    config: EngineConfig = EngineConfig(),
+    db: CampaignDb | None = None,
+    on_chunk: Callable[[CampaignReport], None] | None = None,
+    resume: int | None = None,
+) -> CampaignReport:
+    """Run a campaign: plan → chunk-event source → fold → sink.
+
+    Deterministic at any worker count and executor choice: the sampled
+    point list depends only on ``config.seed``, chunks (and their
+    per-chunk RNG seeds) are formed before dispatch, and both result
+    accounting and the early-stop decision fold chunks in index order.
+    ``on_chunk`` (if given) observes the report after each accounted
+    chunk — the hook used for progress streaming; it always runs in the
+    calling thread, as does all CampaignDb persistence.
+
+    A backend's ``filter_points`` runs exactly once, in the parent, on
+    the post-sampling point list; the outcomes it proves are accounted
+    and persisted up front as a census (:class:`StopRule`), so a filter
+    that resolves every point converges the campaign unexecuted.
+
+    With a ``db``, every executed chunk is checkpointed
+    (:class:`CheckpointSink`); ``resume=campaign_id`` continues such a
+    campaign (:func:`resume_campaign`).  Chunk failures (a backend
+    raise, a malformed worker result, a result overdue past
+    ``config.chunk_timeout``) are retried in the parent, then
+    quarantined into ``report.quarantined``; pool failures walk the
+    recovery ladder (:func:`executed`).  Errors raised by the accounting
+    path itself (``on_chunk`` hooks, database writes) or by the
+    backend's ``prepare()`` are *not* retried: they abort the campaign.
+    """
+    plan = plan_campaign(backend, config)
+    report = open_campaign(backend, config, plan, db, resume)
+    sink = None if db is None else CheckpointSink(
+        db, report.campaign_id, plan.seeds, config.commit_every)
+    fold = CampaignFold(report, plan, config.early_stop, sink, on_chunk)
+    start = time.perf_counter()
+    if resume is not None and not report.converged:
+        for event in replayed(db, resume, len(plan.chunks)):
+            # a quarantined chunk re-executes on resume (and its record
+            # upgrades on success): replay stops in front of it
+            if event.batch is None or fold(event):
+                break
+    if not report.converged:  # (stopping early drains the open executor)
+        with closing(executed(backend, plan, config,
+                              fold.rule.index)) as source:
+            for event in source:
+                if fold(event):
+                    break
+    if sink is not None:
+        sink.flush()
     finished = getattr(backend, "campaign_finished", None)
     if finished is not None:
         # Optional protocol hook, called only on clean completion: a

@@ -25,12 +25,13 @@ list of point chunks; this module owns *how* those chunks execute:
   executor, logging the reason instead of crashing when the process pool
   is not applicable.
 
-Every executor preserves the engine's determinism contract: chunks are
-accounted strictly in index order, each chunk runs with its own RNG
-stream derived from ``(campaign seed, chunk index)``, and an early-stop
-decision cancels all queued chunks and waits out in-flight ones before
-returning — speculative batches past the stop point are never accounted
-(and never half-recorded in the database).
+Every executor is a *pull source*: a generator yielding result batches
+strictly in chunk-index order from ``start``, each chunk run with its
+own RNG stream derived from ``(campaign seed, chunk index)``.  The
+consumer accounts them in its own frame — its errors are never mistaken
+for a pool failure — and stops by closing the generator, whose
+``finally`` cancels all queued chunks and waits out in-flight ones:
+speculative batches past the stop point are never accounted.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 log = logging.getLogger("repro.engine")
 
@@ -62,11 +63,8 @@ class ChunkError(Exception):
     """One chunk's *execution* failed (the backend raised, or the worker
     returned garbage).  ``cause`` is the original error.
 
-    The wrapper exists so the engine can tell chunk failures — which are
-    retried and eventually quarantined — apart from errors raised by its
-    own accounting path (``on_chunk`` hooks, database writes), which
-    must propagate raw: a crash simulated through ``on_chunk`` has to
-    abort the campaign, not burn the chunk's retry budget.
+    The wrapper tells chunk failures — retried and eventually
+    quarantined — apart from pool failures, which degrade the ladder.
     """
 
     def __init__(self, cause: BaseException) -> None:
@@ -396,20 +394,17 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
 
 
 # ----------------------------------------------------------------------
-# execution strategies: each runs chunks[start:] and accounts them in
-# index order via ``account`` (returns True to stop early)
+# execution strategies: each is a generator yielding the result batches
+# of chunks[start:] in index order; the consumer stops by closing it
 # ----------------------------------------------------------------------
 def run_serial(backend: Any, chunks: Sequence[Sequence[Any]],
-               seeds: Sequence[int],
-               account: Callable[[list], bool], start: int = 0) -> bool:
+               seeds: Sequence[int], start: int = 0) -> Iterator[list]:
     for i in range(start, len(chunks)):
         try:
             batch = execute_chunk(backend, chunks[i], seeds[i])
         except Exception as exc:
             raise ChunkError(exc) from exc
-        if account(batch):
-            return True
-    return False
+        yield batch
 
 
 def _drain(futures: deque) -> None:
@@ -434,18 +429,18 @@ def _drain(futures: deque) -> None:
 
 
 def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
-              window: int, account: Callable[[list], bool],
-              start: int, shutdown: bool = True,
-              timeout: float | None = None) -> bool:
-    """Sliding-window dispatch with deterministic chunk-order accounting.
+              window: int, start: int, shutdown: bool = True,
+              timeout: float | None = None) -> Iterator[Any]:
+    """Sliding-window dispatch yielding results in chunk order.
 
-    Futures are consumed strictly in submission (= chunk) order.  On
-    early stop — and on any error — queued chunks are cancelled and
+    Futures are consumed strictly in submission (= chunk) order, and the
+    next chunk is submitted only once the consumer asks for more.  When
+    the consumer closes the generator (early stop, or an error of its
+    own) — and on any error here — queued chunks are cancelled and
     in-flight ones are waited out (their errors aggregated into one log
-    line) before returning, so no speculative batch is accounted or left
-    running in the background.  With ``shutdown=False`` (persistent
-    pools) the drain is identical but the pool itself stays alive for
-    the next campaign.
+    line), so no speculative batch is yielded or left running in the
+    background.  With ``shutdown=False`` (persistent pools) the drain
+    is identical but the pool itself stays alive for the next campaign.
 
     With a ``timeout``, a chunk whose result is overdue raises
     :class:`ChunkTimeout`; the hung task cannot be waited out, so the
@@ -454,7 +449,6 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
     """
     futures: deque = deque()
     next_chunk = start
-    converged = False
     hung = False
     try:
         while next_chunk < n_chunks and len(futures) < window:
@@ -463,7 +457,7 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
         while futures:
             future = futures.popleft()
             try:
-                batch = future.result(timeout)
+                result = future.result(timeout)
             # FutureTimeout: on 3.10 concurrent.futures raises its own
             # TimeoutError (an Exception, not the builtin) — without it
             # the timeout would classify as ChunkError and the finally
@@ -476,9 +470,7 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
                 raise  # pool-level failure: the engine degrades the ladder
             except Exception as exc:
                 raise ChunkError(exc) from exc
-            if account(batch):
-                converged = True
-                break
+            yield result
             if next_chunk < n_chunks:
                 futures.append(submit(next_chunk))
                 next_chunk += 1
@@ -491,48 +483,32 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
             pool.shutdown(wait=True, cancel_futures=True)
         else:
             _drain(futures)
-    return converged
 
 
 def run_thread(backend: Any, chunks: Sequence[Sequence[Any]],
-               seeds: Sequence[int], account: Callable[[list], bool],
-               workers: int, start: int = 0,
-               timeout: float | None = None) -> bool:
+               seeds: Sequence[int], workers: int, start: int = 0,
+               timeout: float | None = None) -> Iterator[list]:
     pool = ThreadPoolExecutor(max_workers=workers)
 
     def submit(i: int):
         return pool.submit(execute_chunk, backend, chunks[i], seeds[i])
 
-    return _run_pool(pool, submit, len(chunks), _window(workers), account,
-                     start, timeout=timeout)
+    yield from _run_pool(pool, submit, len(chunks), _window(workers), start,
+                         timeout=timeout)
 
 
 # ----------------------------------------------------------------------
 # process pool: backend + chunks ship once per worker per campaign
 # ----------------------------------------------------------------------
-_worker_state: tuple | None = None
-
-
-def _process_worker_init(payload: bytes) -> None:
-    global _worker_state
-    backend, chunks, seeds = pickle.loads(payload)
-    backend.prepare()  # golden runs / caches rebuilt locally, never shipped
-    _worker_state = (backend, chunks, seeds)
-
-
-def _process_worker_run(index: int) -> tuple[int, list]:
-    backend, chunks, seeds = _worker_state
-    return index, execute_chunk(backend, chunks[index], seeds[index])
-
-
 # Persistent pools: one spawn pool per worker count, reused across
 # campaigns.  A long-lived pool cannot re-run its initializer, so each
-# campaign's payload is parked in a temp file and every worker loads it
-# lazily on its first task of that campaign; ``_campaign_state`` caches
-# exactly one campaign per worker (tokens are monotonically increasing,
-# so a stale cache is simply replaced).  The parent deletes the file
-# only after every future of the campaign has completed or been
-# cancelled, so no worker can read past the unlink.
+# campaign's payload is parked in a temp file (one-shot pools ship the
+# same way) and every worker loads it lazily on its first task of that
+# campaign; ``_campaign_state`` caches exactly one campaign per worker
+# (tokens are monotonically increasing, so a stale cache is simply
+# replaced).  The parent deletes the file only after every future of
+# the campaign has completed or been cancelled, so no worker can read
+# past the unlink.
 _pool_registry: dict[int, ProcessPoolExecutor] = {}
 _campaign_tokens = itertools.count(1)
 _campaign_state: tuple | None = None  # worker-side: (token, backend, ...)
@@ -540,7 +516,6 @@ _campaign_state: tuple | None = None  # worker-side: (token, backend, ...)
 
 def persistent_pool(workers: int) -> ProcessPoolExecutor:
     """The registry pool for ``workers``, spawned on first use."""
-    workers = max(1, workers)
     pool = _pool_registry.get(workers)
     if pool is None:
         pool = ProcessPoolExecutor(
@@ -551,7 +526,7 @@ def persistent_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _discard_pool(workers: int) -> None:
-    pool = _pool_registry.pop(max(1, workers), None)
+    pool = _pool_registry.pop(workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -597,82 +572,60 @@ def _persistent_worker_release(token: int) -> None:
 
 
 def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
-                seeds: Sequence[int], account: Callable[[list], bool],
-                workers: int, start: int = 0,
+                seeds: Sequence[int], workers: int, start: int = 0,
                 payload: bytes | None = None,
                 reuse_pool: bool = True,
-                timeout: float | None = None) -> bool:
+                timeout: float | None = None) -> Iterator[list]:
     if payload is None:
         payload = pickle.dumps((backend, chunks, list(seeds)),
                                protocol=pickle.HIGHEST_PROTOCOL)
     n_workers = max(1, min(workers, len(chunks) - start))
-
-    expected = start
-
-    def account_indexed(result: tuple[int, list]) -> bool:
-        nonlocal expected
-        index, batch = result
-        if index != expected:
-            raise RuntimeError(
-                f"chunk accounting out of order: got {index}, "
-                f"expected {expected}")
-        expected += 1
-        return account(batch)
-
-    if reuse_pool:
-        pool = persistent_pool(workers)
-        token = next(_campaign_tokens)
-        fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
-                                    suffix=".pkl")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-
-            def submit(i: int):
-                return pool.submit(_persistent_worker_run, token, path, i)
-
-            try:
-                return _run_pool(pool, submit, len(chunks),
-                                 _window(n_workers), account_indexed, start,
-                                 shutdown=False, timeout=timeout)
-            except ChunkTimeout:
-                # a worker is stuck on the hung task; the pool cannot be
-                # trusted (or waited on) — evict without waiting
-                _pool_registry.pop(max(1, workers), None)
-                raise
-            except (BrokenProcessPool, OSError):
-                # a broken pool never heals: evict it so the next
-                # campaign spawns fresh (the engine's recovery ladder
-                # handles *this* campaign)
-                _discard_pool(workers)
-                raise
-            finally:
-                # best-effort memory release: idle workers would
-                # otherwise hold this campaign's backend + chunks until
-                # the next campaign reaches them.  Fire-and-forget; the
-                # shared queue does not guarantee every worker takes
-                # one, and a worker already on a newer campaign ignores
-                # it (token guard).
-                if _pool_registry.get(max(1, workers)) is pool:
-                    for _ in range(pool._max_workers):
-                        try:
-                            pool.submit(_persistent_worker_release, token)
-                        except RuntimeError:  # pragma: no cover - shutdown
-                            break
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    pool = ProcessPoolExecutor(
+    # a one-shot pool is sized to the work left and dies with the campaign
+    pool = persistent_pool(workers) if reuse_pool else ProcessPoolExecutor(
         max_workers=n_workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_process_worker_init,
-        initargs=(payload,))
+        mp_context=multiprocessing.get_context("spawn"))
+    token = next(_campaign_tokens)
+    fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
+                                suffix=".pkl")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
 
-    def submit(i: int):
-        return pool.submit(_process_worker_run, i)
+        def submit(i: int):
+            return pool.submit(_persistent_worker_run, token, path, i)
 
-    return _run_pool(pool, submit, len(chunks), _window(n_workers),
-                     account_indexed, start, timeout=timeout)
+        results = _run_pool(pool, submit, len(chunks), _window(n_workers),
+                            start, shutdown=not reuse_pool, timeout=timeout)
+        try:
+            for expected, (index, batch) in enumerate(results, start):
+                if index != expected:
+                    raise RuntimeError(
+                        f"chunk results out of order: got {index}, "
+                        f"expected {expected}")
+                yield batch
+        except (ChunkTimeout, BrokenProcessPool, OSError):
+            # a pool with a worker stuck on a hung task cannot be trusted
+            # (or waited on) and a broken one never heals: evict without
+            # waiting, so the next campaign spawns fresh (the engine's
+            # recovery ladder handles *this* campaign)
+            if reuse_pool:
+                _discard_pool(workers)
+            raise
+        finally:
+            results.close()  # the consumer stopped: drain before release
+            # best-effort memory release: idle workers would otherwise
+            # hold this campaign's backend + chunks until the next
+            # campaign reaches them.  Fire-and-forget; the shared queue
+            # does not guarantee every worker takes one, and a worker
+            # already on a newer campaign ignores it (token guard).
+            if _pool_registry.get(workers) is pool:
+                for _ in range(pool._max_workers):
+                    try:
+                        pool.submit(_persistent_worker_release, token)
+                    except RuntimeError:  # pragma: no cover - shutdown
+                        break
+    finally:
+        try:
+            os.unlink(path)
+        except OSError:  # pragma: no cover - already gone
+            pass

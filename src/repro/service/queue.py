@@ -18,12 +18,13 @@ Job state machine::
     pending/running ──cancel──▶ cancelled
 
 The final report is **assembled by replay**: :meth:`CampaignQueue
-.result` calls ``run_campaign(resume=campaign_id)``, which walks the
-committed chunk prefix through the engine's normal accounting path.
-That is what makes an N-worker service run byte-identical to a serial
-one — the service only decides *who executes which chunk when*; what a
-chunk produces and how results are folded into the report never left
-the engine.
+.result` folds the committed chunk records through the engine's one
+accounting fold and never executes a chunk; :meth:`CampaignQueue
+.maybe_finish` feeds the same records, counts only, to the engine's one
+stop rule.  That is what makes an N-worker service run byte-identical
+to a serial one — the service only decides *who executes which chunk
+when*; what a chunk produces and how results are folded into the report
+never left the engine.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..core.campaign import CampaignDb
-from ..engine.core import (CampaignPlan, CampaignReport, EngineConfig,
-                           plan_campaign, run_campaign, stop_satisfied)
+from ..engine.core import (CampaignFold, CampaignPlan, CampaignReport,
+                           EngineConfig, open_campaign, plan_campaign,
+                           replayed, replayed_stop)
 from .leases import LeaseManager
 
 JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
@@ -177,11 +179,12 @@ class CampaignQueue:
                config: EngineConfig | None = None) -> CampaignReport:
         """Assemble the finished job's report by engine replay.
 
-        ``run_campaign(resume=...)`` folds the committed chunk prefix
-        through the exact accounting path a serial run uses, so the
-        report is byte-identical to one.  A fresh backend is unpickled
-        from the payload unless the caller supplies its own (it must be
-        plan-identical; the stored fingerprint enforces that).
+        The committed chunk records are folded through the exact
+        accounting path a serial run uses, so the report is
+        byte-identical to one; nothing is executed or written.  A fresh
+        backend is unpickled from the payload unless the caller supplies
+        its own (it must be plan-identical; the stored fingerprint
+        enforces that).
         """
         job = self.poll(job_id)
         if job.state != "done":
@@ -191,8 +194,18 @@ class CampaignQueue:
             stored_backend, stored_config = self.load(job_id)
             backend = backend if backend is not None else stored_backend
             config = config if config is not None else stored_config
-        return run_campaign(backend, config, db=self.db,
-                            resume=job.campaign_id)
+        plan = plan_campaign(backend, config)
+        report = open_campaign(backend, config, plan, self.db,
+                               job.campaign_id)
+        fold = CampaignFold(report, plan, config.early_stop)
+        for event in replayed(self.db, job.campaign_id, len(plan.chunks)):
+            if report.converged or fold(event):
+                break
+        if not report.converged and fold.rule.index < len(plan.chunks):
+            raise RuntimeError(
+                f"job {job_id} is incomplete: chunk {fold.rule.index} of "
+                f"{len(plan.chunks)} has no record and nothing converged")
+        return report
 
     # -- worker side ---------------------------------------------------
     def next_job(self) -> int | None:
@@ -216,12 +229,12 @@ class CampaignQueue:
         job went terminal).
 
         Exactly one worker wins the conditional UPDATE and creates —
-        atomically, in one transaction — the campaign row (params and
-        census rows shaped exactly as ``run_campaign`` writes them, so
-        the replay assembler accepts it), plus one pending lease per
-        chunk.  Losers simply read the winner's committed campaign id;
-        a winner that dies mid-transaction rolls back to ``pending``
-        and the next worker retries the claim.
+        atomically, in one transaction — the campaign row and census
+        rows (through ``open_campaign``, exactly as ``run_campaign``
+        does), plus one pending lease per chunk.  Losers simply read the
+        winner's committed campaign id; a winner that dies
+        mid-transaction rolls back to ``pending`` and the next worker
+        retries the claim.
         """
         conn = self.db.conn
         while True:
@@ -244,27 +257,8 @@ class CampaignQueue:
                     (self.now(), plan.fingerprint, len(plan.chunks), job_id))
                 if cur.rowcount:
                     backend, _ = self.load(job_id)
-                    won = self.db.create_campaign(
-                        name=f"{backend.name}:{backend.circuit_name}",
-                        circuit=backend.circuit_name,
-                        fault_model=backend.fault_model,
-                        workload=backend.workload,
-                        params={
-                            "batch_size": config.batch_size,
-                            "chunk_size": plan.batch_size,
-                            "workers": config.workers,
-                            "executor": "service",
-                            "lane_width": plan.lane_width,
-                            "sample": config.sample,
-                            "seed": config.seed,
-                            "filtered": len(plan.skipped),
-                            "early_stop": (config.early_stop.outcome
-                                           if config.early_stop else None),
-                            "fingerprint": plan.fingerprint,
-                        })
-                    if plan.skipped:
-                        self.db.record_many(
-                            won, [inj.row() for inj in plan.skipped])
+                    won = open_campaign(backend, config, plan, self.db,
+                                        executor="service").campaign_id
                     self.leases.create(won, len(plan.chunks))
                     conn.execute(
                         "UPDATE service_jobs SET campaign_id=? WHERE id=?",
@@ -290,18 +284,17 @@ class CampaignQueue:
 
         Complete means either every chunk has a terminal record
         (done/quarantined), or — with early stop — the engine's own
-        convergence arithmetic, replayed over the *contiguous prefix*
-        of committed 'done' chunks in index order, is satisfied at some
-        chunk ``k``.  Walking the prefix in order is what pins the
-        distributed run to the same stopping chunk as a serial one:
-        chunks recorded past ``k`` by other workers are speculative and
-        the replay assembler ignores them, exactly as the engine
-        discards speculative in-flight chunks on early stop.
+        stop rule, fed the committed records in chunk order, has
+        converged at some chunk ``k`` (``-1``: by the filter census
+        alone).  Feeding it in order is what pins the distributed run to
+        the same stopping chunk as a serial one: chunks recorded past
+        ``k`` by other workers are speculative and the replay assembler
+        ignores them, exactly as the engine discards speculative
+        in-flight chunks on early stop.
         """
-        stop = config.early_stop
         n_chunks = len(plan.chunks)
         converged_chunk: int | None = None
-        if stop is None:
+        if config.early_stop is None:
             # no early stop: completion is a row count, checked O(1)
             # after every chunk instead of materializing all records
             (n_recorded,) = self.db.conn.execute(
@@ -310,28 +303,11 @@ class CampaignQueue:
             if n_recorded < n_chunks:
                 return False
         else:
-            records = self.db.chunk_records(campaign_id)
-            rows_by_chunk = self.db.chunk_rows(campaign_id)
-            n_skipped = len(plan.skipped)
-            # pre-converged by the filter census, before any execution
-            if plan.skipped and stop_satisfied(stop, n_skipped, 0, 0,
-                                               plan.n_kept, plan.planned):
-                converged_chunk = -1
-            else:
-                executed = hits = 0
-                for i in range(n_chunks):
-                    record = records.get(i)
-                    if record is None or record.status != "done":
-                        break
-                    chunk_rows = rows_by_chunk.get(i, [])
-                    executed += len(chunk_rows)
-                    hits += sum(1 for _, _, outcome in chunk_rows
-                                if outcome == stop.outcome)
-                    if stop_satisfied(stop, n_skipped + executed, hits,
-                                      executed, plan.n_kept, plan.planned):
-                        converged_chunk = i
-                        break
-            if converged_chunk is None and len(records) < n_chunks:
+            rule = replayed_stop(self.db, campaign_id, plan,
+                                 config.early_stop)
+            if rule.converged:
+                converged_chunk = rule.index - 1
+            elif rule.index < n_chunks:
                 return False
         with self.db.transaction():
             cur = self.db.conn.execute(

@@ -40,9 +40,8 @@ import time
 from typing import Any
 
 from ..core.campaign import CampaignDb
-from ..engine import executors as _executors
-from ..engine.core import (RETRY_BACKOFF_CAP_S, CampaignPlan, EngineConfig,
-                           Injection)
+from ..engine.core import (EngineConfig, Injection, attempt_chunk,
+                           plan_campaign, retry_backoff_s)
 from .leases import LeaseManager, Lease
 from .queue import CampaignQueue
 
@@ -158,23 +157,22 @@ class CampaignWorker:
                      job_id: int) -> None:
         try:
             backend, config = queue.load(job_id)
-            plan = plan_campaign_for(backend, config)
-        except Exception as exc:  # unrunnable payload: poison the job,
-            queue.fail_job(job_id,  # don't let it wedge the queue
+            plan = plan_campaign(backend, config)
+            backend.prepare()
+        except Exception as exc:  # unrunnable payload or backend: poison
+            queue.fail_job(job_id,  # the job, don't let it wedge the queue
                            f"{type(exc).__name__}: {exc}")
             return
         campaign_id = queue.activate(job_id, plan, config)
         if campaign_id is None:
             return  # went terminal while we were planning
-        backend.prepare()
         if queue.maybe_finish(job_id, campaign_id, plan, config):
             return  # pre-converged by the filter census, or already done
         # Chaos-scripted workers claim one chunk at a time so fault
         # ordinals ("sigkill after the 2nd claim") stay exact; clean
         # workers batch claims and records at the engine's checkpoint
         # cadence, matching its commit cost per chunk.
-        claim_n = 1 if self.chaos is not None \
-            else max(1, config.commit_every)
+        claim_n = 1 if self.chaos is not None else config.commit_every
         while not self._draining.is_set():
             if queue.job_state(job_id) != "running":
                 return
@@ -196,9 +194,15 @@ class CampaignWorker:
             for lease in claimed:
                 if self.chaos is not None:
                     self.chaos.on_chunk_claimed()  # a due sigkill fires
-                batch = self._execute_one(queue.db, leases, campaign_id,
-                                          plan, backend, config, lease)
-                if batch is not None:
+                batch, error = attempt_chunk(backend, plan, lease.chunk_index,
+                                             config.chunk_timeout)
+                if error is not None:
+                    self._chunk_failed(
+                        queue.db, leases, campaign_id, config, lease, error,
+                        plan.seeds[lease.chunk_index])
+                else:
+                    if self.chaos is not None:
+                        self.chaos.stall_before_record()  # stale-worker gap
                     done.append((lease, batch))
                 if self._draining.is_set():
                     break  # drain: record what finished, release the rest
@@ -221,40 +225,13 @@ class CampaignWorker:
             if queue.maybe_finish(job_id, campaign_id, plan, config):
                 return
 
-    def _execute_one(self, db: CampaignDb, leases: LeaseManager,
-                     campaign_id: int, plan: CampaignPlan, backend: Any,
-                     config: EngineConfig,
-                     lease: Lease) -> list[Injection] | None:
-        """Execute one leased chunk; return its batch, or None after
-        routing a failure through release/quarantine."""
-        index = lease.chunk_index
-        chunk, seed = plan.chunks[index], plan.seeds[index]
-        try:
-            batch = _executors.execute_chunk_timed(
-                backend, chunk, seed, config.chunk_timeout)
-            if (not isinstance(batch, list) or len(batch) != len(chunk)
-                    or (batch and not isinstance(batch[0], Injection))):
-                raise _executors.ChunkError(ValueError(
-                    f"malformed result for chunk {index}: expected "
-                    f"{len(chunk)} Injection entries"))
-        except Exception as exc:
-            cause = exc.cause if isinstance(exc, _executors.ChunkError) \
-                else exc
-            self._chunk_failed(db, leases, campaign_id, config, lease,
-                               f"{type(cause).__name__}: {cause}", seed)
-            return None
-        if self.chaos is not None:
-            self.chaos.stall_before_record()  # scripted stale-worker gap
-        return batch
-
     def _chunk_failed(self, db: CampaignDb, leases: LeaseManager,
                       campaign_id: int, config: EngineConfig, lease: Lease,
                       error: str, seed: int) -> None:
         """Release for retry, or quarantine once the cross-worker
         attempt budget (original + ``max_chunk_retries``) is spent."""
         leases.bump_worker(self.worker_id, failures=1)
-        budget = max(0, config.max_chunk_retries) + 1
-        if lease.attempts >= budget:
+        if lease.attempts > config.max_chunk_retries:
             with db.transaction():
                 db.record_chunk(campaign_id, lease.chunk_index, [],
                                 seed=seed, status="failed",
@@ -264,16 +241,9 @@ class CampaignWorker:
             return
         leases.release(campaign_id, lease.chunk_index, self.worker_id,
                        error)
-        backoff = min(RETRY_BACKOFF_CAP_S,
-                      config.retry_backoff_s * (2 ** (lease.attempts - 1)))
+        backoff = retry_backoff_s(config, lease.attempts)
         if backoff > 0:
             time.sleep(backoff)
-
-
-def plan_campaign_for(backend: Any, config: EngineConfig) -> CampaignPlan:
-    """The worker's plan derivation — one seam for tests to break."""
-    from ..engine.core import plan_campaign
-    return plan_campaign(backend, config)
 
 
 def worker_main(db_path: str, worker_kwargs: dict | None = None,

@@ -414,6 +414,16 @@ class TestAutoProbe:
         with pytest.raises(ValueError, match="unknown executor"):
             EngineConfig(executor="bogus")
 
+    @pytest.mark.parametrize("policy", [
+        {"batch_size": 0}, {"batch_size": -3}, {"workers": 0},
+        {"commit_every": 0}, {"sample": -1}])
+    def test_out_of_range_policy_rejected(self, policy):
+        # these used to be clamped or rewritten deep in the loop (a
+        # non-positive batch_size ran as one-point chunks) or to die
+        # inside random.sample after enumeration
+        with pytest.raises(ValueError, match=">= "):
+            EngineConfig(**policy)
+
 
 # ----------------------------------------------------------------------
 # shared shipping of large pattern payloads (ShippedBlob)

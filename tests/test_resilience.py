@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
 
 import pytest
@@ -583,11 +584,27 @@ class TestDrainAggregation:
         chunks = [[0, 1], [2, 3], [4, 5], [6, 7]]
         seeds = [executors.chunk_seed(0, i) for i in range(4)]
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            converged = executors.run_thread(backend, chunks, seeds,
-                                             lambda batch: True, workers=2)
-        assert converged
+            source = executors.run_thread(backend, chunks, seeds, workers=2)
+            assert [inj.point for inj in next(source)] == [0, 1]
+            source.close()  # the consumer stops after chunk 0
         drained = [r for r in caplog.records if "suppressed" in r.message]
         assert drained and "ChaosError" in drained[0].message
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_consumer_error_reaches_the_caller_raw(self, executor):
+        # accounting runs in the consumer's frame, between two next()
+        # calls: its errors never pass through the executor, so they
+        # cannot be mistaken for a pool failure — and the pool is still
+        # drained (nothing in flight, no thread left) when they surface
+        config = EngineConfig(batch_size=8, executor=executor, workers=2,
+                              max_chunk_retries=5, retry_backoff_s=0.001,
+                              reuse_pool=False)
+        before = threading.active_count()
+        hook, seen = _abort_after(2)
+        with pytest.raises(AbortCampaign):
+            run_campaign(_backend(), config, on_chunk=hook)
+        assert seen["n"] == 2  # no retry re-entered the accounting path
+        assert threading.active_count() <= before
 
 
 # ----------------------------------------------------------------------
@@ -625,8 +642,8 @@ class TestExecutorTimeouts:
         pool = _StubPool()
         future = _StubFuture(concurrent.futures.TimeoutError())
         with pytest.raises(executors.ChunkTimeout):
-            executors._run_pool(pool, lambda i: future, 1, 2,
-                                lambda batch: False, 0, timeout=0.1)
+            next(executors._run_pool(pool, lambda i: future, 1, 2, 0,
+                                     timeout=0.1))
         # the hung pool was abandoned without waiting, never drained
         assert pool.shutdown_calls == [(False, True)]
 

@@ -23,8 +23,10 @@ from repro.engine import (
     HostChaos,
     HostFault,
     SeuBackend,
+    executors,
     run_campaign,
 )
+from repro.engine.core import plan_campaign
 from repro.service import (
     CampaignQueue,
     CampaignWorker,
@@ -45,11 +47,28 @@ def _backend(n_cycles: int = N_CYCLES) -> SeuBackend:
 
 def _signature(report):
     """Everything report identity promises: outcomes, counts, interval,
-    early-stop decision, quarantine."""
+    early-stop decision, quarantine (as the chunk record tells it)."""
     return ([inj.row() for inj in report.injections], report.outcomes,
             report.total, report.converged,
             report.confidence_interval("failure"),
-            [(q.index, q.n_points) for q in report.quarantined])
+            [(q.index, q.n_points, q.attempts, q.error)
+             for q in report.quarantined])
+
+
+def _poisoned(config, chunk_index, n_cycles=N_CYCLES) -> ChaosBackend:
+    """A backend whose chunk ``chunk_index`` (under ``config``) fails on
+    every execution."""
+    inner = _backend(n_cycles)
+    trigger = plan_campaign(inner, config).chunks[chunk_index][0]
+    return ChaosBackend(inner, [ChaosFault(trigger, mode="raise",
+                                           failures=None)])
+
+
+class BrokenSetup(SeuBackend):
+    """Picklable, and its golden run deterministically fails."""
+
+    def prepare(self) -> None:
+        raise ValueError("golden run unavailable")
 
 
 def _config(**kw) -> EngineConfig:
@@ -270,19 +289,14 @@ class TestServiceIdentity:
     def test_quarantine_flows_through_the_service(self, tmp_path):
         """A persistently failing chunk ends up quarantined — the same
         first-class 'failed' stratum a serial run reports."""
-        def chaotic():
-            inner = _backend()
-            trigger = inner.enumerate_points()[0]
-            return ChaosBackend(inner, [ChaosFault(trigger, mode="raise",
-                                                   failures=None)])
-
         config = _config(max_chunk_retries=1, retry_backoff_s=0.001,
                          shuffle=False)
         serial_db = CampaignDb(tmp_path / "serial.sqlite")
-        serial = run_campaign(chaotic(), config, db=serial_db)
+        serial = run_campaign(_poisoned(config, 0), config, db=serial_db)
         serial_db.close()
         assert serial.quarantined  # scenario sanity
-        job, report = _run_inline(tmp_path / "s.sqlite", chaotic(), config,
+        job, report = _run_inline(tmp_path / "s.sqlite",
+                                  _poisoned(config, 0), config,
                                   worker_id="solo")
         assert _signature(report) == _signature(serial)
         with CampaignQueue(tmp_path / "s.sqlite") as queue:
@@ -291,6 +305,112 @@ class TestServiceIdentity:
         assert counts.get("failed") == len(serial.quarantined)
         # per-worker failure accounting fed the registry
         assert worker_row[6] >= config.max_chunk_retries + 1
+
+    def test_result_is_a_pure_assembler(self, tmp_path, monkeypatch):
+        """``result()`` folds committed records and nothing else: on a
+        job with a quarantined chunk it neither re-runs the retry loop
+        nor re-executes the chunks behind it, and writes nothing."""
+        config = _config(max_chunk_retries=1, retry_backoff_s=0.001,
+                         shuffle=False)
+        serial = run_campaign(_poisoned(config, 0), config)
+        db_path = tmp_path / "s.sqlite"
+        with CampaignQueue(db_path) as queue:
+            job_id = queue.submit(_poisoned(config, 0), config)
+        CampaignWorker(db_path, worker_id="solo").run()
+        calls = []
+        real_execute, real_run = executors.execute_chunk, ChaosBackend.run_batch
+        monkeypatch.setattr(
+            executors, "execute_chunk",
+            lambda *a: calls.append("execute") or real_execute(*a))
+        monkeypatch.setattr(
+            ChaosBackend, "run_batch",
+            lambda *a: calls.append("run_batch") or real_run(*a))
+        with CampaignQueue(db_path) as queue:
+            job = queue.poll(job_id)
+            assert (job.state, job.chunks_done, job.chunks_failed) \
+                == ("done", 3, 1)
+            records = queue.db.chunk_records(job.campaign_id)
+            writes = queue.db.conn.total_changes
+            report = queue.result(job_id)
+            assert calls == []
+            assert queue.db.conn.total_changes == writes
+            assert queue.db.chunk_records(job.campaign_id) == records
+        assert _signature(report) == _signature(serial)
+        assert [q.attempts for q in report.quarantined] == [2]
+
+    def test_result_refuses_an_incomplete_prefix(self, tmp_path):
+        # a 'done' job whose records neither converge nor cover every
+        # chunk has no report; assembling must raise, not execute
+        db_path = tmp_path / "s.sqlite"
+        job, _ = _run_inline(db_path, _backend(), _config(),
+                             worker_id="solo")
+        with CampaignQueue(db_path) as queue:
+            queue.db.conn.execute(
+                "DELETE FROM chunks WHERE campaign_id=? AND chunk_index=2",
+                (job.campaign_id,))
+            queue.db.conn.commit()
+            with pytest.raises(RuntimeError, match="incomplete"):
+                queue.result(job.id)
+
+    def test_early_stop_survives_a_quarantine(self, tmp_path):
+        """The stop rule walks *through* a quarantined chunk, as the
+        serial engine does: the job converges on the serial chunk
+        instead of executing the whole tail."""
+        config = _config(shuffle=True, max_chunk_retries=1,
+                         retry_backoff_s=0.001,
+                         early_stop=EarlyStop("failure", margin=0.08))
+        serial_db = CampaignDb(tmp_path / "serial.sqlite")
+        serial = run_campaign(_poisoned(config, 1, n_cycles=40), config,
+                              db=serial_db)
+        serial_records = serial_db.chunk_records(serial.campaign_id)
+        serial_db.close()
+        assert serial.converged and [q.index for q in serial.quarantined] \
+            == [1]  # scenario sanity: stops after the quarantine
+        assert len(serial_records) < 20
+        job, report = _run_inline(tmp_path / "s.sqlite",
+                                  _poisoned(config, 1, n_cycles=40), config,
+                                  worker_id="solo")
+        assert job.converged_chunk == max(serial_records)
+        recorded = job.chunks_done + job.chunks_failed
+        assert 0 <= recorded - len(serial_records) < config.commit_every
+        assert _signature(report) == _signature(serial)
+
+
+# ----------------------------------------------------------------------
+# a deterministic prepare() failure has one outcome everywhere
+# ----------------------------------------------------------------------
+def _broken_setup() -> BrokenSetup:
+    circuit = load("rand_seq")
+    return BrokenSetup(circuit, random_workload(circuit, N_CYCLES, seed=7),
+                       lane_width=1)
+
+
+class TestSetupFailure:
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_engine_raises_it_on_every_executor(self, executor):
+        # (on the persistent process pool the worker-side raise used to
+        # be retried and quarantined chunk by chunk into a "successful"
+        # report of zero executed points)
+        config = _config(executor=executor, workers=2,
+                         max_chunk_retries=1, retry_backoff_s=0.001)
+        try:
+            with pytest.raises(ValueError, match="golden run unavailable"):
+                run_campaign(_broken_setup(), config)
+        finally:
+            executors.shutdown_pools()
+
+    def test_service_fails_the_job_and_the_worker_lives(self, tmp_path):
+        db_path = tmp_path / "s.sqlite"
+        with CampaignQueue(db_path) as queue:
+            broken = queue.submit(_broken_setup(), _config())
+            healthy = queue.submit(_backend(), _config())
+        worker = CampaignWorker(db_path, worker_id="solo")
+        assert worker.run() == 4  # returned, having run the next job
+        with CampaignQueue(db_path) as queue:
+            job = queue.poll(broken)
+            assert job.state == "failed"
+            assert job.error == "ValueError: golden run unavailable"
+            assert queue.poll(healthy).state == "done"
 
 
 # ----------------------------------------------------------------------
