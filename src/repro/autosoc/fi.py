@@ -153,7 +153,7 @@ def run_campaign(
     Executes on the unified campaign engine: ``db`` streams every
     injection into a :class:`repro.core.campaign.CampaignDb`, and
     ``workers`` > 1 runs batches concurrently (faulted SoC runs are
-    independent; ``executor`` picks threads, processes or auto) with
+    independent; ``executor`` picks serial, processes or auto) with
     results identical to the serial run.
     """
     from ..engine.backends import SocBackend

@@ -41,6 +41,7 @@ def fanout_cone(circuit: Circuit, seeds: Iterable[str], through_flops: bool = Fa
     """
     fmap = circuit.fanout_map()
     seen: set[str] = set()
+    reached: set[str] = set()  # flops reached at D, not crossed
     work = deque(seeds)
     while work:
         net = work.popleft()
@@ -50,10 +51,11 @@ def fanout_cone(circuit: Circuit, seeds: Iterable[str], through_flops: bool = Fa
         for dst in fmap.get(net, ()):
             if dst in circuit.flops and not through_flops:
                 # record the flop as reached but do not continue past Q
-                seen.add(dst)
+                # (apart from ``seen``: a seed that is this Q still expands)
+                reached.add(dst)
                 continue
             work.append(dst)
-    return seen
+    return seen | reached
 
 
 def fanin_cone(circuit: Circuit, seeds: Iterable[str], through_flops: bool = False) -> set[str]:

@@ -4,8 +4,8 @@ Each backend owns the workload-specific physics (how to build the golden
 reference, how to inject one point, how to classify the outcome) and
 exposes the uniform :class:`repro.engine.core.InjectionBackend` surface.
 ``run_batch`` implementations are pure with respect to backend state
-after :meth:`prepare`, so the engine may execute them from worker
-threads in any order.  Every backend also pickles cleanly before
+after :meth:`prepare`, so the engine may execute them from any worker
+in any order.  Every backend also pickles cleanly before
 ``prepare()`` (circuits drop their memoized caches on serialization)
 and ``prepare()`` is idempotent, which is what the process-pool
 executor needs: the backend ships to each worker once and rebuilds its
@@ -56,13 +56,10 @@ class PpsfpBackend:
     than one per batch it survives, and its cone is read off the
     circuit's reachability table the first time and cached after.
 
-    Large pattern payloads ship via the engine's temp-file channel: when
-    the pickled batches cross :data:`repro.engine.executors
-    .SHIP_BYTES_MIN`, ``__getstate__`` parks them once in a
-    :class:`~repro.engine.executors.ShippedBlob` and every subsequent
-    pickle of the backend (probe, campaign payload, thread fallback)
-    carries only the file reference; workers reload them lazily in
-    ``prepare()``.
+    The pattern batches pickle with the backend: they ride the campaign
+    payload (one temp file, loaded once per process-pool worker) and the
+    campaign service's job row inline, so a submitted job depends on
+    nothing outside the database.
     """
 
     name = "ppsfp"
@@ -87,16 +84,12 @@ class PpsfpBackend:
         self.drop_detected = drop_detected
         self._windows: PatternWindows | None = None
         self._observe: tuple[str, ...] = ()
-        self._batches_blob = None  # ShippedBlob once patterns ship
-        self._ship_memo: tuple | None = None  # (src, len, blob) — parent only
         self.n_patterns = sum(n for _, n in batches)
 
     def enumerate_points(self) -> Sequence[StuckAtFault]:
         return self.faults
 
     def prepare(self) -> None:
-        if self.batches is None:  # shipped patterns: load once per worker
-            self.batches = self._batches_blob.load()
         if self._windows is not None:  # idempotent: re-run per worker
             return
         self._windows = _pattern_windows(self.circuit, self.batches,
@@ -108,38 +101,10 @@ class PpsfpBackend:
 
     def __getstate__(self) -> dict:
         """Prepared state (pattern windows, observe list) is dropped:
-        process-pool workers rebuild it via their own ``prepare()``.
-
-        Pattern batches past the shipping threshold are parked in a temp
-        file once and replaced by the blob reference.  The ship verdict
-        (including "too small") is memoized against the batches object
-        and its length, so repeated pickles of the same backend — probe,
-        payload, thread fallback — neither re-measure nor re-park, while
-        replacing or resizing ``batches`` re-ships fresh patterns
-        instead of forwarding a stale snapshot.  (In-place mutation of
-        an individual pattern dict is not detected — batches are
-        treated as frozen once a campaign has pickled them.)"""
-        from .executors import ship_if_large
-
+        process-pool workers rebuild it via their own ``prepare()``."""
         state = self.__dict__.copy()
         state["_windows"] = None
         state["_observe"] = ()
-        state["_ship_memo"] = None  # parent-side memo never travels
-        batches = self.batches
-        if batches is None:  # unprepared clone: forward the blob as-is
-            return state
-        memo = self._ship_memo
-        if memo is not None and memo[0] is batches and memo[1] == len(batches):
-            blob = memo[2]
-        else:
-            blob, _ = ship_if_large(batches)
-            self._ship_memo = (batches, len(batches), blob)
-            self._batches_blob = blob
-        if blob is not None:
-            state["batches"] = None
-            state["_batches_blob"] = blob
-        else:
-            state["_batches_blob"] = None
         return state
 
     def run_batch(self, points: Sequence[StuckAtFault]) -> list[Injection]:

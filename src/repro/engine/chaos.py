@@ -3,9 +3,9 @@
 The rest of this package injects faults into *designs*; this module
 injects faults into the *campaign harness itself*, so the engine's
 fault-tolerance machinery — chunk retry with backoff, quarantine, the
-process → thread → serial recovery ladder, chunk timeouts,
-checkpoint/resume — can be driven deterministically in tests and CI
-instead of waiting for a flaky pool in production.
+process → serial recovery ladder, chunk timeouts, checkpoint/resume —
+can be driven deterministically in tests and CI instead of waiting for
+a flaky pool in production.
 
 :class:`ChaosBackend` wraps any :class:`~repro.engine.core
 .InjectionBackend` transparently (same ``name``/identity, same

@@ -31,7 +31,7 @@ accounting.  This module is the one execution core behind all of them:
   byte-identical report; a failing or hung chunk is retried with
   bounded exponential backoff and eventually **quarantined** as a
   first-class ``failed`` stratum, while executor-level failures walk a
-  recovery ladder (process → thread → serial) instead of aborting.
+  recovery ladder (process → serial) instead of aborting.
 
 DAVOS-style iterative statistical injection, reduced to the smallest
 core that every workload can share.
@@ -155,28 +155,21 @@ class EngineConfig:
     executed past an early-stop decision are discarded.
 
     ``executor`` picks the execution strategy (see
-    :mod:`repro.engine.executors`): ``"serial"``, ``"thread"`` (GIL-bound
-    — deterministic overlap, not CPU scaling), ``"process"`` (spawn-safe
-    process pool: the backend ships to each worker once and true
-    multicore scaling applies), or ``"auto"`` (default), which probes
-    CPU count, backend picklability and per-batch cost, and falls back
-    thread-/serial-wards with a logged reason instead of crashing.
-
-    ``reuse_pool`` (default True) keeps the process pool alive in a
-    module-level registry between campaigns, so sweeps that run many
-    campaigns back to back (``compare_configurations``-style studies)
-    pay worker spawn and module imports once instead of per campaign;
-    the campaign payload still ships fresh each time.  Set it False to
-    restore the one-pool-per-campaign behaviour.
+    :mod:`repro.engine.executors`): ``"serial"``, ``"process"``
+    (spawn-safe persistent process pool: the backend ships to each
+    worker once per campaign and true multicore scaling applies), or
+    ``"auto"`` (default), which probes CPU count, backend picklability
+    and per-batch cost, and falls back to serial with a logged reason
+    instead of crashing.
 
     ``max_chunk_retries`` bounds how often a *failing* chunk is re-run
     (with exponential backoff starting at ``retry_backoff_s``) before it
     is quarantined; ``chunk_timeout`` (seconds, ``None`` = wait forever)
-    declares a dispatched chunk hung when its result is overdue — the
-    pool is abandoned, execution degrades one rung of the recovery
-    ladder, and the chunk is retried like any other failure (parent-side
-    retries run against the same deadline, so a deterministic hang
-    quarantines instead of blocking the campaign).
+    declares a chunk hung when its result is overdue — a pool is
+    abandoned and execution steps down to the serial rung — and the
+    chunk is retried like any other failure (the serial rung and
+    parent-side retries run against the same deadline, so a
+    deterministic hang quarantines instead of blocking the campaign).
     ``commit_every`` is now the chunk-checkpoint cadence: every commit
     is a crash-consistent batch of per-chunk records that ``resume=``
     can restart from.
@@ -190,7 +183,6 @@ class EngineConfig:
     early_stop: EarlyStop | None = None
     commit_every: int = 4  # chunk checkpoints per CampaignDb commit
     executor: str = "auto"
-    reuse_pool: bool = True
     max_chunk_retries: int = 2
     chunk_timeout: float | None = None
     retry_backoff_s: float = 0.05
@@ -593,14 +585,10 @@ def _open_rung(strategy: str, backend: InjectionBackend, plan: CampaignPlan,
     if strategy == "process":
         return _executors.run_process(
             backend, plan.chunks, plan.seeds, config.workers, start=start,
-            payload=payload, reuse_pool=config.reuse_pool,
-            timeout=config.chunk_timeout)
+            payload=payload, timeout=config.chunk_timeout)
     backend.prepare()
-    if strategy == "thread":
-        return _executors.run_thread(
-            backend, plan.chunks, plan.seeds, config.workers, start=start,
-            timeout=config.chunk_timeout)
-    return _executors.run_serial(backend, plan.chunks, plan.seeds, start)
+    return _executors.run_serial(backend, plan.chunks, plan.seeds, start,
+                                 config.chunk_timeout)
 
 
 def executed(backend: InjectionBackend, plan: CampaignPlan,
@@ -647,7 +635,7 @@ def executed(backend: InjectionBackend, plan: CampaignPlan,
             payload = pickle.dumps((backend, chunks, seeds),
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            lower, reason = "thread", (f"backend not picklable "
+            lower, reason = "serial", (f"backend not picklable "
                                        f"({type(exc).__name__}: {exc})")
     index = start
     rung: Iterator[list] = (batch for batch in resolved.probe_batches or ())
@@ -661,21 +649,20 @@ def executed(backend: InjectionBackend, plan: CampaignPlan,
                     index += 1
         except ChunkTimeout as exc:
             # the hung task may never return; its pool is already
-            # abandoned (persistent pools: evicted), so step down a rung
-            # and retry the chunk in the parent
-            failure, lower = exc, ("thread" if strategy == "process"
-                                   else "serial")
+            # abandoned and evicted, so step down to the serial rung and
+            # retry the chunk in the parent
+            failure, lower = exc, "serial"
             reason = f"chunk {index} timed out after {config.chunk_timeout}s"
         except (BrokenProcessPool, OSError) as exc:
             failure = exc
             if strategy == "process":
-                lower, reason = "thread", (f"process pool failed "
+                lower, reason = "serial", (f"process pool failed "
                                            f"({type(exc).__name__}: {exc})")
         except ChunkError as exc:
             failure = exc.cause
         if lower != strategy:
-            # one step down the ladder (process → thread → serial): it is
-            # monotonic, so each degradation logs exactly once
+            # the one step down the ladder (process → serial): it is
+            # monotonic, so the degradation logs exactly once
             log.warning(
                 "engine: %s executor failing; falling back to %s from "
                 "chunk %d (%s)", strategy, lower, index, reason)

@@ -3,16 +3,14 @@
 The engine (:mod:`repro.engine.core`) turns a campaign into an ordered
 list of point chunks; this module owns *how* those chunks execute:
 
-* ``serial``  — in the calling thread, chunk by chunk;
-* ``thread``  — a sliding-window ``ThreadPoolExecutor``.  Deterministic
-  overlap, but pure-Python backends hold the GIL, so it only buys
-  wall-clock when batches release it;
+* ``serial``  — in the calling thread, chunk by chunk (each against
+  ``chunk_timeout`` when one is set);
 * ``process`` — a spawn-safe ``ProcessPoolExecutor``.  The backend and
   the chunk list are pickled **once** per campaign; workers call
   ``prepare()`` themselves (golden runs and caches are rebuilt per
   process, never pickled), and tasks are just chunk indices.  True
-  multicore scaling for CPU-bound backends.  By default the pool itself
-  is **persistent**: it lives in a module-level registry keyed by worker
+  multicore scaling for CPU-bound backends.  The pool itself is
+  **persistent**: it lives in a module-level registry keyed by worker
   count and is reused across campaigns, so sweep-style callers
   (``compare_configurations``, ``encoding_style_study``) pay interpreter
   spawn and module imports once.  Each campaign's payload is written to
@@ -21,9 +19,9 @@ list of point chunks; this module owns *how* those chunks execute:
   long-lived pool cannot re-run initializers.  ``shutdown_pools()``
   tears the registry down (also registered at exit);
 * ``auto``    — probes the campaign (visible CPUs, backend picklability,
-  per-batch cost measured on the first chunk) and picks the fastest safe
-  executor, logging the reason instead of crashing when the process pool
-  is not applicable.
+  per-batch cost measured on the first chunk) and picks the process
+  pool when it can pay off, logging the reason instead of crashing when
+  it is not applicable.
 
 Every executor is a *pull source*: a generator yielding result batches
 strictly in chunk-index order from ``start``, each chunk run with its
@@ -48,7 +46,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -56,7 +54,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 log = logging.getLogger("repro.engine")
 
-EXECUTOR_CHOICES = ("auto", "serial", "thread", "process")
+EXECUTOR_CHOICES = ("auto", "serial", "process")
 
 
 class ChunkError(Exception):
@@ -77,8 +75,9 @@ class ChunkTimeout(Exception):
 
     The hung task cannot be killed (``concurrent.futures`` offers no
     per-task cancellation of running work), so the pool it sits on is
-    abandoned without waiting and the engine degrades one rung of the
-    recovery ladder before retrying the chunk.
+    abandoned without waiting and the engine steps down to the serial
+    rung before retrying the chunk; on the serial rung its daemon
+    thread is abandoned instead.
     """
 
 # auto-probe thresholds (module level so tests and benchmarks can tune):
@@ -96,14 +95,6 @@ MIN_CAMPAIGN_COST_S = 0.25
 # remaining-work guard still keeps genuinely small campaigns out of the
 # pool).
 MIN_DISPATCH_COST_S = 0.0004
-
-# Minimum speedup of the 2-thread concurrency probe (two chunks on two
-# threads vs twice the warm serial chunk cost) for the auto probe to
-# pick the thread executor.  Pure-Python batches hold the GIL, so two
-# threads serialize (probe speedup ~1.0) and threads only add contention
-# — BENCH measured thread_x4 at 0.82x serial on such backends; batches
-# that release the GIL (I/O, native extensions) probe near 2.0.
-GIL_RELEASE_MIN = 1.25
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,14 +122,15 @@ def execute_chunk(backend: Any, chunk: Sequence[Any], seed: int) -> list:
 
 def execute_chunk_timed(backend: Any, chunk: Sequence[Any], seed: int,
                         timeout: float | None) -> list:
-    """:func:`execute_chunk` with a deadline, for parent-side retries.
+    """:func:`execute_chunk` with a deadline, for every in-process
+    execution: the serial rung and parent-side retries.
 
-    A chunk that already timed out on a pool may hang deterministically;
-    retrying it inline would block the campaign forever on exactly the
-    input ``chunk_timeout`` was configured to survive.  With a timeout
-    the chunk runs on a one-shot daemon thread instead and an overdue
-    result raises :class:`ChunkTimeout` — the hung thread cannot be
-    killed, so it is abandoned (daemon: it dies with the interpreter).
+    A chunk may hang deterministically; running it inline would block
+    the campaign forever on exactly the input ``chunk_timeout`` was
+    configured to survive.  With a timeout the chunk runs on a one-shot
+    daemon thread instead and an overdue result raises
+    :class:`ChunkTimeout` — the hung thread cannot be killed, so it is
+    abandoned (daemon: it dies with the interpreter).
     """
     if timeout is None:
         return execute_chunk(backend, chunk, seed)
@@ -155,7 +147,7 @@ def execute_chunk_timed(backend: Any, chunk: Sequence[Any], seed: int,
     worker.start()
     worker.join(timeout)
     if not box:
-        raise ChunkTimeout(f"parent-side retry overdue after {timeout}s")
+        raise ChunkTimeout(f"in-process chunk overdue after {timeout}s")
     ok, value = box[0]
     if ok:
         return value
@@ -175,109 +167,6 @@ def _window(workers: int) -> int:
     return max(4, 2 * workers)
 
 
-# ----------------------------------------------------------------------
-# shared shipping of large payloads: pattern batches park in one temp
-# file instead of being re-pickled into every campaign payload
-# ----------------------------------------------------------------------
-#: Pickled payloads at or past this size ship via temp file (bytes).
-SHIP_BYTES_MIN = 1 << 18
-
-_blob_tokens = itertools.count(1)
-_blob_paths: set[str] = set()
-_blob_cache: dict[tuple[int, str], Any] = {}
-_BLOB_CACHE_MAX = 4  # loaded blobs kept per process (LRU)
-_MISSING = object()
-
-
-class ShippedBlob:
-    """A large pickled value parked once in a temp file.
-
-    Created in the campaign parent (typically from a backend's
-    ``__getstate__`` when its pattern payload crosses
-    :data:`SHIP_BYTES_MIN`); pickles as just ``(token, path, nbytes)``.
-    Receiving processes :meth:`load` the value lazily on first use and
-    memoize it in a small per-process cache keyed by ``(token, path)``,
-    so a persistent-pool worker that runs many chunks of the same
-    campaign unpickles the patterns once.  The creating process keeps
-    the value in memory (its ``load`` never touches the file) and owns
-    the file: it is unlinked when the blob is garbage collected, closed,
-    or at interpreter exit.
-    """
-
-    def __init__(self, value: Any, data: bytes | None = None) -> None:
-        if data is None:
-            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, path = tempfile.mkstemp(prefix="repro-engine-blob-",
-                                    suffix=".pkl")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        self.token = next(_blob_tokens)
-        self.path = path
-        self.nbytes = len(data)
-        self._value = value
-        self._owner = True
-        _blob_paths.add(path)
-
-    def load(self) -> Any:
-        """The shipped value (from memory, cache, or the file)."""
-        if self._value is not _MISSING:
-            return self._value
-        key = (self.token, self.path)
-        value = _blob_cache.pop(key, _MISSING)
-        if value is _MISSING:
-            with open(self.path, "rb") as fh:
-                value = pickle.load(fh)
-            while len(_blob_cache) >= _BLOB_CACHE_MAX:
-                _blob_cache.pop(next(iter(_blob_cache)))
-        _blob_cache[key] = value  # (re)insert at the end: LRU refresh
-        return value
-
-    def close(self) -> None:
-        """Unlink the backing file (owner side only; idempotent)."""
-        if self._owner:
-            self._owner = False
-            _blob_paths.discard(self.path)
-            try:
-                os.unlink(self.path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        self.close()
-
-    def __getstate__(self) -> dict:
-        return {"token": self.token, "path": self.path,
-                "nbytes": self.nbytes}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._value = _MISSING
-        self._owner = False
-
-
-def ship_if_large(value: Any, threshold: int | None = None):
-    """Return ``(blob, data)``: a :class:`ShippedBlob` when ``value``
-    pickles to at least ``threshold`` (default :data:`SHIP_BYTES_MIN`)
-    bytes, else ``(None, data)`` with the pickle for inline embedding."""
-    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    limit = SHIP_BYTES_MIN if threshold is None else threshold
-    if len(data) >= limit:
-        return ShippedBlob(value, data), data
-    return None, data
-
-
-def _cleanup_blobs() -> None:  # pragma: no cover - interpreter exit
-    for path in list(_blob_paths):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    _blob_paths.clear()
-
-
-atexit.register(_cleanup_blobs)
-
-
 @dataclass
 class ExecutorPlan:
     """Resolved execution strategy for one campaign.
@@ -295,54 +184,14 @@ class ExecutorPlan:
     probe_batches: list | None = None
 
 
-def _thread_or_serial(backend: Any, chunks: Sequence[Sequence[Any]],
-                      seeds: Sequence[int], reason: str,
-                      probe_batches: list) -> ExecutorPlan:
-    """Decide thread vs serial for a campaign the process pool rejected.
-
-    Thread pools only beat serial when batches release the GIL; on
-    pure-Python CPU-bound backends they merely add contention (BENCH:
-    thread_x4 at 0.82x serial).  The probe re-times one chunk serially
-    (warm — chunk 0's timing includes first-use cache building) and then
-    runs two chunks on two threads: genuine parallelism shows a ~2x
-    speedup, GIL-bound batches ~1x.  Every probed chunk is handed back
-    in ``probe_batches`` for in-order accounting, exactly once.
-    """
-    done = len(probe_batches)
-    if len(chunks) - done < 3:
-        return ExecutorPlan(
-            "serial", f"{reason}; too few chunks left to overlap threads",
-            probe_batches=probe_batches)
-    t0 = time.perf_counter()
-    probe_batches.append(execute_chunk(backend, chunks[done], seeds[done]))
-    warm_batch = time.perf_counter() - t0
-    pool = ThreadPoolExecutor(max_workers=2)
-    t0 = time.perf_counter()
-    futures = [pool.submit(execute_chunk, backend, chunks[i], seeds[i])
-               for i in (done + 1, done + 2)]
-    probe_batches.extend(f.result() for f in futures)
-    paired = time.perf_counter() - t0
-    pool.shutdown()
-    speedup = (2 * warm_batch) / paired if paired > 0 else 2.0
-    if speedup < GIL_RELEASE_MIN:
-        return ExecutorPlan(
-            "serial",
-            f"{reason}; 2-thread probe {speedup:.2f}x: batches hold the GIL",
-            probe_batches=probe_batches)
-    return ExecutorPlan(
-        "thread", f"{reason}; 2-thread probe {speedup:.2f}x",
-        probe_batches=probe_batches)
-
-
 def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
                   config: Any, seeds: Sequence[int]) -> ExecutorPlan:
     """Resolve ``config.executor`` to a concrete strategy.
 
     Explicit choices pass through untouched; ``auto`` probes and falls
-    back with a reason instead of crashing.  Campaigns the process pool
-    cannot take (cheap batches, little work, unpicklable backend) are
-    further probed for GIL release before threads are chosen — a thread
-    pool over GIL-bound batches is slower than the serial loop.
+    back with a reason instead of crashing: a campaign the process pool
+    cannot take (cheap batches, little work, unpicklable backend) runs
+    on the serial loop, behind the one chunk the probe executed.
     """
     choice = getattr(config, "executor", "auto")
     if choice != "auto":  # validated by EngineConfig.__post_init__
@@ -368,24 +217,25 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
                    if lane_width > 64 and remaining >= MIN_CAMPAIGN_COST_S
                    else MIN_BATCH_COST_S)
     if per_batch < batch_floor:
-        return _thread_or_serial(
-            backend, chunks, seeds,
+        return ExecutorPlan(
+            "serial",
             f"per-batch cost {per_batch * 1e3:.2f}ms below process dispatch "
-            "overhead", [batch0])
+            "overhead", probe_batches=[batch0])
     if remaining < MIN_CAMPAIGN_COST_S:
-        return _thread_or_serial(
-            backend, chunks, seeds,
+        return ExecutorPlan(
+            "serial",
             f"~{remaining * 1e3:.0f}ms of work left: too small to amortise "
-            "process spawn", [batch0])
+            "process spawn", probe_batches=[batch0])
     # backends drop prepared state on pickling, so probing before the
     # dumps does not bloat the payload
     try:
         payload = pickle.dumps((backend, chunks, list(seeds)),
                                protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # pickle raises many types (Pickling, Type, ...)
-        return _thread_or_serial(
-            backend, chunks, seeds,
-            f"backend not picklable ({type(exc).__name__}: {exc})", [batch0])
+        return ExecutorPlan(
+            "serial",
+            f"backend not picklable ({type(exc).__name__}: {exc})",
+            probe_batches=[batch0])
     return ExecutorPlan(
         "process",
         f"picklable backend, {per_batch * 1e3:.1f}ms/batch x "
@@ -398,10 +248,14 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
 # of chunks[start:] in index order; the consumer stops by closing it
 # ----------------------------------------------------------------------
 def run_serial(backend: Any, chunks: Sequence[Sequence[Any]],
-               seeds: Sequence[int], start: int = 0) -> Iterator[list]:
+               seeds: Sequence[int], start: int = 0,
+               timeout: float | None = None) -> Iterator[list]:
     for i in range(start, len(chunks)):
         try:
-            batch = execute_chunk(backend, chunks[i], seeds[i])
+            batch = execute_chunk_timed(backend, chunks[i], seeds[i],
+                                        timeout)
+        except ChunkTimeout:
+            raise  # the ladder resolves it: timed retries, then quarantine
         except Exception as exc:
             raise ChunkError(exc) from exc
         yield batch
@@ -429,7 +283,7 @@ def _drain(futures: deque) -> None:
 
 
 def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
-              window: int, start: int, shutdown: bool = True,
+              window: int, start: int,
               timeout: float | None = None) -> Iterator[Any]:
     """Sliding-window dispatch yielding results in chunk order.
 
@@ -439,13 +293,12 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
     own) — and on any error here — queued chunks are cancelled and
     in-flight ones are waited out (their errors aggregated into one log
     line), so no speculative batch is yielded or left running in the
-    background.  With ``shutdown=False`` (persistent pools) the drain
-    is identical but the pool itself stays alive for the next campaign.
+    background; the pool itself stays alive for the next campaign.
 
     With a ``timeout``, a chunk whose result is overdue raises
     :class:`ChunkTimeout`; the hung task cannot be waited out, so the
-    pool is shut down without waiting (persistent pools: the caller
-    evicts it) and never drained.
+    pool is shut down without waiting (the caller evicts it from the
+    registry) and never drained.
     """
     futures: deque = deque()
     next_chunk = start
@@ -478,23 +331,8 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
         if hung:
             # never wait on a hung task — abandon the pool wholesale
             pool.shutdown(wait=False, cancel_futures=True)
-        elif shutdown:
-            _drain(futures)
-            pool.shutdown(wait=True, cancel_futures=True)
         else:
             _drain(futures)
-
-
-def run_thread(backend: Any, chunks: Sequence[Sequence[Any]],
-               seeds: Sequence[int], workers: int, start: int = 0,
-               timeout: float | None = None) -> Iterator[list]:
-    pool = ThreadPoolExecutor(max_workers=workers)
-
-    def submit(i: int):
-        return pool.submit(execute_chunk, backend, chunks[i], seeds[i])
-
-    yield from _run_pool(pool, submit, len(chunks), _window(workers), start,
-                         timeout=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -502,13 +340,12 @@ def run_thread(backend: Any, chunks: Sequence[Sequence[Any]],
 # ----------------------------------------------------------------------
 # Persistent pools: one spawn pool per worker count, reused across
 # campaigns.  A long-lived pool cannot re-run its initializer, so each
-# campaign's payload is parked in a temp file (one-shot pools ship the
-# same way) and every worker loads it lazily on its first task of that
-# campaign; ``_campaign_state`` caches exactly one campaign per worker
-# (tokens are monotonically increasing, so a stale cache is simply
-# replaced).  The parent deletes the file only after every future of
-# the campaign has completed or been cancelled, so no worker can read
-# past the unlink.
+# campaign's payload is parked in a temp file and every worker loads it
+# lazily on its first task of that campaign; ``_campaign_state`` caches
+# exactly one campaign per worker (tokens are monotonically increasing,
+# so a stale cache is simply replaced).  The parent deletes the file
+# only after every future of the campaign has completed or been
+# cancelled, so no worker can read past the unlink.
 _pool_registry: dict[int, ProcessPoolExecutor] = {}
 _campaign_tokens = itertools.count(1)
 _campaign_state: tuple | None = None  # worker-side: (token, backend, ...)
@@ -574,16 +411,12 @@ def _persistent_worker_release(token: int) -> None:
 def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
                 seeds: Sequence[int], workers: int, start: int = 0,
                 payload: bytes | None = None,
-                reuse_pool: bool = True,
                 timeout: float | None = None) -> Iterator[list]:
     if payload is None:
         payload = pickle.dumps((backend, chunks, list(seeds)),
                                protocol=pickle.HIGHEST_PROTOCOL)
     n_workers = max(1, min(workers, len(chunks) - start))
-    # a one-shot pool is sized to the work left and dies with the campaign
-    pool = persistent_pool(workers) if reuse_pool else ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=multiprocessing.get_context("spawn"))
+    pool = persistent_pool(workers)
     token = next(_campaign_tokens)
     fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
                                 suffix=".pkl")
@@ -595,7 +428,7 @@ def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
             return pool.submit(_persistent_worker_run, token, path, i)
 
         results = _run_pool(pool, submit, len(chunks), _window(n_workers),
-                            start, shutdown=not reuse_pool, timeout=timeout)
+                            start, timeout=timeout)
         try:
             for expected, (index, batch) in enumerate(results, start):
                 if index != expected:
@@ -608,8 +441,7 @@ def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
             # (or waited on) and a broken one never heals: evict without
             # waiting, so the next campaign spawns fresh (the engine's
             # recovery ladder handles *this* campaign)
-            if reuse_pool:
-                _discard_pool(workers)
+            _discard_pool(workers)
             raise
         finally:
             results.close()  # the consumer stopped: drain before release

@@ -200,8 +200,9 @@ class LaneContext:
         return len(self.rep_stimuli)
 
     def count(self, **deltas: int) -> None:
-        """Add one finished walk's tallies (thread executors share the
-        context, so the read-modify-write takes the lock)."""
+        """Add one finished walk's tallies (a chunk abandoned past
+        ``chunk_timeout`` may still be walking this context on its
+        daemon thread, so the read-modify-write takes the lock)."""
         with self._count_lock:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
@@ -631,8 +632,8 @@ class _SoaBand:
     a block and flips are confined to the lanes present, so the dead
     lanes of a partial block are golden lanes like any other: nothing
     needs masking before the final readout.  The matrix is allocated
-    per ``propagate`` call (contexts are shared across thread
-    executors) and reused by every band of that call.
+    per ``propagate`` call (a chunk abandoned past ``chunk_timeout``
+    may still hold the context) and reused by every band of that call.
     """
 
     def __init__(self, ctx: LaneContext, program, width: int) -> None:

@@ -63,7 +63,7 @@ class RsnDiagnosisBackend:
 
     ``factory`` must be picklable for the process executor (a
     module-level function or ``functools.partial`` of one — not a
-    lambda; unpicklable factories fall back to threads with a logged
+    lambda; unpicklable factories fall back to serial with a logged
     reason).
     """
 

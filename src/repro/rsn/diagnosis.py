@@ -69,7 +69,7 @@ def signature_campaign(
     every diagnosis facade consumes, plus the engine's campaign report
     (outcome counts, executor, throughput).  ``factory`` must be
     picklable (module-level function or ``functools.partial``) for the
-    process executor; lambdas fall back to threads with a logged reason.
+    process executor; lambdas fall back to serial with a logged reason.
     """
     from ..engine.core import EngineConfig, run_campaign
     from ..engine.workloads import DETECTED, RsnDiagnosisBackend

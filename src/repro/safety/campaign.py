@@ -98,7 +98,7 @@ def run_safety_campaign(
     Runs on the unified engine: pass ``db`` (a
     :class:`repro.core.campaign.CampaignDb`) to persist every injection,
     ``workers`` > 1 to execute batches concurrently, and ``executor``
-    to pick the strategy (serial/thread/process/auto) — results are
+    to pick the strategy (serial/process/auto) — results are
     identical at any worker count and executor choice.  ``resume``
     restarts a checkpointed campaign (requires the same ``db``) from its
     last committed chunk, byte-identical to an uninterrupted run.

@@ -279,8 +279,10 @@ class PatternWindows:
     window's width mask, its first pattern's global number, and per
     batch the bit position it starts at inside the window and its own
     mask already shifted there.  The tallies count what the detection
-    sweeps did with the windows; thread executors share the object, so
-    :meth:`count` takes the lock.  They never influence an outcome.
+    sweeps did with the windows; a chunk abandoned past
+    ``chunk_timeout`` may still be sweeping on its daemon thread while
+    the campaign continues, so :meth:`count` takes the lock.  They never
+    influence an outcome.
     """
 
     windows: list[tuple[dict[str, int], int, int, list[int], list[int]]]

@@ -122,7 +122,7 @@ def run_campaign(
     campaign engine: ``db`` persists every injection to a
     :class:`repro.core.campaign.CampaignDb`, ``workers`` > 1 runs
     batches concurrently, and ``executor`` picks the strategy
-    (serial/thread/process/auto) — results are identical to the serial
+    (serial/process/auto) — results are identical to the serial
     run for any combination.  ``lane_width`` overrides the engine's
     lane packing (injections simulated per packed sequential run;
     default 64, ``1`` forces the per-point reference path) and

@@ -143,9 +143,9 @@ class TestFold:
         report, _ = _fold(plan, None, [
             # replayed, as bare rows: not a retry of this run
             ChunkEvent(0, 2, [inj.row() for inj in batch]),
-            ChunkEvent(1, 2, batch, executor="thread")])
+            ChunkEvent(1, 2, batch, executor="process")])
         assert (report.resumed_chunks, report.retried_chunks) == (1, 1)
-        assert report.executor == "thread"
+        assert report.executor == "process"
 
     def test_on_chunk_sees_done_chunks_only(self):
         plan = _plan([2, 2])

@@ -22,7 +22,7 @@ from repro.circuit import (
     observable_outputs,
     parse_verilog,
 )
-from repro.circuit.library import random_combinational
+from repro.circuit.library import random_combinational, random_sequential
 from repro.sim import exhaustive_patterns, pack_patterns, simulate
 
 
@@ -197,6 +197,28 @@ class TestLevelizeAndCones:
         c = load("c17")
         assert "N11" in fanin_cone(c, ["N22"]) or "N11" in fanin_cone(c, ["N23"])
         assert "N22" in fanout_cone(c, ["N10"])
+
+    @staticmethod
+    def _check_seed_pairs(circuit):
+        # seeds [a, q] with a feeding q.d: reaching q's D must not stop
+        # q's own expansion when q is a seed too
+        for q, flop in circuit.flops.items():
+            union = fanout_cone(circuit, [flop.d]) | fanout_cone(circuit, [q])
+            assert fanout_cone(circuit, [flop.d, q]) == union, q
+            assert fanout_cone(circuit, [q, flop.d]) == union, q
+
+    def test_multi_seed_cone_is_union_of_single_seed_cones_s27(self):
+        self._check_seed_pairs(load("s27"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_flops=st.integers(1, 6))
+    def test_multi_seed_cone_is_union_of_single_seed_cones(self, seed,
+                                                           n_flops):
+        circuit = random_sequential(4, 30, n_flops, 3, seed=seed)
+        self._check_seed_pairs(circuit)
+        seeds = list(circuit.flops) + [f.d for f in circuit.flops.values()]
+        assert fanout_cone(circuit, seeds) == set().union(
+            *(fanout_cone(circuit, [net]) for net in seeds))
 
     def test_observable_outputs(self):
         c = load("c17")

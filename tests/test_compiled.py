@@ -277,7 +277,7 @@ class TestPickling:
         assert simulate(clone, pis, 8, state) \
             == simulate(circuit, pis, 8, state)
 
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_compiled_backends_under_process_executor(self, executor):
         circuit = load("rand_seq")
         workload = random_workload(circuit, 12, seed=7)

@@ -311,8 +311,7 @@ class TestPpsfpFastPath:
         backend = PpsfpBackend(circuit, faults, batches)
         with caplog.at_level(logging.DEBUG, logger="repro.sim.fault_sim"):
             report = run_campaign(backend, EngineConfig(batch_size=16,
-                                                        workers=2,
-                                                        executor="thread"))
+                                                        executor="serial"))
         lines = [rec.message for rec in caplog.records
                  if "window evaluations" in rec.message]
         assert len(lines) == 1

@@ -1,7 +1,7 @@
 """Tests for the pluggable executor layer (`repro.engine.executors`).
 
 Covers: backend/circuit picklability (caches dropped, behavior
-preserved), process/thread/serial result parity down to the DB rows,
+preserved), process/serial result parity down to the DB rows,
 the auto probe's fallback decisions, early-stop draining (no
 speculative injections recorded), and per-chunk RNG determinism across
 executors and worker counts.
@@ -33,7 +33,7 @@ from repro.faults import collapse
 from repro.sim import exhaustive_patterns, fault_simulate, random_patterns, simulate
 from repro.soft_error import random_workload
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _seu_backend():
@@ -100,7 +100,7 @@ class NoisyBackend:
 class CheapWideLaneBackend:
     """Batches cheaper than MIN_BATCH_COST_S but denser than a scalar
     chunk: a vector-tier lane width means each dispatch retires many
-    points, so the auto probe must not bail to thread/serial on the
+    points, so the auto probe must not bail to serial on the
     per-batch floor alone.  The 1ms sleep sits between the raw dispatch
     floor (MIN_DISPATCH_COST_S) and the scalar per-batch floor
     (MIN_BATCH_COST_S)."""
@@ -229,7 +229,7 @@ class TestPickling:
 
 
 # ----------------------------------------------------------------------
-# executor parity: identical campaigns on serial / thread / process
+# executor parity: identical campaigns on serial / process
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     @pytest.mark.parametrize("kind", sorted(BACKEND_FACTORIES))
@@ -245,7 +245,7 @@ class TestExecutorParity:
             assert report.executor == executor
             results[executor] = (report.outcomes, _rows(report), _db_rows(db))
             db.close()
-        assert results["serial"] == results["thread"] == results["process"]
+        assert results["serial"] == results["process"]
 
     def test_process_matches_serial_with_sampling_and_shuffle(self):
         rows = []
@@ -284,15 +284,14 @@ class TestAutoProbe:
         backend = UnpicklableBackend()
         plan = plan_executor(backend, [[0], [1]],
                              EngineConfig(workers=2), [1, 2])
-        # two tiny chunks: nothing left to overlap once one is probed
         assert plan.name == "serial"
         assert "not picklable" in plan.reason
-        assert plan.probe_batches is not None  # probe work still handed back
+        assert len(plan.probe_batches) == 1  # probe work still handed back
 
     def test_cheap_gil_bound_batches_fall_back_to_serial(self, monkeypatch):
-        # BENCH showed thread_x4 *slower* than serial (0.82x) on
-        # pure-Python backends: the auto probe must not pick threads
-        # when the 2-thread probe shows the batches hold the GIL
+        # there is no rung between the pool and the serial loop to probe
+        # for: a campaign the pool rejects runs serially behind the one
+        # chunk the cost probe executed
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         backend = _seu_backend()
         points = list(backend.enumerate_points())
@@ -300,44 +299,11 @@ class TestAutoProbe:
         seeds = [chunk_seed(0, i) for i in range(len(chunks))]
         plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
         assert plan.name == "serial"
-        assert "GIL" in plan.reason
-        assert len(plan.probe_batches) == 4  # chunk 0 + warm + 2 threaded
-
-    def test_gil_releasing_batches_still_pick_threads(self, monkeypatch):
-        import time as _time
-
-        class SleepyBackend:
-            """Batches that release the GIL (sleep stands in for I/O)."""
-
-            name = "sleepy"
-            circuit_name = "toy"
-            fault_model = "none"
-            workload = "toy"
-
-            def enumerate_points(self):
-                return list(range(24))
-
-            def prepare(self):
-                return None
-
-            def run_batch(self, points):
-                _time.sleep(0.02)
-                return [Injection(point=p, location=f"p{p}", cycle=0,
-                                  outcome="ok") for p in points]
-
-        monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 1.0)  # force the
-        # cheap-batch branch so the GIL probe decides thread vs serial
-        plan = plan_executor(SleepyBackend(),
-                             [[i] for i in range(8)],
-                             EngineConfig(workers=2),
-                             [chunk_seed(0, i) for i in range(8)])
-        assert plan.name == "thread"
-        assert "2-thread probe" in plan.reason
-        assert len(plan.probe_batches) == 4
+        assert "below process dispatch overhead" in plan.reason
+        assert len(plan.probe_batches) == 1
 
     def test_gil_probe_batches_accounted_exactly_once(self, monkeypatch):
-        # the serial fallback must resume after the four probed chunks
+        # the serial fallback must resume after the probed chunk
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         serial = run_campaign(_seu_backend(),
                               EngineConfig(batch_size=4, executor="serial"))
@@ -363,12 +329,11 @@ class TestAutoProbe:
         assert plan.name == "process"
         assert plan.payload is not None
         # the scalar-width control with the identical cost profile bails
-        # at the per-batch floor (its sleepy batches release the GIL, so
-        # the fallback probe then picks threads)
+        # at the per-batch floor
         control = CheapWideLaneBackend(lane_width=1)
         plan1 = plan_executor(control, chunks, EngineConfig(workers=2),
                               seeds)
-        assert plan1.name in ("thread", "serial")
+        assert plan1.name == "serial"
         assert "below process dispatch overhead" in plan1.reason
 
     def test_costly_picklable_campaign_resolves_process(self, monkeypatch):
@@ -384,8 +349,7 @@ class TestAutoProbe:
         assert plan.payload is not None
 
     def test_auto_campaign_matches_serial(self, monkeypatch):
-        # whatever the probe decides (serial for GIL-bound batches,
-        # thread/process otherwise), probed chunks run in the parent and
+        # whatever the probe decides, probed chunks run in the parent and
         # must be accounted exactly once, in order
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         serial = run_campaign(_seu_backend(),
@@ -393,7 +357,7 @@ class TestAutoProbe:
         auto = run_campaign(_seu_backend(),
                             EngineConfig(batch_size=8, workers=2,
                                          executor="auto"))
-        assert auto.executor in ("serial", "thread", "process")
+        assert auto.executor in ("serial", "process")
         assert _rows(auto) == _rows(serial)
         assert auto.total == serial.planned
 
@@ -405,14 +369,40 @@ class TestAutoProbe:
             report = run_campaign(
                 UnpicklableBackend(),
                 EngineConfig(batch_size=8, workers=2, executor="process"))
-        assert report.executor == "thread"
-        assert any("falling back" in r.message for r in caplog.records)
+        assert report.executor == "serial"
+        fallbacks = [r.getMessage() for r in caplog.records
+                     if "falling back" in r.message]
+        assert len(fallbacks) == 1 and "not picklable" in fallbacks[0]
         assert report.total == 40
         assert report.outcomes == {"even": 20, "odd": 20}
+
+    def test_auto_with_unpicklable_backend_lands_on_serial(
+            self, monkeypatch, caplog):
+        import logging
+
+        monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
+        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        with caplog.at_level(logging.INFO, logger="repro.engine"):
+            report = run_campaign(
+                UnpicklableBackend(),
+                EngineConfig(batch_size=8, workers=2, executor="auto"))
+        assert report.executor == "serial"
+        assert any("executor=serial" in r.getMessage()
+                   and "not picklable" in r.getMessage()
+                   for r in caplog.records)
+        # the probed chunk is accounted once, in place
+        assert [inj.point for inj in report.injections] == list(range(40))
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             EngineConfig(executor="bogus")
+
+    def test_thread_executor_is_rejected_with_the_three_choices(self):
+        assert executors.EXECUTOR_CHOICES == ("auto", "serial", "process")
+        with pytest.raises(ValueError, match="unknown executor") as err:
+            EngineConfig(executor="thread")
+        assert str(executors.EXECUTOR_CHOICES) in str(err.value)
 
     @pytest.mark.parametrize("policy", [
         {"batch_size": 0}, {"batch_size": -3}, {"workers": 0},
@@ -423,95 +413,6 @@ class TestAutoProbe:
         # inside random.sample after enumeration
         with pytest.raises(ValueError, match=">= "):
             EngineConfig(**policy)
-
-
-# ----------------------------------------------------------------------
-# shared shipping of large pattern payloads (ShippedBlob)
-# ----------------------------------------------------------------------
-class TestPatternShipping:
-    def _backend(self):
-        from repro.circuit.library import random_combinational
-
-        circuit = random_combinational(12, 120, seed=6)
-        faults, _ = collapse(circuit)
-        batches = [(random_patterns(circuit.inputs, 64, seed=b), 64)
-                   for b in range(4)]
-        return PpsfpBackend(circuit, faults, batches), batches
-
-    def test_small_payloads_ship_inline(self):
-        backend, batches = self._backend()
-        clone = pickle.loads(pickle.dumps(backend))
-        assert backend._batches_blob is None  # under the threshold
-        assert clone.batches == batches
-
-    def test_large_payloads_park_in_temp_file(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(executors, "SHIP_BYTES_MIN", 1 << 60)
-        inline_backend, _ = self._backend()  # deterministic twin
-        inline_size = len(pickle.dumps(inline_backend))
-        monkeypatch.setattr(executors, "SHIP_BYTES_MIN", 64)
-        backend, batches = self._backend()
-        first = pickle.dumps(backend)
-        blob = backend._batches_blob
-        assert blob is not None and os.path.exists(blob.path)
-        # the parked patterns no longer ride in the backend pickle
-        assert len(first) <= inline_size - blob.nbytes + 256
-        # repeated pickles reuse the same parked file, no re-pickling
-        assert backend._batches_blob is blob
-        second = pickle.dumps(backend)
-        assert len(second) == len(first)
-
-        clone = pickle.loads(first)
-        assert clone.batches is None  # lazy until prepare()
-        clone.prepare()
-        assert clone.batches == batches
-        backend.prepare()
-        points = backend.faults[:10]
-        assert [(i.location, i.outcome, i.detail)
-                for i in clone.run_batch(points)] \
-            == [(i.location, i.outcome, i.detail)
-                for i in backend.run_batch(points)]
-        # the parent still owns the in-memory batches and the file
-        assert backend.batches == batches
-        blob.close()
-        assert not os.path.exists(blob.path)
-        blob.close()  # idempotent
-
-    def test_replaced_batches_reship_fresh_patterns(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHIP_BYTES_MIN", 64)
-        backend, batches = self._backend()
-        pickle.dumps(backend)
-        first_blob = backend._batches_blob
-        extra = random_patterns(backend.circuit.inputs, 64, seed=99)
-        backend.batches = batches + [(extra, 64)]  # new pattern set
-        clone = pickle.loads(pickle.dumps(backend))
-        assert backend._batches_blob is not first_blob  # stale blob dropped
-        clone.prepare()
-        assert clone.batches == backend.batches  # workers see the new set
-
-    def test_blob_worker_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHIP_BYTES_MIN", 1)
-        blobs = [executors.ShippedBlob(list(range(100 + i)))
-                 for i in range(executors._BLOB_CACHE_MAX + 3)]
-        clones = [pickle.loads(pickle.dumps(b)) for b in blobs]
-        for blob, clone in zip(blobs, clones):
-            assert clone.load() == blob.load()
-        assert len(executors._blob_cache) <= executors._BLOB_CACHE_MAX
-        for blob in blobs:
-            blob.close()
-
-    def test_campaign_identity_with_shipping_forced(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHIP_BYTES_MIN", 64)
-        results = {}
-        for executor in ("serial", "process"):
-            backend, _ = self._backend()
-            report = run_campaign(
-                backend,
-                EngineConfig(batch_size=32, workers=2, executor=executor))
-            assert report.executor == executor
-            results[executor] = _rows(report)
-        assert results["serial"] == results["process"]
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +464,7 @@ class TestChunkRng:
         assert set(seeds).isdisjoint({chunk_seed(43, i) for i in range(64)})
 
     @pytest.mark.parametrize("executor,workers", [
-        ("serial", 1), ("thread", 3), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_seeded_backend_identical_everywhere(self, executor, workers):
         reference = run_campaign(
             NoisyBackend(), EngineConfig(batch_size=16, executor="serial",

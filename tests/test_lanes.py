@@ -42,7 +42,7 @@ from repro.soft_error.seu import _golden_run, inject_seu
 WIDTHS = (1, 7, 64)
 VECTOR_WIDTHS = (65, 192, 1000)
 BACKINGS = ("int", "soa")
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -729,20 +729,19 @@ class TestPersistentPool:
         circuit = load("rand_seq")
         workload = random_workload(circuit, 8, seed=7)
 
-        def campaign(reuse):
+        def campaign(executor):
             return run_campaign(
                 SeuBackend(circuit.copy(), workload, lane_width=1),
-                EngineConfig(batch_size=8, workers=2, executor="process",
-                             reuse_pool=reuse))
+                EngineConfig(batch_size=8, workers=2, executor=executor))
 
-        fresh = campaign(False)
-        assert not executors_mod._pool_registry  # one-shot pool torn down
-        first = campaign(True)
+        serial = campaign("serial")
+        assert not executors_mod._pool_registry  # serial spawns nothing
+        first = campaign("process")
         pool = executors_mod._pool_registry.get(2)
         assert pool is not None
-        second = campaign(True)
+        second = campaign("process")
         assert executors_mod._pool_registry.get(2) is pool  # reused
-        assert _rows(fresh) == _rows(first) == _rows(second)
+        assert _rows(serial) == _rows(first) == _rows(second)
         shutdown_pools()
         assert not executors_mod._pool_registry
 

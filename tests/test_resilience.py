@@ -4,7 +4,7 @@ Covers: crash-consistent chunk checkpointing in CampaignDb (WAL, busy
 timeout, idempotent chunk records, schema migration), kill-and-resume
 identity (in-process aborts across executors × lane widths × early
 stop, plus a real SIGKILL'd subprocess), chunk retry with backoff and
-quarantine driven by ChaosBackend, the process → thread → serial
+quarantine driven by ChaosBackend, the process → serial
 recovery ladder, chunk timeouts, and the executor drain path's
 suppressed-error aggregation.
 """
@@ -19,6 +19,7 @@ import tempfile
 import textwrap
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -192,7 +193,7 @@ class TestResume:
             run_campaign(_backend(), other, db=db,
                          resume=report.campaign_id)
         # different workers / executor / retry policy is legitimate
-        relaxed = EngineConfig(batch_size=16, executor="thread", workers=2,
+        relaxed = EngineConfig(batch_size=16, executor="process", workers=2,
                                max_chunk_retries=5)
         resumed = resume_campaign(_backend(), report.campaign_id, relaxed,
                                   db=db)
@@ -247,7 +248,7 @@ class TestResume:
     @settings(max_examples=12, deadline=None)
     @given(
         kill_after=st.integers(min_value=1, max_value=6),
-        executor=st.sampled_from(["serial", "thread", "process"]),
+        executor=st.sampled_from(["serial", "process"]),
         lane_width=st.sampled_from([1, 64, 256]),
         early_stop=st.booleans(),
     )
@@ -353,6 +354,17 @@ def _chaos(mode, failures, lane_width=1, point_index=20, **kwargs):
                         **kwargs)
 
 
+def _warm_timeout(executor):
+    """A ``chunk_timeout`` only a hang can exceed: on the pool, a cold
+    worker's spawn + imports + ``prepare()`` land on its first chunk, so
+    spawn it on a clean campaign first and leave it a wider deadline."""
+    if executor != "process":
+        return 0.4
+    run_campaign(_backend(), EngineConfig(batch_size=8, executor="process",
+                                          workers=2))
+    return 1.0
+
+
 RETRY_CONFIG = EngineConfig(batch_size=8, executor="serial",
                             max_chunk_retries=2, retry_backoff_s=0.001)
 
@@ -437,31 +449,36 @@ class TestRetryAndQuarantine:
 
     def test_die_in_worker_walks_ladder_and_recovers(self, caplog):
         config = EngineConfig(batch_size=8, executor="process", workers=2,
-                              max_chunk_retries=2, retry_backoff_s=0.001,
-                              reuse_pool=False)
+                              max_chunk_retries=2, retry_backoff_s=0.001)
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
             report = run_campaign(_chaos("die", failures=1), config)
         reference = run_campaign(
             _backend(), EngineConfig(batch_size=8, executor="serial"))
         assert _signature(report) == _signature(reference)
-        assert report.executor == "thread"  # degraded exactly one rung
+        assert report.executor == "serial"  # the one step down
         assert report.retried_chunks >= 1
         assert not report.quarantined
-        assert any("falling back" in r.message for r in caplog.records)
+        assert sum("falling back" in r.message for r in caplog.records) == 1
+        assert 2 not in executors._pool_registry  # broken pool evicted
 
     def test_hung_chunk_times_out_and_recovers(self, caplog):
-        config = EngineConfig(batch_size=8, executor="thread", workers=2,
-                              chunk_timeout=0.4, max_chunk_retries=2,
-                              retry_backoff_s=0.001)
-        with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            report = run_campaign(
-                _chaos("hang", failures=1, hang_s=2.0), config)
         reference = run_campaign(
             _backend(), EngineConfig(batch_size=8, executor="serial"))
-        assert _signature(report) == _signature(reference)
-        assert report.executor == "serial"  # thread rung abandoned
-        assert report.retried_chunks == 1
-        assert any("timed out" in r.message for r in caplog.records)
+        # the pool abandons the hung worker and steps down; the serial
+        # rung abandons the chunk's deadline thread and stays
+        for executor, logged in (("process", "timed out"),
+                                 ("serial", "ChunkTimeout")):
+            config = EngineConfig(batch_size=8, executor=executor, workers=2,
+                                  chunk_timeout=_warm_timeout(executor),
+                                  max_chunk_retries=2, retry_backoff_s=0.001)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.engine"):
+                report = run_campaign(
+                    _chaos("hang", failures=1, hang_s=2.0), config)
+            assert _signature(report) == _signature(reference)
+            assert report.executor == "serial"
+            assert report.retried_chunks == 1
+            assert any(logged in r.message for r in caplog.records)
 
     def test_hang_without_timeout_fails_and_retries(self):
         # no chunk_timeout: the hang wakes up, raises, and the retry
@@ -483,7 +500,7 @@ class TestRetryAndQuarantine:
         with pytest.raises(AbortCampaign):
             run_campaign(_backend(), config, on_chunk=hook)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_accounting_oserror_propagates_raw(self, executor):
         # an OSError from the accounting path must not be mistaken for a
         # pool failure: pre-tagging, the ladder fed it to the retry loop
@@ -505,9 +522,40 @@ class TestRetryAndQuarantine:
         # parent-side retries honour chunk_timeout too: a chunk that
         # hangs deterministically must quarantine after its budget, not
         # block the campaign forever in the untimed retry loop
-        config = EngineConfig(batch_size=8, executor="thread", workers=2,
-                              chunk_timeout=0.4, max_chunk_retries=1,
-                              retry_backoff_s=0.001)
+        self._assert_hung_chunk_quarantined("process")
+
+    def test_chunk_timeout_holds_on_the_serial_rung(self):
+        # the serial rung is where the ladder ends: its *first* attempt
+        # at a chunk runs against the deadline too (it used to be
+        # untimed and waited out the hang) ...
+        self._assert_hung_chunk_quarantined("serial")
+
+        # ... and without a deadline it stays a plain inline call: no
+        # thread is spawned (the hung ones above may end any moment, so
+        # ask who runs the batch rather than count threads)
+        class SeesItsThread:
+            name, circuit_name, fault_model, workload = "t", "n", "f", "w"
+            seen = set()
+
+            def enumerate_points(self):
+                return list(range(4))
+
+            def prepare(self):
+                return None
+
+            def run_batch(self, points):
+                self.seen.add(threading.current_thread())
+                return [Injection(p, f"p{p}", 0, "masked") for p in points]
+
+        backend = SeesItsThread()
+        run_campaign(backend, EngineConfig(batch_size=2, executor="serial"))
+        assert backend.seen == {threading.current_thread()}
+
+    @staticmethod
+    def _assert_hung_chunk_quarantined(executor):
+        config = EngineConfig(batch_size=8, executor=executor, workers=2,
+                              chunk_timeout=_warm_timeout(executor),
+                              max_chunk_retries=1, retry_backoff_s=0.001)
         t0 = time.perf_counter()
         report = run_campaign(
             _chaos("hang", failures=None, hang_s=8.0), config)
@@ -583,22 +631,31 @@ class TestDrainAggregation:
         backend = StaggeredBackend()
         chunks = [[0, 1], [2, 3], [4, 5], [6, 7]]
         seeds = [executors.chunk_seed(0, i) for i in range(4)]
-        with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            source = executors.run_thread(backend, chunks, seeds, workers=2)
+        # _run_pool is pool-agnostic: a local thread pool makes the
+        # speculative failures land while chunk 0 is still running
+        with ThreadPoolExecutor(max_workers=2) as pool, \
+                caplog.at_level(logging.WARNING, logger="repro.engine"):
+            source = executors._run_pool(
+                pool, lambda i: pool.submit(executors.execute_chunk, backend,
+                                            chunks[i], seeds[i]),
+                len(chunks), 4, 0)
             assert [inj.point for inj in next(source)] == [0, 1]
             source.close()  # the consumer stops after chunk 0
         drained = [r for r in caplog.records if "suppressed" in r.message]
         assert drained and "ChaosError" in drained[0].message
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_consumer_error_reaches_the_caller_raw(self, executor):
         # accounting runs in the consumer's frame, between two next()
         # calls: its errors never pass through the executor, so they
         # cannot be mistaken for a pool failure — and the pool is still
         # drained (nothing in flight, no thread left) when they surface
         config = EngineConfig(batch_size=8, executor=executor, workers=2,
-                              max_chunk_retries=5, retry_backoff_s=0.001,
-                              reuse_pool=False)
+                              max_chunk_retries=5, retry_backoff_s=0.001)
+        if executor == "process":
+            # the persistent pool's own threads start with its first
+            # task and outlive the campaign: start them before counting
+            executors.persistent_pool(2).submit(int).result()
         before = threading.active_count()
         hook, seen = _abort_after(2)
         with pytest.raises(AbortCampaign):

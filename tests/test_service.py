@@ -7,6 +7,7 @@ was reassigned — produces a CampaignReport byte-identical to a serial
 ``run_campaign`` of the same (backend, config).
 """
 
+import gc
 import os
 import threading
 import time
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from repro.circuit import load
+from repro.circuit.library import random_combinational
 from repro.core import CampaignDb
 from repro.engine import (
     ChaosBackend,
@@ -22,6 +24,7 @@ from repro.engine import (
     EngineConfig,
     HostChaos,
     HostFault,
+    PpsfpBackend,
     SeuBackend,
     executors,
     run_campaign,
@@ -34,6 +37,8 @@ from repro.service import (
     LocalWorkerPool,
     run_service_campaign,
 )
+from repro.faults import collapse
+from repro.sim import random_patterns
 from repro.soft_error import random_workload
 
 N_CYCLES = 8  # 12 flops x 8 cycles = 96 points, 4 chunks of 24
@@ -286,6 +291,31 @@ class TestServiceIdentity:
         assert _signature(report) == _signature(serial)
         assert sum(w.chunks_executed for w in workers) >= 8
 
+    def test_large_pattern_ppsfp_job_survives_its_submitter(self, tmp_path):
+        # the job row carries the patterns inline (~400 KB here): it
+        # used to hold the path of a temp file the submitting backend
+        # owned, unlinked when that object — or its process — went away
+        def backend():
+            circuit = random_combinational(48, 600, seed=9)
+            faults, _ = collapse(circuit)
+            batches = [(random_patterns(circuit.inputs, 4096, seed=b), 4096)
+                       for b in range(16)]
+            return PpsfpBackend(circuit, faults[:200], batches)
+
+        config = _config(batch_size=50)
+        serial = run_campaign(backend(), config)
+        db_path = tmp_path / "s.sqlite"
+        submitted = backend()
+        with CampaignQueue(db_path) as queue:
+            job_id = queue.submit(submitted, config)
+        del submitted
+        gc.collect()
+        CampaignWorker(db_path, worker_id="solo").run()
+        with CampaignQueue(db_path) as queue:
+            job = queue.poll(job_id)
+            assert job.state == "done", job
+            assert _signature(queue.result(job_id)) == _signature(serial)
+
     def test_quarantine_flows_through_the_service(self, tmp_path):
         """A persistently failing chunk ends up quarantined — the same
         first-class 'failed' stratum a serial run reports."""
@@ -386,7 +416,7 @@ def _broken_setup() -> BrokenSetup:
 
 
 class TestSetupFailure:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_engine_raises_it_on_every_executor(self, executor):
         # (on the persistent process pool the worker-side raise used to
         # be retried and quarantined chunk by chunk into a "successful"

@@ -291,8 +291,7 @@ class TestConeGates:
     @staticmethod
     def _check(circuit, starts):
         cone = _cone_gates(circuit, starts)
-        # one BFS per start: a multi-seed fanout_cone stops at a flop Q
-        # it reached through that flop's D even when the Q is a seed too
+        # one BFS per start: the reference shares no multi-seed logic
         reference = {net for start in starts
                      for net in fanout_cone(circuit, [start],
                                             through_flops=False)

@@ -154,6 +154,15 @@ class TestSoaPrograms:
         assert sc.gates > 0
         assert sc.scratch_bytes == 0
 
+    def test_fusion_amortises_on_wide_levels(self):
+        # the retired smoke bench's fusion floor, on its circuit: wide
+        # levels (~130 live gates each) must cost at most one numpy call
+        # per four gates, or the kernel has stopped batching by level
+        circuit = random_sequential(n_inputs=80, n_gates=12800, n_flops=320,
+                                    seed=3)
+        st_ = compiled.soa_step_program(circuit, 1024).stats
+        assert st_.fused_ops * 4 <= st_.gates
+
 
 # ----------------------------------------------------------------------
 # engine lanes on the SoA backing
