@@ -760,17 +760,21 @@ def seu_outcomes(ctx: LaneContext,
 def transient_outcomes(
     ctx: LaneContext,
     points: Sequence[tuple[Any, int]],
-    inject: Callable[[Any, int], tuple[bool, Mapping[str, int]]],
+    inject: Callable[[Any, int], tuple[bool, Sequence[str]]],
 ) -> list[str]:
     """Classify up to ``ctx.width`` transient injections in one packed run.
 
-    ``inject(fault, cycle)`` performs the backend-specific injection
-    cycle against golden data and returns ``(failed_now, state_delta)``:
-    whether a primary output already differs in the injection cycle, and
-    the per-flop XOR the perturbation leaves on the state entering
-    ``cycle + 1``.  Points that fail immediately, leave no perturbation
-    (masked), or perturb only the post-workload state (latent) are
-    resolved without a lane; the rest share one packed propagation.
+    ``inject(fault, cycle)`` answers for the backend-specific injection
+    cycle against golden data with ``(failed_now, perturbed)``: whether
+    a primary output already differs in the injection cycle, and the
+    flops whose state entering ``cycle + 1`` the fault leaves flipped.
+    It is called once per point, in point order, and may answer from
+    anything the backend computed for several points at once
+    (:class:`repro.engine.workloads.SlicingBackend` reads one bit per
+    point off a per-fault word covering a whole window of cycles).
+    Points that fail immediately, leave no perturbation (masked), or
+    perturb only the post-workload state (latent) are resolved without
+    a lane; the rest share one packed propagation.
     """
     if len(points) > ctx.width:
         raise ValueError(f"{len(points)} points exceed lane width "
@@ -780,16 +784,17 @@ def transient_outcomes(
     start = ctx.n_cycles
     lane_of: list[int] = []
     for i, (fault, cyc) in enumerate(points):
-        if cyc < 0:
+        if not 0 <= cyc < ctx.n_cycles:
             # a negative index would silently wrap into golden data here
-            # (and in the per-point reference) — refuse loudly instead
-            raise ValueError(f"injection cycle {cyc} is negative")
-        failed_now, delta = inject(fault, cyc)
+            # (and in the per-point reference), one past the workload
+            # has no golden data to inject against — refuse loudly
+            raise ValueError(f"injection cycle {cyc} is outside the "
+                             f"{ctx.n_cycles}-cycle workload")
+        failed_now, perturbed = inject(fault, cyc)
         if failed_now:
             outcomes[i] = FAILURE
             continue
-        hot = [q for q, bit in delta.items() if bit]
-        if not hot:
+        if not perturbed:
             outcomes[i] = MASKED
             continue
         if cyc + 1 >= ctx.n_cycles:
@@ -797,7 +802,7 @@ def transient_outcomes(
             continue
         lane_mask = 1 << len(lane_of)
         per_cycle = flips.setdefault(cyc + 1, {})
-        for q in hot:
+        for q in perturbed:
             per_cycle[q] = per_cycle.get(q, 0) | lane_mask
         start = min(start, cyc + 1)
         lane_of.append(i)

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from ..circuit.levelize import fanout_cone
+from ..circuit import levelize
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
+from ..sim import fault_sim
+from ..sim.logic import mask_of, pack_patterns
 from . import lanes
 from .core import Injection
 from .executors import chunk_seed
@@ -359,18 +361,35 @@ class SlicingBackend:
     Points are ``(fault, cycle)`` pairs classified by
     :func:`repro.safety.slicing._simulate_injection` against the golden
     trace.  With ``use_filter=True`` the two slicing skip rules run in
-    the engine's point-filter stage: *no structural path* (the static
-    fan-out cone reaches no observable — masked for every cycle) and
-    *no activation* (the golden value at the fault site already equals
-    the forced value at that cycle — machines identical, masked).  Both
-    are provably lossless, so filtered campaigns classify byte-identical
-    to unfiltered ones while skipping most of the simulation cost.
+    the engine's point-filter stage: *no structural path* (the fault
+    site is outside the fan-in cone of the observables — it can never
+    fail) and *no activation* (the golden value at the fault site
+    already equals the forced value at that cycle — machines identical,
+    masked).  Both answer ``masked`` without simulating, so a filtered
+    campaign skips most of the simulation cost and classifies as the
+    unfiltered one does — with one known gap, pinned by a strict xfail
+    in ``tests/test_slicing_kernel.py``: a no-path site that still
+    reaches a flop can leave dead state perturbed at the end of the
+    workload, which the reference calls ``latent``.
 
-    ``lane_width`` > 1 packs the multi-cycle propagation of surviving
-    state perturbations into bit lanes, at any width; ``lane_backing``
-    names the carrier (``"int"``, ``"soa"``, or ``None`` for the auto
-    rule of :func:`repro.engine.lanes.resolve_backing`) and any other
-    name raises ``ValueError`` at construction.
+    ``lane_width`` > 1 is the packed path, and it packs twice.  Along
+    *time*: ``prepare()`` lays the golden net values of consecutive
+    cycles side by side, one word per net per window of at most
+    :data:`repro.sim.fault_sim.WINDOW_BITS` cycles (bit *t* = cycle *t*
+    of the window), so one ``faulty_values`` walk over a window is the
+    injection cycle of a fault at every cycle of it — a chunk evaluates
+    each distinct fault once per window holding one of its cycles, and
+    every point's ``(failed_now, perturbed flops)`` is a bit read (the
+    filter reads its no-activation bit off the same words).  Along
+    *lanes*: the state perturbations that survive the injection cycle
+    share one multi-cycle propagation per ``lane_width`` points
+    (:func:`repro.engine.lanes.transient_outcomes`).
+    ``lane_width=1`` runs ``_simulate_injection`` point by point: the
+    reference both packings are tested against.  ``lane_backing`` names
+    the lane carrier (``"int"``, ``"soa"``, or ``None`` for the auto
+    rule of :func:`repro.engine.lanes.resolve_backing`); any other name
+    raises ``ValueError`` at construction, as does an injection cycle
+    outside the workload.
     """
 
     name = "slicing"
@@ -388,11 +407,15 @@ class SlicingBackend:
         self.stimuli = list(stimuli)
         self.cycles = list(cycles if cycles is not None
                            else range(len(self.stimuli)))
-        if any(cyc < 0 for cyc in self.cycles):
+        if any(not 0 <= cyc < len(self.stimuli) for cyc in self.cycles):
             # a negative cycle would silently wrap into golden-run data
-            # (differently per lane width) — reject it up front so every
-            # path behaves identically
-            raise ValueError(f"negative injection cycles in {self.cycles}")
+            # (differently per lane width) and one past the workload
+            # reads a 0 bit off the packed words where the per-point
+            # path raises IndexError — reject both up front, in the
+            # parent, so every path behaves identically
+            raise ValueError(
+                f"injection cycles outside the {len(self.stimuli)}-cycle "
+                f"workload in {self.cycles}")
         self.use_filter = use_filter
         self.lane_width = lanes.resolve_lane_width(lane_width)
         lanes.check_backing(lane_backing)  # in the parent, not a worker
@@ -400,6 +423,8 @@ class SlicingBackend:
         self.workload = (f"slicing[{len(self.stimuli)} cycles, "
                          f"{'sliced' if use_filter else 'naive'}]")
         self._golden: tuple[list, list] | None = None
+        self._windows: tuple[int, list[tuple[dict[str, int], int]]] | None \
+            = None
         self._lane_ctx: lanes.LaneContext | None = None
 
     def enumerate_points(self) -> Sequence[tuple[StuckAtFault, int]]:
@@ -410,6 +435,15 @@ class SlicingBackend:
             from ..safety.slicing import _golden_states
 
             self._golden = _golden_states(self.circuit, self.stimuli)
+            # cycle-packed golden words: ``(span, [(good, mask), ...])``,
+            # cycle c is bit ``c % span`` of window ``c // span``
+            values = self._golden[1]
+            span = fault_sim.WINDOW_BITS
+            spans = [values[base:base + span]
+                     for base in range(0, len(values), span)]
+            self._windows = (span, [
+                (pack_patterns(cycles), mask_of(len(cycles)))
+                for cycles in spans])
         if self.lane_width > 1 and self._lane_ctx is None:
             # the lane context replicates the golden pass already held in
             # ``_golden`` — no second golden simulation
@@ -424,38 +458,51 @@ class SlicingBackend:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_golden"] = None  # workers re-run the golden pass
+        state["_windows"] = None
         state["_lane_ctx"] = None
         return state
 
     def filter_points(self, points: Sequence[tuple[StuckAtFault, int]]
                       ) -> tuple[list, list[Injection]]:
-        """The slicing skip rules, engine-side (runs after prepare())."""
+        """The slicing skip rules, engine-side (runs after prepare()).
+
+        One backward sweep from the observables (through flops) settles
+        *no path* for every net at once; *no activation* at cycle ``c``
+        is bit ``c`` of ``golden word ^ forced word`` being clear.  Per
+        distinct fault the site is looked up, XORed and described once.
+        """
         if not self.use_filter:
             return list(points), []
-        _states, values = self._golden
-        observables = set(self.circuit.outputs)
-        reach_cache: dict[str, bool] = {}
-
-        def reaches_out(net: str) -> bool:
-            if net not in reach_cache:
-                cone = fanout_cone(self.circuit, [net], through_flops=True)
-                reach_cache[net] = bool(cone & observables)
-            return reach_cache[net]
-
+        span, windows = self._windows
+        observable = levelize.fanin_cone(
+            self.circuit, self.circuit.outputs, through_flops=True)
+        #: fault -> (location, per-window activation words | None: no path)
+        sites: dict[StuckAtFault, tuple[str, list[int] | None]] = {}
         kept: list[tuple[StuckAtFault, int]] = []
         skipped: list[Injection] = []
-        for fault, cyc in points:
-            line = fault.line
-            if not reaches_out(line.net):
-                skipped.append(Injection(
-                    point=(fault, cyc), location=fault.describe(), cycle=cyc,
-                    outcome="masked", detail=SKIP_NO_PATH))
-            elif (values[cyc].get(line.net, 0) & 1) == fault.value:
-                skipped.append(Injection(
-                    point=(fault, cyc), location=fault.describe(), cycle=cyc,
-                    outcome="masked", detail=SKIP_NO_ACTIVATION))
+        last = None
+        for point in points:
+            fault, cyc = point
+            if fault is not last:
+                # hashing a fault costs what describing it did, so a
+                # fault-major run of points looks its site up once
+                last = fault
+                site = sites.get(fault)
+                if site is None:
+                    net = fault.line.net
+                    site = sites[fault] = (fault.describe(), [
+                        good.get(net, 0) ^ (mask if fault.value else 0)
+                        for good, mask in windows]
+                        if net in observable else None)
+                location, active = site
+            if active is None:
+                skipped.append(Injection(point, location, cyc, "masked",
+                                         SKIP_NO_PATH))
+            elif not active[cyc // span] >> (cyc % span) & 1:
+                skipped.append(Injection(point, location, cyc, "masked",
+                                         SKIP_NO_ACTIVATION))
             else:
-                kept.append((fault, cyc))
+                kept.append(point)
         return kept, skipped
 
     def run_batch(self, points: Sequence[tuple[StuckAtFault, int]]
@@ -474,48 +521,66 @@ class SlicingBackend:
                                  outcome=cls))
         return out
 
-    def _inject_once(self, fault: StuckAtFault,
-                     cyc: int) -> tuple[bool, dict[str, int]]:
-        """The injection cycle of one transient, against golden data.
+    def _inject_window(self, fault: StuckAtFault, good: Mapping[str, int],
+                       mask: int) -> tuple[int, dict[str, int]]:
+        """The injection cycle of one fault at every cycle of a window.
 
-        Returns ``(failed_now, state_delta)``: whether a primary output
-        already differs in the injection cycle, and the per-flop XOR the
-        fault leaves on the state entering ``cyc + 1`` — exactly the
-        first loop iteration of :func:`repro.safety.slicing
-        ._simulate_injection` (including the flop-branch ``__flopD__``
-        capture rule)."""
-        from ..sim.fault_sim import faulty_values
-
-        _states, values = self._golden
-        good = values[cyc]
-        vals = faulty_values(self.circuit, fault, good, 1)
-        failed_now = any(vals.get(po, 0) != good.get(po, 0)
-                         for po in self.circuit.outputs)
-        if failed_now:
-            return True, {}
+        Returns ``(failed, deltas)``: the cycles (bits) in which a
+        primary output differs from golden in the injection cycle, and
+        per flop whose captured value changed in some cycle the word of
+        those cycles — bit for bit the first loop iteration of
+        :func:`repro.safety.slicing._simulate_injection` (including the
+        flop-branch ``__flopD__`` capture rule), for all cycles of the
+        window in one walk of the fault's cone.  A window in which the
+        site's golden word already is the forced word never activates
+        the fault and is not walked.
+        """
         line = fault.line
-        delta: dict[str, int] = {}
+        if good.get(line.net, 0) == (mask if fault.value else 0):
+            return 0, {}
+        vals = fault_sim.faulty_values(self.circuit, fault, good, mask)
+        failed = 0
+        for po in self.circuit.outputs:
+            failed |= vals.get(po, 0) ^ good.get(po, 0)
+        pin = None if line.is_stem else line.sink  # branch into a flop D?
+        deltas: dict[str, int] = {}
         for q, flop in self.circuit.flops.items():
-            if not line.is_stem and line.sink == q:
-                captured = vals.get(f"__flopD__{q}", vals[flop.d])
-            else:
-                captured = vals[flop.d]
-            delta[q] = (captured ^ good[flop.d]) & 1
-        return False, delta
+            d = flop.d
+            captured = (vals.get(f"__flopD__{q}", vals[d]) if q == pin
+                        else vals[d])
+            word = captured ^ good[d]
+            if word:
+                deltas[q] = word
+        return failed, deltas
 
     def _run_batch_packed(self, points: Sequence[tuple[StuckAtFault, int]]
                           ) -> list[Injection]:
-        """Lane-packed path: each point's injection cycle runs 1-wide
-        (fault forcing differs per lane), but the multi-cycle
-        propagation of the surviving state perturbations — the dominant
-        cost — is shared across up to ``lane_width`` lanes."""
+        """Packed path: one :meth:`_inject_window` per distinct (fault,
+        window) of the chunk — the memo lives for this call only — then
+        per point a bit read, and the multi-cycle propagation of the
+        surviving state perturbations shared across up to ``lane_width``
+        lanes."""
+        span, windows = self._windows
+        walked: dict[tuple[StuckAtFault, int],
+                     tuple[int, dict[str, int]]] = {}
+
+        def inject(fault: StuckAtFault, cyc: int) -> tuple[bool, list[str]]:
+            index, bit = divmod(cyc, span)
+            words = walked.get((fault, index))
+            if words is None:
+                words = walked[fault, index] = self._inject_window(
+                    fault, *windows[index])
+            failed, deltas = words
+            if failed >> bit & 1:
+                return True, []
+            return False, [q for q, word in deltas.items() if word >> bit & 1]
+
         outcomes = lanes.packed_dispatch(
             points, self.lane_width, lambda p: p[1],
             lambda group: lanes.transient_outcomes(
-                self._lane_ctx, group, self._inject_once))
-        return [Injection(point=(fault, cyc), location=fault.describe(),
-                          cycle=cyc, outcome=outcomes[i])
-                for i, (fault, cyc) in enumerate(points)]
+                self._lane_ctx, group, inject))
+        return [Injection(point, point[0].describe(), point[1], outcome)
+                for point, outcome in zip(points, outcomes)]
 
 
 # ----------------------------------------------------------------------
