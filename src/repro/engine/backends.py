@@ -129,15 +129,19 @@ class SeuBackend:
     sequential run via :mod:`repro.engine.lanes`: bit-lane *i* carries
     fault instance *i* and outcomes come back per lane by XOR against
     the golden trace — byte-identical to the per-point path, ~W× fewer
-    circuit evaluations, and only over the cycles in which some lane is
-    still undecided (the busy window, see :mod:`repro.engine.lanes`).
+    circuit evaluations, and only while some lane is still undecided:
+    on the default int carrier every lane runs on its own clock from
+    its own injection cycle, so a group costs as many steps as its
+    slowest lane needs to fail or re-converge (a dozen, not the span of
+    its injection cycles; see :mod:`repro.engine.lanes`).
     ``lane_width=1`` keeps the per-point
     :func:`inject_seu` path for parity testing.  ``lane_backing`` names
     the carrier of the packed word: ``"int"`` (a big int, any width),
     ``"soa"`` (the level-batched SoA kernel) or ``None`` — auto, which
     picks SoA from 1024 lanes on circuits with wide levels and ints
     otherwise (:func:`repro.engine.lanes.resolve_backing`); any other
-    name raises ``ValueError`` here, not in a worker.  Without numpy
+    name raises ``ValueError`` here, not in a worker — as does a
+    ``targets`` entry that is not a flop of the circuit.  Without numpy
     widths above 64 degrade to 64 with a logged warning.  Outcomes are
     byte-identical at every width and backing.
 
@@ -171,6 +175,13 @@ class SeuBackend:
         self.stimuli = list(stimuli)
         self.workload = f"seu[{len(self.stimuli)} cycles]"
         self.targets = list(targets if targets is not None else circuit.flops)
+        # rejected here, in the parent: in run_batch an unknown name is a
+        # KeyError that retries and then quarantines the whole chunk,
+        # its valid points included
+        unknown = [q for q in self.targets if q not in circuit.flops]
+        if unknown:
+            raise ValueError(f"SEU targets {unknown} are not flops of "
+                             f"{circuit.name}")
         self.cycles = list(cycles if cycles is not None
                            else range(len(self.stimuli)))
         self.skip_dead_flops = skip_dead_flops

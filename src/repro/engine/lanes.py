@@ -4,32 +4,38 @@ The packed-pattern trick that makes PPSFP cheap — one Python int carries
 one net across *n* patterns — applies just as well across *injections*:
 a chunk of up to ``DEFAULT_LANE_WIDTH`` injection points is simulated in
 **one** sequential run where bit-lane *i* carries fault instance *i*.
-All lanes share the stimulus (replicated bits), start from the golden
-state, and diverge only when their own fault is injected, which for the
-sequential fault models in this toolkit is a per-lane XOR of the flop
-state (:meth:`repro.sim.sequential.SequentialSim.flip_state` with a
+All lanes replay the same workload from the golden state and diverge
+only when their own fault is injected, which for the sequential fault
+models in this toolkit is a per-lane XOR of the flop state
+(:meth:`repro.sim.sequential.SequentialSim.flip_state` with a
 ``pattern_mask``).  Outcomes come back per lane by XOR against the
-replicated golden trace:
+golden trace:
 
 * **failure** — the lane's primary-output bits differ from golden in
   some cycle;
 * **latent**  — outputs match but the lane's final state differs;
 * **masked**  — neither.
 
-The cost of a packed run is one circuit evaluation per *executed* cycle
+The cost of a packed run is one circuit evaluation per *executed* step
 regardless of lane count (Python bigint bitwise ops are width-insensitive
 at these sizes), so a ``W``-lane run replaces ``W`` sequential
-resimulations — and only the **busy window** is executed.  An injected
-lane is decided within a few cycles of its flip (its primary outputs
-have diverged: ``failure``, sticky; or its state is back on the golden
-state: ``masked``), so after every cycle with no flip due next the
-walker (:func:`_walk`) tests whether any lane is still undecided.  If
-none is, every unfailed lane is bit-for-bit golden and stays golden
-until its next flip, and a failed lane stays failed whatever it does, so
-the walk jumps to the next scheduled flip — re-seeding the state from
-the golden entering-state kept in the :class:`LaneContext`, a checkpoint
-restore — or stops when no flip remains (then no lane is latent).  A
-schedule with a flip every cycle never pays for the test.
+resimulations — and only the steps in which some lane is still
+**undecided** are executed.  An injected lane is decided within a few
+cycles of its flip: its primary outputs have diverged (``failure``,
+sticky), or its state is back on the golden state, from where its whole
+future is golden (``masked``).  Each carrier spends that fact its own
+way.  On the packed-int carrier every lane runs on **its own clock**
+(:func:`_propagate_skewed`): lane *i*, flipped at cycle ``s_i``, is at
+cycle ``s_i + t`` at walk step *t*, fed that cycle's golden stimulus
+bit and compared against that cycle's golden output and state bits, so
+all lanes flip at step 0 and a walk lasts as long as its *slowest lane*
+takes to be decided — a dozen steps, wherever in the workload the flips
+fall.  The SoA carrier keeps one clock per column band and executes the
+band's **busy window** (:func:`_walk`): after every cycle with no flip
+due next it tests whether any lane is still undecided; if none is, the
+walk jumps to the next scheduled flip — re-seeding the state from the
+golden entering-state kept in the :class:`LaneContext`, a checkpoint
+restore — or stops when no flip remains (then no lane is latent).
 
 Two **carriers** hold the packed word, and one function
 (:func:`resolve_backing`, called once per :func:`build_context`) picks
@@ -47,7 +53,8 @@ the state matrix, whose complement mirror is refreshed at the top of
 every step) and outcome recovery is a vectorized XOR against the golden
 trace; both carriers are byte-identical to the 64-lane and 1-lane
 references, and to the reference interpreter that runs underneath them
-when compilation is off.  The SoA lane word is additionally walked in
+— every cycle from the first flip to the end of the workload — when
+compilation is off.  The SoA lane word is additionally walked in
 fixed-width **column bands** (:data:`SOA_BAND_BLOCKS`): each band has
 its own slice of the flip schedule and its own busy window, so a
 4096-lane group whose cycle-sorted lanes flip a few dozen per cycle
@@ -69,11 +76,12 @@ so outcome multisets are byte-identical at every lane width.
 from __future__ import annotations
 
 import logging
+import struct
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_, xor
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
 from ..sim import compiled as _compiled
@@ -143,14 +151,15 @@ def packed_dispatch(
 ) -> list[str]:
     """Group ``points`` into lanes and classify them, in point order.
 
-    Points are visited by ascending injection cycle so each packed run
-    starts at its group's earliest cycle (lanes are golden before their
-    flip, so nothing earlier needs simulating), a group's flips fall in
-    a short run of cycles and neighbouring lanes flip together (what
-    keeps the busy window of a run — and of each SoA column band —
-    short), but the returned
+    Points are visited by ascending injection cycle, but the returned
     outcome list follows the original point order — what ``run_batch``
-    must preserve for executor-identity.
+    must preserve for executor-identity.  The sort is what keeps the
+    busy window of each SoA column band short: a group's flips fall in
+    a short run of cycles and neighbouring lanes flip together.  The
+    int carrier, whose lanes each run on their own clock, executes the
+    same number of steps in any order; it only gathers its golden words
+    a little cheaper when neighbouring lanes share a cycle or follow
+    each other by one.
     """
     order = sorted(range(len(points)), key=lambda i: cycle_of(points[i]))
     outcomes: list[str | None] = [None] * len(points)
@@ -169,7 +178,9 @@ class LaneContext:
     rebuild it): the stimulus and the golden PO trace replicated across
     ``width`` lanes, plus the 1-bit golden state *entering* each cycle
     (what a packed run starting mid-workload is seeded from) and the
-    1-bit golden final state (the latent check reference).
+    1-bit golden final state (the latent check reference).  Each
+    compiled carrier derives its own layout of these lazily
+    (:meth:`golden_table`, :meth:`raw_views_soa`).
     """
 
     circuit: Circuit
@@ -183,10 +194,14 @@ class LaneContext:
     #: big int — any width) or ``"soa"`` (the level-batched
     #: structure-of-arrays kernel).
     backing: str = "int"
-    #: Work the busy-window walker actually did on this context (see
-    #: :func:`_walk`): cycles executed, golden cycles jumped over
-    #: between flips, walks that returned before the last workload
-    #: cycle, quiescence tests paid for, and SoA column bands walked.
+    #: Work the walkers actually did on this context: steps executed;
+    #: cycles between a walk's first flip and the end of the workload
+    #: that it did not execute (``steps_run + cycles_skipped`` is the
+    #: full-length count); walks that returned before the last workload
+    #: cycle; and, on the SoA carrier only (:func:`_walk`), quiescence
+    #: tests paid for and column bands walked.  The int carrier
+    #: (:func:`_propagate_skewed`) compares states after every step and
+    #: has no bands, so it leaves those two at zero.
     steps_run: int = 0
     cycles_skipped: int = 0
     early_exits: int = 0
@@ -207,28 +222,46 @@ class LaneContext:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    # Raw views aligned with the circuit's compiled StepProgram slots
-    # (stimulus/trace/state tuples instead of dicts), built lazily on
-    # the first compiled propagation and dropped if the program cache is
-    # invalidated.  They let `propagate` drive the generated step
-    # function directly — per-cycle dict packing/unpacking disappears.
-    # ``states`` has ``n_cycles + 1`` entries: the golden state entering
-    # each cycle, then the golden final state ("entering" the cycle
-    # after the workload), so the quiescence test and the latent check
-    # are the same comparison.
-    def raw_views(self, program) -> tuple:
-        cached = getattr(self, "_raw", None)
+    def golden_table(self, program) -> tuple:
+        """The golden run as one strided word per cycle, for the
+        time-skewed int walker (:func:`_propagate_skewed`).
+
+        ``table[cycle]`` has one 64-bit field per *row* — the program's
+        inputs, then its outputs, then its flops — whose bit 0 is that
+        net's golden bit in ``cycle`` (for a flop: of the state
+        *entering* it), so ``table[cycle] * m`` is the golden word of
+        every row at once for the lanes ``m < 2**64`` of one block.
+        There are ``n_cycles + 1`` entries: the last carries the golden
+        final state ("entering" the cycle after the workload), so the
+        quiescence test and the latent check are the same comparison.
+        Built lazily on the first compiled propagation and rebuilt if
+        the program cache was invalidated.  Returns ``(table, unit,
+        fields)``: ``unit`` has bit 0 of every field set, ``fields`` is
+        the :class:`struct.Struct` that splits a strided word into its
+        rows.
+        """
+        cached = getattr(self, "_table", None)
         if cached is not None and cached[0] is program:
             return cached[1:]
-        stim = [tuple(cyc.get(pi, 0) for pi in program.inputs)
-                for cyc in self.rep_stimuli]
-        trace = [tuple(cyc[po] for po in program.outputs)
-                 for cyc in self.rep_trace]
-        mask = self.mask
-        states = [tuple(mask if st[q] else 0 for q in program.flop_qs)
-                  for st in self.states + [self.final_state]]
-        self._raw = (program, stim, trace, states)
-        return stim, trace, states
+        one, zero = (1).to_bytes(8, "little"), bytes(8)
+
+        def strided(*bit_rows) -> int:
+            return int.from_bytes(b"".join(
+                one if bit else zero for bits in bit_rows for bit in bits),
+                "little")
+
+        table = [strided([stim.get(pi, 0) for pi in program.inputs],
+                         [trace[po] for po in program.outputs],
+                         [state[q] for q in program.flop_qs])
+                 for stim, trace, state in zip(
+                     self.rep_stimuli, self.rep_trace, self.states)]
+        n_io = len(program.inputs) + len(program.outputs)
+        table.append(strided([0] * n_io, [self.final_state[q]
+                                          for q in program.flop_qs]))
+        n_rows = n_io + len(program.flop_qs)
+        self._table = (program, table, strided([1] * n_rows),
+                       struct.Struct(f"<{n_rows}Q"))
+        return self._table[1:]
 
     def raw_views_soa(self, program) -> tuple:
         """Column raw views for the SoA backing.
@@ -238,7 +271,7 @@ class LaneContext:
         at every width by broadcasting: ``stim[cycle]`` is assigned
         into the state matrix's PI rows, ``trace[cycle]`` is XORed
         against the gathered outputs, ``states[cycle]`` seeds (and is
-        compared against) the flop rows.  As in :meth:`raw_views`,
+        compared against) the flop rows.  As in :meth:`golden_table`,
         ``states`` ends with the golden final state.  (All-ones rather
         than the lane mask: the dead lanes of a partial block are then
         golden lanes like any other instead of garbage.)
@@ -265,14 +298,16 @@ class LaneContext:
 def log_walk_summary(name: str, ctx: LaneContext | None) -> None:
     """One debug line with the walker counters of a backend's context
     (backends call this from their ``campaign_finished`` hook; a
-    process-pool parent, whose workers did the walking, stays quiet)."""
+    process-pool parent, whose workers did the walking, stays quiet).
+    Only the counters the context's carrier produces are printed."""
     if ctx is not None and ctx.steps_run:
+        soa_only = (f", {ctx.quiescence_tests} quiescence tests, "
+                    f"{ctx.bands_run} bands" if ctx.backing == "soa" else "")
         log.debug(
             "%s lanes[%s x%d]: %d steps run, %d golden cycles skipped, "
-            "%d early exits, %d quiescence tests, %d bands",
+            "%d early exits%s",
             name, ctx.backing, ctx.width, ctx.steps_run,
-            ctx.cycles_skipped, ctx.early_exits, ctx.quiescence_tests,
-            ctx.bands_run)
+            ctx.cycles_skipped, ctx.early_exits, soa_only)
 
 
 def build_context(
@@ -392,13 +427,15 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     the replicated golden entering-state loses nothing; flips scheduled
     before ``start`` or past the workload never fire.
 
-    Both carriers simulate only the **busy window** (:func:`_walk`): a
-    cycle is executed only while some lane is still undecided.  With
-    compilation off (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``,
-    possibly entered after the context was built) neither carrier has a
-    program and the reference interpreter below runs every cycle from
-    ``start`` to the end of the workload — the full-length reference
-    the walker is tested against.
+    Both carriers execute a step only while some lane is still
+    undecided — the int carrier with every lane on its own clock
+    (:func:`_propagate_skewed`), the SoA carrier over the busy window of
+    each column band (:func:`_walk`).  With compilation off
+    (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``, possibly entered
+    after the context was built) neither carrier has a program and the
+    reference interpreter below runs every cycle from ``start`` to the
+    end of the workload — the full-length reference both walkers are
+    tested against.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
@@ -412,14 +449,7 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     if program is not None:
         if soa:
             return _propagate_soa(ctx, program, flips, start, n_lanes)
-        cycles = _flip_cycles(ctx, flips, start)
-        if not cycles:
-            return 0, 0
-        carrier = _IntCarrier(ctx, program, flips, lanes & mask)
-        settled = _walk(ctx, carrier, cycles)
-        fail = carrier.fail & lanes
-        latent = 0 if settled else carrier.diff(ctx.n_cycles)
-        return fail, latent & lanes & ~fail
+        return _propagate_skewed(ctx, program, flips, start, lanes & mask)
     sim = SequentialSim(ctx.circuit, ctx.width)
     for q, bit in ctx.states[start].items():
         sim.state[q] = mask if bit else 0
@@ -449,7 +479,8 @@ def _flip_cycles(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
 
 
 def _walk(ctx: LaneContext, carrier, cycles: Sequence[int]) -> bool:
-    """Drive ``carrier`` through the busy window of one flip schedule.
+    """Drive ``carrier`` — one SoA column band, :class:`_SoaBand` —
+    through the busy window of its flip schedule.
 
     ``cycles`` are the (ascending, non-empty) cycles with a flip due.
     The walk seeds the carrier with the golden state entering the first
@@ -505,47 +536,173 @@ def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
     return reduce(or_, map(xor, words, golden), 0)
 
 
-class _IntCarrier:
-    """The packed big-int lane word on the compiled step function.
+def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
+                      live: int) -> tuple[int, int]:
+    """The int-carried packed propagation: every lane on its own clock.
 
-    Drives the generated function on raw slot tuples — flips XOR into
-    state slots by index, outputs compare against the replicated golden
-    trace tuple-to-tuple.  Flips are confined to the ``live`` lanes, so
-    every other lane of the word is one more golden lane and can never
-    hold the walk up.
+    Lane *i*, whose first flip is due at cycle ``s_i``, does not sit in
+    golden state until a shared clock reaches ``s_i``: at walk step *t*
+    it **is** at cycle ``s_i + t``.  Its bit of every stimulus word,
+    golden output word and golden state word is therefore that net's
+    golden bit at ``s_i + t`` (:func:`_skewed_golden`), every lane takes
+    its first flip at *t* = 0, and a later flip of the same lane, due at
+    cycle *c*, fires at step ``c - s_i`` (:func:`_skewed_schedule`).
+    After each step a lane leaves the active set when it has failed
+    (sticky), when it is back on its own golden state with no flip of
+    its own still to come (its future is golden: masked), or when it
+    has run the last workload cycle (a state still off the golden final
+    state is then its latent bit).  The walk ends when no lane is
+    active: after as many steps as the slowest lane took to be decided,
+    not ``last flip - first flip + settle``.
+
+    Exact for the reason the module docstring gives: lanes are
+    independent bit positions of one boolean function, so which cycle's
+    inputs a lane is fed is nobody's business but its own.  A retired
+    lane keeps computing on whatever it is fed and is never read again.
     """
+    cycles = _flip_cycles(ctx, flips, start)
+    starts, sched = _skewed_schedule(flips, cycles, live)
+    if not starts:  # no live lane flips inside the workload
+        return 0, 0
+    # waiting[t]: the lanes with a flip of their own still to come once
+    # step t's flips are in
+    waiting, later = {}, 0
+    for at in sorted(sched, reverse=True):
+        waiting[at] = later
+        later |= reduce(or_, sched[at].values())
+    n_cycles = ctx.n_cycles
+    n_in = len(program.inputs)
+    n_io = n_in + len(program.outputs)
+    q_index = program.q_index
+    fn = program.program.fn
+    golden = _skewed_golden(ctx, program, starts,
+                            _vector.blocks_for(live.bit_length()))
+    rows = next(golden)
+    state = rows[n_io:]
+    active = later  # every lane that flips at all
+    fail = latent = pending = 0
+    step = 0
+    while active:
+        due = sched.get(step)
+        if due:
+            state = list(state)
+            for q, lane_mask in due.items():
+                state[q_index[q]] ^= lane_mask
+            pending = waiting[step]
+        out, state = fn(rows[:n_in], state, live)
+        fail |= _diverged(out, rows[n_in:n_io]) & active
+        step += 1
+        rows = next(golden)
+        diff = _diverged(state, rows[n_io:])
+        ended = starts.get(n_cycles - step, 0)  # ran the last cycle
+        latent |= diff & ended & active & ~fail
+        active &= (diff | pending) & ~fail & ~ended
+    span = n_cycles - cycles[0]
+    ctx.count(steps_run=step, cycles_skipped=span - step,
+              early_exits=int(step < span))
+    return fail, latent
 
-    def __init__(self, ctx: LaneContext, program, flips, live: int) -> None:
-        self.stim, self.trace, self.states = ctx.raw_views(program)
-        self.fn = program.program.fn
-        self.q_index = program.q_index
-        self.mask = ctx.mask
-        self.flips = flips
-        self.live = live
-        self.state: tuple = ()
-        self.fail = 0
 
-    def seed(self, cyc: int) -> None:
-        self.state = self.states[cyc]
+def _skewed_schedule(flips: Mapping[int, Mapping[str, int]],
+                     cycles: Sequence[int], live: int
+                     ) -> tuple[dict[int, int], dict[int, dict[str, int]]]:
+    """``flips`` at its (ascending) ``cycles``, re-timed to the lanes'
+    own clocks: ``starts[c]`` are the ``live`` lanes whose first flip
+    is due at cycle ``c``, ``sched[t][flop]`` the lanes that flip
+    ``flop`` at walk step ``t`` — their own start plus ``t``."""
+    starts: dict[int, int] = {}
+    sched: dict[int, dict[str, int]] = {}
+    started = 0
+    for cyc in cycles:
+        due = flips[cyc]
+        fresh = reduce(or_, due.values()) & live & ~started
+        if fresh:
+            starts[cyc] = fresh
+        for q, lane_mask in due.items():
+            # (a lane already on its way is looked up among all starts;
+            # the usual schedule, one flip cycle per lane, has none)
+            for first, group in (starts.items() if lane_mask & started
+                                 else ((cyc, fresh),)):
+                if lane_mask & group:
+                    at = sched.setdefault(cyc - first, {})
+                    at[q] = at.get(q, 0) | lane_mask & group
+        started |= fresh
+    return starts, sched
 
-    def flip(self, cyc: int) -> None:
-        slots = list(self.state)
-        q_index, live = self.q_index, self.live
-        for q, lane_mask in self.flips[cyc].items():
-            slots[q_index[q]] ^= lane_mask & live
-        self.state = tuple(slots)
 
-    def step(self, cyc: int) -> None:
-        out, self.state = self.fn(self.stim[cyc], self.state, self.mask)
-        self.fail |= _diverged(out, self.trace[cyc])
+def _block_words(word: int, n_blocks: int) -> tuple[int, ...]:
+    """``word`` cut into ``n_blocks`` 64-lane blocks (one pass)."""
+    if n_blocks == 1:
+        return (word,)
+    return struct.unpack(f"<{n_blocks}Q", word.to_bytes(8 * n_blocks,
+                                                        "little"))
 
-    def diff(self, cyc: int) -> int:
-        """Lanes whose state differs from the golden one entering
-        ``cyc`` (``n_cycles``: the golden final state)."""
-        return _diverged(self.state, self.states[cyc])
 
-    def undecided(self, cyc: int) -> int:
-        return self.diff(cyc) & ~self.fail
+def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
+                   n_blocks: int) -> Iterator[Sequence[int]]:
+    """For walk step *t* = 0, 1, ...: the golden word of every row of
+    :meth:`LaneContext.golden_table` whose bit-lane *i* is the row's
+    golden bit at cycle ``s_i + t`` — ``starts[c]`` being the lanes
+    with ``s_i == c``.  A lane past the end of the workload reads
+    unspecified bits (it has been retired by then).
+
+    The lane word is gathered in 64-lane blocks, which keeps the work
+    linear in lane count: within a block the table's fields do not
+    overlap, so the lanes ``m`` of the block that share a start cycle
+    ``c`` are placed by one multiplication, ``table[c + t] * m``.  Per
+    block and step that is one product per *distinct* start cycle — two
+    or three in a cycle-sorted wide group.  A group whose lanes start at
+    consecutive cycles (one flop at 64 cycles running: the flop-major
+    default chunk) has 64 of them, but there lane ``i`` at step ``t``
+    needs exactly the bit lane ``i + 1`` held at step ``t - 1``: such
+    *chained* lanes are advanced by one shift of the block's previous
+    word, and only the lanes with no such upper neighbour are gathered
+    from the table.  The blocks are then transposed into one word per
+    row (numpy above one block — :func:`resolve_lane_width` guarantees
+    it there; a single block needs only :mod:`struct`).
+    """
+    table, unit, fields = ctx.golden_table(program)
+    last = len(table) - 1
+    split = {cyc: _block_words(group, n_blocks)
+             for cyc, group in starts.items()}
+    nobody = (0,) * n_blocks
+    keep = [0] * n_blocks
+    everyone: list[list] = [[] for _ in range(n_blocks)]
+    unchained: list[list] = [[] for _ in range(n_blocks)]
+    for cyc, group in split.items():
+        above = split.get(cyc + 1, nobody)
+        for block, word in enumerate(group):
+            if word:
+                # lanes whose upper neighbour, in the same block (the
+                # shift must not cross one), starts one cycle later
+                chained = word & (above[block] >> 1)
+                keep[block] |= chained
+                everyone[block].append((cyc, word))
+                if word != chained:
+                    unchained[block].append((cyc, word ^ chained))
+    keep = [chained * unit for chained in keep]  # in every field
+    words = [0] * n_blocks
+    gathered = everyone  # step 0 has no previous word to shift
+    np, row_bytes = _vector.np, 8 * n_blocks
+    step = 0
+    while True:
+        for block, groups in enumerate(gathered):
+            word = (words[block] >> 1) & keep[block]
+            for cyc, lanes_ in groups:
+                if cyc + step <= last:
+                    word |= table[cyc + step] * lanes_
+            words[block] = word
+        if n_blocks == 1:
+            yield fields.unpack(words[0].to_bytes(fields.size, "little"))
+        else:
+            by_row = np.frombuffer(
+                b"".join(word.to_bytes(fields.size, "little")
+                         for word in words),
+                dtype="<u8").reshape(n_blocks, -1).T.tobytes()
+            yield [int.from_bytes(by_row[at:at + row_bytes], "little")
+                   for at in range(0, len(by_row), row_bytes)]
+        gathered = unchained
+        step += 1
 
 
 #: 64-lane blocks per SoA column band.  One SoA step costs about

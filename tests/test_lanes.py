@@ -46,6 +46,10 @@ EXECUTORS = ("serial", "process")
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
+needs_compiled = pytest.mark.skipif(
+    not compiled.compilation_enabled(),
+    reason="asserts a compiled carrier, SoA stats or walker counters "
+           "(RESCUE_NO_COMPILE is set)")
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,30 @@ class TestSeuLanes:
         with pytest.raises(ValueError, match="exceed lane width"):
             lanes.seu_outcomes(ctx, points)
 
+    @pytest.mark.parametrize("width", (1, 64))
+    def test_unknown_target_flop_rejected_at_construction(self, seq_setup,
+                                                          width):
+        # was: KeyError in run_batch -> retries -> the whole chunk
+        # quarantined, valid st0 points included, campaign "succeeds"
+        from repro.soft_error.seu import run_campaign as seu_campaign
+
+        circuit, workload = seq_setup
+        shutdown_pools()
+        with pytest.raises(ValueError, match="nope"):
+            SeuBackend(circuit.copy(), workload, targets=["st0", "nope"],
+                       lane_width=width)
+        with pytest.raises(ValueError, match="nope"):
+            seu_campaign(circuit.copy(), workload, targets=["st0", "nope"],
+                         lane_width=width, workers=2, executor="process")
+        assert not executors_mod._pool_registry  # nothing was spawned
+        # the valid subset still runs, and only it
+        report = run_campaign(
+            SeuBackend(circuit.copy(), workload, targets=["st0"],
+                       lane_width=width),
+            EngineConfig(executor="serial"))
+        assert report.total == len(workload)
+        assert {loc for loc, _cyc, _out in _rows(report)} == {"st0"}
+
     def test_dead_flop_cone_cache_survives_campaigns(self, seq_setup,
                                                      monkeypatch):
         circuit, workload = seq_setup
@@ -173,7 +201,8 @@ class TestVectorLanes:
         return _rows(report)
 
     @needs_numpy
-    @pytest.mark.parametrize("backing", BACKINGS)
+    @pytest.mark.parametrize("backing", (
+        "int", pytest.param("soa", marks=needs_compiled)))
     @pytest.mark.parametrize("width", VECTOR_WIDTHS)
     def test_seu_identical_to_per_point(self, seq_setup, reference_rows,
                                         width, backing):
@@ -343,6 +372,7 @@ class TestBackingResolver:
             pytest.param("ndarray", True, True, 4096, "wide", ValueError,
                          id="removed-name"),
         ])
+    @needs_compiled
     def test_resolver_table(self, circuits, monkeypatch, caplog, requested,
                             have_numpy, compiling, width, shape, expected):
         circuit = circuits[shape]
@@ -368,6 +398,7 @@ class TestBackingResolver:
         assert len(caplog.records) == int(requested == "soa"
                                           and not have_numpy)
 
+    @needs_compiled
     def test_build_context_records_the_resolved_carrier(self, circuits):
         workload = random_workload(circuits["wide"], 2, seed=1)
         for requested, width, expected in ((None, 1024, "soa"),
@@ -433,21 +464,42 @@ class TestBackingValidatedAtConstruction:
 
 
 # ----------------------------------------------------------------------
-# busy-window walker: quiescence rule, column bands, work bounds
+# the walkers: lanes on their own clocks (int), busy windows and column
+# bands (SoA), work bounds
 # ----------------------------------------------------------------------
+SHAPES = ("first", "last", "tail", "anywhere", "sparse", "ramp", "twice")
+
+
 def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
     """A flip schedule in ``propagate``'s format: every lane flips one
-    to three flops in one cycle, lanes in no particular order."""
+    to three flops in one cycle (``twice``: and again later), lanes in
+    no particular order.  ``first`` / ``last`` / ``sparse`` put many
+    lanes on one start cycle, ``tail`` starts them in the last two
+    cycles (latent at retirement), ``anywhere`` also draws cycles
+    outside the workload, ``ramp`` has lane *i + 1* start one cycle
+    after lane *i* (the flop-major default chunk)."""
     flops = list(circuit.flops)
     flips = {}
-    for lane in rng.sample(range(n_lanes), n_lanes):
-        cyc = {"first": 0, "last": n_cycles - 1,
-               "anywhere": rng.randrange(-2, n_cycles + 3),
-               "sparse": rng.choice((0, n_cycles // 2, n_cycles - 1)),
-               }[shape]
+    offset = rng.randrange(n_cycles)
+
+    def flip(lane, cyc):
         per_cycle = flips.setdefault(cyc, {})
         for q in rng.sample(flops, rng.randint(1, min(3, len(flops)))):
             per_cycle[q] = per_cycle.get(q, 0) | (1 << lane)
+
+    for lane in rng.sample(range(n_lanes), n_lanes):
+        cyc = {"first": 0, "last": n_cycles - 1,
+               "tail": n_cycles - rng.randint(1, 2),
+               "anywhere": rng.randrange(-2, n_cycles + 3),
+               "sparse": rng.choice((0, n_cycles // 2, n_cycles - 1)),
+               "ramp": (offset + lane) % n_cycles,
+               "twice": rng.randrange(-1, n_cycles),
+               }[shape]
+        flip(lane, cyc)
+        if shape == "twice":
+            # the next cycle or two (often still undecided), or long
+            # after the lane is back on golden, or past the workload
+            flip(lane, cyc + rng.choice((1, 2, 5, n_cycles // 2 + 1)))
     return flips
 
 
@@ -461,6 +513,20 @@ def _interpreter_reference(circuit, workload, width, flips, n_lanes):
         ctx = lanes.build_context(circuit.copy(), workload, width)
         return lanes.propagate(ctx, flips, _start_of(flips, len(workload)),
                                n_lanes)
+
+
+def _steps_lane_by_lane(ctx, flips, n_lanes):
+    """The decision time of every lane: the steps ``propagate`` runs
+    when the schedule carries that lane alone."""
+    steps = []
+    for lane in range(n_lanes):
+        own = {cyc: {q: 1 << lane for q, lane_mask in due.items()
+                     if lane_mask >> lane & 1}
+               for cyc, due in flips.items()}
+        before = ctx.steps_run
+        lanes.propagate(ctx, own, _start_of(flips, ctx.n_cycles), n_lanes)
+        steps.append(ctx.steps_run - before)
+    return steps
 
 
 def _observable_toy():
@@ -484,13 +550,14 @@ def _observable_toy():
 
 @needs_numpy
 class TestBusyWindow:
-    @settings(max_examples=40, deadline=None)
+    @needs_compiled
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000),
            n_flops=st.sampled_from((1, 2, 7)),
            n_outputs=st.sampled_from((0, 1, 4)),
            n_cycles=st.integers(1, 12),
-           n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200)),
-           shape=st.sampled_from(("first", "last", "anywhere", "sparse")),
+           n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200, 1000)),
+           shape=st.sampled_from(SHAPES),
            band=st.sampled_from((1, 2, 8)))
     def test_property_walkers_equal_full_length_interpreter(
             self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape, band):
@@ -499,7 +566,7 @@ class TestBusyWindow:
         workload = random_workload(circuit, n_cycles, seed=seed + 1)
         flips = _random_schedule(random.Random(seed), circuit, n_cycles,
                                  n_lanes, shape)
-        width = 256
+        width = max(64, n_lanes)
         expected = _interpreter_reference(circuit, workload, width, flips,
                                           n_lanes)
         start = _start_of(flips, n_cycles)
@@ -514,7 +581,12 @@ class TestBusyWindow:
                 fires = any(0 <= cyc < n_cycles for cyc in flips)
                 assert ctx.steps_run + ctx.cycles_skipped == (
                     n_cycles - start if fires else 0)
+                if n_lanes <= 65:  # ... and it lasts as long as its
+                    steps = ctx.steps_run  # slowest lane, no longer
+                    assert steps == max(_steps_lane_by_lane(ctx, flips,
+                                                            n_lanes))
 
+    @needs_compiled
     @pytest.mark.parametrize("backing", ("int", "soa"))
     def test_fail_then_reconverge_latent_and_masked(self, backing):
         circuit = _observable_toy()
@@ -528,12 +600,16 @@ class TestBusyWindow:
         assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1010)
         assert lanes.propagate(ctx, flips, 1, 4) == _interpreter_reference(
             circuit, workload, 70, flips, 4)
-        # without the latent lane the walk settles after one cycle, jumps
-        # to the last flip, and runs 2 of the 9 cycles
+        # the latent lane holds either walk to the end of the workload
+        assert ctx.steps_run == 2 * 9
+        # without it every lane is decided one cycle after its flip: the
+        # SoA band settles, jumps to the last flip and runs 2 of the 9
+        # cycles; the int lanes all flip at step 0 and that step is all
         before = ctx.steps_run
         flips[1].pop("hold")
         assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1000)
-        assert ctx.steps_run - before == 2
+        assert ctx.steps_run - before == {"soa": 2, "int": 1}[backing]
+        assert _steps_lane_by_lane(ctx, flips, 4) == [1, 0, 1, 1]
 
     @pytest.mark.parametrize("backing", ("int", "soa"))
     def test_flips_outside_the_workload_never_fire(self, backing):
@@ -544,11 +620,13 @@ class TestBusyWindow:
         assert lanes.propagate(ctx, flips, 0, 3) == (0, 0)
         assert ctx.steps_run == 0
 
-    def test_packed64_shaped_campaign_runs_under_70_percent(self):
+    @needs_compiled
+    def test_packed64_shaped_campaign_runs_under_15_percent(self):
         # the seu_packed64 shape: flop-major points over 120 cycles in
-        # 64-lane chunks, so a chunk is one flop at cycles 0..63 (the 56
-        # cycles after its last flip are settle time, then golden) or at
-        # 64..119 plus the next flop at 0..7 (golden in between)
+        # 64-lane chunks, so a chunk is one flop at cycles 0..63 or at
+        # 64..119 plus the next flop at 0..7.  On one shared clock that
+        # is 64 cycles of flips plus settle time per chunk; with every
+        # lane on its own clock it is the chunk's slowest lane
         circuit = random_sequential(n_inputs=8, n_gates=300, n_flops=24,
                                     n_outputs=8, seed=11)
         n_cycles = 120
@@ -556,19 +634,28 @@ class TestBusyWindow:
         backend = SeuBackend(circuit, workload, lane_width=64)
         backend.prepare()
         ctx = backend._lane_ctx
-        points = list(backend.enumerate_points())
+        alone = lanes.build_context(circuit, workload, 64)
         full_length = 0
-        for chunk in lanes.lane_groups(points, 64):
+        for chunk in lanes.lane_groups(backend.enumerate_points(), 64):
+            steps, slowest = ctx.steps_run, 0
             backend.run_batch(chunk)
+            for point in chunk:  # each lane's decision time, by itself
+                before = alone.steps_run
+                lanes.seu_outcomes(alone, [point])
+                slowest = max(slowest, alone.steps_run - before)
+            assert ctx.steps_run - steps == slowest
             full_length += n_cycles - min(cyc for _flop, cyc in chunk)
-        assert ctx.steps_run + ctx.cycles_skipped == full_length
-        assert ctx.steps_run <= 0.7 * full_length
+            assert ctx.steps_run + ctx.cycles_skipped == full_length
+        assert ctx.steps_run <= 0.15 * full_length
         assert ctx.early_exits > 0
 
+    @needs_compiled
     @pytest.mark.parametrize("backing", ("int", "soa"))
     def test_flip_every_cycle_pays_no_quiescence_test(self, backing):
-        # the slicing_filtered shape: a dense schedule must cost exactly
-        # what the full-length loop cost
+        # the slicing_filtered shape, one lane per cycle.  A band on one
+        # shared clock must cost exactly what the full-length loop cost
+        # (and never pay for a test while a flip is due next cycle); the
+        # int lanes start together and stop with the slowest
         circuit = random_sequential(n_inputs=4, n_gates=40, n_flops=6,
                                     n_outputs=3, seed=3)
         n_cycles, first = 30, 4
@@ -581,9 +668,17 @@ class TestBusyWindow:
         assert got == _interpreter_reference(circuit, workload, 128, flips,
                                              n_cycles - first)
         assert ctx.quiescence_tests == 0
-        assert ctx.steps_run == n_cycles - first
-        assert ctx.cycles_skipped == ctx.early_exits == 0
+        assert ctx.steps_run + ctx.cycles_skipped == n_cycles - first
+        if backing == "soa":
+            assert ctx.steps_run == n_cycles - first
+            assert ctx.early_exits == 0
+        else:
+            assert ctx.steps_run == 4
+            assert ctx.early_exits == 1
+            assert max(_steps_lane_by_lane(ctx, flips,
+                                           n_cycles - first)) == 4
 
+    @needs_compiled
     def test_bands_cover_only_the_lanes_present(self, monkeypatch):
         monkeypatch.setattr(lanes, "SOA_BAND_BLOCKS", 1)
         circuit = load("rand_seq")
@@ -597,15 +692,47 @@ class TestBusyWindow:
         # time, not the 20-cycle workload
         assert ctx.steps_run < 4 * 20
 
+    @needs_compiled
     def test_campaign_end_logs_one_walk_summary(self, seq_setup, caplog):
         circuit, workload = seq_setup
-        backend = SeuBackend(circuit.copy(), workload, lane_width=64)
-        with caplog.at_level(logging.DEBUG, logger="repro.engine"):
-            run_campaign(backend, EngineConfig(executor="serial"))
-        lines = [rec.message for rec in caplog.records
-                 if "steps run" in rec.message]
-        assert len(lines) == 1
-        assert f"{backend._lane_ctx.steps_run} steps run" in lines[0]
+        for backing in ("int", "soa"):
+            backend = SeuBackend(circuit.copy(), workload, lane_width=64,
+                                 lane_backing=backing)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="repro.engine"):
+                run_campaign(backend, EngineConfig(executor="serial"))
+            lines = [rec.getMessage() for rec in caplog.records
+                     if "steps run" in rec.getMessage()]
+            assert len(lines) == 1
+            assert f"{backend._lane_ctx.steps_run} steps run" in lines[0]
+            # the int walker takes no quiescence tests and has no bands:
+            # its line does not report them as if they were measured
+            assert ("quiescence tests" in lines[0]) == (backing == "soa")
+            assert ("bands" in lines[0]) == (backing == "soa")
+
+
+@pytest.mark.parametrize("n_lanes", (1, 5, 64))
+def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
+    # up to 64 lanes the int walker gathers its golden words with struct
+    # alone (wider words are declared against numpy: resolve_lane_width)
+    circuit = random_sequential(n_inputs=4, n_gates=60, n_flops=9,
+                                n_outputs=3, seed=21)
+    workload = random_workload(circuit, 16, seed=4)
+    schedules = [_random_schedule(random.Random(n), circuit, 16, n_lanes,
+                                  shape) for n, shape in enumerate(SHAPES)]
+    points = [(q, cyc) for q in circuit.flops for cyc in range(16)]
+
+    def run():
+        ctx = lanes.build_context(circuit.copy(), workload, 64)
+        return ([lanes.propagate(ctx, flips, _start_of(flips, 16),
+                                 n_lanes) for flips in schedules],
+                [lanes.seu_outcomes(ctx, group)
+                 for group in lanes.lane_groups(points, n_lanes)])
+
+    reference = run()
+    monkeypatch.setattr(vector, "HAVE_NUMPY", False)
+    monkeypatch.setattr(vector, "np", None)  # any use would raise
+    assert run() == reference
 
 
 # ----------------------------------------------------------------------
