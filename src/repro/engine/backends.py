@@ -32,6 +32,7 @@ from ..autosoc.fi import SocInjection, run_injection
 from ..autosoc.soc import SocConfig
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
+from ..faults.universe import check_sites
 from ..sim.fault_sim import (PatternWindows, _batched_detection,
                              _observe_nets, _pattern_windows,
                              log_walk_summary)
@@ -59,7 +60,9 @@ class PpsfpBackend:
     The pattern batches pickle with the backend: they ride the campaign
     payload (one temp file, loaded once per process-pool worker) and the
     campaign service's job row inline, so a submitted job depends on
-    nothing outside the database.
+    nothing outside the database.  A fault that is not on a line of the
+    circuit raises ``ValueError`` at construction (simulated, it would
+    read as ``undetected``).
     """
 
     name = "ppsfp"
@@ -78,6 +81,7 @@ class PpsfpBackend:
         self.circuit_name = circuit.name
         self.workload = f"ppsfp[{len(batches)} batches]"
         self.faults = list(faults)
+        check_sites(circuit, self.faults)  # in the parent, not a worker
         self.batches = list(batches)
         self.state = state
         self.full_scan = full_scan
@@ -130,10 +134,10 @@ class SeuBackend:
     fault instance *i* and outcomes come back per lane by XOR against
     the golden trace — byte-identical to the per-point path, ~W× fewer
     circuit evaluations, and only while some lane is still undecided:
-    on the default int carrier every lane runs on its own clock from
-    its own injection cycle, so a group costs as many steps as its
-    slowest lane needs to fail or re-converge (a dozen, not the span of
-    its injection cycles; see :mod:`repro.engine.lanes`).
+    on either carrier every lane runs on its own clock from its own
+    injection cycle, so a group costs as many steps as its slowest lane
+    needs to fail or re-converge (a dozen, not the span of its
+    injection cycles; see :mod:`repro.engine.lanes`).
     ``lane_width=1`` keeps the per-point
     :func:`inject_seu` path for parity testing.  ``lane_backing`` names
     the carrier of the packed word: ``"int"`` (a big int, any width),
@@ -239,7 +243,7 @@ class SeuBackend:
         elif self._lane_ctx is None:
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
-                backing=getattr(self, "lane_backing", None))
+                backing=self.lane_backing)
 
     def campaign_finished(self) -> None:
         lanes.log_walk_summary(self.name, self._lane_ctx)
@@ -281,7 +285,9 @@ class SafetyBackend:
     Points are the faults; outcomes are the ISO fault-class values
     (``safe`` / ``detected`` / ``residual`` / ``latent_detected``),
     computed by :func:`repro.safety.campaign.classify_injection_values`
-    on mission vs detection output groups.
+    on mission vs detection output groups.  Output groups and fault
+    sites that name nothing in the circuit raise ``ValueError`` at
+    construction (classified, they would all come back ``safe``).
     """
 
     name = "safety"
@@ -303,6 +309,10 @@ class SafetyBackend:
         self.faults = list(faults)
         self.mission_outputs = list(mission_outputs)
         self.detection_outputs = list(detection_outputs)
+        # in the parent: a misspelt output group reads as constant 0 and
+        # would classify every fault ``safe``
+        check_sites(circuit, self.faults,
+                    self.mission_outputs + self.detection_outputs)
         self.patterns = patterns
         self.n_patterns = n_patterns
         self.state = state

@@ -584,8 +584,8 @@ def _open_rung(strategy: str, backend: InjectionBackend, plan: CampaignPlan,
                payload: bytes | None) -> Iterator[list]:
     if strategy == "process":
         return _executors.run_process(
-            backend, plan.chunks, plan.seeds, config.workers, start=start,
-            payload=payload, timeout=config.chunk_timeout)
+            payload, len(plan.chunks), config.workers, start=start,
+            timeout=config.chunk_timeout)
     backend.prepare()
     return _executors.run_serial(backend, plan.chunks, plan.seeds, start,
                                  config.chunk_timeout)

@@ -408,14 +408,13 @@ def _persistent_worker_release(token: int) -> None:
         _campaign_state = None
 
 
-def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
-                seeds: Sequence[int], workers: int, start: int = 0,
-                payload: bytes | None = None,
+def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
                 timeout: float | None = None) -> Iterator[list]:
-    if payload is None:
-        payload = pickle.dumps((backend, chunks, list(seeds)),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-    n_workers = max(1, min(workers, len(chunks) - start))
+    """Chunks ``start..n_chunks`` of the pickled ``(backend, chunks,
+    seeds)`` in ``payload`` on the persistent pool, in index order (the
+    caller pickles, so that a pickling failure is not mistaken for a
+    pool failure)."""
+    n_workers = max(1, min(workers, n_chunks - start))
     pool = persistent_pool(workers)
     token = next(_campaign_tokens)
     fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
@@ -427,7 +426,7 @@ def run_process(backend: Any, chunks: Sequence[Sequence[Any]],
         def submit(i: int):
             return pool.submit(_persistent_worker_run, token, path, i)
 
-        results = _run_pool(pool, submit, len(chunks), _window(n_workers),
+        results = _run_pool(pool, submit, n_chunks, _window(n_workers),
                             start, timeout=timeout)
         try:
             for expected, (index, batch) in enumerate(results, start):

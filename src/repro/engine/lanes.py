@@ -23,43 +23,34 @@ resimulations — and only the steps in which some lane is still
 **undecided** are executed.  An injected lane is decided within a few
 cycles of its flip: its primary outputs have diverged (``failure``,
 sticky), or its state is back on the golden state, from where its whole
-future is golden (``masked``).  Each carrier spends that fact its own
-way.  On the packed-int carrier every lane runs on **its own clock**
-(:func:`_propagate_skewed`): lane *i*, flipped at cycle ``s_i``, is at
-cycle ``s_i + t`` at walk step *t*, fed that cycle's golden stimulus
-bit and compared against that cycle's golden output and state bits, so
-all lanes flip at step 0 and a walk lasts as long as its *slowest lane*
-takes to be decided — a dozen steps, wherever in the workload the flips
-fall.  The SoA carrier keeps one clock per column band and executes the
-band's **busy window** (:func:`_walk`): after every cycle with no flip
-due next it tests whether any lane is still undecided; if none is, the
-walk jumps to the next scheduled flip — re-seeding the state from the
-golden entering-state kept in the :class:`LaneContext`, a checkpoint
-restore — or stops when no flip remains (then no lane is latent).
+future is golden (``masked``).  One walker spends that fact
+(:func:`_propagate_skewed`): every lane runs on **its own clock**.
+Lane *i*, flipped at cycle ``s_i``, is at cycle ``s_i + t`` at walk
+step *t*, fed that cycle's golden stimulus bit and compared against
+that cycle's golden output and state bits, so all lanes flip at step 0
+and a walk lasts as long as its *slowest lane* takes to be decided — a
+dozen steps, wherever in the workload the flips fall.
 
-Two **carriers** hold the packed word, and one function
-(:func:`resolve_backing`, called once per :func:`build_context`) picks
-between them.  ``"int"`` is an arbitrary-precision int driven through
-the compiled step function (:class:`repro.sim.compiled.StepProgram`) —
-the word simply outgrows the machine word beyond 64 lanes, and big-int
-ops stay near width-insensitive to very large widths.  ``"soa"`` — the
-choice from ~1k lanes on circuits with wide levels — is the
-structure-of-arrays kernel (:class:`repro.sim.compiled
-.SoaStepProgram`), which holds the whole net state in one 2-D block
-matrix and runs each topological level as a handful of fused numpy
-calls.  Per-lane flips become index-computed XOR masks into the packed
-word (for the SoA carrier, one fancy-indexed XOR into the flop rows of
-the state matrix, whose complement mirror is refreshed at the top of
-every step) and outcome recovery is a vectorized XOR against the golden
-trace; both carriers are byte-identical to the 64-lane and 1-lane
-references, and to the reference interpreter that runs underneath them
-— every cycle from the first flip to the end of the workload — when
-compilation is off.  The SoA lane word is additionally walked in
-fixed-width **column bands** (:data:`SOA_BAND_BLOCKS`): each band has
-its own slice of the flip schedule and its own busy window, so a
-4096-lane group whose cycle-sorted lanes flip a few dozen per cycle
-advances a few hundred columns for a few dozen cycles per band instead
-of 4096 columns for the whole workload.  Without numpy installed,
+The walker owns the schedule and the retire arithmetic (lane sets are
+Python ints); how the packed word is *stored* is a **carrier**, and one
+function (:func:`resolve_backing`, called once per
+:func:`build_context`) picks between the two.  ``"int"``
+(:class:`_IntLanes`) is an arbitrary-precision int per net driven
+through the compiled step function (:class:`repro.sim.compiled
+.StepProgram`) — the word simply outgrows the machine word beyond 64
+lanes, and big-int ops stay near width-insensitive to very large
+widths.  ``"soa"`` (:class:`_SoaLanes`) — the choice from ~1k lanes on
+circuits with wide levels — is the structure-of-arrays kernel
+(:class:`repro.sim.compiled.SoaStepProgram`), which holds the whole net
+state in one 2-D block matrix and runs each topological level as a
+handful of fused numpy calls; flips are XORs into its flop rows and the
+golden rows of a step are gathered *per 64-lane block*, not per lane
+(``packed_dispatch`` sorts lanes by injection cycle, so a block holds
+two to four distinct start cycles).  Both carriers execute the same
+number of steps for the same schedule and are byte-identical to the
+64-lane and 1-lane references, and to the reference interpreter that
+runs underneath them — every cycle from the first flip to the end of
+the workload — when compilation is off.  Without numpy installed,
 widths above 64 degrade to 64 with a one-time logged warning
 (:func:`resolve_lane_width`).
 
@@ -153,13 +144,12 @@ def packed_dispatch(
 
     Points are visited by ascending injection cycle, but the returned
     outcome list follows the original point order — what ``run_batch``
-    must preserve for executor-identity.  The sort is what keeps the
-    busy window of each SoA column band short: a group's flips fall in
-    a short run of cycles and neighbouring lanes flip together.  The
-    int carrier, whose lanes each run on their own clock, executes the
-    same number of steps in any order; it only gathers its golden words
-    a little cheaper when neighbouring lanes share a cycle or follow
-    each other by one.
+    must preserve for executor-identity.  Every lane runs on its own
+    clock, so a group executes the same number of steps in any order;
+    the sort keeps both carriers' golden gathers cheap: neighbouring
+    lanes share a start cycle or follow each other by one, so a 64-lane
+    block holds few distinct start cycles (one product each on the int
+    carrier, one column gather each on the SoA carrier).
     """
     order = sorted(range(len(points)), key=lambda i: cycle_of(points[i]))
     outcomes: list[str | None] = [None] * len(points)
@@ -172,47 +162,41 @@ def packed_dispatch(
 
 @dataclass
 class LaneContext:
-    """Replicated golden-run data shared by every packed run.
+    """The golden run shared by every packed run, kept once, as bits.
 
     Built once per backend ``prepare()`` and never pickled (workers
-    rebuild it): the stimulus and the golden PO trace replicated across
-    ``width`` lanes, plus the 1-bit golden state *entering* each cycle
-    (what a packed run starting mid-workload is seeded from) and the
-    1-bit golden final state (the latent check reference).  Each
-    compiled carrier derives its own layout of these lazily
-    (:meth:`golden_table`, :meth:`raw_views_soa`).
+    rebuild it): per cycle the 1-bit stimulus, the 1-bit golden PO
+    trace and the 1-bit golden state *entering* the cycle (what a packed
+    run starting mid-workload is seeded from), plus the golden final
+    state (the latent check reference).  Each compiled carrier derives
+    its own layout of these on first use (:meth:`golden_table`); the
+    interpreter reference replicates a bit across the lanes on the fly.
     """
 
     circuit: Circuit
     width: int
-    mask: int
-    rep_stimuli: list[dict[str, int]]
-    rep_trace: list[dict[str, int]]
+    stimuli: list[dict[str, int]]
+    trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
     #: The carrier :func:`resolve_backing` picked: ``"int"`` (packed
     #: big int — any width) or ``"soa"`` (the level-batched
     #: structure-of-arrays kernel).
     backing: str = "int"
-    #: Work the walkers actually did on this context: steps executed;
-    #: cycles between a walk's first flip and the end of the workload
-    #: that it did not execute (``steps_run + cycles_skipped`` is the
-    #: full-length count); walks that returned before the last workload
-    #: cycle; and, on the SoA carrier only (:func:`_walk`), quiescence
-    #: tests paid for and column bands walked.  The int carrier
-    #: (:func:`_propagate_skewed`) compares states after every step and
-    #: has no bands, so it leaves those two at zero.
+    #: Work the walker actually did on this context, the same three
+    #: counters on both carriers: steps executed; cycles between a
+    #: walk's first flip and the end of the workload that it did not
+    #: execute (``steps_run + cycles_skipped`` is the full-length
+    #: count); walks that returned before the last workload cycle.
     steps_run: int = 0
     cycles_skipped: int = 0
     early_exits: int = 0
-    quiescence_tests: int = 0
-    bands_run: int = 0
     _count_lock: Any = field(default_factory=threading.Lock, repr=False,
                              compare=False)
 
     @property
     def n_cycles(self) -> int:
-        return len(self.rep_stimuli)
+        return len(self.stimuli)
 
     def count(self, **deltas: int) -> None:
         """Add one finished walk's tallies (a chunk abandoned past
@@ -222,92 +206,42 @@ class LaneContext:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def golden_table(self, program) -> tuple:
-        """The golden run as one strided word per cycle, for the
-        time-skewed int walker (:func:`_propagate_skewed`).
+    def golden_table(self, program, layout: Callable[[list], Any]) -> Any:
+        """The golden run in a carrier's ``layout``, built on the first
+        compiled propagation and rebuilt if the program cache was
+        invalidated.
 
-        ``table[cycle]`` has one 64-bit field per *row* — the program's
-        inputs, then its outputs, then its flops — whose bit 0 is that
-        net's golden bit in ``cycle`` (for a flop: of the state
-        *entering* it), so ``table[cycle] * m`` is the golden word of
-        every row at once for the lanes ``m < 2**64`` of one block.
-        There are ``n_cycles + 1`` entries: the last carries the golden
-        final state ("entering" the cycle after the workload), so the
-        quiescence test and the latent check are the same comparison.
-        Built lazily on the first compiled propagation and rebuilt if
-        the program cache was invalidated.  Returns ``(table, unit,
-        fields)``: ``unit`` has bit 0 of every field set, ``fields`` is
-        the :class:`struct.Struct` that splits a strided word into its
-        rows.
+        ``layout`` receives one list of golden bits per cycle — a bit
+        per *row*: the program's inputs, then its outputs, then its
+        flops (the state *entering* the cycle).  There are ``n_cycles +
+        1`` of them: the last carries the golden final state ("entering"
+        the cycle after the workload), so the test that a lane is back
+        on golden and the latent check are the same comparison.
         """
         cached = getattr(self, "_table", None)
-        if cached is not None and cached[0] is program:
-            return cached[1:]
-        one, zero = (1).to_bytes(8, "little"), bytes(8)
-
-        def strided(*bit_rows) -> int:
-            return int.from_bytes(b"".join(
-                one if bit else zero for bits in bit_rows for bit in bits),
-                "little")
-
-        table = [strided([stim.get(pi, 0) for pi in program.inputs],
-                         [trace[po] for po in program.outputs],
-                         [state[q] for q in program.flop_qs])
-                 for stim, trace, state in zip(
-                     self.rep_stimuli, self.rep_trace, self.states)]
-        n_io = len(program.inputs) + len(program.outputs)
-        table.append(strided([0] * n_io, [self.final_state[q]
-                                          for q in program.flop_qs]))
-        n_rows = n_io + len(program.flop_qs)
-        self._table = (program, table, strided([1] * n_rows),
-                       struct.Struct(f"<{n_rows}Q"))
-        return self._table[1:]
-
-    def raw_views_soa(self, program) -> tuple:
-        """Column raw views for the SoA backing.
-
-        Every replicated golden word is all-ones or all-zero, so one
-        ``(rows, 1)`` uint64 column per cycle serves every column band
-        at every width by broadcasting: ``stim[cycle]`` is assigned
-        into the state matrix's PI rows, ``trace[cycle]`` is XORed
-        against the gathered outputs, ``states[cycle]`` seeds (and is
-        compared against) the flop rows.  As in :meth:`golden_table`,
-        ``states`` ends with the golden final state.  (All-ones rather
-        than the lane mask: the dead lanes of a partial block are then
-        golden lanes like any other instead of garbage.)
-        """
-        cached = getattr(self, "_raw_soa", None)
-        if cached is not None and cached[0] is program:
-            return cached[1:]
-        np = _vector.np
-
-        def columns(bit_rows):
-            bits = np.asarray(bit_rows, dtype=bool)
-            return np.where(bits, ~np.uint64(0), np.uint64(0))[..., None]
-
-        stim = columns([[bool(cyc.get(pi, 0)) for pi in program.inputs]
-                        for cyc in self.rep_stimuli])
-        trace = columns([[bool(cyc[po]) for po in program.outputs]
-                         for cyc in self.rep_trace])
-        states = columns([[bool(st[q]) for q in program.flop_qs]
-                          for st in self.states + [self.final_state]])
-        self._raw_soa = (program, stim, trace, states)
-        return stim, trace, states
+        if cached is None or cached[0] is not program:
+            bits = [[stim[pi] for pi in program.inputs]
+                    + [trace[po] for po in program.outputs]
+                    + [state[q] for q in program.flop_qs]
+                    for stim, trace, state in zip(
+                        self.stimuli, self.trace, self.states)]
+            n_io = len(program.inputs) + len(program.outputs)
+            bits.append([0] * n_io
+                        + [self.final_state[q] for q in program.flop_qs])
+            self._table = cached = (program, layout(bits))
+        return cached[1]
 
 
 def log_walk_summary(name: str, ctx: LaneContext | None) -> None:
     """One debug line with the walker counters of a backend's context
     (backends call this from their ``campaign_finished`` hook; a
-    process-pool parent, whose workers did the walking, stays quiet).
-    Only the counters the context's carrier produces are printed."""
+    process-pool parent, whose workers did the walking, stays quiet)."""
     if ctx is not None and ctx.steps_run:
-        soa_only = (f", {ctx.quiescence_tests} quiescence tests, "
-                    f"{ctx.bands_run} bands" if ctx.backing == "soa" else "")
         log.debug(
             "%s lanes[%s x%d]: %d steps run, %d golden cycles skipped, "
-            "%d early exits%s",
+            "%d early exits",
             name, ctx.backing, ctx.width, ctx.steps_run,
-            ctx.cycles_skipped, ctx.early_exits, soa_only)
+            ctx.cycles_skipped, ctx.early_exits)
 
 
 def build_context(
@@ -317,7 +251,7 @@ def build_context(
     golden: tuple[list[dict[str, int]], list[dict[str, int]]] | None = None,
     backing: str | None = None,
 ) -> LaneContext:
-    """Run (or reuse) the golden pass and replicate it across lanes.
+    """Run (or reuse) the golden pass and keep it for ``width`` lanes.
 
     The pass is one 1-bit :class:`~repro.sim.sequential.SequentialSim`
     run — on the compiled step program, which the packed runs need
@@ -332,7 +266,6 @@ def build_context(
     context actually runs on is :func:`resolve_backing`'s answer,
     recorded as ``LaneContext.backing``.
     """
-    mask = mask_of(width)
     resolved_backing = resolve_backing(backing, circuit, width)
     if resolved_backing == "soa":
         st = _compiled.soa_step_program(circuit, width).stats
@@ -361,14 +294,10 @@ def build_context(
             states.append(sim.state)  # step() rebinds, never mutates
             trace.append(sim.step(stim))
         final_state = sim.state
-    rep_stimuli = [
-        {pi: (mask if (stim.get(pi, 0) & 1) else 0) for pi in circuit.inputs}
-        for stim in stimuli
-    ]
-    rep_trace = [{po: (mask if bit else 0) for po, bit in cyc.items()}
-                 for cyc in trace]
-    return LaneContext(circuit, width, mask, rep_stimuli, rep_trace,
-                       states, final_state, backing=resolved_backing)
+    bit_stimuli = [{pi: stim.get(pi, 0) & 1 for pi in circuit.inputs}
+                   for stim in stimuli]
+    return LaneContext(circuit, width, bit_stimuli, trace, states,
+                       final_state, backing=resolved_backing)
 
 
 def check_backing(requested: str | None) -> None:
@@ -427,44 +356,44 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     the replicated golden entering-state loses nothing; flips scheduled
     before ``start`` or past the workload never fire.
 
-    Both carriers execute a step only while some lane is still
-    undecided — the int carrier with every lane on its own clock
-    (:func:`_propagate_skewed`), the SoA carrier over the busy window of
-    each column band (:func:`_walk`).  With compilation off
+    Either carrier is driven by the one compiled walker
+    (:func:`_propagate_skewed`), which executes a step only while some
+    lane is still undecided.  With compilation off
     (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``, possibly entered
     after the context was built) neither carrier has a program and the
     reference interpreter below runs every cycle from ``start`` to the
-    end of the workload — the full-length reference both walkers are
+    end of the workload — the full-length reference both carriers are
     tested against.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
     differs without any PO divergence.
     """
-    mask = ctx.mask
-    lanes = mask_of(n_lanes)
-    soa = ctx.backing == "soa"
-    program = (_compiled.soa_step_program(ctx.circuit, ctx.width) if soa
+    mask = mask_of(ctx.width)
+    lanes = mask_of(n_lanes) & mask
+    program = (_compiled.soa_step_program(ctx.circuit, ctx.width)
+               if ctx.backing == "soa"
                else _compiled.step_program(ctx.circuit))
     if program is not None:
-        if soa:
-            return _propagate_soa(ctx, program, flips, start, n_lanes)
-        return _propagate_skewed(ctx, program, flips, start, lanes & mask)
+        return _propagate_skewed(ctx, program, flips, start, lanes)
+
+    def replicated(bits: Mapping[str, int]) -> dict[str, int]:
+        return {net: mask if bit else 0 for net, bit in bits.items()}
+
     sim = SequentialSim(ctx.circuit, ctx.width)
-    for q, bit in ctx.states[start].items():
-        sim.state[q] = mask if bit else 0
+    sim.state.update(replicated(ctx.states[start]))
     sim.cycle = start
     fail = 0
     for cyc in range(start, ctx.n_cycles):
         for q, lane_mask in flips.get(cyc, {}).items():
             sim.flip_state(q, lane_mask)
-        out = sim.step(ctx.rep_stimuli[cyc])
-        golden = ctx.rep_trace[cyc]
+        out = sim.step(replicated(ctx.stimuli[cyc]))
+        golden = replicated(ctx.trace[cyc])
         for po, val in out.items():
             fail |= val ^ golden[po]
     diff = 0
-    for q, bit in ctx.final_state.items():
-        diff |= sim.state[q] ^ (mask if bit else 0)
+    for q, word in replicated(ctx.final_state).items():
+        diff |= sim.state[q] ^ word
     fail &= lanes
     return fail, diff & lanes & ~fail
 
@@ -478,59 +407,6 @@ def _flip_cycles(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
                   if cyc_flips and start <= cyc < ctx.n_cycles)
 
 
-def _walk(ctx: LaneContext, carrier, cycles: Sequence[int]) -> bool:
-    """Drive ``carrier`` — one SoA column band, :class:`_SoaBand` —
-    through the busy window of its flip schedule.
-
-    ``cycles`` are the (ascending, non-empty) cycles with a flip due.
-    The walk seeds the carrier with the golden state entering the first
-    of them and then, per cycle, applies the due flips and executes the
-    cycle.  After executing cycle *t*, iff no flip is due at *t + 1*,
-    it asks the carrier whether any lane is still *undecided*: neither
-    failed already nor back on the golden state entering *t + 1*.  If
-    none is, every unfailed lane is bit-for-bit golden, so its future is
-    golden until its next flip (same state, same stimulus), while
-    failure is sticky and dominates latent — nothing between here and
-    the next flip can change an outcome.  The walk therefore jumps to
-    the next flip cycle and re-seeds from the golden entering state
-    (checkpoint restore), or, when no flip remains, stops.
-
-    A schedule with a flip every cycle never takes the test and
-    executes exactly ``n_cycles - cycles[0]`` steps.  Returns whether
-    the walk ended on such an all-golden state (then no lane is latent);
-    otherwise it ran to the last workload cycle and the caller compares
-    the final state.
-    """
-    n_cycles = ctx.n_cycles
-    stops = [*cycles, n_cycles]  # every flip cycle, then the workload end
-    due = 0  # index into stops of the next one not reached yet
-    steps = skipped = tests = 0
-    settled = False
-    cyc = stops[0]
-    carrier.seed(cyc)
-    while cyc < n_cycles:
-        if cyc == stops[due]:
-            carrier.flip(cyc)
-            due += 1
-        carrier.step(cyc)
-        steps += 1
-        cyc += 1
-        if cyc == stops[due]:
-            continue
-        tests += 1
-        if carrier.undecided(cyc):
-            continue
-        skipped += stops[due] - cyc
-        cyc = stops[due]
-        if cyc == n_cycles:
-            settled = True
-        else:
-            carrier.seed(cyc)
-    ctx.count(steps_run=steps, cycles_skipped=skipped,
-              early_exits=int(settled), quiescence_tests=tests)
-    return settled
-
-
 def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
     """Lanes in which any word differs from its golden counterpart."""
     return reduce(or_, map(xor, words, golden), 0)
@@ -538,27 +414,35 @@ def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
 
 def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
                       live: int) -> tuple[int, int]:
-    """The int-carried packed propagation: every lane on its own clock.
+    """The compiled packed propagation: every lane on its own clock.
 
     Lane *i*, whose first flip is due at cycle ``s_i``, does not sit in
     golden state until a shared clock reaches ``s_i``: at walk step *t*
     it **is** at cycle ``s_i + t``.  Its bit of every stimulus word,
     golden output word and golden state word is therefore that net's
-    golden bit at ``s_i + t`` (:func:`_skewed_golden`), every lane takes
-    its first flip at *t* = 0, and a later flip of the same lane, due at
-    cycle *c*, fires at step ``c - s_i`` (:func:`_skewed_schedule`).
-    After each step a lane leaves the active set when it has failed
-    (sticky), when it is back on its own golden state with no flip of
-    its own still to come (its future is golden: masked), or when it
-    has run the last workload cycle (a state still off the golden final
-    state is then its latent bit).  The walk ends when no lane is
-    active: after as many steps as the slowest lane took to be decided,
-    not ``last flip - first flip + settle``.
+    golden bit at ``s_i + t`` (gathered by the carrier), every lane
+    takes its first flip at *t* = 0, and a later flip of the same lane,
+    due at cycle *c*, fires at step ``c - s_i``
+    (:func:`_skewed_schedule`).  After each step a lane leaves the
+    active set when it has failed (sticky), when it is back on its own
+    golden state with no flip of its own still to come (its future is
+    golden: masked), or when it has run the last workload cycle (a state
+    still off the golden final state is then its latent bit).  The walk
+    ends when no lane is active: after as many steps as the slowest lane
+    took to be decided, not ``last flip - first flip + settle``.
 
     Exact for the reason the module docstring gives: lanes are
     independent bit positions of one boolean function, so which cycle's
     inputs a lane is fed is nobody's business but its own.  A retired
     lane keeps computing on whatever it is fed and is never read again.
+
+    The schedule and the lane sets (Python ints on both carriers — a
+    4096-bit int is free next to a circuit step) live here; the carrier
+    (:class:`_IntLanes` or :class:`_SoaLanes`, by ``ctx.backing``) only
+    stores the lane word: ``flip(due)`` XORs lane masks into flop
+    states, ``step()`` runs one cycle and answers with the lanes
+    whose outputs diverged from their golden bits in it and the lanes
+    whose state differs from the golden state entering the next.
     """
     cycles = _flip_cycles(ctx, flips, start)
     starts, sched = _skewed_schedule(flips, cycles, live)
@@ -571,29 +455,19 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
         waiting[at] = later
         later |= reduce(or_, sched[at].values())
     n_cycles = ctx.n_cycles
-    n_in = len(program.inputs)
-    n_io = n_in + len(program.outputs)
-    q_index = program.q_index
-    fn = program.program.fn
-    golden = _skewed_golden(ctx, program, starts,
-                            _vector.blocks_for(live.bit_length()))
-    rows = next(golden)
-    state = rows[n_io:]
+    carrier = (_SoaLanes if ctx.backing == "soa" else _IntLanes)(
+        ctx, program, starts, live)
     active = later  # every lane that flips at all
     fail = latent = pending = 0
     step = 0
     while active:
         due = sched.get(step)
         if due:
-            state = list(state)
-            for q, lane_mask in due.items():
-                state[q_index[q]] ^= lane_mask
+            carrier.flip(due)
             pending = waiting[step]
-        out, state = fn(rows[:n_in], state, live)
-        fail |= _diverged(out, rows[n_in:n_io]) & active
+        diverged, diff = carrier.step()
+        fail |= diverged & active
         step += 1
-        rows = next(golden)
-        diff = _diverged(state, rows[n_io:])
         ended = starts.get(n_cycles - step, 0)  # ran the last cycle
         latent |= diff & ended & active & ~fail
         active &= (diff | pending) & ~fail & ~ended
@@ -630,6 +504,55 @@ def _skewed_schedule(flips: Mapping[int, Mapping[str, int]],
     return starts, sched
 
 
+class _IntLanes:
+    """The packed-int lane word: one Python int per net, advanced by the
+    compiled step function on raw slot tuples, its golden words gathered
+    by :func:`_skewed_golden`."""
+
+    def __init__(self, ctx: LaneContext, program, starts: Mapping[int, int],
+                 live: int) -> None:
+        self.n_in = len(program.inputs)
+        self.n_io = self.n_in + len(program.outputs)
+        self.q_index = program.q_index
+        self.fn = program.program.fn
+        self.live = live
+        self.golden = _skewed_golden(ctx, program, starts,
+                                     _vector.blocks_for(live.bit_length()))
+        self.rows = next(self.golden)
+        self.state = self.rows[self.n_io:]
+
+    def flip(self, due: Mapping[str, int]) -> None:
+        state = self.state = list(self.state)
+        for q, lane_mask in due.items():
+            state[self.q_index[q]] ^= lane_mask
+
+    def step(self) -> tuple[int, int]:
+        rows, n_in, n_io = self.rows, self.n_in, self.n_io
+        out, self.state = self.fn(rows[:n_in], self.state, self.live)
+        self.rows = ahead = next(self.golden)
+        return (_diverged(out, rows[n_in:n_io]),
+                _diverged(self.state, ahead[n_io:]))
+
+
+def _strided_table(bits: Sequence[Sequence[int]]) -> tuple:
+    """:meth:`LaneContext.golden_table` layout of the int carrier: one
+    strided word per cycle with a 64-bit field per row whose bit 0 is
+    the row's golden bit, so ``table[cycle] * m`` is the golden word of
+    every row at once for the lanes ``m < 2**64`` of one block.  Returns
+    ``(table, unit, fields)``: ``unit`` has bit 0 of every field set,
+    ``fields`` is the :class:`struct.Struct` that splits a strided word
+    into its rows."""
+    one, zero = (1).to_bytes(8, "little"), bytes(8)
+
+    def strided(row_bits) -> int:
+        return int.from_bytes(
+            b"".join(one if bit else zero for bit in row_bits), "little")
+
+    n_rows = len(bits[0])
+    return ([strided(row_bits) for row_bits in bits],
+            strided([1] * n_rows), struct.Struct(f"<{n_rows}Q"))
+
+
 def _block_words(word: int, n_blocks: int) -> tuple[int, ...]:
     """``word`` cut into ``n_blocks`` 64-lane blocks (one pass)."""
     if n_blocks == 1:
@@ -661,7 +584,7 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
     row (numpy above one block — :func:`resolve_lane_width` guarantees
     it there; a single block needs only :mod:`struct`).
     """
-    table, unit, fields = ctx.golden_table(program)
+    table, unit, fields = ctx.golden_table(program, _strided_table)
     last = len(table) - 1
     split = {cyc: _block_words(group, n_blocks)
              for cyc, group in starts.items()}
@@ -705,155 +628,102 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
         step += 1
 
 
-#: 64-lane blocks per SoA column band.  One SoA step costs about
-#: ``35 us + 50 us * lanes / 1024`` on the benchmark's 12 800-gate
-#: circuit, so narrow bands pay more fixed dispatch per lane-cycle but
-#: walk a shorter window: a band only runs from its own first flip to
-#: its last flip plus settle time.  Swept on ``seu_soa4096`` (43 520
-#: points, 136 cycles, ~30 cycle-sorted lanes flipping per cycle; table
-#: in the README's SoA section): 8 to 16 blocks are level, narrower and
-#: wider both lose.  16 blocks = 1024 lanes is also the narrowest word
-#: the auto backing hands the SoA tier (``vector.SOA_MIN_LANES``), so a
-#: group at the crossover width is walked as one band.
-SOA_BAND_BLOCKS = 16
+class _SoaLanes:
+    """The SoA lane word: one ``(2 * slots, blocks)`` state matrix.
 
-
-def _propagate_soa(ctx: LaneContext, program, flips, start: int,
-                   n_lanes: int) -> tuple[int, int]:
-    """The SoA-backed packed propagation, one column band at a time.
-
-    The lane word is cut into bands of :data:`SOA_BAND_BLOCKS` blocks.
-    Each band gets the slice of the flip schedule that lands in its
-    lanes and is walked on its own (:func:`_walk`) — from *its* first
-    flip to *its* last flip plus settle time — on one reused
-    ``(2 * slots, band)`` state matrix.  ``packed_dispatch`` hands over
-    lanes sorted by injection cycle, so a band's flips are a short run
-    of adjacent cycles and a flip's lane mask touches one band; only
-    the blocks the ``n_lanes`` present occupy are ever computed.
-    """
-    np = _vector.np
-    n_lanes = min(n_lanes, ctx.width)
-    blocks = _vector.blocks_for(n_lanes)
-    lanes = mask_of(n_lanes)
-    cycles = _flip_cycles(ctx, flips, start)
-    if not cycles:
-        return 0, 0
-    # the whole schedule as arrays, one row per flip in cycle order: its
-    # cycle, its flop row, its lane word (one bytes pass)
-    qa = program.q_slice[0]
-    q_index = program.q_index
-    flip_cycle = np.repeat(cycles, [len(flips[cyc]) for cyc in cycles])
-    flip_row = np.asarray([qa + q_index[q] for cyc in cycles
-                           for q in flips[cyc]], dtype=np.intp)
-    flip_word = np.frombuffer(
-        b"".join((lane_mask & lanes).to_bytes(blocks * 8, "little")
-                 for cyc in cycles for lane_mask in flips[cyc].values()),
-        dtype="<u8").reshape(len(flip_row), blocks)
-    fail = _vector.zeros(blocks)
-    latent = _vector.zeros(blocks)
-    carrier = None
-    bands = 0
-    for b0 in range(0, blocks, SOA_BAND_BLOCKS):
-        b1 = min(blocks, b0 + SOA_BAND_BLOCKS)
-        words = flip_word[:, b0:b1]
-        mine = np.flatnonzero(words.any(axis=1))  # flips landing in the band
-        if not len(mine):
-            continue  # all lanes golden: neither failed nor latent
-        if carrier is None or carrier.width != b1 - b0:
-            carrier = _SoaBand(ctx, program, b1 - b0)
-        band_cycles, firsts = np.unique(flip_cycle[mine], return_index=True)
-        band_cycles = band_cycles.tolist()
-        bounds = [*firsts.tolist(), len(mine)]
-        carrier.load(dict(zip(band_cycles, zip(bounds, bounds[1:]))),
-                     flip_row[mine],
-                     words[mine].astype(np.uint64, copy=False))
-        settled = _walk(ctx, carrier, band_cycles)
-        fail[b0:b1] = carrier.fail
-        if not settled:
-            latent[b0:b1] = carrier.diff(ctx.n_cycles)
-        bands += 1
-    ctx.count(bands_run=bands)
-    fail_int = _vector.from_blocks(fail) & lanes
-    return fail_int, _vector.from_blocks(latent) & lanes & ~fail_int
-
-
-class _SoaBand:
-    """One column band of the SoA lane word.
-
-    The whole multi-cycle walk stays inside numpy: stimuli are column
-    broadcasts into the state matrix's PI rows, the kernel evaluates
-    each level as fused array ops, PO divergence and the next state
-    come back as row gathers.  Flips XOR into the flop rows only — the
-    complement mirror of all source rows is refreshed in one ``invert``
-    at the top of every step.  The golden columns seed every lane of
-    a block and flips are confined to the lanes present, so the dead
-    lanes of a partial block are golden lanes like any other: nothing
-    needs masking before the final readout.  The matrix is allocated
-    per ``propagate`` call (a chunk abandoned past ``chunk_timeout``
-    may still hold the context) and reused by every band of that call.
+    The whole multi-cycle walk stays inside numpy: the golden rows of a
+    step are gathered from an all-ones/zero ``(n_cycles + 1, rows)``
+    table, the kernel evaluates each level as fused array ops, PO
+    divergence and the next state come back as row gathers.  Flips XOR
+    into the flop rows only — the complement mirror of all source rows
+    is refreshed in one ``invert`` at the top of every step.  The golden
+    word of a row is gathered **per block**: *layer* ``k`` holds, for
+    every 64-lane block, its ``k``-th distinct start cycle and the lanes
+    of the block that start there, so a step costs one ``take`` and one
+    mask per layer — two to four in a cycle-sorted group.  Lanes that
+    never flip (the dead lanes of a partial block among them) read
+    zeros; the walker never reads them back.  The matrix covers only the
+    blocks the lanes present occupy and is allocated per ``propagate``
+    call (a chunk abandoned past ``chunk_timeout`` may still hold the
+    context).
     """
 
-    def __init__(self, ctx: LaneContext, program, width: int) -> None:
+    def __init__(self, ctx: LaneContext, program, starts: Mapping[int, int],
+                 live: int) -> None:
         np = _vector.np
-        self.stim, self.trace, self.states = ctx.raw_views_soa(program)
-        self.kernel = kernel = program.kernel
-        self.width = width
+        self.program = program
+        self.n_in = len(program.inputs)
+        self.n_io = self.n_in + len(program.outputs)
+        self.gold = ctx.golden_table(program, _cycle_table)
+        self.n_blocks = _vector.blocks_for(live.bit_length())
+        lanes_of = self._words(starts.values())  # (start cycle, block)
+        depth = int(np.count_nonzero(lanes_of, axis=0).max())
+        order = np.argsort(lanes_of == 0, axis=0, kind="stable")[:depth]
+        self.masks = np.take_along_axis(lanes_of, order, axis=0)[..., None]
+        self.cycles = np.asarray(list(starts))[order]
+        kernel = program.kernel
         n = kernel.n_slots
-        S = np.zeros((2 * n, width), dtype=np.uint64)
+        self.S = S = np.zeros((2 * n, self.n_blocks), dtype=np.uint64)
         S[n] = ~np.uint64(0)
-        self.S = S
         self.bound = kernel.bind(S)  # output views, replayed every cycle
-        pa, pb = program.pi_slice
-        qa, qb = program.q_slice
-        lo, hi = kernel.src_span
-        self.pi_rows = S[pa:pb]
-        self.q_rows = S[qa:qb]
+        (pa, pb), (qa, qb), (lo, hi) = (program.pi_slice, program.q_slice,
+                                        kernel.src_span)
+        self.pi_rows, self.q_rows = S[pa:pb], S[qa:qb]
         self.src_rows, self.src_mirror = S[lo:hi], S[n + lo:n + hi]
-        self.po_rows = program.po_rows
-        self.d_rows = program.d_rows
-        self.q_buf = np.empty((qb - qa, width), dtype=np.uint64)
-        self.tmp = np.empty(width, dtype=np.uint64)
+        self.steps = 0
+        self.rows = self._gather()
+        self.q_rows[...] = self.rows[self.n_io:]
 
-    def load(self, spans: Mapping[int, tuple[int, int]], rows, bits) -> None:
-        """Target the next band: the flop row and band-wide word of each
-        of its flips in cycle order, ``spans[cycle]`` bounding the flips
-        due at ``cycle``."""
-        self.fail = _vector.zeros(self.width)
-        self.spans = spans
-        self.rows = rows
-        self.bits = bits
+    def _words(self, lane_masks) -> Any:
+        """One row of 64-lane blocks per lane mask (one bytes pass)."""
+        size = 8 * self.n_blocks
+        return _vector.np.frombuffer(
+            b"".join(lane_mask.to_bytes(size, "little")
+                     for lane_mask in lane_masks),
+            dtype="<u8").reshape(-1, self.n_blocks)
 
-    def seed(self, cyc: int) -> None:
-        self.q_rows[...] = self.states[cyc]
-
-    def flip(self, cyc: int) -> None:
-        a, b = self.spans[cyc]
-        self.S[self.rows[a:b]] ^= self.bits[a:b]
-
-    def step(self, cyc: int) -> None:
+    def _gather(self):
+        """The golden word of every row, lane *i* at ``s_i + steps`` (a
+        lane past the end of the workload reads the last entry: it has
+        been retired by then).  Gathered block-major — a block's rows
+        at one cycle are contiguous in the table — and handed back
+        row-major, the layout of the state matrix."""
         np = _vector.np
-        S = self.S
-        self.pi_rows[...] = self.stim[cyc]
+        at = np.minimum(self.cycles + self.steps, len(self.gold) - 1)
+        rows = 0
+        for cycle, mask in zip(at, self.masks):
+            layer = self.gold.take(cycle, axis=0)
+            layer &= mask
+            rows |= layer
+        return np.ascontiguousarray(rows.T)
+
+    def flip(self, due: Mapping[str, int]) -> None:
+        qa, q_index = self.program.q_slice[0], self.program.q_index
+        self.S[[qa + q_index[q] for q in due]] ^= self._words(due.values())
+
+    def step(self) -> tuple[int, int]:
+        np = _vector.np
+        S, rows, program = self.S, self.rows, self.program
+        self.pi_rows[...] = rows[:self.n_in]
         np.invert(self.src_rows, out=self.src_mirror)
-        self.kernel.execute_bound(S, self.bound)
-        if len(self.po_rows):
-            po = S.take(self.po_rows, axis=0)
-            po ^= self.trace[cyc]
-            np.bitwise_or.reduce(po, axis=0, out=self.tmp)
-            self.fail |= self.tmp
-        self.q_rows[...] = S.take(self.d_rows, axis=0)
+        program.kernel.execute_bound(S, self.bound)
+        po = S.take(program.po_rows, axis=0)
+        po ^= rows[self.n_in:self.n_io]
+        self.q_rows[...] = S.take(program.d_rows, axis=0)
+        self.steps += 1
+        self.rows = ahead = self._gather()
+        diff = np.bitwise_xor(self.q_rows, ahead[self.n_io:])
+        return (_vector.from_blocks(np.bitwise_or.reduce(po, axis=0)),
+                _vector.from_blocks(np.bitwise_or.reduce(diff, axis=0)))
 
-    def diff(self, cyc: int):
-        """Lanes whose state differs from the golden one entering
-        ``cyc`` (``n_cycles``: the golden final state)."""
-        np = _vector.np
-        np.bitwise_xor(self.q_rows, self.states[cyc], out=self.q_buf)
-        return np.bitwise_or.reduce(self.q_buf, axis=0)
 
-    def undecided(self, cyc: int) -> bool:
-        word = self.diff(cyc)
-        word &= ~self.fail
-        return bool(word.any())
+def _cycle_table(bits: Sequence[Sequence[int]]):
+    """:meth:`LaneContext.golden_table` layout of the SoA carrier: an
+    all-ones/zero ``(n_cycles + 1, rows)`` uint64 matrix — the golden
+    word of every row, for a whole block of lanes at one cycle."""
+    np = _vector.np
+    return np.where(np.asarray(bits, dtype=bool), ~np.uint64(0),
+                    np.uint64(0))
 
 
 def _outcome_list(fail: int, latent: int, count: int) -> list[str]:

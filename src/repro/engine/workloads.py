@@ -28,6 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..circuit import levelize
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
+from ..faults.universe import check_sites
 from ..sim import fault_sim
 from ..sim.logic import mask_of, pack_patterns
 from . import lanes
@@ -388,8 +389,9 @@ class SlicingBackend:
     reference both packings are tested against.  ``lane_backing`` names
     the lane carrier (``"int"``, ``"soa"``, or ``None`` for the auto
     rule of :func:`repro.engine.lanes.resolve_backing`); any other name
-    raises ``ValueError`` at construction, as does an injection cycle
-    outside the workload.
+    raises ``ValueError`` at construction, as do an injection cycle
+    outside the workload and a fault that is not on a line of the
+    circuit.
     """
 
     name = "slicing"
@@ -404,6 +406,7 @@ class SlicingBackend:
         self.circuit = circuit
         self.circuit_name = circuit.name
         self.faults = list(faults)
+        check_sites(circuit, self.faults)  # in the parent, not a worker
         self.stimuli = list(stimuli)
         self.cycles = list(cycles if cycles is not None
                            else range(len(self.stimuli)))
@@ -450,7 +453,7 @@ class SlicingBackend:
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
                 golden=self._golden,
-                backing=getattr(self, "lane_backing", None))
+                backing=self.lane_backing)
 
     def campaign_finished(self) -> None:
         lanes.log_walk_summary(self.name, self._lane_ctx)

@@ -10,7 +10,8 @@ from .models import (
     StuckAtFault,
 )
 from .sampling import draw_sample, sample_size, stratified_sample
-from .universe import all_stuck_at, collapse, collapse_ratio, lines_of
+from .universe import (all_stuck_at, check_sites, collapse, collapse_ratio,
+                       lines_of)
 
 __all__ = [
     "DelayFault",
@@ -21,6 +22,7 @@ __all__ = [
     "SEUFault",
     "StuckAtFault",
     "all_stuck_at",
+    "check_sites",
     "collapse",
     "collapse_ratio",
     "draw_sample",

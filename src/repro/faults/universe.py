@@ -10,6 +10,8 @@ class, and coverage accounting credits the whole class.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..circuit.netlist import Circuit, GateType
 from .models import Line, StuckAtFault
 
@@ -26,6 +28,27 @@ def lines_of(circuit: Circuit) -> list[Line]:
         if len(fmap.get(flop.d, ())) > 1:
             sites.append(Line(flop.d, q, 0))
     return sites
+
+
+def check_sites(circuit: Circuit, faults: Iterable[StuckAtFault],
+                observed: Iterable[str] = ()) -> None:
+    """Raise ``ValueError`` unless every fault sits on a line of
+    ``circuit`` (its net exists; a branch's sink is a gate or a flop)
+    and every ``observed`` net exists.  The simulators read a missing
+    net as constant 0, so a misspelt site would be classified —
+    undetected, masked, safe — instead of reported."""
+    nets = set(circuit.nets)
+    unknown = [net for net in observed if net not in nets]
+    if unknown:
+        raise ValueError(f"observed nets {unknown} are not nets of "
+                         f"{circuit.name}")
+    off = [fault.describe() for fault in faults
+           if fault.line.net not in nets or not (
+               fault.line.is_stem or fault.line.sink in circuit.gates
+               or fault.line.sink in circuit.flops)]
+    if off:
+        raise ValueError(f"{len(off)} fault(s) are not on lines of "
+                         f"{circuit.name}: {off[:5]}")
 
 
 def all_stuck_at(circuit: Circuit) -> list[StuckAtFault]:

@@ -14,8 +14,9 @@ SQLite file (WAL mode).  The division of labour:
 * :mod:`.worker` — ``CampaignWorker``: the claim → execute → record
   loop, heartbeat thread, SIGTERM graceful drain, and the
   :class:`~repro.engine.chaos.HostChaos` sabotage points.
-* :mod:`.api`    — one-call helpers and ``LocalWorkerPool`` for
-  single-host deployments, tests and benchmarks.
+* :mod:`.api`    — ``LocalWorkerPool`` and the one-call
+  ``run_service_campaign`` for single-host deployments, tests and
+  benchmarks.
 
 The load-bearing invariant, proven in ``tests/test_service.py``: a
 campaign run by N workers — including workers that are SIGKILLed
@@ -25,8 +26,7 @@ byte-identical to a serial ``run_campaign`` of the same (backend,
 config).
 """
 
-from .api import (LocalWorkerPool, cancel_campaign, fetch_report,
-                  poll_campaign, run_service_campaign, submit_campaign)
+from .api import LocalWorkerPool, run_service_campaign
 from .leases import Lease, LeaseManager
 from .queue import CampaignQueue, Job
 from .worker import CampaignWorker, worker_main
@@ -38,10 +38,6 @@ __all__ = [
     "Lease",
     "LeaseManager",
     "LocalWorkerPool",
-    "cancel_campaign",
-    "fetch_report",
-    "poll_campaign",
     "run_service_campaign",
-    "submit_campaign",
     "worker_main",
 ]

@@ -1,8 +1,4 @@
-"""Convenience facade over the campaign service.
-
-``submit_campaign`` / ``poll_campaign`` / ``cancel_campaign`` /
-``fetch_report`` are thin wrappers that accept a database *path* (or an
-open CampaignDb) so callers needn't hold a CampaignQueue.
+"""Single-host conveniences over the campaign service.
 
 :class:`LocalWorkerPool` spawns N ``CampaignWorker`` processes against
 one shared file — the single-host deployment, and the harness the
@@ -21,40 +17,11 @@ import multiprocessing
 import os
 import signal
 import tempfile
-from pathlib import Path
 from typing import Any
 
-from ..core.campaign import CampaignDb
 from ..engine.core import CampaignReport, EngineConfig
-from .queue import CampaignQueue, Job
+from .queue import CampaignQueue
 from .worker import worker_main
-
-
-def _queue_for(db: CampaignDb | str | Path) -> CampaignQueue:
-    return CampaignQueue(db)
-
-
-def submit_campaign(db: CampaignDb | str | Path, backend: Any,
-                    config: EngineConfig = EngineConfig()) -> int:
-    with _queue_for(db) as queue:
-        return queue.submit(backend, config)
-
-
-def poll_campaign(db: CampaignDb | str | Path, job_id: int) -> Job:
-    with _queue_for(db) as queue:
-        return queue.poll(job_id)
-
-
-def cancel_campaign(db: CampaignDb | str | Path, job_id: int) -> bool:
-    with _queue_for(db) as queue:
-        return queue.cancel(job_id)
-
-
-def fetch_report(db: CampaignDb | str | Path, job_id: int,
-                 backend: Any = None,
-                 config: EngineConfig | None = None) -> CampaignReport:
-    with _queue_for(db) as queue:
-        return queue.result(job_id, backend=backend, config=config)
 
 
 class LocalWorkerPool:

@@ -44,9 +44,13 @@ up to roughly ``35 us + 50 us * lanes / 1024`` on the benchmark's
 12 800-gate circuit (1 871 live gates in 14 levels, 68 fused calls after
 cone-of-influence trimming; more once the ``(2 * n_slots, n_blocks)``
 matrix leaves cache): the fixed part is per-level dispatch, the rest is
-per column.  :mod:`repro.engine.lanes` therefore neither advances every
-column nor every cycle — it walks the lane word in column bands of
-``lanes.SOA_BAND_BLOCKS`` blocks, each over its own busy window.
+per column.  :mod:`repro.engine.lanes` therefore advances only the
+columns the lanes present occupy, and only for as many steps as the
+slowest lane needs to be decided: every lane runs on its own clock, at
+the price of gathering the golden rows of each step per 64-lane block
+(one ``take`` and one mask per distinct start cycle in a block, two to
+four in a cycle-sorted group — about two thirds of the kernel step
+again on that circuit at 4096 lanes).
 
 When numpy is missing entirely the SoA carrier is unavailable: a
 requested ``"soa"`` degrades to ``"int"`` and lane widths above 64
@@ -120,11 +124,6 @@ def to_blocks(value: int, n_blocks: int):
 def from_blocks(arr) -> int:
     """The packed int a block array encodes (inverse of to_blocks)."""
     return int.from_bytes(arr.astype("<u8", copy=False).tobytes(), "little")
-
-
-def zeros(n_blocks: int):
-    """A fresh all-zero lane word."""
-    return np.zeros(n_blocks, dtype=np.uint64)
 
 
 def mask_array(n_lanes: int, n_blocks: int | None = None):

@@ -25,7 +25,9 @@ from repro.engine import (
     GpgpuSeuBackend,
     Injection,
     LaserFiBackend,
+    PpsfpBackend,
     RsnDiagnosisBackend,
+    SafetyBackend,
     ScaTraceBackend,
     SeuBackend,
     SlicingBackend,
@@ -49,6 +51,7 @@ from repro.rsn import (
 )
 from repro.safety import (
     run_naive_campaign,
+    run_safety_campaign,
     run_sliced_campaign,
     verify_equivalence,
 )
@@ -535,3 +538,57 @@ class TestSeuDeadFlopFilter:
         assert {(i.flop, i.cycle, i.outcome) for i in reference.injections} \
             == {(i.location, i.cycle, i.outcome)
                 for i in filtered.injections + filtered.skipped}
+
+
+# ----------------------------------------------------------------------
+# stuck-at inputs that name nothing in the circuit are rejected up front
+# ----------------------------------------------------------------------
+def _stuck_at_setup():
+    from repro.faults import Line, StuckAtFault
+    from repro.sim import random_patterns
+
+    circuit = load("rand_seq")
+    return dict(
+        circuit=circuit, faults=collapse(circuit)[0][:6],
+        ghost=StuckAtFault(Line("no_such_net"), 1),
+        dangling=StuckAtFault(Line(circuit.inputs[0], "no_such_gate", 0), 0),
+        patterns=random_patterns(circuit.inputs, 8, seed=1),
+        workload=random_workload(circuit, 4, seed=2),
+        outs=list(circuit.outputs))
+
+
+_BAD_STUCK_AT = {
+    "ppsfp-net": lambda s: PpsfpBackend(
+        s["circuit"], s["faults"] + [s["ghost"]], [(s["patterns"], 8)]),
+    "ppsfp-sink": lambda s: PpsfpBackend(
+        s["circuit"], [s["dangling"]], [(s["patterns"], 8)]),
+    "safety-net": lambda s: SafetyBackend(
+        s["circuit"], [s["ghost"]], s["outs"][:1], s["outs"][1:],
+        s["patterns"], 8),
+    "safety-mission": lambda s: SafetyBackend(
+        s["circuit"], s["faults"], ["nope"], s["outs"], s["patterns"], 8),
+    "safety-detection": lambda s: SafetyBackend(
+        s["circuit"], s["faults"], s["outs"], ["nada"], s["patterns"], 8),
+    "slicing-net-packed": lambda s: SlicingBackend(
+        s["circuit"], s["faults"] + [s["ghost"]], s["workload"]),
+    "slicing-sink-per-point": lambda s: SlicingBackend(
+        s["circuit"], [s["dangling"]], s["workload"], lane_width=1),
+    "run_safety_campaign-process": lambda s: run_safety_campaign(
+        s["circuit"], s["faults"], ["nope"], ["nada"], s["patterns"], 8,
+        workers=2, executor="process"),
+    "run_sliced_campaign-process": lambda s: run_sliced_campaign(
+        s["circuit"], [s["ghost"]], s["workload"], workers=2,
+        executor="process"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_STUCK_AT)
+def test_stuck_at_inputs_off_the_circuit_are_rejected(case):
+    # read as constant 0, a misspelt site or output group would be
+    # classified (undetected / masked / safe) instead of reported
+    from repro.engine import executors, shutdown_pools
+
+    shutdown_pools()
+    with pytest.raises(ValueError, match="not (on lines|nets) of"):
+        _BAD_STUCK_AT[case](_stuck_at_setup())
+    assert not executors._pool_registry  # raised before any pool

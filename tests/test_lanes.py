@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 from functools import partial
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -464,10 +463,10 @@ class TestBackingValidatedAtConstruction:
 
 
 # ----------------------------------------------------------------------
-# the walkers: lanes on their own clocks (int), busy windows and column
-# bands (SoA), work bounds
+# the walker: lanes on their own clocks, on both carriers; work bounds
 # ----------------------------------------------------------------------
-SHAPES = ("first", "last", "tail", "anywhere", "sparse", "ramp", "twice")
+SHAPES = ("first", "last", "tail", "anywhere", "sparse", "ramp", "twice",
+          "scattered")
 
 
 def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
@@ -477,7 +476,9 @@ def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
     lanes on one start cycle, ``tail`` starts them in the last two
     cycles (latent at retirement), ``anywhere`` also draws cycles
     outside the workload, ``ramp`` has lane *i + 1* start one cycle
-    after lane *i* (the flop-major default chunk)."""
+    after lane *i* (the flop-major default chunk), ``scattered`` gives
+    every lane of a 64-lane block its own start cycle where the workload
+    is long enough (the deepest per-block gather of the SoA carrier)."""
     flops = list(circuit.flops)
     flips = {}
     offset = rng.randrange(n_cycles)
@@ -494,6 +495,7 @@ def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
                "sparse": rng.choice((0, n_cycles // 2, n_cycles - 1)),
                "ramp": (offset + lane) % n_cycles,
                "twice": rng.randrange(-1, n_cycles),
+               "scattered": (offset + 3 * lane) % n_cycles,
                }[shape]
         flip(lane, cyc)
         if shape == "twice":
@@ -555,12 +557,11 @@ class TestBusyWindow:
     @given(seed=st.integers(0, 10_000),
            n_flops=st.sampled_from((1, 2, 7)),
            n_outputs=st.sampled_from((0, 1, 4)),
-           n_cycles=st.integers(1, 12),
-           n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200, 1000)),
-           shape=st.sampled_from(SHAPES),
-           band=st.sampled_from((1, 2, 8)))
+           n_cycles=st.sampled_from((1, 2, 3, 5, 8, 12, 70)),
+           n_lanes=st.sampled_from((1, 5, 64, 65, 100, 130, 200, 1000)),
+           shape=st.sampled_from(SHAPES))
     def test_property_walkers_equal_full_length_interpreter(
-            self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape, band):
+            self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape):
         circuit = random_sequential(n_inputs=3, n_gates=25, n_flops=n_flops,
                                     n_outputs=n_outputs, seed=seed)
         workload = random_workload(circuit, n_cycles, seed=seed + 1)
@@ -570,21 +571,22 @@ class TestBusyWindow:
         expected = _interpreter_reference(circuit, workload, width, flips,
                                           n_lanes)
         start = _start_of(flips, n_cycles)
+        fires = any(0 <= cyc < n_cycles for cyc in flips)
+        steps = {}
         for backing in ("int", "soa"):
             ctx = lanes.build_context(circuit.copy(), workload, width,
                                       backing=backing)
             assert ctx.backing == backing
-            with mock.patch.object(lanes, "SOA_BAND_BLOCKS", band):
-                got = lanes.propagate(ctx, flips, start, n_lanes)
-            assert got == expected, backing
-            if backing == "int":  # one walk: every cycle is run or skipped
-                fires = any(0 <= cyc < n_cycles for cyc in flips)
-                assert ctx.steps_run + ctx.cycles_skipped == (
-                    n_cycles - start if fires else 0)
-                if n_lanes <= 65:  # ... and it lasts as long as its
-                    steps = ctx.steps_run  # slowest lane, no longer
-                    assert steps == max(_steps_lane_by_lane(ctx, flips,
-                                                            n_lanes))
+            assert lanes.propagate(ctx, flips, start, n_lanes) == expected, \
+                backing
+            # one walk: every cycle is run or skipped ...
+            assert ctx.steps_run + ctx.cycles_skipped == (
+                n_cycles - start if fires else 0)
+            steps[backing] = ctx.steps_run
+            if n_lanes <= 65:  # ... and it lasts as long as its slowest
+                assert steps[backing] == max(  # lane, no longer
+                    _steps_lane_by_lane(ctx, flips, n_lanes))
+        assert steps["int"] == steps["soa"]  # one schedule, two carriers
 
     @needs_compiled
     @pytest.mark.parametrize("backing", ("int", "soa"))
@@ -602,13 +604,12 @@ class TestBusyWindow:
             circuit, workload, 70, flips, 4)
         # the latent lane holds either walk to the end of the workload
         assert ctx.steps_run == 2 * 9
-        # without it every lane is decided one cycle after its flip: the
-        # SoA band settles, jumps to the last flip and runs 2 of the 9
-        # cycles; the int lanes all flip at step 0 and that step is all
+        # without it every lane is decided one cycle after its flip, and
+        # all lanes flip at step 0: that step is the whole walk
         before = ctx.steps_run
         flips[1].pop("hold")
         assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1000)
-        assert ctx.steps_run - before == {"soa": 2, "int": 1}[backing]
+        assert ctx.steps_run - before == 1
         assert _steps_lane_by_lane(ctx, flips, 4) == [1, 0, 1, 1]
 
     @pytest.mark.parametrize("backing", ("int", "soa"))
@@ -652,10 +653,9 @@ class TestBusyWindow:
     @needs_compiled
     @pytest.mark.parametrize("backing", ("int", "soa"))
     def test_flip_every_cycle_pays_no_quiescence_test(self, backing):
-        # the slicing_filtered shape, one lane per cycle.  A band on one
-        # shared clock must cost exactly what the full-length loop cost
-        # (and never pay for a test while a flip is due next cycle); the
-        # int lanes start together and stop with the slowest
+        # the slicing_filtered shape, one lane per cycle: a shared clock
+        # would have to run the whole workload; the lanes start together
+        # and the walk stops with the slowest
         circuit = random_sequential(n_inputs=4, n_gates=40, n_flops=6,
                                     n_outputs=3, seed=3)
         n_cycles, first = 30, 4
@@ -667,30 +667,29 @@ class TestBusyWindow:
         got = lanes.propagate(ctx, flips, first, n_cycles - first)
         assert got == _interpreter_reference(circuit, workload, 128, flips,
                                              n_cycles - first)
-        assert ctx.quiescence_tests == 0
         assert ctx.steps_run + ctx.cycles_skipped == n_cycles - first
-        if backing == "soa":
-            assert ctx.steps_run == n_cycles - first
-            assert ctx.early_exits == 0
-        else:
-            assert ctx.steps_run == 4
-            assert ctx.early_exits == 1
-            assert max(_steps_lane_by_lane(ctx, flips,
-                                           n_cycles - first)) == 4
+        assert ctx.steps_run == 4
+        assert ctx.early_exits == 1
+        assert max(_steps_lane_by_lane(ctx, flips, n_cycles - first)) == 4
 
     @needs_compiled
-    def test_bands_cover_only_the_lanes_present(self, monkeypatch):
-        monkeypatch.setattr(lanes, "SOA_BAND_BLOCKS", 1)
+    def test_only_the_blocks_of_the_lanes_present_are_computed(
+            self, monkeypatch):
         circuit = load("rand_seq")
         workload = random_workload(circuit, 20, seed=7)
         ctx = lanes.build_context(circuit, workload, 4096, backing="soa")
         points = [(flop, cyc) for cyc in range(20)
                   for flop in circuit.flops][:200]
-        lanes.seu_outcomes(ctx, points)
-        assert ctx.bands_run == 4  # 200 lanes, not the context's 4096
-        # each 64-lane band walks its own ~6 flip cycles plus settle
-        # time, not the 20-cycle workload
-        assert ctx.steps_run < 4 * 20
+        kernel = compiled.soa_step_program(circuit, 4096).kernel
+        bound = []
+        monkeypatch.setattr(
+            kernel, "bind",
+            lambda S: bound.append(S.shape[1]) or type(kernel).bind(kernel, S))
+        assert lanes.seu_outcomes(ctx, points) == lanes.seu_outcomes(
+            lanes.build_context(circuit, workload, 4096, backing="int"),
+            points)
+        # one matrix for the one group: 200 lanes, not the context's 4096
+        assert bound == [vector.blocks_for(200)] == [4]
 
     @needs_compiled
     def test_campaign_end_logs_one_walk_summary(self, seq_setup, caplog):
@@ -705,10 +704,7 @@ class TestBusyWindow:
                      if "steps run" in rec.getMessage()]
             assert len(lines) == 1
             assert f"{backend._lane_ctx.steps_run} steps run" in lines[0]
-            # the int walker takes no quiescence tests and has no bands:
-            # its line does not report them as if they were measured
-            assert ("quiescence tests" in lines[0]) == (backing == "soa")
-            assert ("bands" in lines[0]) == (backing == "soa")
+            assert f"lanes[{backing} x64]" in lines[0]
 
 
 @pytest.mark.parametrize("n_lanes", (1, 5, 64))
