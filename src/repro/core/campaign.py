@@ -7,15 +7,46 @@ records persist to SQLite (stdlib), are queryable by circuit/fault
 model/outcome, and aggregate into the cross-campaign statistics that
 downstream cross-layer techniques consume.
 
+**Outcomes are stored as packed blocks, not rows.**  Every
+:meth:`CampaignDb.record_many` / :meth:`CampaignDb.record_chunk` call
+writes its ``(location, cycle, outcome)`` triples as *one* BLOB row of
+``outcome_blocks(campaign_id, chunk_index, n_points, payload)`` — the
+filter census of a campaign is the block with ``chunk_index IS NULL``.
+A block is self-contained (:func:`pack_block` / :func:`unpack_block`):
+
+* one line of ASCII JSON, newline-terminated —
+  ``{"n": points, "locations": [...], "outcomes": [...],
+  "columns": [[typecode, items], ...]}`` with the block's distinct
+  locations and outcomes in first-appearance order;
+* three little-endian fixed-width columns in that order — location
+  index, cycle, outcome code — each at the narrowest :mod:`array`
+  typecode its values fit (``B H I Q`` for the two index columns,
+  signed ``b h i q`` for ``cycle``; 1/2/4/8 bytes); a column whose
+  values are all equal is stored once (``items == 1``).
+
+There is no block-external dictionary, so a block decodes on its own:
+concurrent writers never contend on a shared string table and a
+copied-out BLOB is the interchange unit.  Every read side —
+:meth:`CampaignDb.chunk_rows`, :meth:`CampaignDb.summary`,
+:meth:`CampaignDb.failure_rate_by_location`,
+:meth:`CampaignDb.cross_campaign_outcomes` — sits behind the decoder,
+and :meth:`CampaignDb.rows` yields the flat ``(campaign_id, chunk_index,
+location, cycle, outcome)`` rows in write order for whoever wants them
+back (one ``executemany`` over it rebuilds a SQL table).  A database
+written by an older version (one ``injections`` row per point) is
+packed **in place** the first time it is opened.
+
 The store is also the engine's **checkpoint log**: each executed chunk
-of a campaign is recorded — injection rows plus a ``chunks`` row keyed
-by ``(campaign_id, chunk_index)`` — inside one transaction, so a killed
+of a campaign is recorded — its block plus a ``chunks`` row keyed by
+``(campaign_id, chunk_index)`` — inside one transaction, so a killed
 campaign restarts from its last committed chunk
 (:func:`repro.engine.core.run_campaign` with ``resume=``).  File-backed
 connections run in WAL mode with a busy timeout, and chunk writes are
 idempotent (``INSERT OR IGNORE`` on the chunk key): replaying a chunk
 whose record already committed is a no-op, so a crash between commit
-and checkpoint can never double-count on resume.
+and checkpoint can never double-count on resume.  A ``UNIQUE`` partial
+index on ``outcome_blocks(campaign_id, chunk_index)`` makes "a chunk is
+never recorded with two payloads" a constraint of the schema.
 
 On top of the checkpoint log sit the **campaign-service tables**
 (:mod:`repro.service`): ``service_jobs`` (the submit/poll/cancel
@@ -32,10 +63,13 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
+from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -46,13 +80,12 @@ CREATE TABLE IF NOT EXISTS campaigns (
     workload TEXT NOT NULL,
     params TEXT NOT NULL DEFAULT '{}'
 );
-CREATE TABLE IF NOT EXISTS injections (
+CREATE TABLE IF NOT EXISTS outcome_blocks (
     id INTEGER PRIMARY KEY,
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
-    location TEXT NOT NULL,
-    cycle INTEGER NOT NULL DEFAULT 0,
-    outcome TEXT NOT NULL,
-    chunk_index INTEGER
+    chunk_index INTEGER,
+    n_points INTEGER NOT NULL,
+    payload BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS chunks (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
@@ -98,8 +131,10 @@ CREATE TABLE IF NOT EXISTS service_workers (
     chunks_done INTEGER NOT NULL DEFAULT 0,
     failures INTEGER NOT NULL DEFAULT 0
 );
-CREATE INDEX IF NOT EXISTS idx_inj_campaign ON injections(campaign_id);
-CREATE INDEX IF NOT EXISTS idx_inj_outcome ON injections(outcome);
+CREATE INDEX IF NOT EXISTS idx_block_campaign ON outcome_blocks(campaign_id);
+CREATE UNIQUE INDEX IF NOT EXISTS idx_block_chunk
+    ON outcome_blocks(campaign_id, chunk_index)
+    WHERE chunk_index IS NOT NULL;
 CREATE INDEX IF NOT EXISTS idx_lease_state ON leases(campaign_id, state);
 """
 
@@ -118,6 +153,95 @@ def _seed_to_db(seed: int) -> int:
 
 def _seed_from_db(stored: int) -> int:
     return stored + _U64 if stored < 0 else stored
+
+
+# ----------------------------------------------------------------------
+# the block codec: (location, cycle, outcome) rows <-> one BLOB
+# ----------------------------------------------------------------------
+Row = tuple[str, int, str]
+
+_INDEX_CODES = "BHIQ"   # 1/2/4/8-byte unsigned: dictionary indices
+_CYCLE_CODES = "bhiq"   # 1/2/4/8-byte signed: cycles may be negative
+
+
+def _dictionary(values: Sequence[str]) -> tuple[list[str], Iterable[int]]:
+    """Distinct ``values`` in first-appearance order, and each value's
+    index into them."""
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(index), map(index.__getitem__, values)
+
+
+def _pack_column(codes: str, values: Iterable[int], lo: int,
+                 hi: int) -> tuple[str, array]:
+    """``values`` (all within ``[lo, hi]``) at the narrowest typecode of
+    ``codes`` that holds both bounds; a constant column keeps one item.
+    Past 64 bits the widest typecode raises ``OverflowError``, as the
+    SQLite INTEGER column it replaces did."""
+    code = codes[-1]
+    for candidate in codes[:-1]:
+        try:
+            array(candidate, (lo, hi))
+        except OverflowError:
+            continue
+        code = candidate
+        break
+    column = array(code, (lo,) if lo == hi else values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return code, column
+
+
+def pack_block(rows: Sequence[Row]) -> bytes:
+    """Encode ``rows`` as one self-contained block (format: module
+    docstring).  ``unpack_block(pack_block(rows)) == list(rows)``."""
+    locations, cycles, outcomes = zip(*rows) if rows else ((), (), ())
+    location_names, location_ids = _dictionary(locations)
+    outcome_names, outcome_ids = _dictionary(outcomes)
+    columns = [
+        _pack_column(_INDEX_CODES, location_ids,
+                     0, max(len(location_names) - 1, 0)),
+        _pack_column(_CYCLE_CODES, cycles,
+                     min(cycles, default=0), max(cycles, default=0)),
+        _pack_column(_INDEX_CODES, outcome_ids,
+                     0, max(len(outcome_names) - 1, 0)),
+    ]
+    header = json.dumps(
+        {"n": len(rows), "locations": location_names,
+         "outcomes": outcome_names,
+         "columns": [[code, len(column)] for code, column in columns]},
+        separators=(",", ":"))
+    # ensure_ascii JSON escapes every control character, so the first
+    # newline of a block is always the end of its header
+    return b"".join([header.encode("ascii"), b"\n",
+                     *(column.tobytes() for _, column in columns)])
+
+
+def _unpack_columns(payload: bytes) -> tuple[list[str], list[int], list[str]]:
+    """A block's three columns as parallel lists."""
+    end = payload.index(b"\n")
+    header = json.loads(payload[:end])
+    n, offset, columns = header["n"], end + 1, []
+    for code, items in header["columns"]:
+        column = array(code)
+        size = items * column.itemsize
+        column.frombytes(payload[offset:offset + size])
+        offset += size
+        if sys.byteorder == "big":
+            column.byteswap()
+        columns.append(column * n if items == 1 else column)
+    if offset != len(payload) or any(len(column) != n for column in columns):
+        raise ValueError("corrupt outcome block: column sizes do not match"
+                         f" its header ({n} points)")
+    location_ids, cycles, outcome_ids = columns
+    return (list(map(header["locations"].__getitem__, location_ids)),
+            cycles.tolist(),
+            list(map(header["outcomes"].__getitem__, outcome_ids)))
+
+
+def unpack_block(payload: bytes) -> list[Row]:
+    """Decode one block back into its ``(location, cycle, outcome)``
+    rows, in the order they were recorded."""
+    return list(zip(*_unpack_columns(payload)))
 
 
 @dataclass(frozen=True)
@@ -139,9 +263,9 @@ class CampaignSummary:
 class ChunkRecord:
     """One checkpointed chunk of a campaign.
 
-    ``status`` is ``"done"`` (executed, injection rows committed in the
-    same transaction) or ``"failed"`` (quarantined after exhausting its
-    retries — no injection rows; resume re-executes it).
+    ``status`` is ``"done"`` (executed, its outcome block committed in
+    the same transaction) or ``"failed"`` (quarantined after exhausting
+    its retries — no block; resume re-executes it).
     """
 
     chunk_index: int
@@ -169,33 +293,48 @@ class CampaignDb:
         self.conn.execute("PRAGMA journal_mode=WAL")
         self.conn.execute("PRAGMA synchronous=NORMAL")
         self.conn.executescript(_SCHEMA)
-        self._migrate()
         self._tx_depth = 0
+        self._migrate()
+
+    def _has_legacy_table(self) -> bool:
+        return bool(self.conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type='table'"
+            " AND name='injections'").fetchall())
 
     def _migrate(self) -> None:
-        """Bring pre-checkpoint databases up to the current schema.
+        """Pack a pre-block database in place: older versions stored one
+        ``injections`` row per point (the oldest without a
+        ``chunk_index`` column — every row of those is census).
 
-        Older stores lack ``injections.chunk_index`` (the ``chunks``
-        table itself is covered by ``CREATE TABLE IF NOT EXISTS``); the
-        chunk index on injections can only be built once the column
-        exists, so it lives here rather than in ``_SCHEMA``.
+        Rows are packed per ``(campaign_id, chunk_index)`` in ``id``
+        order, groups in order of their first row, and the table is
+        dropped in the same ``BEGIN IMMEDIATE`` transaction.  Service
+        workers open the same file concurrently, so the check is
+        repeated under the write lock: the loser of the race finds
+        nothing left to migrate.
         """
-        cols = {row[1] for row in
-                self.conn.execute("PRAGMA table_info(injections)")}
-        if "chunk_index" not in cols:
-            try:
-                self.conn.execute(
-                    "ALTER TABLE injections ADD COLUMN chunk_index INTEGER")
-            except sqlite3.OperationalError as exc:
-                # Service workers open the same file concurrently, so two
-                # connections can both observe the missing column and race
-                # the ALTER; the loser's "duplicate column" is benign.
-                if "duplicate column" not in str(exc).lower():
-                    raise
-        self.conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_inj_chunk"
-            " ON injections(campaign_id, chunk_index)")
-        self.conn.commit()
+        if not self._has_legacy_table():
+            return
+        self.conn.execute("BEGIN IMMEDIATE")
+        try:
+            if self._has_legacy_table():
+                columns = {row[1] for row in self.conn.execute(
+                    "PRAGMA table_info(injections)")}
+                chunk = "chunk_index" if "chunk_index" in columns else "NULL"
+                groups = self.conn.execute(
+                    f"SELECT campaign_id, {chunk}, MIN(id) FROM injections"
+                    " GROUP BY 1, 2 ORDER BY 3").fetchall()
+                for campaign_id, chunk_index, _ in groups:
+                    rows = self.conn.execute(
+                        "SELECT location, cycle, outcome FROM injections"
+                        f" WHERE campaign_id=? AND {chunk} IS ? ORDER BY id",
+                        (campaign_id, chunk_index)).fetchall()
+                    self._insert_block(campaign_id, chunk_index, rows)
+                self.conn.execute("DROP TABLE injections")
+            self.conn.commit()
+        except BaseException:
+            self.conn.rollback()
+            raise
 
     def close(self) -> None:
         self.conn.close()
@@ -253,42 +392,43 @@ class CampaignDb:
 
     def record(self, campaign_id: int, location: str, cycle: int,
                outcome: str) -> None:
-        """Insert one injection row (durable: commits unless in a
-        :meth:`transaction` block — single rows used to be silently lost
-        when the connection closed before an unrelated commit)."""
-        self.conn.execute(
-            "INSERT INTO injections (campaign_id, location, cycle, outcome)"
-            " VALUES (?, ?, ?, ?)", (campaign_id, location, cycle, outcome))
+        """Record one point — a one-row :meth:`record_many` (durable:
+        commits unless in a :meth:`transaction` block)."""
+        self.record_many(campaign_id, [(location, cycle, outcome)])
+
+    def record_many(self, campaign_id: int, rows: Sequence[Row],
+                    chunk_index: int | None = None) -> None:
+        """Record ``rows`` as one packed block (census rows unless
+        ``chunk_index`` names the chunk they belong to)."""
+        self._insert_block(campaign_id, chunk_index, rows)
         self._maybe_commit()
 
-    def record_many(self, campaign_id: int,
-                    rows: list[tuple[str, int, str]],
-                    chunk_index: int | None = None) -> None:
-        self.conn.executemany(
-            "INSERT INTO injections (campaign_id, location, cycle, outcome,"
-            " chunk_index) VALUES (?, ?, ?, ?, ?)",
-            [(campaign_id, loc, cyc, out, chunk_index)
-             for loc, cyc, out in rows])
-        self._maybe_commit()
+    def _insert_block(self, campaign_id: int, chunk_index: int | None,
+                      rows: Sequence[Row]) -> None:
+        if rows:
+            self.conn.execute(
+                "INSERT INTO outcome_blocks (campaign_id, chunk_index,"
+                " n_points, payload) VALUES (?, ?, ?, ?)",
+                (campaign_id, chunk_index, len(rows), pack_block(rows)))
 
     # ------------------------------------------------------------------
     # chunk checkpointing: the engine's crash-consistent progress log
     # ------------------------------------------------------------------
     def record_chunk(self, campaign_id: int, chunk_index: int,
-                     rows: list[tuple[str, int, str]], seed: int = 0,
+                     rows: Sequence[Row], seed: int = 0,
                      status: str = "done", attempts: int = 1,
                      error: str | None = None) -> bool:
-        """Checkpoint one chunk: its injection rows plus a ``chunks``
+        """Checkpoint one chunk: its rows as one block plus a ``chunks``
         record, idempotently.
 
         ``INSERT OR IGNORE`` on the ``(campaign_id, chunk_index)`` key
         makes replays no-ops: if the chunk record already committed, the
-        rows are *not* inserted again, so resuming past an
+        block is *not* written again, so resuming past an
         already-checkpointed chunk can never double-count.  The one
         permitted overwrite is ``failed`` → ``done``: a quarantined
         chunk that a later resume re-executed successfully upgrades its
-        record (a quarantine row carries no injections, so nothing is
-        duplicated).  Call inside :meth:`transaction` to bundle several
+        record (a quarantine row carries no block, so nothing is
+        replaced).  Call inside :meth:`transaction` to bundle several
         chunks into one crash-consistent commit.
 
         Returns True when the chunk was newly recorded (or upgraded).
@@ -308,12 +448,9 @@ class CampaignDb:
                     "UPDATE chunks SET status='done', n_points=?, attempts=?,"
                     " error=NULL WHERE campaign_id=? AND chunk_index=?",
                     (len(rows), attempts, campaign_id, chunk_index))
-                self.conn.execute(
-                    "DELETE FROM injections WHERE campaign_id=? AND"
-                    " chunk_index=?", (campaign_id, chunk_index))
                 fresh = True
-        if fresh and status == "done" and rows:
-            self.record_many(campaign_id, rows, chunk_index=chunk_index)
+        if fresh and status == "done":
+            self._insert_block(campaign_id, chunk_index, rows)
         self._maybe_commit()
         return fresh
 
@@ -329,17 +466,41 @@ class CampaignDb:
                 (campaign_id,))
         }
 
-    def chunk_rows(self, campaign_id: int
-                   ) -> dict[int, list[tuple[str, int, str]]]:
-        """Checkpointed injection rows grouped by chunk, in insert order
-        (= execution order within each chunk)."""
-        grouped: dict[int, list[tuple[str, int, str]]] = {}
-        for index, loc, cyc, out in self.conn.execute(
-                "SELECT chunk_index, location, cycle, outcome FROM injections"
-                " WHERE campaign_id=? AND chunk_index IS NOT NULL ORDER BY id",
-                (campaign_id,)):
-            grouped.setdefault(index, []).append((loc, cyc, out))
-        return grouped
+    def chunk_rows(self, campaign_id: int) -> dict[int, list[Row]]:
+        """Checkpointed rows grouped by chunk, each chunk's in the order
+        it recorded them (= execution order within the chunk)."""
+        return {
+            chunk_index: unpack_block(payload)
+            for chunk_index, payload in self.conn.execute(
+                "SELECT chunk_index, payload FROM outcome_blocks"
+                " WHERE campaign_id=? AND chunk_index IS NOT NULL"
+                " ORDER BY chunk_index", (campaign_id,))
+        }
+
+    def _blocks(self, campaign_id: int | None
+                ) -> Iterator[tuple[int, int | None, bytes]]:
+        """``(campaign_id, chunk_index, payload)`` of one campaign's (or
+        every) block, in write order."""
+        where, args = ("", ()) if campaign_id is None else (
+            " WHERE campaign_id=?", (campaign_id,))
+        return self.conn.execute(
+            "SELECT campaign_id, chunk_index, payload FROM outcome_blocks"
+            f"{where} ORDER BY id", args)
+
+    def rows(self, campaign_id: int | None = None
+             ) -> Iterator[tuple[int, int | None, str, int, str]]:
+        """Every recorded point of one campaign (or of the whole store)
+        as flat ``(campaign_id, chunk_index, location, cycle, outcome)``
+        rows in write order; ``chunk_index`` is ``None`` on census rows."""
+        for block_campaign, chunk_index, payload in self._blocks(campaign_id):
+            for location, cycle, outcome in unpack_block(payload):
+                yield block_campaign, chunk_index, location, cycle, outcome
+
+    def _outcome_counts(self, campaign_id: int | None) -> dict[str, int]:
+        counts: Counter[str] = Counter()
+        for _, _, payload in self._blocks(campaign_id):
+            counts.update(_unpack_columns(payload)[2])
+        return dict(sorted(counts.items()))
 
     # ------------------------------------------------------------------
     def summary(self, campaign_id: int) -> CampaignSummary:
@@ -348,14 +509,9 @@ class CampaignDb:
             (campaign_id,)).fetchone()
         if row is None:
             raise KeyError(f"no campaign {campaign_id}")
-        outcomes: dict[str, int] = {}
-        for outcome, count in self.conn.execute(
-                "SELECT outcome, COUNT(*) FROM injections WHERE campaign_id=?"
-                " GROUP BY outcome", (campaign_id,)):
-            outcomes[outcome] = count
-        total = sum(outcomes.values())
-        return CampaignSummary(campaign_id, row[0], row[1], row[2], total,
-                               outcomes)
+        outcomes = self._outcome_counts(campaign_id)
+        return CampaignSummary(campaign_id, row[0], row[1], row[2],
+                               sum(outcomes.values()), outcomes)
 
     def campaigns_for(self, circuit: str) -> list[int]:
         return [r[0] for r in self.conn.execute(
@@ -364,20 +520,17 @@ class CampaignDb:
     def failure_rate_by_location(self, campaign_id: int,
                                  failure_outcome: str = "failure") -> dict[str, float]:
         """Per-location failure probability — AVF-style aggregation."""
-        totals: dict[str, int] = {}
-        fails: dict[str, int] = {}
-        for location, outcome in self.conn.execute(
-                "SELECT location, outcome FROM injections WHERE campaign_id=?",
-                (campaign_id,)):
-            totals[location] = totals.get(location, 0) + 1
-            if outcome == failure_outcome:
-                fails[location] = fails.get(location, 0) + 1
-        return {loc: fails.get(loc, 0) / n for loc, n in totals.items()}
+        totals: Counter[str] = Counter()
+        fails: Counter[str] = Counter()
+        for _, _, payload in self._blocks(campaign_id):
+            locations, _, outcomes = _unpack_columns(payload)
+            totals.update(locations)
+            fails.update(location
+                         for location, outcome in zip(locations, outcomes)
+                         if outcome == failure_outcome)
+        return {location: fails[location] / n
+                for location, n in totals.items()}
 
     def cross_campaign_outcomes(self) -> dict[str, int]:
         """Community-database view: outcome histogram over everything."""
-        return {
-            outcome: count
-            for outcome, count in self.conn.execute(
-                "SELECT outcome, COUNT(*) FROM injections GROUP BY outcome")
-        }
+        return self._outcome_counts(None)

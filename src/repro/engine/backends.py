@@ -144,8 +144,9 @@ class SeuBackend:
     ``"soa"`` (the level-batched SoA kernel) or ``None`` — auto, which
     picks SoA from 1024 lanes on circuits with wide levels and ints
     otherwise (:func:`repro.engine.lanes.resolve_backing`); any other
-    name raises ``ValueError`` here, not in a worker — as does a
-    ``targets`` entry that is not a flop of the circuit.  Without numpy
+    name raises ``ValueError`` here, not in a worker — as do a
+    ``targets`` entry that is not a flop of the circuit and an injection
+    cycle outside the workload.  Without numpy
     widths above 64 degrade to 64 with a logged warning.  Outcomes are
     byte-identical at every width and backing.
 
@@ -188,6 +189,8 @@ class SeuBackend:
                              f"{circuit.name}")
         self.cycles = list(cycles if cycles is not None
                            else range(len(self.stimuli)))
+        # a flip that never happens would be counted as a masked upset
+        lanes.check_cycles(self.cycles, len(self.stimuli))
         self.skip_dead_flops = skip_dead_flops
         self.use_filter = skip_dead_flops  # engine filter-stage gate
         # resolved here, before the engine chunks points, so parent and

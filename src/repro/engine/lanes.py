@@ -310,6 +310,18 @@ def check_backing(requested: str | None) -> None:
                          f"None or one of {_vector.BACKINGS})")
 
 
+def check_cycles(cycles: Sequence[int], n_cycles: int) -> None:
+    """Reject injection cycles outside ``[0, n_cycles)`` — what backends
+    call at construction, in the parent.  Simulated, such a point is a
+    silent wrong answer: a negative cycle wraps into golden-run data
+    (differently per lane width), and one past the workload is a flip
+    that never happens — it reads a 0 bit off the packed words where the
+    per-point path raises ``IndexError``, or comes back ``masked``."""
+    if any(not 0 <= cycle < n_cycles for cycle in cycles):
+        raise ValueError(f"injection cycles outside the {n_cycles}-cycle "
+                         f"workload in {list(cycles)}")
+
+
 def resolve_backing(requested: str | None, circuit: Circuit,
                     width: int) -> str:
     """The carrier — ``"int"`` or ``"soa"`` — for ``width`` lanes of

@@ -410,15 +410,7 @@ class SlicingBackend:
         self.stimuli = list(stimuli)
         self.cycles = list(cycles if cycles is not None
                            else range(len(self.stimuli)))
-        if any(not 0 <= cyc < len(self.stimuli) for cyc in self.cycles):
-            # a negative cycle would silently wrap into golden-run data
-            # (differently per lane width) and one past the workload
-            # reads a 0 bit off the packed words where the per-point
-            # path raises IndexError — reject both up front, in the
-            # parent, so every path behaves identically
-            raise ValueError(
-                f"injection cycles outside the {len(self.stimuli)}-cycle "
-                f"workload in {self.cycles}")
+        lanes.check_cycles(self.cycles, len(self.stimuli))
         self.use_filter = use_filter
         self.lane_width = lanes.resolve_lane_width(lane_width)
         lanes.check_backing(lane_backing)  # in the parent, not a worker

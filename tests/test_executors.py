@@ -154,9 +154,7 @@ def _rows(report):
 
 
 def _db_rows(db):
-    return db.conn.execute(
-        "SELECT location, cycle, outcome FROM injections ORDER BY id"
-    ).fetchall()
+    return [row[2:] for row in db.rows()]
 
 
 # ----------------------------------------------------------------------

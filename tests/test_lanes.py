@@ -121,18 +121,27 @@ class TestSeuLanes:
         backend.prepare()
         assert backend._lane_ctx is None  # no packed context built
 
-    def test_out_of_range_cycles_masked_like_per_point(self, seq_setup):
+    @pytest.mark.parametrize("width", (1, 64))
+    def test_out_of_range_cycles_rejected_at_construction(self, seq_setup,
+                                                          width):
+        # was: the flip never fires, every such point reported "masked"
+        # at every width — counted as masked upsets in the failure rate
+        from repro.soft_error.seu import run_campaign as seu_campaign
+
         circuit, workload = seq_setup
-        cycles = [-1, 0, 1, len(workload) + 5]  # flip never fires at ends
-        rows = {}
-        for width in (1, 64):
-            backend = SeuBackend(circuit.copy(), workload, cycles=cycles,
-                                 lane_width=width)
-            report = run_campaign(backend, EngineConfig(executor="serial"))
-            rows[width] = _rows(report)
-        assert rows[1] == rows[64]
-        assert all(out == "masked" for _loc, cyc, out in rows[64]
-                   if cyc < 0 or cyc >= len(workload))
+        for bad in (-1, len(workload), 999):
+            with pytest.raises(ValueError, match="cycles outside"):
+                SeuBackend(circuit.copy(), workload, cycles=[0, bad],
+                           lane_width=width)
+            with pytest.raises(ValueError, match="cycles outside"):
+                seu_campaign(circuit.copy(), workload, cycles=[bad],
+                             lane_width=width)
+        # the last workload cycle is a valid injection cycle
+        report = run_campaign(
+            SeuBackend(circuit.copy(), workload,
+                       cycles=[len(workload) - 1], lane_width=width),
+            EngineConfig(executor="serial"))
+        assert report.total == len(circuit.flops)
 
     def test_oversized_group_rejected(self, seq_setup):
         circuit, workload = seq_setup
