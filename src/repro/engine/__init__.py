@@ -34,7 +34,6 @@ from .core import (
 )
 from .executors import (
     EXECUTOR_CHOICES,
-    ChunkError,
     ChunkTimeout,
     ExecutorPlan,
     chunk_seed,
@@ -90,7 +89,6 @@ __all__ = [
     "ChaosBackend",
     "ChaosError",
     "ChaosFault",
-    "ChunkError",
     "ChunkTimeout",
     "CompositeBackend",
     "DEFAULT_LANE_WIDTH",

@@ -13,12 +13,13 @@ golden runs and caches locally.
 
 Since the engine grew chunk-level fault tolerance, purity and
 idempotence carry one more obligation: execution is **at-least-once**.
-A chunk whose worker died, hung past ``chunk_timeout`` or raised is
-re-executed — possibly in the parent process, after another
-``prepare()`` — and a checkpointed campaign re-executes any chunk whose
-record never committed.  A backend must therefore produce the same
-injections for the same points on every execution and must not
-accumulate observable side effects across ``run_batch`` calls; all
+A chunk that raised or hung past ``chunk_timeout``, or whose pool died
+under it, is re-executed in the parent process (after a ``prepare()``
+there; the pool and its workers' prepared state carry on unless it was
+the pool that failed), and a checkpointed campaign re-executes any
+chunk whose record never committed.  A backend must therefore produce
+the same injections for the same points on every execution and must
+not accumulate observable side effects across ``run_batch`` calls; all
 backends below satisfy this by construction (their mutable state is
 golden-run caches keyed only by the immutable workload).
 """
@@ -397,12 +398,19 @@ class SocBackend:
 
 def ppsfp_result(report, n_patterns: int) -> Any:
     """Rebuild a :class:`repro.sim.fault_sim.FaultSimResult` from a
-    PPSFP engine report (detection masks ride in ``detail``)."""
+    PPSFP engine report (detection masks ride in ``detail``, which a
+    checkpoint does not store: a resumed or service-assembled report
+    has none on its replayed chunks, and raises ``ValueError`` here)."""
     from ..sim.fault_sim import FaultSimResult
 
     result = FaultSimResult(n_patterns=n_patterns)
     for inj in report.injections:
         if inj.outcome == DETECTED:
+            if inj.detail is None:
+                raise ValueError(
+                    f"detected fault {inj.location} carries no detection "
+                    "mask: the report was resumed or assembled by service "
+                    "replay, which does not restore Injection.detail")
             result.detected[inj.point] = inj.detail
         else:
             result.undetected.append(inj.point)

@@ -28,10 +28,11 @@ accounting.  This module is the one execution core behind all of them:
   checkpointed to the database in crash-consistent transactions, so a
   killed campaign resumes from its last committed chunk
   (``run_campaign(resume=...)`` / :func:`resume_campaign`) with a
-  byte-identical report; a failing or hung chunk is retried with
-  bounded exponential backoff and eventually **quarantined** as a
-  first-class ``failed`` stratum, while executor-level failures walk a
-  recovery ladder (process → serial) instead of aborting.
+  byte-identical report; a failing or hung chunk is a *value* its
+  executor rung yields — retried in the parent with bounded exponential
+  backoff, eventually **quarantined** as a first-class ``failed``
+  stratum — while an executor failure is *raised* and steps the
+  campaign down the recovery ladder (process → serial), once.
 
 DAVOS-style iterative statistical injection, reduced to the smallest
 core that every workload can share.
@@ -55,8 +56,8 @@ from ..core.campaign import CampaignDb
 from ..core.stats import Interval, wilson_interval
 from ..faults.sampling import sample_size
 from . import executors as _executors
-from .executors import (EXECUTOR_CHOICES, ChunkError, ChunkTimeout,
-                        ExecutorPlan, chunk_seed, plan_executor)
+from .executors import (EXECUTOR_CHOICES, ChunkTimeout, ExecutorPlan,
+                        chunk_seed, plan_executor)
 
 log = logging.getLogger("repro.engine")
 
@@ -67,7 +68,8 @@ class Injection:
 
     ``point`` is the backend-specific injection point (opaque to the
     engine); ``detail`` carries backend extras (detection masks, latency)
-    that are not persisted to the database.
+    that are not persisted to the database — and so not restored:
+    a chunk replayed from a checkpoint has ``detail=None``.
     """
 
     point: Any
@@ -91,7 +93,9 @@ class InjectionBackend(Protocol):
     engine accounts them in deterministic chunk order.  For the process
     executor the backend must additionally pickle (``prepare()`` is
     re-run per worker, so prepared state need not ship) and be
-    idempotent under repeated ``prepare()`` calls.
+    idempotent under repeated ``prepare()`` calls.  Execution is
+    at-least-once: a chunk that failed on a rung, or whose pool died, is
+    run again in the parent and must give the same injections.
 
     Stochastic backends may provide an optional ``run_batch_seeded(
     points, rng)`` method instead; the engine then hands every chunk its
@@ -515,17 +519,18 @@ class ChunkEvent:
     executor: str | None = None
 
 
-def check_batch(batch: Any, chunk: Sequence[Any], index: int) -> None:
-    """O(1) shape check on a chunk result: a malformed batch (a crashed
-    deserialization, a corrupted return) becomes a chunk failure —
-    retried, then quarantined — not corrupt accounting."""
-    if (not isinstance(batch, list) or len(batch) != len(chunk)
-            or (batch and not isinstance(batch[0], Injection))):
-        got = (f"{type(batch).__name__}[{len(batch)}]"
-               if isinstance(batch, (list, tuple)) else type(batch).__name__)
-        raise ChunkError(ValueError(
-            f"malformed result for chunk {index}: expected "
-            f"{len(chunk)} Injection entries, got {got}"))
+def check_batch(batch: Any, chunk: Sequence[Any], index: int) -> str | None:
+    """O(1) shape check on a chunk result: the error text of a malformed
+    batch (a crashed deserialization, a corrupted return), else ``None``
+    — a chunk failure, retried and then quarantined, not corrupt
+    accounting."""
+    if (isinstance(batch, list) and len(batch) == len(chunk)
+            and (not batch or isinstance(batch[0], Injection))):
+        return None
+    got = (f"{type(batch).__name__}[{len(batch)}]"
+           if isinstance(batch, (list, tuple)) else type(batch).__name__)
+    return (f"ValueError: malformed result for chunk {index}: expected "
+            f"{len(chunk)} Injection entries, got {got}")
 
 
 def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,
@@ -539,11 +544,10 @@ def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,
     try:
         batch = _executors.execute_chunk_timed(backend, chunk,
                                                plan.seeds[index], timeout)
-        check_batch(batch, chunk, index)
     except Exception as exc:
-        cause = exc.cause if isinstance(exc, ChunkError) else exc
-        return None, f"{type(cause).__name__}: {cause}"
-    return batch, None
+        return None, f"{type(exc).__name__}: {exc}"
+    error = check_batch(batch, chunk, index)
+    return (batch, None) if error is None else (None, error)
 
 
 def retry_backoff_s(config: EngineConfig, attempts: int) -> float:
@@ -579,29 +583,39 @@ def _retried(backend: InjectionBackend, plan: CampaignPlan,
     return ChunkEvent(index, attempts, error=error, executor=executor)
 
 
-def _open_rung(strategy: str, backend: InjectionBackend, plan: CampaignPlan,
-               config: EngineConfig, start: int,
-               payload: bytes | None) -> Iterator[list]:
-    if strategy == "process":
-        return _executors.run_process(
-            payload, len(plan.chunks), config.workers, start=start,
-            timeout=config.chunk_timeout)
-    backend.prepare()
-    return _executors.run_serial(backend, plan.chunks, plan.seeds, start,
-                                 config.chunk_timeout)
+def _chunk_event(result: Any, backend: InjectionBackend, plan: CampaignPlan,
+                 config: EngineConfig, index: int,
+                 executor: str) -> ChunkEvent:
+    """What a rung made of chunk ``index``: ``result`` is its batch or,
+    as a value, the exception it raised — that, like a malformed batch,
+    is a chunk failure and resolved by :func:`_retried`."""
+    error = (f"{type(result).__name__}: {result}"
+             if isinstance(result, Exception)
+             else check_batch(result, plan.chunks[index], index))
+    if error is None:
+        return ChunkEvent(index, 1, result, executor=executor)
+    return _retried(backend, plan, config, index, error, executor)
+
+
+def _step_down(executor: str, index: int, reason: str) -> None:
+    """The one step down the ladder (→ serial): it is monotonic, so a
+    campaign degrades — and logs it — at most once."""
+    log.warning("engine: %s executor failing; falling back to %s from "
+                "chunk %d (%s)", executor, "serial", index, reason)
 
 
 def executed(backend: InjectionBackend, plan: CampaignPlan,
              config: EngineConfig, start: int) -> Iterator[ChunkEvent]:
     """Source: execute ``plan.chunks[start:]``, one event per chunk.
 
-    The recovery ladder, composed from rung sources.  The executor is
-    resolved over the *remaining* chunks (auto probes picklability and
-    per-batch cost; chunks it ran while probing head the source), then
-    the current rung is opened at the first undelivered chunk.  Whatever
-    a rung raises is a chunk failure (resolved by :func:`_retried`)
-    and/or an executor failure (one step down); the next rung re-enters
-    behind it.  Closing the source drains the rung.
+    The recovery ladder, top to bottom, each rung opened at most once.
+    The executor is resolved over the *remaining* chunks (auto probes
+    picklability and per-batch cost; chunks it ran while probing head
+    the source).  The process rung, if chosen, runs until it is done or
+    *raises* — an executor failure: one step down, the chunk it died on
+    retried in the parent — and the serial rung takes what is left.  A
+    chunk failure is a value the rung yields (:func:`_chunk_event`); the
+    rung goes on.  Closing the source drains the open rung.
     """
     chunks, seeds = plan.chunks, plan.seeds
     if start >= len(chunks):
@@ -612,68 +626,55 @@ def executed(backend: InjectionBackend, plan: CampaignPlan,
     except Exception as exc:
         # a probe crash is a chunk failure in disguise: start on the
         # ladder floor and let the retry loop deal with the chunk
-        log.warning(
-            "engine: executor auto-probe failed (%s: %s); starting "
-            "on the serial rung", type(exc).__name__, exc)
-        resolved = ExecutorPlan("serial", "auto-probe failed")
+        _step_down(config.executor, start,
+                   f"auto-probe failed ({type(exc).__name__}: {exc})")
+        resolved = ExecutorPlan("serial")
     if resolved.reason:
         log.info("engine: executor=%s for %s:%s (%s)", resolved.name,
                  backend.name, backend.circuit_name, resolved.reason)
-    strategy = lower = resolved.name
-    reason = ""
-    # The auto-probe's payload pickles the *sliced* (remaining) lists,
-    # but process workers index them with absolute chunk indices — only
-    # usable when the slice started at chunk 0.  On resume, drop it so
-    # the full (backend, chunks, seeds) is re-pickled and a resumed
-    # campaign executes exactly the chunks (and seeds) it claims.
-    payload = resolved.payload if start == 0 else None
-    if strategy == "process" and payload is None:
-        # serialize here (if the auto probe didn't already) so pickling
-        # failures are distinguishable from pool failures — and from
-        # backend bugs, which propagate
+    index = start
+    for batch in resolved.probe_batches or ():
+        yield _chunk_event(batch, backend, plan, config, index,
+                           resolved.name)
+        index += 1
+    if resolved.name == "process":
+        # serialized here (absolute indices: the full lists, also on a
+        # resume), so that a pickling failure is not mistaken for a pool
+        # failure — or for a backend bug, which propagates
         try:
             payload = pickle.dumps((backend, chunks, seeds),
                                    protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            lower, reason = "serial", (f"backend not picklable "
-                                       f"({type(exc).__name__}: {exc})")
-    index = start
-    rung: Iterator[list] = (batch for batch in resolved.probe_batches or ())
-    while True:
-        failure: BaseException | None = None
-        try:
-            with closing(rung):
-                for batch in rung:
-                    check_batch(batch, chunks[index], index)
-                    yield ChunkEvent(index, 1, batch, executor=strategy)
-                    index += 1
-        except ChunkTimeout as exc:
-            # the hung task may never return; its pool is already
-            # abandoned and evicted, so step down to the serial rung and
-            # retry the chunk in the parent
-            failure, lower = exc, "serial"
-            reason = f"chunk {index} timed out after {config.chunk_timeout}s"
-        except (BrokenProcessPool, OSError) as exc:
-            failure = exc
-            if strategy == "process":
-                lower, reason = "serial", (f"process pool failed "
-                                           f"({type(exc).__name__}: {exc})")
-        except ChunkError as exc:
-            failure = exc.cause
-        if lower != strategy:
-            # the one step down the ladder (process → serial): it is
-            # monotonic, so the degradation logs exactly once
-            log.warning(
-                "engine: %s executor failing; falling back to %s from "
-                "chunk %d (%s)", strategy, lower, index, reason)
-            strategy = lower
-        if failure is not None:
-            yield _retried(backend, plan, config, index,
-                           f"{type(failure).__name__}: {failure}", strategy)
-            index += 1
-        if index >= len(chunks):
-            return
-        rung = _open_rung(strategy, backend, plan, config, index, payload)
+        except Exception as exc:  # pickle raises many types
+            _step_down("process", index, f"backend not picklable "
+                       f"({type(exc).__name__}: {exc})")
+        else:
+            try:
+                with closing(_executors.run_process(
+                        payload, len(chunks), config.workers, start=index,
+                        timeout=config.chunk_timeout)) as rung:
+                    for result in rung:
+                        yield _chunk_event(result, backend, plan, config,
+                                           index, "process")
+                        index += 1
+            except (ChunkTimeout, BrokenProcessPool, OSError) as exc:
+                # the executor failed, not a chunk: its pool is already
+                # evicted (a hung task may never return, a broken pool
+                # never heals); retry the chunk it died on in the parent
+                error = f"{type(exc).__name__}: {exc}"
+                _step_down("process", index, (
+                    f"chunk {index} timed out after {config.chunk_timeout}s"
+                    if isinstance(exc, ChunkTimeout)
+                    else f"process pool failed ({error})"))
+                yield _retried(backend, plan, config, index, error, "serial")
+                index += 1
+    if index < len(chunks):
+        backend.prepare()
+        with closing(_executors.run_serial(
+                backend, chunks, seeds, index, config.chunk_timeout)) as rung:
+            for result in rung:
+                yield _chunk_event(result, backend, plan, config, index,
+                                   "serial")
+                index += 1
 
 
 def replayed(db: CampaignDb, campaign_id: int,
@@ -921,7 +922,8 @@ def resume_campaign(
     to.  Completed chunks are replayed from their records, the remainder
     (including any quarantined chunks) is executed, and the returned
     :class:`CampaignReport` is byte-identical to an uninterrupted run —
-    early-stop decisions included.  Execution policy is free to differ:
+    early-stop decisions included — except that ``Injection.detail`` is
+    not restored on replayed chunks.  Execution policy is free to differ:
     a campaign checkpointed from a process pool may resume serially.
     """
     return run_campaign(backend, config, db=db, on_chunk=on_chunk,

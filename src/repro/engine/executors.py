@@ -23,13 +23,19 @@ list of point chunks; this module owns *how* those chunks execute:
   pool when it can pay off, logging the reason instead of crashing when
   it is not applicable.
 
-Every executor is a *pull source*: a generator yielding result batches
-strictly in chunk-index order from ``start``, each chunk run with its
-own RNG stream derived from ``(campaign seed, chunk index)``.  The
-consumer accounts them in its own frame — its errors are never mistaken
-for a pool failure — and stops by closing the generator, whose
-``finally`` cancels all queued chunks and waits out in-flight ones:
-speculative batches past the stop point are never accounted.
+Every executor is a *pull source*: a generator yielding one result per
+chunk strictly in chunk-index order from ``start``, each chunk run with
+its own RNG stream derived from ``(campaign seed, chunk index)``.  A
+**chunk failure** (the backend raised; an in-process chunk overran its
+deadline) is a *value*: the exception instance, yielded in the chunk's
+slot — the rung goes on, and the pool keeps its window, its payload
+file and its workers' prepared state.  An **executor failure**
+(:class:`ChunkTimeout` from the pool, ``BrokenProcessPool``,
+``OSError``) is *raised* and ends the rung.  The consumer accounts
+results in its own frame — its errors are never mistaken for a pool
+failure — and stops by closing the generator, whose ``finally`` cancels
+all queued chunks and waits out in-flight ones: speculative batches
+past the stop point are never accounted.
 """
 
 from __future__ import annotations
@@ -57,27 +63,14 @@ log = logging.getLogger("repro.engine")
 EXECUTOR_CHOICES = ("auto", "serial", "process")
 
 
-class ChunkError(Exception):
-    """One chunk's *execution* failed (the backend raised, or the worker
-    returned garbage).  ``cause`` is the original error.
-
-    The wrapper tells chunk failures — retried and eventually
-    quarantined — apart from pool failures, which degrade the ladder.
-    """
-
-    def __init__(self, cause: BaseException) -> None:
-        super().__init__(f"{type(cause).__name__}: {cause}")
-        self.cause = cause
-
-
 class ChunkTimeout(Exception):
     """A dispatched chunk exceeded ``EngineConfig.chunk_timeout``.
 
     The hung task cannot be killed (``concurrent.futures`` offers no
     per-task cancellation of running work), so the pool it sits on is
     abandoned without waiting and the engine steps down to the serial
-    rung before retrying the chunk; on the serial rung its daemon
-    thread is abandoned instead.
+    rung before retrying the chunk; on the serial rung only its daemon
+    thread is abandoned, so there it is a chunk failure like any other.
     """
 
 # auto-probe thresholds (module level so tests and benchmarks can tune):
@@ -173,14 +166,11 @@ class ExecutorPlan:
 
     ``probe_batches`` holds results of leading chunks the auto-probe
     already executed in the parent — the engine accounts them first so
-    probing never repeats (or reorders) work.  ``payload`` carries the
-    pre-pickled ``(backend, chunks, seeds)`` blob when the probe already
-    proved picklability, so the process pool does not pickle twice.
+    probing never repeats (or reorders) work.
     """
 
     name: str
     reason: str = ""
-    payload: bytes | None = None
     probe_batches: list | None = None
 
 
@@ -226,11 +216,10 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
             "serial",
             f"~{remaining * 1e3:.0f}ms of work left: too small to amortise "
             "process spawn", probe_batches=[batch0])
-    # backends drop prepared state on pickling, so probing before the
-    # dumps does not bloat the payload
+    # the backend alone answers picklability (prepared state is dropped
+    # on pickling); the engine pickles the campaign it actually ships
     try:
-        payload = pickle.dumps((backend, chunks, list(seeds)),
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dumps(backend, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # pickle raises many types (Pickling, Type, ...)
         return ExecutorPlan(
             "serial",
@@ -239,26 +228,24 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
     return ExecutorPlan(
         "process",
         f"picklable backend, {per_batch * 1e3:.1f}ms/batch x "
-        f"{len(chunks) - 1} chunks remaining",
-        payload=payload, probe_batches=[batch0])
+        f"{len(chunks) - 1} chunks remaining", probe_batches=[batch0])
 
 
 # ----------------------------------------------------------------------
-# execution strategies: each is a generator yielding the result batches
-# of chunks[start:] in index order; the consumer stops by closing it
+# execution strategies: each is a generator yielding, per chunk of
+# chunks[start:] in index order, the batch or the exception the chunk
+# raised; the consumer stops by closing it
 # ----------------------------------------------------------------------
 def run_serial(backend: Any, chunks: Sequence[Sequence[Any]],
                seeds: Sequence[int], start: int = 0,
-               timeout: float | None = None) -> Iterator[list]:
+               timeout: float | None = None) -> Iterator[Any]:
     for i in range(start, len(chunks)):
         try:
-            batch = execute_chunk_timed(backend, chunks[i], seeds[i],
-                                        timeout)
-        except ChunkTimeout:
-            raise  # the ladder resolves it: timed retries, then quarantine
-        except Exception as exc:
-            raise ChunkError(exc) from exc
-        yield batch
+            result = execute_chunk_timed(backend, chunks[i], seeds[i],
+                                         timeout)
+        except Exception as exc:  # noqa: BLE001 - a chunk failure is a value
+            result = exc
+        yield result
 
 
 def _drain(futures: deque) -> None:
@@ -288,12 +275,14 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
     """Sliding-window dispatch yielding results in chunk order.
 
     Futures are consumed strictly in submission (= chunk) order, and the
-    next chunk is submitted only once the consumer asks for more.  When
-    the consumer closes the generator (early stop, or an error of its
-    own) — and on any error here — queued chunks are cancelled and
-    in-flight ones are waited out (their errors aggregated into one log
-    line), so no speculative batch is yielded or left running in the
-    background; the pool itself stays alive for the next campaign.
+    next chunk is submitted only once the consumer asks for more; a
+    chunk that raised yields its exception in its slot and the window
+    slides on, every index submitted exactly once.  When the consumer
+    closes the generator (early stop, or an error of its own) — and on
+    any error here — queued chunks are cancelled and in-flight ones are
+    waited out (their errors aggregated into one log line), so no
+    speculative batch is yielded or left running in the background; the
+    pool itself stays alive for the next campaign.
 
     With a ``timeout``, a chunk whose result is overdue raises
     :class:`ChunkTimeout`; the hung task cannot be waited out, so the
@@ -313,7 +302,7 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
                 result = future.result(timeout)
             # FutureTimeout: on 3.10 concurrent.futures raises its own
             # TimeoutError (an Exception, not the builtin) — without it
-            # the timeout would classify as ChunkError and the finally
+            # the timeout would pass for a chunk failure and the finally
             # path would drain (= block forever on) the hung future
             except (TimeoutError, FutureTimeout) as exc:
                 hung = True
@@ -321,8 +310,8 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
                     f"chunk result overdue after {timeout}s") from exc
             except (BrokenProcessPool, OSError):
                 raise  # pool-level failure: the engine degrades the ladder
-            except Exception as exc:
-                raise ChunkError(exc) from exc
+            except Exception as exc:  # noqa: BLE001 - the chunk's, a value
+                result = exc
             yield result
             if next_chunk < n_chunks:
                 futures.append(submit(next_chunk))
@@ -409,11 +398,12 @@ def _persistent_worker_release(token: int) -> None:
 
 
 def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
-                timeout: float | None = None) -> Iterator[list]:
+                timeout: float | None = None) -> Iterator[Any]:
     """Chunks ``start..n_chunks`` of the pickled ``(backend, chunks,
     seeds)`` in ``payload`` on the persistent pool, in index order (the
     caller pickles, so that a pickling failure is not mistaken for a
-    pool failure)."""
+    pool failure) — one token, one payload file and one ``prepare()``
+    per worker per campaign, however many chunks fail."""
     n_workers = max(1, min(workers, n_chunks - start))
     pool = persistent_pool(workers)
     token = next(_campaign_tokens)
@@ -429,12 +419,14 @@ def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
         results = _run_pool(pool, submit, n_chunks, _window(n_workers),
                             start, timeout=timeout)
         try:
-            for expected, (index, batch) in enumerate(results, start):
-                if index != expected:
-                    raise RuntimeError(
-                        f"chunk results out of order: got {index}, "
-                        f"expected {expected}")
-                yield batch
+            for expected, result in enumerate(results, start):
+                if not isinstance(result, Exception):
+                    index, result = result
+                    if index != expected:
+                        raise RuntimeError(
+                            f"chunk results out of order: got {index}, "
+                            f"expected {expected}")
+                yield result
         except (ChunkTimeout, BrokenProcessPool, OSError):
             # a pool with a worker stuck on a hung task cannot be trusted
             # (or waited on) and a broken one never heals: evict without

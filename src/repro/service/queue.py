@@ -181,10 +181,11 @@ class CampaignQueue:
 
         The committed chunk records are folded through the exact
         accounting path a serial run uses, so the report is
-        byte-identical to one; nothing is executed or written.  A fresh
-        backend is unpickled from the payload unless the caller supplies
-        its own (it must be plan-identical; the stored fingerprint
-        enforces that).
+        byte-identical to one — bar ``Injection.detail``, which is not
+        stored and comes back ``None``; nothing is executed or written.
+        A fresh backend is unpickled from the payload unless the caller
+        supplies its own (it must be plan-identical; the stored
+        fingerprint enforces that).
         """
         job = self.poll(job_id)
         if job.state != "done":

@@ -28,10 +28,9 @@ Three program shapes cover every evaluation path in the toolkit:
 Programs are **byte-identical** to the interpreter at any pattern width:
 each generated expression is the same boolean function the dispatch
 table computes, so every net value, detection mask and campaign outcome
-matches bit for bit.  Set ``RESCUE_NO_COMPILE=1`` (or pass
-``compile=False`` to the entry points) to force the reference
-interpreter — the equivalence tests in ``tests/test_compiled.py`` run
-both paths against each other.
+matches bit for bit.  ``RESCUE_NO_COMPILE=1`` — or, within a block,
+:func:`disabled` — forces the reference interpreter; the equivalence
+tests in ``tests/test_compiled.py`` run both paths against each other.
 
 Caching and invalidation: programs are memoized in
 ``Circuit._program_cache`` and invalidated by ``Circuit._invalidate``
@@ -119,16 +118,6 @@ _ENV_DISABLED = os.environ.get(ENV_FLAG, "") not in ("", "0")
 def compilation_enabled() -> bool:
     """Is compiled evaluation globally enabled (env kill switch unset)?"""
     return not _ENV_DISABLED
-
-
-def _active(enable: bool | None) -> bool:
-    """Resolve a per-call ``compile=`` flag against the env switch.
-
-    ``False`` always forces the interpreter; ``True``/``None`` use the
-    compiled path unless ``RESCUE_NO_COMPILE`` vetoes it (the env var is
-    the emergency brake and wins over per-call requests).
-    """
-    return enable is not False and compilation_enabled()
 
 
 @contextmanager
@@ -588,10 +577,9 @@ def _intern(circuit: Circuit, source: str, name: str) -> CompiledProgram:
     return program
 
 
-def circuit_program(circuit: Circuit,
-                    enable: bool | None = None) -> CircuitProgram | None:
+def circuit_program(circuit: Circuit) -> CircuitProgram | None:
     """The full-circuit program, or ``None`` when compilation is off."""
-    if not _active(enable):
+    if _ENV_DISABLED:
         return None
     cache = _cache(circuit)
     prog = cache.get("full")
@@ -600,10 +588,9 @@ def circuit_program(circuit: Circuit,
     return prog
 
 
-def step_program(circuit: Circuit,
-                 enable: bool | None = None) -> StepProgram | None:
+def step_program(circuit: Circuit) -> StepProgram | None:
     """The fused step program, or ``None`` when compilation is off."""
-    if not _active(enable):
+    if _ENV_DISABLED:
         return None
     cache = _cache(circuit)
     prog = cache.get("step")
@@ -640,7 +627,7 @@ def _site_of(circuit: Circuit, line) -> tuple[str, str | None] | None:
     return None
 
 
-def cone_program(circuit: Circuit, line, enable: bool | None = None,
+def cone_program(circuit: Circuit, line,
                  weight: int = 1) -> ConeProgram | None:
     """The faulty-values cone sub-program for fault site ``line``.
 
@@ -649,7 +636,7 @@ def cone_program(circuit: Circuit, line, enable: bool | None = None,
     amortize compilation (``COMPILE_AFTER_HITS``); ``weight`` is the
     number of evaluations the caller is about to perform.
     """
-    if not _active(enable):
+    if _ENV_DISABLED:
         return None
     resolved = _site_of(circuit, line)
     if resolved is None:
@@ -661,7 +648,6 @@ def cone_program(circuit: Circuit, line, enable: bool | None = None,
 
 
 def det_program(circuit: Circuit, line, observe: Sequence[str],
-                enable: bool | None = None,
                 weight: int = 1) -> DetProgram | None:
     """The detection-fused program for ``line`` under ``observe``.
 
@@ -670,7 +656,7 @@ def det_program(circuit: Circuit, line, observe: Sequence[str],
     and ``None`` conventions as :func:`cone_program`; ``weight`` is the
     number of evaluations the caller is about to perform.
     """
-    if not _active(enable):
+    if _ENV_DISABLED:
         return None
     resolved = _site_of(circuit, line)
     if resolved is None:
@@ -960,14 +946,14 @@ class SoaStepProgram:
         return dict(zip(self.outputs, pos)), dict(zip(self.flop_qs, nxt))
 
 
-def soa_step_program(circuit: Circuit, n_lanes: int,
-                     enable: bool | None = None) -> SoaStepProgram | None:
+def soa_step_program(circuit: Circuit,
+                     n_lanes: int) -> SoaStepProgram | None:
     """The ``n_lanes``-wide SoA fused step program, or ``None`` when
     compilation is off or numpy is missing (callers fall back to the
     packed-int paths, which carry any width through big ints).  The
     kernel schedule is built once per circuit; per-width programs are
     thin copies."""
-    if not _vector.HAVE_NUMPY or not _active(enable):
+    if _ENV_DISABLED or not _vector.HAVE_NUMPY:
         return None
     cache = _cache(circuit)
     key = ("soa_step", n_lanes)

@@ -12,7 +12,7 @@ Full-circuit evaluations run on the compiled simulation core
 (:mod:`repro.sim.compiled`) by default: the circuit is translated once
 into a generated straight-line function and cached.  The gate-by-gate
 dispatch below remains the reference interpreter — byte-identical, and
-selected by ``RESCUE_NO_COMPILE=1`` or ``compile=False``.
+selected by ``RESCUE_NO_COMPILE=1`` or ``compiled.disabled()``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def simulate(
     pi_values: Mapping[str, int],
     n_patterns: int,
     state: Mapping[str, int] | None = None,
-    compile: bool | None = None,
 ) -> dict[str, int]:
     """One combinational evaluation over packed patterns.
 
@@ -123,11 +122,11 @@ def simulate(
     flop Q nets to packed ints (defaults to each flop's init value
     replicated across patterns).  Returns packed values for every net.
 
-    Runs on the circuit's compiled program unless ``compile=False`` (or
-    ``RESCUE_NO_COMPILE=1``) selects the reference interpreter; both
+    Runs on the circuit's compiled program unless ``RESCUE_NO_COMPILE=1``
+    (or ``compiled.disabled()``) selects the reference interpreter; both
     paths return identical values.
     """
-    program = _compiled.circuit_program(circuit, compile)
+    program = _compiled.circuit_program(circuit)
     if program is not None:
         return program.run(pi_values, n_patterns, state)
     mask = mask_of(n_patterns)

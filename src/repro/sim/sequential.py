@@ -11,7 +11,7 @@ clean universe plus n-1 faulty ones).
 .StepProgram`) that fuses the combinational evaluation with the flop
 advance and skips logic outside the observables' cone of influence; the
 evaluate-then-capture interpreter below is the reference path, selected
-by ``compile=False`` or ``RESCUE_NO_COMPILE=1``.  The
+by ``RESCUE_NO_COMPILE=1`` or ``compiled.disabled()``.  The
 :meth:`SequentialSim.flip_state` SEU-injection hook mutates ``state``
 between steps and is oblivious to which path executes them.
 """
@@ -28,14 +28,12 @@ from .logic import mask_of, simulate
 class SequentialSim:
     """Cycle-accurate simulator for a (single-clock) sequential circuit."""
 
-    def __init__(self, circuit: Circuit, n_patterns: int = 1,
-                 compile: bool | None = None) -> None:
+    def __init__(self, circuit: Circuit, n_patterns: int = 1) -> None:
         self.circuit = circuit
         self.n_patterns = n_patterns
         self.mask = mask_of(n_patterns)
         self.state: dict[str, int] = {}
         self.cycle = 0
-        self._compile = compile
         self.reset()
 
     def reset(self) -> None:
@@ -53,12 +51,11 @@ class SequentialSim:
 
     def evaluate(self, pi_values: Mapping[str, int]) -> dict[str, int]:
         """Combinational evaluation at the current state (no clock edge)."""
-        return simulate(self.circuit, pi_values, self.n_patterns, self.state,
-                        compile=self._compile)
+        return simulate(self.circuit, pi_values, self.n_patterns, self.state)
 
     def step(self, pi_values: Mapping[str, int]) -> dict[str, int]:
         """Apply inputs, capture flops, return packed PO values for this cycle."""
-        program = _compiled.step_program(self.circuit, self._compile)
+        program = _compiled.step_program(self.circuit)
         if program is not None:
             out, self.state = program.run(pi_values, self.state, self.mask)
             self.cycle += 1

@@ -69,7 +69,8 @@ class TestSimulateEquivalence:
         state = (random_patterns(circuit.flops, width, seed=seed + 2)
                  if with_state and circuit.flops else None)
         fast = simulate(circuit, pis, width, state)
-        reference = simulate(circuit, pis, width, state, compile=False)
+        with compiled.disabled():
+            reference = simulate(circuit, pis, width, state)
         assert fast == reference
 
     def test_library_circuits_match(self):
@@ -78,8 +79,9 @@ class TestSimulateEquivalence:
             for width in WIDTHS:
                 pis = random_patterns(circuit.inputs, width, seed=3)
                 state = random_patterns(circuit.flops, width, seed=4)
-                assert simulate(circuit, pis, width, state) \
-                    == simulate(circuit, pis, width, state, compile=False)
+                with compiled.disabled():
+                    reference = simulate(circuit, pis, width, state)
+                assert simulate(circuit, pis, width, state) == reference
 
     def test_constant_and_buffer_folding(self):
         from repro.circuit.netlist import Circuit
@@ -95,8 +97,9 @@ class TestSimulateEquivalence:
         circuit.add_output("y")
         for width in WIDTHS:
             pis = {"a": random_patterns(["a"], width, seed=9)["a"]}
-            assert simulate(circuit, pis, width) \
-                == simulate(circuit, pis, width, compile=False)
+            with compiled.disabled():
+                reference = simulate(circuit, pis, width)
+            assert simulate(circuit, pis, width) == reference
 
     def test_env_kill_switch(self, monkeypatch):
         circuit = load("c17")
@@ -171,13 +174,15 @@ class TestStepEquivalence:
         stimuli = [random_patterns(circuit.inputs, width, seed=seed + c)
                    for c in range(8)]
         fast = SequentialSim(circuit, width)
-        ref = SequentialSim(circuit, width, compile=False)
+        ref = SequentialSim(circuit, width)
         flop = next(iter(circuit.flops))
         for cyc, stim in enumerate(stimuli):
             if cyc == 2:
                 fast.flip_state(flop, 0b11)
                 ref.flip_state(flop, 0b11)
-            assert fast.step(stim) == ref.step(stim)
+            with compiled.disabled():
+                expected = ref.step(stim)
+            assert fast.step(stim) == expected
             assert fast.state == ref.state
             assert fast.cycle == ref.cycle
 
@@ -187,11 +192,13 @@ class TestStepEquivalence:
         circuit = _random_circuit(77, sequential=True)
         stim = random_patterns(circuit.inputs, 4, seed=1)
         fast = SequentialSim(circuit, 4)
-        ref = SequentialSim(circuit, 4, compile=False)
+        ref = SequentialSim(circuit, 4)
         dropped = next(iter(circuit.flops))
         del fast.state[dropped]
         del ref.state[dropped]
-        assert fast.step(stim) == ref.step(stim)
+        with compiled.disabled():
+            expected = ref.step(stim)
+        assert fast.step(stim) == expected
         assert fast.state == ref.state
 
     def test_dead_logic_is_pruned_but_observables_match(self):
@@ -207,9 +214,11 @@ class TestStepEquivalence:
         program = compiled.step_program(circuit)
         assert "^" not in program.program.source  # dead XOR pruned
         sim = SequentialSim(circuit, 4)
-        ref = SequentialSim(circuit, 4, compile=False)
+        ref = SequentialSim(circuit, 4)
         stim = {"a": 0b1010, "b": 0b0110}
-        assert sim.step(stim) == ref.step(stim)
+        with compiled.disabled():
+            expected = ref.step(stim)
+        assert sim.step(stim) == expected
         assert sim.state == ref.state
 
 
@@ -227,7 +236,8 @@ class TestInvalidation:
         circuit.add_output("mut_new")
         assert not circuit._program_cache  # invalidated with topo/cones
         after = simulate(circuit, pis, 8)
-        assert after == simulate(circuit, pis, 8, compile=False)
+        with compiled.disabled():
+            assert after == simulate(circuit, pis, 8)
         assert "mut_new" in after and "mut_new" not in before
         assert new_out.output == "mut_new"
 

@@ -22,6 +22,7 @@ from repro.engine import (
     SeuBackend,
     SocBackend,
     ppsfp_result,
+    resume_campaign,
     run_campaign,
 )
 from repro.faults import all_stuck_at, collapse
@@ -302,6 +303,27 @@ class TestPpsfpFastPath:
         assert rebuilt.undetected == direct.undetected
         assert rebuilt.coverage == direct.coverage
         assert report.rate(DETECTED) == pytest.approx(direct.coverage)
+
+    def test_ppsfp_result_refuses_a_replayed_report(self):
+        # detection masks ride in Injection.detail, which a checkpoint
+        # does not store: a resumed report used to map every replayed
+        # detected fault to None
+        circuit = load("c17")
+        faults, _ = collapse(circuit)
+        packed, n = exhaustive_patterns(circuit.inputs)
+        config = EngineConfig(batch_size=8, executor="serial",
+                              commit_every=1)
+        db = CampaignDb()
+        fresh = run_campaign(PpsfpBackend(circuit, faults, [(packed, n)]),
+                             config, db=db)
+        resumed = resume_campaign(
+            PpsfpBackend(circuit, faults, [(packed, n)]), fresh.campaign_id,
+            config, db=db)
+        assert resumed.resumed_chunks and resumed.outcomes == fresh.outcomes
+        with pytest.raises(ValueError, match="resumed or assembled by "
+                                             "service replay"):
+            ppsfp_result(resumed, n)
+        assert None not in ppsfp_result(fresh, n).detected.values()
 
     def test_campaign_end_logs_one_walk_summary(self, caplog):
         circuit = load("rand_seq")

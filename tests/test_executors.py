@@ -17,6 +17,8 @@ from repro.autosoc.fi import make_injections
 from repro.circuit import load
 from repro.core import CampaignDb
 from repro.engine import (
+    ChaosBackend,
+    ChaosFault,
     EarlyStop,
     EngineConfig,
     Injection,
@@ -325,7 +327,6 @@ class TestAutoProbe:
         seeds = [chunk_seed(0, i) for i in range(len(chunks))]
         plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
         assert plan.name == "process"
-        assert plan.payload is not None
         # the scalar-width control with the identical cost profile bails
         # at the per-batch floor
         control = CheapWideLaneBackend(lane_width=1)
@@ -344,7 +345,6 @@ class TestAutoProbe:
         seeds = [chunk_seed(0, i) for i in range(len(chunks))]
         plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
         assert plan.name == "process"
-        assert plan.payload is not None
 
     def test_auto_campaign_matches_serial(self, monkeypatch):
         # whatever the probe decides, probed chunks run in the parent and
@@ -360,7 +360,7 @@ class TestAutoProbe:
         assert auto.total == serial.planned
 
     def test_explicit_process_with_unpicklable_backend_falls_back(
-            self, caplog):
+            self, caplog, monkeypatch):
         import logging
 
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
@@ -370,9 +370,31 @@ class TestAutoProbe:
         assert report.executor == "serial"
         fallbacks = [r.getMessage() for r in caplog.records
                      if "falling back" in r.message]
-        assert len(fallbacks) == 1 and "not picklable" in fallbacks[0]
+        assert len(fallbacks) == 1 and fallbacks[0].startswith(
+            "engine: process executor failing; falling back to serial "
+            "from chunk 0 (backend not picklable (")
         assert report.total == 40
         assert report.outcomes == {"even": 20, "odd": 20}
+
+        # a crashed auto-probe takes the same line, and the chunk it
+        # crashed on runs again on the serial rung
+        monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
+        backend = _seu_backend()
+        chaos = ChaosBackend(backend, [ChaosFault(
+            backend.enumerate_points()[0], "raise", 1)])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            report = run_campaign(chaos, EngineConfig(
+                batch_size=8, workers=2, executor="auto",
+                retry_backoff_s=0.001))
+        fallbacks = [r.getMessage() for r in caplog.records
+                     if "falling back" in r.message]
+        assert len(fallbacks) == 1 and fallbacks[0].startswith(
+            "engine: auto executor failing; falling back to serial from "
+            "chunk 0 (auto-probe failed (ChaosError")
+        assert report.executor == "serial"
+        assert _rows(report) == _rows(run_campaign(
+            _seu_backend(), EngineConfig(batch_size=8, executor="serial")))
 
     def test_auto_with_unpicklable_backend_lands_on_serial(
             self, monkeypatch, caplog):

@@ -5,12 +5,15 @@ timeout, idempotent chunk records, schema migration), kill-and-resume
 identity (in-process aborts across executors × lane widths × early
 stop, plus a real SIGKILL'd subprocess), chunk retry with backoff and
 quarantine driven by ChaosBackend, the process → serial
-recovery ladder, chunk timeouts, and the executor drain path's
-suppressed-error aggregation.
+recovery ladder (one property over chaos schedules × executors: a chunk
+failure is a value the rung yields, an executor failure the one step
+down), chunk timeouts, and the executor drain path's suppressed-error
+aggregation.
 """
 
 import logging
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -20,9 +23,11 @@ import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import load
@@ -39,6 +44,7 @@ from repro.engine import (
     run_campaign,
 )
 from repro.engine import executors
+from repro.engine.core import executed, plan_campaign
 from repro.soft_error import random_workload
 
 N_CYCLES = 8  # 12 flops x 8 cycles = 96 points
@@ -354,6 +360,49 @@ def _chaos(mode, failures, lane_width=1, point_index=20, **kwargs):
                         **kwargs)
 
 
+class SpySeuBackend(SeuBackend):
+    """Appends the pid to ``spy_path`` whenever ``prepare()`` actually
+    builds — one line per payload load that cost a golden run."""
+
+    def __init__(self, *args, spy_path, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.spy_path = spy_path
+
+    def prepare(self):
+        if self._golden is None:
+            with open(self.spy_path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        super().prepare()
+
+
+def _chaos_schedule(inner, schedule, **kwargs):
+    """``schedule``: (chunk index, mode, failures) triples on the 8-point
+    chunks of ``inner``."""
+    points = inner.enumerate_points()
+    return ChaosBackend(inner, [ChaosFault(points[8 * chunk], mode, failures)
+                                for chunk, mode, failures in schedule],
+                        **kwargs)
+
+
+class _Warnings(logging.Handler):
+    """The engine's warnings, captured without a function-scoped fixture
+    (hypothesis re-enters the test body per example)."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("repro.engine").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc_info):
+        logging.getLogger("repro.engine").removeHandler(self)
+
+
 def _warm_timeout(executor):
     """A ``chunk_timeout`` only a hang can exceed: on the pool, a cold
     worker's spawn + imports + ``prepare()`` land on its first chunk, so
@@ -380,15 +429,36 @@ class TestRetryAndQuarantine:
         assert _signature(report) == _signature(reference)
         assert report.retried_chunks == 0 and not report.quarantined
 
+    @pytest.mark.parametrize("n_failures", [1, 5])
     @pytest.mark.parametrize("mode", ["raise", "malform"])
-    def test_transient_chunk_failure_is_retried(self, mode, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            report = run_campaign(_chaos(mode, failures=2), RETRY_CONFIG)
-        reference = run_campaign(_backend(), RETRY_CONFIG)
+    def test_chunk_failure_on_the_pool_costs_no_worker_reload(
+            self, mode, n_failures, tmp_path):
+        # a failed chunk is a value the pool rung yields: it is retried
+        # in the parent while the rung keeps its token, its payload file
+        # and its workers' prepared state — re-opening the rung behind
+        # each failure made every worker unpickle and prepare() again
+        spy = tmp_path / "prepare.spy"
+        circuit = load("rand_seq")
+        inner = SpySeuBackend(circuit, random_workload(circuit, N_CYCLES,
+                                                       seed=7),
+                              lane_width=1, spy_path=str(spy))
+        schedule = [(2 * k + 1, mode, 1) for k in range(n_failures)]
+        config = EngineConfig(batch_size=8, executor="process", workers=2,
+                              max_chunk_retries=2, retry_backoff_s=0.001)
+        with _Warnings() as warnings:
+            report = run_campaign(_chaos_schedule(inner, schedule), config)
+        reference = run_campaign(
+            _backend(), EngineConfig(batch_size=8, executor="serial"))
         assert _signature(report) == _signature(reference)
-        assert report.retried_chunks == 1
-        assert not report.quarantined
-        assert any("retry" in r.message for r in caplog.records)
+        assert report.retried_chunks == n_failures
+        assert report.executor == "process" and not report.quarantined
+        assert sum("retry 1/2" in m for m in warnings) == n_failures
+        assert not any("falling back" in m for m in warnings)
+        loads = [int(pid) for pid in spy.read_text().split()]
+        in_workers = [pid for pid in loads if pid != os.getpid()]
+        # one load per worker that took a task — not x (1 + failures)
+        assert 1 <= len(in_workers) == len(set(in_workers)) <= 2
+        assert loads.count(os.getpid()) == 1  # the parent-side retries
 
     def test_backoff_is_exponential_and_capped(self):
         from repro.engine.core import RETRY_BACKOFF_CAP_S
@@ -455,10 +525,17 @@ class TestRetryAndQuarantine:
         reference = run_campaign(
             _backend(), EngineConfig(batch_size=8, executor="serial"))
         assert _signature(report) == _signature(reference)
-        assert report.executor == "serial"  # the one step down
+        # the pool died mid-way: the report names the rung that finished
+        assert report.executor == "serial"
         assert report.retried_chunks >= 1
         assert not report.quarantined
-        assert sum("falling back" in r.message for r in caplog.records) == 1
+        fallbacks = [r.getMessage() for r in caplog.records
+                     if "falling back" in r.message]
+        # (the break may surface on a chunk ahead of the fatal one)
+        assert len(fallbacks) == 1 and re.match(
+            r"engine: process executor failing; falling back to serial "
+            r"from chunk [012] \(process pool failed \(BrokenProcessPool",
+            fallbacks[0])
         assert 2 not in executors._pool_registry  # broken pool evicted
 
     def test_hung_chunk_times_out_and_recovers(self, caplog):
@@ -601,6 +678,93 @@ class TestRetryAndQuarantine:
 
 
 # ----------------------------------------------------------------------
+# the ladder as a whole: chunk failures are values, executor failures
+# the one step down
+# ----------------------------------------------------------------------
+_FAULT = st.tuples(st.sampled_from(["raise", "malform", "hang", "die"]),
+                   st.sampled_from([1, 2, None]))  # None: persistent
+LADDER_CONFIG = EngineConfig(batch_size=8, workers=2, max_chunk_retries=2,
+                             retry_backoff_s=0.001)
+
+
+class TestLadder:
+    @settings(max_examples=6, deadline=None)
+    @given(executor=st.sampled_from(["serial", "process"]),
+           faults=st.dictionaries(st.integers(0, 11), _FAULT, max_size=2))
+    @example(executor="serial", faults={2: ("raise", 2)})
+    @example(executor="serial", faults={2: ("malform", 2), 11: ("hang", 1)})
+    @example(executor="process", faults={0: ("raise", 1), 5: ("malform", None)})
+    @example(executor="process", faults={3: ("die", 1), 4: ("raise", 2)})
+    @example(executor="process", faults={6: ("hang", None)})
+    def test_any_chaos_schedule_resolves_every_chunk_once(self, executor,
+                                                          faults):
+        """Whatever fails — a chunk (transient or for good), a worker, a
+        hang past the deadline — ``executed`` yields exactly one event
+        per chunk, ascending, opens each rung at most once, steps down
+        at most once, quarantines exactly the persistently failing
+        chunks and reports everything else as the serial reference
+        does."""
+        config = replace(LADDER_CONFIG, executor=executor,
+                         chunk_timeout=_warm_timeout(executor))
+        backend = _chaos_schedule(
+            _backend(), [(chunk, mode, failures)
+                         for chunk, (mode, failures) in faults.items()],
+            hang_s=2.0)
+        plan = plan_campaign(backend, config)
+        opened = []
+
+        def counting(rung):
+            def opener(*args, **kwargs):
+                opened.append(rung.__name__)
+                return rung(*args, **kwargs)
+            return opener
+
+        with _Warnings() as warnings, \
+                mock.patch.object(executors, "run_process",
+                                  counting(executors.run_process)), \
+                mock.patch.object(executors, "run_serial",
+                                  counting(executors.run_serial)):
+            events = list(executed(backend, plan, config, 0))
+        assert opened[0] == f"run_{executor}"
+        assert len(opened) == len(set(opened))  # no rung is re-opened
+        clean = _backend()
+        clean.prepare()
+        assert [event.index for event in events] == list(range(12))
+        assert sum("falling back" in m for m in warnings) <= 1
+        persistent = {chunk for chunk, (_, failures) in faults.items()
+                      if failures is None}
+        assert {e.index for e in events if e.batch is None} == persistent
+        for event in events:
+            if event.batch is not None:
+                expected = clean.run_batch(plan.chunks[event.index])
+                assert ([inj.row() for inj in event.batch]
+                        == [inj.row() for inj in expected])
+            else:
+                assert event.attempts == 3 and event.error
+
+    def test_pool_yields_a_chunk_exception_in_its_slot(self):
+        # _run_pool is pool-agnostic: a thread pool shows the window
+        # sliding on past a failed chunk — every index submitted exactly
+        # once, the exception in its slot, later slots still in order
+        submitted = []
+
+        def task(i):
+            if i == 2:
+                raise ChaosError("chunk 2 failed mid-window")
+            return i
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            def submit(i):
+                submitted.append(i)
+                return pool.submit(task, i)
+
+            results = list(executors._run_pool(pool, submit, 7, 3, 0))
+        assert submitted == list(range(7))
+        assert isinstance(results[2], ChaosError)
+        assert results[:2] + results[3:] == [0, 1, 3, 4, 5, 6]
+
+
+# ----------------------------------------------------------------------
 # executor drain aggregation
 # ----------------------------------------------------------------------
 class TestDrainAggregation:
@@ -692,7 +856,7 @@ class _StubPool:
 class TestExecutorTimeouts:
     def test_futures_timeout_classifies_as_chunk_timeout(self):
         # concurrent.futures.TimeoutError is NOT the builtin TimeoutError
-        # on 3.10; misclassifying it as ChunkError would send the finally
+        # on 3.10; mistaking it for a chunk failure would send the finally
         # path into _drain — blocking forever on the hung future
         import concurrent.futures
 
