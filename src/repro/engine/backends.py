@@ -35,8 +35,7 @@ from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
 from ..sim.fault_sim import (PatternWindows, _batched_detection,
-                             _observe_nets, _pattern_windows,
-                             log_walk_summary)
+                             _pattern_windows, log_walk_summary)
 from ..sim.logic import mask_of, simulate
 from ..soft_error.seu import _golden_run, inject_seu
 from . import lanes
@@ -54,16 +53,20 @@ class PpsfpBackend:
     pattern batches in order with fault dropping (first detecting batch
     wins).  ``prepare()`` concatenates the batches into pattern windows
     (:data:`repro.sim.fault_sim.WINDOW_BITS` patterns wide, one good
-    simulation each), so a fault costs one cone walk per window rather
-    than one per batch it survives, and its cone is read off the
-    circuit's reachability table the first time and cached after.
+    simulation each); per window a fault costs one gate evaluation and
+    a read of the window's observability memo, and a cone is walked once
+    per fan-out-free region the faults touch, not once per fault (the
+    memo holds one word per net and window asked, ``nets x windows x
+    WINDOW_BITS / 8`` bytes at most, and goes with the windows).
 
     The pattern batches pickle with the backend: they ride the campaign
     payload (one temp file, loaded once per process-pool worker) and the
     campaign service's job row inline, so a submitted job depends on
     nothing outside the database.  A fault that is not on a line of the
     circuit raises ``ValueError`` at construction (simulated, it would
-    read as ``undetected``).
+    read as ``undetected``), as do a batch width that is not an ``int``
+    of at least 1 and a ``state`` key that is not a flop of the circuit
+    (ignored, a misspelt flop would simulate from its reset value).
     """
 
     name = "ppsfp"
@@ -84,12 +87,19 @@ class PpsfpBackend:
         self.faults = list(faults)
         check_sites(circuit, self.faults)  # in the parent, not a worker
         self.batches = list(batches)
+        widths = [n for _, n in self.batches]
+        if not all(isinstance(n, int) and n >= 1 for n in widths):
+            raise ValueError(f"PPSFP batch widths must be ints >= 1, "
+                             f"got {widths}")
+        unknown = [q for q in state or () if q not in circuit.flops]
+        if unknown:
+            raise ValueError(f"PPSFP state keys {unknown} are not flops of "
+                             f"{circuit.name}")
         self.state = state
         self.full_scan = full_scan
         self.drop_detected = drop_detected
         self._windows: PatternWindows | None = None
-        self._observe: tuple[str, ...] = ()
-        self.n_patterns = sum(n for _, n in batches)
+        self.n_patterns = sum(widths)
 
     def enumerate_points(self) -> Sequence[StuckAtFault]:
         return self.faults
@@ -98,25 +108,24 @@ class PpsfpBackend:
         if self._windows is not None:  # idempotent: re-run per worker
             return
         self._windows = _pattern_windows(self.circuit, self.batches,
-                                         self.state)
-        self._observe = _observe_nets(self.circuit, self.full_scan)
+                                         self.state, self.full_scan)
 
     def campaign_finished(self) -> None:
         log_walk_summary(self.name, self.circuit, self._windows)
 
     def __getstate__(self) -> dict:
-        """Prepared state (pattern windows, observe list) is dropped:
-        process-pool workers rebuild it via their own ``prepare()``."""
+        """Prepared state (pattern windows and their observability
+        memos) is dropped: process-pool workers rebuild it via their own
+        ``prepare()``."""
         state = self.__dict__.copy()
         state["_windows"] = None
-        state["_observe"] = ()
         return state
 
     def run_batch(self, points: Sequence[StuckAtFault]) -> list[Injection]:
         out: list[Injection] = []
         for fault in points:
             acc = _batched_detection(self.circuit, fault, self._windows,
-                                     self._observe, self.drop_detected)
+                                     self.drop_detected)
             out.append(Injection(
                 point=fault, location=fault.describe(), cycle=0,
                 outcome=DETECTED if acc else UNDETECTED, detail=acc))

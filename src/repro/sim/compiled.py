@@ -98,11 +98,14 @@ ENV_FLAG = "RESCUE_NO_COMPILE"
 #: us interpreted, 44-56 us compiled; median site 16-18), ~14 on the
 #: 800-gate smoke circuit and ~4 on a small-cone sequential one (80 us
 #: to build, 21 us vs 2 us), the same at 64 and at 1024 patterns per
-#: word.  20 sits inside that range.  A dropping PPSFP campaign visits
-#: a site once or twice (one evaluation per pattern window) and stays
-#: entirely on the interpreter; workloads that revisit a site per
-#: cycle, per window of a no-dropping dictionary sweep, or per campaign
-#: cross the threshold and settle into compiled steady state.
+#: word.  20 sits inside that range.  The batched PPSFP sweep asks for
+#: the detection program of a fan-out-free region's *root* — once per
+#: root and pattern-window set under fault dropping, with the window
+#: count up front without — so a dropping campaign stays entirely on
+#: the interpreter however many faults share the root; workloads that
+#: revisit a site per cycle, per window of a no-dropping dictionary
+#: sweep, per call of a pattern-generation loop or per campaign cross
+#: the threshold and settle into compiled steady state.
 #: Per-circuit programs (full evaluation, step) are compiled eagerly:
 #: they amortize over every evaluation of the circuit.  Tests and
 #: benchmarks set this to 0 to force the compiled path from the first
@@ -432,7 +435,10 @@ class DetProgram:
     output reaches no observation point are pruned at codegen time), and
     ORs the good-vs-faulty XOR of every observed cone net inline — the
     full faulty dict, the observation loop, and the result tuple all
-    disappear.  This is the PPSFP inner loop.
+    disappear.  This is the PPSFP inner loop: ``forced`` is a word, the
+    stuck value for a fault's own walk (``detection_mask``) or the
+    complemented good word when the batched sweep asks in which
+    patterns a region root's flip is observed.
     """
 
     __slots__ = ("program",)

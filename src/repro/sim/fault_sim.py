@@ -6,6 +6,15 @@ only the gates in the fault site's fan-out cone with the faulty line
 forced.  Detection is a per-pattern bitmask, so one pass yields which
 pattern detects which fault — the input both to coverage accounting and
 to test compaction.
+
+:func:`fault_simulate` / :func:`detection_mask` do exactly that, one
+cone walk per fault, and are the reference.  The batched sweep
+(:func:`fault_simulate_batched`, the engine's ``PpsfpBackend``) splits a
+fault's detection word into a local difference and the observability of
+the net it shows on: inside a fan-out-free region there is one path to
+the region's root, so a cone is walked once per root and pattern window
+and every fault of the region is a gate evaluation and a memo read
+(:func:`_batched_detection`, :func:`_observability`).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Mapping, Sequence
 
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Circuit, Gate
 from ..faults.models import Line, StuckAtFault
 from . import compiled as _compiled
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
@@ -40,8 +49,13 @@ class FaultSimResult:
 
     def detecting_patterns(self, fault: StuckAtFault) -> list[int]:
         """Indices of patterns that detect ``fault``."""
-        bits = self.detected.get(fault, 0)
-        return [i for i in range(self.n_patterns) if (bits >> i) & 1]
+        bits = self.detected.get(fault, 0) & mask_of(self.n_patterns)
+        indices = []
+        while bits:
+            low = bits & -bits
+            indices.append(low.bit_length() - 1)
+            bits ^= low
+        return indices
 
     def essential_patterns(self) -> set[int]:
         """Patterns that are the sole detector of at least one fault."""
@@ -52,9 +66,11 @@ class FaultSimResult:
         return essential
 
 
-#: Key of the reachability table inside ``Circuit._cone_cache`` (cone
-#: keys are tuples of net names, so ``None`` cannot collide with one).
+#: Keys of the reachability table and of the fan-out-free-region links
+#: inside ``Circuit._cone_cache`` (cone keys are tuples of net names, so
+#: neither can collide with one).
 _REACH_KEY = None
+_FFR_KEY = "ffr"
 
 _BIN_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -128,6 +144,28 @@ def _cone_gates(circuit: Circuit, start_nets: Sequence[str]) -> list:
     return cone
 
 
+def _ffr_links(circuit: Circuit) -> dict[str, Gate]:
+    """Each fan-out-free net's one consuming gate; a net that is absent
+    is the root of its fan-out-free region.
+
+    A root is a net with fan-out other than 1 (a gate reading it on two
+    pins counts twice), a primary output, or a net whose one consumer is
+    a flop — so every net :func:`_observe_nets` can return is a root,
+    with or without scan, and the table depends on structure alone.  It
+    lives beside the reachability table: mutation and pickling drop it.
+    """
+    cache = circuit._cone_cache
+    links = cache.get(_FFR_KEY)
+    if links is None:
+        gates = circuit.gates
+        outputs = set(circuit.outputs)
+        links = cache[_FFR_KEY] = {
+            net: gates[sinks[0]]
+            for net, sinks in circuit.fanout_map().items()
+            if len(sinks) == 1 and sinks[0] in gates and net not in outputs}
+    return links
+
+
 def _observe_nets(circuit: Circuit, full_scan: bool) -> tuple[str, ...]:
     # a tuple: the compiled detection cache keys on it, and tuple(t) on
     # an existing tuple is identity instead of an O(n) copy
@@ -151,21 +189,23 @@ def faulty_values(
     handles branch faults into flop D pins, which have no combinational
     cone.
     """
+    forced = mask if fault.value else 0
     program = _compiled.cone_program(circuit, fault.line)
     if program is not None:
-        return program.apply(good, mask if fault.value else 0, mask)
-    return _faulty_values_interp(circuit, fault, good, mask)
+        return program.apply(good, forced, mask)
+    return _faulty_values_interp(circuit, fault.line, forced, good, mask)
 
 
 def _faulty_values_interp(
     circuit: Circuit,
-    fault: StuckAtFault,
+    line: Line,
+    forced: int,
     good: Mapping[str, int],
     mask: int,
 ) -> dict[str, int]:
-    """Reference interpreter for :func:`faulty_values`."""
-    forced = mask if fault.value else 0
-    line = fault.line
+    """Reference interpreter for :func:`faulty_values`: ``line`` reads
+    the word ``forced`` (all-0/all-1 for a stuck-at fault, the
+    complemented good word for an observability walk)."""
     values = dict(good)
     evaluators = GATE_EVAL
     if line.is_stem:
@@ -206,26 +246,28 @@ def detection_mask(
     observe: Sequence[str],
 ) -> int:
     """Bitmask of patterns under which ``fault`` is observable."""
+    forced = mask if fault.value else 0
     program = _compiled.det_program(circuit, fault.line, observe)
     if program is not None:
         # detection-fused fast path: the generated function evaluates
         # only the observable slice of the cone and returns the mask —
         # no faulty dict, no observation loop
-        return program.program.fn(good, mask if fault.value else 0, mask)
-    return _detection_mask_interp(circuit, fault, good, mask, observe)
+        return program.program.fn(good, forced, mask)
+    return _detection_mask_interp(circuit, fault.line, forced, good, mask,
+                                  observe)
 
 
 def _detection_mask_interp(
     circuit: Circuit,
-    fault: StuckAtFault,
+    line: Line,
+    forced: int,
     good: Mapping[str, int],
     mask: int,
     observe: Sequence[str],
 ) -> int:
     """Reference interpreter for :func:`detection_mask`."""
-    bad = _faulty_values_interp(circuit, fault, good, mask)
+    bad = _faulty_values_interp(circuit, line, forced, good, mask)
     det = 0
-    line = fault.line
     for net in observe:
         good_v = good.get(net, 0)
         if not line.is_stem and line.sink in circuit.flops and net == circuit.flops[line.sink].d:
@@ -274,32 +316,44 @@ WINDOW_BITS = 1024
 class PatternWindows:
     """Good-machine values of pattern batches concatenated into windows.
 
-    Each window is ``(good, mask, offset, starts, batch_masks)``: the
-    good values of its batches side by side in one word per net, the
-    window's width mask, its first pattern's global number, and per
-    batch the bit position it starts at inside the window and its own
-    mask already shifted there.  The tallies count what the detection
-    sweeps did with the windows; a chunk abandoned past
-    ``chunk_timeout`` may still be sweeping on its daemon thread while
-    the campaign continues, so :meth:`count` takes the lock.  They never
+    Each window is ``(good, mask, offset, starts, batch_masks, obs)``:
+    the good values of its batches side by side in one word per net, the
+    window's width mask, its first pattern's global number, per batch
+    the bit position it starts at inside the window and its own mask
+    already shifted there, and the window's observability memo — per
+    net, the patterns in which a *flip* of that net reaches one of
+    ``observe`` (:func:`_observability` fills it on demand).  A memo
+    entry is a pure function of the window and the net, so a chunk
+    abandoned past ``chunk_timeout`` that is still sweeping on its
+    daemon thread can only write the value the live sweep would.  The
+    tallies count what the detection sweeps did with the windows; those
+    are read-modify-write, so :meth:`count` takes the lock.  They never
     influence an outcome.
     """
 
-    windows: list[tuple[dict[str, int], int, int, list[int], list[int]]]
+    windows: list[tuple[dict[str, int], int, int, list[int], list[int],
+                        dict[str, int]]]
     n_patterns: int
+    observe: tuple[str, ...]
     evaluations: int = 0
     never_activated: int = 0
     first_window_drops: int = 0
+    root_walks: int = 0
     _count_lock: Any = field(default_factory=threading.Lock, repr=False,
                              compare=False)
+    #: per root, the compiled detection function of its stem (``None``
+    #: while the root is below the compile threshold), resolved once
+    _walkers: dict[str, Any] = field(default_factory=dict, repr=False,
+                                     compare=False)
 
     def count(self, evaluations: int, never_activated: int,
-              first_window_drop: bool) -> None:
+              first_window_drop: bool, root_walks: int) -> None:
         """Add one fault sweep's tallies."""
         with self._count_lock:
             self.evaluations += evaluations
             self.never_activated += never_activated
             self.first_window_drops += first_window_drop
+            self.root_walks += root_walks
 
 
 def log_walk_summary(name: str, circuit: Circuit,
@@ -311,16 +365,19 @@ def log_walk_summary(name: str, circuit: Circuit,
         cache = circuit._cone_cache
         log.debug(
             "%s windows[%d x<=%d]: %d window evaluations, %d never-activated "
-            "skips, %d first-window drops, %d cones materialised",
+            "skips, %d first-window drops, %d root walks, %d cones "
+            "materialised",
             name, len(windows.windows), WINDOW_BITS, windows.evaluations,
             windows.never_activated, windows.first_window_drops,
-            len(cache) - (_REACH_KEY in cache))
+            windows.root_walks,
+            len(cache) - (_REACH_KEY in cache) - (_FFR_KEY in cache))
 
 
 def _pattern_windows(
     circuit: Circuit,
     batches: Sequence[tuple[Mapping[str, int], int]],
     state: Mapping[str, int] | None,
+    full_scan: bool = True,
 ) -> PatternWindows:
     """Simulate the good machine once per window of concatenated batches.
 
@@ -360,59 +417,142 @@ def _pattern_windows(
                     flops[q] |= (word & mask) << width
             width += n
         windows.append((simulate(circuit, pis, width, flops), mask_of(width),
-                        total, starts, batch_masks))
+                        total, starts, batch_masks, {}))
         total += width
-    return PatternWindows(windows, total)
+    return PatternWindows(windows, total, _observe_nets(circuit, full_scan))
+
+
+def _output_diff(gate: Gate, good: Mapping[str, int], net: str, word: int,
+                 mask: int) -> int:
+    """Good-vs-faulty XOR at ``gate``'s output when the gate alone reads
+    ``word`` on ``net`` (on every pin that reads it)."""
+    shadow = {src: good[src] for src in gate.inputs}
+    shadow[net] = word
+    return eval_gate(gate, shadow, mask) ^ good[gate.output]
+
+
+def _observability(
+    circuit: Circuit,
+    windows: PatternWindows,
+    good: Mapping[str, int],
+    mask: int,
+    obs: dict[str, int],
+    net: str,
+    weight: int,
+) -> tuple[int, bool]:
+    """Resolve a miss of one window's observability memo ``obs``.
+
+    Returns ``net``'s word and whether a cone was walked for it.  The
+    climb follows the fan-out-free links up to the first net already in
+    the memo, or to the region's root, whose word is one walk of its
+    cone with the root forced to the complement of its good word — by
+    its stem's compiled detection program once the root is hot (the hit
+    gate counts ``weight`` the first time these windows meet the root),
+    by the interpreter otherwise.  Coming back down, a net's word is its
+    consumer's, restricted to the patterns in which flipping the net
+    flips the consumer.  Every net on the way is memoised.
+    """
+    links = _ffr_links(circuit)
+    chain: list[tuple[str, Gate]] = []
+    word = None
+    gate = links.get(net)
+    while gate is not None:
+        chain.append((net, gate))
+        net = gate.output
+        word = obs.get(net)
+        if word is not None:
+            break
+        gate = links.get(net)
+    walked = word is None
+    if walked:
+        root = Line(net)
+        walkers = windows._walkers
+        if net not in walkers:
+            program = _compiled.det_program(circuit, root, windows.observe,
+                                            weight=weight)
+            walkers[net] = program.program.fn if program is not None else None
+        fn = walkers[net]
+        flipped = ~good.get(net, 0) & mask
+        if fn is not None:
+            word = fn(good, flipped, mask)
+        else:
+            word = _detection_mask_interp(circuit, root, flipped, good, mask,
+                                          windows.observe)
+        obs[net] = word
+    for inner, gate in reversed(chain):
+        if word:
+            word &= _output_diff(gate, good, inner, good[inner] ^ mask, mask)
+        obs[inner] = word
+    return word, walked
 
 
 def _batched_detection(
     circuit: Circuit,
     fault: StuckAtFault,
     windows: PatternWindows,
-    observe: Sequence[str],
     drop_detected: bool,
 ) -> int:
     """Detection bits of one fault across windows, in global numbering.
 
-    The fault is evaluated once per window — by its compiled detection
-    program when the site is hot, by the interpreter otherwise; both are
-    width-agnostic.  A window in which the site's good word already
-    equals the forced word never activates the fault and is skipped.
+    In each window the detection word is ``diff & obs``: ``diff`` is the
+    good-vs-faulty XOR where the fault first shows — on the net itself
+    for a stem, at the output of the one gate that reads the forced pin
+    for a branch (a gate reading the net on two pins sees it forced on
+    both) — and ``obs`` is that net's entry in the window's
+    observability memo.  The product is exact per bit column: the faulty
+    machine differs from the good one only through that net's word,
+    each pattern is its own column, and in the columns where the word
+    does differ it is the flipped good value.  So a fault costs one gate
+    evaluation and a memo read, and a cone is walked once per
+    fan-out-free region and window (:func:`_observability`), not once
+    per fault.  A branch into a flop D pin has no combinational cone and
+    stays on the interpreter.  A window in which the site's good word
+    already equals the forced word never activates the fault and is
+    skipped.
 
     With ``drop_detected`` the fault stops at the first detecting batch
     — the classic fault-dropping acceleration.  Batches inside a window
     are independent bit columns, so the window's mask restricted to the
     batch holding its lowest set bit is exactly what per-batch dropping
-    reports; later windows are not evaluated at all.
+    reports; later windows are not evaluated at all, nor is their memo
+    asked.
 
-    The compiled detection program is resolved once per fault for the
-    whole sweep — the cache key hashes the observation list, which can
-    be thousands of nets under full scan, so probing it per window would
-    rival the compiled call itself.  Without dropping the hit counter
-    is bumped by the window count up front (every window will evaluate
-    the fault); with dropping a sweep counts once.  A fault still below
-    the compile threshold runs the interpreter directly, with no further
-    counting this sweep.
+    The compile hit gate counts root walks: a root met under dropping
+    counts once, one met without dropping counts the window count up
+    front (every window will walk it).
     """
     spans = windows.windows
-    program = _compiled.det_program(
-        circuit, fault.line, observe,
-        weight=1 if drop_detected else len(spans))
-    fn = program.program.fn if program is not None else None
-    site = fault.line.net
+    line = fault.line
+    site = line.net
     value = fault.value
-    acc = evaluations = skipped = 0
+    # the net the difference first shows on, and the gate computing it
+    at = site if line.is_stem else line.sink
+    gate = None if line.is_stem else circuit.gates.get(at)
+    coneless = gate is None and not line.is_stem  # branch into a flop D
+    weight = 1 if drop_detected else len(spans)
+    acc = evaluations = skipped = root_walks = 0
     first_window_drop = False
-    for good, mask, offset, starts, batch_masks in spans:
+    for good, mask, offset, starts, batch_masks, obs in spans:
         forced = mask if value else 0
         if good.get(site) == forced:
             skipped += 1  # never activated in this window
             continue
         evaluations += 1
-        if fn is not None:
-            det = fn(good, forced, mask)
+        if coneless:
+            det = _detection_mask_interp(circuit, line, forced, good, mask,
+                                         windows.observe)
         else:
-            det = _detection_mask_interp(circuit, fault, good, mask, observe)
+            if gate is None:
+                det = good.get(site, 0) ^ forced
+            else:
+                det = _output_diff(gate, good, site, forced, mask)
+            if det:
+                word = obs.get(at)
+                if word is None:
+                    word, walked = _observability(
+                        circuit, windows, good, mask, obs, at, weight)
+                    root_walks += walked
+                det &= word
         if det:
             if drop_detected:
                 if len(starts) > 1:
@@ -422,7 +562,7 @@ def _batched_detection(
                 first_window_drop = good is spans[0][0]
                 break
             acc |= det << offset
-    windows.count(evaluations, skipped, first_window_drop)
+    windows.count(evaluations, skipped, first_window_drop, root_walks)
     return acc
 
 
@@ -439,18 +579,17 @@ def fault_simulate_batched(
     ``batches`` is a list of ``(pi_values, n_patterns)`` pairs; detection
     bits are reported in the global pattern numbering (batch 0 first).
     Batches are concatenated into windows of up to :data:`WINDOW_BITS`
-    patterns and a fault is walked once per window, not once per batch.
+    patterns; a fault is one gate evaluation per window and a cone is
+    walked once per fan-out-free region and window.
     The detected/undetected split (and hence coverage) is identical to
     simulating all patterns in one pass; only the detection masks of
     batches after the first detecting one are forgone for dropped
     faults, exactly as if every batch had been simulated on its own.
     """
-    windows = _pattern_windows(circuit, batches, state)
-    observe = _observe_nets(circuit, full_scan)
+    windows = _pattern_windows(circuit, batches, state, full_scan)
     result = FaultSimResult(windows.n_patterns)
     for fault in faults:
-        acc = _batched_detection(circuit, fault, windows, observe,
-                                 drop_detected)
+        acc = _batched_detection(circuit, fault, windows, drop_detected)
         if acc:
             result.detected[fault] = acc
         else:
@@ -505,7 +644,8 @@ def _seq_trace(
         elif program is not None:
             values = program.apply(good, forced, mask)
         else:  # gated off: stay interpreted (the hoist already counted)
-            values = _faulty_values_interp(circuit, fault, good, mask)
+            values = _faulty_values_interp(circuit, fault.line, forced,
+                                           good, mask)
         trace.append(tuple(values.get(po, 0) for po in circuit.outputs))
         next_state = {}
         for q, flop in circuit.flops.items():

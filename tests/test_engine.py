@@ -37,6 +37,7 @@ from repro.sim import (
     random_patterns,
     simulate,
 )
+from repro.sim.fault_sim import _ffr_links
 from repro.soft_error import FAILURE, adaptive_estimate, inject_seu
 from repro.soft_error import run_campaign as run_seu_campaign
 from repro.soft_error.seu import _golden_run, random_workload
@@ -343,8 +344,37 @@ class TestPpsfpFastPath:
         # and every detection is a first-window drop
         assert tallies.evaluations + tallies.never_activated == len(faults)
         assert tallies.first_window_drops == report.count(DETECTED)
+        # a cone is walked per fan-out-free region, not per fault
+        n_roots = len(circuit.nets) - len(_ffr_links(circuit))
+        assert 0 < tallies.root_walks <= n_roots < tallies.evaluations
         assert f"{tallies.evaluations} window evaluations" in lines[0]
         assert f"{tallies.never_activated} never-activated" in lines[0]
+        assert f"{tallies.root_walks} root walks" in lines[0]
+        # the two per-circuit tables are not cones
+        cones = [key for key in circuit._cone_cache if isinstance(key, tuple)]
+        assert f"{len(cones)} cones materialised" in lines[0]
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"widths": [8, -3]}, "batch widths"),
+        ({"widths": [0]}, "batch widths"),
+        ({"widths": [8.0]}, "batch widths"),
+        ({"state": {"st0": 1, "st_typo": 1}}, "st_typo"),
+    ])
+    def test_bad_batches_and_state_rejected_at_construction(self, kwargs,
+                                                            match):
+        # was: "negative shift count" inside a worker's prepare() (a
+        # quarantined chunk), every fault undetected at width 0, a
+        # TypeError in a worker, a misspelt flop simulated from reset
+        from repro.engine import executors, shutdown_pools
+
+        circuit = load("rand_seq")
+        faults, _ = collapse(circuit)
+        batches = [(random_patterns(circuit.inputs, 8, seed=i), n)
+                   for i, n in enumerate(kwargs.get("widths", [8]))]
+        shutdown_pools()
+        with pytest.raises(ValueError, match=match):
+            PpsfpBackend(circuit, faults, batches, state=kwargs.get("state"))
+        assert not executors._pool_registry  # raised before any pool
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the simulation engines: bit-parallel, 3-valued, sequential,
 event-driven, fault simulation."""
 
+import pickle
 import random
 from contextlib import nullcontext
 
@@ -13,8 +14,10 @@ from repro.circuit.levelize import fanout_cone
 from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
 from repro.sim import compiled
-from repro.sim.fault_sim import (WINDOW_BITS, _REACH_KEY, _cone_gates,
-                                 _pattern_windows)
+from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _REACH_KEY,
+                                 FaultSimResult, _batched_detection,
+                                 _cone_gates, _ffr_links, _observe_nets,
+                                 _pattern_windows, detection_mask)
 from repro.sim import (
     EventSim,
     SequentialSim,
@@ -172,6 +175,15 @@ class TestFaultSim:
             single = pack_patterns([singles[idx]])
             again = fault_simulate(c, [fault], single, 1)
             assert fault in again.detected
+
+    def test_detecting_patterns_lists_the_set_bits(self):
+        fault = StuckAtFault(Line("n"), 0)
+        sparse = [0, 63, 64, 1000, 4095]
+        result = FaultSimResult(4096, {fault: sum(1 << i for i in sparse)})
+        assert result.detecting_patterns(fault) == sparse
+        assert result.detecting_patterns(StuckAtFault(Line("n"), 1)) == []
+        result.detected[fault] = (1 << 4096) - 1
+        assert result.detecting_patterns(fault) == list(range(4096))
 
     def test_equivalent_faults_same_detection(self):
         """Faults collapsed into a class must have identical detection sets."""
@@ -361,7 +373,7 @@ def test_windows_never_split_a_batch():
     windows = _pattern_windows(circuit, batches, None)
     assert windows.n_patterns == sum(widths)
     shape = [(offset, starts, mask.bit_length())
-             for _, mask, offset, starts, _ in windows.windows]
+             for _, mask, offset, starts, _, _ in windows.windows]
     assert shape == [
         (0, [0, WINDOW_BITS - 64], WINDOW_BITS),  # boundary lands exactly
         (WINDOW_BITS, [0], 1),                    # the next would overflow
@@ -372,24 +384,52 @@ def test_windows_never_split_a_batch():
     assert _pattern_windows(circuit, [], None).windows == []
 
 
+def _with_ffr_corner_cases(circuit, rng):
+    """Graft onto ``circuit`` the structures a fan-out-free-region sweep
+    can get wrong: reconvergent fan-out through an XOR (differences
+    cancel), a primary output that also feeds a gate, a gate reading one
+    net on two pins, a dangling net, and — when there are flops — a net
+    whose only consumer is a flop."""
+    a, b, c, d = rng.sample(list(circuit.gates), 4)
+    circuit.add_gate("rc_l", "AND", [a, b])
+    circuit.add_gate("rc_r", "OR", [a, c])
+    circuit.add_gate("rc", "XOR", ["rc_l", "rc_r"])
+    circuit.add_output("rc")
+    circuit.add_gate("after_po", "NAND", ["rc", d])
+    circuit.add_gate("pre", "NOT", [d])
+    circuit.add_gate("twice", rng.choice(["AND", "NOR", "XOR", "XNOR"]),
+                     ["pre", "pre"])
+    circuit.add_gate("mix", "XOR", ["twice", "after_po"])
+    circuit.add_gate("dangling", "NOT", ["mix"])
+    if circuit.flops:
+        circuit.add_gate("flop_only", "OR", ["mix", b])
+        circuit.add_flop("q_extra", "flop_only")
+        circuit.add_output(next(iter(circuit.flops)))
+    else:
+        circuit.add_output("mix")
+    circuit.validate()
+    return circuit
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 5_000), sequential=st.booleans(),
        tokens=st.lists(st.one_of(st.integers(1, 40),
                                  st.sampled_from(["fill", "wide"])),
                        max_size=6),
-       with_state=st.booleans(), drop=st.booleans(), hot=st.booleans())
+       with_state=st.booleans(), drop=st.booleans(), hot=st.booleans(),
+       full_scan=st.booleans())
 def test_windowed_detection_matches_per_batch_reference(
-        seed, sequential, tokens, with_state, drop, hot):
-    """Property: ``fault_simulate_batched`` reports exactly what
-    simulating every batch on its own would — the first detecting
-    batch's bits under dropping, the OR of all batches without."""
+        seed, sequential, tokens, with_state, drop, hot, full_scan):
+    """Property: over the whole stuck-at universe,
+    ``fault_simulate_batched`` reports exactly what simulating every
+    batch on its own, one cone walk per fault, would — the first
+    detecting batch's bits under dropping, the OR of all batches
+    without."""
     rng = random.Random(seed)
-    circuit = (random_sequential(5, 30, 4, 3, seed=seed) if sequential
-               else random_combinational(6, 25, 3, seed=seed))
-    universe = all_stuck_at(circuit)
-    faults = rng.sample(universe, min(10, len(universe)))
-    faults += [f for f in universe  # branches into flop D pins
-               if f.line.sink in circuit.flops and f not in faults]
+    circuit = _with_ffr_corner_cases(
+        random_sequential(5, 30, 4, 3, seed=seed) if sequential
+        else random_combinational(6, 25, 3, seed=seed), rng)
+    faults = all_stuck_at(circuit)
     # PI words carry garbage above the batch width; the state word is
     # wider than some batches and narrower than others
     batches = [({pi: rng.getrandbits(n + 9) for pi in circuit.inputs}, n)
@@ -402,7 +442,7 @@ def test_windowed_detection_matches_per_batch_reference(
     with compiled.disabled():
         for pi_values, n in batches:
             single = fault_simulate(reference, faults, pi_values, n,
-                                    state=state)
+                                    state=state, full_scan=full_scan)
             for fault, det in single.detected.items():
                 if not (drop and fault in expected):
                     expected[fault] = expected.get(fault, 0) | det << offset
@@ -413,9 +453,52 @@ def test_windowed_detection_matches_per_batch_reference(
     try:
         with nullcontext() if hot else compiled.disabled():
             result = fault_simulate_batched(circuit, faults, batches,
-                                            state=state, drop_detected=drop)
+                                            state=state, full_scan=full_scan,
+                                            drop_detected=drop)
     finally:
         compiled.COMPILE_AFTER_HITS = old_hits
     assert result.n_patterns == offset
     assert result.detected == expected
     assert result.undetected == [f for f in faults if f not in expected]
+
+
+def test_each_window_has_its_own_observability_memo():
+    circuit = load("c17")
+    first, second = ((random_patterns(circuit.inputs, WINDOW_BITS, seed=s),
+                      WINDOW_BITS) for s in (1, 2))
+    both = _pattern_windows(circuit, [first, second], None)
+    alone = _pattern_windows(circuit, [second], None)
+    for fault in all_stuck_at(circuit):
+        shifted = _batched_detection(circuit, fault, alone, False)
+        assert (_batched_detection(circuit, fault, both, False)
+                >> WINDOW_BITS) == shifted
+    memos = [window[-1] for window in both.windows]
+    assert memos[0] != memos[1] == alone.windows[0][-1]
+    assert both.root_walks == 2 * alone.root_walks > 0
+
+
+def test_mutation_and_pickling_drop_the_ffr_links():
+    circuit = load("c17")
+    links = _ffr_links(circuit)
+    assert _ffr_links(circuit) is links is circuit._cone_cache[_FFR_KEY]
+    inner = next(iter(links))  # read by one gate only
+    circuit.add_gate("tap", "NOT", [inner])
+    assert _FFR_KEY not in circuit._cone_cache
+    assert inner not in _ffr_links(circuit)  # fan-out 2: a root now
+    assert _FFR_KEY not in pickle.loads(pickle.dumps(circuit))._cone_cache
+
+
+def test_ffr_sweep_matches_per_fault_walks_on_the_benchmark_circuit():
+    """Every collapsed fault of the ``ppsfp_stat`` circuit: the
+    region-wise sweep's mask equals the fault's own cone walk."""
+    circuit = random_combinational(32, 2400, seed=13)
+    faults, _ = collapse(circuit)
+    batches = [(random_patterns(circuit.inputs, 64, seed=7000 + i), 64)
+               for i in range(16)]
+    result = fault_simulate_batched(circuit, faults, batches,
+                                    drop_detected=False)
+    (good, mask, *_), = _pattern_windows(circuit, batches, None).windows
+    observe = _observe_nets(circuit, True)
+    for fault in faults:
+        assert (detection_mask(circuit, fault, good, mask, observe)
+                == result.detected.get(fault, 0)), fault.describe()
