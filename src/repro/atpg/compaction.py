@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
-from ..sim.fault_sim import fault_simulate
+from ..sim.fault_sim import fault_simulate_batched
 from ..sim.logic import pack_patterns
 
 
@@ -34,8 +34,8 @@ def compact_greedy(
         return []
     packed = pack_patterns(patterns)
     n = len(patterns)
-    sim = fault_simulate(circuit, list(faults), packed, n, state=packed,
-                         full_scan=full_scan)
+    sim = fault_simulate_batched(circuit, faults, [(packed, n)], state=packed,
+                                 full_scan=full_scan, drop_detected=False)
     # pattern index -> set of detected faults
     by_pattern: dict[int, set[StuckAtFault]] = {i: set() for i in range(n)}
     for fault, mask in sim.detected.items():
@@ -74,8 +74,8 @@ def compact_reverse(
         return []
     packed = pack_patterns(patterns)
     n = len(patterns)
-    sim = fault_simulate(circuit, list(faults), packed, n, state=packed,
-                         full_scan=full_scan)
+    sim = fault_simulate_batched(circuit, faults, [(packed, n)], state=packed,
+                                 full_scan=full_scan, drop_detected=False)
     remaining = set(sim.detected)
     kept: list[int] = []
     for i in range(n - 1, -1, -1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
-from ..sim.fault_sim import fault_simulate
+from ..sim.fault_sim import fault_simulate_batched
 from ..sim.logic import pack_patterns
 
 
@@ -64,8 +64,9 @@ def random_tpg(
         ]
         n_generated += size
         packed = pack_patterns(batch_patterns)
-        sim = fault_simulate(circuit, result.remaining, packed, size,
-                             state=packed, full_scan=full_scan)
+        sim = fault_simulate_batched(circuit, result.remaining,
+                                     [(packed, size)], state=packed,
+                                     full_scan=full_scan, drop_detected=False)
         if not sim.detected:
             stalls += 1
             result.curve.append((n_generated, result.coverage))

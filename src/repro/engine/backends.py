@@ -300,7 +300,10 @@ class SafetyBackend:
     computed by :func:`repro.safety.campaign.classify_injection_values`
     on mission vs detection output groups.  Output groups and fault
     sites that name nothing in the circuit raise ``ValueError`` at
-    construction (classified, they would all come back ``safe``).
+    construction (classified, they would all come back ``safe``), as do
+    an ``n_patterns`` that is not an ``int`` of at least 1 and a
+    ``state`` key that is not a flop of the circuit (ignored, a misspelt
+    flop would simulate from its reset value).
     """
 
     name = "safety"
@@ -326,6 +329,15 @@ class SafetyBackend:
         # would classify every fault ``safe``
         check_sites(circuit, self.faults,
                     self.mission_outputs + self.detection_outputs)
+        # 0 patterns would classify every fault ``safe``, a negative
+        # count fails in a worker's prepare()
+        if not isinstance(n_patterns, int) or n_patterns < 1:
+            raise ValueError(f"safety n_patterns must be an int >= 1, "
+                             f"got {n_patterns!r}")
+        unknown = [q for q in state or () if q not in circuit.flops]
+        if unknown:
+            raise ValueError(f"safety state keys {unknown} are not flops of "
+                             f"{circuit.name}")
         self.patterns = patterns
         self.n_patterns = n_patterns
         self.state = state

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
-from ..sim.fault_sim import fault_simulate
+from ..sim.fault_sim import fault_simulate, fault_simulate_batched
 from ..sim.logic import exhaustive_patterns, pack_patterns
 from .iso26262 import FaultClass
 from ..atpg.podem import Podem
@@ -78,8 +78,8 @@ def fi_classifier(circuit: Circuit, faults: Sequence[StuckAtFault],
     pseudo = list(circuit.inputs) + list(circuit.flops)
     packed = {net: rng.getrandbits(n_patterns) for net in pseudo}
     state = {q: packed[q] for q in circuit.flops}
-    sim = fault_simulate(circuit, list(faults), packed, n_patterns, state=state,
-                         full_scan=True)
+    sim = fault_simulate_batched(circuit, faults, [(packed, n_patterns)],
+                                 state=state, drop_detected=False)
     out = {f: DETECTABLE for f in sim.detected}
     out.update({f: UNKNOWN for f in sim.undetected})
     return out

@@ -14,36 +14,32 @@ result stores are vectorized through tuples.  CPython then executes the
 whole circuit as consecutive ``LOAD_FAST``/``BINARY_OP`` bytecodes — no
 per-gate dispatch, no per-input hashing.
 
-Three program shapes cover every evaluation path in the toolkit:
+Every program is per circuit — it amortizes over every evaluation of
+the circuit, so it is built on first use:
 
 * :class:`CircuitProgram` — the full combinational evaluation behind
   :func:`repro.sim.logic.simulate`; returns packed values for every net.
-* :class:`ConeProgram`  — a per-fault-site sub-program re-simulating only
-  the fan-out cone of a stuck-at line, for :mod:`repro.sim.fault_sim`'s
-  PPSFP inner loop.  Cached per site, like the interpreter's cone lists.
 * :class:`StepProgram`  — a fused combinational-eval + flop-advance step
   for :class:`repro.sim.sequential.SequentialSim`, restricted to the
   cone of influence of the observable nets (POs and flop D inputs).
 
+Per-fault cone walks (:mod:`repro.sim.fault_sim`) stay on the
+interpreter: the batched PPSFP sweep walks one cone per fan-out-free
+region, and a program compiled per fault site never saw enough
+evaluations on a campaign to pay back its ``compile()``.
+
 Programs are **byte-identical** to the interpreter at any pattern width:
 each generated expression is the same boolean function the dispatch
-table computes, so every net value, detection mask and campaign outcome
-matches bit for bit.  ``RESCUE_NO_COMPILE=1`` — or, within a block,
-:func:`disabled` — forces the reference interpreter; the equivalence
-tests in ``tests/test_compiled.py`` run both paths against each other.
+table computes, so every net value and campaign outcome matches bit for
+bit.  ``RESCUE_NO_COMPILE=1`` — or, within a block, :func:`disabled` —
+forces the reference interpreter; the equivalence tests in
+``tests/test_compiled.py`` run both paths against each other.
 
 Caching and invalidation: programs are memoized in
-``Circuit._program_cache`` and invalidated by ``Circuit._invalidate``
-alongside the topo/fan-out/cone caches, so any mutation recompiles.
-Per-site sources are additionally *interned*: structurally identical
-cones share one ``CompiledProgram`` and therefore one ``compile()``,
-which is where the cold-sweep cost lives.  Structured circuits repeat
-cone shapes heavily (on ``rand_seq``, 230 detection sites share 90
-distinct sources); fully random netlists are the worst case — nearly
-every cone is structurally unique there and interning is a no-op.  (Concatenating pending sources into one big
-``compile()`` unit was measured *slower* on CPython 3.11 — byte-compile
-time grows superlinearly with module size: 0.92x at 25 sources/unit,
-0.29x at 1000 — so deduplication, not batching, is the cold-path win.)
+``Circuit._program_cache`` under per-circuit keys (``"full"``,
+``"step"``, ``"soa_step"`` and ``("soa_step", width)``) and invalidated
+by ``Circuit._invalidate`` alongside the topo/fan-out/cone caches, so
+any mutation recompiles.
 Pickling: a program carries only its *source*; the code object is
 rebuilt lazily on first call in the receiving process (the same
 cache-drop pattern ``Circuit.__getstate__`` uses), so compiled backends
@@ -89,29 +85,6 @@ from . import vector as _vector
 #: Environment kill switch: set to anything but ""/"0" to force the
 #: reference interpreter everywhere (benchmark baselines, debugging).
 ENV_FLAG = "RESCUE_NO_COMPILE"
-
-#: Per-site programs (cones, detection) compile only after this many
-#: (weighted) evaluations of the same site.  Measured break-even —
-#: (codegen + ``compile()``) / (interpreted − compiled evaluation), warm
-#: cone cache, 400 collapsed faults each — is 28-32 evaluations on the
-#: 3.2k-gate combinational benchmark circuit (2.1 ms to build, 110-135
-#: us interpreted, 44-56 us compiled; median site 16-18), ~14 on the
-#: 800-gate smoke circuit and ~4 on a small-cone sequential one (80 us
-#: to build, 21 us vs 2 us), the same at 64 and at 1024 patterns per
-#: word.  20 sits inside that range.  The batched PPSFP sweep asks for
-#: the detection program of a fan-out-free region's *root* — once per
-#: root and pattern-window set under fault dropping, with the window
-#: count up front without — so a dropping campaign stays entirely on
-#: the interpreter however many faults share the root; workloads that
-#: revisit a site per cycle, per window of a no-dropping dictionary
-#: sweep, per call of a pattern-generation loop or per campaign cross
-#: the threshold and settle into compiled steady state.
-#: Per-circuit programs (full evaluation, step) are compiled eagerly:
-#: they amortize over every evaluation of the circuit.  Tests and
-#: benchmarks set this to 0 to force the compiled path from the first
-#: call.
-COMPILE_AFTER_HITS = 20
-
 
 # The flag is read once at import (and kept in sync by ``disabled()``):
 # probing os.environ on every evaluation showed up in PPSFP profiles.
@@ -197,8 +170,7 @@ class _Emitter:
             slots.append(slot)
         return slots
 
-    def emit_gate(self, gate: Gate,
-                  atoms: Mapping[str, str] | None = None) -> None:
+    def emit_gate(self, gate: Gate) -> None:
         """Emit ``gate`` as one line; fold constants and buffers into
         atoms so consumers reference them directly (no assignment)."""
         gtype = gate.gtype
@@ -208,12 +180,11 @@ class _Emitter:
         if gtype is GateType.CONST1:
             self.atoms[gate.output] = "mask"
             return
-        src = atoms if atoms is not None else self.atoms
         if gtype is GateType.BUF:
-            self.atoms[gate.output] = src[gate.inputs[0]]
+            self.atoms[gate.output] = self.atoms[gate.inputs[0]]
             return
         slot = self.slot()
-        self.lines.append(f"    {slot} = {_gate_expr(gate, src)}")
+        self.lines.append(f"    {slot} = {_gate_expr(gate, self.atoms)}")
         self.atoms[gate.output] = slot
 
     def source(self, header: str, unpacks: Sequence[tuple[str, Sequence[str]]],
@@ -231,12 +202,10 @@ class _Emitter:
 class ProgramStats:
     """Shape summary of a compiled program, for logging and bench rows.
 
-    ``gates`` counts emitted evaluation ops (for per-net programs this
-    includes hoisted external loads — each is one bytecode-level op,
-    like a gate line); ``levels`` is the number of fused execution
-    steps (straight-line per-net code executes one op per "level",
-    the SoA kernel one batched group per topological level);
-    ``fused_ops`` is the number of interpreter-visible calls per
+    ``gates`` counts emitted evaluation ops; ``levels`` is the number
+    of fused execution steps (straight-line per-net code executes one
+    op per "level", the SoA kernel one batched group per topological
+    level); ``fused_ops`` is the number of interpreter-visible calls per
     evaluation — the quantity each tier tries to shrink; and
     ``scratch_bytes`` is the persistent per-evaluation scratch the
     program allocates (0 for per-net programs, the state matrix for
@@ -393,168 +362,6 @@ class StepProgram:
 
 
 # ----------------------------------------------------------------------
-# per-fault-site cone sub-programs (fault_sim PPSFP inner loop)
-# ----------------------------------------------------------------------
-class ConeProgram:
-    """Re-simulation of one fault site's fan-out cone.
-
-    ``fn(good, forced, mask)`` loads the cone's external inputs from the
-    good-machine dict once, evaluates the cone straight-line with the
-    faulty line forced, and returns the recomputed gate outputs in topo
-    order; :meth:`apply` folds them back into the complete
-    ``faulty_values`` mapping.  (Detection has its own fused program —
-    :class:`DetProgram` — that never materializes the dict.)
-    """
-
-    __slots__ = ("program", "out_names", "stem")
-
-    def __init__(self, program: CompiledProgram, out_names: tuple[str, ...],
-                 stem: str | None) -> None:
-        self.program = program
-        self.out_names = out_names
-        self.stem = stem
-
-    def apply(self, good: Mapping[str, int], forced: int,
-              mask: int) -> dict[str, int]:
-        """The full faulty-machine dict (interpreter-identical)."""
-        values = dict(good)
-        if self.stem is not None:
-            values[self.stem] = forced
-        for net, val in zip(self.out_names,
-                            self.program.fn(good, forced, mask)):
-            values[net] = val
-        return values
-
-
-class DetProgram:
-    """Fault detection fused into the cone: ``fn(good, forced, mask)``
-    returns the detection bitmask directly.
-
-    The generated function loads the cone's external inputs once,
-    evaluates only the cone gates with observable influence (gates whose
-    output reaches no observation point are pruned at codegen time), and
-    ORs the good-vs-faulty XOR of every observed cone net inline — the
-    full faulty dict, the observation loop, and the result tuple all
-    disappear.  This is the PPSFP inner loop: ``forced`` is a word, the
-    stuck value for a fault's own walk (``detection_mask``) or the
-    complemented good word when the batched sweep asks in which
-    patterns a region root's flip is observed.
-    """
-
-    __slots__ = ("program",)
-
-    def __init__(self, program: CompiledProgram) -> None:
-        self.program = program
-
-
-def _gather_cone(circuit: Circuit, site: str,
-                 shadow_sink: str | None) -> list[Gate]:
-    """The site's cone gates in topo order, minus a stem's own driver."""
-    from .fault_sim import _cone_gates  # lazy: fault_sim imports us
-
-    start = site if shadow_sink is None else shadow_sink
-    cone = _cone_gates(circuit, [start])
-    if shadow_sink is None:
-        cone = [g for g in cone if g.output != site]
-    return cone
-
-
-def _emit_cone(emit: _Emitter, cone: Sequence[Gate], site: str,
-               shadow_sink: str | None, loads: list[str]) -> None:
-    """Emit cone gates; externals read from ``good``, the faulty line
-    reads ``forced`` (everywhere for a stem, only inside the branch
-    sink's expression for a branch).
-
-    Externals referenced more than once are hoisted into one load line;
-    single-use externals are inlined as ``good['net']`` subscripts right
-    in the consuming expression — roughly half of a cone program's lines
-    are external reads, so inlining nearly halves codegen+compile cost.
-    """
-    counts: dict[str, int] = {}
-    for gate in cone:
-        for net in gate.inputs:
-            counts[net] = counts.get(net, 0) + 1
-
-    def atom(net: str) -> str:
-        slot = emit.atoms.get(net)
-        if slot is not None:
-            return slot
-        if counts.get(net, 0) <= 1:
-            return f"good[{net!r}]"
-        slot = emit.slot()
-        loads.append(f"    {slot} = good[{net!r}]")
-        emit.atoms[net] = slot
-        return slot
-
-    if shadow_sink is None:
-        emit.atoms[site] = "forced"
-    for gate in cone:
-        is_shadow = gate.output == shadow_sink
-        src = {net: ("forced" if is_shadow and net == site else atom(net))
-               for net in gate.inputs}
-        emit.emit_gate(gate, src)
-
-
-def _build_det_program(circuit: Circuit, site: str, shadow_sink: str | None,
-                       observe: Sequence[str]) -> DetProgram:
-    observed = set(observe)
-    cone = _gather_cone(circuit, site, shadow_sink)
-    # observability pruning: walk the cone in reverse topo order keeping
-    # only gates that feed an observation point (directly or through a
-    # kept gate) — the rest cannot contribute a detection bit
-    needed: set[str] = set()
-    kept: list[Gate] = []
-    for gate in reversed(cone):
-        if gate.output in observed or gate.output in needed:
-            kept.append(gate)
-            needed.update(gate.inputs)
-    kept.reverse()
-    emit = _Emitter()
-    loads: list[str] = []
-    _emit_cone(emit, kept, site, shadow_sink, loads)
-    recomputed = {gate.output for gate in kept}
-    terms: list[str] = []
-    for net in dict.fromkeys(observe):  # dedup, order-preserving
-        if shadow_sink is None and net == site:
-            terms.append(f"(good.get({net!r}, 0) ^ forced)")
-            continue
-        if net not in recomputed:
-            continue  # untouched by the fault: XOR contributes nothing
-        terms.append(f"(good.get({net!r}, 0) ^ {emit.atoms[net]})")
-    emit.lines = loads + emit.lines
-    ret = f"({' | '.join(terms)}) & mask" if terms else "0"
-    source = emit.source("def _run(good, forced, mask):", [], ret)
-    name = f"det:{circuit.name}:{site}" + (f"->{shadow_sink}"
-                                           if shadow_sink else "")
-    return DetProgram(_intern(circuit, source, name))
-
-
-def _build_cone_program(circuit: Circuit, site: str,
-                        shadow_sink: str | None) -> ConeProgram:
-    """Codegen the cone of ``site``.
-
-    With ``shadow_sink`` (a branch fault into gate ``shadow_sink``), only
-    that gate sees ``forced`` on the branched net — everything else reads
-    the good value, exactly like the interpreter's shadow dict.  Without
-    it (a stem fault), the site net itself is ``forced`` everywhere and
-    its own driver is skipped.
-    """
-    cone = _gather_cone(circuit, site, shadow_sink)
-    emit = _Emitter()
-    loads: list[str] = []
-    _emit_cone(emit, cone, site, shadow_sink, loads)
-    out_names = [gate.output for gate in cone]
-    emit.lines = loads + emit.lines
-    ret = _tuple_expr([emit.atoms[n] for n in out_names])
-    source = emit.source("def _run(good, forced, mask):", [], ret)
-    program = _intern(circuit, source,
-                      f"cone:{circuit.name}:{site}"
-                      + (f"->{shadow_sink}" if shadow_sink else ""))
-    return ConeProgram(program, tuple(out_names),
-                       site if shadow_sink is None else None)
-
-
-# ----------------------------------------------------------------------
 # per-circuit caches (invalidated with the topo/cone caches)
 # ----------------------------------------------------------------------
 def _cache(circuit: Circuit) -> dict:
@@ -562,25 +369,6 @@ def _cache(circuit: Circuit) -> dict:
     if cache is None:  # circuits unpickled from pre-cache snapshots
         cache = circuit._program_cache = {}
     return cache
-
-
-def _intern(circuit: Circuit, source: str, name: str) -> CompiledProgram:
-    """One :class:`CompiledProgram` per distinct per-site source.
-
-    Structured circuits produce many structurally identical cones
-    (same gates, same external nets, different site key), whose
-    generated sources match character for character — on ``rand_seq``
-    230 detection sites share 90 distinct sources.  Interning them in
-    the circuit's program cache means ``compile()`` runs once per
-    *structure* instead of once per *site* — the dominant cold-sweep
-    cost.  The first site's name wins (it only labels tracebacks); the
-    table invalidates with the rest of the cache on circuit mutation.
-    """
-    table = _cache(circuit).setdefault("_interned", {})
-    program = table.get(source)
-    if program is None:
-        program = table[source] = CompiledProgram(source, name)
-    return program
 
 
 def circuit_program(circuit: Circuit) -> CircuitProgram | None:
@@ -603,75 +391,6 @@ def step_program(circuit: Circuit) -> StepProgram | None:
     if prog is None:
         prog = cache["step"] = StepProgram(circuit)
     return prog
-
-
-def _counted(cache: dict, key, build, weight: int = 1):
-    """Hit-gated memoization: interpret the first ``COMPILE_AFTER_HITS``
-    requests (returning ``None``), then compile and cache.  Entries are
-    the hit count while cold, the program once hot.  ``weight`` lets a
-    caller that already knows it will evaluate the site many times (a
-    no-dropping batched sweep) count all those evaluations up front."""
-    entry = cache.get(key)
-    if entry is not None and not isinstance(entry, int):
-        return entry
-    hits = (entry or 0) + weight
-    if hits > COMPILE_AFTER_HITS:
-        prog = cache[key] = build()
-        return prog
-    cache[key] = hits
-    return None
-
-
-def _site_of(circuit: Circuit, line) -> tuple[str, str | None] | None:
-    """Resolve a fault line to ``(site, shadow_sink)`` or ``None`` when
-    it has no combinational cone (a branch into a flop D pin — the
-    interpreter handles that case with a single dict entry)."""
-    if line.is_stem:
-        return line.net, None
-    if line.sink in circuit.gates:
-        return line.net, line.sink
-    return None
-
-
-def cone_program(circuit: Circuit, line,
-                 weight: int = 1) -> ConeProgram | None:
-    """The faulty-values cone sub-program for fault site ``line``.
-
-    ``None`` when compilation is off, the site has no combinational
-    cone, or the site has not been evaluated often enough yet to
-    amortize compilation (``COMPILE_AFTER_HITS``); ``weight`` is the
-    number of evaluations the caller is about to perform.
-    """
-    if _ENV_DISABLED:
-        return None
-    resolved = _site_of(circuit, line)
-    if resolved is None:
-        return None
-    site, shadow_sink = resolved
-    return _counted(_cache(circuit), ("cone", site, shadow_sink),
-                    lambda: _build_cone_program(circuit, site, shadow_sink),
-                    weight)
-
-
-def det_program(circuit: Circuit, line, observe: Sequence[str],
-                weight: int = 1) -> DetProgram | None:
-    """The detection-fused program for ``line`` under ``observe``.
-
-    Keyed by the observation list as well as the site, since the
-    generated XOR terms bake the observation points in.  Same hit gate
-    and ``None`` conventions as :func:`cone_program`; ``weight`` is the
-    number of evaluations the caller is about to perform.
-    """
-    if _ENV_DISABLED:
-        return None
-    resolved = _site_of(circuit, line)
-    if resolved is None:
-        return None
-    site, shadow_sink = resolved
-    return _counted(
-        _cache(circuit), ("det", site, shadow_sink, tuple(observe)),
-        lambda: _build_det_program(circuit, site, shadow_sink, observe),
-        weight)
 
 
 # ----------------------------------------------------------------------

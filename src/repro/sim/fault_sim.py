@@ -8,13 +8,19 @@ pattern detects which fault — the input both to coverage accounting and
 to test compaction.
 
 :func:`fault_simulate` / :func:`detection_mask` do exactly that, one
-cone walk per fault, and are the reference.  The batched sweep
-(:func:`fault_simulate_batched`, the engine's ``PpsfpBackend``) splits a
-fault's detection word into a local difference and the observability of
-the net it shows on: inside a fan-out-free region there is one path to
-the region's root, so a cone is walked once per root and pattern window
-and every fault of the region is a gate evaluation and a memo read
-(:func:`_batched_detection`, :func:`_observability`).
+cone walk per fault, and are the reference the batched sweep is checked
+against.  The batched sweep (:func:`fault_simulate_batched`, the
+engine's ``PpsfpBackend``, random TPG, compaction and the FI
+classifier) splits a fault's detection word into a local difference and
+the observability of the net it shows on: inside a fan-out-free region
+there is one path to the region's root, so a cone is walked once per
+root and pattern window and every fault of the region is a gate
+evaluation and a memo read (:func:`_batched_detection`,
+:func:`_observability`).
+
+Every cone walk here is the interpreter's (``GATE_EVAL`` over the
+cone's gates); only the good-machine simulations run on the circuit's
+compiled program.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Any, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate
 from ..faults.models import Line, StuckAtFault
-from . import compiled as _compiled
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
 
 log = logging.getLogger(__name__)
@@ -167,8 +172,6 @@ def _ffr_links(circuit: Circuit) -> dict[str, Gate]:
 
 
 def _observe_nets(circuit: Circuit, full_scan: bool) -> tuple[str, ...]:
-    # a tuple: the compiled detection cache keys on it, and tuple(t) on
-    # an existing tuple is identity instead of an O(n) copy
     nets = list(circuit.outputs)
     if full_scan:
         nets.extend(flop.d for flop in circuit.flops.values())
@@ -181,19 +184,9 @@ def faulty_values(
     good: Mapping[str, int],
     mask: int,
 ) -> dict[str, int]:
-    """Packed net values of the faulty machine (only cone nets differ).
-
-    Runs the fault site's compiled cone sub-program once the site is hot
-    (see :mod:`repro.sim.compiled`); the interpreter in
-    :func:`_faulty_values_interp` is the reference path and always
-    handles branch faults into flop D pins, which have no combinational
-    cone.
-    """
-    forced = mask if fault.value else 0
-    program = _compiled.cone_program(circuit, fault.line)
-    if program is not None:
-        return program.apply(good, forced, mask)
-    return _faulty_values_interp(circuit, fault.line, forced, good, mask)
+    """Packed net values of the faulty machine (only cone nets differ)."""
+    return _faulty_values_interp(circuit, fault.line,
+                                 mask if fault.value else 0, good, mask)
 
 
 def _faulty_values_interp(
@@ -246,14 +239,8 @@ def detection_mask(
     observe: Sequence[str],
 ) -> int:
     """Bitmask of patterns under which ``fault`` is observable."""
-    forced = mask if fault.value else 0
-    program = _compiled.det_program(circuit, fault.line, observe)
-    if program is not None:
-        # detection-fused fast path: the generated function evaluates
-        # only the observable slice of the cone and returns the mask —
-        # no faulty dict, no observation loop
-        return program.program.fn(good, forced, mask)
-    return _detection_mask_interp(circuit, fault.line, forced, good, mask,
+    return _detection_mask_interp(circuit, fault.line,
+                                  mask if fault.value else 0, good, mask,
                                   observe)
 
 
@@ -341,10 +328,6 @@ class PatternWindows:
     root_walks: int = 0
     _count_lock: Any = field(default_factory=threading.Lock, repr=False,
                              compare=False)
-    #: per root, the compiled detection function of its stem (``None``
-    #: while the root is below the compile threshold), resolved once
-    _walkers: dict[str, Any] = field(default_factory=dict, repr=False,
-                                     compare=False)
 
     def count(self, evaluations: int, never_activated: int,
               first_window_drop: bool, root_walks: int) -> None:
@@ -433,22 +416,19 @@ def _output_diff(gate: Gate, good: Mapping[str, int], net: str, word: int,
 
 def _observability(
     circuit: Circuit,
-    windows: PatternWindows,
+    observe: Sequence[str],
     good: Mapping[str, int],
     mask: int,
     obs: dict[str, int],
     net: str,
-    weight: int,
 ) -> tuple[int, bool]:
     """Resolve a miss of one window's observability memo ``obs``.
 
     Returns ``net``'s word and whether a cone was walked for it.  The
     climb follows the fan-out-free links up to the first net already in
     the memo, or to the region's root, whose word is one walk of its
-    cone with the root forced to the complement of its good word — by
-    its stem's compiled detection program once the root is hot (the hit
-    gate counts ``weight`` the first time these windows meet the root),
-    by the interpreter otherwise.  Coming back down, a net's word is its
+    cone (observed at ``observe``) with the root forced to the
+    complement of its good word.  Coming back down, a net's word is its
     consumer's, restricted to the patterns in which flipping the net
     flips the consumer.  Every net on the way is memoised.
     """
@@ -465,20 +445,8 @@ def _observability(
         gate = links.get(net)
     walked = word is None
     if walked:
-        root = Line(net)
-        walkers = windows._walkers
-        if net not in walkers:
-            program = _compiled.det_program(circuit, root, windows.observe,
-                                            weight=weight)
-            walkers[net] = program.program.fn if program is not None else None
-        fn = walkers[net]
-        flipped = ~good.get(net, 0) & mask
-        if fn is not None:
-            word = fn(good, flipped, mask)
-        else:
-            word = _detection_mask_interp(circuit, root, flipped, good, mask,
-                                          windows.observe)
-        obs[net] = word
+        word = obs[net] = _detection_mask_interp(
+            circuit, Line(net), ~good.get(net, 0) & mask, good, mask, observe)
     for inner, gate in reversed(chain):
         if word:
             word &= _output_diff(gate, good, inner, good[inner] ^ mask, mask)
@@ -516,10 +484,6 @@ def _batched_detection(
     batch holding its lowest set bit is exactly what per-batch dropping
     reports; later windows are not evaluated at all, nor is their memo
     asked.
-
-    The compile hit gate counts root walks: a root met under dropping
-    counts once, one met without dropping counts the window count up
-    front (every window will walk it).
     """
     spans = windows.windows
     line = fault.line
@@ -529,7 +493,6 @@ def _batched_detection(
     at = site if line.is_stem else line.sink
     gate = None if line.is_stem else circuit.gates.get(at)
     coneless = gate is None and not line.is_stem  # branch into a flop D
-    weight = 1 if drop_detected else len(spans)
     acc = evaluations = skipped = root_walks = 0
     first_window_drop = False
     for good, mask, offset, starts, batch_masks, obs in spans:
@@ -550,7 +513,7 @@ def _batched_detection(
                 word = obs.get(at)
                 if word is None:
                     word, walked = _observability(
-                        circuit, windows, good, mask, obs, at, weight)
+                        circuit, windows.observe, good, mask, obs, at)
                     root_walks += walked
                 det &= word
         if det:
@@ -628,24 +591,12 @@ def _seq_trace(
     fault: StuckAtFault | None,
     stimuli: Sequence[Mapping[str, int]],
 ) -> list[tuple[int, ...]]:
-    mask = 1
-    # the fault re-simulates once per cycle, so the cone program lookup
-    # is hoisted out of the loop with the cycle count as its weight
-    program = (_compiled.cone_program(circuit, fault.line,
-                                      weight=len(stimuli))
-               if fault is not None else None)
-    forced = (mask if fault.value else 0) if fault is not None else 0
     state = {q: (1 if f.init else 0) for q, f in circuit.flops.items()}
     trace: list[tuple[int, ...]] = []
     for stim in stimuli:
         good = simulate(circuit, stim, 1, state)
-        if fault is None:
-            values = good
-        elif program is not None:
-            values = program.apply(good, forced, mask)
-        else:  # gated off: stay interpreted (the hoist already counted)
-            values = _faulty_values_interp(circuit, fault.line, forced,
-                                           good, mask)
+        values = good if fault is None else faulty_values(circuit, fault,
+                                                          good, 1)
         trace.append(tuple(values.get(po, 0) for po in circuit.outputs))
         next_state = {}
         for q, flop in circuit.flops.items():

@@ -1,11 +1,14 @@
 """Tests for PODEM, random TPG, compaction, untestability and CPU SBST."""
 
+import importlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder, load
-from repro.circuit.library import random_combinational
+from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
 from repro.atpg import (
     compact_greedy,
@@ -19,7 +22,9 @@ from repro.atpg import (
     run_cpu_sbst,
     unobservable_nets,
 )
-from repro.sim import exhaustive_patterns, fault_simulate, pack_patterns
+from repro.safety.tool_confidence import fi_classifier
+from repro.sim import (compiled, exhaustive_patterns, fault_simulate,
+                       pack_patterns)
 
 
 def _redundant_circuit():
@@ -104,6 +109,49 @@ class TestRandomTpgAndCompaction:
         reps, _ = collapse(c)
         assert compact_greedy(c, reps, []) == []
         assert compact_reverse(c, reps, []) == []
+
+
+def _per_fault_reference(circuit, faults, batches, state=None, full_scan=True,
+                         drop_detected=True):
+    """The single-batch sweep call, answered by one ``fault_simulate``
+    on the reference interpreter instead."""
+    (packed, n), = batches
+    assert not drop_detected  # the callers read whole detection masks
+    with compiled.disabled():
+        return fault_simulate(circuit, list(faults), packed, n, state=state,
+                              full_scan=full_scan)
+
+
+_SWEEP_CALLERS = {
+    "random_tpg": ("repro.atpg.random_tpg", lambda c, faults, patterns:
+                   random_tpg(c, faults, max_patterns=160, seed=3)),
+    "compact_greedy": ("repro.atpg.compaction", compact_greedy),
+    "compact_reverse": ("repro.atpg.compaction", compact_reverse),
+    "fi_classifier": ("repro.safety.tool_confidence",
+                      lambda c, faults, patterns:
+                      fi_classifier(c, faults, n_patterns=48, seed=2)),
+}
+
+
+@pytest.mark.parametrize("caller", _SWEEP_CALLERS)
+@pytest.mark.parametrize("sequential", (False, True),
+                         ids=("combinational", "full_scan"))
+def test_sweep_callers_match_the_per_fault_reference(caller, sequential,
+                                                     monkeypatch):
+    # full-scan patterns drive the flops too: the callers pass the
+    # packed patterns (or their flop words) as ``state``
+    circuit = (random_sequential(6, 80, 8, 4, seed=21) if sequential
+               else random_combinational(8, 90, 4, seed=21))
+    faults, _ = collapse(circuit)
+    rng = random.Random(5)
+    pseudo = list(circuit.inputs) + list(circuit.flops)
+    patterns = [{net: rng.getrandbits(1) for net in pseudo}
+                for _ in range(96)]
+    module, run = _SWEEP_CALLERS[caller]
+    swept = run(circuit, faults, patterns)
+    monkeypatch.setattr(importlib.import_module(module),
+                        "fault_simulate_batched", _per_fault_reference)
+    assert run(circuit.copy(), faults, patterns) == swept
 
 
 class TestUntestable:

@@ -1,10 +1,10 @@
 """Tests for the compiled simulation core (`repro.sim.compiled`).
 
-The contract under test: every compiled program — full-circuit,
-detection/cone sub-programs, fused sequential step — is byte-identical
-to the reference interpreter at any pattern width, survives pickling to
-process workers (source ships, code objects rebuild lazily), and is
-invalidated by circuit mutation exactly like the structural caches.
+The contract under test: every compiled program — full-circuit and
+fused sequential step — is byte-identical to the reference interpreter
+at any pattern width, survives pickling to process workers (source
+ships, code objects rebuild lazily), and is invalidated by circuit
+mutation exactly like the structural caches.
 """
 
 import pickle
@@ -15,22 +15,24 @@ from hypothesis import strategies as st
 
 from repro.circuit import load
 from repro.circuit.library import random_combinational, random_sequential
-from repro.engine import EngineConfig, PpsfpBackend, SeuBackend, run_campaign
+from repro.engine import (
+    EngineConfig,
+    PpsfpBackend,
+    SafetyBackend,
+    SeuBackend,
+    SlicingBackend,
+    run_campaign,
+)
 from repro.faults import collapse
 from repro.sim import compiled, vector
 from repro.sim.fault_sim import (
-    _observe_nets,
-    detection_mask,
-    fault_simulate,
     fault_simulate_batched,
-    faulty_values,
     sequential_fault_simulate,
 )
 from repro.sim.logic import (
     GATE_EVAL_3V,
     X,
     eval_gate_3v,
-    mask_of,
     random_patterns,
     simulate,
 )
@@ -38,13 +40,6 @@ from repro.sim.sequential import SequentialSim
 from repro.soft_error import random_workload
 
 WIDTHS = (1, 7, 64)
-
-
-@pytest.fixture(autouse=True)
-def _compile_eagerly(monkeypatch):
-    """Remove the hit gate so per-site programs compile on first use —
-    these tests exercise the compiled path, not the amortization policy."""
-    monkeypatch.setattr(compiled, "COMPILE_AFTER_HITS", 0)
 
 
 def _random_circuit(seed: int, sequential: bool):
@@ -111,33 +106,9 @@ class TestSimulateEquivalence:
 
 
 # ----------------------------------------------------------------------
-# property: cone/detection sub-programs == interpreter fault simulation
+# fault simulation over compiled good-machine values == interpreter
 # ----------------------------------------------------------------------
 class TestFaultSimEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), sequential=st.booleans(),
-           width=st.sampled_from(WIDTHS))
-    def test_faulty_values_and_detection(self, seed, sequential, width):
-        circuit = _random_circuit(seed, sequential)
-        faults, _ = collapse(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=seed + 5)
-        state = random_patterns(circuit.flops, width, seed=seed + 6)
-        good = simulate(circuit, pis, width, state)
-        mask = mask_of(width)
-        observe = _observe_nets(circuit, True)
-        fast = [(faulty_values(circuit, fault, good, mask),
-                 detection_mask(circuit, fault, good, mask, observe))
-                for fault in faults]
-        assert any(isinstance(entry, compiled.DetProgram)
-                   for entry in circuit._program_cache.values())
-        interp = circuit.copy()
-        with compiled.disabled():
-            for fault, (values, det) in zip(faults, fast):
-                assert faulty_values(interp, fault, good, mask) == values, \
-                    fault
-                assert detection_mask(interp, fault, good, mask,
-                                      observe) == det, fault
-
     def test_batched_fault_simulation_identical(self):
         circuit = random_combinational(10, 150, seed=8)
         faults, _ = collapse(circuit)
@@ -241,26 +212,27 @@ class TestInvalidation:
         assert "mut_new" in after and "mut_new" not in before
         assert new_out.output == "mut_new"
 
-    def test_mutation_invalidates_cone_programs(self):
-        circuit = random_combinational(6, 30, seed=4)
-        faults, _ = collapse(circuit)
-        pis = random_patterns(circuit.inputs, 8, seed=1)
-        good = simulate(circuit, pis, 8)
-        mask = mask_of(8)
-        observe = _observe_nets(circuit, True)
-        for fault in faults[:10]:
-            detection_mask(circuit, fault, good, mask, observe)
-        assert any(isinstance(k, tuple) and k[0] == "det"
-                   for k in circuit._program_cache)
-        circuit.add_gate("late", "NOT", [circuit.inputs[0]])
-        assert not circuit._program_cache
-        good = simulate(circuit, pis, 8)
-        observe = _observe_nets(circuit, True)
-        for fault in faults[:10]:
-            det = detection_mask(circuit, fault, good, mask, observe)
-            with compiled.disabled():
-                assert det == detection_mask(circuit.copy(), fault, good,
-                                             mask, observe)
+
+# ----------------------------------------------------------------------
+# only per-circuit programs exist: fault simulation compiles nothing
+# ----------------------------------------------------------------------
+def test_stuck_at_campaigns_cache_only_per_circuit_programs():
+    circuit = load("rand_seq")
+    faults = collapse(circuit)[0][:40]
+    pis = random_patterns(circuit.inputs, 16, seed=1)
+    workload = random_workload(circuit, 8, seed=2)
+    outputs = list(circuit.outputs)
+    config = EngineConfig(batch_size=16, executor="serial")
+    run_campaign(PpsfpBackend(circuit, faults, [(pis, 16)] * 3), config)
+    run_campaign(SafetyBackend(circuit, faults, outputs[:1], outputs[1:],
+                               pis, 16), config)
+    run_campaign(SlicingBackend(circuit, faults, workload), config)
+    sequential_fault_simulate(circuit, faults, workload)
+    keys = set(circuit._program_cache)
+    assert {"full", "step"} <= keys
+    assert all(key in ("full", "step", "soa_step")
+               or (isinstance(key, tuple) and key[0] == "soa_step")
+               for key in keys), keys
 
 
 # ----------------------------------------------------------------------
@@ -354,34 +326,6 @@ class TestVectorPrograms:
             for value in (0, 1, full, full >> 1, 0x5 << max(0, width - 4)):
                 arr = vector.to_blocks(value & full, blocks)
                 assert vector.from_blocks(arr) == value & full
-
-
-# ----------------------------------------------------------------------
-# per-site source interning (shared compiles across identical cones)
-# ----------------------------------------------------------------------
-class TestSourceInterning:
-    def test_identical_sources_share_programs(self):
-        circuit = random_combinational(10, 200, seed=5)
-        faults, _ = collapse(circuit)
-        observe = _observe_nets(circuit, True)
-        progs = []
-        for fault in faults:
-            det = compiled.det_program(circuit, fault.line, observe)
-            if det is not None:
-                progs.append(det.program)
-        sources = {p.source for p in progs}
-        identities = {id(p) for p in progs}
-        assert len(identities) == len(sources)  # one program per source
-        assert len(sources) < len(progs)  # collapsed lists do duplicate
-
-    def test_intern_table_invalidates_with_cache(self):
-        circuit = random_combinational(6, 40, seed=9)
-        faults, _ = collapse(circuit)
-        observe = _observe_nets(circuit, True)
-        compiled.det_program(circuit, faults[0].line, observe)
-        assert "_interned" in circuit._program_cache
-        circuit.add_gate("imut", "NOT", [circuit.inputs[0]])
-        assert not circuit._program_cache  # interned sources dropped too
 
 
 # ----------------------------------------------------------------------

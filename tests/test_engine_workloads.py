@@ -590,3 +590,26 @@ def test_stuck_at_inputs_off_the_circuit_are_rejected(case):
     with pytest.raises(ValueError, match="not (on lines|nets) of"):
         _BAD_STUCK_AT[case](_stuck_at_setup())
     assert not executors._pool_registry  # raised before any pool
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_patterns": 0}, "n_patterns"),
+    ({"n_patterns": -3}, "n_patterns"),
+    ({"n_patterns": 8.0}, "n_patterns"),
+    ({"state": {"st0": 1, "st_typo": 1}}, "st_typo"),
+])
+def test_bad_safety_patterns_and_state_rejected_before_any_pool(kwargs,
+                                                                match):
+    # was: every fault ``safe`` at 0 patterns, "negative shift count"
+    # at -3, a TypeError at 8.0, a misspelt flop simulated from reset
+    from repro.engine import executors, shutdown_pools
+
+    s = _stuck_at_setup()
+    shutdown_pools()
+    with pytest.raises(ValueError, match=match):
+        run_safety_campaign(s["circuit"], s["faults"], s["outs"][:1],
+                            s["outs"][1:], s["patterns"],
+                            kwargs.get("n_patterns", 8),
+                            state=kwargs.get("state"), workers=2,
+                            executor="process")
+    assert not executors._pool_registry  # raised before any pool

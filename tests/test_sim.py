@@ -3,7 +3,6 @@ event-driven, fault simulation."""
 
 import pickle
 import random
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -416,10 +415,10 @@ def _with_ffr_corner_cases(circuit, rng):
        tokens=st.lists(st.one_of(st.integers(1, 40),
                                  st.sampled_from(["fill", "wide"])),
                        max_size=6),
-       with_state=st.booleans(), drop=st.booleans(), hot=st.booleans(),
+       with_state=st.booleans(), drop=st.booleans(),
        full_scan=st.booleans())
 def test_windowed_detection_matches_per_batch_reference(
-        seed, sequential, tokens, with_state, drop, hot, full_scan):
+        seed, sequential, tokens, with_state, drop, full_scan):
     """Property: over the whole stuck-at universe,
     ``fault_simulate_batched`` reports exactly what simulating every
     batch on its own, one cone walk per fault, would — the first
@@ -448,15 +447,8 @@ def test_windowed_detection_matches_per_batch_reference(
                     expected[fault] = expected.get(fault, 0) | det << offset
             offset += n
 
-    old_hits = compiled.COMPILE_AFTER_HITS
-    compiled.COMPILE_AFTER_HITS = 0  # hot: compiled from the first call
-    try:
-        with nullcontext() if hot else compiled.disabled():
-            result = fault_simulate_batched(circuit, faults, batches,
-                                            state=state, full_scan=full_scan,
-                                            drop_detected=drop)
-    finally:
-        compiled.COMPILE_AFTER_HITS = old_hits
+    result = fault_simulate_batched(circuit, faults, batches, state=state,
+                                    full_scan=full_scan, drop_detected=drop)
     assert result.n_patterns == offset
     assert result.detected == expected
     assert result.undetected == [f for f in faults if f not in expected]

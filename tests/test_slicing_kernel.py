@@ -29,7 +29,7 @@ from repro.faults.models import Line, StuckAtFault
 from repro.faults.universe import all_stuck_at
 from repro.safety.slicing import (_golden_states, _simulate_injection,
                                   run_sliced_campaign)
-from repro.sim import compiled, fault_sim
+from repro.sim import fault_sim
 from repro.soft_error.seu import random_workload
 
 N_CYCLES = 20
@@ -68,18 +68,16 @@ def _setup(seed: int, per_kind: int = 4):
                                                    seed=seed + 1)
 
 
-def _small_windows(monkeypatch, hot: bool = False) -> None:
+def _small_windows(monkeypatch) -> None:
     monkeypatch.setattr(fault_sim, "WINDOW_BITS", WINDOW)
-    if hot:  # compile every cone on first use (no effect with compilation off)
-        monkeypatch.setattr(compiled, "COMPILE_AFTER_HITS", 0)
 
 
 # ----------------------------------------------------------------------
 # identity to the per-point reference
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 10_000), hot=st.booleans())
-def test_packed_cycles_equal_the_per_point_reference(seed, hot):
+@given(seed=st.integers(0, 10_000))
+def test_packed_cycles_equal_the_per_point_reference(seed):
     circuit, kinds, faults, workload = _setup(seed)
     assume(all(kinds.values()))  # every site kind is in the sample
     states, values = _golden_states(circuit.copy(), workload)
@@ -89,7 +87,7 @@ def test_packed_cycles_equal_the_per_point_reference(seed, hot):
         for fault in faults for cyc in range(N_CYCLES)}
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _small_windows(monkeypatch, hot)
+        _small_windows(monkeypatch)
         packed = SlicingBackend(circuit.copy(), faults, workload,
                                 use_filter=False, lane_width=64)
         packed.prepare()

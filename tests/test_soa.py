@@ -40,13 +40,6 @@ needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
 
 
-@pytest.fixture(autouse=True)
-def _compile_eagerly(monkeypatch):
-    """Remove the hit gate so per-site programs build on first use —
-    these tests exercise the SoA path, not the amortization policy."""
-    monkeypatch.setattr(compiled, "COMPILE_AFTER_HITS", 0)
-
-
 def _random_circuit(seed: int, observe_all: bool = False):
     """A small sequential circuit; with ``observe_all`` every gate
     output is also a primary output, so the step program's readout
