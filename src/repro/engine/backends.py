@@ -35,7 +35,7 @@ from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
 from ..sim.fault_sim import (PatternWindows, _batched_detection,
-                             _pattern_windows, log_walk_summary)
+                             _pattern_windows)
 from ..sim.logic import mask_of, simulate
 from ..soft_error.seu import _golden_run, inject_seu
 from . import lanes
@@ -109,9 +109,6 @@ class PpsfpBackend:
             return
         self._windows = _pattern_windows(self.circuit, self.batches,
                                          self.state, self.full_scan)
-
-    def campaign_finished(self) -> None:
-        log_walk_summary(self.name, self.circuit, self._windows)
 
     def __getstate__(self) -> dict:
         """Prepared state (pattern windows and their observability
@@ -257,9 +254,6 @@ class SeuBackend:
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
                 backing=self.lane_backing)
-
-    def campaign_finished(self) -> None:
-        lanes.log_walk_summary(self.name, self._lane_ctx)
 
     def __getstate__(self) -> dict:
         """The golden pass (trace or lane context) is dropped: workers

@@ -27,11 +27,10 @@ a transient harness fault the retry loop must survive.  The attempt
 counter lives in a scratch directory as ``O_CREAT | O_EXCL`` marker
 files, so it counts correctly across worker *processes* (a worker that
 died mid-chunk has still consumed an attempt) and needs no shared
-memory.  Marker scratch is campaign-scoped: a cleanly completed
-campaign clears its markers (engine ``campaign_finished`` hook) and
-every owned scratch dir is swept by :func:`cleanup_scratch` (invoked
-from ``shutdown_pools()`` and atexit), so nothing leaks into the temp
-dir.
+memory.  :meth:`ChaosBackend.clear_markers` resets the attempt budgets
+between campaigns run on one wrapper, and every owned scratch dir is
+swept by :func:`cleanup_scratch` (invoked from ``shutdown_pools()`` and
+atexit), so nothing leaks into the temp dir.
 
 :class:`HostFault` / :class:`HostChaos` extend the same idea one level
 up, to the campaign *service* (:mod:`repro.service`): scripted
@@ -56,12 +55,9 @@ from typing import Any, Iterable, Sequence
 CHAOS_MODES = ("raise", "hang", "die", "malform")
 
 # Scratch directories created by ChaosBackend instances in this process
-# (attempt-marker files live there).  They used to leak into the temp
-# dir after campaigns; now every owned dir is registered here and swept
-# by :func:`cleanup_scratch` — called from ``engine.executors
-# .shutdown_pools()`` and at interpreter exit — while a cleanly
-# completed campaign clears its own markers via the engine's
-# ``campaign_finished`` hook.
+# (attempt-marker files live there).  Every owned dir is registered here
+# and swept by :func:`cleanup_scratch` — called from ``engine.executors
+# .shutdown_pools()`` and at interpreter exit.
 _scratch_dirs: set[str] = set()
 
 
@@ -139,18 +135,13 @@ class ChaosBackend:
             return garbage
         return self.inner.run_batch(points)
 
-    def campaign_finished(self) -> None:
-        """Engine hook (clean campaign completion): drop this campaign's
-        attempt markers so they never outlive the campaign.
+    def clear_markers(self) -> None:
+        """Drop the attempt markers, so the next campaign run on this
+        wrapper gets the scripted faults afresh.
 
         Parent-process only — a pool worker holding a pickled copy must
-        not delete markers the parent still owns — and budgets reset
-        with the markers: each campaign run on this wrapper gets the
-        scripted faults afresh.
+        not delete markers the parent still owns.
         """
-        inner_hook = getattr(self.inner, "campaign_finished", None)
-        if inner_hook is not None:
-            inner_hook()
         if os.getpid() != self._parent_pid:
             return
         try:

@@ -896,13 +896,6 @@ def run_campaign(
                     break
     if sink is not None:
         sink.flush()
-    finished = getattr(backend, "campaign_finished", None)
-    if finished is not None:
-        # Optional protocol hook, called only on clean completion: a
-        # backend may release campaign-scoped scratch here (e.g.
-        # ChaosBackend unlinks its cross-process attempt markers).  An
-        # aborted campaign keeps the scratch — a resume may need it.
-        finished()
     report.elapsed_s = time.perf_counter() - start
     return report
 

@@ -66,10 +66,8 @@ so outcome multisets are byte-identical at every lane width.
 
 from __future__ import annotations
 
-import logging
 import struct
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_, xor
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -80,8 +78,6 @@ from ..sim import vector as _vector
 from ..sim.logic import mask_of
 from ..sim.sequential import SequentialSim
 from .core import _chunked
-
-log = logging.getLogger("repro.engine")
 
 #: Default number of fault instances packed into one sequential run.
 DEFAULT_LANE_WIDTH = 64
@@ -183,28 +179,13 @@ class LaneContext:
     #: big int — any width) or ``"soa"`` (the level-batched
     #: structure-of-arrays kernel).
     backing: str = "int"
-    #: Work the walker actually did on this context, the same three
-    #: counters on both carriers: steps executed; cycles between a
-    #: walk's first flip and the end of the workload that it did not
-    #: execute (``steps_run + cycles_skipped`` is the full-length
-    #: count); walks that returned before the last workload cycle.
+    #: Steps the walker executed on this context, on either carrier (a
+    #: walk lasts as long as its slowest lane takes to be decided).
     steps_run: int = 0
-    cycles_skipped: int = 0
-    early_exits: int = 0
-    _count_lock: Any = field(default_factory=threading.Lock, repr=False,
-                             compare=False)
 
     @property
     def n_cycles(self) -> int:
         return len(self.stimuli)
-
-    def count(self, **deltas: int) -> None:
-        """Add one finished walk's tallies (a chunk abandoned past
-        ``chunk_timeout`` may still be walking this context on its
-        daemon thread, so the read-modify-write takes the lock)."""
-        with self._count_lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
 
     def golden_table(self, program, layout: Callable[[list], Any]) -> Any:
         """The golden run in a carrier's ``layout``, built on the first
@@ -232,18 +213,6 @@ class LaneContext:
         return cached[1]
 
 
-def log_walk_summary(name: str, ctx: LaneContext | None) -> None:
-    """One debug line with the walker counters of a backend's context
-    (backends call this from their ``campaign_finished`` hook; a
-    process-pool parent, whose workers did the walking, stays quiet)."""
-    if ctx is not None and ctx.steps_run:
-        log.debug(
-            "%s lanes[%s x%d]: %d steps run, %d golden cycles skipped, "
-            "%d early exits",
-            name, ctx.backing, ctx.width, ctx.steps_run,
-            ctx.cycles_skipped, ctx.early_exits)
-
-
 def build_context(
     circuit: Circuit,
     stimuli: Sequence[Mapping[str, int]],
@@ -267,13 +236,6 @@ def build_context(
     recorded as ``LaneContext.backing``.
     """
     resolved_backing = resolve_backing(backing, circuit, width)
-    if resolved_backing == "soa":
-        st = _compiled.soa_step_program(circuit, width).stats
-        log.debug(
-            "lane backing=soa width=%d: %d gates / %d levels "
-            "(%.1f gates/level), %d fused ops/cycle, %d B scratch",
-            width, st.gates, st.levels, st.gates / max(1, st.levels),
-            st.fused_ops, st.scratch_bytes)
     if golden is not None:
         states = [dict(st) for st in golden[0]]
         values = golden[1]
@@ -351,8 +313,8 @@ def resolve_backing(requested: str | None, circuit: Circuit,
     if requested is None:
         if width < _vector.SOA_MIN_LANES:
             return "int"
-        st = _compiled.soa_step_program(circuit, width).stats
-        if st.gates / max(1, st.levels) < _vector.SOA_MIN_LEVEL_WIDTH:
+        k = _compiled.soa_step_program(circuit, width).kernel
+        if k.n_gates / max(1, k.n_levels) < _vector.SOA_MIN_LEVEL_WIDTH:
             return "int"
     return "soa"
 
@@ -483,9 +445,7 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
         ended = starts.get(n_cycles - step, 0)  # ran the last cycle
         latent |= diff & ended & active & ~fail
         active &= (diff | pending) & ~fail & ~ended
-    span = n_cycles - cycles[0]
-    ctx.count(steps_run=step, cycles_skipped=span - step,
-              early_exits=int(step < span))
+    ctx.steps_run += step
     return fail, latent
 
 

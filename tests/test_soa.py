@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_compiled
 from repro.circuit import load
 from repro.circuit.library import random_sequential
 from repro.engine import (
@@ -108,6 +109,7 @@ def _check_step(circuit, width, seed):
 # property: SoA programs == interpreter / scalar tier, all widths
 # ----------------------------------------------------------------------
 @needs_numpy
+@needs_compiled
 class TestSoaPrograms:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), width=st.sampled_from(SOA_WIDTHS),
@@ -133,20 +135,12 @@ class TestSoaPrograms:
         assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
 
     def test_stats_describe_the_schedule(self):
-        circuit = load("rand_seq")
-        prog = compiled.soa_step_program(circuit, 1024)
-        st_ = prog.stats
-        assert st_.gates > 0 and st_.levels > 0
+        kernel = compiled.soa_step_program(load("rand_seq"), 1024).kernel
+        assert kernel.n_gates > 0 and kernel.n_levels > 0
         # fusion is the point: far fewer numpy calls than gates, and at
         # least the two mandatory calls (gather + invert) per level
-        assert st_.levels < st_.fused_ops < 6 * st_.levels + st_.gates // 2
-        assert st_.scratch_bytes == (2 * prog.kernel.n_slots
-                                     * prog.n_blocks * 8)
-        # scalar tier reports stats off its generated source; the slot
-        # counts need not match (folding differs) but both are populated
-        sc = compiled.step_program(circuit).program.stats
-        assert sc.gates > 0
-        assert sc.scratch_bytes == 0
+        assert kernel.n_levels < kernel.n_calls < (
+            6 * kernel.n_levels + kernel.n_gates // 2)
 
     def test_fusion_amortises_on_wide_levels(self):
         # the retired smoke bench's fusion floor, on its circuit: wide
@@ -154,8 +148,8 @@ class TestSoaPrograms:
         # per four gates, or the kernel has stopped batching by level
         circuit = random_sequential(n_inputs=80, n_gates=12800, n_flops=320,
                                     seed=3)
-        st_ = compiled.soa_step_program(circuit, 1024).stats
-        assert st_.fused_ops * 4 <= st_.gates
+        kernel = compiled.soa_step_program(circuit, 1024).kernel
+        assert kernel.n_calls * 4 <= kernel.n_gates
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +166,7 @@ class TestSoaLanes:
         return [(i.location, i.cycle, i.outcome)
                 for i in report.injections + report.skipped]
 
+    @needs_compiled
     @pytest.mark.parametrize("width", (65, 192, 1000, 1024))
     def test_seu_identical_to_per_point(self, seq_setup, width):
         circuit, workload = seq_setup
@@ -260,6 +255,7 @@ class TestSoaLanes:
 # pickling: the schedule ships as index arrays
 # ----------------------------------------------------------------------
 @needs_numpy
+@needs_compiled
 class TestSoaPickling:
     def test_step_program_roundtrip(self):
         circuit = load("rand_seq")
@@ -291,6 +287,7 @@ class TestSoaPickling:
 # invalidation: mutation drops SoA programs with the other caches
 # ----------------------------------------------------------------------
 @needs_numpy
+@needs_compiled
 class TestSoaInvalidation:
     def test_mutation_invalidates_soa_programs(self):
         circuit = _random_circuit(4)
