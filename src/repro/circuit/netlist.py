@@ -106,10 +106,11 @@ class Circuit:
         self._topo_cache: list[Gate] | None = None
         self._fanout_cache: dict[str, tuple[str, ...]] | None = None
         self._topo_index_cache: dict[str, int] | None = None
-        # fan-out cones by start-net tuple, plus (under the keys None and
-        # "ffr") the reachability table they are read from and the
-        # fan-out-free-region links — repro.sim.fault_sim
-        self._cone_cache: dict[tuple[str, ...] | str | None, Any] = {}
+        # fan-out cones by start-net tuple, plus (under the keys None,
+        # "ffr" and ("tails", observe-net tuple)) the reachability table
+        # they are read from, the fan-out-free-region links and the
+        # linear-tail walk table per observe set — repro.sim.fault_sim
+        self._cone_cache: dict[tuple | str | None, Any] = {}
         # compiled simulation programs (repro.sim.compiled), keyed by
         # program kind; invalidated with the structural caches above
         self._program_cache: dict = {}

@@ -23,6 +23,7 @@ outcomes without simulating them.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Mapping, Sequence
 
 from ..circuit import levelize
@@ -141,6 +142,21 @@ class LaserFiBackend:
     def __init__(self, floorplan: Any, shots: Sequence[Any],
                  target: str | None = None, seed: int = 0,
                  jitter_um: float = 0.15) -> None:
+        from ..security.laser import UPSET_THRESHOLD
+
+        # each would otherwise surface per shot: an unknown target reads
+        # every shot as ``miss``, an unknown node raises inside a worker
+        if floorplan.technology not in UPSET_THRESHOLD:
+            raise ValueError(f"laser floorplan technology "
+                             f"{floorplan.technology!r} has no upset "
+                             f"threshold (known: {sorted(UPSET_THRESHOLD)})")
+        if target is not None and target not in {
+                cell.name for cell in floorplan.cells}:
+            raise ValueError(f"laser target {target!r} names no floorplan "
+                             f"cell")
+        if not (math.isfinite(jitter_um) and jitter_um >= 0):
+            raise ValueError(f"laser jitter_um must be finite and >= 0, "
+                             f"not {jitter_um!r}")
         self.floorplan = floorplan
         self.shots = list(shots)
         self.target = target

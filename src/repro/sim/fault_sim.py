@@ -16,7 +16,11 @@ the observability of the net it shows on: inside a fan-out-free region
 there is one path to the region's root, so a cone is walked once per
 root and pattern window and every fault of the region is a gate
 evaluation and a memo read (:func:`_batched_detection`,
-:func:`_observability`).
+:func:`_observability`).  A root's walk does not evaluate the linear
+tails of its cone either — the XOR / XNOR / BUF / NOT chains that parity
+trees, adders and output compressors end in: a difference crosses a
+tail as one XOR into the tail's end (:func:`_root_walk`,
+:func:`_tail_table`).
 
 Every cone walk here is the interpreter's (``GATE_EVAL`` over the
 cone's gates); only the good-machine simulations run on the circuit's
@@ -28,9 +32,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from ..circuit.netlist import Circuit, Gate
+from ..circuit.netlist import Circuit, Gate, GateType
 from ..faults.models import Line, StuckAtFault
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
 
@@ -67,16 +71,24 @@ class FaultSimResult:
         return essential
 
 
-#: Keys of the reachability table and of the fan-out-free-region links
-#: inside ``Circuit._cone_cache`` (cone keys are tuples of net names, so
-#: neither can collide with one).
+#: Keys of the reachability table, of the fan-out-free-region links and
+#: (paired with an observe tuple) of the linear-tail walk table inside
+#: ``Circuit._cone_cache`` (cone keys are tuples of net names, so none
+#: can collide with one).
 _REACH_KEY = None
 _FFR_KEY = "ffr"
+_TAILS_KEY = "tails"
+
+#: Gates whose output difference is the XOR of their input differences.
+_LINEAR = frozenset({GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT})
 
 _BIN_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _reach_table(circuit: Circuit) -> tuple[dict[str, int], list]:
+def _reach_table(
+    circuit: Circuit,
+    keep: Collection[str] | None = None,
+) -> tuple[dict[str, int], list]:
     """Per-net bitsets of the gates combinationally reachable from it.
 
     Bit *i* stands for ``circuit.topo_order()[i]``.  One sweep in reverse
@@ -88,8 +100,14 @@ def _reach_table(circuit: Circuit) -> tuple[dict[str, int], list]:
     builds in 2.8 ms at 3.2k gates — about sixteen BFS cones — and
     holds ``nets x gates / 8`` bytes at most (1.3 MB at 3.2k gates,
     ~20 MB at 12.8k).
+
+    With ``keep`` only the gates driving those nets get a bit, numbered
+    among themselves in topological order; the others carry their
+    consumers' reach through without one.  Returns the table and the
+    gates its bits stand for.
     """
     order = circuit.topo_order()
+    kept = order if keep is None else [g for g in order if g.output in keep]
     fmap = circuit.fanout_map()
     flops = circuit.flops
     bits: dict[str, int] = {}
@@ -101,12 +119,28 @@ def _reach_table(circuit: Circuit) -> tuple[dict[str, int], list]:
                 acc |= bits[dst]
         return acc
 
-    for i in range(len(order) - 1, -1, -1):
-        out = order[i].output
-        bits[out] = 1 << i | consumers(out)
+    i = len(kept)
+    for gate in reversed(order):
+        out = gate.output
+        if keep is None or out in keep:
+            i -= 1
+            bits[out] = 1 << i | consumers(out)
+        else:
+            bits[out] = consumers(out)
     for net in (*circuit.inputs, *flops):
         bits[net] = consumers(net)
-    return bits, order
+    return bits, kept
+
+
+def _select(items: Sequence, reach: int):
+    """The members of ``items`` whose bits are set in ``reach``, in index
+    order: bin() + compress() select them in C, and starting at the
+    lowest set bit keeps the scan to the set's own index span."""
+    if not reach:
+        return iter(())
+    low = (reach & -reach).bit_length() - 1
+    flags = format(reach >> low, "b")[::-1].encode().translate(_BIN_TO_FLAGS)
+    return compress(items[low:], flags)
 
 
 def _cone_gates(circuit: Circuit, start_nets: Sequence[str]) -> list:
@@ -132,16 +166,7 @@ def _cone_gates(circuit: Circuit, start_nets: Sequence[str]) -> list:
     reach = 0
     for net in key:
         reach |= bits.get(net, 0)
-    if reach:
-        # bin() + compress() select the members in C; starting at the
-        # lowest set bit keeps the scan to the cone's own index span
-        low = (reach & -reach).bit_length() - 1
-        flags = format(reach >> low, "b")[::-1].encode().translate(
-            _BIN_TO_FLAGS)
-        cone = list(compress(order[low:], flags))
-    else:
-        cone = []
-    cache[key] = cone
+    cone = cache[key] = list(_select(order, reach))
     return cone
 
 
@@ -165,6 +190,68 @@ def _ffr_links(circuit: Circuit) -> dict[str, Gate]:
             for net, sinks in circuit.fanout_map().items()
             if len(sinks) == 1 and sinks[0] in gates and net not in outputs}
     return links
+
+
+def _tail_table(
+    circuit: Circuit,
+    observe: Sequence[str],
+) -> tuple[dict[str, int], list, dict[str, tuple[str, ...]]]:
+    """The walk table of :func:`_root_walk` for one observe set.
+
+    A net is a *linear link* when exactly one gate pin reads it, that
+    gate is an XOR, XNOR, BUF or NOT, and the net is not observed.
+    Following the links from a net ends at its *tail end*, the first net
+    that is not a link.  ``ends[net]`` lists the tail ends a difference
+    on ``net`` is XORed into — one per pin of ``net`` on a linear gate,
+    with pairs cancelled — which is exact because a linear gate's output
+    difference is the XOR of its input differences (XNOR and NOT invert
+    both machines alike) and nothing else reads a link.
+
+    A walk evaluates the non-linear gates and visits the linear tail ends
+    that pass a difference on; every other linear gate is summed, never
+    evaluated.  ``bits`` is :func:`_reach_table` over those kept gates,
+    reachability passing through the rest, and ``steps[i]`` is kept gate
+    *i* as ``(gate, or None for a linear one, its output, the output's
+    ends)``.  Cached per observe tuple beside the other structural
+    tables: mutation and pickling drop it.
+    """
+    key = (_TAILS_KEY, tuple(observe))
+    cache = circuit._cone_cache
+    table = cache.get(key)
+    if table is not None:
+        return table
+    gates = circuit.gates
+    observed = set(observe)
+    reader: dict[str, Gate] = {}
+    for net, sinks in circuit.fanout_map().items():
+        if len(sinks) == 1 and net not in observed:
+            gate = gates.get(sinks[0])
+            if gate is not None and gate.gtype in _LINEAR:
+                reader[net] = gate
+    order = circuit.topo_order()
+    tail_end: dict[str, str] = {}
+    for gate in reversed(order):  # a link's reader comes later
+        nxt = reader.get(gate.output)
+        tail_end[gate.output] = (gate.output if nxt is None
+                                 else tail_end[nxt.output])
+    pins: dict[str, list[str]] = {}
+    for gate in order:
+        if gate.gtype in _LINEAR:
+            for src in gate.inputs:
+                pins.setdefault(src, []).append(tail_end[gate.output])
+    ends: dict[str, tuple[str, ...]] = {}
+    for net, hits in pins.items():
+        odd = tuple(end for end in dict.fromkeys(hits) if hits.count(end) % 2)
+        if odd:
+            ends[net] = odd
+    keep = {gate.output for gate in order
+            if gate.gtype not in _LINEAR
+            or (gate.output not in reader and gate.output in ends)}
+    bits, kept = _reach_table(circuit, keep)
+    steps = [(None if gate.gtype in _LINEAR else gate, gate.output,
+              ends.get(gate.output, ())) for gate in kept]
+    table = cache[key] = (bits, steps, ends)
+    return table
 
 
 def _observe_nets(circuit: Circuit, full_scan: bool) -> tuple[str, ...]:
@@ -379,6 +466,47 @@ def _output_diff(gate: Gate, good: Mapping[str, int], net: str, word: int,
     return eval_gate(gate, shadow, mask) ^ good[gate.output]
 
 
+def _root_walk(
+    circuit: Circuit,
+    observe: Sequence[str],
+    good: Mapping[str, int],
+    mask: int,
+    net: str,
+) -> int:
+    """Patterns in which flipping ``net`` reaches one of ``observe``.
+
+    :func:`_detection_mask_interp` of the stem forced to its complement,
+    walked over :func:`_tail_table`'s kept gates only: whenever a walked
+    net differs, its difference is XORed into the value of each tail end
+    it feeds linearly, so by the time the walk reaches a tail end in
+    topological order that value is already the faulty one.
+    """
+    bits, steps, ends = _tail_table(circuit, observe)
+    values = dict(good)
+    flipped = values[net] = ~good.get(net, 0) & mask
+    diff = flipped ^ good.get(net, 0)
+    for end in ends.get(net, ()):
+        values[end] ^= diff
+    reach = bits.get(net, 0)
+    if reach:
+        low = (reach & -reach).bit_length() - 1
+        if steps[low][1] == net:
+            reach ^= 1 << low  # the stem's own gate: it stays flipped
+    evaluators = GATE_EVAL
+    for gate, out, targets in _select(steps, reach):
+        if gate is not None:
+            values[out] = evaluators[gate.gtype](gate, values, mask)
+        if targets:
+            diff = values[out] ^ good[out]
+            if diff:
+                for end in targets:
+                    values[end] ^= diff
+    det = 0
+    for obs_net in observe:
+        det |= values.get(obs_net, 0) ^ good.get(obs_net, 0)
+    return det & mask
+
+
 def _observability(
     circuit: Circuit,
     observe: Sequence[str],
@@ -393,9 +521,10 @@ def _observability(
     climb follows the fan-out-free links up to the first net already in
     the memo, or to the region's root, whose word is one walk of its
     cone (observed at ``observe``) with the root forced to the
-    complement of its good word.  Coming back down, a net's word is its
-    consumer's, restricted to the patterns in which flipping the net
-    flips the consumer.  Every net on the way is memoised.
+    complement of its good word (:func:`_root_walk`, which sums linear
+    tails instead of evaluating them).  Coming back down, a net's word
+    is its consumer's, restricted to the patterns in which flipping the
+    net flips the consumer.  Every net on the way is memoised.
     """
     links = _ffr_links(circuit)
     chain: list[tuple[str, Gate]] = []
@@ -410,8 +539,7 @@ def _observability(
         gate = links.get(net)
     walked = word is None
     if walked:
-        word = obs[net] = _detection_mask_interp(
-            circuit, Line(net), ~good.get(net, 0) & mask, good, mask, observe)
+        word = obs[net] = _root_walk(circuit, observe, good, mask, net)
     for inner, gate in reversed(chain):
         if word:
             word &= _output_diff(gate, good, inner, good[inner] ^ mask, mask)

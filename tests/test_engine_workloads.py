@@ -592,6 +592,31 @@ def test_stuck_at_inputs_off_the_circuit_are_rejected(case):
     assert not executors._pool_registry  # raised before any pool
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"target": "sec99"}, "names no floorplan cell"),
+    ({"jitter_um": -0.1}, "jitter_um"),
+    ({"jitter_um": float("nan")}, "jitter_um"),
+    ({"jitter_um": float("inf")}, "jitter_um"),
+    ({"technology": "7nm"}, "upset threshold"),
+])
+def test_bad_laser_arguments_rejected_before_any_pool(bad, match):
+    # was: every shot a ``miss`` for an unknown target, a KeyError inside
+    # a worker for an unknown node
+    from repro.engine import executors, shutdown_pools
+
+    plan = Floorplan.grid("130nm", [f"sec{i}" for i in range(16)])
+    plan = Floorplan(bad.get("technology", plan.technology), plan.cells)
+    shots = [LaserShot(plan.cells[5].x_um, plan.cells[5].y_um,
+                       MIN_SPOT_UM, 1.5) for _ in range(8)]
+    shutdown_pools()
+    with pytest.raises(ValueError, match=match):
+        run_campaign(
+            LaserFiBackend(plan, shots, target=bad.get("target", "sec5"),
+                           jitter_um=bad.get("jitter_um", 0.15)),
+            EngineConfig(workers=2, executor="process"))
+    assert not executors._pool_registry  # raised before any pool
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n_patterns": 0}, "n_patterns"),
     ({"n_patterns": -3}, "n_patterns"),

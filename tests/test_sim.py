@@ -12,11 +12,13 @@ from repro.circuit import CircuitBuilder, GateType, load
 from repro.circuit.levelize import fanout_cone
 from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
-from repro.sim import compiled
+from repro.sim import compiled, fault_sim
 from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _REACH_KEY,
-                                 FaultSimResult, _batched_detection,
-                                 _cone_gates, _ffr_links, _observe_nets,
-                                 _pattern_windows, detection_mask)
+                                 _TAILS_KEY, FaultSimResult,
+                                 _batched_detection, _cone_gates,
+                                 _ffr_links, _observe_nets, _pattern_windows,
+                                 _tail_table, detection_mask)
+from repro.sim.logic import GATE_EVAL
 from repro.sim import (
     EventSim,
     SequentialSim,
@@ -388,7 +390,13 @@ def _with_ffr_corner_cases(circuit, rng):
     can get wrong: reconvergent fan-out through an XOR (differences
     cancel), a primary output that also feeds a gate, a gate reading one
     net on two pins, a dangling net, and — when there are flops — a net
-    whose only consumer is a flop."""
+    whose only consumer is a flop.
+
+    Then the ones a linear-tail walk can get wrong: a stem feeding an XOR
+    chain directly and again through an AND, a 3-input XOR reading one
+    net on two pins, an XNOR -> NOT -> BUF tail ending in a primary
+    output that also feeds a gate, a tail whose end feeds a non-linear
+    gate, and — when there are flops — a tail ending at a flop D."""
     a, b, c, d = rng.sample(list(circuit.gates), 4)
     circuit.add_gate("rc_l", "AND", [a, b])
     circuit.add_gate("rc_r", "OR", [a, c])
@@ -400,10 +408,28 @@ def _with_ffr_corner_cases(circuit, rng):
                      ["pre", "pre"])
     circuit.add_gate("mix", "XOR", ["twice", "after_po"])
     circuit.add_gate("dangling", "NOT", ["mix"])
+
+    circuit.add_gate("lt_1", "XOR", [b, c])
+    circuit.add_gate("lt_and", "AND", [b, d])
+    circuit.add_gate("lt_2", "XNOR", ["lt_1", a])
+    circuit.add_gate("lt_3", "XOR", ["lt_2", "lt_and"])
+    circuit.add_gate("lt_3x", "XOR", ["lt_3", c, "lt_3"])  # lt_3 cancels
+    circuit.add_gate("lt_4", "XOR", ["lt_3x", "lt_3", "mix"])
+    circuit.add_gate("lt_xn", "XNOR", ["lt_4", d])
+    circuit.add_gate("lt_not", "NOT", ["lt_xn"])
+    circuit.add_gate("lt_po", "BUF", ["lt_not"])
+    circuit.add_output("lt_po")
+    circuit.add_gate("lt_after", "XOR", ["lt_po", a])
+    circuit.add_gate("lt_y", "XNOR", [c, "lt_after"])
+    circuit.add_gate("lt_nl", rng.choice(["AND", "NOR"]), ["lt_y", b])
+    circuit.add_output("lt_nl")
     if circuit.flops:
         circuit.add_gate("flop_only", "OR", ["mix", b])
         circuit.add_flop("q_extra", "flop_only")
         circuit.add_output(next(iter(circuit.flops)))
+        circuit.add_gate("lt_d", "XOR", ["lt_after", d])
+        circuit.add_gate("lt_dn", "NOT", ["lt_d"])
+        circuit.add_flop("q_tail", "lt_dn")
     else:
         circuit.add_output("mix")
     circuit.validate()
@@ -471,13 +497,62 @@ def test_each_window_has_its_own_observability_memo():
 
 def test_mutation_and_pickling_drop_the_ffr_links():
     circuit = load("c17")
+    observe = _observe_nets(circuit, True)
+    tails_key = (_TAILS_KEY, observe)
     links = _ffr_links(circuit)
     assert _ffr_links(circuit) is links is circuit._cone_cache[_FFR_KEY]
+    table = _tail_table(circuit, observe)
+    assert _tail_table(circuit, observe) is table \
+        is circuit._cone_cache[tails_key]
     inner = next(iter(links))  # read by one gate only
     circuit.add_gate("tap", "NOT", [inner])
     assert _FFR_KEY not in circuit._cone_cache
+    assert tails_key not in circuit._cone_cache
     assert inner not in _ffr_links(circuit)  # fan-out 2: a root now
-    assert _FFR_KEY not in pickle.loads(pickle.dumps(circuit))._cone_cache
+    _, steps, ends = _tail_table(circuit, observe)
+    assert "tap" not in {out for _, out, _ in steps}  # reaches no output
+    assert ends[inner] == ("tap",)  # its one linear pin ends there
+    clone = pickle.loads(pickle.dumps(circuit))
+    assert _FFR_KEY not in clone._cone_cache
+    assert tails_key not in clone._cone_cache
+
+
+def test_root_walks_sum_linear_tails_instead_of_evaluating_them(
+        monkeypatch):
+    """On the ``ppsfp_stat`` circuit, whose outputs are XOR trees, the
+    root walks together evaluate at most 0.35x the gates of their cones:
+    tail gates are summed, never evaluated."""
+    circuit = random_combinational(32, 2400, seed=13)
+    faults, _ = collapse(circuit)
+    batches = [(random_patterns(circuit.inputs, 64, seed=7000 + i), 64)
+               for i in range(16)]
+    roots, evaluations, walking = [], [0], [False]
+
+    def counting(evaluate):
+        def wrapper(gate, values, mask):
+            evaluations[0] += walking[0]
+            return evaluate(gate, values, mask)
+        return wrapper
+
+    for gtype, evaluate in list(GATE_EVAL.items()):
+        monkeypatch.setitem(GATE_EVAL, gtype, counting(evaluate))
+    walk = fault_sim._root_walk
+
+    def counted_walk(circuit, observe, good, mask, net):
+        roots.append(net)
+        walking[0] = True
+        try:
+            return walk(circuit, observe, good, mask, net)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(fault_sim, "_root_walk", counted_walk)
+    windows = _pattern_windows(circuit, batches, None)
+    for fault in faults:
+        _batched_detection(circuit, fault, windows, True)
+    assert len(roots) == windows.root_walks > 900
+    cone_gates = sum(len(_cone_gates(circuit, [net])) for net in roots)
+    assert 0 < evaluations[0] <= 0.35 * cone_gates
 
 
 def test_ffr_sweep_matches_per_fault_walks_on_the_benchmark_circuit():
