@@ -1,62 +1,15 @@
 """The AutoSoC open-source automotive benchmark (paper Section IV.B)."""
 
-from .apps import APPLICATIONS, Application
-from .cpu import UNITS, Cpu, UnitFault
-from .fi import (
-    CORRECTED_ECC,
-    DETECTED_ECC,
-    DETECTED_LOCKSTEP,
-    HANG,
-    MASKED,
-    OUTCOMES,
-    SDC,
-    SocCampaignResult,
-    SocInjection,
-    compare_configurations,
-    make_injections,
-    run_campaign,
-    run_injection,
-)
-from .isa import (
-    AsmError,
-    Instruction,
-    OPCODES,
-    assemble,
-    decode,
-    disassemble,
-    encode,
-)
-from .soc import AutoSoC, Bus, CanFrame, RunResult, SocConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "APPLICATIONS",
-    "Application",
-    "AsmError",
-    "AutoSoC",
-    "Bus",
-    "CORRECTED_ECC",
-    "CanFrame",
-    "Cpu",
-    "DETECTED_ECC",
-    "DETECTED_LOCKSTEP",
-    "HANG",
-    "Instruction",
-    "MASKED",
-    "OPCODES",
-    "OUTCOMES",
-    "RunResult",
-    "SDC",
-    "SocCampaignResult",
-    "SocConfig",
-    "SocInjection",
-    "UNITS",
-    "UnitFault",
-    "assemble",
-    "compare_configurations",
-    "decode",
-    "disassemble",
-    "encode",
-    "make_injections",
-    "run_campaign",
-    "run_injection",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "apps": ("APPLICATIONS", "Application"),
+    "cpu": ("UNITS", "Cpu", "UnitFault"),
+    "fi": ("CORRECTED_ECC", "DETECTED_ECC", "DETECTED_LOCKSTEP", "HANG",
+           "MASKED", "OUTCOMES", "SDC", "SocCampaignResult", "SocInjection",
+           "compare_configurations", "make_injections", "run_campaign",
+           "run_injection"),
+    "isa": ("AsmError", "Instruction", "OPCODES", "assemble", "decode",
+            "disassemble", "encode"),
+    "soc": ("AutoSoC", "Bus", "CanFrame", "RunResult", "SocConfig"),
+})

@@ -156,8 +156,8 @@ def run_campaign(
     independent; ``executor`` picks serial, processes or auto) with
     results identical to the serial run.
     """
-    from ..engine.backends import SocBackend
     from ..engine.core import EngineConfig, run_campaign as run_engine
+    from ..engine.workloads import SocBackend
 
     backend = SocBackend(app, config, injections)
     report = run_engine(backend,

@@ -1,38 +1,13 @@
 """Gate-level circuit substrate: netlists, generators, testability."""
 
-from .builder import CircuitBuilder
-from .levelize import (
-    cone_of_influence,
-    depth,
-    fanin_cone,
-    fanout_cone,
-    levels,
-    observable_outputs,
-)
-from .library import BENCHMARKS, load
-from .netlist import Circuit, CircuitError, Flop, Gate, GateType
-from .scoap import Scoap, compute_scoap, hard_to_test_nets
-from .verilog import VerilogParseError, emit_verilog, parse_verilog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "Circuit",
-    "CircuitBuilder",
-    "CircuitError",
-    "Flop",
-    "Gate",
-    "GateType",
-    "Scoap",
-    "VerilogParseError",
-    "compute_scoap",
-    "cone_of_influence",
-    "depth",
-    "emit_verilog",
-    "fanin_cone",
-    "fanout_cone",
-    "hard_to_test_nets",
-    "levels",
-    "load",
-    "observable_outputs",
-    "parse_verilog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "builder": ("CircuitBuilder",),
+    "levelize": ("cone_of_influence", "depth", "fanin_cone", "fanout_cone",
+                 "levels", "observable_outputs"),
+    "library": ("BENCHMARKS", "load"),
+    "netlist": ("Circuit", "CircuitError", "Flop", "Gate", "GateType"),
+    "scoap": ("Scoap", "compute_scoap", "hard_to_test_nets"),
+    "verilog": ("VerilogParseError", "emit_verilog", "parse_verilog"),
+})

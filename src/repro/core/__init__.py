@@ -1,60 +1,17 @@
 """Holistic EDA framework: flow, registry, campaigns, RIIF, stats, reports."""
 
-from .campaign import CampaignDb, CampaignSummary
-from .flow import Flow, FlowError, FlowReport, Stage, StageReport
-from .registry import Aspect, Lead, Registry, ToolEntry, default_registry
-from .report import format_bars, format_kv, format_table
-from .riif import (
-    ComponentModel,
-    FailureModeSpec,
-    RiifDocument,
-    RiifParseError,
-    SystemModel,
-    emit_riif,
-    parse_riif,
-)
-from .stats import (
-    Interval,
-    clopper_pearson_interval,
-    fit_from_rate,
-    fit_to_mtbf_hours,
-    required_injections,
-    scale_fit_per_mbit,
-    speedup,
-    welch_t_test,
-    wilson_interval,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Aspect",
-    "CampaignDb",
-    "CampaignSummary",
-    "ComponentModel",
-    "FailureModeSpec",
-    "Flow",
-    "FlowError",
-    "FlowReport",
-    "Interval",
-    "Lead",
-    "Registry",
-    "RiifDocument",
-    "RiifParseError",
-    "Stage",
-    "StageReport",
-    "SystemModel",
-    "ToolEntry",
-    "clopper_pearson_interval",
-    "default_registry",
-    "emit_riif",
-    "fit_from_rate",
-    "fit_to_mtbf_hours",
-    "format_bars",
-    "format_kv",
-    "format_table",
-    "parse_riif",
-    "required_injections",
-    "scale_fit_per_mbit",
-    "speedup",
-    "welch_t_test",
-    "wilson_interval",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": ("CampaignDb", "CampaignSummary"),
+    "flow": ("Flow", "FlowError", "FlowReport", "Stage", "StageReport"),
+    "registry": ("Aspect", "Lead", "Registry", "ToolEntry",
+                 "default_registry"),
+    "report": ("format_bars", "format_kv", "format_table"),
+    "riif": ("ComponentModel", "FailureModeSpec", "RiifDocument",
+             "RiifParseError", "SystemModel", "emit_riif", "parse_riif"),
+    "stats": ("Interval", "clopper_pearson_interval", "fit_from_rate",
+              "fit_to_mtbf_hours", "required_injections",
+              "scale_fit_per_mbit", "speedup", "welch_t_test",
+              "wilson_interval"),
+})

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ..autosoc.apps import Application
-from ..autosoc.fi import SocInjection, run_injection
-from ..autosoc.soc import SocConfig
 from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
@@ -364,50 +361,6 @@ class SafetyBackend:
                 self.mission_outputs, self.detection_outputs)
             out.append(Injection(point=fault, location=fault.describe(),
                                  cycle=0, outcome=cls.value))
-        return out
-
-
-class SocBackend:
-    """SoC-level CPU/RAM transients on AutoSoC runs.
-
-    Points are :class:`repro.autosoc.fi.SocInjection` descriptors; each
-    batch boots a fresh SoC per injection (runs are independent, so
-    batches parallelise trivially).  ``detail`` carries the lockstep
-    detection latency when one was observed.
-    """
-
-    name = "autosoc"
-    fault_model = "transient"
-
-    def __init__(
-        self,
-        app: Application,
-        config: SocConfig,
-        injections: Sequence[SocInjection],
-    ) -> None:
-        self.app = app
-        self.config = config
-        self.circuit_name = f"autosoc-{config.value}"
-        self.workload = app.name
-        self.injections = list(injections)
-
-    def enumerate_points(self) -> Sequence[SocInjection]:
-        return self.injections
-
-    def prepare(self) -> None:  # golden runs live inside run_injection
-        return None
-
-    def run_batch(self, points: Sequence[SocInjection]) -> list[Injection]:
-        out: list[Injection] = []
-        for injection in points:
-            outcome, latency = run_injection(self.app, self.config, injection)
-            if injection.kind == "cpu":
-                location = f"cpu:{injection.unit}.bit{injection.bit}"
-            else:
-                location = f"ram:{injection.ram_offset}.bit{injection.bit}"
-            out.append(Injection(point=injection, location=location,
-                                 cycle=injection.cycle, outcome=outcome,
-                                 detail=latency))
         return out
 
 

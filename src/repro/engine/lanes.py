@@ -578,7 +578,7 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
     keep = [chained * unit for chained in keep]  # in every field
     words = [0] * n_blocks
     gathered = everyone  # step 0 has no previous word to shift
-    np, row_bytes = _vector.np, 8 * n_blocks
+    row_bytes = 8 * n_blocks
     step = 0
     while True:
         for block, groups in enumerate(gathered):
@@ -590,7 +590,7 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
         if n_blocks == 1:
             yield fields.unpack(words[0].to_bytes(fields.size, "little"))
         else:
-            by_row = np.frombuffer(
+            by_row = _vector.np.frombuffer(  # numpy only past one block
                 b"".join(word.to_bytes(fields.size, "little")
                          for word in words),
                 dtype="<u8").reshape(n_blocks, -1).T.tobytes()

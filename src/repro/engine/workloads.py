@@ -1,4 +1,4 @@
-"""Engine backends for the RSN, security, GPGPU and slicing workloads.
+"""Engine backends for the SoC, RSN, security, GPGPU and slicing workloads.
 
 These complete the port started in :mod:`repro.engine.backends`: every
 fault-effect campaign in the toolkit — dependability *and* security,
@@ -6,8 +6,10 @@ gate level to instruction level — now runs through
 :func:`repro.engine.core.run_campaign`, so all of them inherit chunked
 parallel execution, seeded sampling, Wilson early stop and streaming
 CampaignDb persistence.  Kept separate from ``backends`` so process-pool
-workers for the original four workloads do not pay these modules'
-import cost.
+workers for the three circuit workloads (PPSFP, SEU, safety) do not pay
+these modules' import cost; the subsystems each backend drives (AutoSoC,
+RSN, laser, SCA, GPGPU) are imported inside its methods, so a worker of
+one family loads none of the others.
 
 All backends here follow the shared contract: ``run_batch`` is pure
 with respect to prepared state, ``prepare()`` is idempotent, prepared
@@ -49,6 +51,74 @@ SKIP_DEAD_FLOP = "dead_flop"
 def point_seed(seed: int, index: int) -> int:
     """Per-point RNG seed: chunk-size independent, worker independent."""
     return chunk_seed(seed, index)
+
+
+# ----------------------------------------------------------------------
+# AutoSoC CPU / RAM transients
+# ----------------------------------------------------------------------
+class SocBackend:
+    """SoC-level CPU/RAM transients on AutoSoC runs.
+
+    Points are :class:`repro.autosoc.fi.SocInjection` descriptors; each
+    batch boots a fresh SoC per injection (runs are independent, so
+    batches parallelise trivially).  ``detail`` carries the lockstep
+    detection latency when one was observed.  An injection whose
+    ``kind`` is not ``"cpu"`` / ``"ram"``, whose CPU ``unit`` is not in
+    :data:`repro.autosoc.cpu.UNITS`, whose ``bit`` is outside the 32-bit
+    word, whose ``ram_offset`` is outside RAM or whose ``cycle`` is
+    negative raises ``ValueError`` at construction (run, it would be
+    another kind of flip, a wrapped bit or a worker-side error).
+    """
+
+    name = "autosoc"
+    fault_model = "transient"
+
+    def __init__(self, app: Any, config: Any,
+                 injections: Sequence[Any]) -> None:
+        from ..autosoc.cpu import UNITS
+        from ..autosoc.soc import RAM_SIZE
+
+        self.injections = list(injections)
+        for inj in self.injections:
+            if inj.kind not in ("cpu", "ram"):
+                problem = f"kind {inj.kind!r} is not 'cpu' or 'ram'"
+            elif inj.kind == "cpu" and inj.unit not in UNITS:
+                problem = f"unit {inj.unit!r} is not one of {UNITS}"
+            elif not 0 <= inj.bit < 32:
+                problem = f"bit {inj.bit} is outside [0, 32)"
+            elif inj.kind == "ram" and not 0 <= inj.ram_offset < RAM_SIZE:
+                problem = (f"ram_offset {inj.ram_offset} is outside "
+                           f"[0, {RAM_SIZE})")
+            elif inj.cycle < 0:
+                problem = f"cycle {inj.cycle} is negative"
+            else:
+                continue
+            raise ValueError(f"SoC injection {inj}: {problem}")
+        self.app = app
+        self.config = config
+        self.circuit_name = f"autosoc-{config.value}"
+        self.workload = app.name
+
+    def enumerate_points(self) -> Sequence[Any]:
+        return self.injections
+
+    def prepare(self) -> None:  # golden runs live inside run_injection
+        return None
+
+    def run_batch(self, points: Sequence[Any]) -> list[Injection]:
+        from ..autosoc.fi import run_injection
+
+        out: list[Injection] = []
+        for injection in points:
+            outcome, latency = run_injection(self.app, self.config, injection)
+            if injection.kind == "cpu":
+                location = f"cpu:{injection.unit}.bit{injection.bit}"
+            else:
+                location = f"ram:{injection.ram_offset}.bit{injection.bit}"
+            out.append(Injection(point=injection, location=location,
+                                 cycle=injection.cycle, outcome=outcome,
+                                 detail=latency))
+        return out
 
 
 # ----------------------------------------------------------------------

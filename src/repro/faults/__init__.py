@@ -1,32 +1,11 @@
 """Fault models, universes, collapsing and statistical sampling."""
 
-from .models import (
-    DelayFault,
-    DelayFaultKind,
-    Fault,
-    Line,
-    SETFault,
-    SEUFault,
-    StuckAtFault,
-)
-from .sampling import draw_sample, sample_size, stratified_sample
-from .universe import (all_stuck_at, check_sites, collapse, collapse_ratio,
-                       lines_of)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DelayFault",
-    "DelayFaultKind",
-    "Fault",
-    "Line",
-    "SETFault",
-    "SEUFault",
-    "StuckAtFault",
-    "all_stuck_at",
-    "check_sites",
-    "collapse",
-    "collapse_ratio",
-    "draw_sample",
-    "lines_of",
-    "sample_size",
-    "stratified_sample",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "models": ("DelayFault", "DelayFaultKind", "Fault", "Line", "SETFault",
+               "SEUFault", "StuckAtFault"),
+    "sampling": ("draw_sample", "sample_size", "stratified_sample"),
+    "universe": ("all_stuck_at", "check_sites", "collapse", "collapse_ratio",
+                 "lines_of"),
+})

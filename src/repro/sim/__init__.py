@@ -1,50 +1,14 @@
 """Simulation engines: bit-parallel logic, 3-valued, sequential, event, fault."""
 
-from .event import EventSim, SETOutcome, Waveform
-from .fault_sim import (
-    FaultSimResult,
-    detection_mask,
-    fault_coverage,
-    fault_simulate,
-    fault_simulate_batched,
-    faulty_values,
-    sequential_fault_simulate,
-)
-from .logic import (
-    X,
-    eval_gate,
-    eval_gate_3v,
-    exhaustive_patterns,
-    mask_of,
-    pack_patterns,
-    random_patterns,
-    simulate,
-    simulate_3v,
-    unpack_patterns,
-)
-from .sequential import SequentialSim, output_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventSim",
-    "FaultSimResult",
-    "SETOutcome",
-    "SequentialSim",
-    "Waveform",
-    "X",
-    "detection_mask",
-    "eval_gate",
-    "eval_gate_3v",
-    "exhaustive_patterns",
-    "fault_coverage",
-    "fault_simulate",
-    "fault_simulate_batched",
-    "faulty_values",
-    "mask_of",
-    "output_trace",
-    "pack_patterns",
-    "random_patterns",
-    "sequential_fault_simulate",
-    "simulate",
-    "simulate_3v",
-    "unpack_patterns",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "event": ("EventSim", "SETOutcome", "Waveform"),
+    "fault_sim": ("FaultSimResult", "detection_mask", "fault_coverage",
+                  "fault_simulate", "fault_simulate_batched",
+                  "faulty_values", "sequential_fault_simulate"),
+    "logic": ("X", "eval_gate", "eval_gate_3v", "exhaustive_patterns",
+              "mask_of", "pack_patterns", "random_patterns", "simulate",
+              "simulate_3v", "unpack_patterns"),
+    "sequential": ("SequentialSim", "output_trace"),
+})

@@ -56,21 +56,41 @@ When numpy is missing entirely the SoA carrier is unavailable: a
 requested ``"soa"`` degrades to ``"int"`` and lane widths above 64
 degrade to the classic 64-lane packing (one-time logged warning) — see
 :func:`repro.engine.lanes.resolve_lane_width`.
+
+numpy is imported on first use, not with this module: :data:`HAVE_NUMPY`
+asks the import system whether numpy is installed without loading it,
+and ``vector.np`` (read by the SoA kernel and the wide-lane paths) binds
+the module the first time it is read.  The int carrier at 64 lanes,
+PPSFP and slicing never read it, so a process-pool or service worker
+running them starts without numpy (~0.05 s of its cold start); the
+first SoA or wide-lane call pays that import instead.
 """
 
 from __future__ import annotations
 
 import logging
+from importlib.util import find_spec
 
 try:  # numpy is a declared dependency, but degrade rather than crash
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-HAVE_NUMPY = _np is not None
-np = _np
+    HAVE_NUMPY = find_spec("numpy") is not None
+except ImportError:  # a finder that refuses numpy: absent
+    HAVE_NUMPY = False
 
 log = logging.getLogger(__name__)
+
+
+def _np():
+    """The numpy module, imported on its first call."""
+    import numpy
+    return numpy
+
+
+def __getattr__(name: str):
+    if name == "np":  # bound on first read; later reads skip this hook
+        globals()["np"] = module = _np()
+        return module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Bits per block (numpy uint64).
 BLOCK_BITS = 64
@@ -114,6 +134,7 @@ def to_blocks(value: int, n_blocks: int):
     ``frombuffer`` round trip (that *is* the direct construction for
     an arbitrary big int).
     """
+    np = _np()
     if value == 0:
         return np.zeros(n_blocks, dtype=np.uint64)
     data = value.to_bytes(n_blocks * 8, "little")
@@ -137,6 +158,7 @@ def mask_array(n_lanes: int, n_blocks: int | None = None):
     numpy the SoA carrier is off and masks stay plain ints
     (:func:`repro.sim.logic.mask_of`).
     """
+    np = _np()
     if n_blocks is None:
         n_blocks = blocks_for(n_lanes)
     arr = np.zeros(n_blocks, dtype=np.uint64)

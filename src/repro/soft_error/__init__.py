@@ -1,93 +1,21 @@
 """Soft-error and transient-fault vulnerability analysis (paper III.B)."""
 
-from .cdn import (
-    CdnSetResult,
-    ClockTree,
-    build_clock_tree,
-    failure_rate_vs_pulse_width,
-    run_cdn_campaign,
-)
-from .fit import (
-    ASIL_FIT_TARGETS,
-    RAW_FIT_PER_MBIT,
-    ComponentSER,
-    FitBudget,
-    headroom_bits,
-)
-from .ml import (
-    FEATURE_NAMES,
-    GcnRegressor,
-    MlpRegressor,
-    RegressionMetrics,
-    RidgeRegressor,
-    extract_features,
-    split_indices,
-    standardize,
-)
-from .set_analysis import (
-    SetSensitivity,
-    electrical_survival,
-    latch_window_probability,
-    logical_derating,
-    set_derating,
-    validate_against_event_sim,
-)
-from .seu import (
-    FAILURE,
-    LATENT,
-    MASKED,
-    SeuCampaignResult,
-    SeuInjection,
-    inject_seu,
-    random_workload,
-    run_campaign,
-)
-from .statistical import (
-    AccuracyPoint,
-    AdaptiveEstimate,
-    StatisticalStudy,
-    adaptive_estimate,
-    cost_accuracy_rows,
-    run_study,
-    verify_fresh_sample_consistency,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ASIL_FIT_TARGETS",
-    "AccuracyPoint",
-    "AdaptiveEstimate",
-    "CdnSetResult",
-    "ClockTree",
-    "ComponentSER",
-    "FAILURE",
-    "FEATURE_NAMES",
-    "FitBudget",
-    "GcnRegressor",
-    "LATENT",
-    "MASKED",
-    "MlpRegressor",
-    "RAW_FIT_PER_MBIT",
-    "RegressionMetrics",
-    "RidgeRegressor",
-    "SetSensitivity",
-    "SeuCampaignResult",
-    "SeuInjection",
-    "StatisticalStudy",
-    "adaptive_estimate",
-    "build_clock_tree",
-    "cost_accuracy_rows",
-    "electrical_survival",
-    "extract_features",
-    "failure_rate_vs_pulse_width",
-    "headroom_bits",
-    "inject_seu",
-    "latch_window_probability",
-    "logical_derating",
-    "random_workload",
-    "run_campaign",
-    "run_study",
-    "set_derating",
-    "split_indices",
-    "standardize",
-    "validate_against_event_sim",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cdn": ("CdnSetResult", "ClockTree", "build_clock_tree",
+            "failure_rate_vs_pulse_width", "run_cdn_campaign"),
+    "fit": ("ASIL_FIT_TARGETS", "RAW_FIT_PER_MBIT", "ComponentSER",
+            "FitBudget", "headroom_bits"),
+    "ml": ("FEATURE_NAMES", "GcnRegressor", "MlpRegressor",
+           "RegressionMetrics", "RidgeRegressor", "extract_features",
+           "split_indices", "standardize"),
+    "set_analysis": ("SetSensitivity", "electrical_survival",
+                     "latch_window_probability", "logical_derating",
+                     "set_derating", "validate_against_event_sim"),
+    "seu": ("FAILURE", "LATENT", "MASKED", "SeuCampaignResult",
+            "SeuInjection", "inject_seu", "random_workload", "run_campaign"),
+    "statistical": ("AccuracyPoint", "AdaptiveEstimate", "StatisticalStudy",
+                    "adaptive_estimate", "cost_accuracy_rows", "run_study",
+                    "verify_fresh_sample_consistency"),
+})

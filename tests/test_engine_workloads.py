@@ -617,6 +617,33 @@ def test_bad_laser_arguments_rejected_before_any_pool(bad, match):
     assert not executors._pool_registry  # raised before any pool
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"kind": "rom"}, "kind 'rom'"),
+    ({"unit": "fpu"}, "unit 'fpu'"),
+    ({"bit": 32}, "bit 32"),
+    ({"bit": -1}, "bit -1"),
+    ({"kind": "ram", "ram_offset": -1}, "ram_offset -1"),
+    ({"kind": "ram", "ram_offset": 1 << 20}, "ram_offset"),
+    ({"cycle": -5}, "cycle -5"),
+])
+def test_bad_soc_injections_rejected_before_any_pool(bad, match):
+    # was: an unknown kind ran as a RAM flip, a bit wrapped modulo 32, a
+    # negative RAM offset flipped a word at the end of RAM, and an
+    # unknown unit or a large offset raised inside a worker
+    from repro.autosoc import APPLICATIONS, SocConfig, SocInjection
+    from repro.autosoc import run_campaign as run_soc_campaign
+    from repro.engine import executors, shutdown_pools
+
+    fields = {"kind": "cpu", "unit": "alu", "bit": 3, "cycle": 10, **bad}
+    injections = [SocInjection("cpu", unit="alu", bit=1, cycle=5),
+                  SocInjection(**fields)]
+    shutdown_pools()
+    with pytest.raises(ValueError, match=match):
+        run_soc_campaign(APPLICATIONS["fibonacci"], SocConfig.LOCKSTEP, injections,
+                         workers=2, executor="process")
+    assert not executors._pool_registry  # raised before any pool
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n_patterns": 0}, "n_patterns"),
     ({"n_patterns": -3}, "n_patterns"),

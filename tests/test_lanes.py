@@ -738,7 +738,9 @@ def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
 
     reference = run()
     monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-    monkeypatch.setattr(vector, "np", None)  # any use would raise
+    # any use would raise (set in the module dict: reading vector.np
+    # first would import numpy)
+    monkeypatch.setitem(vars(vector), "np", None)
     assert run() == reference
 
 
