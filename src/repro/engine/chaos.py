@@ -29,8 +29,8 @@ files, so it counts correctly across worker *processes* (a worker that
 died mid-chunk has still consumed an attempt) and needs no shared
 memory.  :meth:`ChaosBackend.clear_markers` resets the attempt budgets
 between campaigns run on one wrapper, and every owned scratch dir is
-swept by :func:`cleanup_scratch` (invoked from ``shutdown_pools()`` and
-atexit), so nothing leaks into the temp dir.
+swept by :func:`cleanup_scratch` (at exit, or earlier through
+``shutdown_pools()``), so nothing leaks into the temp dir.
 
 :class:`HostFault` / :class:`HostChaos` extend the same idea one level
 up, to the campaign *service* (:mod:`repro.service`): scripted
@@ -56,8 +56,8 @@ CHAOS_MODES = ("raise", "hang", "die", "malform")
 
 # Scratch directories created by ChaosBackend instances in this process
 # (attempt-marker files live there).  Every owned dir is registered here
-# and swept by :func:`cleanup_scratch` — called from ``engine.executors
-# .shutdown_pools()`` and at interpreter exit.
+# and swept by :func:`cleanup_scratch` — at interpreter exit, or on demand
+# through ``engine.executors.shutdown_pools()``.
 _scratch_dirs: set[str] = set()
 
 

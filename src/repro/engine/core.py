@@ -160,8 +160,9 @@ class EngineConfig:
 
     ``executor`` picks the execution strategy (see
     :mod:`repro.engine.executors`): ``"serial"``, ``"process"``
-    (spawn-safe persistent process pool: the backend ships to each
-    worker once per campaign and true multicore scaling applies), or
+    (a spawn-safe process pool of the campaign's own: the backend ships
+    to each worker once, true multicore scaling applies, and the pool
+    is joined before the campaign returns), or
     ``"auto"`` (default), which probes CPU count, backend picklability
     and per-batch cost, and falls back to serial with a logged reason
     instead of crashing.
@@ -658,7 +659,7 @@ def executed(backend: InjectionBackend, plan: CampaignPlan,
                         index += 1
             except (ChunkTimeout, BrokenProcessPool, OSError) as exc:
                 # the executor failed, not a chunk: its pool is already
-                # evicted (a hung task may never return, a broken pool
+                # down (a hung task may never return, a broken pool
                 # never heals); retry the chunk it died on in the parent
                 error = f"{type(exc).__name__}: {exc}"
                 _step_down("process", index, (

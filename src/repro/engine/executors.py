@@ -5,19 +5,12 @@ list of point chunks; this module owns *how* those chunks execute:
 
 * ``serial``  — in the calling thread, chunk by chunk (each against
   ``chunk_timeout`` when one is set);
-* ``process`` — a spawn-safe ``ProcessPoolExecutor``.  The backend and
-  the chunk list are pickled **once** per campaign; workers call
-  ``prepare()`` themselves (golden runs and caches are rebuilt per
-  process, never pickled), and tasks are just chunk indices.  True
-  multicore scaling for CPU-bound backends.  The pool itself is
-  **persistent**: it lives in a module-level registry keyed by worker
-  count and is reused across campaigns, so sweep-style callers
-  (``compare_configurations``, ``encoding_style_study``) pay interpreter
-  spawn and module imports once.  Each campaign's payload is written to
-  a temp file and lazily loaded by every worker on its first task of
-  that campaign (a token guards the worker-side cache), because a
-  long-lived pool cannot re-run initializers.  ``shutdown_pools()``
-  tears the registry down (also registered at exit);
+* ``process`` — a spawn-safe ``ProcessPoolExecutor`` of the campaign's
+  own, joined when the rung ends.  The backend and the chunk list are
+  pickled **once** into a temp file each worker loads on its first task
+  and calls ``prepare()`` itself (golden runs and caches are rebuilt
+  per process, never pickled); tasks are just chunk indices.  True
+  multicore scaling for CPU-bound backends;
 * ``auto``    — probes the campaign (visible CPUs, backend picklability,
   per-batch cost measured on the first chunk) and picks the process
   pool when it can pay off, logging the reason instead of crashing when
@@ -28,20 +21,19 @@ chunk strictly in chunk-index order from ``start``, each chunk run with
 its own RNG stream derived from ``(campaign seed, chunk index)``.  A
 **chunk failure** (the backend raised; an in-process chunk overran its
 deadline) is a *value*: the exception instance, yielded in the chunk's
-slot — the rung goes on, and the pool keeps its window, its payload
-file and its workers' prepared state.  An **executor failure**
+slot — the rung goes on, and the pool keeps its window and its
+workers' prepared state.  An **executor failure**
 (:class:`ChunkTimeout` from the pool, ``BrokenProcessPool``,
 ``OSError``) is *raised* and ends the rung.  The consumer accounts
 results in its own frame — its errors are never mistaken for a pool
 failure — and stops by closing the generator, whose ``finally`` cancels
-all queued chunks and waits out in-flight ones: speculative batches
-past the stop point are never accounted.
+all queued chunks, waits out in-flight ones and joins the pool:
+speculative batches past the stop point are never accounted, and no
+worker but a hung one outlives the campaign.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import logging
 import multiprocessing
 import os
@@ -282,12 +274,11 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
     any error here — queued chunks are cancelled and in-flight ones are
     waited out (their errors aggregated into one log line), so no
     speculative batch is yielded or left running in the background; the
-    pool itself stays alive for the next campaign.
+    caller then joins the idle pool.
 
     With a ``timeout``, a chunk whose result is overdue raises
     :class:`ChunkTimeout`; the hung task cannot be waited out, so the
-    pool is shut down without waiting (the caller evicts it from the
-    registry) and never drained.
+    pool is shut down without waiting and never drained.
     """
     futures: deque = deque()
     next_chunk = start
@@ -327,43 +318,35 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
 # ----------------------------------------------------------------------
 # process pool: backend + chunks ship once per worker per campaign
 # ----------------------------------------------------------------------
-# Persistent pools: one spawn pool per worker count, reused across
-# campaigns.  A long-lived pool cannot re-run its initializer, so each
-# campaign's payload is parked in a temp file and every worker loads it
-# lazily on its first task of that campaign; ``_campaign_state`` caches
-# exactly one campaign per worker (tokens are monotonically increasing,
-# so a stale cache is simply replaced).  The parent deletes the file
-# only after every future of the campaign has completed or been
-# cancelled, so no worker can read past the unlink.
-_pool_registry: dict[int, ProcessPoolExecutor] = {}
-_campaign_tokens = itertools.count(1)
-_campaign_state: tuple | None = None  # worker-side: (token, backend, ...)
+# The initializer gets the payload's path, not its bytes: a spawn child
+# reads initargs off a pipe only once its interpreter is up, so a
+# payload past the pipe buffer would block the parent per worker spawn.
+# ``prepare()`` runs on the first task, not in the initializer, so its
+# failure is that chunk's (a value), not a broken pool.
+_payload_path = ""  # worker-side: set by the pool initializer
+_campaign: tuple | None = None  # worker-side: (backend, chunks, seeds)
 
 
-def persistent_pool(workers: int) -> ProcessPoolExecutor:
-    """The registry pool for ``workers``, spawned on first use."""
-    pool = _pool_registry.get(workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"))
-        _pool_registry[workers] = pool
-    return pool
+def _worker_init(path: str) -> None:
+    global _payload_path
+    _payload_path = path
 
 
-def _discard_pool(workers: int) -> None:
-    pool = _pool_registry.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+def _worker_run(index: int) -> tuple[int, list]:
+    global _campaign
+    if _campaign is None:
+        with open(_payload_path, "rb") as fh:
+            backend, chunks, seeds = pickle.load(fh)
+        backend.prepare()  # once per worker; a raise fails this chunk
+        _campaign = (backend, chunks, seeds)
+    backend, chunks, seeds = _campaign
+    return index, execute_chunk(backend, chunks[index], seeds[index])
 
 
 def shutdown_pools() -> None:
-    """Tear down every persistent pool (tests, benchmarks, atexit) and
-    sweep chaos scratch directories (attempt-marker files) with them."""
-    pools = list(_pool_registry.values())
-    _pool_registry.clear()
-    for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
+    """Sweep chaos scratch directories (attempt-marker files).  No pool
+    outlives its campaign, so there is none left to tear down; the name
+    stays for callers that tidy up between campaigns."""
     # Lazy on purpose: chaos is a test/CI tool and must not become
     # worker-import baggage — only sweep if it was ever imported.
     chaos = sys.modules.get("repro.engine.chaos")
@@ -371,53 +354,29 @@ def shutdown_pools() -> None:
         chaos.cleanup_scratch()
 
 
-atexit.register(shutdown_pools)
-
-
-def _persistent_worker_run(token: int, path: str,
-                           index: int) -> tuple[int, list]:
-    global _campaign_state
-    if _campaign_state is None or _campaign_state[0] != token:
-        _campaign_state = None  # free the stale campaign before loading
-        with open(path, "rb") as fh:
-            backend, chunks, seeds = pickle.load(fh)
-        backend.prepare()  # once per worker per campaign, as before
-        _campaign_state = (token, backend, chunks, seeds)
-    _, backend, chunks, seeds = _campaign_state
-    return index, execute_chunk(backend, chunks[index], seeds[index])
-
-
-def _persistent_worker_release(token: int) -> None:
-    """Drop the cached campaign if it is (at most) ``token``'s.
-
-    Tokens increase monotonically, so a worker that already loaded a
-    *newer* campaign must keep it; everything older is garbage."""
-    global _campaign_state
-    if _campaign_state is not None and _campaign_state[0] <= token:
-        _campaign_state = None
-
-
 def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
                 timeout: float | None = None) -> Iterator[Any]:
     """Chunks ``start..n_chunks`` of the pickled ``(backend, chunks,
-    seeds)`` in ``payload`` on the persistent pool, in index order (the
-    caller pickles, so that a pickling failure is not mistaken for a
-    pool failure) — one token, one payload file and one ``prepare()``
-    per worker per campaign, however many chunks fail."""
+    seeds)`` in ``payload`` on a spawn pool of this rung's own, in index
+    order (the caller pickles, so that a pickling failure is not
+    mistaken for a pool failure) — one ``prepare()`` per worker, however
+    many chunks fail.  The pool is joined when the rung ends, abandoned
+    only past a :class:`ChunkTimeout` (a hung worker never joins); the
+    payload file is deleted last."""
     n_workers = max(1, min(workers, n_chunks - start))
-    pool = persistent_pool(workers)
-    token = next(_campaign_tokens)
     fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
                                 suffix=".pkl")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
-
-        def submit(i: int):
-            return pool.submit(_persistent_worker_run, token, path, i)
-
-        results = _run_pool(pool, submit, n_chunks, _window(n_workers),
-                            start, timeout=timeout)
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_init, initargs=(path,))
+        results = _run_pool(pool, lambda i: pool.submit(_worker_run, i),
+                            n_chunks, _window(n_workers), start,
+                            timeout=timeout)
+        hung = False
         try:
             for expected, result in enumerate(results, start):
                 if not isinstance(result, Exception):
@@ -427,26 +386,15 @@ def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
                             f"chunk results out of order: got {index}, "
                             f"expected {expected}")
                 yield result
-        except (ChunkTimeout, BrokenProcessPool, OSError):
-            # a pool with a worker stuck on a hung task cannot be trusted
-            # (or waited on) and a broken one never heals: evict without
-            # waiting, so the next campaign spawns fresh (the engine's
-            # recovery ladder handles *this* campaign)
-            _discard_pool(workers)
+        except ChunkTimeout:
+            hung = True  # _run_pool already abandoned the pool
             raise
         finally:
-            results.close()  # the consumer stopped: drain before release
-            # best-effort memory release: idle workers would otherwise
-            # hold this campaign's backend + chunks until the next
-            # campaign reaches them.  Fire-and-forget; the shared queue
-            # does not guarantee every worker takes one, and a worker
-            # already on a newer campaign ignores it (token guard).
-            if _pool_registry.get(workers) is pool:
-                for _ in range(pool._max_workers):
-                    try:
-                        pool.submit(_persistent_worker_release, token)
-                    except RuntimeError:  # pragma: no cover - shutdown
-                        break
+            results.close()  # the consumer stopped: drain before the join
+            if not hung:
+                # joined, so no worker's teardown runs into whatever the
+                # caller does next (the next campaign's auto-probe timing)
+                pool.shutdown(wait=True)
     finally:
         try:
             os.unlink(path)

@@ -138,7 +138,10 @@ class RsnDiagnosisBackend:
     ``factory`` must be picklable for the process executor (a
     module-level function or ``functools.partial`` of one — not a
     lambda; unpicklable factories fall back to serial with a logged
-    reason).
+    reason).  A fault naming no node of its kind in ``factory()``, with
+    a mux branch or cell bit out of range or a stuck value not 0 / 1,
+    or of no RSN fault type raises ``ValueError`` at construction (run,
+    it would match nothing and read as ``undetected``, or wrap).
     """
 
     name = "rsn-diagnosis"
@@ -146,10 +149,35 @@ class RsnDiagnosisBackend:
 
     def __init__(self, factory: Callable[[], Any], faults: Sequence[Any],
                  test: Any) -> None:
-        self.factory = factory
+        from ..rsn.network import (CellStuck, Mux, MuxSelStuck, Reg, Sib,
+                                   SibStuck)
+
+        network = factory()
         self.faults = list(faults)
+        sites = {SibStuck: (Sib,), MuxSelStuck: (Mux,), CellStuck: (Reg, Sib)}
+        for fault in self.faults:
+            node = network.registry.get(getattr(fault, "name", None))
+            kinds = sites.get(type(fault))
+            length = getattr(node, "length", 1)  # a SIB is one cell
+            if kinds is None:
+                problem = f"is a {type(fault).__name__}, not an RSN fault"
+            elif not isinstance(node, kinds):
+                problem = "names no " + " or ".join(k.__name__ for k in kinds)
+            elif (isinstance(fault, MuxSelStuck)
+                    and not 0 <= fault.branch < len(node.branches)):
+                problem = (f"branch {fault.branch} is outside "
+                           f"range({len(node.branches)})")
+            elif isinstance(fault, CellStuck) and not 0 <= fault.bit < length:
+                problem = f"bit {fault.bit} is outside [0, {length})"
+            elif isinstance(fault, CellStuck) and fault.value not in (0, 1):
+                problem = f"value {fault.value!r} is not 0 or 1"
+            else:
+                continue
+            raise ValueError(f"RSN fault {fault!r} on {network.name}: "
+                             f"{problem}")
+        self.factory = factory
         self.test = test
-        self.circuit_name = factory().name
+        self.circuit_name = network.name
         self.workload = f"rsn-test[{test.name}]"
         self._golden: tuple[int, ...] | None = None
 
@@ -285,7 +313,9 @@ class ScaTraceBackend:
     batches are pure and trace values are identical on every executor.
     ``group`` labels the TVLA population (``fixed`` / ``random``) or
     plain ``collected`` traces; the ``(cycles, power)`` observables ride
-    in ``detail`` for CPA/TVLA to consume.
+    in ``detail`` for CPA/TVLA to consume.  A plaintext that is not one
+    16-byte block raises ``ValueError`` at construction (run, a longer
+    one is silently truncated, a shorter one raises in a worker).
     """
 
     name = "sca-trace"
@@ -293,8 +323,12 @@ class ScaTraceBackend:
 
     def __init__(self, cipher: Any, points: Sequence[tuple[int, str, bytes]],
                  seed: int = 0) -> None:
-        self.cipher = cipher
         self.points = list(points)
+        for index, _group, plaintext in self.points:
+            if len(plaintext) != 16:
+                raise ValueError(f"SCA trace {index}: plaintext of "
+                                 f"{len(plaintext)} bytes, not 16")
+        self.cipher = cipher
         self.seed = seed
         self.circuit_name = type(cipher).__name__
         self.workload = f"sca[{len(self.points)} traces]"

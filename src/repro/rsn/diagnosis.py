@@ -146,8 +146,9 @@ def _speculated_tables(
 
     A window of one runs a plain campaign; larger windows fuse every
     candidate into a single :class:`repro.engine.CompositeBackend`
-    campaign (one part per round), so the engine — and its persistent
-    worker pool — is entered once per window instead of once per round.
+    campaign (one part per round), so the engine — and, on the process
+    executor, its worker pool — is entered once per window instead of
+    once per round.
     """
     if len(speculated) == 1:
         round_idx, test = speculated[0]

@@ -345,20 +345,16 @@ class TestPpsfpFastPath:
         ({"state": {"st0": 1, "st_typo": 1}}, "st_typo"),
     ])
     def test_bad_batches_and_state_rejected_at_construction(self, kwargs,
-                                                            match):
+                                                            match, no_pool):
         # was: "negative shift count" inside a worker's prepare() (a
         # quarantined chunk), every fault undetected at width 0, a
         # TypeError in a worker, a misspelt flop simulated from reset
-        from repro.engine import executors, shutdown_pools
-
         circuit = load("rand_seq")
         faults, _ = collapse(circuit)
         batches = [(random_patterns(circuit.inputs, 8, seed=i), n)
                    for i, n in enumerate(kwargs.get("widths", [8]))]
-        shutdown_pools()
         with pytest.raises(ValueError, match=match):
             PpsfpBackend(circuit, faults, batches, state=kwargs.get("state"))
-        assert not executors._pool_registry  # raised before any pool
 
 
 # ----------------------------------------------------------------------

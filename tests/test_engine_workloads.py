@@ -20,6 +20,7 @@ from repro.engine import (
     SKIP_DEAD_FLOP,
     SKIP_NO_ACTIVATION,
     SKIP_NO_PATH,
+    CompositeBackend,
     EarlyStop,
     EngineConfig,
     GpgpuSeuBackend,
@@ -41,9 +42,16 @@ from repro.gpgpu import (
 )
 from repro.gpgpu.apps import _run as run_simt_kernel
 from repro.rsn import (
+    CellStuck,
+    Mux,
+    MuxSelStuck,
+    Reg,
+    Segment,
+    SibStuck,
     all_rsn_faults,
     apply_test,
     build_signature_table,
+    chain,
     compact_test,
     coverage,
     sib_tree,
@@ -581,15 +589,11 @@ _BAD_STUCK_AT = {
 
 
 @pytest.mark.parametrize("case", _BAD_STUCK_AT)
-def test_stuck_at_inputs_off_the_circuit_are_rejected(case):
+def test_stuck_at_inputs_off_the_circuit_are_rejected(case, no_pool):
     # read as constant 0, a misspelt site or output group would be
     # classified (undetected / masked / safe) instead of reported
-    from repro.engine import executors, shutdown_pools
-
-    shutdown_pools()
     with pytest.raises(ValueError, match="not (on lines|nets) of"):
         _BAD_STUCK_AT[case](_stuck_at_setup())
-    assert not executors._pool_registry  # raised before any pool
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -599,22 +603,18 @@ def test_stuck_at_inputs_off_the_circuit_are_rejected(case):
     ({"jitter_um": float("inf")}, "jitter_um"),
     ({"technology": "7nm"}, "upset threshold"),
 ])
-def test_bad_laser_arguments_rejected_before_any_pool(bad, match):
+def test_bad_laser_arguments_rejected_before_any_pool(bad, match, no_pool):
     # was: every shot a ``miss`` for an unknown target, a KeyError inside
     # a worker for an unknown node
-    from repro.engine import executors, shutdown_pools
-
     plan = Floorplan.grid("130nm", [f"sec{i}" for i in range(16)])
     plan = Floorplan(bad.get("technology", plan.technology), plan.cells)
     shots = [LaserShot(plan.cells[5].x_um, plan.cells[5].y_um,
                        MIN_SPOT_UM, 1.5) for _ in range(8)]
-    shutdown_pools()
     with pytest.raises(ValueError, match=match):
         run_campaign(
             LaserFiBackend(plan, shots, target=bad.get("target", "sec5"),
                            jitter_um=bad.get("jitter_um", 0.15)),
             EngineConfig(workers=2, executor="process"))
-    assert not executors._pool_registry  # raised before any pool
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -626,22 +626,19 @@ def test_bad_laser_arguments_rejected_before_any_pool(bad, match):
     ({"kind": "ram", "ram_offset": 1 << 20}, "ram_offset"),
     ({"cycle": -5}, "cycle -5"),
 ])
-def test_bad_soc_injections_rejected_before_any_pool(bad, match):
+def test_bad_soc_injections_rejected_before_any_pool(bad, match, no_pool):
     # was: an unknown kind ran as a RAM flip, a bit wrapped modulo 32, a
     # negative RAM offset flipped a word at the end of RAM, and an
     # unknown unit or a large offset raised inside a worker
     from repro.autosoc import APPLICATIONS, SocConfig, SocInjection
     from repro.autosoc import run_campaign as run_soc_campaign
-    from repro.engine import executors, shutdown_pools
 
     fields = {"kind": "cpu", "unit": "alu", "bit": 3, "cycle": 10, **bad}
     injections = [SocInjection("cpu", unit="alu", bit=1, cycle=5),
                   SocInjection(**fields)]
-    shutdown_pools()
     with pytest.raises(ValueError, match=match):
         run_soc_campaign(APPLICATIONS["fibonacci"], SocConfig.LOCKSTEP, injections,
                          workers=2, executor="process")
-    assert not executors._pool_registry  # raised before any pool
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -651,17 +648,71 @@ def test_bad_soc_injections_rejected_before_any_pool(bad, match):
     ({"state": {"st0": 1, "st_typo": 1}}, "st_typo"),
 ])
 def test_bad_safety_patterns_and_state_rejected_before_any_pool(kwargs,
-                                                                match):
+                                                                match,
+                                                                no_pool):
     # was: every fault ``safe`` at 0 patterns, "negative shift count"
     # at -3, a TypeError at 8.0, a misspelt flop simulated from reset
-    from repro.engine import executors, shutdown_pools
-
     s = _stuck_at_setup()
-    shutdown_pools()
     with pytest.raises(ValueError, match=match):
         run_safety_campaign(s["circuit"], s["faults"], s["outs"][:1],
                             s["outs"][1:], s["patterns"],
                             kwargs.get("n_patterns", 8),
                             state=kwargs.get("state"), workers=2,
                             executor="process")
-    assert not executors._pool_registry  # raised before any pool
+
+
+def _muxed():
+    """A scan mux of two branches, steered by a one-bit control TDR."""
+    return chain("muxed", Reg("c", 1),
+                 Mux("m1", "c", [Segment([Reg("a", 4)]),
+                                 Segment([Reg("b", 4)])]))
+
+
+def _rsn_with(fault, factory=TREE):
+    return RsnDiagnosisBackend(factory, [fault], compact_test(factory))
+
+
+def _sca_with(plaintext):
+    return ScaTraceBackend(AesLeaky(KEY), [(0, "collected", bytes(16)),
+                                           (1, "collected", plaintext)])
+
+
+_PREFLIGHT = {
+    "rsn-sib-unknown": (lambda: _rsn_with(SibStuck("s99", True)),
+                        "names no Sib"),
+    "rsn-sib-on-a-reg": (lambda: _rsn_with(SibStuck("r1", False)),
+                         "names no Sib"),
+    "rsn-mux-unknown": (lambda: _rsn_with(MuxSelStuck("s1", 0)),
+                        "names no Mux"),
+    "rsn-mux-branch-2": (lambda: _rsn_with(MuxSelStuck("m1", 2), _muxed),
+                         r"branch 2 is outside range\(2\)"),
+    "rsn-mux-branch-neg": (lambda: _rsn_with(MuxSelStuck("m1", -1), _muxed),
+                           r"branch -1 is outside"),
+    "rsn-cell-unknown": (lambda: _rsn_with(CellStuck("r99", 0, 1)),
+                         "names no Reg or Sib"),
+    "rsn-cell-reg-bit": (lambda: _rsn_with(CellStuck("r1", 4, 1)),
+                         r"bit 4 is outside \[0, 4\)"),
+    "rsn-cell-sib-bit": (lambda: _rsn_with(CellStuck("s1", 1, 0)),
+                         r"bit 1 is outside \[0, 1\)"),
+    "rsn-cell-value": (lambda: _rsn_with(CellStuck("r1", 0, 2)),
+                       "value 2 is not 0 or 1"),
+    "rsn-other-type": (lambda: _rsn_with("s1"), "is a str, not an RSN fault"),
+    "sca-17-bytes": (lambda: _sca_with(bytes(17)), "17 bytes"),
+    "sca-15-bytes": (lambda: _sca_with(bytes(15)), "15 bytes"),
+    "composite-empty": (lambda: CompositeBackend([]), "at least one part"),
+    "composite-duplicate-tag": (
+        lambda: CompositeBackend([("a", _rsn_backend()),
+                                  ("a", _rsn_backend())]), "unique"),
+}
+
+
+@pytest.mark.parametrize("case", _PREFLIGHT)
+def test_bad_rsn_sca_and_composite_inputs_rejected_before_any_pool(case,
+                                                                    no_pool):
+    # was: an unknown RSN name matched nothing and read as ``undetected``,
+    # a mux branch wrapped modulo the branch count, a 17-byte plaintext
+    # was encrypted as its first 16 bytes and a 15-byte one raised in a
+    # worker (a quarantined chunk)
+    make, match = _PREFLIGHT[case]
+    with pytest.raises(ValueError, match=match):
+        run_campaign(make(), EngineConfig(workers=2, executor="process"))

@@ -67,13 +67,17 @@ def test_engine_and_service_import_lean():
 
 
 def test_spawned_worker_runs_int_carrier_backends_without_numpy():
-    # the real pool path: payload unpickled, prepare(), chunks run in a
-    # spawn worker; then the same worker reports what it has imported
+    # the real worker path: payload file unpickled, prepare(), chunks
+    # run in a spawn worker — on a pool of the test's own, so that the
+    # same worker can then report what it has imported
     result = _fresh("""
-import json
+import json, pickle, tempfile
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from repro.circuit.library import random_combinational, random_sequential
 from repro.engine import (EngineConfig, PpsfpBackend, SeuBackend,
                           SlicingBackend, executors, run_campaign)
+from repro.engine.core import plan_campaign
 from repro.faults.universe import collapse
 from repro.sim.logic import random_patterns
 from repro.soft_error.seu import random_workload
@@ -90,9 +94,18 @@ backends = [
 config = EngineConfig(executor="process", workers=1)
 executors_used = [run_campaign(b, config).executor for b in backends]
 probe = "sorted(__import__('sys').modules)"
-modules = executors.persistent_pool(1).submit(eval, probe).result()
-executors.shutdown_pools()
-print(json.dumps([executors_used, modules]))
+modules = set()
+for backend in backends:
+    plan = plan_campaign(backend, config)
+    with tempfile.NamedTemporaryFile(suffix=".pkl") as fh:
+        pickle.dump((backend, plan.chunks, plan.seeds), fh)
+        fh.flush()
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn"),
+                                 initializer=executors._worker_init,
+                                 initargs=(fh.name,)) as pool:
+            list(pool.map(executors._worker_run, range(len(plan.chunks))))
+            modules.update(pool.submit(eval, probe).result())
+print(json.dumps([executors_used, sorted(modules)]))
 """)
     executors_used, modules = result
     assert executors_used == ["process"] * 3

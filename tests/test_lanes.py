@@ -1,5 +1,6 @@
 """Tests for lane-packed injection simulation (`repro.engine.lanes`),
-the persistent worker pool, and the round-batching facades.
+the process pool's per-campaign lifetime, and the round-batching
+facades.
 
 The load-bearing property is *lane exactness*: packed campaigns must
 produce byte-identical outcome multisets to the per-point path at every
@@ -8,12 +9,16 @@ the SoA carrier — on every executor, with and without the point-filter
 stage.
 """
 
+import glob
 import json
 import logging
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -29,9 +34,7 @@ from repro.engine import (
     SeuBackend,
     SlicingBackend,
     run_campaign,
-    shutdown_pools,
 )
-from repro.engine import executors as executors_mod
 from repro.engine import lanes
 from repro.engine.workloads import GpgpuSeuBackend
 from repro.faults import collapse
@@ -87,7 +90,6 @@ class TestSeuLanes:
             SeuBackend(circuit.copy(), workload, lane_width=64),
             EngineConfig(batch_size=16, workers=2, executor=executor))
         assert _rows(other) == _rows(serial)
-        shutdown_pools()
 
     def test_packed_matches_per_point_with_dead_flop_filter(self, seq_setup):
         circuit, workload = seq_setup
@@ -149,20 +151,18 @@ class TestSeuLanes:
 
     @pytest.mark.parametrize("width", (1, 64))
     def test_unknown_target_flop_rejected_at_construction(self, seq_setup,
-                                                          width):
+                                                          width, no_pool):
         # was: KeyError in run_batch -> retries -> the whole chunk
         # quarantined, valid st0 points included, campaign "succeeds"
         from repro.soft_error.seu import run_campaign as seu_campaign
 
         circuit, workload = seq_setup
-        shutdown_pools()
         with pytest.raises(ValueError, match="nope"):
             SeuBackend(circuit.copy(), workload, targets=["st0", "nope"],
                        lane_width=width)
         with pytest.raises(ValueError, match="nope"):
             seu_campaign(circuit.copy(), workload, targets=["st0", "nope"],
                          lane_width=width, workers=2, executor="process")
-        assert not executors_mod._pool_registry  # nothing was spawned
         # the valid subset still runs, and only it
         report = run_campaign(
             SeuBackend(circuit.copy(), workload, targets=["st0"],
@@ -268,7 +268,6 @@ class TestVectorLanes:
             SeuBackend(circuit.copy(), workload, lane_width=256),
             EngineConfig(batch_size=64, workers=2, executor=executor))
         assert _rows(other) == _rows(serial)
-        shutdown_pools()
 
     def test_degrades_to_64_without_numpy(self, seq_setup, monkeypatch,
                                           caplog):
@@ -438,21 +437,21 @@ class TestBackingResolver:
 
 class TestBackingValidatedAtConstruction:
     """A bad ``lane_backing`` must fail where it is given: ``prepare()``
-    runs in the worker initializer, where the same error is a broken
-    pool and a trip down the recovery ladder."""
+    runs in each worker on its first task, where the same error is a
+    failed chunk and reaches the caller only through the parent's
+    retry, after a pool was spawned for nothing."""
 
-    def test_backends_reject_unknown_backing_without_a_pool(self, seq_setup):
+    def test_backends_reject_unknown_backing_without_a_pool(self, seq_setup,
+                                                            no_pool):
         circuit, workload = seq_setup
         faults, _ = collapse(circuit)
-        shutdown_pools()
         with pytest.raises(ValueError, match="backing"):
             SeuBackend(circuit.copy(), workload, lane_backing="bogus")
         with pytest.raises(ValueError, match="backing"):
             SlicingBackend(circuit.copy(), faults[:4], workload,
                            lane_backing="ndarray")
-        assert not executors_mod._pool_registry  # nothing was spawned
 
-    def test_facades_reject_unknown_backing(self, seq_setup):
+    def test_facades_reject_unknown_backing(self, seq_setup, no_pool):
         from repro.safety.slicing import run_sliced_campaign
         from repro.soft_error.seu import run_campaign as seu_campaign
 
@@ -465,7 +464,6 @@ class TestBackingValidatedAtConstruction:
             run_sliced_campaign(circuit.copy(), faults[:4], workload,
                                 workers=2, executor="process",
                                 lane_backing="bogus")
-        assert not executors_mod._pool_registry
 
 
 # ----------------------------------------------------------------------
@@ -781,7 +779,6 @@ class TestSlicingLanes:
             SlicingBackend(circuit.copy(), faults, workload, lane_width=64),
             EngineConfig(batch_size=32, workers=2, executor=executor))
         assert _rows(other) == _rows(serial)
-        shutdown_pools()
 
     def test_facades_still_lossless_with_lanes(self, slicing_setup):
         from repro.safety.slicing import (run_naive_campaign,
@@ -859,13 +856,13 @@ class TestGpgpuForking:
         {"warp": 99}, {"lane": 99}, {"bit": 99}, {"bit": -1},
         {"at_issue": -4}],
         ids=("warp=99", "lane=99", "bit=99", "bit=-1", "at_issue=-4"))
-    def test_out_of_range_transients_rejected_without_a_pool(self, bad):
+    def test_out_of_range_transients_rejected_without_a_pool(self, bad,
+                                                             no_pool):
         # a transient that never fires used to come back as one masked row
         from repro.gpgpu import PipeRegFault, vector_add_kernel
 
         fault = PipeRegFault(**{"warp": 0, "lane": 0, "bit": 0,
                                 "at_issue": 0, **bad})
-        shutdown_pools()
         for width in (1, 64):
             with pytest.raises(ValueError, match="outside"):
                 run_campaign(
@@ -873,7 +870,6 @@ class TestGpgpuForking:
                                     [fault], n_warps=2, warp_size=8,
                                     lane_width=width),
                     EngineConfig(workers=2, executor="process"))
-        assert not executors_mod._pool_registry  # nothing was spawned
 
     @pytest.mark.parametrize("width", (0, -5))
     def test_lane_width_below_one_rejected(self, width):
@@ -885,53 +881,49 @@ class TestGpgpuForking:
 
 
 # ----------------------------------------------------------------------
-# persistent worker pool
+# the process pool lives for one campaign
 # ----------------------------------------------------------------------
-class TestPersistentPool:
-    def test_pool_reused_across_campaigns_with_identical_results(self):
-        shutdown_pools()
-        circuit = load("rand_seq")
-        workload = random_workload(circuit, 8, seed=7)
+def _payload_files():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                      "repro-engine-payload-*")))
 
-        def campaign(executor):
-            return run_campaign(
-                SeuBackend(circuit.copy(), workload, lane_width=1),
-                EngineConfig(batch_size=8, workers=2, executor=executor))
 
-        serial = campaign("serial")
-        assert not executors_mod._pool_registry  # serial spawns nothing
-        first = campaign("process")
-        pool = executors_mod._pool_registry.get(2)
-        assert pool is not None
-        second = campaign("process")
-        assert executors_mod._pool_registry.get(2) is pool  # reused
-        assert _rows(serial) == _rows(first) == _rows(second)
-        shutdown_pools()
-        assert not executors_mod._pool_registry
+class TestPoolLifetime:
+    @pytest.mark.parametrize("ending", ("full", "early-stop", "die"))
+    def test_pool_ends_with_its_campaign(self, ending):
+        """Completed, early-stopped or broken (a worker died: the pool
+        breaks and the serial rung finishes), the campaign returns the
+        serial run's rows with its pool joined and its payload file
+        gone."""
+        from repro.engine import ChaosBackend, ChaosFault, EarlyStop
 
-    def test_early_stop_drains_without_killing_pool(self):
-        from repro.engine import EarlyStop
-
-        shutdown_pools()
         circuit = load("rand_seq")
         workload = random_workload(circuit, 20, seed=7)
-        report = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(batch_size=4, workers=2, executor="process",
-                         shuffle=True, seed=5,
-                         early_stop=EarlyStop(outcome="failure", margin=0.12,
-                                              min_injections=12)))
-        assert report.converged
-        assert 2 in executors_mod._pool_registry  # survived the early stop
-        # and the surviving pool still runs full campaigns correctly
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(batch_size=8, executor="serial"))
-        pooled = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(batch_size=8, workers=2, executor="process"))
-        assert _rows(pooled) == _rows(serial)
-        shutdown_pools()
+        config = EngineConfig(batch_size=8, workers=2, retry_backoff_s=0.001)
+        if ending == "early-stop":
+            config = replace(config, batch_size=4, shuffle=True, seed=5,
+                             early_stop=EarlyStop(outcome="failure",
+                                                  margin=0.12,
+                                                  min_injections=12))
+
+        def backend():
+            return SeuBackend(circuit.copy(), workload, lane_width=1)
+
+        serial = run_campaign(backend(), replace(config, executor="serial"))
+        pooled = backend()
+        if ending == "die":
+            point = list(pooled.enumerate_points())[20]
+            pooled = ChaosBackend(pooled, [ChaosFault(point, "die")])
+        # workers an earlier test abandoned on a hung chunk may still run
+        children = set(multiprocessing.active_children())
+        payloads = _payload_files()
+        report = run_campaign(pooled, replace(config, executor="process"))
+        assert set(multiprocessing.active_children()) <= children
+        assert _payload_files() <= payloads
+        assert _rows(report) == _rows(serial)
+        assert report.executor == ("serial" if ending == "die"
+                                   else "process")
+        assert report.converged == (ending == "early-stop")
 
 
 # ----------------------------------------------------------------------

@@ -536,7 +536,6 @@ class TestRetryAndQuarantine:
             r"engine: process executor failing; falling back to serial "
             r"from chunk [012] \(process pool failed \(BrokenProcessPool",
             fallbacks[0])
-        assert 2 not in executors._pool_registry  # broken pool evicted
 
     def test_hung_chunk_times_out_and_recovers(self, caplog):
         reference = run_campaign(
@@ -813,13 +812,10 @@ class TestDrainAggregation:
         # accounting runs in the consumer's frame, between two next()
         # calls: its errors never pass through the executor, so they
         # cannot be mistaken for a pool failure — and the pool is still
-        # drained (nothing in flight, no thread left) when they surface
+        # drained and joined (nothing in flight, not even the pool's own
+        # threads left) when they surface
         config = EngineConfig(batch_size=8, executor=executor, workers=2,
                               max_chunk_retries=5, retry_backoff_s=0.001)
-        if executor == "process":
-            # the persistent pool's own threads start with its first
-            # task and outlive the campaign: start them before counting
-            executors.persistent_pool(2).submit(int).result()
         before = threading.active_count()
         hook, seen = _abort_after(2)
         with pytest.raises(AbortCampaign):

@@ -418,16 +418,13 @@ def _broken_setup() -> BrokenSetup:
 class TestSetupFailure:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_engine_raises_it_on_every_executor(self, executor):
-        # (on the persistent process pool the worker-side raise used to
-        # be retried and quarantined chunk by chunk into a "successful"
-        # report of zero executed points)
+        # (on the process pool the worker-side raise used to be retried
+        # and quarantined chunk by chunk into a "successful" report of
+        # zero executed points)
         config = _config(executor=executor, workers=2,
                          max_chunk_retries=1, retry_backoff_s=0.001)
-        try:
-            with pytest.raises(ValueError, match="golden run unavailable"):
-                run_campaign(_broken_setup(), config)
-        finally:
-            executors.shutdown_pools()
+        with pytest.raises(ValueError, match="golden run unavailable"):
+            run_campaign(_broken_setup(), config)
 
     def test_service_fails_the_job_and_the_worker_lives(self, tmp_path):
         db_path = tmp_path / "s.sqlite"

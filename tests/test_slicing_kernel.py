@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import levelize
 from repro.circuit.library import random_sequential
-from repro.engine import (EngineConfig, SlicingBackend, executors,
-                          run_campaign, shutdown_pools)
+from repro.engine import EngineConfig, SlicingBackend, run_campaign
 from repro.engine.lanes import lane_groups
 from repro.engine.workloads import SKIP_NO_ACTIVATION, SKIP_NO_PATH
 from repro.faults.models import Line, StuckAtFault
@@ -249,14 +248,12 @@ class TestCyclesOutsideTheWorkload:
         SlicingBackend(circuit, faults, workload, cycles=[N_CYCLES - 1],
                        use_filter=use_filter, lane_width=lane_width)
 
-    def test_facade_raises_before_running_anything(self):
+    def test_facade_raises_before_running_anything(self, no_pool):
         circuit, _kinds, faults, workload = _setup(seed=5)
-        shutdown_pools()
         with pytest.raises(ValueError, match="cycles outside"):
             run_sliced_campaign(circuit, faults, workload,
                                 cycles=[N_CYCLES], workers=2,
                                 executor="process")
-        assert not executors._pool_registry  # nothing was spawned
 
     def test_packed_run_batch_never_reads_past_the_golden_words(self):
         """Points handed straight to ``run_batch`` bypass the

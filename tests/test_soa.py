@@ -24,7 +24,6 @@ from repro.engine import (
     SeuBackend,
     SlicingBackend,
     run_campaign,
-    shutdown_pools,
 )
 from repro.engine import lanes
 from repro.faults import collapse
@@ -242,7 +241,6 @@ class TestSoaLanes:
                        lane_backing="soa"),
             EngineConfig(batch_size=64, workers=2, executor="process"))
         assert self._rows(shipped) == self._rows(serial)
-        shutdown_pools()
 
     def test_soa_falls_back_under_no_compile(self, seq_setup):
         circuit, workload = seq_setup
