@@ -120,9 +120,8 @@ class PpsfpBackend:
         for fault in points:
             acc = _batched_detection(self.circuit, fault, self._windows,
                                      self.drop_detected)
-            out.append(Injection(
-                point=fault, location=fault.describe(), cycle=0,
-                outcome=DETECTED if acc else UNDETECTED, detail=acc))
+            out.append(Injection(fault, fault.describe(), 0,
+                                 DETECTED if acc else UNDETECTED, acc))
         return out
 
 
@@ -231,13 +230,13 @@ class SeuBackend:
             return dead[flop]
 
         kept, skipped = [], []
-        for flop, cyc in points:
+        for point in points:
+            flop, cyc = point
             if is_dead(flop):
-                skipped.append(Injection(point=(flop, cyc), location=flop,
-                                         cycle=cyc, outcome="masked",
-                                         detail=SKIP_DEAD_FLOP))
+                skipped.append(Injection(point, flop, cyc, "masked",
+                                         SKIP_DEAD_FLOP))
             else:
-                kept.append((flop, cyc))
+                kept.append(point)
         return kept, skipped
 
     def prepare(self) -> None:
@@ -264,11 +263,11 @@ class SeuBackend:
         if self.lane_width > 1:
             return self._run_batch_packed(points)
         out: list[Injection] = []
-        for flop, cyc in points:
+        for point in points:
+            flop, cyc = point
             outcome = inject_seu(self.circuit, self.stimuli, flop, cyc,
                                  self._golden)
-            out.append(Injection(point=(flop, cyc), location=flop,
-                                 cycle=cyc, outcome=outcome))
+            out.append(Injection(point, flop, cyc, outcome))
         return out
 
     def _run_batch_packed(self, points: Sequence[tuple[str, int]]
@@ -278,9 +277,8 @@ class SeuBackend:
         outcomes = lanes.packed_dispatch(
             points, self.lane_width, lambda p: p[1],
             lambda group: lanes.seu_outcomes(self._lane_ctx, group))
-        return [Injection(point=(flop, cyc), location=flop, cycle=cyc,
-                          outcome=outcomes[i])
-                for i, (flop, cyc) in enumerate(points)]
+        return [Injection(point, point[0], point[1], outcome)
+                for point, outcome in zip(points, outcomes)]
 
 
 class SafetyBackend:
@@ -359,8 +357,7 @@ class SafetyBackend:
             cls = classify_injection_values(
                 self._good, bad, self._mask,
                 self.mission_outputs, self.detection_outputs)
-            out.append(Injection(point=fault, location=fault.describe(),
-                                 cycle=0, outcome=cls.value))
+            out.append(Injection(fault, fault.describe(), 0, cls.value))
         return out
 
 

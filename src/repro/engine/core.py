@@ -49,7 +49,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Iterator, Protocol, Sequence,
+from typing import (Any, Callable, Iterator, NamedTuple, Protocol, Sequence,
                     runtime_checkable)
 
 from ..core.campaign import CampaignDb
@@ -62,14 +62,21 @@ from .executors import (EXECUTOR_CHOICES, ChunkTimeout, ExecutorPlan,
 log = logging.getLogger("repro.engine")
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     """One executed injection: where, when, and how it ended.
 
     ``point`` is the backend-specific injection point (opaque to the
     engine); ``detail`` carries backend extras (detection masks, latency)
     that are not persisted to the database — and so not restored:
     a chunk replayed from a checkpoint has ``detail=None``.
+
+    A record is one immutable tuple with no ``__dict__``: a campaign
+    builds one per point and keeps them all, so what a record costs to
+    build and how many GC-tracked objects it adds is the engine's
+    per-point bookkeeping.  Backends build records positionally and
+    reuse the point object they were handed.  The trade-off: a record
+    compares equal to the plain tuple of its fields, and orders and
+    iterates like one.
     """
 
     point: Any
@@ -143,6 +150,20 @@ class EarlyStop:
     margin: float = 0.02
     confidence: float = 0.95
     min_injections: int = 50
+
+    def __post_init__(self) -> None:
+        # rejected here, not on the first convergence check: confidence 1
+        # raises only after a chunk was checkpointed, confidence 0 would
+        # converge on a zero-width interval, margin <= 0 never converges
+        if not 0 < self.confidence < 1:
+            raise ValueError(f"early-stop confidence must lie in (0, 1), "
+                             f"got {self.confidence!r}")
+        if not self.margin > 0:
+            raise ValueError(f"early-stop margin must be > 0, "
+                             f"got {self.margin!r}")
+        if self.min_injections < 0:
+            raise ValueError(f"early-stop min_injections must be >= 0, "
+                             f"got {self.min_injections!r}")
 
 
 @dataclass(frozen=True)
@@ -835,8 +856,9 @@ class CampaignFold:
                     f"campaign {report.campaign_id} checkpointed {len(batch)} "
                     f"rows for chunk {event.index} of {len(chunk)} points; "
                     "the database does not match this campaign")
-            batch = [Injection(point, *row)
-                     for point, row in zip(chunk, batch)]
+            batch = [Injection(point, location, cycle, outcome)
+                     for point, (location, cycle, outcome)
+                     in zip(chunk, batch)]
         report.injections.extend(batch)
         rule.add([inj.outcome for inj in batch])
         if self.on_chunk is not None:

@@ -115,9 +115,8 @@ class SocBackend:
                 location = f"cpu:{injection.unit}.bit{injection.bit}"
             else:
                 location = f"ram:{injection.ram_offset}.bit{injection.bit}"
-            out.append(Injection(point=injection, location=location,
-                                 cycle=injection.cycle, outcome=outcome,
-                                 detail=latency))
+            out.append(Injection(injection, location, injection.cycle,
+                                 outcome, latency))
         return out
 
 
@@ -213,8 +212,8 @@ class RsnDiagnosisBackend:
             signature = self._signature(fault)
             outcome = (DETECTED if signature != self._golden
                        else UNDETECTED)
-            out.append(Injection(point=fault, location=fault.describe(),
-                                 cycle=0, outcome=outcome, detail=signature))
+            out.append(Injection(fault, fault.describe(), 0, outcome,
+                                 signature))
         return out
 
 
@@ -294,9 +293,8 @@ class LaserFiBackend:
                     outcome = "single_bit" if outcome_obj.single_bit \
                         else "multi_bit"
             out.append(Injection(
-                point=(index, shot),
-                location=f"({shot.x_um:.2f},{shot.y_um:.2f})um",
-                cycle=index, outcome=outcome, detail=list(flipped)))
+                (index, shot), f"({shot.x_um:.2f},{shot.y_um:.2f})um",
+                index, outcome, list(flipped)))
         return out
 
 
@@ -348,9 +346,8 @@ class ScaTraceBackend:
                       if fork is not None else self.cipher)
             _ct, trace = cipher.encrypt(plaintext)
             out.append(Injection(
-                point=(index, group, plaintext), location=f"trace{index}",
-                cycle=index, outcome=group,
-                detail=(trace.cycles, list(trace.power))))
+                (index, group, plaintext), f"trace{index}", index, group,
+                (trace.cycles, list(trace.power))))
         return out
 
 
@@ -431,9 +428,8 @@ class GpgpuSeuBackend:
                 outcomes.append("masked" if observed == self._golden
                                 else "sdc")
         return [Injection(
-            point=(index, fault),
-            location=f"w{fault.warp}.l{fault.lane}.b{fault.bit}",
-            cycle=fault.at_issue, outcome=outcome)
+            (index, fault), f"w{fault.warp}.l{fault.lane}.b{fault.bit}",
+            fault.at_issue, outcome)
             for (index, fault), outcome in zip(points, outcomes)]
 
     def _boot(self):
@@ -640,9 +636,7 @@ class SlicingBackend:
         for fault, cyc in points:
             cls = _simulate_injection(self.circuit, fault, cyc, self.stimuli,
                                       values, states)
-            out.append(Injection(point=(fault, cyc),
-                                 location=fault.describe(), cycle=cyc,
-                                 outcome=cls))
+            out.append(Injection((fault, cyc), fault.describe(), cyc, cls))
         return out
 
     def _inject_window(self, fault: StuckAtFault, good: Mapping[str, int],
@@ -703,8 +697,14 @@ class SlicingBackend:
             points, self.lane_width, lambda p: p[1],
             lambda group: lanes.transient_outcomes(
                 self._lane_ctx, group, inject))
-        return [Injection(point, point[0].describe(), point[1], outcome)
-                for point, outcome in zip(points, outcomes)]
+        out: list[Injection] = []
+        last = location = None
+        for point, outcome in zip(points, outcomes):
+            fault = point[0]
+            if fault is not last:  # a fault-major run is described once
+                last, location = fault, fault.describe()
+            out.append(Injection(point, location, point[1], outcome))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +765,6 @@ class CompositeBackend:
         for tag, items in groups.items():
             batch = self._by_tag[tag].run_batch([p for _, p in items])
             for (pos, _), inj in zip(items, batch):
-                out[pos] = Injection(
-                    point=(tag, inj.point),
-                    location=f"{tag}:{inj.location}",
-                    cycle=inj.cycle, outcome=inj.outcome, detail=inj.detail)
+                out[pos] = inj._replace(point=(tag, inj.point),
+                                        location=f"{tag}:{inj.location}")
         return out  # type: ignore[return-value]

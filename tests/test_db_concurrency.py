@@ -272,6 +272,50 @@ class TestWriterContention:
         holder.close()
         contender.close()
 
+    def test_checkpoint_past_the_busy_timeout_fails_the_campaign(
+            self, tmp_path, caplog):
+        """Another connection holds the write lock past the busy timeout
+        while a campaign flushes a checkpoint.  The flush runs in the
+        accounting path, so ``run_campaign`` raises; the chunk is not a
+        chunk failure (no retry, no quarantine), what committed before
+        the lock stays intact, and a resume after the lock is released
+        ends where an uninterrupted run does."""
+        config = EngineConfig(batch_size=8, executor="serial",
+                              commit_every=1)
+        reference = run_campaign(_seu_backend(), config, db=CampaignDb())
+        db_path = tmp_path / "contended.sqlite"
+        db = CampaignDb(db_path)
+        db.conn.execute("PRAGMA busy_timeout=50")
+        holder = sqlite3.connect(str(db_path), isolation_level=None)
+
+        def lock_after_three_chunks(report):
+            if len(report.injections) == 24 and not holder.in_transaction:
+                holder.execute("BEGIN IMMEDIATE")
+
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                run_campaign(_seu_backend(), config, db=db,
+                             on_chunk=lock_after_three_chunks)
+            assert holder.in_transaction  # the lock really was held
+        finally:
+            holder.close()  # releases the lock
+        assert not [r for r in caplog.records
+                    if "retry" in r.getMessage()
+                    or "quarantin" in r.getMessage()]
+        records = db.chunk_records(1)
+        assert sorted(records) == [0, 1, 2]
+        assert all(r.status == "done" and r.attempts == 1
+                   for r in records.values())
+        assert [row[2:] for row in db.rows(1)] == [
+            inj.row() for inj in reference.injections[:24]]
+        resumed = resume_campaign(_seu_backend(), 1, config, db=db)
+        assert resumed.resumed_chunks == 3
+        assert [inj.row() for inj in resumed.injections] == [
+            inj.row() for inj in reference.injections]
+        assert [row[2:] for row in db.rows(1)] == [
+            inj.row() for inj in reference.injections]
+        db.close()
+
     def test_wal_readers_are_not_blocked_by_a_writer(self, tmp_path):
         """A reader during another connection's open write transaction
         sees the last committed snapshot — never an error, never the

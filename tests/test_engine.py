@@ -3,6 +3,7 @@ counts, statistical early stop, CampaignDb streaming, backend adapters
 matching their pre-engine serial implementations, and the PPSFP
 cone-cache / fault-dropping fast path."""
 
+import pickle
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from repro.circuit import load
 from repro.core import CampaignDb, wilson_interval
 from repro.engine import (
     DETECTED,
+    CompositeBackend,
     EarlyStop,
     EngineConfig,
+    Injection,
     PpsfpBackend,
     SafetyBackend,
     SeuBackend,
@@ -119,6 +122,61 @@ class TestEngineCore:
                      on_chunk=lambda r: sizes.append(r.total))
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(backend.enumerate_points())
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"confidence": 1.0}, "confidence"),
+        ({"confidence": 0.0}, "confidence"),
+        ({"confidence": float("nan")}, "confidence"),
+        ({"margin": 0.0}, "margin"),
+        ({"margin": -0.05}, "margin"),
+        ({"min_injections": -1}, "min_injections"),
+    ])
+    def test_early_stop_rejects_impossible_settings(self, seq_setup, kwargs,
+                                                    match, no_pool):
+        # was: confidence 1 a StatisticsError after the first chunk was
+        # checkpointed, confidence 0 "converged" after one chunk on a
+        # zero-width interval, a margin <= 0 could never converge
+        circuit, workload = seq_setup
+        with pytest.raises(ValueError, match=match):
+            run_campaign(SeuBackend(circuit, workload),
+                         EngineConfig(executor="process", workers=2,
+                                      early_stop=EarlyStop(**kwargs)),
+                         db=CampaignDb())
+
+
+class TestInjectionRecord:
+    """The outcome record: one immutable tuple per point."""
+
+    def test_record_contract(self):
+        by_name = Injection(point=("ff1", 3), location="ff1", cycle=3,
+                            outcome="failure")
+        by_position = Injection(("ff1", 3), "ff1", 3, "failure")
+        assert by_name == by_position and by_name.detail is None
+        assert by_name.row() == ("ff1", 3, "failure")
+        # the stated trade-off: a record equals the plain tuple of its fields
+        assert by_name == (("ff1", 3), "ff1", 3, "failure", None)
+        assert not hasattr(by_name, "__dict__")  # one object per record
+        with pytest.raises(AttributeError):
+            by_name.outcome = "masked"
+        with_detail = by_name._replace(detail=[0b101])
+        clone = pickle.loads(pickle.dumps(with_detail,
+                                          pickle.HIGHEST_PROTOCOL))
+        assert type(clone) is Injection and clone == with_detail
+        assert clone.detail == [0b101]
+
+    def test_composite_tags_point_and_location(self):
+        circuit = load("c17")
+        faults, _ = collapse(circuit)
+        packed, n = exhaustive_patterns(circuit.inputs)
+        part = PpsfpBackend(circuit, faults, [(packed, n)])
+        composite = CompositeBackend([("a", part)])
+        composite.prepare()
+        tagged = composite.run_batch(composite.enumerate_points())
+        assert all(type(inj) is Injection for inj in tagged)
+        assert tagged == [
+            Injection(("a", inj.point), f"a:{inj.location}", inj.cycle,
+                      inj.outcome, inj.detail)
+            for inj in part.run_batch(faults)]
 
 
 # ----------------------------------------------------------------------
