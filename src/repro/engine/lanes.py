@@ -248,8 +248,7 @@ def build_context(
                         for q, f in circuit.flops.items()})
     else:
         # one 1-bit pass on the step program the packed runs use anyway
-        # (the interpreter when compilation is off): the full-circuit
-        # program is never generated on this path
+        # (the interpreter when compilation is off)
         sim = SequentialSim(circuit, 1)
         states, trace = [], []
         for stim in stimuli:

@@ -109,7 +109,11 @@ def _simulate_injection(
     """
     state = dict(golden_states[cycle])
     for cyc in range(cycle, len(stimuli)):
-        good_vals = simulate(circuit, stimuli[cyc], 1, state)
+        # the injection cycle enters the golden state, so its good
+        # machine is the golden pass's; later cycles enter a state that
+        # differs from golden (equal would have returned "masked")
+        good_vals = (golden_values[cyc] if cyc == cycle
+                     else simulate(circuit, stimuli[cyc], 1, state))
         if cyc == cycle or persistent:
             vals = faulty_values(circuit, fault, good_vals, 1)
         else:

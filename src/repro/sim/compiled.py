@@ -14,30 +14,36 @@ result stores are vectorized through tuples.  CPython then executes the
 whole circuit as consecutive ``LOAD_FAST``/``BINARY_OP`` bytecodes — no
 per-gate dispatch, no per-input hashing.
 
-Every program is per circuit — it amortizes over every evaluation of
-the circuit, so it is built on first use:
+The compiled tier is the per-circuit step programs only — one clock of
+a sequential circuit, evaluated once per cycle of every multi-cycle
+run, which is the one shape that repays its ``compile()``:
 
-* :class:`CircuitProgram` — the full combinational evaluation behind
-  :func:`repro.sim.logic.simulate`; returns packed values for every net.
 * :class:`StepProgram`  — a fused combinational-eval + flop-advance step
-  for :class:`repro.sim.sequential.SequentialSim`, restricted to the
-  cone of influence of the observable nets (POs and flop D inputs).
+  for :class:`repro.sim.sequential.SequentialSim` and the lane walker,
+  restricted to the cone of influence of the observable nets (POs and
+  flop D inputs).
+* :class:`SoaStepProgram` — the same step over a numpy state matrix
+  (the SoA tier below).
 
-Per-fault cone walks (:mod:`repro.sim.fault_sim`) stay on the
-interpreter: the batched PPSFP sweep walks one cone per fan-out-free
-region, and a program compiled per fault site never saw enough
-evaluations on a campaign to pay back its ``compile()``.
+One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
+compiled form, because a cold full-circuit compile costs about seventy
+interpreted evaluations; a library caller that needs one good machine
+at many points simulates it once and keeps the values.  Per-fault cone walks (:mod:`repro.sim.fault_sim`)
+stay on the interpreter for the same reason: the batched PPSFP sweep
+walks one cone per fan-out-free region, and a program compiled per
+fault site never saw enough evaluations on a campaign to pay back its
+``compile()``.
 
 Programs are **byte-identical** to the interpreter at any pattern width:
 each generated expression is the same boolean function the dispatch
 table computes, so every net value and campaign outcome matches bit for
 bit.  ``RESCUE_NO_COMPILE=1`` — or, within a block, :func:`disabled` —
-forces the reference interpreter; the equivalence tests in
-``tests/test_compiled.py`` run both paths against each other.
+forces the reference interpreter for every step; the equivalence tests
+in ``tests/test_compiled.py`` run both paths against each other.
 
 Caching and invalidation: programs are memoized in
-``Circuit._program_cache`` under per-circuit keys (``"full"``,
-``"step"``, ``"soa_step"`` and ``("soa_step", width)``) and invalidated
+``Circuit._program_cache`` under per-circuit keys (``"step"``,
+``"soa_step"`` and ``("soa_step", width)``) and invalidated
 by ``Circuit._invalidate`` alongside the topo/fan-out/cone caches, so
 any mutation recompiles.
 Pickling: a program carries only its *source*; the code object is
@@ -230,47 +236,6 @@ class CompiledProgram:
 
 
 # ----------------------------------------------------------------------
-# full-circuit program (logic.simulate)
-# ----------------------------------------------------------------------
-class CircuitProgram:
-    """Full combinational evaluation: ``fn(pis, state, mask)`` returns
-    packed values for every net, in the interpreter's insertion order."""
-
-    __slots__ = ("inputs", "flop_inits", "net_names", "program")
-
-    def __init__(self, circuit: Circuit) -> None:
-        self.inputs = tuple(circuit.inputs)
-        self.flop_inits = tuple((q, f.init) for q, f in circuit.flops.items())
-        emit = _Emitter()
-        pi_slots = emit.bind_sources(self.inputs)
-        q_slots = emit.bind_sources(list(circuit.flops))
-        order = circuit.topo_order()
-        for gate in order:
-            emit.emit_gate(gate)
-        names = (list(self.inputs) + list(circuit.flops)
-                 + [g.output for g in order])
-        self.net_names = tuple(names)
-        ret = _tuple_expr([emit.atoms[n] for n in names])
-        source = emit.source("def _run(pis, state, mask):",
-                             [("pis", pi_slots), ("state", q_slots)], ret)
-        self.program = CompiledProgram(source, f"full:{circuit.name}")
-
-    def run(self, pi_values: Mapping[str, int], n_patterns: int,
-            state: Mapping[str, int] | None = None) -> dict[str, int]:
-        mask = (1 << n_patterns) - 1
-        pis = tuple(pi_values.get(pi, 0) & mask for pi in self.inputs)
-        if state is None:
-            flop_state = tuple(mask if init else 0
-                               for _, init in self.flop_inits)
-        else:
-            flop_state = tuple(
-                (state[q] & mask) if q in state else (mask if init else 0)
-                for q, init in self.flop_inits)
-        return dict(zip(self.net_names, self.program.fn(pis, flop_state,
-                                                        mask)))
-
-
-# ----------------------------------------------------------------------
 # fused sequential step (SequentialSim.step)
 # ----------------------------------------------------------------------
 def _live_gates(circuit: Circuit) -> list[Gate]:
@@ -337,17 +302,6 @@ def _cache(circuit: Circuit) -> dict:
     if cache is None:  # circuits unpickled from pre-cache snapshots
         cache = circuit._program_cache = {}
     return cache
-
-
-def circuit_program(circuit: Circuit) -> CircuitProgram | None:
-    """The full-circuit program, or ``None`` when compilation is off."""
-    if _ENV_DISABLED:
-        return None
-    cache = _cache(circuit)
-    prog = cache.get("full")
-    if prog is None:
-        prog = cache["full"] = CircuitProgram(circuit)
-    return prog
 
 
 def step_program(circuit: Circuit) -> StepProgram | None:

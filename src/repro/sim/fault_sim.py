@@ -658,43 +658,42 @@ def sequential_fault_simulate(
     A fault is detected when any primary output differs from the good
     machine in any cycle.  Used for non-scan designs (e.g. the s27-style
     cores and SBST evaluation).
+
+    The machines advance cycle by cycle, the golden one first.  A faulty
+    machine whose state still equals the golden state evaluates the
+    golden values (its fault not yet latched, or washed out), so only
+    a machine that has diverged re-simulates its own good values.
     """
-    good_trace = _seq_trace(circuit, None, stimuli)
+    outputs = circuit.outputs
+    flops = circuit.flops
+    golden_state = {q: (1 if f.init else 0) for q, f in flops.items()}
+    # each faulty machine's state, or None while it equals the golden one
+    states: list[dict[str, int] | None] = [None] * len(faults)
+    det = [0] * len(faults)
+    for cyc, stim in enumerate(stimuli):
+        golden = simulate(circuit, stim, 1, golden_state)
+        golden_pos = [golden.get(po, 0) for po in outputs]
+        golden_state = {q: golden[f.d] for q, f in flops.items()}
+        for i, fault in enumerate(faults):
+            state = states[i]
+            good = (golden if state is None
+                    else simulate(circuit, stim, 1, state))
+            values = faulty_values(circuit, fault, good, 1)
+            if any(values.get(po, 0) != g
+                   for po, g in zip(outputs, golden_pos)):
+                det[i] |= 1 << cyc
+            sink = None if fault.line.is_stem else fault.line.sink
+            nxt = {q: values[f.d] for q, f in flops.items()}
+            if sink in flops:  # a branch fault on a flop's D pin
+                nxt[sink] = values.get(f"__flopD__{sink}", nxt[sink])
+            states[i] = None if nxt == golden_state else nxt
     result = FaultSimResult(len(stimuli))
-    for fault in faults:
-        bad_trace = _seq_trace(circuit, fault, stimuli)
-        det = 0
-        for cyc, (g, b) in enumerate(zip(good_trace, bad_trace)):
-            if g != b:
-                det |= 1 << cyc
-        if det:
-            result.detected[fault] = det
+    for fault, bits in zip(faults, det):
+        if bits:
+            result.detected[fault] = bits
         else:
             result.undetected.append(fault)
     return result
-
-
-def _seq_trace(
-    circuit: Circuit,
-    fault: StuckAtFault | None,
-    stimuli: Sequence[Mapping[str, int]],
-) -> list[tuple[int, ...]]:
-    state = {q: (1 if f.init else 0) for q, f in circuit.flops.items()}
-    trace: list[tuple[int, ...]] = []
-    for stim in stimuli:
-        good = simulate(circuit, stim, 1, state)
-        values = good if fault is None else faulty_values(circuit, fault,
-                                                          good, 1)
-        trace.append(tuple(values.get(po, 0) for po in circuit.outputs))
-        next_state = {}
-        for q, flop in circuit.flops.items():
-            if (fault is not None and not fault.line.is_stem
-                    and fault.line.sink == q):
-                next_state[q] = values.get(f"__flopD__{q}", values[flop.d])
-            else:
-                next_state[q] = values[flop.d]
-        state = next_state
-    return trace
 
 
 def fault_coverage(

@@ -8,11 +8,14 @@ which makes parallel-pattern fault simulation (PPSFP) essentially free.
 Three-valued (0/1/X) simulation encodes each net as ``None`` (X) or an
 ``int`` and powers the ATPG's implication engine and the RSN tools.
 
-Full-circuit evaluations run on the compiled simulation core
-(:mod:`repro.sim.compiled`) by default: the circuit is translated once
-into a generated straight-line function and cached.  The gate-by-gate
-dispatch below remains the reference interpreter — byte-identical, and
-selected by ``RESCUE_NO_COMPILE=1`` or ``compiled.disabled()``.
+:func:`simulate` is an interpreter and nothing else: it walks the
+netlist gate by gate through the ``GATE_EVAL`` dispatch table.  A
+one-shot evaluation is cheaper interpreted than compiled (a cold
+compile costs about seventy evaluations), so the compiled tier
+(:mod:`repro.sim.compiled`) holds only the per-cycle step programs that
+:mod:`repro.sim.sequential` and the lane walker run, and this module
+does not import it.  Callers that evaluate one good machine many times
+simulate it once and keep the values.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
-from . import compiled as _compiled
 
 
 def mask_of(n_patterns: int) -> int:
@@ -121,14 +123,7 @@ def simulate(
     ``pi_values`` maps each primary input to a packed int; ``state`` maps
     flop Q nets to packed ints (defaults to each flop's init value
     replicated across patterns).  Returns packed values for every net.
-
-    Runs on the circuit's compiled program unless ``RESCUE_NO_COMPILE=1``
-    (or ``compiled.disabled()``) selects the reference interpreter; both
-    paths return identical values.
     """
-    program = _compiled.circuit_program(circuit)
-    if program is not None:
-        return program.run(pi_values, n_patterns, state)
     mask = mask_of(n_patterns)
     values: dict[str, int] = {}
     for pi in circuit.inputs:

@@ -9,9 +9,12 @@ clean universe plus n-1 faulty ones).
 
 ``step`` runs on a compiled program (:class:`repro.sim.compiled
 .StepProgram`) that fuses the combinational evaluation with the flop
-advance and skips logic outside the observables' cone of influence; the
-evaluate-then-capture interpreter below is the reference path, selected
-by ``RESCUE_NO_COMPILE=1`` or ``compiled.disabled()``.  The
+advance and skips logic outside the observables' cone of influence: a
+run evaluates one circuit once per cycle, so the compile pays back.
+The evaluate-then-capture path below is the reference, selected by
+``RESCUE_NO_COMPILE=1`` or ``compiled.disabled()``; it and
+:meth:`SequentialSim.evaluate` (no clock edge) call the interpreter's
+:func:`repro.sim.logic.simulate`, which has no compiled form.  The
 :meth:`SequentialSim.flip_state` SEU-injection hook mutates ``state``
 between steps and is oblivious to which path executes them.
 """

@@ -76,26 +76,18 @@ class CdnSetResult:
 
 
 def _spurious_capture_errors(
-    circuit: Circuit,
-    sim_state: dict[str, int],
-    stim: Mapping[str, int],
+    state: Mapping[str, int],
+    next_state: Mapping[str, int],
     affected: Sequence[str],
 ) -> int:
     """Flops (among affected) that would latch a wrong value mid-cycle.
 
     A spurious edge captures the current D; the flop is corrupted iff the
-    mid-cycle D differs from its current Q (it prematurely toggles).
+    mid-cycle D differs from its current Q (it prematurely toggles).  A
+    cycle's D values are the state the clock edge loads, so the
+    fault-free replay's next state holds them: no re-simulation.
     """
-    from ..sim.logic import simulate
-
-    values = simulate(circuit, stim, 1, sim_state)
-    errors = 0
-    for q in affected:
-        d_now = values[circuit.flops[q].d] & 1
-        q_now = sim_state.get(q, 0) & 1
-        if d_now != q_now:
-            errors += 1
-    return errors
+    return sum(1 for q in affected if (next_state[q] ^ state[q]) & 1)
 
 
 def run_cdn_campaign(
@@ -114,17 +106,23 @@ def run_cdn_campaign(
     i.e. a single-flop spurious capture, the best case a data-path SET
     reaching one flop can achieve.
     """
+    if not stimuli:
+        raise ValueError("run_cdn_campaign needs at least one stimulus")
+    if strikes_per_level < 1:
+        raise ValueError(
+            f"strikes_per_level must be >= 1, got {strikes_per_level}")
     if tree is None:
         tree = build_clock_tree(circuit)
     rng = random.Random(seed)
     result = CdnSetResult()
 
-    # replay states for each cycle once
+    # replay states for each cycle once; states[cyc + 1] is the D value
+    # every flop sees during cycle cyc
     sim = SequentialSim(circuit, 1)
-    states: list[dict[str, int]] = []
+    states: list[dict[str, int]] = [sim.state]
     for stim in stimuli:
-        states.append(dict(sim.state))
-        sim.step(stim)
+        sim.step(stim)  # rebinds sim.state, never mutates it
+        states.append(sim.state)
 
     flop_list = sorted(circuit.flops)
     for level in range(tree.depth + 1):
@@ -135,7 +133,7 @@ def run_cdn_campaign(
             buf = rng.randrange(tree.buffers_at_level(level))
             affected = tree.flops_under(level, buf)
             errors = _spurious_capture_errors(
-                circuit, states[cyc], stimuli[cyc], affected)
+                states[cyc], states[cyc + 1], affected)
             flops_hit_acc += errors
             if errors:
                 upsets += 1
@@ -148,7 +146,8 @@ def run_cdn_campaign(
     for _ in range(trials):
         cyc = rng.randrange(len(stimuli))
         flop = rng.choice(flop_list)
-        errors = _spurious_capture_errors(circuit, states[cyc], stimuli[cyc], [flop])
+        errors = _spurious_capture_errors(states[cyc], states[cyc + 1],
+                                          [flop])
         if errors:
             upsets += 1
     result.datapath_failure_rate = upsets / trials

@@ -88,8 +88,11 @@ def logical_derating(
     Note this models a *static* flip: transient glitches that cancel at
     reconvergence points are counted as masked even though a brief output
     glitch may exist — consistent with standard logic-derating practice.
+
+    Raises ``ValueError`` when ``net`` is not a net of ``circuit``.
     """
-    return _logical_with_state(circuit, net, patterns, state or {}, n_patterns)
+    good = simulate(circuit, patterns, n_patterns, state)
+    return _logical_with_state(circuit, net, good, n_patterns)
 
 
 def set_derating(
@@ -101,11 +104,16 @@ def set_derating(
     attenuation_per_gate: float = 0.1,
     seed: int = 0,
 ) -> dict[str, SetSensitivity]:
-    """Three-masking SET sensitivity for each requested net."""
+    """Three-masking SET sensitivity for each requested net.
+
+    The good machine is simulated once for the whole sample; each net
+    then re-evaluates only its fan-out cone.  Raises ``ValueError`` when
+    a requested net is not a net of ``circuit``.
+    """
     rng = random.Random(seed)
     stim = {pi: rng.getrandbits(n_patterns) for pi in circuit.inputs}
     state = {q: rng.getrandbits(n_patterns) for q in circuit.flops}
-    stim_all = dict(stim)
+    good = simulate(circuit, stim, n_patterns, state)
     lvl = levels(circuit)
     max_level = max(lvl.values(), default=0)
 
@@ -114,7 +122,7 @@ def set_derating(
                        [g.output for g in circuit.topo_order()])
     for net in target_nets:
         depth_to_capture = max(0, max_level - lvl.get(net, 0))
-        logical = _logical_with_state(circuit, net, stim_all, state, n_patterns)
+        logical = _logical_with_state(circuit, net, good, n_patterns)
         electrical = electrical_survival(pulse_width, depth_to_capture,
                                          attenuation_per_gate)
         latch = latch_window_probability(pulse_width * electrical, clock_period)
@@ -122,19 +130,20 @@ def set_derating(
     return result
 
 
-def _logical_with_state(circuit, net, stim, state, n_patterns) -> float:
+def _logical_with_state(circuit, net, good, n_patterns) -> float:
+    """Logical derating of ``net`` over the good-machine values ``good``."""
     from ..sim.fault_sim import _cone_gates
     from ..sim.logic import eval_gate
 
+    if net not in good:
+        raise ValueError(f"{net!r} is not a net of {circuit.name}")
     mask = mask_of(n_patterns)
-    good = simulate(circuit, stim, n_patterns, state)
     flipped = dict(good)
-    flipped[net] = ~good.get(net, 0) & mask
+    flipped[net] = ~good[net] & mask
     for gate in _cone_gates(circuit, [net]):
         if gate.output == net:
             continue
         flipped[gate.output] = eval_gate(gate, flipped, mask)
-    flipped[net] = ~good.get(net, 0) & mask
     observables = list(circuit.outputs) + [f.d for f in circuit.flops.values()]
     diff = 0
     for obs in observables:

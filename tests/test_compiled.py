@@ -1,10 +1,12 @@
 """Tests for the compiled simulation core (`repro.sim.compiled`).
 
-The contract under test: every compiled program — full-circuit and
-fused sequential step — is byte-identical to the reference interpreter
-at any pattern width, survives pickling to process workers (source
-ships, code objects rebuild lazily), and is invalidated by circuit
-mutation exactly like the structural caches.
+The contract under test: every compiled program — the fused sequential
+step, on Python ints and on the SoA matrix — is byte-identical to the
+reference interpreter at any pattern width, survives pickling to
+process workers (source ships, code objects rebuild lazily), and is
+invalidated by circuit mutation exactly like the structural caches.
+``logic.simulate`` has no compiled form: it is the reference the step
+programs are held to.
 """
 
 import pickle
@@ -26,10 +28,7 @@ from repro.engine import (
 )
 from repro.faults import collapse
 from repro.sim import compiled, vector
-from repro.sim.fault_sim import (
-    fault_simulate_batched,
-    sequential_fault_simulate,
-)
+from repro.sim.fault_sim import sequential_fault_simulate
 from repro.sim.logic import (
     GATE_EVAL_3V,
     X,
@@ -51,34 +50,45 @@ def _random_circuit(seed: int, sequential: bool):
                                 seed=seed)
 
 
+def _step_reference(circuit, pis, width, state):
+    """One clock on the interpreter: ``simulate``, then capture."""
+    values = simulate(circuit, pis, width, state)
+    return ({po: values[po] for po in circuit.outputs},
+            {q: values[f.d] for q, f in circuit.flops.items()})
+
+
 # ----------------------------------------------------------------------
-# property: compiled == interpreted for full-circuit evaluation
+# property: the step program == one interpreted evaluation + capture
 # ----------------------------------------------------------------------
 class TestSimulateEquivalence:
+    @needs_compiled
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), sequential=st.booleans(),
            width=st.sampled_from(WIDTHS), with_state=st.booleans())
     def test_simulate_matches_interpreter(self, seed, sequential, width,
                                           with_state):
+        # combinational circuits (a step with no flops) and arbitrary
+        # entering states, not only states a run from reset reaches
         circuit = _random_circuit(seed, sequential)
         pis = random_patterns(circuit.inputs, width, seed=seed + 1)
         state = (random_patterns(circuit.flops, width, seed=seed + 2)
-                 if with_state and circuit.flops else None)
-        fast = simulate(circuit, pis, width, state)
-        with compiled.disabled():
-            reference = simulate(circuit, pis, width, state)
-        assert fast == reference
+                 if with_state else {})
+        program = compiled.step_program(circuit)
+        fast = program.run(pis, state, (1 << width) - 1)
+        assert fast == _step_reference(circuit, pis, width, state)
 
+    @needs_compiled
     def test_library_circuits_match(self):
         for name in ("c17", "s27", "rand200", "alu8", "mul6", "rand_seq"):
             circuit = load(name)
             for width in WIDTHS:
                 pis = random_patterns(circuit.inputs, width, seed=3)
                 state = random_patterns(circuit.flops, width, seed=4)
-                with compiled.disabled():
-                    reference = simulate(circuit, pis, width, state)
-                assert simulate(circuit, pis, width, state) == reference
+                program = compiled.step_program(circuit)
+                assert program.run(pis, state, (1 << width) - 1) \
+                    == _step_reference(circuit, pis, width, state), name
 
+    @needs_compiled
     def test_constant_and_buffer_folding(self):
         from repro.circuit.netlist import Circuit
 
@@ -90,50 +100,75 @@ class TestSimulateEquivalence:
         circuit.add_gate("n", "NOT", ["one"])
         circuit.add_gate("x", "AND", ["b", "one"])
         circuit.add_gate("y", "OR", ["zero", "x"])
+        circuit.add_flop("q", "y")
         circuit.add_output("y")
+        circuit.add_output("n")
+        program = compiled.step_program(circuit)
+        # CONST0 / CONST1 / BUF become atoms of their consumers: only
+        # the NOT, AND and OR are assigned
+        assigned = [line for line in program.program.source.splitlines()
+                    if line.lstrip().startswith("v") and " = " in line]
+        assert len(assigned) == 3, program.program.source
         for width in WIDTHS:
             pis = {"a": random_patterns(["a"], width, seed=9)["a"]}
-            with compiled.disabled():
-                reference = simulate(circuit, pis, width)
-            assert simulate(circuit, pis, width) == reference
+            assert program.run(pis, {}, (1 << width) - 1) \
+                == _step_reference(circuit, pis, width, {})
 
     @needs_compiled
-    def test_env_kill_switch(self, monkeypatch):
-        circuit = load("c17")
-        assert compiled.circuit_program(circuit) is not None
+    def test_env_kill_switch(self):
+        circuit = load("s27")
+        assert compiled.step_program(circuit) is not None
         with compiled.disabled():
             assert not compiled.compilation_enabled()
-            assert compiled.circuit_program(circuit) is None
+            assert compiled.step_program(circuit) is None
+            assert compiled.soa_step_program(circuit, 64) is None
         assert compiled.compilation_enabled()
 
 
 # ----------------------------------------------------------------------
-# fault simulation over compiled good-machine values == interpreter
+# sequential fault simulation against a reference that takes its golden
+# trace from the compiled step and simulates every faulty machine afresh
 # ----------------------------------------------------------------------
-class TestFaultSimEquivalence:
-    def test_batched_fault_simulation_identical(self):
-        circuit = random_combinational(10, 150, seed=8)
-        faults, _ = collapse(circuit)
-        batches = [(random_patterns(circuit.inputs, 16, seed=50 + b), 16)
-                   for b in range(5)]
-        for drop in (True, False):
-            fast = fault_simulate_batched(circuit, faults, batches,
-                                          drop_detected=drop)
-            with compiled.disabled():
-                ref = fault_simulate_batched(circuit.copy(), faults, batches,
-                                             drop_detected=drop)
-            assert fast.detected == ref.detected
-            assert fast.undetected == ref.undetected
+def _faulty_trace(circuit, fault, stimuli):
+    """PO trace of one faulty machine, every cycle simulated afresh."""
+    from repro.sim.fault_sim import faulty_values
 
+    state = {q: (1 if f.init else 0) for q, f in circuit.flops.items()}
+    trace = []
+    for stim in stimuli:
+        values = faulty_values(circuit, fault,
+                               simulate(circuit, stim, 1, state), 1)
+        trace.append(tuple(values.get(po, 0) for po in circuit.outputs))
+        state = {q: values[f.d] for q, f in circuit.flops.items()}
+        if not fault.line.is_stem and fault.line.sink in circuit.flops:
+            q = fault.line.sink
+            state[q] = values.get(f"__flopD__{q}", state[q])
+    return trace
+
+
+class TestFaultSimEquivalence:
     def test_sequential_fault_simulation_identical(self):
-        circuit = load("s27")
-        faults, _ = collapse(circuit)
-        stimuli = random_workload(circuit, 30, seed=2)
-        fast = sequential_fault_simulate(circuit, faults, stimuli)
-        with compiled.disabled():
-            ref = sequential_fault_simulate(circuit.copy(), faults, stimuli)
-        assert fast.detected == ref.detected
-        assert fast.undetected == ref.undetected
+        # sequential_fault_simulate reuses the golden values while a
+        # faulty machine's state equals the golden state; the reference
+        # re-simulates every machine every cycle and takes its golden
+        # trace from the compiled step
+        for name in ("s27", "rand_seq"):
+            circuit = load(name)
+            faults, _ = collapse(circuit)
+            stimuli = random_workload(circuit, 30, seed=2)
+            golden = [tuple(out[po] for po in circuit.outputs)
+                      for out in SequentialSim(circuit, 1).run(stimuli)]
+            result = sequential_fault_simulate(circuit, faults, stimuli)
+            assert result.detected and result.undetected  # not vacuous
+            for fault in faults:
+                bad = _faulty_trace(circuit, fault, stimuli)
+                det = sum(1 << cyc
+                          for cyc, (g, b) in enumerate(zip(golden, bad))
+                          if g != b)
+                assert result.detected.get(fault, 0) == det, (name, fault)
+                assert (fault in result.undetected) == (det == 0)
+            assert len(result.detected) + len(result.undetected) \
+                == len(faults)
 
 
 # ----------------------------------------------------------------------
@@ -204,15 +239,15 @@ class TestInvalidation:
     def test_mutation_invalidates_programs(self):
         circuit = random_combinational(6, 30, seed=4)
         pis = random_patterns(circuit.inputs, 8, seed=1)
-        before = simulate(circuit, pis, 8)
-        assert circuit._program_cache  # program built and cached
+        before = SequentialSim(circuit, 8).step(pis)
+        assert "step" in circuit._program_cache  # built and cached
         new_out = circuit.add_gate("mut_new", "NAND",
                                    [circuit.inputs[0], circuit.inputs[1]])
         circuit.add_output("mut_new")
         assert not circuit._program_cache  # invalidated with topo/cones
-        after = simulate(circuit, pis, 8)
+        after = SequentialSim(circuit, 8).step(pis)
         with compiled.disabled():
-            assert after == simulate(circuit, pis, 8)
+            assert after == SequentialSim(circuit, 8).step(pis)
         assert "mut_new" in after and "mut_new" not in before
         assert new_out.output == "mut_new"
 
@@ -234,8 +269,8 @@ def test_stuck_at_campaigns_cache_only_per_circuit_programs():
     run_campaign(SlicingBackend(circuit, faults, workload), config)
     sequential_fault_simulate(circuit, faults, workload)
     keys = set(circuit._program_cache)
-    assert {"full", "step"} <= keys
-    assert all(key in ("full", "step", "soa_step")
+    assert "step" in keys
+    assert all(key in ("step", "soa_step")
                or (isinstance(key, tuple) and key[0] == "soa_step")
                for key in keys), keys
 
@@ -246,25 +281,27 @@ def test_stuck_at_campaigns_cache_only_per_circuit_programs():
 class TestPickling:
     @needs_compiled
     def test_compiled_program_roundtrip(self):
-        circuit = load("c17")
-        program = compiled.circuit_program(circuit)
-        program.run(random_patterns(circuit.inputs, 4, seed=1), 4)
+        circuit = load("s27")
+        program = compiled.step_program(circuit)
+        state = random_patterns(circuit.flops, 4, seed=1)
+        program.run(random_patterns(circuit.inputs, 4, seed=1), state, 0xF)
         clone = pickle.loads(pickle.dumps(program))
         assert clone.program._fn is None  # only the source travelled
         pis = random_patterns(circuit.inputs, 8, seed=2)
-        assert clone.run(pis, 8) == program.run(pis, 8)
+        state = random_patterns(circuit.flops, 8, seed=3)
+        assert clone.run(pis, state, 0xFF) == program.run(pis, state, 0xFF)
 
     @needs_compiled
     def test_circuit_pickle_drops_program_cache(self):
         circuit = load("rand_seq")
-        simulate(circuit, random_patterns(circuit.inputs, 4, seed=1), 4)
+        SequentialSim(circuit, 4).step(
+            random_patterns(circuit.inputs, 4, seed=1))
         assert circuit._program_cache
         clone = pickle.loads(pickle.dumps(circuit))
         assert clone._program_cache == {}
-        pis = random_patterns(circuit.inputs, 8, seed=3)
-        state = random_patterns(circuit.flops, 8, seed=4)
-        assert simulate(clone, pis, 8, state) \
-            == simulate(circuit, pis, 8, state)
+        stimuli = random_workload(circuit, 6, seed=3)
+        assert SequentialSim(clone, 1).run(stimuli) \
+            == SequentialSim(circuit, 1).run(stimuli)
 
     @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_compiled_backends_under_process_executor(self, executor):

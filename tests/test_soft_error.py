@@ -38,6 +38,26 @@ from repro.soft_error import (
 from repro.soft_error.ml import FEATURE_NAMES
 
 
+def _flipped_reference(circuit, net, pis, n_patterns, state):
+    """``logical_derating`` the long way: the whole circuit re-evaluated
+    with ``net`` inverted, observables compared with the good machine."""
+    from repro.sim.logic import eval_gate, mask_of, simulate
+
+    mask = mask_of(n_patterns)
+    good = simulate(circuit, pis, n_patterns, state)
+    values = {n: good[n] for n in list(circuit.inputs) + list(circuit.flops)}
+    if net in values:
+        values[net] = ~values[net] & mask
+    for gate in circuit.topo_order():
+        v = eval_gate(gate, values, mask)
+        values[gate.output] = ~v & mask if gate.output == net else v
+    observables = list(circuit.outputs) + [f.d for f in circuit.flops.values()]
+    diff = 0
+    for obs in observables:
+        diff |= good[obs] ^ values[obs]
+    return bin(diff).count("1") / n_patterns
+
+
 class TestFitBudget:
     def test_overshoot_story(self):
         """A modest unprotected SRAM blows the ASIL-D budget; ECC restores it."""
@@ -169,6 +189,38 @@ class TestSetAnalysis:
             assert s.combined == pytest.approx(
                 s.logical * s.electrical * s.latch_window)
 
+    @pytest.mark.parametrize("name", ("c17", "s27", "rand_seq"))
+    def test_set_derating_equals_per_net_logical_derating(self, name):
+        # set_derating simulates the good machine once per call; every
+        # net's logical factor must equal a logical_derating call (its
+        # own simulation) on the same stimulus and state, and both must
+        # equal a whole-circuit re-evaluation with the net flipped
+        import random as _r
+
+        c = load(name)
+        n, seed = 32, 7
+        rng = _r.Random(seed)  # the draw order set_derating uses
+        stim = {pi: rng.getrandbits(n) for pi in c.inputs}
+        state = {q: rng.getrandbits(n) for q in c.flops}
+        nets = list(c.inputs) + list(c.flops) + [g.output
+                                                 for g in c.topo_order()]
+        res = set_derating(c, nets=nets, n_patterns=n, seed=seed)
+        assert list(res) == nets
+        for net in nets:
+            alone = logical_derating(c, net, stim, n, state)
+            assert res[net].logical == alone, net
+            assert alone == _flipped_reference(c, net, stim, n, state), net
+
+    @pytest.mark.parametrize("call", ("logical_derating", "set_derating"))
+    def test_unknown_net_raises(self, call):
+        # a misspelt net used to read as 0.0, i.e. "fully masked"
+        c = load("s27")
+        with pytest.raises(ValueError, match="typo"):
+            if call == "logical_derating":
+                logical_derating(c, "typo", {pi: 1 for pi in c.inputs}, 1)
+            else:
+                set_derating(c, nets=["typo"])
+
     def test_analytic_vs_event_sim_on_tree(self):
         """On a fanout-free XOR tree the two engines must agree."""
         c = load("par8")
@@ -197,6 +249,67 @@ class TestCdn:
         wl = random_workload(c, 10, seed=5)
         res = run_cdn_campaign(c, wl, strikes_per_level=32, seed=6)
         assert res.amplification(0) >= 1.0
+
+    @pytest.mark.parametrize("name", ("s27", "rand_seq"))
+    @pytest.mark.parametrize("seed", (0, 11))
+    def test_campaign_equals_per_strike_reference(self, name, seed):
+        # the campaign reads each strike's D values off the fault-free
+        # replay; the reference re-simulates the cycle per strike
+        import random as _r
+
+        from repro.sim.logic import simulate
+        from repro.sim.sequential import SequentialSim
+
+        c = load(name)
+        wl = random_workload(c, 40, seed=seed + 1)
+        tree = build_clock_tree(c, 3)
+        strikes = 24
+        got = run_cdn_campaign(c, wl, tree, strikes_per_level=strikes,
+                               seed=seed)
+
+        sim = SequentialSim(c, 1)
+        states = []
+        for stim in wl:
+            states.append(dict(sim.state))
+            sim.step(stim)
+
+        def errors(cyc, affected):
+            values = simulate(c, wl[cyc], 1, states[cyc])
+            return sum(1 for q in affected
+                       if values[c.flops[q].d] & 1 != states[cyc][q] & 1)
+
+        rng = _r.Random(seed)
+        rates, hits = {}, {}
+        for level in range(tree.depth + 1):
+            upsets = hit = 0
+            for _ in range(strikes):
+                cyc = rng.randrange(len(wl))
+                buf = rng.randrange(tree.buffers_at_level(level))
+                e = errors(cyc, tree.flops_under(level, buf))
+                hit += e
+                upsets += bool(e)
+            rates[level] = upsets / strikes
+            hits[level] = hit / strikes
+        flops = sorted(c.flops)
+        trials = strikes * max(1, tree.depth)
+        upsets = 0
+        for _ in range(trials):
+            cyc = rng.randrange(len(wl))
+            upsets += bool(errors(cyc, [rng.choice(flops)]))
+
+        assert got.level_failure_rate == rates
+        assert got.level_flops_hit == hits
+        assert got.datapath_failure_rate == upsets / trials
+        assert any(rates.values())  # the comparison is not all zeros
+
+    @pytest.mark.parametrize("stimuli_n, strikes, match", (
+        (0, 8, "stimul"), (5, 0, "strikes_per_level"),
+        (5, -3, "strikes_per_level")))
+    def test_campaign_rejects_empty_inputs(self, stimuli_n, strikes, match):
+        c = load("s27")
+        wl = random_workload(c, stimuli_n, seed=1)
+        with pytest.raises(ValueError, match=match):
+            run_cdn_campaign(c, wl, strikes_per_level=strikes)
 
     def test_pulse_width_curve_monotone(self):
         curve = failure_rate_vs_pulse_width([0.1, 0.5, 1.0, 2.0, 5.0])

@@ -1,0 +1,238 @@
+"""Source guards: deleted names stay deleted, one-way decisions stay made.
+
+Each row of :data:`GUARDS` is a regular expression, the files it is
+searched in, and the one-line reason it exists.  A row fails when the
+pattern matches anywhere in those files (``present=True`` rows fail
+when it matches nowhere).  Patterns are searched per file with
+``re.MULTILINE``, so ``^`` anchors at line starts and a pattern may
+span lines.
+
+Scopes mirror ``grep -r``: a directory is searched recursively, an
+``include`` glob narrows the file names, and ``exclude_dirs`` drops any
+directory of that name at any depth.  ``benchmarks/campaign`` is the
+frozen benchmark, excluded wherever it would be scanned: its files
+never named the deleted code.  Two things are never scanned: bytecode
+under ``__pycache__`` (generated from the scanned sources) and this
+file, whose table spells out every pattern.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SELF = Path(__file__).resolve()
+
+#: Everything that ships or tests code, the frozen benchmark aside.
+CODE = ("src", "tests", "examples", "benchmarks")
+
+
+@dataclass(frozen=True)
+class Guard:
+    name: str
+    reason: str
+    pattern: str
+    paths: tuple[str, ...]
+    include: str | None = "*.py"
+    exclude_dirs: tuple[str, ...] = ("campaign",)
+    present: bool = False
+
+
+GUARDS = (
+    Guard("lazy_reexports",
+          "package re-exports resolve on first use through repro._lazy, "
+          "so a worker imports only what it unpickles; an eager "
+          "'from .x import' in an __init__ loads everything again",
+          r"^\s*from \.[^.]",
+          tuple(f"src/repro/{pkg}/__init__.py"
+                for pkg in ("autosoc", "circuit", "core", "engine",
+                            "faults", "sim", "soft_error"))),
+    Guard("one_env_knob",
+          "carrier choice and crossovers are arguments and constants; "
+          "the one environment variable read selects the reference "
+          "interpreter",
+          r"RESCUE_(?!NO_COMPILE(?![A-Z_]))[A-Z_]+",
+          ("src",)),
+    Guard("process_pool_or_serial",
+          "the thread rung, the one-shot pool, the blob-shipping channel "
+          "and the smoke bench that was their only traffic are gone",
+          r"reuse_pool|ShippedBlob|ship_if_large|SHIP_BYTES_MIN|run_thread"
+          r"|GIL_RELEASE_MIN|bench_engine_smoke|check_engine_regression"
+          r"|BENCH_engine",
+          CODE),
+    Guard("pool_per_campaign",
+          "run_process spawns its own pool and joins it before returning; "
+          "the cross-campaign registry, campaign tokens, release messages "
+          "and pool eviction are gone",
+          r"_pool_registry|persistent_pool|_campaign_tokens"
+          r"|_persistent_worker_|_discard_pool",
+          CODE),
+    Guard("one_lane_walker",
+          "the shared-clock SoA walk (busy windows, quiescence tests, "
+          "column bands) is gone: both carriers run under "
+          "lanes._propagate_skewed",
+          r"_SoaBand|SOA_BAND_BLOCKS|quiescence_tests|bands_run"
+          r"|raw_views_soa|_propagate_soa\b",
+          CODE),
+    Guard("no_lanes_walk",
+          "the same deletion; rsn/network.py has an unrelated _walk, so "
+          "the name is guarded in engine/lanes.py only",
+          r"def _walk",
+          ("src/repro/engine/lanes.py",)),
+    Guard("packed_outcome_blocks",
+          "CampaignDb stores one BLOB per record_many / record_chunk call; "
+          "the only mention of the per-row table left is _migrate's "
+          "read-and-drop of a legacy file",
+          r"INTO injections|idx_inj_",
+          ("src",), include=None, exclude_dirs=()),
+    Guard("chunk_failures_are_values",
+          "a rung yields a failed chunk's exception in its slot and goes "
+          "on: no wrapper type, no rung re-open",
+          r"ChunkError|_open_rung",
+          ("src", "tests", "examples"), include=None, exclude_dirs=()),
+    Guard("no_per_call_compile_flag",
+          "the reference interpreter is selected by RESCUE_NO_COMPILE / "
+          "compiled.disabled() only, never per call",
+          r"compile=(False|True)|enable: bool",
+          ("src/repro/sim",), include=None, exclude_dirs=()),
+    Guard("no_per_site_programs",
+          "per-fault-site cone / detection programs, their hit gate and "
+          "source interning are gone: fault simulation walks cones on the "
+          "interpreter (test_lanes has an unrelated property_walkers "
+          "test, hence the word boundaries)",
+          r"cone_program|det_program|ConeProgram|DetProgram"
+          r"|COMPILE_AFTER_HITS|\b_interned\b|\b_walkers\b",
+          CODE),
+    Guard("no_unread_instrumentation",
+          "the campaign_finished hook, the walk-summary debug lines, the "
+          "lock-guarded walker tallies and ProgramStats are gone; "
+          "steps_run / root_walks stay as plain counters",
+          r"campaign_finished|log_walk_summary|cycles_skipped|early_exits"
+          r"|never_activated|first_window_drops|_count_lock|ProgramStats"
+          r"|fused_ops|scratch_bytes|_SLOT_LINE",
+          ("src", "tests", "examples"), exclude_dirs=()),
+    Guard("injection_not_a_dataclass",
+          "Injection is a NamedTuple built positionally: one object per "
+          "point, no __dict__",
+          r"@dataclass.*\nclass Injection\b",
+          ("src/repro/engine/core.py",)),
+    Guard("injection_is_a_namedtuple",
+          "the same record, asserted by its declaration",
+          r"^class Injection\(NamedTuple\):",
+          ("src/repro/engine/core.py",), present=True),
+    Guard("simulate_interprets",
+          "logic.simulate is the interpreter only: a one-shot evaluation "
+          "never repays a full-circuit compile, so CircuitProgram and its "
+          "factory are gone (test_compiled's "
+          "..._per_circuit_programs test is unrelated, hence the word "
+          "boundaries)",
+          r"\bCircuitProgram\b|\bcircuit_program\b",
+          CODE),
+    Guard("no_full_program_key",
+          "Circuit._program_cache holds step programs only; the 'full' key "
+          "went with the full-circuit program",
+          r"\[\s*[\"']full[\"']\s*\]|\.get\(\s*[\"']full[\"']",
+          CODE),
+    Guard("logic_does_not_import_compiled",
+          "sim/logic.py has no compiled branch; the compiled tier is the "
+          "per-circuit step programs that sim/sequential.py and the lane "
+          "walker run",
+          r"^\s*(from|import)\s.*\bcompiled\b|import_module\(.*compiled",
+          ("src/repro/sim/logic.py",)),
+)
+
+
+def _files(guard: Guard) -> list[Path]:
+    files = []
+    for rel in guard.paths:
+        path = ROOT / rel
+        assert path.exists(), f"{guard.name}: {rel} does not exist"
+        if path.is_file():
+            files.append(path)
+            continue
+        for found in sorted(path.rglob(guard.include or "*")):
+            parts = found.relative_to(path).parts[:-1]
+            if (found.is_file() and "__pycache__" not in parts
+                    and not set(parts) & set(guard.exclude_dirs)):
+                files.append(found)
+    return [f for f in files if f.resolve() != SELF]
+
+
+def _matches(guard: Guard) -> list[str]:
+    regex = re.compile(guard.pattern, re.MULTILINE)
+    hits = []
+    for path in _files(guard):
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for m in regex.finditer(text):
+            line = text.count("\n", 0, m.start()) + 1
+            hits.append(f"{path.relative_to(ROOT)}:{line}: {m.group(0)!r}")
+    return hits
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.name)
+def test_source_guard(guard):
+    hits = _matches(guard)
+    if guard.present:
+        assert hits, f"{guard.name} not found — {guard.reason}"
+    else:
+        assert not hits, f"{guard.name}: {guard.reason}\n" + "\n".join(hits)
+
+
+def test_guards_bite(tmp_path, monkeypatch):
+    # every forbidding row matches the text it forbids, so a typo in a
+    # pattern cannot turn a guard off silently
+    samples = {
+        "lazy_reexports": "from .netlist import Circuit\n",
+        "one_env_knob": 'os.environ["RESCUE_SOA_MIN"]\n',
+        "process_pool_or_serial": "run_thread(x)\n",
+        "pool_per_campaign": "_pool_registry = {}\n",
+        "one_lane_walker": "def _propagate_soa(ctx):\n",
+        "no_lanes_walk": "def _walk(self):\n",
+        "packed_outcome_blocks": "INSERT INTO injections VALUES\n",
+        "chunk_failures_are_values": "class ChunkError(Exception):\n",
+        "no_per_call_compile_flag": "simulate(c, p, 1, compile=False)\n",
+        "no_per_site_programs": "prog = cone_program(c, site)\n",
+        "no_unread_instrumentation": "class ProgramStats:\n",
+        "injection_not_a_dataclass": "@dataclass(frozen=True)\n"
+                                     "class Injection:\n",
+        "simulate_interprets": "program = compiled.circuit_program(c)\n",
+        "no_full_program_key": 'cache["full"] = prog\n',
+        "logic_does_not_import_compiled": "from . import compiled\n",
+    }
+    forbidding = [g for g in GUARDS if not g.present]
+    assert set(samples) == {g.name for g in forbidding}
+    for guard in forbidding:
+        root = tmp_path / guard.name
+        for rel in guard.paths:
+            path = root / rel
+            if path.suffix:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.touch()
+            else:
+                path.mkdir(parents=True)
+        target = root / guard.paths[0]
+        if not target.suffix:  # a directory: one file inside it
+            target = target / "sample.py"
+        target.write_text(samples[guard.name])
+        monkeypatch.setitem(globals(), "ROOT", root)
+        assert _matches(guard), guard.name
+
+
+def test_clean_names_pass():
+    # names the guards must leave alone
+    regexes = {g.name: re.compile(g.pattern, re.MULTILINE) for g in GUARDS}
+    assert not regexes["one_env_knob"].search("RESCUE_NO_COMPILE")
+    assert regexes["one_env_knob"].search("RESCUE_NO_COMPILE_X")
+    assert not regexes["no_per_site_programs"].search("property_walkers")
+    assert not regexes["simulate_interprets"].search(
+        "def test_cache_only_per_circuit_programs():")
+    assert not regexes["no_full_program_key"].search(
+        '("full", "early-stop", "die")')
+    assert not regexes["logic_does_not_import_compiled"].search(
+        "from ..circuit.netlist import Circuit\n")
+    assert not regexes["injection_not_a_dataclass"].search(
+        "class Injection(NamedTuple):\n")
