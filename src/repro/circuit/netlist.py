@@ -111,8 +111,8 @@ class Circuit:
         # they are read from, the fan-out-free-region links and the
         # linear-tail walk table per observe set — repro.sim.fault_sim
         self._cone_cache: dict[tuple | str | None, Any] = {}
-        # compiled simulation programs (repro.sim.compiled), keyed by
-        # program kind; invalidated with the structural caches above
+        # the compiled step program (repro.sim.compiled, key "step");
+        # invalidated with the structural caches above
         self._program_cache: dict = {}
 
     # ------------------------------------------------------------------

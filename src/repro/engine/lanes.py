@@ -40,13 +40,13 @@ through the compiled step function (:class:`repro.sim.compiled
 .StepProgram`) — the word simply outgrows the machine word beyond 64
 lanes, and big-int ops stay near width-insensitive to very large
 widths.  ``"soa"`` (:class:`_SoaLanes`) — the choice from ~1k lanes on
-circuits with wide levels — is the structure-of-arrays kernel
-(:class:`repro.sim.compiled.SoaStepProgram`), which holds the whole net
-state in one 2-D block matrix and runs each topological level as a
-handful of fused numpy calls; flips are XORs into its flop rows and the
-golden rows of a step are gathered *per 64-lane block*, not per lane
-(``packed_dispatch`` sorts lanes by injection cycle, so a block holds
-two to four distinct start cycles).  Both carriers execute the same
+circuits with wide levels — is the structure-of-arrays kernel of the
+same step program (:attr:`repro.sim.compiled.StepProgram.soa`), which
+holds the whole net state in one 2-D block matrix and runs each
+topological level as a handful of fused numpy calls; flips are XORs
+into its flop rows and the golden rows of a step are gathered *per
+64-lane block*, not per lane (``packed_dispatch`` sorts lanes by
+injection cycle, so a block holds two to four distinct start cycles).  Both carriers execute the same
 number of steps for the same schedule and are byte-identical to the
 64-lane and 1-lane references, and to the reference interpreter that
 runs underneath them — every cycle from the first flip to the end of
@@ -83,8 +83,18 @@ from .core import _chunked
 DEFAULT_LANE_WIDTH = 64
 
 
+def check_lane_width(width: int) -> None:
+    """Reject a lane width that is not an ``int`` >= 1 (``bool`` is not a
+    width) — what backends call at construction, in the parent.  Read
+    leniently, ``0`` or ``True`` would select the per-point path and
+    ``2.5`` a width nobody asked for."""
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(f"lane_width must be an int >= 1, got {width!r}")
+
+
 def resolve_lane_width(width: int) -> int:
-    """Clamp a requested lane width to what the host supports.
+    """Validate a requested lane width (:func:`check_lane_width`) and
+    clamp it to what the host supports.
 
     Widths above 64 are declared against numpy (the SoA carrier and the
     one-pass unpacking of wide outcome words need it); without it they
@@ -92,7 +102,7 @@ def resolve_lane_width(width: int) -> int:
     warning.  (Outcomes are identical at every width, so degradation
     only costs throughput.)
     """
-    width = max(1, int(width))
+    check_lane_width(width)
     if width > DEFAULT_LANE_WIDTH and not _vector.HAVE_NUMPY:
         _vector._warn_no_numpy(f"lane width {width} requested")
         return DEFAULT_LANE_WIDTH
@@ -277,10 +287,14 @@ def check_cycles(cycles: Sequence[int], n_cycles: int) -> None:
     silent wrong answer: a negative cycle wraps into golden-run data
     (differently per lane width), and one past the workload is a flip
     that never happens — it reads a 0 bit off the packed words where the
-    per-point path raises ``IndexError``, or comes back ``masked``."""
-    if any(not 0 <= cycle < n_cycles for cycle in cycles):
+    per-point path raises ``IndexError``, or comes back ``masked``.
+    The message names the first few offending cycles and counts the
+    rest."""
+    bad = [cycle for cycle in cycles if not 0 <= cycle < n_cycles]
+    if bad:
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
         raise ValueError(f"injection cycles outside the {n_cycles}-cycle "
-                         f"workload in {list(cycles)}")
+                         f"workload: {bad[:3]}{more}")
 
 
 def resolve_backing(requested: str | None, circuit: Circuit,
@@ -296,8 +310,8 @@ def resolve_backing(requested: str | None, circuit: Circuit,
     iff ``width >= vector.SOA_MIN_LANES`` and the step kernel averages
     at least ``vector.SOA_MIN_LEVEL_WIDTH`` gates per level — below
     that the per-level dispatch is not amortized and packed ints win.
-    (The kernel schedule this reads is one netlist pass, cached on the
-    circuit whichever way the choice falls.)  An unknown name raises
+    (The SoA kernel this reads is built once per circuit, on its step
+    program, whichever way the choice falls.)  An unknown name raises
     ``ValueError``.
     """
     check_backing(requested)
@@ -312,7 +326,7 @@ def resolve_backing(requested: str | None, circuit: Circuit,
     if requested is None:
         if width < _vector.SOA_MIN_LANES:
             return "int"
-        k = _compiled.soa_step_program(circuit, width).kernel
+        k = _compiled.step_program(circuit).soa
         if k.n_gates / max(1, k.n_levels) < _vector.SOA_MIN_LEVEL_WIDTH:
             return "int"
     return "soa"
@@ -344,9 +358,7 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     """
     mask = mask_of(ctx.width)
     lanes = mask_of(n_lanes) & mask
-    program = (_compiled.soa_step_program(ctx.circuit, ctx.width)
-               if ctx.backing == "soa"
-               else _compiled.step_program(ctx.circuit))
+    program = _compiled.step_program(ctx.circuit)
     if program is not None:
         return _propagate_skewed(ctx, program, flips, start, lanes)
 
@@ -485,7 +497,7 @@ class _IntLanes:
         self.n_in = len(program.inputs)
         self.n_io = self.n_in + len(program.outputs)
         self.q_index = program.q_index
-        self.fn = program.program.fn
+        self.fn = program.fn
         self.live = live
         self.golden = _skewed_golden(ctx, program, starts,
                                      _vector.blocks_for(live.bit_length()))
@@ -622,7 +634,8 @@ class _SoaLanes:
     def __init__(self, ctx: LaneContext, program, starts: Mapping[int, int],
                  live: int) -> None:
         np = _vector.np
-        self.program = program
+        self.kernel = kernel = program.soa
+        self.q_index = program.q_index
         self.n_in = len(program.inputs)
         self.n_io = self.n_in + len(program.outputs)
         self.gold = ctx.golden_table(program, _cycle_table)
@@ -632,12 +645,11 @@ class _SoaLanes:
         order = np.argsort(lanes_of == 0, axis=0, kind="stable")[:depth]
         self.masks = np.take_along_axis(lanes_of, order, axis=0)[..., None]
         self.cycles = np.asarray(list(starts))[order]
-        kernel = program.kernel
         n = kernel.n_slots
         self.S = S = np.zeros((2 * n, self.n_blocks), dtype=np.uint64)
         S[n] = ~np.uint64(0)
         self.bound = kernel.bind(S)  # output views, replayed every cycle
-        (pa, pb), (qa, qb), (lo, hi) = (program.pi_slice, program.q_slice,
+        (pa, pb), (qa, qb), (lo, hi) = (kernel.pi_slice, kernel.q_slice,
                                         kernel.src_span)
         self.pi_rows, self.q_rows = S[pa:pb], S[qa:qb]
         self.src_rows, self.src_mirror = S[lo:hi], S[n + lo:n + hi]
@@ -669,18 +681,18 @@ class _SoaLanes:
         return np.ascontiguousarray(rows.T)
 
     def flip(self, due: Mapping[str, int]) -> None:
-        qa, q_index = self.program.q_slice[0], self.program.q_index
+        qa, q_index = self.kernel.q_slice[0], self.q_index
         self.S[[qa + q_index[q] for q in due]] ^= self._words(due.values())
 
     def step(self) -> tuple[int, int]:
         np = _vector.np
-        S, rows, program = self.S, self.rows, self.program
+        S, rows, kernel = self.S, self.rows, self.kernel
         self.pi_rows[...] = rows[:self.n_in]
         np.invert(self.src_rows, out=self.src_mirror)
-        program.kernel.execute_bound(S, self.bound)
-        po = S.take(program.po_rows, axis=0)
+        kernel.execute_bound(S, self.bound)
+        po = S.take(kernel.po_rows, axis=0)
         po ^= rows[self.n_in:self.n_io]
-        self.q_rows[...] = S.take(program.d_rows, axis=0)
+        self.q_rows[...] = S.take(kernel.d_rows, axis=0)
         self.steps += 1
         self.rows = ahead = self._gather()
         diff = np.bitwise_xor(self.q_rows, ahead[self.n_io:])

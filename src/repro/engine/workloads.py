@@ -385,9 +385,7 @@ class GpgpuSeuBackend:
             raise ValueError(f"GPGPU transients {bad} lie outside the "
                              f"{n_warps}x{warp_size} core's 32-bit "
                              f"pipeline registers")
-        if lane_width < 1:
-            raise ValueError(f"GPGPU lane_width must be >= 1, "
-                             f"got {lane_width}")
+        lanes.check_lane_width(lane_width)
         self.lane_width = lane_width
         self.circuit_name = f"simt-{label}"
         self.workload = f"gpgpu-seu[{len(self.faults)} transients]"

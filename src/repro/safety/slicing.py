@@ -145,15 +145,12 @@ def _run_slicing_campaign(
     workers: int,
     executor: str,
     lane_width: int | None,
-    lane_backing: str | None = None,
     resume: int | None = None,
 ) -> CampaignOutcome:
     from ..engine.core import EngineConfig, run_campaign
     from ..engine.workloads import SlicingBackend
 
     kwargs = {} if lane_width is None else {"lane_width": lane_width}
-    if lane_backing is not None:
-        kwargs["lane_backing"] = lane_backing
     backend = SlicingBackend(circuit, faults, stimuli, cycles,
                              use_filter=use_filter, **kwargs)
     report = run_campaign(
@@ -171,13 +168,12 @@ def run_naive_campaign(
     workers: int = 1,
     executor: str = "auto",
     lane_width: int | None = None,
-    lane_backing: str | None = None,
     resume: int | None = None,
 ) -> CampaignOutcome:
     """Simulate every (fault, cycle) pair — the reference cost.
 
     Runs on the unified engine with the point filter disabled
-    (``db``/``workers``/``executor``/``lane_width``/``lane_backing``
+    (``db``/``workers``/``executor``/``lane_width``
     passthrough; lane packing shares the multi-cycle propagation of up
     to ``lane_width`` injections per run — any width via the vector
     tier — with byte-identical classifications).  ``resume`` restarts a
@@ -186,7 +182,7 @@ def run_naive_campaign(
     return _run_slicing_campaign(circuit, faults, stimuli, cycles,
                                  use_filter=False, db=db, workers=workers,
                                  executor=executor, lane_width=lane_width,
-                                 lane_backing=lane_backing, resume=resume)
+                                 resume=resume)
 
 
 def run_sliced_campaign(
@@ -198,7 +194,6 @@ def run_sliced_campaign(
     workers: int = 1,
     executor: str = "auto",
     lane_width: int | None = None,
-    lane_backing: str | None = None,
     resume: int | None = None,
 ) -> CampaignOutcome:
     """The accelerated campaign: skip provably-masked injections.
@@ -222,7 +217,7 @@ def run_sliced_campaign(
     return _run_slicing_campaign(circuit, faults, stimuli, cycles,
                                  use_filter=True, db=db, workers=workers,
                                  executor=executor, lane_width=lane_width,
-                                 lane_backing=lane_backing, resume=resume)
+                                 resume=resume)
 
 
 def verify_equivalence(naive: CampaignOutcome, sliced: CampaignOutcome) -> bool:

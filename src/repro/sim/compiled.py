@@ -14,73 +14,64 @@ result stores are vectorized through tuples.  CPython then executes the
 whole circuit as consecutive ``LOAD_FAST``/``BINARY_OP`` bytecodes — no
 per-gate dispatch, no per-input hashing.
 
-The compiled tier is the per-circuit step programs only — one clock of
-a sequential circuit, evaluated once per cycle of every multi-cycle
-run, which is the one shape that repays its ``compile()``:
-
-* :class:`StepProgram`  — a fused combinational-eval + flop-advance step
-  for :class:`repro.sim.sequential.SequentialSim` and the lane walker,
-  restricted to the cone of influence of the observable nets (POs and
-  flop D inputs).
-* :class:`SoaStepProgram` — the same step over a numpy state matrix
-  (the SoA tier below).
+The compiled tier is one step program per circuit — one clock of a
+sequential circuit, evaluated once per cycle of every multi-cycle run,
+which is the one shape that repays its ``compile()``.
+:class:`StepProgram` fuses combinational evaluation and the flop
+advance for :class:`repro.sim.sequential.SequentialSim` and the lane
+walker, restricted to the cone of influence of the observable nets (POs
+and flop D inputs).  It carries two kernels, each built the first time
+it is read: the generated int function above (:attr:`StepProgram.fn`)
+and the SoA level schedule below (:attr:`StepProgram.soa`).
 
 One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
 compiled form, because a cold full-circuit compile costs about seventy
 interpreted evaluations; a library caller that needs one good machine
-at many points simulates it once and keeps the values.  Per-fault cone walks (:mod:`repro.sim.fault_sim`)
-stay on the interpreter for the same reason: the batched PPSFP sweep
-walks one cone per fan-out-free region, and a program compiled per
-fault site never saw enough evaluations on a campaign to pay back its
-``compile()``.
+at many points simulates it once and keeps the values.  Per-fault cone
+walks (:mod:`repro.sim.fault_sim`) stay on the interpreter for the same
+reason: the batched PPSFP sweep walks one cone per fan-out-free region,
+and a program compiled per fault site never saw enough evaluations on a
+campaign to pay back its ``compile()``.
 
-Programs are **byte-identical** to the interpreter at any pattern width:
-each generated expression is the same boolean function the dispatch
-table computes, so every net value and campaign outcome matches bit for
-bit.  ``RESCUE_NO_COMPILE=1`` — or, within a block, :func:`disabled` —
-forces the reference interpreter for every step; the equivalence tests
-in ``tests/test_compiled.py`` run both paths against each other.
+Both kernels are **byte-identical** to the interpreter at any pattern
+width: each generated expression and each level op is the same boolean
+function the dispatch table computes, so every net value and campaign
+outcome matches bit for bit.  ``RESCUE_NO_COMPILE=1`` — or, within a
+block, :func:`disabled` — forces the reference interpreter for every
+step; the equivalence tests in ``tests/test_compiled.py`` and
+``tests/test_soa.py`` run both paths against each other.
 
-Caching and invalidation: programs are memoized in
-``Circuit._program_cache`` under per-circuit keys (``"step"``,
-``"soa_step"`` and ``("soa_step", width)``) and invalidated
-by ``Circuit._invalidate`` alongside the topo/fan-out/cone caches, so
-any mutation recompiles.
-Pickling: a program carries only its *source*; the code object is
-rebuilt lazily on first call in the receiving process (the same
-cache-drop pattern ``Circuit.__getstate__`` uses), so compiled backends
-ship to process-pool workers unchanged.
+Caching: the program is memoized in ``Circuit._program_cache`` under the
+one key ``"step"`` and dropped by ``Circuit._invalidate`` alongside the
+topo/fan-out/cone caches, so any mutation rebuilds it.  Nothing pickles
+a program: ``Circuit.__getstate__`` drops the cache and every backend
+drops its lane context, so a process-pool worker builds its own on
+first use.
 
-**SoA tier**: the per-net representation above pays one interpreter
-dispatch *per gate*; :class:`SoaStepProgram` instead keeps the whole
-net state in one ``(2 * n_slots, n_blocks)`` uint64 matrix whose top
-half mirrors the bottom half complemented, and executes each
-topological level as a handful of fused numpy calls over *every* gate
-in the level (:class:`_SoaKernel`).  Polarity — NAND/NOR/XNOR outputs,
-folded NOTs, the complemented inputs of the De Morgan rewrite
-``a | b == ~(~a & ~b)`` — costs nothing at runtime: it is encoded as a
-row index into the complement mirror at schedule-build time, so a level
-is just two row-gathers, one ``bitwise_and`` over the and-family slab,
-one ``bitwise_xor`` over the xor-family slab, and one ``invert``
-refreshing the level's mirror rows.  Dead lanes of a partial last block
-may hold garbage mid-flight (complement garbage propagates only within
-dead lanes through ``& ^ ~``); the lane mask is applied once at each
-readout boundary, which keeps every returned word bit-identical to the
-interpreter.  The SoA program holds no code object at all — it pickles
-as plain index arrays.  Only the fused step exists in SoA form: it is
-the one shape a multi-cycle lane propagation runs (PPSFP evaluates
-cones on int pattern windows of at most 1024 bits).  See
-:mod:`repro.sim.vector` for the measured per-op cost model behind the
-kernel's idioms and :func:`repro.engine.lanes.resolve_backing` for when
-this tier runs.
+**SoA kernel**: the int kernel pays one interpreter dispatch *per
+gate*; :class:`_SoaKernel` instead keeps the whole net state in one
+``(2 * n_slots, n_blocks)`` uint64 matrix whose top half mirrors the
+bottom half complemented, and executes each topological level as a
+handful of fused numpy calls over *every* gate in the level.  Polarity
+— NAND/NOR/XNOR outputs, folded NOTs, the complemented inputs of the De
+Morgan rewrite ``a | b == ~(~a & ~b)`` — costs nothing at runtime: it
+is encoded as a row index into the complement mirror at schedule-build
+time, so a level is just two row-gathers, one ``bitwise_and`` over the
+and-family slab, one ``bitwise_xor`` over the xor-family slab, and one
+``invert`` refreshing the level's mirror rows.  Dead lanes of a partial
+last block may hold garbage mid-flight (complement garbage propagates
+only within dead lanes through ``& ^ ~``); the lane walker masks them
+off with its lane sets.  See :mod:`repro.sim.vector` for the measured per-op cost
+model behind the kernel's idioms and
+:func:`repro.engine.lanes.resolve_backing` for when it runs.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
@@ -202,39 +193,6 @@ class _Emitter:
         return "\n".join(parts) + "\n"
 
 
-class CompiledProgram:
-    """Generated source plus a lazily-(re)built code object.
-
-    Only ``source`` travels through pickle; the function is recompiled
-    on first call in the receiving process, mirroring how ``Circuit``
-    drops its memoized caches on serialization.
-    """
-
-    __slots__ = ("source", "name", "_fn")
-
-    def __init__(self, source: str, name: str) -> None:
-        self.source = source
-        self.name = name
-        self._fn = None
-
-    @property
-    def fn(self):
-        fn = self._fn
-        if fn is None:
-            namespace: dict = {}
-            exec(compile(self.source, f"<compiled:{self.name}>", "exec"),
-                 namespace)
-            fn = self._fn = namespace["_run"]
-        return fn
-
-    def __getstate__(self) -> tuple[str, str]:
-        return (self.source, self.name)
-
-    def __setstate__(self, state: tuple[str, str]) -> None:
-        self.source, self.name = state
-        self._fn = None
-
-
 # ----------------------------------------------------------------------
 # fused sequential step (SequentialSim.step)
 # ----------------------------------------------------------------------
@@ -256,31 +214,54 @@ def _live_gates(circuit: Circuit) -> list[Gate]:
 
 
 class StepProgram:
-    """One clock: ``fn(pis, state, mask)`` returns ``(po_values,
-    next_state)`` tuples.  Only gates in the cone of influence of the
-    observables (POs and flop D inputs) are evaluated — dead logic
-    cannot change either return value."""
+    """One clock of one circuit, with an int kernel and an SoA kernel.
 
-    __slots__ = ("inputs", "flop_qs", "flop_inits", "outputs", "q_index",
-                 "program")
+    The header — inputs, flop Qs and inits, outputs, ``q_index`` and the
+    live gates — is shared; each kernel is built the first time it is
+    read, so a campaign builds only the kernel its carrier runs.  Only
+    gates in the cone of influence of the observables (POs and flop D
+    inputs) are evaluated: dead logic cannot change a PO or a next state.
+
+    * :attr:`fn` — ``fn(pis, state, mask)`` returns ``(po_values,
+      next_state)`` tuples over Python ints (generated from
+      :attr:`source`);
+    * :attr:`soa` — the level schedule over the SoA state matrix
+      (:class:`_SoaKernel`; needs numpy).
+    """
 
     def __init__(self, circuit: Circuit) -> None:
+        self.name = circuit.name
         self.inputs = tuple(circuit.inputs)
         self.flop_qs = tuple(circuit.flops)
         self.flop_inits = tuple(f.init for f in circuit.flops.values())
+        self.flop_ds = tuple(f.d for f in circuit.flops.values())
         self.outputs = tuple(circuit.outputs)
         self.q_index = {q: i for i, q in enumerate(self.flop_qs)}
+        self.gates = _live_gates(circuit)
+
+    @cached_property
+    def source(self) -> str:
         emit = _Emitter()
         pi_slots = emit.bind_sources(self.inputs)
         q_slots = emit.bind_sources(self.flop_qs)
-        for gate in _live_gates(circuit):
+        for gate in self.gates:
             emit.emit_gate(gate)
         po_atoms = [emit.atoms[po] for po in self.outputs]
-        d_atoms = [emit.atoms[f.d] for f in circuit.flops.values()]
+        d_atoms = [emit.atoms[d] for d in self.flop_ds]
         ret = f"({_tuple_expr(po_atoms)}, {_tuple_expr(d_atoms)},)"
-        source = emit.source("def _run(pis, state, mask):",
-                             [("pis", pi_slots), ("state", q_slots)], ret)
-        self.program = CompiledProgram(source, f"step:{circuit.name}")
+        return emit.source("def _run(pis, state, mask):",
+                           [("pis", pi_slots), ("state", q_slots)], ret)
+
+    @cached_property
+    def fn(self):
+        namespace: dict = {}
+        exec(compile(self.source, f"<compiled:step:{self.name}>", "exec"),
+             namespace)
+        return namespace["_run"]
+
+    @cached_property
+    def soa(self) -> _SoaKernel:
+        return _SoaKernel(self)
 
     def run(self, pi_values: Mapping[str, int], state: Mapping[str, int],
             mask: int) -> tuple[dict[str, int], dict[str, int]]:
@@ -290,25 +271,16 @@ class StepProgram:
         flop_state = tuple(
             (state[q] & mask) if q in state else (mask if init else 0)
             for q, init in zip(self.flop_qs, self.flop_inits))
-        pos, nxt = self.program.fn(pis, flop_state, mask)
+        pos, nxt = self.fn(pis, flop_state, mask)
         return dict(zip(self.outputs, pos)), dict(zip(self.flop_qs, nxt))
 
 
-# ----------------------------------------------------------------------
-# per-circuit caches (invalidated with the topo/cone caches)
-# ----------------------------------------------------------------------
-def _cache(circuit: Circuit) -> dict:
-    cache = getattr(circuit, "_program_cache", None)
-    if cache is None:  # circuits unpickled from pre-cache snapshots
-        cache = circuit._program_cache = {}
-    return cache
-
-
 def step_program(circuit: Circuit) -> StepProgram | None:
-    """The fused step program, or ``None`` when compilation is off."""
+    """The circuit's step program (cached until the circuit mutates), or
+    ``None`` when compilation is off."""
     if _ENV_DISABLED:
         return None
-    cache = _cache(circuit)
+    cache = circuit._program_cache
     prog = cache.get("step")
     if prog is None:
         prog = cache["step"] = StepProgram(circuit)
@@ -353,22 +325,25 @@ class _SoaKernel:
     arity-ascending inside each family so those tails are contiguous
     slices), and one ``invert`` refreshing the level's mirror rows.
 
-    The schedule is plain picklable data — index arrays and slices, no
-    code objects; ``execute_bound`` is the only runtime code.
+    Built once per circuit by :attr:`StepProgram.soa` from the step's
+    live gates; it is width-independent: the lane walker allocates a
+    matrix as wide as the lanes it holds, fills the source rows
+    (:attr:`pi_slice`, :attr:`q_slice`) and reads :attr:`po_rows` and
+    :attr:`d_rows` back after :meth:`execute_bound`.
     """
 
-    def __init__(self, gates: Sequence[Gate],
-                 sources: Sequence[Sequence[str]]) -> None:
+    def __init__(self, program: StepProgram) -> None:
+        gates = program.gates
         alias: dict[str, tuple[int, int]] = {}
         row = 1  # row 0: constant zero (mirror row n_slots: constant one)
         slices = []
-        for group in sources:
+        for group in (program.inputs, program.flop_qs):
             a = row
             for net in group:
                 alias[net] = (row, 0)
                 row += 1
             slices.append((a, row))
-        self.src_slices = tuple(slices)
+        self.pi_slice, self.q_slice = slices
         self.src_span = (1, row)
         # pass A: levelize real gates; a folded gate sits at its input's
         # level so its consumers still level strictly above the producer
@@ -413,7 +388,6 @@ class _SoaKernel:
             elif t is GateType.NOT:
                 r, p = alias[g.inputs[0]]
                 alias[g.output] = (r, p ^ 1)
-        self.alias = alias
         np = _vector.np
 
         def rowof(net: str, comp: int = 0) -> int:
@@ -453,13 +427,10 @@ class _SoaKernel:
         self.n_levels = len(plan)
         self.n_gates = sum(p[2] for p in plan)
         self.n_calls = n_calls
-
-    def rows_of(self, nets: Sequence[str]):
-        """Polarity-resolved mirror row per net (for readout gathers)."""
-        np = _vector.np
-        n = self.n_slots
-        return np.asarray([self.alias[net][0] + n * self.alias[net][1]
-                           for net in nets], dtype=np.intp)
+        self.po_rows = np.asarray([rowof(po) for po in program.outputs],
+                                  dtype=np.intp)
+        self.d_rows = np.asarray([rowof(d) for d in program.flop_ds],
+                                 dtype=np.intp)
 
     def bind(self, S) -> list:
         """Pre-resolve the plan's output views into ``S``.
@@ -496,111 +467,3 @@ class _SoaKernel:
                 uf = band if fam == "and" else bxor
                 uf(src[lo:hi], take(rows, 0), out=src[lo:hi])
             binv(src, out=dst)
-
-    def execute(self, S) -> None:
-        """One-shot evaluation (bind + run; loops should bind once)."""
-        self.execute_bound(S, self.bind(S))
-
-
-class SoaStepProgram:
-    """One clock over the mirror matrix, ``n_lanes`` wide.
-
-    The SoA counterpart of :class:`StepProgram`: the kernel schedule
-    restricted to the cone of influence of the observables, plus the
-    row maps that load PIs/flops and read POs/next state.  ``run``
-    mirrors ``StepProgram.run`` with packed-int boundaries;
-    :mod:`repro.engine.lanes` instead drives the exposed :attr:`kernel`
-    and row maps directly, keeping the whole multi-cycle loop inside
-    numpy.  There is no generated source: the program pickles as index
-    arrays.  Everything but ``n_lanes`` is width-independent and shared
-    by :meth:`at_width` copies.
-    """
-
-    __slots__ = ("kernel", "inputs", "flop_qs", "flop_inits", "outputs",
-                 "q_index", "po_rows", "d_rows", "n_lanes")
-
-    def __init__(self, circuit: Circuit, n_lanes: int) -> None:
-        if not _vector.HAVE_NUMPY:  # the factory returns None instead
-            raise RuntimeError("SoA programs require numpy")
-        self.inputs = tuple(circuit.inputs)
-        self.flop_qs = tuple(circuit.flops)
-        self.flop_inits = tuple(f.init for f in circuit.flops.values())
-        self.outputs = tuple(circuit.outputs)
-        self.q_index = {q: i for i, q in enumerate(self.flop_qs)}
-        self.kernel = kernel = _SoaKernel(_live_gates(circuit),
-                                          (self.inputs, self.flop_qs))
-        self.po_rows = kernel.rows_of(self.outputs)
-        self.d_rows = kernel.rows_of([f.d for f in circuit.flops.values()])
-        self.n_lanes = n_lanes
-
-    def at_width(self, n_lanes: int) -> "SoaStepProgram":
-        """The same schedule at another lane width (one netlist pass per
-        circuit, however many widths run on it)."""
-        clone = copy.copy(self)
-        clone.n_lanes = n_lanes
-        return clone
-
-    @property
-    def n_blocks(self) -> int:
-        return _vector.blocks_for(self.n_lanes)
-
-    @property
-    def pi_slice(self) -> tuple[int, int]:
-        return self.kernel.src_slices[0]
-
-    @property
-    def q_slice(self) -> tuple[int, int]:
-        return self.kernel.src_slices[1]
-
-    def run(self, pi_values: Mapping[str, int],
-            state: Mapping[str, int]) -> tuple[dict, dict]:
-        k = self.kernel
-        np = _vector.np
-        n = k.n_slots
-        blocks = self.n_blocks
-        mask = _vector.mask_array(self.n_lanes, blocks)
-        full = (1 << self.n_lanes) - 1
-        # a fresh matrix per evaluation: programs are shared across
-        # threads, so the state is never cached on the program
-        S = np.zeros((2 * n, blocks), dtype=np.uint64)
-        S[n] = mask
-        (pa, _pb), (qa, _qb) = k.src_slices
-        for i, pi in enumerate(self.inputs):
-            v = pi_values.get(pi, 0) & full
-            if v:
-                S[pa + i] = _vector.to_blocks(v, blocks)
-        for i, (q, init) in enumerate(zip(self.flop_qs, self.flop_inits)):
-            if q in state:
-                v = state[q] & full
-                if v:
-                    S[qa + i] = _vector.to_blocks(v, blocks)
-            elif init:
-                S[qa + i] = mask
-        lo, hi = k.src_span
-        np.invert(S[lo:hi], out=S[n + lo:n + hi])
-        k.execute(S)
-        pos = S.take(self.po_rows, axis=0)
-        pos &= mask
-        nxt = S.take(self.d_rows, axis=0)
-        nxt &= mask
-        return dict(zip(self.outputs, pos)), dict(zip(self.flop_qs, nxt))
-
-
-def soa_step_program(circuit: Circuit,
-                     n_lanes: int) -> SoaStepProgram | None:
-    """The ``n_lanes``-wide SoA fused step program, or ``None`` when
-    compilation is off or numpy is missing (callers fall back to the
-    packed-int paths, which carry any width through big ints).  The
-    kernel schedule is built once per circuit; per-width programs are
-    thin copies."""
-    if _ENV_DISABLED or not _vector.HAVE_NUMPY:
-        return None
-    cache = _cache(circuit)
-    key = ("soa_step", n_lanes)
-    prog = cache.get(key)
-    if prog is None:
-        base = cache.get("soa_step")
-        if base is None:
-            base = cache["soa_step"] = SoaStepProgram(circuit, n_lanes)
-        prog = cache[key] = base.at_width(n_lanes)
-    return prog

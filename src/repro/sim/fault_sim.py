@@ -22,9 +22,10 @@ trees, adders and output compressors end in: a difference crosses a
 tail as one XOR into the tail's end (:func:`_root_walk`,
 :func:`_tail_table`).
 
-Every cone walk here is the interpreter's (``GATE_EVAL`` over the
-cone's gates); only the good-machine simulations run on the circuit's
-compiled program.
+Nothing here is compiled: every cone walk is the interpreter's
+(``GATE_EVAL`` over the cone's gates), and so is every good-machine
+simulation (:func:`repro.sim.logic.simulate`, run once per pattern
+window or cycle and kept).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ that word:
   thousand bits (one AND on this class of host: ~0.08µs at 1024 bits,
   ~0.13µs at 4096 bits, and the compiled step loop lands at
   ~0.13-0.14µs/gate at 1024 lanes including interpreter overhead).
-* ``"soa"`` — the structure-of-arrays compiled kernel
-  (:class:`repro.sim.compiled.SoaStepProgram`): the whole net state
+* ``"soa"`` — the structure-of-arrays kernel of the compiled step
+  program (:attr:`repro.sim.compiled.StepProgram.soa`): the whole net state
   lives in one 2-D ``(2 * n_slots, n_blocks)`` uint64 matrix whose top
   half mirrors the bottom half complemented, and each topological level
   executes as ~4 fused numpy calls (two row-gathers, one
@@ -21,11 +21,12 @@ that word:
   (:data:`SOA_MIN_LANES`) on circuits with wide levels
   (:data:`SOA_MIN_LEVEL_WIDTH`).
 
-This module holds what both sides of that boundary share: the packed
-int <-> uint64 block conversions (:func:`to_blocks`,
-:func:`from_blocks`, :func:`mask_array`), the two crossover constants
-and the carrier names a caller may request (:data:`BACKINGS`).  Which
-carrier runs a given width on a given circuit is decided in one place,
+This module holds what both sides of that boundary share: the block
+count of a lane word (:func:`blocks_for`), the uint64 block array ->
+packed int conversion (:func:`from_blocks`), the two crossover
+constants and the carrier names a caller may request
+(:data:`BACKINGS`).  Which carrier runs a given width on a given
+circuit is decided in one place,
 :func:`repro.engine.lanes.resolve_backing`.
 
 Measured per-op cost model for the SoA kernel (1-CPU host, numpy 2.x,
@@ -79,16 +80,11 @@ except ImportError:  # a finder that refuses numpy: absent
 log = logging.getLogger(__name__)
 
 
-def _np():
-    """The numpy module, imported on its first call."""
-    import numpy
-    return numpy
-
-
 def __getattr__(name: str):
     if name == "np":  # bound on first read; later reads skip this hook
-        globals()["np"] = module = _np()
-        return module
+        import numpy
+        globals()["np"] = numpy
+        return numpy
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -126,45 +122,6 @@ def blocks_for(n_lanes: int) -> int:
     return max(1, (n_lanes + BLOCK_BITS - 1) // BLOCK_BITS)
 
 
-def to_blocks(value: int, n_blocks: int):
-    """A packed int as a little-endian uint64 block array.
-
-    Zero — by far the most common replicated word — short-circuits to
-    a direct allocation; other values take one ``int.to_bytes`` /
-    ``frombuffer`` round trip (that *is* the direct construction for
-    an arbitrary big int).
-    """
-    np = _np()
-    if value == 0:
-        return np.zeros(n_blocks, dtype=np.uint64)
-    data = value.to_bytes(n_blocks * 8, "little")
-    # frombuffer returns a read-only view; copy so callers may mutate
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
-
-
 def from_blocks(arr) -> int:
-    """The packed int a block array encodes (inverse of to_blocks)."""
+    """The packed int a little-endian uint64 block array encodes."""
     return int.from_bytes(arr.astype("<u8", copy=False).tobytes(), "little")
-
-
-def mask_array(n_lanes: int, n_blocks: int | None = None):
-    """The lane mask as a block array: ``n_lanes`` low bits set.
-
-    Built directly in numpy — full blocks of all-ones plus at most one
-    partial block — instead of materializing the ``(1 << n_lanes) - 1``
-    big int and round-tripping through bytes (at 64k lanes the big-int
-    path costs ~10µs per call; this is ~1µs and flat).  The big-int
-    path survives only as the implicit no-numpy fallback: without
-    numpy the SoA carrier is off and masks stay plain ints
-    (:func:`repro.sim.logic.mask_of`).
-    """
-    np = _np()
-    if n_blocks is None:
-        n_blocks = blocks_for(n_lanes)
-    arr = np.zeros(n_blocks, dtype=np.uint64)
-    full, rem = divmod(max(0, n_lanes), BLOCK_BITS)
-    full = min(full, n_blocks)
-    arr[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rem and full < n_blocks:
-        arr[full] = np.uint64((1 << rem) - 1)
-    return arr

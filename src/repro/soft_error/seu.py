@@ -112,7 +112,6 @@ def run_campaign(
     workers: int = 1,
     executor: str = "auto",
     lane_width: int | None = None,
-    lane_backing: str | None = None,
     resume: int | None = None,
 ) -> SeuCampaignResult:
     """SEU campaign over flops × cycles (exhaustive or sampled).
@@ -125,10 +124,9 @@ def run_campaign(
     (serial/process/auto) — results are identical to the serial
     run for any combination.  ``lane_width`` overrides the engine's
     lane packing (injections simulated per packed sequential run;
-    default 64, ``1`` forces the per-point reference path) and
-    ``lane_backing`` names the carrier of the packed word (``"int"``,
-    ``"soa"``, default auto; anything else raises ``ValueError``) —
-    outcomes are byte-identical at every width and backing.  ``resume``
+    default 64, ``1`` forces the per-point reference path; the carrier
+    of the packed word is :func:`repro.engine.lanes.resolve_backing`'s
+    choice) — outcomes are byte-identical at every width.  ``resume``
     restarts a checkpointed campaign (requires the ``db`` it was
     recorded in) from its last committed chunk, byte-identical to an
     uninterrupted run.
@@ -137,8 +135,6 @@ def run_campaign(
     from ..engine.core import EngineConfig, run_campaign as run_engine
 
     kwargs = {} if lane_width is None else {"lane_width": lane_width}
-    if lane_backing is not None:
-        kwargs["lane_backing"] = lane_backing
     backend = SeuBackend(circuit, stimuli, targets, cycles, **kwargs)
     config = EngineConfig(workers=workers, sample=sample, seed=seed,
                           executor=executor)

@@ -1,10 +1,11 @@
 """Tests for the compiled simulation core (`repro.sim.compiled`).
 
-The contract under test: every compiled program — the fused sequential
-step, on Python ints and on the SoA matrix — is byte-identical to the
-reference interpreter at any pattern width, survives pickling to
-process workers (source ships, code objects rebuild lazily), and is
-invalidated by circuit mutation exactly like the structural caches.
+The contract under test: the one compiled program per circuit — the
+fused sequential step, whose int kernel is tested here (its SoA kernel
+in ``tests/test_soa.py``) — is byte-identical to the reference
+interpreter at any pattern width, is rebuilt by every process worker
+from the circuit it unpickles, and is invalidated by circuit mutation
+exactly like the structural caches.
 ``logic.simulate`` has no compiled form: it is the reference the step
 programs are held to.
 """
@@ -106,9 +107,9 @@ class TestSimulateEquivalence:
         program = compiled.step_program(circuit)
         # CONST0 / CONST1 / BUF become atoms of their consumers: only
         # the NOT, AND and OR are assigned
-        assigned = [line for line in program.program.source.splitlines()
+        assigned = [line for line in program.source.splitlines()
                     if line.lstrip().startswith("v") and " = " in line]
-        assert len(assigned) == 3, program.program.source
+        assert len(assigned) == 3, program.source
         for width in WIDTHS:
             pis = {"a": random_patterns(["a"], width, seed=9)["a"]}
             assert program.run(pis, {}, (1 << width) - 1) \
@@ -121,7 +122,6 @@ class TestSimulateEquivalence:
         with compiled.disabled():
             assert not compiled.compilation_enabled()
             assert compiled.step_program(circuit) is None
-            assert compiled.soa_step_program(circuit, 64) is None
         assert compiled.compilation_enabled()
 
 
@@ -221,7 +221,7 @@ class TestStepEquivalence:
         circuit.add_flop("q", "live")
         circuit.add_output("q")
         program = compiled.step_program(circuit)
-        assert "^" not in program.program.source  # dead XOR pruned
+        assert "^" not in program.source  # dead XOR pruned
         sim = SequentialSim(circuit, 4)
         ref = SequentialSim(circuit, 4)
         stim = {"a": 0b1010, "b": 0b0110}
@@ -253,7 +253,8 @@ class TestInvalidation:
 
 
 # ----------------------------------------------------------------------
-# only per-circuit programs exist: fault simulation compiles nothing
+# one program per circuit: fault simulation compiles nothing, and every
+# lane width and carrier shares the one step program
 # ----------------------------------------------------------------------
 @needs_compiled
 def test_stuck_at_campaigns_cache_only_per_circuit_programs():
@@ -268,29 +269,23 @@ def test_stuck_at_campaigns_cache_only_per_circuit_programs():
                                pis, 16), config)
     run_campaign(SlicingBackend(circuit, faults, workload), config)
     sequential_fault_simulate(circuit, faults, workload)
-    keys = set(circuit._program_cache)
-    assert "step" in keys
-    assert all(key in ("step", "soa_step")
-               or (isinstance(key, tuple) and key[0] == "soa_step")
-               for key in keys), keys
+    program = circuit._program_cache["step"]
+    backings = ("int", "soa") if vector.HAVE_NUMPY else ("int",)
+    for width in (1, 64, 192, 1024):
+        for backing in backings:
+            run_campaign(SeuBackend(circuit, workload, lane_width=width,
+                                    lane_backing=backing), config)
+            run_campaign(SlicingBackend(circuit, faults[:8], workload,
+                                        lane_width=width,
+                                        lane_backing=backing), config)
+    assert set(circuit._program_cache) == {"step"}
+    assert circuit._program_cache["step"] is program
 
 
 # ----------------------------------------------------------------------
-# pickling: source ships, code objects rebuild lazily
+# pickling: programs never travel, workers rebuild them
 # ----------------------------------------------------------------------
 class TestPickling:
-    @needs_compiled
-    def test_compiled_program_roundtrip(self):
-        circuit = load("s27")
-        program = compiled.step_program(circuit)
-        state = random_patterns(circuit.flops, 4, seed=1)
-        program.run(random_patterns(circuit.inputs, 4, seed=1), state, 0xF)
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.program._fn is None  # only the source travelled
-        pis = random_patterns(circuit.inputs, 8, seed=2)
-        state = random_patterns(circuit.flops, 8, seed=3)
-        assert clone.run(pis, state, 0xFF) == program.run(pis, state, 0xFF)
-
     @needs_compiled
     def test_circuit_pickle_drops_program_cache(self):
         circuit = load("rand_seq")
@@ -353,7 +348,7 @@ class TestLanesCompiled:
 
 
 # ----------------------------------------------------------------------
-# packed int <-> uint64 block conversions
+# uint64 block array -> packed int
 # ----------------------------------------------------------------------
 VECTOR_WIDTHS = (1, 64, 65, 192, 1000)
 
@@ -364,12 +359,15 @@ needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
 @needs_numpy
 class TestVectorPrograms:
     def test_block_conversions_roundtrip(self):
+        np = vector.np
         for width in VECTOR_WIDTHS:
             blocks = vector.blocks_for(width)
             full = (1 << width) - 1
             for value in (0, 1, full, full >> 1, 0x5 << max(0, width - 4)):
-                arr = vector.to_blocks(value & full, blocks)
-                assert vector.from_blocks(arr) == value & full
+                value &= full
+                arr = np.array([(value >> (64 * i)) & (2**64 - 1)
+                                for i in range(blocks)], dtype=np.uint64)
+                assert vector.from_blocks(arr) == value
 
 
 # ----------------------------------------------------------------------

@@ -336,7 +336,7 @@ class TestBackingResolver:
                  "narrow": load("rand_seq")}
         per_level = {}
         for shape, circuit in found.items():
-            k = compiled.soa_step_program(circuit, 1024).kernel
+            k = compiled.step_program(circuit).soa
             per_level[shape] = k.n_gates / k.n_levels
         assert per_level["narrow"] < vector.SOA_MIN_LEVEL_WIDTH \
             <= per_level["wide"], per_level
@@ -451,19 +451,43 @@ class TestBackingValidatedAtConstruction:
             SlicingBackend(circuit.copy(), faults[:4], workload,
                            lane_backing="ndarray")
 
-    def test_facades_reject_unknown_backing(self, seq_setup, no_pool):
-        from repro.safety.slicing import run_sliced_campaign
-        from repro.soft_error.seu import run_campaign as seu_campaign
+
+class TestWidthAndCyclesValidatedAtConstruction:
+    """A bad lane width or injection cycle is refused in the parent, by
+    the backend given it, with a message a user can read."""
+
+    @pytest.mark.parametrize("width", (0, -5, True, False, 2.5, "64",
+                                       None))
+    def test_backends_reject_bad_lane_widths(self, seq_setup, no_pool,
+                                             width):
+        # read leniently, 0 / -5 / True select the per-point path and
+        # 2.5 a width of 2; every backend refuses them where they are
+        # given, with the same rule
+        from repro.gpgpu import vector_add_kernel
 
         circuit, workload = seq_setup
         faults, _ = collapse(circuit)
-        with pytest.raises(ValueError, match="backing"):
-            seu_campaign(circuit.copy(), workload, workers=2,
-                         executor="process", lane_backing="bogus")
-        with pytest.raises(ValueError, match="backing"):
-            run_sliced_campaign(circuit.copy(), faults[:4], workload,
-                                workers=2, executor="process",
-                                lane_backing="bogus")
+        with pytest.raises(ValueError, match="lane_width"):
+            lanes.resolve_lane_width(width)
+        with pytest.raises(ValueError, match="lane_width"):
+            SeuBackend(circuit.copy(), workload, lane_width=width)
+        with pytest.raises(ValueError, match="lane_width"):
+            SlicingBackend(circuit.copy(), faults[:4], workload,
+                           lane_width=width)
+        with pytest.raises(ValueError, match="lane_width"):
+            GpgpuSeuBackend(vector_add_kernel(), list(range(64)), [],
+                            lane_width=width)
+
+    def test_cycle_error_names_a_few_cycles_and_counts_the_rest(
+            self, seq_setup):
+        circuit, workload = seq_setup
+        bad = list(range(len(workload), len(workload) + 3001))
+        with pytest.raises(ValueError, match="cycles outside") as err:
+            SeuBackend(circuit.copy(), workload, cycles=[0, -1] + bad)
+        message = str(err.value)
+        assert f"[-1, {len(workload)}, {len(workload) + 1}]" in message
+        assert "and 2999 more" in message
+        assert len(message) < 120
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +703,7 @@ class TestBusyWindow:
         ctx = lanes.build_context(circuit, workload, 4096, backing="soa")
         points = [(flop, cyc) for cyc in range(20)
                   for flop in circuit.flops][:200]
-        kernel = compiled.soa_step_program(circuit, 4096).kernel
+        kernel = compiled.step_program(circuit).soa
         bound = []
         monkeypatch.setattr(
             kernel, "bind",

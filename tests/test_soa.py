@@ -1,12 +1,12 @@
 """Tests for the SoA compiled tier (`repro.sim.compiled` SoA section).
 
-The contract under test: the SoA step program is byte-identical to the
-scalar compiled step and the reference interpreter at any lane width
-(the whole point of the tier is perf, so identity must hold
-unconditionally); it pickles as pure index arrays; circuit mutation
-invalidates it like every other program cache; and the tier degrades
-to the packed-int path (never crashes, never diverges) when numpy or
-compilation is unavailable.
+The contract under test: the SoA kernel of the step program is
+byte-identical to its int kernel and to the reference interpreter at
+any lane width (the whole point of the tier is perf, so identity must
+hold unconditionally); it lives on the circuit's one step program, so
+circuit mutation and pickling drop it with the rest of the program
+cache; and the tier degrades to the packed-int path (never crashes,
+never diverges) when numpy or compilation is unavailable.
 """
 
 import logging
@@ -82,21 +82,43 @@ def _every_gate_kind():
     return circuit
 
 
-def _as_int(value) -> int:
-    return value if isinstance(value, int) else vector.from_blocks(value)
+def _soa_step(circuit, width, pis, state):
+    """One clock on the step program's SoA kernel, ``width`` lanes wide:
+    load the PI and flop rows, ``bind`` + ``execute_bound``, read the PO
+    and D rows back as packed ints (dead lanes masked off)."""
+    np = vector.np
+    program = compiled.step_program(circuit)
+    kernel = program.soa
+    blocks = vector.blocks_for(width)
+    n = kernel.n_slots
+    S = np.zeros((2 * n, blocks), dtype=np.uint64)
+    S[n] = ~np.uint64(0)  # mirror of the constant-zero row
+    for (first, _), nets, words in ((kernel.pi_slice, program.inputs, pis),
+                                    (kernel.q_slice, program.flop_qs, state)):
+        for row, net in enumerate(nets, first):
+            S[row] = np.frombuffer(words[net].to_bytes(8 * blocks, "little"),
+                                   dtype="<u8")
+    lo, hi = kernel.src_span
+    np.invert(S[lo:hi], out=S[n + lo:n + hi])
+    kernel.execute_bound(S, kernel.bind(S))
+    mask = mask_of(width)
+
+    def read(nets, rows):
+        return {net: vector.from_blocks(S[row]) & mask
+                for net, row in zip(nets, rows)}
+
+    return (read(program.outputs, kernel.po_rows),
+            read(program.flop_qs, kernel.d_rows))
 
 
 def _check_step(circuit, width, seed):
-    """SoA step == compiled scalar step == reference interpreter, on
-    every observed net and the next state."""
-    soa = compiled.soa_step_program(circuit, width)
+    """SoA kernel == int kernel == reference interpreter, on every
+    observed net and the next state."""
     scalar = compiled.step_program(circuit)
     pis = random_patterns(circuit.inputs, width, seed=seed + 3)
     state = random_patterns(circuit.flops, width, seed=seed + 4)
     pos_s, nxt_s = scalar.run(pis, state, mask_of(width))
-    pos_v, nxt_v = soa.run(pis, state)
-    assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
-    assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
+    assert _soa_step(circuit, width, pis, state) == (pos_s, nxt_s)
     sim = SequentialSim(circuit, width)
     sim.state = dict(state)
     with compiled.disabled():
@@ -105,7 +127,7 @@ def _check_step(circuit, width, seed):
 
 
 # ----------------------------------------------------------------------
-# property: SoA programs == interpreter / scalar tier, all widths
+# property: SoA kernel == interpreter / int kernel, all widths
 # ----------------------------------------------------------------------
 @needs_numpy
 @needs_compiled
@@ -120,21 +142,8 @@ class TestSoaPrograms:
     def test_step_covers_every_gate_kind_arity_and_fold(self, width):
         _check_step(_every_gate_kind(), width, seed=width)
 
-    def test_step_partial_state_falls_back_to_flop_init(self):
-        circuit = _random_circuit(77)
-        width = 192
-        soa = compiled.soa_step_program(circuit, width)
-        scalar = compiled.step_program(circuit)
-        pis = random_patterns(circuit.inputs, width, seed=1)
-        state = random_patterns(circuit.flops, width, seed=2)
-        del state[next(iter(circuit.flops))]
-        pos_s, nxt_s = scalar.run(pis, state, mask_of(width))
-        pos_v, nxt_v = soa.run(pis, state)
-        assert {po: _as_int(v) for po, v in pos_v.items()} == pos_s
-        assert {q: _as_int(v) for q, v in nxt_v.items()} == nxt_s
-
     def test_stats_describe_the_schedule(self):
-        kernel = compiled.soa_step_program(load("rand_seq"), 1024).kernel
+        kernel = compiled.step_program(load("rand_seq")).soa
         assert kernel.n_gates > 0 and kernel.n_levels > 0
         # fusion is the point: far fewer numpy calls than gates, and at
         # least the two mandatory calls (gather + invert) per level
@@ -147,7 +156,7 @@ class TestSoaPrograms:
         # per four gates, or the kernel has stopped batching by level
         circuit = random_sequential(n_inputs=80, n_gates=12800, n_flops=320,
                                     seed=3)
-        kernel = compiled.soa_step_program(circuit, 1024).kernel
+        kernel = compiled.step_program(circuit).soa
         assert kernel.n_calls * 4 <= kernel.n_gates
 
 
@@ -250,74 +259,55 @@ class TestSoaLanes:
 
 
 # ----------------------------------------------------------------------
-# pickling: the schedule ships as index arrays
+# the kernel lives on the step program: pickling and mutation drop it
 # ----------------------------------------------------------------------
 @needs_numpy
 @needs_compiled
 class TestSoaPickling:
-    def test_step_program_roundtrip(self):
-        circuit = load("rand_seq")
-        width = 256
-        prog = compiled.soa_step_program(circuit, width)
-        pis = random_patterns(circuit.inputs, width, seed=6)
-        state = random_patterns(circuit.flops, width, seed=7)
-        prog.run(pis, state)
-        blob = pickle.dumps(prog)
-        assert b"def _run" not in blob  # index arrays, no source
-        clone = pickle.loads(blob)
-        assert clone.n_blocks == prog.n_blocks
-        pos_c, nxt_c = clone.run(pis, state)
-        pos_p, nxt_p = prog.run(pis, state)
-        assert {k: _as_int(v) for k, v in pos_c.items()} \
-            == {k: _as_int(v) for k, v in pos_p.items()}
-        assert {k: _as_int(v) for k, v in nxt_c.items()} \
-            == {k: _as_int(v) for k, v in nxt_p.items()}
-
     def test_circuit_pickle_drops_soa_cache(self):
         circuit = load("rand_seq")
-        compiled.soa_step_program(circuit, 128)
-        assert ("soa_step", 128) in circuit._program_cache
+        compiled.step_program(circuit).soa
+        assert "soa" in vars(circuit._program_cache["step"])  # built
         clone = pickle.loads(pickle.dumps(circuit))
         assert clone._program_cache == {}
 
 
-# ----------------------------------------------------------------------
-# invalidation: mutation drops SoA programs with the other caches
-# ----------------------------------------------------------------------
 @needs_numpy
 @needs_compiled
 class TestSoaInvalidation:
     def test_mutation_invalidates_soa_programs(self):
         circuit = _random_circuit(4)
         width = 65
-        compiled.soa_step_program(circuit, width)
-        assert ("soa_step", width) in circuit._program_cache
+        before = compiled.step_program(circuit).soa
         circuit.add_gate("smut", "NOR",
                          [circuit.inputs[0], circuit.inputs[1]])
         circuit.add_output("smut")
         assert not circuit._program_cache  # invalidated with topo/cones
-        after = compiled.soa_step_program(circuit, width)
-        assert "smut" in after.outputs
+        program = compiled.step_program(circuit)
+        assert "smut" in program.outputs and program.soa is not before
         _check_step(circuit, width, seed=1)
-
-    def test_width_wrappers_share_one_meta(self):
-        circuit = load("rand_seq")
-        a = compiled.soa_step_program(circuit, 128)
-        b = compiled.soa_step_program(circuit, 1024)
-        assert a.kernel is b.kernel  # schedule built once per circuit
-        assert a.po_rows is b.po_rows and a.d_rows is b.d_rows
-        assert a.n_blocks != b.n_blocks
-        assert compiled.soa_step_program(circuit, 128) is a  # cached
 
 
 # ----------------------------------------------------------------------
 # degradation: no numpy, no crash, no divergence
 # ----------------------------------------------------------------------
 class TestSoaDegradation:
-    def test_factories_return_none_without_numpy(self, monkeypatch):
+    @needs_compiled
+    def test_soa_kernel_never_built_without_numpy(self, monkeypatch):
+        # the int kernel needs no numpy, and a campaign that asks for
+        # the SoA carrier by name runs on it instead of building the SoA
+        # kernel (numpy is blanked: any use of vector.np would raise)
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
+        monkeypatch.setattr(vector, "_warned_no_numpy", True)
+        monkeypatch.setitem(vars(vector), "np", None)
         circuit = load("rand_seq")
-        assert compiled.soa_step_program(circuit, 256) is None
+        workload = random_workload(circuit, 8, seed=2)
+        run_campaign(SeuBackend(circuit, workload, lane_width=256,
+                                lane_backing="soa"),
+                     EngineConfig(executor="serial"))
+        assert set(circuit._program_cache) == {"step"}
+        assert "fn" in vars(circuit._program_cache["step"])
+        assert "soa" not in vars(circuit._program_cache["step"])
 
     def test_backing_degrades_with_warning(self, monkeypatch, caplog):
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
@@ -351,18 +341,6 @@ class TestSoaDegradation:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestVectorHelpers:
-    def test_mask_array_matches_bigint_path(self):
-        for width in (1, 63, 64, 65, 192, 1000, 1024, 4096):
-            arr = vector.mask_array(width)
-            assert vector.from_blocks(arr) == (1 << width) - 1
-            explicit = vector.mask_array(width, vector.blocks_for(width) + 2)
-            assert vector.from_blocks(explicit) == (1 << width) - 1
-
-    def test_to_blocks_zero_fast_path(self):
-        arr = vector.to_blocks(0, 16)
-        assert arr.shape == (16,) and not arr.any()
-        arr[0] = 1  # writable (frombuffer views are not)
-
     def test_outcome_list_wide_matches_probe(self):
         rng = __import__("random").Random(3)
         for count in (65, 200, 1024):

@@ -143,6 +143,29 @@ GUARDS = (
           "walker run",
           r"^\s*(from|import)\s.*\bcompiled\b|import_module\(.*compiled",
           ("src/repro/sim/logic.py",)),
+    Guard("one_step_program",
+          "StepProgram is the only program object: its int kernel replaced "
+          "CompiledProgram, its SoA kernel the per-width SoA step programs "
+          "and their factory",
+          r"SoaStepProgram|soa_step_program|\bat_width\b|CompiledProgram",
+          CODE),
+    Guard("no_block_conversions",
+          "packed int -> uint64 block conversions went with the SoA "
+          "program's test-only run; the lane walker builds its words in "
+          "one bytes pass",
+          r"\bto_blocks\b|\bmask_array\b",
+          CODE),
+    Guard("no_soa_step_key",
+          "Circuit._program_cache holds the one 'step' key; the SoA "
+          "kernel is an attribute of that program, not a cache entry",
+          r"[\"']soa_step[\"']",
+          CODE),
+    Guard("no_facade_lane_backing",
+          "the façades take no carrier: resolve_backing picks it, and "
+          "SeuBackend / SlicingBackend keep lane_backing for callers that "
+          "force one by name",
+          r"lane_backing",
+          ("src/repro/soft_error/seu.py", "src/repro/safety/slicing.py")),
 )
 
 
@@ -202,6 +225,10 @@ def test_guards_bite(tmp_path, monkeypatch):
         "simulate_interprets": "program = compiled.circuit_program(c)\n",
         "no_full_program_key": 'cache["full"] = prog\n',
         "logic_does_not_import_compiled": "from . import compiled\n",
+        "one_step_program": "prog = compiled.soa_step_program(c, 64)\n",
+        "no_block_conversions": "arr = vector.to_blocks(v, 4)\n",
+        "no_soa_step_key": 'cache[("soa_step", w)] = prog\n',
+        "no_facade_lane_backing": "    lane_backing: str | None = None,\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
     assert set(samples) == {g.name for g in forbidding}
@@ -236,3 +263,6 @@ def test_clean_names_pass():
         "from ..circuit.netlist import Circuit\n")
     assert not regexes["injection_not_a_dataclass"].search(
         "class Injection(NamedTuple):\n")
+    assert not regexes["no_block_conversions"].search(
+        "vector.from_blocks(arr)")
+    assert not regexes["no_soa_step_key"].search("def _soa_step(c, w):")
