@@ -1,9 +1,11 @@
-"""Shared test markers and fixtures."""
+"""Shared test markers, fixtures and report helpers."""
 
 import pytest
 
+from repro.circuit import load
 from repro.engine import executors
 from repro.sim import compiled
+from repro.soft_error import random_workload
 
 #: Tests that assert compiled programs themselves (their caches,
 #: pickling, invalidation, SoA schedules, the carrier resolved with
@@ -22,3 +24,41 @@ def no_pool(monkeypatch):
         pytest.fail("a process pool was spawned")
 
     monkeypatch.setattr(executors, "ProcessPoolExecutor", spawned)
+
+
+@pytest.fixture(scope="session")
+def seq_setup():
+    """The sequential campaign the engine tests share: ``rand_seq`` (12
+    flops) under a 20-cycle random workload.  Tests copy the circuit
+    wherever a cache they build must not leak into the next test."""
+    circuit = load("rand_seq")
+    return circuit, random_workload(circuit, 20, seed=7)
+
+
+def _rows(report):
+    """Every accounted point of a report as a ``(location, cycle,
+    outcome)`` row: executed points, then filtered ones."""
+    return [inj.row() for inj in report.injections + report.skipped]
+
+
+def _db_rows(db):
+    """Every row of a CampaignDb as ``(location, cycle, outcome)``."""
+    return [row[2:] for row in db.rows()]
+
+
+def _signature(report, details=False):
+    """Everything report identity promises: each executed and each
+    filtered point with its row (and its ``detail`` when ``details`` is
+    set — a replayed chunk does not restore it), outcome counts, total,
+    the early-stop decision, every outcome's Wilson interval and the
+    quarantined stratum."""
+    def rows(injections):
+        return [(inj.point,) + inj.row() + ((inj.detail,) if details else ())
+                for inj in injections]
+
+    return (rows(report.injections), rows(report.skipped), report.outcomes,
+            report.total, report.converged,
+            {outcome: report.confidence_interval(outcome)
+             for outcome in report.outcomes},
+            [(q.index, q.n_points, q.attempts, q.error)
+             for q in report.quarantined])

@@ -7,6 +7,7 @@ from itertools import chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _signature
 from repro.core import CampaignDb
 from repro.engine import CampaignReport, EarlyStop, Injection
 from repro.engine.core import (
@@ -59,14 +60,6 @@ def _fold(plan, stop, events, sink=None):
             if fold(event):
                 break
     return report, fold.rule
-
-
-def _signature(report):
-    return ([inj.row() for inj in report.injections], report.outcomes,
-            report.total, report.converged,
-            report.confidence_interval("failure"),
-            [(q.index, q.n_points, q.attempts, q.error)
-             for q in report.quarantined])
 
 
 STOP = EarlyStop("failure", margin=0.2, min_injections=0)

@@ -7,7 +7,9 @@ interpreter at any pattern width, is rebuilt by every process worker
 from the circuit it unpickles, and is invalidated by circuit mutation
 exactly like the structural caches.
 ``logic.simulate`` has no compiled form: it is the reference the step
-programs are held to.
+programs are held to.  Whole campaigns on the compiled tier are held to
+the interpreter by ``tests/test_oracle.py``; the ones here pin named
+configurations of it.
 """
 
 import pickle
@@ -39,6 +41,7 @@ from repro.sim.logic import (
 )
 from repro.sim.sequential import SequentialSim
 from repro.soft_error import random_workload
+from test_oracle import Config, check
 
 WIDTHS = (1, 7, 64)
 
@@ -300,32 +303,10 @@ class TestPickling:
 
     @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_compiled_backends_under_process_executor(self, executor):
-        circuit = load("rand_seq")
-        workload = random_workload(circuit, 12, seed=7)
-        report = run_campaign(
-            SeuBackend(circuit.copy(), workload),
-            EngineConfig(batch_size=16, workers=2, executor=executor))
-        rows = [(i.location, i.cycle, i.outcome) for i in report.injections]
-        with compiled.disabled():
-            ref = run_campaign(
-                SeuBackend(circuit.copy(), workload),
-                EngineConfig(batch_size=16, executor="serial"))
-        assert rows == [(i.location, i.cycle, i.outcome)
-                        for i in ref.injections]
+        check(Config(lane_width=64, long=True, executor=executor))
 
     def test_ppsfp_backend_process_identity(self):
-        circuit = random_combinational(10, 120, seed=3)
-        faults, _ = collapse(circuit)
-        batches = [(random_patterns(circuit.inputs, 16, seed=b), 16)
-                   for b in range(4)]
-        reports = {}
-        for executor in ("serial", "process"):
-            report = run_campaign(
-                PpsfpBackend(circuit.copy(), faults, batches),
-                EngineConfig(batch_size=32, workers=2, executor=executor))
-            reports[executor] = [(i.location, i.cycle, i.outcome, i.detail)
-                                 for i in report.injections]
-        assert reports["serial"] == reports["process"]
+        check(Config(backend="ppsfp", batch_size=32, executor="process"))
 
 
 # ----------------------------------------------------------------------
@@ -334,17 +315,7 @@ class TestPickling:
 class TestLanesCompiled:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_packed_seu_campaign_identical(self, width):
-        circuit = load("rand_seq")
-        workload = random_workload(circuit, 20, seed=5)
-        fast = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=width),
-            EngineConfig(batch_size=64, executor="serial"))
-        with compiled.disabled():
-            ref = run_campaign(
-                SeuBackend(circuit.copy(), workload, lane_width=width),
-                EngineConfig(batch_size=64, executor="serial"))
-        assert [(i.location, i.cycle, i.outcome) for i in fast.injections] \
-            == [(i.location, i.cycle, i.outcome) for i in ref.injections]
+        check(Config(lane_width=width, batch_size=64, long=True))
 
 
 # ----------------------------------------------------------------------

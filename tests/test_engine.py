@@ -1,7 +1,8 @@
 """Tests for the unified campaign engine: determinism across worker
-counts, statistical early stop, CampaignDb streaming, backend adapters
-matching their pre-engine serial implementations, and the PPSFP
-cone-cache / fault-dropping fast path."""
+counts (pins of ``tests/test_oracle.py``), sampling, statistical early
+stop, CampaignDb streaming, backend adapters matching their pre-engine
+serial implementations, and the PPSFP cone-cache / fault-dropping fast
+path."""
 
 import pickle
 import random
@@ -28,14 +29,13 @@ from repro.engine import (
     run_campaign,
 )
 from repro.faults import all_stuck_at, collapse
-from repro.safety import FaultClass, classify_injection_values, run_safety_campaign
+from repro.safety import classify_injection_values, run_safety_campaign
 from repro.sim import (
     exhaustive_patterns,
     fault_simulate,
     fault_simulate_batched,
     faulty_values,
     mask_of,
-    pack_patterns,
     random_patterns,
     simulate,
 )
@@ -43,46 +43,23 @@ from repro.sim.fault_sim import _ffr_links
 from repro.soft_error import FAILURE, adaptive_estimate, inject_seu
 from repro.soft_error import run_campaign as run_seu_campaign
 from repro.soft_error.seu import _golden_run, random_workload
-
-
-@pytest.fixture(scope="module")
-def seq_setup():
-    circuit = load("rand_seq")
-    workload = random_workload(circuit, 10, seed=7)
-    return circuit, workload
+from test_oracle import Config, check
 
 
 # ----------------------------------------------------------------------
 # engine core
 # ----------------------------------------------------------------------
 class TestEngineCore:
-    def test_determinism_across_worker_counts(self, seq_setup):
-        circuit, workload = seq_setup
-        reports = []
+    def test_determinism_across_worker_counts(self):
         for workers in (1, 2, 4):
-            backend = SeuBackend(circuit, workload)
-            config = EngineConfig(batch_size=16, workers=workers)
-            reports.append(run_campaign(backend, config))
-        baseline = [(i.location, i.cycle, i.outcome)
-                    for i in reports[0].injections]
-        for report in reports[1:]:
-            assert [(i.location, i.cycle, i.outcome)
-                    for i in report.injections] == baseline
-        assert reports[0].outcomes == reports[1].outcomes == reports[2].outcomes
+            check(Config(lane_width=64, long=True, executor="auto",
+                         workers=workers))
 
-    def test_determinism_with_sampling_and_early_stop(self, seq_setup):
-        circuit, workload = seq_setup
-        reports = []
+    def test_determinism_with_sampling_and_early_stop(self):
         for workers in (1, 3):
-            backend = SeuBackend(circuit, workload)
-            config = EngineConfig(
-                batch_size=8, workers=workers, sample=200, seed=11,
-                early_stop=EarlyStop(outcome=FAILURE, margin=0.08,
-                                     min_injections=32))
-            reports.append(run_campaign(backend, config))
-        assert ([i.point for i in reports[0].injections]
-                == [i.point for i in reports[1].injections])
-        assert reports[0].converged == reports[1].converged
+            check(Config(lane_width=64, long=True, executor="auto",
+                         workers=workers, batch_size=8, sample=200, seed=11,
+                         stop=True))
 
     def test_seeded_sampling_matches_random_sample(self, seq_setup):
         circuit, workload = seq_setup
@@ -208,18 +185,9 @@ class TestCampaignDbIntegration:
         db.close()
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_db_contents_match_in_memory_report(self, seq_setup, workers):
-        circuit, workload = seq_setup
-        db = CampaignDb()
-        backend = SeuBackend(circuit, workload, cycles=range(5))
-        report = run_campaign(backend,
-                              EngineConfig(batch_size=8, workers=workers),
-                              db=db)
-        assert report.campaign_id is not None
-        summary = db.summary(report.campaign_id)
-        assert summary.total == report.total
-        assert summary.outcomes == report.outcomes
-        db.close()
+    def test_db_contents_match_in_memory_report(self, workers):
+        check(Config(lane_width=64, executor="auto", workers=workers,
+                     batch_size=8))
 
     def test_every_backend_persists(self, seq_setup):
         circuit, workload = seq_setup
@@ -266,12 +234,9 @@ class TestPreRefactorEquivalence:
         assert [(i.flop, i.cycle, i.outcome) for i in result.injections] \
             == expected
 
-    def test_seu_campaign_parallel_matches_serial(self, seq_setup):
-        circuit, workload = seq_setup
-        serial = run_seu_campaign(circuit, workload, sample=100, seed=2)
-        parallel = run_seu_campaign(circuit, workload, sample=100, seed=2,
-                                    workers=4)
-        assert serial.injections == parallel.injections
+    def test_seu_campaign_parallel_matches_serial(self):
+        check(Config(lane_width=64, long=True, executor="auto", workers=4,
+                     sample=100, seed=2))
 
     def test_safety_campaign_matches_reference_loop(self):
         c = load("c17")

@@ -3,9 +3,10 @@ onto the campaign engine, and for the engine's point-filter stage.
 
 Covers: filtered outcomes as first-class rows in CampaignDb, the
 early-stop interaction with pre-skipped points, serial-vs-process
-executor parity for every new backend, facades reproducing their
-pre-port serial loops exactly, and the lossless dead-flop filter on
-``SeuBackend``.
+executor parity for every new backend (the GPGPU and slicing backends
+are drawn by ``tests/test_oracle.py`` as well), facades reproducing
+their pre-port serial loops exactly, and the lossless dead-flop filter
+on ``SeuBackend``.
 """
 
 import random
@@ -13,6 +14,7 @@ from functools import partial
 
 import pytest
 
+from conftest import _db_rows, _rows
 from repro.circuit import CircuitBuilder, load
 from repro.core import CampaignDb
 from repro.crypto import AesConstantTime, AesLeaky
@@ -77,20 +79,12 @@ from repro.security import (
     tvla_campaign,
 )
 from repro.soft_error import random_workload
-from repro.soft_error.seu import inject_seu
 from repro.soft_error.seu import run_campaign as run_seu_campaign
+from test_oracle import Config, check
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 TREE = partial(sib_tree, depth=2, regs_per_leaf=1, reg_bits=4)
-
-
-def _rows(report):
-    return [(i.location, i.cycle, i.outcome) for i in report.injections]
-
-
-def _db_rows(db):
-    return [row[2:] for row in db.rows()]
 
 
 # ----------------------------------------------------------------------
@@ -487,17 +481,9 @@ class TestFacadeEquivalence:
         assert sliced.skip_fraction == skipped / sliced.total
 
     def test_slicing_parallel_matches_serial(self):
-        circuit = load("rand_seq")
-        reps, _ = collapse(circuit)
-        workload = random_workload(circuit, 5, seed=9)
-        serial = run_sliced_campaign(circuit, reps[:25], workload)
-        parallel = run_sliced_campaign(circuit, reps[:25], workload,
-                                       workers=4, executor="process")
-        assert serial.classifications == parallel.classifications
-        assert (serial.simulated, serial.skipped_no_activation,
-                serial.skipped_no_path) == \
-            (parallel.simulated, parallel.skipped_no_activation,
-             parallel.skipped_no_path)
+        # the façade's counters are the report's (the test above)
+        check(Config(backend="slicing", lane_width=64, executor="process",
+                     workers=4))
 
 
 # ----------------------------------------------------------------------

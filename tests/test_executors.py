@@ -1,17 +1,18 @@
 """Tests for the pluggable executor layer (`repro.engine.executors`).
 
 Covers: backend/circuit picklability (caches dropped, behavior
-preserved), process/serial result parity down to the DB rows,
-the auto probe's fallback decisions, early-stop draining (no
+preserved), process/serial result parity down to the DB rows for the
+backends ``tests/test_oracle.py`` does not draw (and pins of the ones
+it does), the auto probe's fallback decisions, early-stop draining (no
 speculative injections recorded), and per-chunk RNG determinism across
 executors and worker counts.
 """
 
 import pickle
-import time
 
 import pytest
 
+from conftest import _db_rows, _rows
 from repro.autosoc import APPLICATIONS, SocConfig
 from repro.autosoc.fi import make_injections
 from repro.circuit import load
@@ -34,6 +35,7 @@ from repro.engine import executors
 from repro.faults import collapse
 from repro.sim import exhaustive_patterns, fault_simulate, random_patterns, simulate
 from repro.soft_error import random_workload
+from test_oracle import Config, check
 
 EXECUTORS = ("serial", "process")
 
@@ -103,9 +105,7 @@ class CheapWideLaneBackend:
     """Batches cheaper than MIN_BATCH_COST_S but denser than a scalar
     chunk: a vector-tier lane width means each dispatch retires many
     points, so the auto probe must not bail to serial on the
-    per-batch floor alone.  The 1ms sleep sits between the raw dispatch
-    floor (MIN_DISPATCH_COST_S) and the scalar per-batch floor
-    (MIN_BATCH_COST_S)."""
+    per-batch floor alone."""
 
     name = "cheap-wide"
     circuit_name = "toy"
@@ -123,7 +123,6 @@ class CheapWideLaneBackend:
         return None
 
     def run_batch(self, points):
-        time.sleep(0.001)
         return [Injection(point=p, location=f"p{p}", cycle=0,
                           outcome="ok") for p in points]
 
@@ -149,14 +148,6 @@ class UnpicklableBackend:
     def run_batch(self, points):
         return [Injection(point=p, location=f"p{p}", cycle=0,
                           outcome=self.classify(p)) for p in points]
-
-
-def _rows(report):
-    return [(i.location, i.cycle, i.outcome) for i in report.injections]
-
-
-def _db_rows(db):
-    return [row[2:] for row in db.rows()]
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +239,7 @@ class TestExecutorParity:
         assert results["serial"] == results["process"]
 
     def test_process_matches_serial_with_sampling_and_shuffle(self):
-        rows = []
-        for executor in ("serial", "process"):
-            report = run_campaign(
-                _seu_backend(),
-                EngineConfig(batch_size=8, workers=2, executor=executor,
-                             sample=48, seed=21))
-            rows.append(_rows(report))
-        assert rows[0] == rows[1]
+        check(Config(executor="process", batch_size=8, sample=48, seed=21))
 
 
 # ----------------------------------------------------------------------
@@ -305,13 +289,7 @@ class TestAutoProbe:
     def test_gil_probe_batches_accounted_exactly_once(self, monkeypatch):
         # the serial fallback must resume after the probed chunk
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
-        serial = run_campaign(_seu_backend(),
-                              EngineConfig(batch_size=4, executor="serial"))
-        auto = run_campaign(_seu_backend(),
-                            EngineConfig(batch_size=4, workers=2,
-                                         executor="auto"))
-        assert _rows(auto) == _rows(serial)
-        assert auto.total == serial.planned
+        check(Config(lane_width=64, executor="auto", batch_size=4))
 
     def test_wide_lane_cheap_batches_still_pick_process(self, monkeypatch):
         # a vector-tier chunk (lane_width > 64) retires up to lane_width
@@ -319,8 +297,12 @@ class TestAutoProbe:
         # not send large wide-lane campaigns to the serial loop: only
         # batches below the raw dispatch cost bail
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
-        # "enough remaining work" at ~1ms batches, without a slow test
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.005)
+        # the floors are pinned so that no measured batch cost can decide
+        # either verdict: every cost clears the dispatch floor and the
+        # remaining-work bar, none clears the scalar per-batch floor
+        monkeypatch.setattr(executors, "MIN_DISPATCH_COST_S", 0.0)
+        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", float("inf"))
         backend = CheapWideLaneBackend(lane_width=1024)
         points = list(backend.enumerate_points())
         chunks = [points[i:i + 8] for i in range(0, len(points), 8)]
@@ -350,14 +332,8 @@ class TestAutoProbe:
         # whatever the probe decides, probed chunks run in the parent and
         # must be accounted exactly once, in order
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
-        serial = run_campaign(_seu_backend(),
-                              EngineConfig(batch_size=8, executor="serial"))
-        auto = run_campaign(_seu_backend(),
-                            EngineConfig(batch_size=8, workers=2,
-                                         executor="auto"))
-        assert auto.executor in ("serial", "process")
-        assert _rows(auto) == _rows(serial)
-        assert auto.total == serial.planned
+        assert check(Config(lane_width=64, executor="auto", batch_size=8)
+                     ).executor in ("serial", "process")
 
     def test_explicit_process_with_unpicklable_backend_falls_back(
             self, caplog, monkeypatch):
@@ -460,17 +436,8 @@ class TestEarlyStopDrain:
         db.close()
 
     def test_convergence_point_identical_across_executors(self):
-        totals = set()
-        for executor in EXECUTORS:
-            report = run_campaign(
-                _seu_backend(),
-                EngineConfig(batch_size=4, workers=3, executor=executor,
-                             shuffle=True, seed=5,
-                             early_stop=EarlyStop(outcome="failure",
-                                                  margin=0.12,
-                                                  min_injections=12)))
-            totals.add((report.converged, report.total))
-        assert len(totals) == 1
+        assert check(Config(executor="process", workers=3, batch_size=4,
+                            shuffle=True, seed=5, stop=True)).converged
 
 
 # ----------------------------------------------------------------------
@@ -494,11 +461,3 @@ class TestChunkRng:
                                          executor=executor, seed=9))
         assert _rows(report) == _rows(reference)
         assert 0 < report.count("hit") < report.total  # both outcomes occur
-
-    def test_batch_size_changes_streams_but_not_determinism(self):
-        a = run_campaign(NoisyBackend(),
-                         EngineConfig(batch_size=8, executor="serial", seed=9))
-        b = run_campaign(NoisyBackend(),
-                         EngineConfig(batch_size=8, workers=2,
-                                      executor="process", seed=9))
-        assert _rows(a) == _rows(b)

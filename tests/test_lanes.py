@@ -2,14 +2,18 @@
 the process pool's per-campaign lifetime, and the round-batching
 facades.
 
-The load-bearing property is *lane exactness*: packed campaigns must
-produce byte-identical outcome multisets to the per-point path at every
-lane width — including widths beyond 64, on both the packed-int and
-the SoA carrier — on every executor, with and without the point-filter
-stage.
+The load-bearing property is *lane exactness*: a packed campaign
+reports what the per-point interpreter does, at every lane width, on
+both carriers, on every executor, with and without the point-filter
+stage.  That is ``tests/test_oracle.py``'s property; the campaign-level
+tests here pin named configurations of it (``check``).  This module
+holds what the oracle cannot see: the walker against the full-length
+interpreter lane by lane, its work bounds, the carrier resolver and the
+validation of widths, cycles and targets.
 """
 
 import glob
+import itertools
 import json
 import logging
 import multiprocessing
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import needs_compiled
+from conftest import _rows, needs_compiled
 from repro.circuit import load
 from repro.circuit.library import random_sequential
 from repro.engine import (
@@ -41,6 +45,7 @@ from repro.faults import collapse
 from repro.sim import compiled, vector
 from repro.soft_error import random_workload
 from repro.soft_error.seu import _golden_run, inject_seu
+from test_oracle import Config, _inputs, check
 
 WIDTHS = (1, 7, 64)
 VECTOR_WIDTHS = (65, 192, 1000)
@@ -51,57 +56,21 @@ needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
 
 
-@pytest.fixture(scope="module")
-def seq_setup():
-    circuit = load("rand_seq")
-    return circuit, random_workload(circuit, 20, seed=7)
-
-
-def _rows(report):
-    return [(i.location, i.cycle, i.outcome)
-            for i in report.injections + report.skipped]
-
-
 # ----------------------------------------------------------------------
 # SEU lane packing
 # ----------------------------------------------------------------------
 class TestSeuLanes:
-    def test_outcomes_identical_across_widths(self, seq_setup):
-        circuit, workload = seq_setup
-        reference = None
+    def test_outcomes_identical_across_widths(self):
         for width in WIDTHS:
-            backend = SeuBackend(circuit.copy(), workload, lane_width=width)
-            report = run_campaign(backend,
-                                  EngineConfig(batch_size=64,
-                                               executor="serial"))
-            if reference is None:
-                reference = _rows(report)
-            else:
-                assert _rows(report) == reference, f"width {width} diverged"
-        assert reference  # the campaign actually ran
+            check(Config(lane_width=width, batch_size=64, long=True))
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_packed_identical_across_executors(self, seq_setup, executor):
-        circuit, workload = seq_setup
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=64),
-            EngineConfig(batch_size=16, executor="serial"))
-        other = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=64),
-            EngineConfig(batch_size=16, workers=2, executor=executor))
-        assert _rows(other) == _rows(serial)
+    def test_packed_identical_across_executors(self, executor):
+        check(Config(lane_width=64, long=True, executor=executor))
 
-    def test_packed_matches_per_point_with_dead_flop_filter(self, seq_setup):
-        circuit, workload = seq_setup
-        reports = {}
-        for width in (1, 64):
-            backend = SeuBackend(circuit.copy(), workload,
-                                 skip_dead_flops=True, lane_width=width)
-            reports[width] = run_campaign(
-                backend, EngineConfig(batch_size=32, executor="serial"))
-        assert _rows(reports[1]) == _rows(reports[64])
-        # the filter actually fired and outcomes still cover all points
-        assert reports[64].total == reports[64].population
+    def test_packed_matches_per_point_with_dead_flop_filter(self):
+        check(Config(backend="seu-filter", lane_width=64, batch_size=32,
+                     long=True))
 
     def test_packed_run_matches_inject_seu_directly(self, seq_setup):
         circuit, workload = seq_setup
@@ -197,77 +166,30 @@ class TestSeuLanes:
 # widths beyond 64 on both carriers
 # ----------------------------------------------------------------------
 class TestVectorLanes:
-    @pytest.fixture(scope="class")
-    def reference_rows(self, seq_setup):
-        circuit, workload = seq_setup
-        report = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(executor="serial"))
-        return _rows(report)
-
-    @needs_numpy
-    @pytest.mark.parametrize("backing", (
-        "int", pytest.param("soa", marks=needs_compiled)))
+    # the default batch (64) is raised to one chunk per lane width;
+    # without numpy these widths degrade to 64: still the reference
+    @pytest.mark.parametrize("backing", BACKINGS)
     @pytest.mark.parametrize("width", VECTOR_WIDTHS)
-    def test_seu_identical_to_per_point(self, seq_setup, reference_rows,
-                                        width, backing):
-        circuit, workload = seq_setup
-        backend = SeuBackend(circuit.copy(), workload, lane_width=width,
-                             lane_backing=backing)
-        report = run_campaign(backend, EngineConfig(executor="serial"))
-        assert _rows(report) == reference_rows
-        backend.prepare()
-        assert backend._lane_ctx.backing == backing
+    def test_seu_identical_to_per_point(self, width, backing):
+        check(Config(lane_width=width, backing=backing, batch_size=64,
+                     long=True))
 
-    @needs_numpy
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_slicing_identical_to_64(self, backing):
-        circuit = load("rand_seq")
-        faults, _ = collapse(circuit)
-        faults = faults[:30]
-        workload = random_workload(circuit, 12, seed=3)
-        ref = run_campaign(
-            SlicingBackend(circuit.copy(), faults, workload, lane_width=64),
-            EngineConfig(batch_size=32, executor="serial"))
-        wide = run_campaign(
-            SlicingBackend(circuit.copy(), faults, workload, lane_width=192,
-                           lane_backing=backing),
-            EngineConfig(batch_size=32, executor="serial"))
-        assert sorted(_rows(wide)) == sorted(_rows(ref))
+        check(Config(backend="slicing", lane_width=192, backing=backing,
+                     batch_size=32, long=True))
 
-    @needs_numpy
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 10_000),
-           width=st.sampled_from(VECTOR_WIDTHS),
-           backing=st.sampled_from(BACKINGS))
-    def test_property_vector_equals_packed_equals_interpreter(
-            self, seed, width, backing):
-        circuit = random_sequential(n_inputs=5, n_gates=40, n_flops=6,
-                                    n_outputs=4, seed=seed)
-        workload = random_workload(circuit, 10, seed=seed + 1)
+    def test_property_vector_equals_packed_equals_interpreter(self):
+        # the widths the oracle's property does not draw
+        for circuit, width, backing, compiling in itertools.product(
+                ("rnd1", "rnd2"), (65, 1000), BACKINGS, (True, False)):
+            check(Config(circuit=circuit, lane_width=width, backing=backing,
+                         compiled=compiling, batch_size=64, long=True))
 
-        def rows(width_, backing_=None):
-            backend = SeuBackend(circuit.copy(), workload,
-                                 lane_width=width_, lane_backing=backing_)
-            return _rows(run_campaign(backend,
-                                      EngineConfig(executor="serial")))
-
-        packed = rows(64)
-        assert rows(width, backing) == packed
-        with compiled.disabled():
-            assert rows(width, backing) == packed  # interpreter reference
-
-    @needs_numpy
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_wide_lanes_across_executors(self, seq_setup, executor):
-        circuit, workload = seq_setup
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=256),
-            EngineConfig(batch_size=64, executor="serial"))
-        other = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=256),
-            EngineConfig(batch_size=64, workers=2, executor=executor))
-        assert _rows(other) == _rows(serial)
+    def test_wide_lanes_across_executors(self, executor):
+        check(Config(lane_width=256, batch_size=64, long=True,
+                     executor=executor))
 
     def test_degrades_to_64_without_numpy(self, seq_setup, monkeypatch,
                                           caplog):
@@ -284,12 +206,8 @@ class TestVectorLanes:
         with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
             SeuBackend(circuit.copy(), workload, lane_width=1000)
         assert not caplog.records
-        # and outcomes still match the packed-64 reference
-        report = run_campaign(backend, EngineConfig(executor="serial"))
-        ref = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=64),
-            EngineConfig(executor="serial"))
-        assert _rows(report) == _rows(ref)
+        # and outcomes still match the reference
+        check(Config(lane_width=1000, batch_size=64, long=True))
 
     @needs_numpy
     def test_wide_default_batches_fill_the_lane(self, seq_setup):
@@ -770,46 +688,25 @@ def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
 # slicing lane packing
 # ----------------------------------------------------------------------
 class TestSlicingLanes:
-    @pytest.fixture(scope="class")
-    def slicing_setup(self):
-        circuit = load("rand_seq")
-        faults, _ = collapse(circuit)
-        return circuit, faults[:30], random_workload(circuit, 12, seed=3)
-
     @pytest.mark.parametrize("use_filter", (False, True))
-    def test_outcomes_identical_across_widths(self, slicing_setup,
-                                              use_filter):
-        circuit, faults, workload = slicing_setup
-        reference = None
+    def test_outcomes_identical_across_widths(self, use_filter):
         for width in WIDTHS:
-            backend = SlicingBackend(circuit.copy(), faults, workload,
-                                     use_filter=use_filter, lane_width=width)
-            report = run_campaign(backend,
-                                  EngineConfig(batch_size=32,
-                                               executor="serial"))
-            rows = sorted(_rows(report))
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference, f"width {width} diverged"
+            check(Config(backend="slicing" if use_filter
+                         else "slicing-nofilter", lane_width=width,
+                         batch_size=32, long=True))
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_packed_identical_across_executors(self, slicing_setup, executor):
-        circuit, faults, workload = slicing_setup
-        serial = run_campaign(
-            SlicingBackend(circuit.copy(), faults, workload, lane_width=64),
-            EngineConfig(batch_size=32, executor="serial"))
-        other = run_campaign(
-            SlicingBackend(circuit.copy(), faults, workload, lane_width=64),
-            EngineConfig(batch_size=32, workers=2, executor=executor))
-        assert _rows(other) == _rows(serial)
+    def test_packed_identical_across_executors(self, executor):
+        check(Config(backend="slicing", lane_width=64, batch_size=32,
+                     long=True, executor=executor))
 
-    def test_facades_still_lossless_with_lanes(self, slicing_setup):
+    def test_facades_still_lossless_with_lanes(self):
         from repro.safety.slicing import (run_naive_campaign,
                                           run_sliced_campaign,
                                           verify_equivalence)
 
-        circuit, faults, workload = slicing_setup
+        circuit, faults, workload = _inputs("slicing", "rand_seq", long=True)
+        circuit = circuit.copy()  # the oracle's workload, not its caches
         naive = run_naive_campaign(circuit, faults, workload,
                                    executor="serial")
         sliced = run_sliced_campaign(circuit, faults, workload,
@@ -825,28 +722,9 @@ class TestSlicingLanes:
 # ----------------------------------------------------------------------
 class TestGpgpuForking:
     def test_outcomes_identical_across_widths(self):
-        import random
-
-        from repro.gpgpu import reduction_kernel
-        from repro.gpgpu.apps import _draw_faults, _run
-
-        rng = random.Random(2)
-        inputs = [rng.randrange(256) for _ in range(128)]
-        kernel = reduction_kernel()
-        _golden, issues = _run(kernel, inputs, [])
-        faults = _draw_faults(rng, 100, 32, issues)
-        reference = None
         for width in (1, 8, 64):
-            backend = GpgpuSeuBackend(kernel, inputs, faults,
-                                      label="reduction", lane_width=width)
-            report = run_campaign(backend,
-                                  EngineConfig(batch_size=16,
-                                               executor="serial"))
-            rows = _rows(report)
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference, f"width {width} diverged"
+            check(Config(backend="gpgpu", circuit="reduction",
+                         lane_width=width))
 
     def test_fork_resumes_bit_exact(self):
         import random
@@ -916,35 +794,18 @@ class TestPoolLifetime:
     @pytest.mark.parametrize("ending", ("full", "early-stop", "die"))
     def test_pool_ends_with_its_campaign(self, ending):
         """Completed, early-stopped or broken (a worker died: the pool
-        breaks and the serial rung finishes), the campaign returns the
-        serial run's rows with its pool joined and its payload file
-        gone."""
-        from repro.engine import ChaosBackend, ChaosFault, EarlyStop
-
-        circuit = load("rand_seq")
-        workload = random_workload(circuit, 20, seed=7)
-        config = EngineConfig(batch_size=8, workers=2, retry_backoff_s=0.001)
-        if ending == "early-stop":
-            config = replace(config, batch_size=4, shuffle=True, seed=5,
-                             early_stop=EarlyStop(outcome="failure",
-                                                  margin=0.12,
-                                                  min_injections=12))
-
-        def backend():
-            return SeuBackend(circuit.copy(), workload, lane_width=1)
-
-        serial = run_campaign(backend(), replace(config, executor="serial"))
-        pooled = backend()
-        if ending == "die":
-            point = list(pooled.enumerate_points())[20]
-            pooled = ChaosBackend(pooled, [ChaosFault(point, "die")])
+        breaks and the serial rung finishes), the campaign reports the
+        reference with its pool joined and its payload file gone."""
+        config = {"full": Config(batch_size=8),
+                  "early-stop": Config(batch_size=4, shuffle=True, seed=5,
+                                       stop=True),
+                  "die": Config(batch_size=8, faults=((20, "die", 1),))}
         # workers an earlier test abandoned on a hung chunk may still run
         children = set(multiprocessing.active_children())
         payloads = _payload_files()
-        report = run_campaign(pooled, replace(config, executor="process"))
+        report = check(replace(config[ending], executor="process"))
         assert set(multiprocessing.active_children()) <= children
         assert _payload_files() <= payloads
-        assert _rows(report) == _rows(serial)
         assert report.executor == ("serial" if ending == "die"
                                    else "process")
         assert report.converged == (ending == "early-stop")

@@ -2,9 +2,10 @@
 
 Covers: crash-consistent chunk checkpointing in CampaignDb (WAL, busy
 timeout, idempotent chunk records, schema migration), kill-and-resume
-identity (in-process aborts across executors × lane widths × early
-stop, plus a real SIGKILL'd subprocess), chunk retry with backoff and
-quarantine driven by ChaosBackend, the process → serial
+identity (in-process aborts are the resume path of
+``tests/test_oracle.py``, pinned here; plus a real SIGKILL'd
+subprocess, the commit cadence and the fingerprint check), chunk retry
+with backoff and quarantine driven by ChaosBackend, the process → serial
 recovery ladder (one property over chaos schedules × executors: a chunk
 failure is a value the rung yields, an executor failure the one step
 down), chunk timeouts, and the executor drain path's suppressed-error
@@ -18,7 +19,6 @@ import signal
 import sqlite3
 import subprocess
 import sys
-import tempfile
 import textwrap
 import threading
 import time
@@ -30,13 +30,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _rows, _signature
 from repro.circuit import load
 from repro.core import CampaignDb
 from repro.engine import (
     ChaosBackend,
     ChaosError,
     ChaosFault,
-    EarlyStop,
     EngineConfig,
     Injection,
     SeuBackend,
@@ -46,6 +46,7 @@ from repro.engine import (
 from repro.engine import executors
 from repro.engine.core import executed, plan_campaign
 from repro.soft_error import random_workload
+from test_oracle import AbortCampaign, Config, _abort_after, check
 
 N_CYCLES = 8  # 12 flops x 8 cycles = 96 points
 
@@ -54,35 +55,6 @@ def _backend(lane_width: int = 1) -> SeuBackend:
     circuit = load("rand_seq")
     return SeuBackend(circuit, random_workload(circuit, N_CYCLES, seed=7),
                       lane_width=lane_width)
-
-
-def _rows(report):
-    return [inj.row() for inj in report.injections]
-
-
-def _signature(report):
-    """Everything resume identity promises: outcomes, counts, interval,
-    early-stop decision."""
-    return (_rows(report), report.outcomes, report.total, report.converged,
-            report.confidence_interval("failure"))
-
-
-class AbortCampaign(Exception):
-    """Simulated crash raised from the accounting path."""
-
-
-def _abort_after(n_chunks: int):
-    """An on_chunk hook that records the campaign id, then kills the
-    campaign after ``n_chunks`` accounted chunks."""
-    seen = {"n": 0, "campaign_id": None}
-
-    def hook(report):
-        seen["campaign_id"] = report.campaign_id
-        seen["n"] += 1
-        if seen["n"] >= n_chunks:
-            raise AbortCampaign(f"aborted after {n_chunks} chunks")
-
-    return hook, seen
 
 
 # ----------------------------------------------------------------------
@@ -206,22 +178,10 @@ class TestResume:
         assert _signature(resumed) == _signature(report)
 
     def test_aborted_campaign_resumes_byte_identical(self):
-        config = EngineConfig(batch_size=8, executor="serial",
-                              commit_every=1, shuffle=True,
-                              early_stop=EarlyStop(margin=0.12,
-                                                   min_injections=24))
-        reference = run_campaign(_backend(), config, db=CampaignDb())
-        db = CampaignDb()
-        hook, seen = _abort_after(3)
-        with pytest.raises(AbortCampaign):
-            run_campaign(_backend(), config, db=db, on_chunk=hook)
-        resumed = resume_campaign(_backend(), seen["campaign_id"], config,
-                                  db=db)
-        assert _signature(resumed) == _signature(reference)
+        resumed = check(Config(path="resume", kill_after=3, batch_size=8,
+                               commit_every=1, shuffle=True, stop=True))
         assert resumed.resumed_chunks == 3
         assert resumed.describe().endswith("3 chunks resumed")
-        # the database converges to exactly the uninterrupted row set
-        assert db.summary(seen["campaign_id"]).total == reference.total
 
     def test_commit_batching_loses_only_uncommitted_chunks(self):
         # commit_every=4: aborting after 6 chunks leaves 4 committed
@@ -239,44 +199,21 @@ class TestResume:
         assert _signature(resumed) == _signature(reference)
 
     def test_resume_of_complete_campaign_replays_everything(self):
-        config = EngineConfig(batch_size=16, executor="serial",
-                              commit_every=1)
-        db = CampaignDb()
-        report = run_campaign(_backend(), config, db=db)
-        resumed = resume_campaign(_backend(), report.campaign_id, config,
-                                  db=db)
-        assert _signature(resumed) == _signature(report)
+        # (no crash: the first run completes under the hook)
+        resumed = check(Config(path="resume", kill_after=99, commit_every=1))
         assert resumed.resumed_chunks == 96 // 16
         assert resumed.executor == "serial"
-        # no rows were double-recorded by the replay
-        assert db.summary(report.campaign_id).total == report.total
 
-    @settings(max_examples=12, deadline=None)
-    @given(
-        kill_after=st.integers(min_value=1, max_value=6),
-        executor=st.sampled_from(["serial", "process"]),
-        lane_width=st.sampled_from([1, 64, 256]),
-        early_stop=st.booleans(),
-    )
-    def test_kill_and_resume_identity(self, kill_after, executor, lane_width,
-                                      early_stop):
-        """SIGKILL-equivalent abort after chunk k + resume == one run,
-        across executors x lane widths x early stop."""
-        stop = (EarlyStop(margin=0.12, min_injections=24)
-                if early_stop else None)
-        config = EngineConfig(batch_size=8, executor=executor, workers=2,
-                              commit_every=1, shuffle=True, early_stop=stop)
-        reference = run_campaign(_backend(lane_width), config)
-        db = CampaignDb()
-        hook, seen = _abort_after(kill_after)
-        try:
-            run_campaign(_backend(lane_width), config, db=db, on_chunk=hook)
-        except AbortCampaign:
-            pass  # converged-early campaigns may finish under the hook
-        resumed = resume_campaign(_backend(lane_width), seen["campaign_id"],
-                                  config, db=db)
-        assert _signature(resumed) == _signature(reference)
-        assert db.summary(seen["campaign_id"]).total == reference.total
+    def test_kill_and_resume_identity(self):
+        """Abort after chunk k + resume == one run, on both executors,
+        packed and wide, with and without an early stop (the drawn
+        version is the oracle's resume path)."""
+        for kill_after, executor, lane_width, stop in (
+                (1, "process", 64, True), (6, "serial", 256, False)):
+            check(Config(path="resume", kill_after=kill_after,
+                         executor=executor, lane_width=lane_width,
+                         batch_size=8, commit_every=1, shuffle=True,
+                         stop=stop))
 
     def test_sigkilled_subprocess_resumes_byte_identical(self, tmp_path):
         """A real SIGKILL mid-campaign: WAL-committed chunks survive the
@@ -332,22 +269,10 @@ class TestResume:
         monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
         monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 2)
-        config = EngineConfig(batch_size=8, executor="auto", workers=2,
-                              commit_every=1)
-        reference = run_campaign(
-            _backend(), EngineConfig(batch_size=8, executor="serial",
-                                     commit_every=1))
-        db = CampaignDb()
-        hook, seen = _abort_after(3)
-        with pytest.raises(AbortCampaign):
-            run_campaign(_backend(), config, db=db, on_chunk=hook)
-        resumed = resume_campaign(_backend(), seen["campaign_id"], config,
-                                  db=db)
+        resumed = check(Config(path="resume", executor="auto", batch_size=8,
+                               commit_every=1, kill_after=3))
         assert resumed.resumed_chunks >= 1
         assert resumed.executor == "process"  # the probe did pick process
-        assert not resumed.quarantined
-        assert _signature(resumed) == _signature(reference)
-        assert db.summary(seen["campaign_id"]).total == reference.total
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +349,7 @@ class TestRetryAndQuarantine:
             ChaosFault(("x", 0), "explode")
 
     def test_chaos_backend_is_transparent_when_quiet(self):
-        report = run_campaign(_chaos("raise", failures=0), RETRY_CONFIG)
-        reference = run_campaign(_backend(), RETRY_CONFIG)
-        assert _signature(report) == _signature(reference)
+        report = check(Config(batch_size=8, faults=((20, "raise", 0),)))
         assert report.retried_chunks == 0 and not report.quarantined
 
     @pytest.mark.parametrize("n_failures", [1, 5])
@@ -518,13 +441,9 @@ class TestRetryAndQuarantine:
         assert report.retried_chunks == 0
 
     def test_die_in_worker_walks_ladder_and_recovers(self, caplog):
-        config = EngineConfig(batch_size=8, executor="process", workers=2,
-                              max_chunk_retries=2, retry_backoff_s=0.001)
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            report = run_campaign(_chaos("die", failures=1), config)
-        reference = run_campaign(
-            _backend(), EngineConfig(batch_size=8, executor="serial"))
-        assert _signature(report) == _signature(reference)
+            report = check(Config(batch_size=8, executor="process",
+                                  faults=((20, "die", 1),)))
         # the pool died mid-way: the report names the rung that finished
         assert report.executor == "serial"
         assert report.retried_chunks >= 1

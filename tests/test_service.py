@@ -4,16 +4,19 @@ The invariant every scenario here defends: an N-worker service run —
 including workers that are SIGKILLed mid-chunk, freeze their
 heartbeats, skew their clocks, or stall and resume after their lease
 was reassigned — produces a CampaignReport byte-identical to a serial
-``run_campaign`` of the same (backend, config).
+``run_campaign`` of the same (backend, config).  The service is one
+path of ``tests/test_oracle.py``'s property; the identity scenarios
+here pin named configurations of it, or assert how the workers got
+there (takeovers, drains, cancelled tails, quarantine records).
 """
 
 import gc
-import os
 import threading
 import time
 
 import pytest
 
+from conftest import _signature
 from repro.circuit import load
 from repro.circuit.library import random_combinational
 from repro.core import CampaignDb
@@ -40,6 +43,7 @@ from repro.service import (
 from repro.faults import collapse
 from repro.sim import random_patterns
 from repro.soft_error import random_workload
+from test_oracle import Config, check
 
 N_CYCLES = 8  # 12 flops x 8 cycles = 96 points, 4 chunks of 24
 
@@ -48,16 +52,6 @@ def _backend(n_cycles: int = N_CYCLES) -> SeuBackend:
     circuit = load("rand_seq")
     return SeuBackend(circuit, random_workload(circuit, n_cycles, seed=7),
                       lane_width=1)
-
-
-def _signature(report):
-    """Everything report identity promises: outcomes, counts, interval,
-    early-stop decision, quarantine (as the chunk record tells it)."""
-    return ([inj.row() for inj in report.injections], report.outcomes,
-            report.total, report.converged,
-            report.confidence_interval("failure"),
-            [(q.index, q.n_points, q.attempts, q.error)
-             for q in report.quarantined])
 
 
 def _poisoned(config, chunk_index, n_cycles=N_CYCLES) -> ChaosBackend:
@@ -245,11 +239,8 @@ class TestQueue:
 # identity: a service run reports byte-identically to a serial run
 # ----------------------------------------------------------------------
 class TestServiceIdentity:
-    def test_single_worker_matches_serial(self, tmp_path):
-        serial = run_campaign(_backend(), _config())
-        _, report = _run_inline(tmp_path / "s.sqlite", _backend(), _config(),
-                                worker_id="solo")
-        assert _signature(report) == _signature(serial)
+    def test_single_worker_matches_serial(self):
+        check(Config(path="service", workers=1, batch_size=24))
 
     def test_early_stop_converges_on_the_serial_chunk(self, tmp_path):
         # commit_every=1 keeps the worker's claim batch at one chunk, so
@@ -272,24 +263,8 @@ class TestServiceIdentity:
         assert counts.get("cancelled", 0) == (job.n_chunks
                                               - job.converged_chunk - 1)
 
-    def test_two_threaded_workers_match_serial(self, tmp_path):
-        config = _config(batch_size=12)
-        serial = run_campaign(_backend(), config)
-        db_path = tmp_path / "s.sqlite"
-        with CampaignQueue(db_path) as queue:
-            job_id = queue.submit(_backend(), config)
-        workers = [CampaignWorker(db_path, worker_id=f"t{i}",
-                                  lease_ttl=5.0) for i in range(2)]
-        threads = [threading.Thread(target=w.run) for w in workers]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        with CampaignQueue(db_path) as queue:
-            assert queue.poll(job_id).state == "done"
-            report = queue.result(job_id)
-        assert _signature(report) == _signature(serial)
-        assert sum(w.chunks_executed for w in workers) >= 8
+    def test_two_threaded_workers_match_serial(self):
+        check(Config(path="service", batch_size=12))
 
     def test_large_pattern_ppsfp_job_survives_its_submitter(self, tmp_path):
         # the job row carries the patterns inline (~400 KB here): it
@@ -443,17 +418,50 @@ class TestSetupFailure:
 # ----------------------------------------------------------------------
 # host chaos, in-process: stale workers, frozen heartbeats, clock skew
 # ----------------------------------------------------------------------
+class _Gated(HostChaos):
+    """Host faults and a gate: a worker ``opens`` it on that claim; a
+    worker that opens nothing holds its first chunk (lease alive) until
+    it is open."""
+
+    def __init__(self, faults, gate, opens=None):
+        super().__init__(faults)
+        self.gate, self.opens = gate, opens
+
+    def on_chunk_claimed(self):
+        super().on_chunk_claimed()
+        if self.claimed == self.opens:
+            self.gate.set()
+
+    def stall_before_record(self):
+        super().stall_before_record()
+        if self.opens is None and self.claimed == 1:
+            assert self.gate.wait(timeout=60)
+
+
 class TestHostChaosThreaded:
-    def _run_pair(self, tmp_path, config, chaos):
-        """One scripted worker + one clean worker, as threads."""
+    def test_stale_worker_resuming_after_reassignment(self, tmp_path):
+        """Frozen heartbeats + a stall between execute and record: the
+        lease expires mid-stall, a peer re-executes, and the stale
+        worker's late write is idempotently absorbed.  The peer holds
+        its first chunk until the scripted worker has claimed the
+        chunk its stall keys on: claiming ``commit_every`` chunks at a
+        time, it could otherwise drain the campaign first."""
+        config = _config(batch_size=12)
+        serial = run_campaign(_backend(n_cycles=16), config)
         db_path = tmp_path / "s.sqlite"
         with CampaignQueue(db_path) as queue:
             job_id = queue.submit(_backend(n_cycles=16), config)
+        gate = threading.Event()
         scripted = CampaignWorker(db_path, worker_id="scripted",
-                                  lease_ttl=1.0, chaos=chaos)
-        clean = CampaignWorker(db_path, worker_id="clean", lease_ttl=1.0)
-        threads = [threading.Thread(target=w.run)
-                   for w in (scripted, clean)]
+                                  lease_ttl=1.0, chaos=_Gated(
+                                      [HostFault("freeze_heartbeat",
+                                                 after_chunks=1),
+                                       HostFault("stall", after_chunks=2,
+                                                 stall_s=2.5)],
+                                      gate, opens=2))
+        clean = CampaignWorker(db_path, worker_id="clean", lease_ttl=1.0,
+                               chaos=_Gated([], gate))
+        threads = [threading.Thread(target=w.run) for w in (scripted, clean)]
         for t in threads:
             t.start()
         for t in threads:
@@ -461,31 +469,16 @@ class TestHostChaosThreaded:
         with CampaignQueue(db_path) as queue:
             job = queue.poll(job_id)
             assert job.state == "done", job
-            report = queue.result(job_id)
-            takeovers = queue.leases.takeover_total(job.campaign_id)
-        return report, takeovers
+            assert _signature(queue.result(job_id)) == _signature(serial)
+            # the stalled lease really was reassigned
+            assert queue.leases.takeover_total(job.campaign_id) >= 1
 
-    def test_stale_worker_resuming_after_reassignment(self, tmp_path):
-        """Frozen heartbeats + a stall between execute and record: the
-        lease expires mid-stall, a peer re-executes, and the stale
-        worker's late write is idempotently absorbed."""
-        config = _config(batch_size=12)
-        serial = run_campaign(_backend(n_cycles=16), config)
-        chaos = HostChaos([HostFault("freeze_heartbeat", after_chunks=1),
-                           HostFault("stall", after_chunks=2, stall_s=2.5)])
-        report, takeovers = self._run_pair(tmp_path, config, chaos)
-        assert _signature(report) == _signature(serial)
-        assert takeovers >= 1  # the stalled lease really was reassigned
-
-    def test_clock_skewed_worker_stays_identical(self, tmp_path):
+    def test_clock_skewed_worker_stays_identical(self):
         """A worker whose clock runs 30s fast sees peers' live leases
         as expired and steals them — duplicated execution the
         idempotent record layer must (and does) collapse."""
-        config = _config(batch_size=12)
-        serial = run_campaign(_backend(n_cycles=16), config)
-        chaos = HostChaos([HostFault("clock_skew", skew_s=30.0)])
-        report, _ = self._run_pair(tmp_path, config, chaos)
-        assert _signature(report) == _signature(serial)
+        check(Config(path="service", batch_size=12, lease_ttl=1.0,
+                     hosts=((HostFault("clock_skew", skew_s=30.0),),)))
 
 
 # ----------------------------------------------------------------------
@@ -551,25 +544,17 @@ class TestHostChaosProcesses:
             report = queue.result(job_id)
         assert _signature(report) == _signature(serial)
 
-    def test_acceptance_gauntlet_stays_byte_identical(self, tmp_path):
-        """The ISSUE acceptance scenario: 4 workers — one SIGKILLed
-        mid-chunk, one with frozen heartbeats and a stale return, one
-        clock-skewed — still produce a report byte-identical to the
-        serial reference."""
-        config = _config(batch_size=12)
-        serial = run_campaign(_backend(n_cycles=24), config)
-        report = run_service_campaign(
-            _backend(n_cycles=24), config,
-            db_path=tmp_path / "s.sqlite", n_workers=4,
-            worker_kwargs={"lease_ttl": 1.0},
-            per_worker={
-                1: {"chaos": HostChaos(
-                    [HostFault("sigkill", after_chunks=2)])},
-                2: {"chaos": HostChaos(
-                    [HostFault("freeze_heartbeat", after_chunks=1),
-                     HostFault("stall", after_chunks=2, stall_s=2.5)])},
-                3: {"chaos": HostChaos(
-                    [HostFault("clock_skew", skew_s=30.0)])},
-            },
-            wait_timeout=180)
-        assert _signature(report) == _signature(serial)
+    def test_acceptance_gauntlet_stays_byte_identical(self):
+        """4 worker processes — one SIGKILLed mid-chunk, one with frozen
+        heartbeats and a stale return, one clock-skewed — still report
+        byte-identically to the serial reference.  The other two pause
+        on their first chunk, so that the scripted ones get to the
+        claims their faults key on."""
+        pause = HostFault("stall", stall_s=0.6)
+        check(Config(path="service", worker_processes=True, workers=4,
+                     batch_size=4, lease_ttl=1.0, hosts=(
+                         (pause,),
+                         (HostFault("sigkill", after_chunks=2),),
+                         (HostFault("freeze_heartbeat", after_chunks=1),
+                          HostFault("stall", after_chunks=2, stall_s=2.5)),
+                         (HostFault("clock_skew", skew_s=30.0), pause))))

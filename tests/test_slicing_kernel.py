@@ -4,8 +4,11 @@
 window of golden cycles packed side by side and reads every point's
 injection-cycle verdict off the resulting words.  The reference is the
 per-point ``safety.slicing._simulate_injection``; this module holds the
-one identity property against it, the work counts the packing promises
-(no timers), and the rejection of injection cycles outside the workload.
+kernel-level identity against it (``run_batch`` on every chunk shape,
+point by point, and the filter's tags and losslessness), the work
+counts the packing promises (no timers), and the rejection of injection
+cycles outside the workload.  Whole slicing campaigns, at every lane
+width, carrier, executor and path, are ``tests/test_oracle.py``'s.
 
 Nothing here asserts which carrier or program ran, so the module passes
 unchanged under ``RESCUE_NO_COMPILE=1`` (CI runs it both ways).

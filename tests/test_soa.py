@@ -6,7 +6,9 @@ any lane width (the whole point of the tier is perf, so identity must
 hold unconditionally); it lives on the circuit's one step program, so
 circuit mutation and pickling drop it with the rest of the program
 cache; and the tier degrades to the packed-int path (never crashes,
-never diverges) when numpy or compilation is unavailable.
+never diverges) when numpy or compilation is unavailable.  Campaigns
+on the SoA carrier are held to the reference by
+``tests/test_oracle.py``; the ones here pin named configurations.
 """
 
 import logging
@@ -19,18 +21,13 @@ from hypothesis import strategies as st
 from conftest import needs_compiled
 from repro.circuit import load
 from repro.circuit.library import random_sequential
-from repro.engine import (
-    EngineConfig,
-    SeuBackend,
-    SlicingBackend,
-    run_campaign,
-)
+from repro.engine import EngineConfig, SeuBackend, run_campaign
 from repro.engine import lanes
-from repro.faults import collapse
 from repro.sim import compiled, vector
 from repro.sim.logic import mask_of, random_patterns
 from repro.sim.sequential import SequentialSim
 from repro.soft_error import random_workload
+from test_oracle import Config, check
 
 # program-level identity runs the full ISSUE width ladder; campaign
 # tests stop at 1024 (4096-lane campaigns are all setup, no new code)
@@ -165,91 +162,22 @@ class TestSoaPrograms:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSoaLanes:
-    @pytest.fixture(scope="class")
-    def seq_setup(self):
-        circuit = load("rand_seq")
-        return circuit, random_workload(circuit, 20, seed=7)
-
-    def _rows(self, report):
-        return [(i.location, i.cycle, i.outcome)
-                for i in report.injections + report.skipped]
-
-    @needs_compiled
+    # the default batch (64) is raised to one chunk per lane width
     @pytest.mark.parametrize("width", (65, 192, 1000, 1024))
-    def test_seu_identical_to_per_point(self, seq_setup, width):
-        circuit, workload = seq_setup
-        ref = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(executor="serial"))
-        backend = SeuBackend(circuit.copy(), workload, lane_width=width,
-                             lane_backing="soa")
-        report = run_campaign(backend, EngineConfig(executor="serial"))
-        assert self._rows(report) == self._rows(ref)
-        backend.prepare()
-        assert backend._lane_ctx.backing == "soa"
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 10_000),
-           width=st.sampled_from((65, 192, 1000)))
-    def test_property_soa_equals_packed_equals_interpreter(self, seed,
-                                                           width):
-        circuit = random_sequential(n_inputs=5, n_gates=40, n_flops=6,
-                                    n_outputs=4, seed=seed)
-        workload = random_workload(circuit, 10, seed=seed + 1)
-
-        def rows(width_, backing_=None):
-            backend = SeuBackend(circuit.copy(), workload,
-                                 lane_width=width_, lane_backing=backing_)
-            return self._rows(run_campaign(
-                backend, EngineConfig(executor="serial")))
-
-        packed = rows(64)
-        assert rows(width, "soa") == packed
-        with compiled.disabled():
-            assert rows(width, "soa") == packed  # interpreter reference
-
-    def test_slicing_identical_to_64(self):
-        circuit = load("rand_seq")
-        faults, _ = collapse(circuit)
-        workload = random_workload(circuit, 12, seed=3)
-        ref = run_campaign(
-            SlicingBackend(circuit.copy(), faults[:30], workload,
-                           lane_width=64),
-            EngineConfig(batch_size=32, executor="serial"))
-        wide = run_campaign(
-            SlicingBackend(circuit.copy(), faults[:30], workload,
-                           lane_width=192, lane_backing="soa"),
-            EngineConfig(batch_size=32, executor="serial"))
-        assert sorted(self._rows(wide)) == sorted(self._rows(ref))
+    def test_seu_identical_to_per_point(self, width):
+        check(Config(lane_width=width, backing="soa", batch_size=64,
+                     long=True))
 
     def test_transient_dispatch_identical_to_per_point(self):
         # SlicingBackend's packed path goes through transient_outcomes:
         # per-lane state deltas injected mid-stream, propagated shared.
         # SoA must honour the same flip schedule as the int backing.
-        circuit = load("rand_seq")
-        faults, _ = collapse(circuit)
-        workload = random_workload(circuit, 12, seed=3)
-        ref = run_campaign(
-            SlicingBackend(circuit.copy(), faults[:40], workload,
-                           use_filter=False, lane_width=1),
-            EngineConfig(executor="serial"))
-        soa = run_campaign(
-            SlicingBackend(circuit.copy(), faults[:40], workload,
-                           use_filter=False, lane_width=256,
-                           lane_backing="soa"),
-            EngineConfig(executor="serial"))
-        assert sorted(self._rows(soa)) == sorted(self._rows(ref))
+        check(Config(backend="slicing-nofilter", lane_width=256,
+                     backing="soa", batch_size=64, long=True))
 
-    def test_soa_survives_process_pickling(self, seq_setup):
-        circuit, workload = seq_setup
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(executor="serial"))
-        shipped = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=192,
-                       lane_backing="soa"),
-            EngineConfig(batch_size=64, workers=2, executor="process"))
-        assert self._rows(shipped) == self._rows(serial)
+    def test_soa_survives_process_pickling(self):
+        check(Config(lane_width=192, backing="soa", batch_size=64,
+                     long=True, executor="process"))
 
     def test_soa_falls_back_under_no_compile(self, seq_setup):
         circuit, workload = seq_setup
@@ -319,21 +247,16 @@ class TestSoaDegradation:
         assert ["numpy unavailable" in rec.message
                 for rec in caplog.records] == [True]  # warned once
 
-    def test_campaign_without_numpy_matches_packed_64(self, monkeypatch):
-        circuit = load("rand_seq")
-        workload = random_workload(circuit, 12, seed=9)
-        ref = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=64),
-            EngineConfig(executor="serial"))
+    def test_campaign_without_numpy_matches_packed_64(self, seq_setup,
+                                                      monkeypatch):
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
         monkeypatch.setattr(vector, "_warned_no_numpy", True)
+        circuit, workload = seq_setup
         backend = SeuBackend(circuit.copy(), workload, lane_width=2048,
                              lane_backing="soa")
         assert backend.lane_width == 64  # degraded, not crashed
-        report = run_campaign(backend, EngineConfig(executor="serial"))
-        rows = [(i.location, i.cycle, i.outcome) for i in report.injections]
-        assert rows == [(i.location, i.cycle, i.outcome)
-                        for i in ref.injections]
+        check(Config(lane_width=2048, backing="soa", batch_size=64,
+                     long=True))
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,11 @@ GUARDS = (
           "force one by name",
           r"lane_backing",
           ("src/repro/soft_error/seu.py", "src/repro/safety/slicing.py")),
+    Guard("one_copy_of_each_test_helper",
+          "report identity is one signature and one row list, defined in "
+          "tests/conftest.py and imported wherever a test compares reports",
+          r"\bdef (?:_signature|_rows)\(",
+          ("tests",), include="test_*.py"),
 )
 
 
@@ -229,6 +234,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "no_block_conversions": "arr = vector.to_blocks(v, 4)\n",
         "no_soa_step_key": 'cache[("soa_step", w)] = prog\n',
         "no_facade_lane_backing": "    lane_backing: str | None = None,\n",
+        "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
     assert set(samples) == {g.name for g in forbidding}
@@ -242,8 +248,8 @@ def test_guards_bite(tmp_path, monkeypatch):
             else:
                 path.mkdir(parents=True)
         target = root / guard.paths[0]
-        if not target.suffix:  # a directory: one file inside it
-            target = target / "sample.py"
+        if not target.suffix:  # a directory: one file the row searches
+            target = target / (guard.include or "*.py").replace("*", "sample")
         target.write_text(samples[guard.name])
         monkeypatch.setitem(globals(), "ROOT", root)
         assert _matches(guard), guard.name
@@ -266,3 +272,5 @@ def test_clean_names_pass():
     assert not regexes["no_block_conversions"].search(
         "vector.from_blocks(arr)")
     assert not regexes["no_soa_step_key"].search("def _soa_step(c, w):")
+    assert not regexes["one_copy_of_each_test_helper"].search(
+        "def _rows_of(report):")
