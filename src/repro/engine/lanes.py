@@ -34,19 +34,25 @@ dozen steps, wherever in the workload the flips fall.
 The walker owns the schedule and the retire arithmetic (lane sets are
 Python ints); how the packed word is *stored* is a **carrier**, and one
 function (:func:`resolve_backing`, called once per
-:func:`build_context`) picks between the two.  ``"int"``
-(:class:`_IntLanes`) is an arbitrary-precision int per net driven
-through the compiled step function (:class:`repro.sim.compiled
-.StepProgram`) — the word simply outgrows the machine word beyond 64
-lanes, and big-int ops stay near width-insensitive to very large
-widths.  ``"soa"`` (:class:`_SoaLanes`) — the choice from ~1k lanes on
-circuits with wide levels — is the structure-of-arrays kernel of the
-same step program (:attr:`repro.sim.compiled.StepProgram.soa`), which
+:func:`build_context`) picks between the two.  ``"int"`` is the packed
+lane word of one bit per lane and net, walked natively where it can be:
+the step program's C walker (:attr:`repro.sim.compiled.StepProgram
+.native`, :func:`_propagate_native`) runs the whole walk — schedule,
+golden gather, lane sets — over ``uint64_t`` blocks, and without a C
+compiler (or when its build or load fails) :class:`_IntLanes` runs it
+in Python, an arbitrary-precision int per net driven through the
+compiled step function — the word simply outgrows the machine word
+beyond 64 lanes, and big-int ops stay near width-insensitive to very
+large widths.  The Python walker is the reference the native one is
+tested against.  ``"soa"`` (:class:`_SoaLanes`) — the choice from ~1k
+lanes on circuits with wide levels — is the structure-of-arrays kernel
+of the same step program (:attr:`repro.sim.compiled.StepProgram.soa`), which
 holds the whole net state in one 2-D block matrix and runs each
 topological level as a handful of fused numpy calls; flips are XORs
 into its flop rows and the golden rows of a step are gathered *per
 64-lane block*, not per lane (``packed_dispatch`` sorts lanes by
-injection cycle, so a block holds two to four distinct start cycles).  Both carriers execute the same
+injection cycle, so a block holds two to four distinct start cycles).
+Both carriers, and both walkers of the int carrier, execute the same
 number of steps for the same schedule and are byte-identical to the
 64-lane and 1-lane references, and to the reference interpreter that
 runs underneath them — every cycle from the first flip to the end of
@@ -67,8 +73,10 @@ so outcome multisets are byte-identical at every lane width.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_, xor
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -198,9 +206,10 @@ class LaneContext:
         return len(self.stimuli)
 
     def golden_table(self, program, layout: Callable[[list], Any]) -> Any:
-        """The golden run in a carrier's ``layout``, built on the first
-        compiled propagation and rebuilt if the program cache was
-        invalidated.
+        """The golden run in a walker's ``layout``, built on the first
+        compiled propagation in that layout and rebuilt if the program
+        cache was invalidated (one table per layout: a context may be
+        walked by more than one walker).
 
         ``layout`` receives one list of golden bits per cycle — a bit
         per *row*: the program's inputs, then its outputs, then its
@@ -209,7 +218,8 @@ class LaneContext:
         the cycle after the workload), so the test that a lane is back
         on golden and the latent check are the same comparison.
         """
-        cached = getattr(self, "_table", None)
+        tables = self.__dict__.setdefault("_tables", {})
+        cached = tables.get(layout)
         if cached is None or cached[0] is not program:
             bits = [[stim[pi] for pi in program.inputs]
                     + [trace[po] for po in program.outputs]
@@ -219,7 +229,7 @@ class LaneContext:
             n_io = len(program.inputs) + len(program.outputs)
             bits.append([0] * n_io
                         + [self.final_state[q] for q in program.flop_qs])
-            self._table = cached = (program, layout(bits))
+            tables[layout] = cached = (program, layout(bits))
         return cached[1]
 
 
@@ -428,7 +438,16 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
     states, ``step()`` runs one cycle and answers with the lanes
     whose outputs diverged from their golden bits in it and the lanes
     whose state differs from the golden state entering the next.
+
+    On the int carrier the whole walk runs natively when the program's
+    C walker is loaded (:attr:`repro.sim.compiled.StepProgram.native`,
+    :func:`_propagate_native`): the same schedule, gather and lane sets, so
+    the same outcomes and the same ``steps_run``.
     """
+    if ctx.backing == "int":
+        kernel = program.native
+        if kernel is not None:
+            return _propagate_native(ctx, program, kernel, flips, start, live)
     cycles = _flip_cycles(ctx, flips, start)
     starts, sched = _skewed_schedule(flips, cycles, live)
     if not starts:  # no live lane flips inside the workload
@@ -485,6 +504,37 @@ def _skewed_schedule(flips: Mapping[int, Mapping[str, int]],
                     at[q] = at.get(q, 0) | lane_mask & group
         started |= fresh
     return starts, sched
+
+
+def _propagate_native(ctx: LaneContext, program, kernel, flips, start: int,
+                      live: int) -> tuple[int, int]:
+    """:func:`_propagate_skewed` in C: the flips that fire go over as
+    flat ``(cycle, flop index)`` pairs and 64-lane block words of their
+    ``live`` lanes, the walk builds the schedule and runs to its end,
+    and the fail and latent words come back."""
+    n_live = live.bit_length()
+    size = 8 * _vector.blocks_for(n_live)
+    lo, n_cycles, q_index = max(start, 0), ctx.n_cycles, program.q_index
+    entries, masks = array("q"), []
+    for cyc, due in flips.items():
+        if lo <= cyc < n_cycles:
+            for q, lane_mask in due.items():
+                lane_mask &= live
+                if lane_mask:
+                    entries.append(cyc)
+                    entries.append(q_index[q])
+                    masks.append(lane_mask.to_bytes(size, "little"))
+    fail, latent, steps = kernel.walk(
+        ctx.golden_table(program, _byte_table), n_cycles, entries.tobytes(),
+        b"".join(masks), start, n_live)
+    ctx.steps_run += steps
+    return fail, latent
+
+
+def _byte_table(bits: Sequence[Sequence[int]]) -> bytes:
+    """:meth:`LaneContext.golden_table` layout of the native walker: one
+    byte (0 or 1) per row per cycle, cycle-major."""
+    return bytes(map(bool, chain.from_iterable(bits)))
 
 
 class _IntLanes:

@@ -20,9 +20,14 @@ which is the one shape that repays its ``compile()``.
 :class:`StepProgram` fuses combinational evaluation and the flop
 advance for :class:`repro.sim.sequential.SequentialSim` and the lane
 walker, restricted to the cone of influence of the observable nets (POs
-and flop D inputs).  It carries two kernels, each built the first time
-it is read: the generated int function above (:attr:`StepProgram.fn`)
-and the SoA level schedule below (:attr:`StepProgram.soa`).
+and flop D inputs).  It carries three kernels, each built the first time
+it is read: the generated int function above (:attr:`StepProgram.fn`),
+the SoA level schedule below (:attr:`StepProgram.soa`) and the native
+walker (:attr:`StepProgram.native`) — the same step emitted as C
+(:attr:`StepProgram.c_source`) together with the whole skewed lane walk
+of the int carrier, built by the host C compiler and loaded with
+:mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where that cannot
+be had.
 
 One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
 compiled form, because a cold full-circuit compile costs about seventy
@@ -33,13 +38,15 @@ reason: the batched PPSFP sweep walks one cone per fan-out-free region,
 and a program compiled per fault site never saw enough evaluations on a
 campaign to pay back its ``compile()``.
 
-Both kernels are **byte-identical** to the interpreter at any pattern
+Every kernel is **byte-identical** to the interpreter at any pattern
 width: each generated expression and each level op is the same boolean
-function the dispatch table computes, so every net value and campaign
-outcome matches bit for bit.  ``RESCUE_NO_COMPILE=1`` — or, within a
-block, :func:`disabled` — forces the reference interpreter for every
-step; the equivalence tests in ``tests/test_compiled.py`` and
-``tests/test_soa.py`` run both paths against each other.
+function the dispatch table computes (the C step evaluates the very
+expressions :attr:`StepProgram.source` does, over ``uint64_t``), so
+every net value and campaign outcome matches bit for bit.
+``RESCUE_NO_COMPILE=1`` — or, within a block, :func:`disabled` — forces
+the reference interpreter for every step; the equivalence tests in
+``tests/test_compiled.py`` and ``tests/test_soa.py`` run the paths
+against each other.
 
 Caching: the program is memoized in ``Circuit._program_cache`` under the
 one key ``"step"`` and dropped by ``Circuit._invalidate`` alongside the
@@ -146,9 +153,15 @@ def _gate_expr(gate: Gate, atoms: Mapping[str, str]) -> str:
 
 
 class _Emitter:
-    """Shared codegen state: slot allocation, atom binding, gate lines."""
+    """Shared codegen state: slot allocation, atom binding, gate lines.
 
-    def __init__(self) -> None:
+    ``assign`` formats one gate line from its slot and expression: a
+    Python assignment for :attr:`StepProgram.source`, a ``const
+    uint64_t`` declaration for :attr:`StepProgram.c_source` (the
+    expressions are valid C as they stand)."""
+
+    def __init__(self, assign: str = "    {} = {}") -> None:
+        self.assign = assign
         self.atoms: dict[str, str] = {}
         self.lines: list[str] = []
         self._slots = itertools.count()
@@ -179,7 +192,8 @@ class _Emitter:
             self.atoms[gate.output] = self.atoms[gate.inputs[0]]
             return
         slot = self.slot()
-        self.lines.append(f"    {slot} = {_gate_expr(gate, self.atoms)}")
+        self.lines.append(self.assign.format(slot,
+                                             _gate_expr(gate, self.atoms)))
         self.atoms[gate.output] = slot
 
     def source(self, header: str, unpacks: Sequence[tuple[str, Sequence[str]]],
@@ -214,11 +228,11 @@ def _live_gates(circuit: Circuit) -> list[Gate]:
 
 
 class StepProgram:
-    """One clock of one circuit, with an int kernel and an SoA kernel.
+    """One clock of one circuit, with an int, an SoA and a native kernel.
 
     The header — inputs, flop Qs and inits, outputs, ``q_index`` and the
     live gates — is shared; each kernel is built the first time it is
-    read, so a campaign builds only the kernel its carrier runs.  Only
+    read, so a campaign builds only the kernels its carrier runs.  Only
     gates in the cone of influence of the observables (POs and flop D
     inputs) are evaluated: dead logic cannot change a PO or a next state.
 
@@ -226,7 +240,10 @@ class StepProgram:
       next_state)`` tuples over Python ints (generated from
       :attr:`source`);
     * :attr:`soa` — the level schedule over the SoA state matrix
-      (:class:`_SoaKernel`; needs numpy).
+      (:class:`_SoaKernel`; needs numpy);
+    * :attr:`native` — the int carrier's whole skewed walk in C
+      (:attr:`c_source`, :mod:`repro.sim.native`; needs a C compiler),
+      or ``None``.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -263,6 +280,48 @@ class StepProgram:
     def soa(self) -> _SoaKernel:
         return _SoaKernel(self)
 
+    @cached_property
+    def c_source(self) -> str:
+        """One C translation unit: this step as a ``static`` function
+        over one 64-lane ``uint64_t`` block, then the skewed walker that
+        drives it (:data:`_C_WALKER`)."""
+        emit = _Emitter("    const uint64_t {} = {};")
+        loads = [f"    const uint64_t {slot} = {arg}[{i}];"
+                 for arg, nets in (("pis", self.inputs),
+                                   ("state", self.flop_qs))
+                 for i, slot in enumerate(emit.bind_sources(nets))]
+        for gate in self.gates:
+            emit.emit_gate(gate)
+        stores = [f"    {arg}[{i}] = {emit.atoms[net]};"
+                  for arg, nets in (("po", self.outputs),
+                                    ("nxt", self.flop_ds))
+                  for i, net in enumerate(nets)]
+        return "\n".join([
+            "#include <stdint.h>",
+            "#include <stdlib.h>",
+            f"#define N_IN {len(self.inputs)}",
+            f"#define N_OUT {len(self.outputs)}",
+            f"#define N_FLOPS {len(self.flop_qs)}",
+            "#define mask (~(uint64_t)0)",  # folded away, even at -O0
+            "static void circuit_step(const uint64_t *restrict pis,",
+            "                         const uint64_t *restrict state,",
+            "                         uint64_t *restrict po,",
+            "                         uint64_t *restrict nxt)",
+            "{",
+            *loads, *emit.lines, *stores,
+            "}",
+            "#undef mask",
+            _C_WALKER])
+
+    @cached_property
+    def native(self):
+        """The native walker built from :attr:`c_source`
+        (:func:`repro.sim.native.load`), or ``None`` when it cannot be
+        had — no C compiler, a failed build or load: the lane walker
+        then runs the int kernel :attr:`fn`."""
+        from . import native
+        return native.load(self.c_source)
+
     def run(self, pi_values: Mapping[str, int], state: Mapping[str, int],
             mask: int) -> tuple[dict[str, int], dict[str, int]]:
         pis = tuple(pi_values.get(pi, 0) & mask for pi in self.inputs)
@@ -285,6 +344,234 @@ def step_program(circuit: Circuit) -> StepProgram | None:
     if prog is None:
         prog = cache["step"] = StepProgram(circuit)
     return prog
+
+
+# ----------------------------------------------------------------------
+# native tier: the skewed lane walker in C
+# ----------------------------------------------------------------------
+#: The walker half of :attr:`StepProgram.c_source`, the same for every
+#: circuit: :func:`repro.engine.lanes._propagate_skewed` with its
+#: schedule, golden gather and lane sets, over ``n_blocks`` 64-lane
+#: ``uint64_t`` words.  Every function is ``static`` but the one export,
+#: ``rescue_kernel``: a table of the step and the walk (a non-static
+#: ``step`` would bind to glibc's legacy ``step()``).
+#:
+#: ``rescue_walk(gold, n_cycles, n_entries, entries, masks, start,
+#: n_live, out)``: ``gold`` is the golden table, one byte (0/1) per row
+#: — inputs, outputs, flops entering the cycle — per cycle, plus the
+#: final state; entry *e* flips flop ``entries[2e + 1]`` at cycle
+#: ``entries[2e]`` in the lanes of ``masks[e * n_blocks ...]``.  Writes
+#: the fail words then the latent words to ``out`` and returns the
+#: steps it ran (-1: out of memory).
+_C_WALKER = r"""
+#define N_ROWS (N_IN + N_OUT + N_FLOPS)
+#define N_IO (N_IN + N_OUT)
+
+typedef struct { int64_t cycle; uint64_t lanes; } group_t;
+typedef struct { int64_t step, flop, block; uint64_t lanes; } flip_t;
+
+/* lanes of one block that share a start cycle: found from the last
+   group, since lanes arrive sorted by start cycle */
+static void add_lane(group_t *g, int64_t *n, int64_t cycle, uint64_t bit)
+{
+    for (int64_t k = *n - 1; k >= 0; k--)
+        if (g[k].cycle == cycle) {
+            g[k].lanes |= bit;
+            return;
+        }
+    g[*n].cycle = cycle;
+    g[*n].lanes = bit;
+    ++*n;
+}
+
+/* one block's golden words at walk step t: chained lanes shift in what
+   their upper neighbour held at t - 1, the groups gather the rest */
+static void gather(uint64_t *restrict w, const uint8_t *restrict gold,
+                   int64_t last, uint64_t keep, const group_t *g,
+                   int64_t n_g, int64_t t)
+{
+    for (int64_t r = 0; r < N_ROWS; r++)
+        w[r] = (w[r] >> 1) & keep;
+    for (int64_t k = 0; k < n_g; k++) {
+        int64_t c = g[k].cycle + t;
+        if (c > last)
+            continue;
+        const uint8_t *row = gold + c * N_ROWS;
+        uint64_t m = g[k].lanes;
+        for (int64_t r = 0; r < N_ROWS; r++)
+            w[r] |= ((uint64_t)0 - row[r]) & m;
+    }
+}
+
+static int by_step(const void *a, const void *b)
+{
+    int64_t x = ((const flip_t *)a)->step, y = ((const flip_t *)b)->step;
+    return (x > y) - (x < y);
+}
+
+static int64_t walk(const uint8_t *gold, int64_t n_cycles, int64_t n_entries,
+                    const int64_t *entries, const uint64_t *masks,
+                    int64_t start, int64_t n_live, uint64_t *out)
+{
+    const int64_t nb = (n_live + 63) / 64, lo = start > 0 ? start : 0;
+    int64_t n_bits = 0, n_all = 0, n_unchained = 0, n_flips = 0;
+    if (n_live <= 0)
+        return 0;
+    for (int64_t e = 0; e < n_entries * nb; e++)
+        n_bits += __builtin_popcountll(masks[e]);
+    int64_t *first = malloc((n_live + 1) * sizeof *first);
+    int64_t *last_flip = malloc((n_live + 1) * sizeof *last_flip);
+    int64_t *at = malloc(2 * (nb + 1) * sizeof *at);
+    group_t *all = malloc((n_live + 1) * sizeof *all);
+    group_t *unchained = malloc((n_live + 1) * sizeof *unchained);
+    flip_t *flips = malloc((n_bits + 1) * sizeof *flips);
+    uint64_t *words = malloc(nb * (N_ROWS + N_FLOPS + 3) * sizeof *words);
+    int64_t steps = -1;
+    if (!first || !last_flip || !at || !all || !unchained || !flips
+        || !words)
+        goto done;
+    uint64_t *state = words + nb * N_ROWS, *keep = state + nb * N_FLOPS;
+    uint64_t *active = keep + nb, *pending = active + nb, busy = 1;
+    uint64_t *fail = out, *latent = out + nb;
+    for (int64_t i = 0; i < n_live; i++)
+        first[i] = last_flip[i] = -1;
+    for (int64_t b = 0; b < 2 * nb; b++)
+        out[b] = 0;
+    /* each lane starts at its first flip inside [start, n_cycles) */
+    for (int64_t e = 0; e < n_entries; e++) {
+        int64_t cycle = entries[2 * e];
+        if (cycle < lo || cycle >= n_cycles)
+            continue;
+        for (int64_t b = 0; b < nb; b++)
+            for (uint64_t m = masks[e * nb + b]; m; m &= m - 1) {
+                int64_t lane = 64 * b + __builtin_ctzll(m);
+                if (lane < n_live && (first[lane] < 0 || cycle < first[lane]))
+                    first[lane] = cycle;
+            }
+    }
+    /* per block: every lane's start group, and the groups of the lanes
+       whose upper neighbour does not start one cycle later */
+    for (int64_t b = 0; b < nb; b++) {
+        at[2 * b] = n_all;
+        at[2 * b + 1] = n_unchained;
+        keep[b] = active[b] = 0;
+        int64_t na = 0, nu = 0;
+        for (int64_t bit = 0; bit < 64 && 64 * b + bit < n_live; bit++) {
+            int64_t lane = 64 * b + bit, cycle = first[lane];
+            if (cycle < 0)
+                continue;
+            uint64_t one = (uint64_t)1 << bit;
+            active[b] |= one;
+            add_lane(all + n_all, &na, cycle, one);
+            if (bit < 63 && lane + 1 < n_live && first[lane + 1] == cycle + 1)
+                keep[b] |= one;
+            else
+                add_lane(unchained + n_unchained, &nu, cycle, one);
+        }
+        n_all += na;
+        n_unchained += nu;
+    }
+    at[2 * nb] = n_all;
+    at[2 * nb + 1] = n_unchained;
+    /* the flips on the lanes' own clocks: step = cycle - lane start */
+    for (int64_t e = 0; e < n_entries; e++) {
+        int64_t cycle = entries[2 * e];
+        if (cycle < lo || cycle >= n_cycles)
+            continue;
+        for (int64_t b = 0; b < nb; b++) {
+            uint64_t m = masks[e * nb + b] & active[b];
+            while (m) {
+                int64_t step = cycle - first[64 * b + __builtin_ctzll(m)];
+                uint64_t same = 0;
+                for (uint64_t rest = m; rest; rest &= rest - 1) {
+                    int64_t bit = __builtin_ctzll(rest);
+                    if (cycle - first[64 * b + bit] == step)
+                        same |= (uint64_t)1 << bit;
+                }
+                flips[n_flips].step = step;
+                flips[n_flips].flop = entries[2 * e + 1];
+                flips[n_flips].block = b;
+                flips[n_flips++].lanes = same;
+                m &= ~same;
+                for (; same; same &= same - 1) {
+                    int64_t lane = 64 * b + __builtin_ctzll(same);
+                    if (step > last_flip[lane])
+                        last_flip[lane] = step;
+                }
+            }
+        }
+    }
+    qsort(flips, n_flips, sizeof *flips, by_step);
+    steps = 0;
+    if (!n_all)
+        goto done;
+    const int64_t last = n_cycles;
+    for (int64_t b = 0; b < nb; b++) {
+        uint64_t *w = words + b * N_ROWS;
+        for (int64_t r = 0; r < N_ROWS; r++)
+            w[r] = 0;
+        gather(w, gold, last, 0, all + at[2 * b], at[2 * b + 2] - at[2 * b],
+               0);
+        for (int64_t q = 0; q < N_FLOPS; q++)
+            state[b * N_FLOPS + q] = w[N_IO + q];
+    }
+    uint64_t po[N_OUT + 1], nxt[N_FLOPS + 1];
+    int64_t k = 0;
+    while (busy) {
+        if (k < n_flips && flips[k].step == steps) {
+            for (; k < n_flips && flips[k].step == steps; k++)
+                state[flips[k].block * N_FLOPS + flips[k].flop]
+                    ^= flips[k].lanes;
+            /* the lanes with a flip of their own still to come */
+            for (int64_t b = 0; b < nb; b++)
+                pending[b] = 0;
+            for (int64_t i = 0; i < n_live; i++)
+                if (last_flip[i] > steps)
+                    pending[i / 64] |= (uint64_t)1 << (i % 64);
+        }
+        steps++;
+        busy = 0;
+        for (int64_t b = 0; b < nb; b++) {
+            if (!active[b])
+                continue;  /* every lane of it decided: never read again */
+            uint64_t *w = words + b * N_ROWS, *s = state + b * N_FLOPS;
+            uint64_t diverged = 0, diff = 0, ended = 0;
+            circuit_step(w, s, po, nxt);
+            for (int64_t o = 0; o < N_OUT; o++)
+                diverged |= po[o] ^ w[N_IN + o];
+            gather(w, gold, last, keep[b], unchained + at[2 * b + 1],
+                   at[2 * b + 3] - at[2 * b + 1], steps);
+            for (int64_t q = 0; q < N_FLOPS; q++) {
+                diff |= nxt[q] ^ w[N_IO + q];
+                s[q] = nxt[q];
+            }
+            for (int64_t g = at[2 * b]; g < at[2 * b + 2]; g++)
+                if (all[g].cycle == n_cycles - steps)  /* ran the last cycle */
+                    ended |= all[g].lanes;
+            fail[b] |= diverged & active[b];
+            latent[b] |= diff & ended & active[b] & ~fail[b];
+            active[b] &= (diff | pending[b]) & ~fail[b] & ~ended;
+            busy |= active[b];
+        }
+    }
+done:
+    free(first);
+    free(last_flip);
+    free(at);
+    free(all);
+    free(unchained);
+    free(flips);
+    free(words);
+    return steps;
+}
+
+const struct {
+    void (*step)(const uint64_t *restrict, const uint64_t *restrict,
+                 uint64_t *restrict, uint64_t *restrict);
+    int64_t (*walk)(const uint8_t *, int64_t, int64_t, const int64_t *,
+                    const uint64_t *, int64_t, int64_t, uint64_t *);
+} rescue_kernel = {circuit_step, walk};
+"""
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,172 @@
+"""Build, cache and load the native lane walker of a step program.
+
+:attr:`repro.sim.compiled.StepProgram.c_source` is one C translation
+unit per circuit: the step over one 64-lane ``uint64_t`` block and the
+whole skewed walk of :func:`repro.engine.lanes._propagate_skewed`.
+:func:`load` builds it once with the host C compiler (``gcc``, else
+``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
+caches the shared library on disk under a key made from the compiler,
+the flags and the source, and loads it with :mod:`ctypes`.  Pool
+workers and repeat campaigns find the library in the cache and load it
+instead of building it; within a process a library is loaded once.
+
+The cache directory is per user: ``$XDG_CACHE_HOME/repro-native``, else
+``~/.cache/repro-native``, else (no home directory)
+``<tempfile.gettempdir()>/repro-native-<uid>``, created ``0o700``.  A
+directory the user does not own, or that others may write, is refused.
+A build writes to a temporary file in that directory and moves it into
+place with :func:`os.replace`, so processes that build the same design
+at once each load a whole library.
+
+Nothing here is needed for correct results: with no compiler, a failed
+build, a library that does not load or an unusable cache directory,
+:func:`load` logs one warning per process and returns ``None``, and the
+lane walker runs the int kernel in Python — the reference the native
+walker is tested against.  This module (and :mod:`ctypes`) is imported
+on the first native walk, not before.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+
+log = logging.getLogger(__name__)
+
+#: The one flag set every walker is built with.  ``-O0`` builds about
+#: three times faster than ``-O1`` and walks about 10 % slower, so it is
+#: the only level at which a one-shot campaign on a cold cache still
+#: wins (README, "Native lane walker", has both numbers).
+CFLAGS = ("-O0", "-shared", "-fPIC")
+
+#: Seconds a build may take before it counts as failed.
+BUILD_TIMEOUT_S = 300
+
+_u64p = ctypes.c_void_p
+_STEP = ctypes.CFUNCTYPE(None, _u64p, _u64p, _u64p, _u64p)
+_WALK = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+                         ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
+                         ctypes.c_int64, ctypes.c_int64, _u64p)
+
+
+class _Exports(ctypes.Structure):
+    """The translation unit's one export, ``rescue_kernel``."""
+
+    _fields_ = [("step", _STEP), ("walk", _WALK)]
+
+
+class NativeKernel:
+    """A loaded walker library: :meth:`walk`, and :attr:`step` —
+    ``step(pis, state, po, nxt)`` over ``uint64_t`` arrays, one clock of
+    one 64-lane block (what the walk calls; exposed for the tests)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._lib = ctypes.CDLL(path)
+        exports = _Exports.in_dll(self._lib, "rescue_kernel")
+        self.step, self._walk = exports.step, exports.walk
+
+    def walk(self, gold: bytes, n_cycles: int, entries: bytes, masks: bytes,
+             start: int, n_live: int) -> tuple[int, int, int]:
+        """The skewed walk of ``n_live`` lanes (argument layout:
+        :data:`repro.sim.compiled._C_WALKER`; ``entries`` and ``masks``
+        as bytes of int64 pairs and of ``uint64_t`` block words).
+        Returns ``(fail, latent, steps)``."""
+        size = 8 * ((n_live + 63) >> 6)
+        out = ctypes.create_string_buffer(2 * size)
+        steps = self._walk(gold, n_cycles, len(entries) // 16, entries,
+                           masks, start, n_live, out)
+        if steps < 0:
+            raise MemoryError("native lane walker: out of memory")
+        raw = out.raw
+        return (int.from_bytes(raw[:size], "little"),
+                int.from_bytes(raw[size:], "little"), steps)
+
+
+class _Unavailable(Exception):
+    """Why this process runs the Python walker."""
+
+
+#: Libraries loaded (or failed) in this process, by path.
+_loaded: dict[str, NativeKernel | None] = {}
+_warned = False
+
+
+def compiler() -> str | None:
+    """The host C compiler a walker is built with, or ``None``."""
+    return shutil.which("gcc") or shutil.which("cc")
+
+
+def cache_dir() -> str:
+    """This user's library cache, created ``0o700`` if missing; raises
+    :class:`OSError` when it cannot be created or is not the user's."""
+    base = os.environ.get("XDG_CACHE_HOME")
+    home = os.path.expanduser("~")
+    if base:
+        path = os.path.join(base, "repro-native")
+    elif home != "~":
+        path = os.path.join(home, ".cache", "repro-native")
+    else:
+        path = os.path.join(tempfile.gettempdir(),
+                            f"repro-native-{os.getuid()}")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"refusing cache dir {path}: not owned by "
+                              f"this user, or writable by others")
+    return path
+
+
+def library_path(cc: str, source: str) -> str:
+    """Where the library ``cc`` builds from ``source`` is cached."""
+    key = hashlib.sha256("\0".join((cc, *CFLAGS, source)).encode())
+    return os.path.join(cache_dir(), key.hexdigest()[:32] + ".so")
+
+
+def _build(cc: str, source: str, path: str) -> None:
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *CFLAGS, "-x", "c", "-", "-o", tmp],
+                              input=source, capture_output=True, text=True,
+                              timeout=BUILD_TIMEOUT_S)
+        if done.returncode:
+            raise _Unavailable(f"{cc} exited {done.returncode}: "
+                               f"{done.stderr.strip()[-400:]}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def load(source: str) -> NativeKernel | None:
+    """The walker library of ``source``: loaded from this process, else
+    from the disk cache, else built into it.  ``None`` — with one logged
+    warning per process — when it cannot be had."""
+    global _warned
+    path = None
+    try:
+        cc = compiler()
+        if cc is None:
+            raise _Unavailable("no C compiler (gcc or cc) on PATH")
+        path = library_path(cc, source)
+        if path in _loaded:
+            return _loaded[path]
+        if not os.path.exists(path):
+            _build(cc, source, path)
+        kernel = NativeKernel(path)
+    except (_Unavailable, OSError, ValueError,
+            subprocess.SubprocessError) as exc:
+        if not _warned:
+            _warned = True
+            log.warning("native lane walker unavailable, the Python walker "
+                        "runs instead: %s", exc)
+        kernel = None
+    if path is not None:
+        _loaded[path] = kernel
+    return kernel

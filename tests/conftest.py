@@ -1,10 +1,14 @@
 """Shared test markers, fixtures and report helpers."""
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from repro.circuit import load
 from repro.engine import executors
-from repro.sim import compiled
+from repro.sim import compiled, native
 from repro.soft_error import random_workload
 
 #: Tests that assert compiled programs themselves (their caches,
@@ -14,6 +18,32 @@ from repro.soft_error import random_workload
 needs_compiled = pytest.mark.skipif(
     not compiled.compilation_enabled(),
     reason="asserts compiled programs (RESCUE_NO_COMPILE is set)")
+
+#: Tests that assert the native walker itself skip where there is no C
+#: compiler on ``PATH`` (or compilation is off); everywhere else the int
+#: carrier falls back to the Python walker with identical outcomes.
+needs_native = pytest.mark.skipif(
+    native.compiler() is None or not compiled.compilation_enabled(),
+    reason="asserts the native lane walker (no C compiler on PATH)")
+
+
+_session_cache = pytest.MonkeyPatch()
+
+
+def pytest_configure(config):
+    """One native library cache for the whole session, handed down to
+    every process the tests spawn: tests never write to the user's
+    cache, and each design builds once per session.  Set when this file
+    is loaded, at collection — before any test of the session runs, the
+    benchmark self-tests collected beside ``tests/`` included."""
+    _session_cache.setenv("XDG_CACHE_HOME",
+                          tempfile.mkdtemp(prefix="repro-xdg-cache-"))
+
+
+def pytest_unconfigure(config):
+    path = os.environ["XDG_CACHE_HOME"]
+    _session_cache.undo()
+    shutil.rmtree(path, ignore_errors=True)
 
 
 @pytest.fixture

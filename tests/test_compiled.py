@@ -1,9 +1,10 @@
 """Tests for the compiled simulation core (`repro.sim.compiled`).
 
 The contract under test: the one compiled program per circuit — the
-fused sequential step, whose int kernel is tested here (its SoA kernel
-in ``tests/test_soa.py``) — is byte-identical to the reference
-interpreter at any pattern width, is rebuilt by every process worker
+fused sequential step, whose int kernel and native C step are tested
+here (its SoA kernel in ``tests/test_soa.py``) — is byte-identical to
+the reference interpreter at any pattern width, is rebuilt by every
+process worker
 from the circuit it unpickles, and is invalidated by circuit mutation
 exactly like the structural caches.
 ``logic.simulate`` has no compiled form: it is the reference the step
@@ -12,15 +13,21 @@ the interpreter by ``tests/test_oracle.py``; the ones here pin named
 configurations of it.
 """
 
+import ctypes
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import needs_compiled
+from conftest import needs_compiled, needs_native
 from repro.circuit import load
-from repro.circuit.library import random_combinational, random_sequential
+from repro.circuit.library import (
+    BENCHMARKS,
+    random_combinational,
+    random_sequential,
+)
 from repro.engine import (
     EngineConfig,
     PpsfpBackend,
@@ -316,6 +323,78 @@ class TestLanesCompiled:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_packed_seu_campaign_identical(self, width):
         check(Config(lane_width=width, batch_size=64, long=True))
+
+
+# ----------------------------------------------------------------------
+# the native step: the C translation unit's kernel == fn == interpreter
+# ----------------------------------------------------------------------
+NATIVE_WIDTHS = (1, 7, 63, 64, 65, 192)
+BLOCK = (1 << 64) - 1
+
+
+def _native_step(program, pis, state, width):
+    """One clock on the C step, one 64-lane block at a time, as
+    ``program.fn`` answers it: ``(po_values, next_state)`` tuples."""
+    def words(values, block):
+        return (ctypes.c_uint64 * (len(values) + 1))(
+            *((value >> 64 * block) & BLOCK for value in values))
+
+    po = [0] * len(program.outputs)
+    nxt = [0] * len(program.flop_qs)
+    for block in range(vector.blocks_for(width)):
+        po_out = (ctypes.c_uint64 * (len(po) + 1))()
+        nxt_out = (ctypes.c_uint64 * (len(nxt) + 1))()
+        program.native.step(words(pis, block), words(state, block),
+                            po_out, nxt_out)
+        for acc, out in ((po, po_out), (nxt, nxt_out)):
+            for i in range(len(acc)):
+                acc[i] |= out[i] << 64 * block
+    mask = (1 << width) - 1
+    return (tuple(v & mask for v in po), tuple(v & mask for v in nxt))
+
+
+def _all_three_agree(circuit, width, seed):
+    program = compiled.step_program(circuit)
+    pis = random_patterns(circuit.inputs, width, seed=seed)
+    state = random_patterns(circuit.flops, width, seed=seed + 1)
+    pi_words = tuple(pis[pi] for pi in program.inputs)
+    q_words = tuple(state[q] for q in program.flop_qs)
+    native_out = _native_step(program, pi_words, q_words, width)
+    assert native_out == program.fn(pi_words, q_words, (1 << width) - 1)
+    reference = _step_reference(circuit, pis, width, state)
+    assert native_out == (tuple(reference[0][po] for po in program.outputs),
+                          tuple(reference[1][q] for q in program.flop_qs))
+
+
+@needs_native
+class TestNativeStep:
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_library_circuits_match(self, name):
+        circuit = load(name)
+        for width in NATIVE_WIDTHS:
+            _all_three_agree(circuit, width, seed=width)
+
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 10_000), sequential=st.booleans(),
+           width=st.sampled_from(NATIVE_WIDTHS))
+    def test_random_circuits_match(self, seed, sequential, width):
+        _all_three_agree(_random_circuit(seed, sequential), width, seed)
+
+    def test_every_function_is_static_but_the_one_export(self):
+        # a non-static function named ``step`` would bind to glibc's
+        # legacy step(); the only symbol the library exports is
+        # rescue_kernel, the table of the step and the walk
+        source = compiled.step_program(load("s27")).c_source
+        top_level = [line for line in source.splitlines()
+                     if re.match(r"[A-Za-z_]", line)
+                     and not line.startswith("typedef")]
+        functions = [line for line in top_level
+                     if re.search(r"\w\s*\(", line) and "=" not in line]
+        assert functions and all(line.startswith("static ")
+                                 for line in functions), functions
+        assert re.findall(r"^\S.*\b(\w+) = \{", source, re.M) == [
+            "rescue_kernel"]
 
 
 # ----------------------------------------------------------------------

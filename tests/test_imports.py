@@ -1,10 +1,12 @@
 """The import graph matches the work.
 
 Package ``__init__`` modules re-export their public names lazily
-(:func:`repro._lazy.lazy_exports`) and numpy loads on first use
-(:mod:`repro.sim.vector`), so a process-pool or service worker imports
-what it unpickles and nothing else.  Import checks run in a fresh
-interpreter: the modules this test session has loaded cannot leak in.
+(:func:`repro._lazy.lazy_exports`), numpy loads on first use
+(:mod:`repro.sim.vector`) and the native lane walker (with
+:mod:`ctypes`) on the first packed walk, so a process-pool or service
+worker imports what it unpickles and nothing else.  Import checks run
+in a fresh interpreter: the modules this test session has loaded cannot
+leak in.
 """
 
 import importlib
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import needs_compiled
+from conftest import needs_compiled, needs_native
 from repro.sim import vector
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -44,7 +46,8 @@ def _fresh(script: str):
 #: Modules no SEU, PPSFP or slicing campaign runs: importing the engine
 #: and the service must load none of them (prefix match).
 NOT_ON_THE_ENGINE_PATH = (
-    "numpy", "repro.autosoc", "repro.crypto", "repro.ftol",
+    "numpy", "ctypes", "repro.sim.native", "repro.autosoc", "repro.crypto",
+    "repro.ftol",
     "repro.soft_error.fit", "repro.soft_error.ml", "repro.soft_error.cdn",
     "repro.soft_error.statistical", "repro.soft_error.set_analysis",
     "repro.core.flow", "repro.core.registry", "repro.core.riif",
@@ -111,6 +114,28 @@ print(json.dumps([executors_used, sorted(modules)]))
     assert executors_used == ["process"] * 3
     assert "repro.engine.workloads" in modules  # the worker did the work
     assert _loaded(modules, ("numpy",)) == []
+
+
+@needs_native
+def test_native_walker_loads_on_the_first_walk():
+    # prepare() builds the golden run and the step program; the native
+    # library (and ctypes) load with the first packed walk, not before
+    before, after = _fresh("""
+import json, sys
+from repro.circuit.library import random_sequential
+from repro.engine import SeuBackend
+from repro.soft_error.seu import random_workload
+
+native = ("ctypes", "repro.sim.native")
+circuit = random_sequential(6, 60, 8, 4, seed=5)
+backend = SeuBackend(circuit, random_workload(circuit, 12, seed=5),
+                     lane_width=64)
+backend.prepare()
+before = [m for m in native if m in sys.modules]
+backend.run_batch([(flop, 3) for flop in circuit.flops])
+print(json.dumps([before, [m for m in native if m in sys.modules]]))
+""")
+    assert (before, after) == ([], ["ctypes", "repro.sim.native"])
 
 
 @needs_compiled

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _rows, needs_compiled
+from conftest import _rows, needs_compiled, needs_native
 from repro.circuit import load
 from repro.circuit.library import random_sequential
 from repro.engine import (
@@ -682,6 +682,112 @@ def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
     # first would import numpy)
     monkeypatch.setitem(vars(vector), "np", None)
     assert run() == reference
+
+
+# ----------------------------------------------------------------------
+# the native walker against the Python walker, on one context
+# ----------------------------------------------------------------------
+def _both_walkers(monkeypatch, circuit, workload, width, flips, n_lanes):
+    """``propagate`` on the int carrier by the native walker, then by
+    the Python walker with the program's native kernel blanked, on one
+    context: ``{walker: (fail, latent, steps)}``."""
+    ctx = lanes.build_context(circuit, workload, width, backing="int")
+    program = compiled.step_program(circuit)
+    start = _start_of(flips, len(workload))
+    got = {}
+    for walker in ("native", "python"):
+        if walker == "python":
+            monkeypatch.setitem(vars(program), "native", None)
+        else:
+            assert program.native is not None
+        before = ctx.steps_run
+        fail, latent = lanes.propagate(ctx, flips, start, n_lanes)
+        got[walker] = (fail, latent, ctx.steps_run - before)
+    return got
+
+
+def _edge_schedule(circuit, n_cycles, n_lanes):
+    """Lanes that start at cycle 0 and at the last cycle side by side in
+    every block, a ramp, and lanes that flip twice (two flops at once,
+    then another flop two cycles on)."""
+    flops = list(circuit.flops)
+    flips = {}
+
+    def flip(lane, cyc, q):
+        per_cycle = flips.setdefault(cyc, {})
+        per_cycle[q] = per_cycle.get(q, 0) | 1 << lane
+
+    for lane in range(n_lanes):
+        q = flops[lane % len(flops)]
+        kind = lane % 4
+        if kind == 3:
+            flip(lane, 0, q)
+            flip(lane, 0, flops[(lane + 1) % len(flops)])
+            flip(lane, min(2, n_cycles - 1), flops[(lane + 2) % len(flops)])
+        else:
+            flip(lane, (0, n_cycles - 1, lane % n_cycles)[kind], q)
+    return flips
+
+
+@needs_native
+@pytest.mark.parametrize("n_cycles", (1, 2, 9))
+@pytest.mark.parametrize("width", (
+    1, 63, 64, pytest.param(65, marks=needs_numpy),
+    pytest.param(192, marks=needs_numpy)))
+def test_native_walker_edges(monkeypatch, width, n_cycles):
+    circuit = random_sequential(n_inputs=3, n_gates=30, n_flops=5,
+                                n_outputs=2, seed=8)
+    workload = random_workload(circuit, n_cycles, seed=2)
+    flips = _edge_schedule(circuit, n_cycles, width)
+    got = _both_walkers(monkeypatch, circuit, workload, width, flips, width)
+    assert got["native"] == got["python"]
+    assert got["native"][:2] == _interpreter_reference(
+        circuit, workload, width, flips, width)
+    # no live lane: neither walker takes a step
+    assert _both_walkers(monkeypatch, circuit.copy(), workload, width, flips,
+                         0) == {"native": (0, 0, 0), "python": (0, 0, 0)}
+
+
+@needs_native
+@needs_numpy
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000),
+       n_cycles=st.sampled_from((1, 3, 12, 70)),
+       n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200)),
+       shape=st.sampled_from(SHAPES))
+def test_native_walker_equals_python_walker(seed, n_cycles, n_lanes, shape):
+    circuit = random_sequential(n_inputs=3, n_gates=25, n_flops=4,
+                                n_outputs=2, seed=seed % 7)
+    workload = random_workload(circuit, n_cycles, seed=seed)
+    flips = _random_schedule(random.Random(seed), circuit, n_cycles,
+                             n_lanes, shape)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got = _both_walkers(monkeypatch, circuit, workload,
+                            max(64, n_lanes), flips, n_lanes)
+    assert got["native"] == got["python"]
+
+
+def test_golden_table_is_kept_per_layout():
+    # one context walked by two walkers holds one table per layout: the
+    # second layout asked for must not be handed the first one's table
+    circuit = load("s27")
+    ctx = lanes.build_context(circuit, random_workload(circuit, 4, seed=1),
+                              64)
+    program = compiled.StepProgram(circuit)
+
+    def rows(bits):
+        return ("rows", bits)
+
+    def count(bits):
+        return ("count", len(bits))
+
+    table = ctx.golden_table(program, rows)
+    assert table[0] == "rows" and len(table[1]) == 5
+    assert ctx.golden_table(program, count) == ("count", 5)
+    assert ctx.golden_table(program, rows) is table
+    # a rebuilt program (the circuit's cache was invalidated) rebuilds
+    assert ctx.golden_table(compiled.StepProgram(circuit), rows) \
+        is not table
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """One differential oracle over the campaign configuration product.
 
 Whatever runs a campaign — backend, circuit, lane width and carrier,
-compiled or interpreted, serial loop or process pool, fresh, aborted
-after chunk *k* and resumed, or N ``repro.service`` workers, with
-transient ``ChaosFault`` / ``HostChaos`` faults — its report
+the native or the Python lane walker, compiled or interpreted, serial
+loop or process pool, fresh, aborted after chunk *k* and resumed, or N
+``repro.service`` workers, with transient ``ChaosFault`` /
+``HostChaos`` faults — its report
 (``conftest._signature``; ``Injection.detail`` on fresh runs only) and
 its exported ``CampaignDb`` rows equal the serial ``lane_width=1``
 reference interpreter's, memoised per (backend, circuit, workload
@@ -30,6 +31,7 @@ import tempfile
 import threading
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -55,7 +57,7 @@ from repro.engine.lanes import aligned_batch_size
 from repro.engine.workloads import GpgpuSeuBackend
 from repro.faults import all_stuck_at, collapse
 from repro.service import CampaignQueue, CampaignWorker, run_service_campaign
-from repro.sim import compiled, random_patterns
+from repro.sim import compiled, native, random_patterns
 from repro.soft_error import random_workload
 
 BACKENDS = ("seu", "seu-filter", "slicing", "slicing-nofilter", "ppsfp",
@@ -69,6 +71,8 @@ KERNELS = ("vector_add", "reduction")
 LANE_WIDTHS = (1, 7, 64, 192)
 GPGPU_WIDTHS = (1, 8, 64)
 BACKINGS = (None, "int", "soa")
+#: the int carrier's walk: in C where the kernel loads, else in Python
+WALKERS = ("native", "python")
 PATHS = ("fresh", "resume", "service")
 CHAOS_MODES = ("raise", "malform", "die")
 #: per-worker host fault schedules the threaded service draws
@@ -82,13 +86,16 @@ class Config:
     workload, enough points that one wide chunk spans several 64-bit
     lane words; ``faults``: ``(point index, chaos mode, failures)``
     triples; ``hosts``: one ``HostFault`` schedule per service worker;
-    ``worker_processes``: spawned service workers instead of threads."""
+    ``worker_processes``: spawned service workers instead of threads;
+    ``walker``: ``"python"`` makes the native loader load nothing in
+    this process (process-pool workers load their own)."""
 
     backend: str = "seu"
     circuit: str = "rand_seq"
     long: bool = False
     lane_width: int = 1
     backing: str | None = None
+    walker: str = "native"
     compiled: bool = True
     executor: str = "serial"
     workers: int = 2
@@ -264,7 +271,9 @@ def _served(config, backend, engine):
 
 def _run(config, backend):
     engine = _engine(config)
-    with nullcontext() if config.compiled else compiled.disabled():
+    walker = nullcontext() if config.walker == "native" else \
+        mock.patch.object(native, "load", lambda source: None)
+    with walker, nullcontext() if config.compiled else compiled.disabled():
         if config.path == "service":
             return _served(config, backend, engine)
         db = CampaignDb()
@@ -328,6 +337,8 @@ def configs(draw):
         else ()
     fault = st.tuples(st.integers(0, 999), st.sampled_from(CHAOS_MODES),
                       st.integers(1, 2))
+    walker = draw(st.sampled_from(WALKERS)) if backend in CARRIERS \
+        else "native"
     return Config(
         backend=backend,
         circuit=draw(st.sampled_from(KERNELS if gpgpu else CIRCUITS)),
@@ -335,9 +346,11 @@ def configs(draw):
             st.sampled_from(GPGPU_WIDTHS if gpgpu else LANE_WIDTHS)),
         backing=draw(st.sampled_from(BACKINGS)) if backend in CARRIERS
         else None,
+        walker=walker,
         compiled=draw(st.booleans()),
-        executor="serial" if path == "service" else draw(
-            st.sampled_from(("serial", "process"))),
+        # the Python walker is forced in this process only
+        executor="serial" if path == "service" or walker == "python"
+        else draw(st.sampled_from(("serial", "process"))),
         path=path,
         kill_after=draw(st.integers(1, 4)),
         # 64 is the engine default, which a lane wider than 64 raises to
@@ -367,6 +380,13 @@ PINNED = [Config(backend=backend,
                  **(dict(long=True, batch_size=64, kill_after=1)
                     if backend in CARRIERS else {}))
           for backend in BACKENDS for path in PATHS]
+#: the native walker on every lane backend at 7, 64 and 192 lanes (the
+#: int carrier, where it runs), and the Python walker beside it at 192
+PINNED += [Config(backend=backend, lane_width=width, backing="int",
+                  walker=walker, long=True, batch_size=64)
+           for backend in CARRIERS
+           for width, walker in ((7, "native"), (64, "native"),
+                                 (192, "native"), (192, "python"))]
 
 
 def _pinned(test):
