@@ -173,7 +173,10 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
     Explicit choices pass through untouched; ``auto`` probes and falls
     back with a reason instead of crashing: a campaign the process pool
     cannot take (cheap batches, little work, unpicklable backend) runs
-    on the serial loop, behind the one chunk the probe executed.
+    on the serial loop, behind the two chunks the probe executed.  The
+    probe runs chunk 0 untimed — it pays every first-use cost: the lane
+    context, golden tables, walk tables, native library loads — and
+    times chunk 1, which is what each chunk after it costs.
     """
     choice = getattr(config, "executor", "auto")
     if choice != "auto":  # validated by EngineConfig.__post_init__
@@ -185,10 +188,11 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
     # cost probe first — it needs no serialization, and cheap campaigns
     # skip the (potentially large) pickle entirely
     backend.prepare()
+    probed = [execute_chunk(backend, chunks[0], seeds[0])]
     t0 = time.perf_counter()
-    batch0 = execute_chunk(backend, chunks[0], seeds[0])
+    probed.append(execute_chunk(backend, chunks[1], seeds[1]))
     per_batch = time.perf_counter() - t0
-    remaining = per_batch * (len(chunks) - 1)
+    remaining = per_batch * (len(chunks) - 2)
     # Lane-aware cost floor: a vector-tier chunk (lane_width > 64) packs
     # up to lane_width points into each dispatch, so a "cheap" batch
     # still amortises process-shipping overhead across a dense point
@@ -202,12 +206,12 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
         return ExecutorPlan(
             "serial",
             f"per-batch cost {per_batch * 1e3:.2f}ms below process dispatch "
-            "overhead", probe_batches=[batch0])
+            "overhead", probe_batches=probed)
     if remaining < MIN_CAMPAIGN_COST_S:
         return ExecutorPlan(
             "serial",
             f"~{remaining * 1e3:.0f}ms of work left: too small to amortise "
-            "process spawn", probe_batches=[batch0])
+            "process spawn", probe_batches=probed)
     # the backend alone answers picklability (prepared state is dropped
     # on pickling); the engine pickles the campaign it actually ships
     try:
@@ -216,11 +220,11 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
         return ExecutorPlan(
             "serial",
             f"backend not picklable ({type(exc).__name__}: {exc})",
-            probe_batches=[batch0])
+            probe_batches=probed)
     return ExecutorPlan(
         "process",
         f"picklable backend, {per_batch * 1e3:.1f}ms/batch x "
-        f"{len(chunks) - 1} chunks remaining", probe_batches=[batch0])
+        f"{len(chunks) - 2} chunks remaining", probe_batches=probed)
 
 
 # ----------------------------------------------------------------------

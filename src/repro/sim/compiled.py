@@ -32,11 +32,12 @@ be had.
 One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
 compiled form, because a cold full-circuit compile costs about seventy
 interpreted evaluations; a library caller that needs one good machine
-at many points simulates it once and keeps the values.  Per-fault cone
-walks (:mod:`repro.sim.fault_sim`) stay on the interpreter for the same
-reason: the batched PPSFP sweep walks one cone per fan-out-free region,
-and a program compiled per fault site never saw enough evaluations on a
-campaign to pay back its ``compile()``.
+at many points simulates it once and keeps the values.  Nothing here
+compiles a fault's cone either: a program per fault site never saw
+enough evaluations on a campaign to pay back its ``compile()``.  The
+batched PPSFP sweep walks one cone per fan-out-free region, in C where
+it can (:mod:`repro.sim.fault_sim`): one fixed source for every design
+that interprets flat tables, built once per host.
 
 Every kernel is **byte-identical** to the interpreter at any pattern
 width: each generated expression and each level op is the same boolean
@@ -320,7 +321,8 @@ class StepProgram:
         had — no C compiler, a failed build or load: the lane walker
         then runs the int kernel :attr:`fn`."""
         from . import native
-        return native.load(self.c_source)
+        lib = native.load(self.c_source)
+        return None if lib is None else native.LaneWalker(lib)
 
     def run(self, pi_values: Mapping[str, int], state: Mapping[str, int],
             mask: int) -> tuple[dict[str, int], dict[str, int]]:

@@ -22,14 +22,26 @@ trees, adders and output compressors end in: a difference crosses a
 tail as one XOR into the tail's end (:func:`_root_walk`,
 :func:`_tail_table`).
 
-Nothing here is compiled: every cone walk is the interpreter's
-(``GATE_EVAL`` over the cone's gates), and so is every good-machine
-simulation (:func:`repro.sim.logic.simulate`, run once per pattern
-window or cycle and kept).
+The batched sweep's root walks run in C where they can: one fixed
+translation unit for every design (:data:`_C_ROOT_WALK`), built once per
+host by :mod:`repro.sim.native` and called through :mod:`ctypes`,
+interprets flat tables of the walk (:func:`_native_table`) over each
+window's good words, packed once per window (:class:`_RootWalks`).  It
+is event-driven: of a root's cone it evaluates only the gates an input
+of which changed.  With no C compiler, or with compilation off
+(``RESCUE_NO_COMPILE``, :func:`repro.sim.compiled.disabled`), the
+interpreter walks (:func:`_root_walk`), with identical results: it is
+the reference the C walk is tested against.  Everything else here
+interprets (``GATE_EVAL``): the per-fault reference walks, the region
+climb, and every good-machine simulation
+(:func:`repro.sim.logic.simulate`, run once per pattern window or cycle
+and kept).  Neither :mod:`ctypes` nor :mod:`repro.sim.native` is
+imported before the first root walk.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
@@ -37,6 +49,7 @@ from typing import Collection, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
 from ..faults.models import Line, StuckAtFault
+from . import compiled
 from .logic import GATE_EVAL, eval_gate, mask_of, simulate
 
 
@@ -73,12 +86,13 @@ class FaultSimResult:
 
 
 #: Keys of the reachability table, of the fan-out-free-region links and
-#: (paired with an observe tuple) of the linear-tail walk table inside
-#: ``Circuit._cone_cache`` (cone keys are tuples of net names, so none
-#: can collide with one).
+#: (paired with an observe tuple) of the linear-tail walk table and its
+#: flat form for the C walk inside ``Circuit._cone_cache`` (cone keys are
+#: tuples of net names, so none can collide with one).
 _REACH_KEY = None
 _FFR_KEY = "ffr"
 _TAILS_KEY = "tails"
+_NATIVE_KEY = "native"
 
 #: Gates whose output difference is the XOR of their input differences.
 _LINEAR = frozenset({GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT})
@@ -255,6 +269,69 @@ def _tail_table(
     return table
 
 
+#: Opcodes of the C walk's steps: a summed tail end (``SUMMED``) or one
+#: of the non-linear gates, which are the only ones a walk evaluates.
+_OPCODES = {None: 0, GateType.AND: 1, GateType.NAND: 2, GateType.OR: 3,
+            GateType.NOR: 4, GateType.CONST0: 5, GateType.CONST1: 6}
+
+
+def _native_table(
+    circuit: Circuit,
+    observe: Sequence[str],
+) -> tuple[dict[str, int], bytes]:
+    """:func:`_tail_table` flattened for :data:`_C_ROOT_WALK`.
+
+    Nets are numbered inputs, flops, then gate outputs in topological
+    order; the returned index maps each net to its number, which is also
+    its row in a window's packed good words (:class:`_RootWalks`).  The
+    table is one run of int32: the header ``n_nets, n_steps, n_obs,
+    n_in, n_end, n_rd``, then per kept step its opcode and output, its
+    inputs as a CSR (offsets, then nets; none for a summed tail end),
+    per net its tail ends as a CSR, per net the kept steps to mark when
+    it changes as a CSR — the non-linear steps reading it, and the tail
+    end's own step — and the observed nets.  Cached per observe tuple
+    beside the tail table: mutation and pickling drop it.
+    """
+    key = (_NATIVE_KEY, tuple(observe))
+    cache = circuit._cone_cache
+    table = cache.get(key)
+    if table is not None:
+        return table
+    _, steps, ends = _tail_table(circuit, observe)
+    index: dict[str, int] = {}
+    for net in (*circuit.inputs, *circuit.flops,
+                *(gate.output for gate in circuit.topo_order())):
+        index.setdefault(net, len(index))
+    ops, outs, in_off, ins, end_off, end_nets, rd_off, rd = (
+        array("i") for _ in range(8))
+    readers: list[list[int]] = [[] for _ in index]
+    for k, (gate, out, _) in enumerate(steps):
+        ops.append(_OPCODES[None if gate is None else gate.gtype])
+        outs.append(index[out])
+        in_off.append(len(ins))
+        if gate is None:
+            readers[index[out]].append(k)
+        else:
+            ins.extend(index[src] for src in gate.inputs)
+            for src in dict.fromkeys(gate.inputs):
+                readers[index[src]].append(k)
+    in_off.append(len(ins))
+    for net, i in index.items():
+        end_off.append(len(end_nets))
+        end_nets.extend(index[end] for end in ends.get(net, ()))
+        rd_off.append(len(rd))
+        rd.extend(readers[i])
+    end_off.append(len(end_nets))
+    rd_off.append(len(rd))
+    obs = array("i", (index[net] for net in observe))
+    header = array("i", (len(index), len(steps), len(obs), len(ins),
+                         len(end_nets), len(rd)))
+    table = cache[key] = (index, b"".join(
+        part.tobytes() for part in (header, ops, outs, in_off, ins, end_off,
+                                    end_nets, rd_off, rd, obs)))
+    return table
+
+
 def _observe_nets(circuit: Circuit, full_scan: bool) -> tuple[str, ...]:
     nets = list(circuit.outputs)
     if full_scan:
@@ -387,23 +464,24 @@ WINDOW_BITS = 1024
 class PatternWindows:
     """Good-machine values of pattern batches concatenated into windows.
 
-    Each window is ``(good, mask, offset, starts, batch_masks, obs)``:
-    the good values of its batches side by side in one word per net, the
-    window's width mask, its first pattern's global number, per batch
-    the bit position it starts at inside the window and its own mask
-    already shifted there, and the window's observability memo — per
-    net, the patterns in which a *flip* of that net reaches one of
-    ``observe`` (:func:`_observability` fills it on demand).  A memo
-    entry is a pure function of the window and the net, so a chunk
-    abandoned past ``chunk_timeout`` that is still sweeping on its
-    daemon thread can only write the value the live sweep would.
-    ``root_walks`` counts the cone walks the detection sweeps paid for
-    (at most one per fan-out-free region and window); it never
-    influences an outcome.
+    Each window is ``(good, mask, offset, starts, batch_masks, walks,
+    obs)``: the good values of its batches side by side in one word per
+    net, the window's width mask, its first pattern's global number, per
+    batch the bit position it starts at inside the window and its own
+    mask already shifted there, the window's root walks
+    (:class:`_RootWalks`) and its observability memo — per net, the
+    patterns in which a *flip* of that net reaches one of ``observe``
+    (:func:`_observability` fills it on demand).  A memo entry is a pure
+    function of the window and the net, so a chunk abandoned past
+    ``chunk_timeout`` that is still sweeping on its daemon thread can
+    only write the value the live sweep would; the walks share nothing
+    writable between calls, in Python or in C.  ``root_walks`` counts
+    the cone walks the detection sweeps paid for (at most one per
+    fan-out-free region and window); it never influences an outcome.
     """
 
     windows: list[tuple[dict[str, int], int, int, list[int], list[int],
-                        dict[str, int]]]
+                        _RootWalks, dict[str, int]]]
     n_patterns: int
     observe: tuple[str, ...]
     root_walks: int = 0
@@ -434,6 +512,7 @@ def _pattern_windows(
         groups[-1].append(batch)
         width += batch[1]
     inputs = circuit.inputs
+    observe = _observe_nets(circuit, full_scan)
     windows = []
     total = 0
     for group in groups:
@@ -452,10 +531,12 @@ def _pattern_windows(
                 for q, word in state.items():
                     flops[q] |= (word & mask) << width
             width += n
-        windows.append((simulate(circuit, pis, width, flops), mask_of(width),
-                        total, starts, batch_masks, {}))
+        good = simulate(circuit, pis, width, flops)
+        mask = mask_of(width)
+        windows.append((good, mask, total, starts, batch_masks,
+                        _RootWalks(circuit, observe, good, mask), {}))
         total += width
-    return PatternWindows(windows, total, _observe_nets(circuit, full_scan))
+    return PatternWindows(windows, total, observe)
 
 
 def _output_diff(gate: Gate, good: Mapping[str, int], net: str, word: int,
@@ -508,9 +589,282 @@ def _root_walk(
     return det & mask
 
 
+def native_kernel():
+    """The C root walk (:class:`repro.sim.native.RootWalker`), loaded —
+    built on first use per host — or ``None``: compilation is off, or
+    :func:`repro.sim.native.load` could not have it (no C compiler, a
+    failed build or load), and :func:`_root_walk` walks instead."""
+    if not compiled.compilation_enabled():
+        return None
+    from . import native
+    lib = native.load(_C_ROOT_WALK)
+    return None if lib is None else native.RootWalker(lib)
+
+
+class _RootWalks:
+    """The root walks of one pattern window: ``walks(net)`` is
+    :func:`_root_walk` of ``net`` over the window's good words.
+
+    On the first call the kernel is resolved (:func:`native_kernel`) and,
+    when it loaded, the window's good words are packed for it once —
+    one row of ``ceil(width / 64)`` little-endian ``uint64_t`` per net
+    of :func:`_native_table` — and kept; every call then walks in C.
+    The C walk allocates its scratch per call and releases the GIL, so
+    threads may share a window (a second thread that resolves at the
+    same time packs the same words).  Without the kernel every call is
+    :func:`_root_walk`.
+    """
+
+    __slots__ = ("circuit", "observe", "good", "mask", "native")
+
+    def __init__(self, circuit: Circuit, observe: Sequence[str],
+                 good: Mapping[str, int], mask: int) -> None:
+        self.circuit = circuit
+        self.observe = observe
+        self.good = good
+        self.mask = mask
+        self.native = None  # resolved on the first walk: () for Python
+
+    def _resolve(self) -> tuple:
+        kernel = native_kernel()
+        if kernel is None:
+            return ()
+        index, table = _native_table(self.circuit, self.observe)
+        n_words = max(1, (self.mask.bit_length() + 63) >> 6)
+        good = self.good
+        words = b"".join(good.get(net, 0).to_bytes(8 * n_words, "little")
+                         for net in index)
+        last = self.mask >> 64 * (n_words - 1)
+        return kernel, index, table, words, n_words, last
+
+    def __call__(self, net: str) -> int:
+        native = self.native
+        if native is None:
+            native = self.native = self._resolve()
+        if not native:
+            return _root_walk(self.circuit, self.observe, self.good,
+                              self.mask, net)
+        kernel, index, table, words, n_words, last = native
+        return kernel.walk(table, words, n_words, last, index[net])[0]
+
+
+#: The C root walk, one translation unit for every design: the tables of
+#: :func:`_native_table` and a window's good words (``n_nets`` rows of
+#: ``nw`` words, the last word of a row holding ``last``'s bits) in, the
+#: detection words of one flipped net out.  ``rescue_kernel.walk(tab,
+#: good, nw, last, root, det)`` returns the gates it evaluated (-1: out
+#: of memory).  :func:`_root_walk` event by event: a pending bitmap over
+#: the kept steps in topological order holds the steps an input of
+#: which changed; a step that changes its net XORs the difference into
+#: the net's tail ends and marks their readers.  A net's words are
+#: copied out of ``good`` into the call's own scratch when it first
+#: changes (``slot`` maps a net to its scratch row), so ``good`` is read
+#: only and nothing outlives the call.
+_C_ROOT_WALK = r"""
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { SUMMED, AND, NAND, OR, NOR, CONST0, CONST1 };
+
+typedef struct {
+    int32_t n_nets, n_steps, n_obs;
+    const int32_t *op, *out, *in_off, *in, *end_off, *end, *rd_off, *rd,
+        *obs;
+} table_t;
+
+typedef struct {
+    table_t t;
+    const uint64_t *good;
+    int64_t nw;
+    uint64_t last;
+    int32_t *slot;    /* per net: 1 + its row in vals, 0 while good */
+    uint64_t *vals, *pend;
+    int64_t n_vals, cap;
+} walk_t;
+
+static void parse(const int32_t *h, table_t *t)
+{
+    const int32_t *p = h + 6;
+    t->n_nets = h[0];
+    t->n_steps = h[1];
+    t->n_obs = h[2];
+    t->op = p;      p += h[1];
+    t->out = p;     p += h[1];
+    t->in_off = p;  p += h[1] + 1;
+    t->in = p;      p += h[3];
+    t->end_off = p; p += h[0] + 1;
+    t->end = p;     p += h[4];
+    t->rd_off = p;  p += h[0] + 1;
+    t->rd = p;      p += h[5];
+    t->obs = p;
+}
+
+static const uint64_t *value(const walk_t *w, int32_t net)
+{
+    int32_t s = w->slot[net];
+    return s ? w->vals + (int64_t)(s - 1) * w->nw : w->good + net * w->nw;
+}
+
+/* net's words in the scratch, copied from good the first time;
+   NULL: out of memory */
+static uint64_t *own(walk_t *w, int32_t net)
+{
+    if (!w->slot[net]) {
+        if (w->n_vals == w->cap) {
+            int64_t cap = w->cap ? 2 * w->cap : 64;
+            uint64_t *v = realloc(w->vals, cap * w->nw * sizeof *v);
+            if (!v)
+                return NULL;
+            w->vals = v;
+            w->cap = cap;
+        }
+        memcpy(w->vals + w->n_vals * w->nw, w->good + net * w->nw,
+               w->nw * sizeof *w->vals);
+        w->slot[net] = (int32_t)++w->n_vals;
+    }
+    return w->vals + (int64_t)(w->slot[net] - 1) * w->nw;
+}
+
+/* net changed: mark the steps that read it (but the step computing
+   skip: the root's own, which stays flipped) */
+static void changed(walk_t *w, int32_t net, int32_t skip)
+{
+    for (int32_t r = w->t.rd_off[net]; r < w->t.rd_off[net + 1]; r++) {
+        int32_t k = w->t.rd[r];
+        if (w->t.out[k] != skip)
+            w->pend[k >> 6] |= (uint64_t)1 << (k & 63);
+    }
+}
+
+/* XOR diff into the tail ends of net; -1: out of memory */
+static int spread(walk_t *w, int32_t net, const uint64_t *diff)
+{
+    for (int32_t e = w->t.end_off[net]; e < w->t.end_off[net + 1]; e++) {
+        uint64_t *v = own(w, w->t.end[e]);
+        if (!v)
+            return -1;
+        for (int64_t i = 0; i < w->nw; i++)
+            v[i] ^= diff[i];
+        changed(w, w->t.end[e], -1);
+    }
+    return 0;
+}
+
+static void eval(const walk_t *w, int32_t k, uint64_t *acc)
+{
+    int32_t op = w->t.op[k], lo = w->t.in_off[k], hi = w->t.in_off[k + 1];
+    if (op == CONST0 || op == CONST1) {
+        for (int64_t i = 0; i < w->nw; i++)
+            acc[i] = op == CONST1 ? ~(uint64_t)0 : 0;
+    } else {
+        memcpy(acc, value(w, w->t.in[lo]), w->nw * sizeof *acc);
+        for (int32_t j = lo + 1; j < hi; j++) {
+            const uint64_t *v = value(w, w->t.in[j]);
+            if (op == AND || op == NAND)
+                for (int64_t i = 0; i < w->nw; i++)
+                    acc[i] &= v[i];
+            else
+                for (int64_t i = 0; i < w->nw; i++)
+                    acc[i] |= v[i];
+        }
+        if (op == NAND || op == NOR)
+            for (int64_t i = 0; i < w->nw; i++)
+                acc[i] = ~acc[i];
+    }
+    acc[w->nw - 1] &= w->last;
+}
+
+static int64_t walk(const int32_t *tab, const uint64_t *good, int64_t nw,
+                    uint64_t last, int64_t root, uint64_t *det)
+{
+    walk_t w = {0};
+    int64_t evaluated = -1, n_pend;
+    uint64_t *acc, *diff, *r;
+    parse(tab, &w.t);
+    w.good = good;
+    w.nw = nw;
+    w.last = last;
+    n_pend = (w.t.n_steps + 63) / 64;
+    w.slot = calloc(w.t.n_nets, sizeof *w.slot);
+    w.pend = calloc(n_pend + 1, sizeof *w.pend);
+    acc = malloc(2 * nw * sizeof *acc);
+    if (!w.slot || !w.pend || !acc || !(r = own(&w, (int32_t)root)))
+        goto done;
+    diff = acc + nw;
+    /* the root flips in every pattern */
+    for (int64_t i = 0; i < nw; i++) {
+        r[i] = ~r[i];
+        diff[i] = ~(uint64_t)0;
+    }
+    r[nw - 1] &= last;
+    diff[nw - 1] = last;
+    if (spread(&w, (int32_t)root, diff))
+        goto done;
+    changed(&w, (int32_t)root, (int32_t)root);
+    evaluated = 0;
+    for (int64_t b = 0; b < n_pend; b++)
+        while (w.pend[b]) {
+            int32_t k = (int32_t)(b * 64 + __builtin_ctzll(w.pend[b]));
+            int32_t o = w.t.out[k];
+            const uint64_t *g = good + o * nw;
+            uint64_t any = 0;
+            w.pend[b] &= w.pend[b] - 1;
+            if (w.t.op[k] != SUMMED) {
+                uint64_t *v;
+                eval(&w, k, acc);
+                evaluated++;
+                for (int64_t i = 0; i < nw; i++)
+                    any |= diff[i] = acc[i] ^ g[i];
+                if (!any)
+                    continue;
+                if (!(v = own(&w, o))) {
+                    evaluated = -1;
+                    goto done;
+                }
+                memcpy(v, acc, nw * sizeof *v);
+                changed(&w, o, -1);
+            } else {
+                const uint64_t *v = value(&w, o);
+                for (int64_t i = 0; i < nw; i++)
+                    any |= diff[i] = v[i] ^ g[i];
+                if (!any)
+                    continue;
+            }
+            if (spread(&w, o, diff)) {
+                evaluated = -1;
+                goto done;
+            }
+        }
+    memset(det, 0, nw * sizeof *det);
+    for (int32_t j = 0; j < w.t.n_obs; j++) {
+        int32_t n = w.t.obs[j];
+        if (w.slot[n]) {
+            const uint64_t *v = value(&w, n), *g = good + n * nw;
+            for (int64_t i = 0; i < nw; i++)
+                det[i] |= v[i] ^ g[i];
+        }
+    }
+done:
+    free(w.slot);
+    free(w.pend);
+    free(w.vals);
+    free(acc);
+    return evaluated;
+}
+
+typedef struct {
+    int64_t (*walk)(const int32_t *, const uint64_t *, int64_t, uint64_t,
+                    int64_t, uint64_t *);
+} exports_t;
+
+const exports_t rescue_kernel = { walk };
+"""
+
+
 def _observability(
     circuit: Circuit,
-    observe: Sequence[str],
+    walks: _RootWalks,
     good: Mapping[str, int],
     mask: int,
     obs: dict[str, int],
@@ -521,11 +875,12 @@ def _observability(
     Returns ``net``'s word and whether a cone was walked for it.  The
     climb follows the fan-out-free links up to the first net already in
     the memo, or to the region's root, whose word is one walk of its
-    cone (observed at ``observe``) with the root forced to the
-    complement of its good word (:func:`_root_walk`, which sums linear
-    tails instead of evaluating them).  Coming back down, a net's word
-    is its consumer's, restricted to the patterns in which flipping the
-    net flips the consumer.  Every net on the way is memoised.
+    cone (observed at the sweep's observe nets) with the root forced to
+    the complement of its good word (``walks``: :func:`_root_walk`, in C
+    where it can, which sums linear tails instead of evaluating them).
+    Coming back down, a net's word is its consumer's, restricted to the
+    patterns in which flipping the net flips the consumer.  Every net on
+    the way is memoised.
     """
     links = _ffr_links(circuit)
     chain: list[tuple[str, Gate]] = []
@@ -540,7 +895,7 @@ def _observability(
         gate = links.get(net)
     walked = word is None
     if walked:
-        word = obs[net] = _root_walk(circuit, observe, good, mask, net)
+        word = obs[net] = walks(net)
     for inner, gate in reversed(chain):
         if word:
             word &= _output_diff(gate, good, inner, good[inner] ^ mask, mask)
@@ -588,7 +943,7 @@ def _batched_detection(
     gate = None if line.is_stem else circuit.gates.get(at)
     coneless = gate is None and not line.is_stem  # branch into a flop D
     acc = 0
-    for good, mask, offset, starts, batch_masks, obs in spans:
+    for good, mask, offset, starts, batch_masks, walks, obs in spans:
         forced = mask if value else 0
         if good.get(site) == forced:
             continue  # never activated in this window
@@ -604,7 +959,7 @@ def _batched_detection(
                 word = obs.get(at)
                 if word is None:
                     word, walked = _observability(
-                        circuit, windows.observe, good, mask, obs, at)
+                        circuit, walks, good, mask, obs, at)
                     windows.root_walks += walked
                 det &= word
         if det:

@@ -1,10 +1,20 @@
-"""Build, cache and load the native lane walker of a step program.
+"""Build, cache and load the native kernels: C translation units built
+by the host C compiler and called through :mod:`ctypes`.
 
-:attr:`repro.sim.compiled.StepProgram.c_source` is one C translation
-unit per circuit: the step over one 64-lane ``uint64_t`` block and the
-whole skewed walk of :func:`repro.engine.lanes._propagate_skewed`.
-:func:`load` builds it once with the host C compiler (``gcc``, else
-``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
+Two kernels are served, each one translation unit:
+
+* the lane walker of a step program
+  (:attr:`repro.sim.compiled.StepProgram.c_source`, one per circuit: the
+  step over one 64-lane ``uint64_t`` block and the whole skewed walk of
+  :func:`repro.engine.lanes._propagate_skewed`), wrapped by
+  :class:`LaneWalker`;
+* the PPSFP root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one
+  source for every design: it interprets the flat tables
+  :func:`repro.sim.fault_sim._native_table` builds), wrapped by
+  :class:`RootWalker`.
+
+:func:`load` builds a source once with the host C compiler (``gcc``,
+else ``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
 caches the shared library on disk under a key made from the compiler,
 the flags and the source, and loads it with :mod:`ctypes`.  Pool
 workers and repeat campaigns find the library in the cache and load it
@@ -15,15 +25,16 @@ The cache directory is per user: ``$XDG_CACHE_HOME/repro-native``, else
 ``<tempfile.gettempdir()>/repro-native-<uid>``, created ``0o700``.  A
 directory the user does not own, or that others may write, is refused.
 A build writes to a temporary file in that directory and moves it into
-place with :func:`os.replace`, so processes that build the same design
+place with :func:`os.replace`, so processes that build the same source
 at once each load a whole library.
 
 Nothing here is needed for correct results: with no compiler, a failed
 build, a library that does not load or an unusable cache directory,
 :func:`load` logs one warning per process and returns ``None``, and the
-lane walker runs the int kernel in Python — the reference the native
-walker is tested against.  This module (and :mod:`ctypes`) is imported
-on the first native walk, not before.
+caller runs its Python reference — the int lane walker, or
+:func:`repro.sim.fault_sim._root_walk` — that the kernel is tested
+against.  This module (and :mod:`ctypes`) is imported on the first
+native walk, not before.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import tempfile
 
 log = logging.getLogger(__name__)
 
-#: The one flag set every walker is built with.  ``-O0`` builds about
+#: The one flag set every kernel is built with.  ``-O0`` builds about
 #: three times faster than ``-O1`` and walks about 10 % slower, so it is
 #: the only level at which a one-shot campaign on a cold cache still
 #: wins (README, "Native lane walker", has both numbers).
@@ -48,27 +59,39 @@ CFLAGS = ("-O0", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 300
 
 _u64p = ctypes.c_void_p
-_STEP = ctypes.CFUNCTYPE(None, _u64p, _u64p, _u64p, _u64p)
-_WALK = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
-                         ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
-                         ctypes.c_int64, ctypes.c_int64, _u64p)
 
 
-class _Exports(ctypes.Structure):
-    """The translation unit's one export, ``rescue_kernel``."""
-
-    _fields_ = [("step", _STEP), ("walk", _WALK)]
-
-
-class NativeKernel:
-    """A loaded walker library: :meth:`walk`, and :attr:`step` —
-    ``step(pis, state, po, nxt)`` over ``uint64_t`` arrays, one clock of
-    one 64-lane block (what the walk calls; exposed for the tests)."""
+class Library:
+    """A built library loaded into this process: its :attr:`path` and the
+    table of function pointers it exports as ``rescue_kernel`` (every
+    other function of a kernel's source is ``static``)."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._lib = ctypes.CDLL(path)
-        exports = _Exports.in_dll(self._lib, "rescue_kernel")
+        self._dll = ctypes.CDLL(path)
+        ctypes.c_char.in_dll(self._dll, "rescue_kernel")  # else ValueError
+
+    def exports(self, table: type[ctypes.Structure]) -> ctypes.Structure:
+        return table.in_dll(self._dll, "rescue_kernel")
+
+
+class _LaneExports(ctypes.Structure):
+    _fields_ = [
+        ("step", ctypes.CFUNCTYPE(None, _u64p, _u64p, _u64p, _u64p)),
+        ("walk", ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_char_p,
+                                  ctypes.c_int64, ctypes.c_int64,
+                                  ctypes.c_char_p, ctypes.c_char_p,
+                                  ctypes.c_int64, ctypes.c_int64, _u64p))]
+
+
+class LaneWalker:
+    """A loaded lane walker: :meth:`walk`, and :attr:`step` —
+    ``step(pis, state, po, nxt)`` over ``uint64_t`` arrays, one clock of
+    one 64-lane block (what the walk calls; exposed for the tests)."""
+
+    def __init__(self, lib: Library) -> None:
+        self.path = lib.path
+        exports = lib.exports(_LaneExports)
         self.step, self._walk = exports.step, exports.walk
 
     def walk(self, gold: bytes, n_cycles: int, entries: bytes, masks: bytes,
@@ -88,17 +111,47 @@ class NativeKernel:
                 int.from_bytes(raw[size:], "little"), steps)
 
 
+class _RootExports(ctypes.Structure):
+    _fields_ = [("walk", ctypes.CFUNCTYPE(
+        ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
+        ctypes.c_uint64, ctypes.c_int64, _u64p))]
+
+
+class RootWalker:
+    """A loaded PPSFP root walk (:meth:`walk`).  The call keeps all its
+    scratch to itself and releases the GIL, so threads may walk one
+    window's words at once."""
+
+    def __init__(self, lib: Library) -> None:
+        self.path = lib.path
+        self._walk = lib.exports(_RootExports).walk
+
+    def walk(self, table: bytes, good: bytes, n_words: int, last: int,
+             root: int) -> tuple[int, int]:
+        """The walk of net ``root`` flipped (argument layout:
+        :data:`repro.sim.fault_sim._C_ROOT_WALK`).  Returns the patterns
+        in which the flip reaches an observed net, and the number of
+        gates the walk evaluated."""
+        out = ctypes.create_string_buffer(8 * n_words)
+        evaluated = self._walk(table, good, n_words, last, root, out)
+        if evaluated < 0:
+            raise MemoryError("native root walk: out of memory")
+        return int.from_bytes(out.raw, "little"), evaluated
+
+
 class _Unavailable(Exception):
-    """Why this process runs the Python walker."""
+    """Why this process runs the Python references."""
 
 
-#: Libraries loaded (or failed) in this process, by path.
-_loaded: dict[str, NativeKernel | None] = {}
+#: Libraries loaded (or failed) in this process, by source: a kernel
+#: asked for again — the PPSFP root walk, once per pattern window — is a
+#: dict read, with no compiler search, hashing or cache-directory check.
+_loaded: dict[str, Library | None] = {}
 _warned = False
 
 
 def compiler() -> str | None:
-    """The host C compiler a walker is built with, or ``None``."""
+    """The host C compiler a kernel is built with, or ``None``."""
     return shutil.which("gcc") or shutil.which("cc")
 
 
@@ -144,29 +197,28 @@ def _build(cc: str, source: str, path: str) -> None:
             os.unlink(tmp)
 
 
-def load(source: str) -> NativeKernel | None:
-    """The walker library of ``source``: loaded from this process, else
-    from the disk cache, else built into it.  ``None`` — with one logged
-    warning per process — when it cannot be had."""
+def load(source: str) -> Library | None:
+    """The library of ``source``: loaded from this process, else from the
+    disk cache, else built into it.  ``None`` — with one logged warning
+    per process, whichever kernel asked first — when it cannot be had;
+    a process asks the compiler and the disk once per source."""
     global _warned
-    path = None
+    if source in _loaded:
+        return _loaded[source]
     try:
         cc = compiler()
         if cc is None:
             raise _Unavailable("no C compiler (gcc or cc) on PATH")
         path = library_path(cc, source)
-        if path in _loaded:
-            return _loaded[path]
         if not os.path.exists(path):
             _build(cc, source, path)
-        kernel = NativeKernel(path)
+        lib = Library(path)
     except (_Unavailable, OSError, ValueError,
             subprocess.SubprocessError) as exc:
         if not _warned:
             _warned = True
-            log.warning("native lane walker unavailable, the Python walker "
-                        "runs instead: %s", exc)
-        kernel = None
-    if path is not None:
-        _loaded[path] = kernel
-    return kernel
+            log.warning("native kernels unavailable, their Python "
+                        "references run instead: %s", exc)
+        lib = None
+    _loaded[source] = lib
+    return lib

@@ -9,6 +9,7 @@ executors and worker counts.
 """
 
 import pickle
+import time
 
 import pytest
 
@@ -150,6 +151,36 @@ class UnpicklableBackend:
                           outcome=self.classify(p)) for p in points]
 
 
+class ColdStartBackend:
+    """A picklable backend whose first chunk pays a first-use cost (the
+    lane context, a native build or load) and whose later chunks are
+    cheap: what the auto probe must extrapolate from is a later chunk."""
+
+    name = "cold-start"
+    circuit_name = "toy"
+    fault_model = "none"
+    workload = "toy"
+    FIRST_USE_S = 0.05
+
+    def __init__(self, n: int = 80) -> None:
+        self.n = n
+        self.warm = False
+
+    def enumerate_points(self):
+        return list(range(self.n))
+
+    def prepare(self) -> None:
+        return None
+
+    def run_batch(self, points):
+        if not self.warm:
+            time.sleep(self.FIRST_USE_S)
+            self.warm = True
+        return [Injection(point=p, location=f"p{p}", cycle=0,
+                          outcome="odd" if p % 2 else "even")
+                for p in points]
+
+
 # ----------------------------------------------------------------------
 # picklability
 # ----------------------------------------------------------------------
@@ -270,7 +301,7 @@ class TestAutoProbe:
                              EngineConfig(workers=2), [1, 2])
         assert plan.name == "serial"
         assert "not picklable" in plan.reason
-        assert len(plan.probe_batches) == 1  # probe work still handed back
+        assert len(plan.probe_batches) == 2  # probe work still handed back
 
     def test_cheap_gil_bound_batches_fall_back_to_serial(self, monkeypatch):
         # there is no rung between the pool and the serial loop to probe
@@ -284,7 +315,28 @@ class TestAutoProbe:
         plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
         assert plan.name == "serial"
         assert "below process dispatch overhead" in plan.reason
-        assert len(plan.probe_batches) == 1
+        assert len(plan.probe_batches) == 2
+
+    def test_probe_times_a_warm_chunk(self, monkeypatch):
+        # chunk 0 pays the first-use cost; timing it would predict
+        # 0.05 s x 9 chunks of work and pick the pool, where every
+        # chunk after it costs microseconds
+        monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
+        backend = ColdStartBackend()
+        points = backend.enumerate_points()
+        chunks = [points[i:i + 8] for i in range(0, len(points), 8)]
+        seeds = [chunk_seed(0, i) for i in range(len(chunks))]
+        plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
+        assert plan.name == "serial"
+        assert "below process dispatch overhead" in plan.reason
+        # both probed chunks are handed back, in order, to be accounted
+        assert [[inj.point for inj in batch] for batch in
+                plan.probe_batches] == chunks[:2]
+        # ... exactly once: the campaign reports every point once, in order
+        report = run_campaign(ColdStartBackend(),
+                              EngineConfig(batch_size=8, workers=2))
+        assert report.executor == "serial"
+        assert [inj.point for inj in report.injections] == points
 
     def test_gil_probe_batches_accounted_exactly_once(self, monkeypatch):
         # the serial fallback must resume after the probed chunk

@@ -2,8 +2,8 @@
 
 Package ``__init__`` modules re-export their public names lazily
 (:func:`repro._lazy.lazy_exports`), numpy loads on first use
-(:mod:`repro.sim.vector`) and the native lane walker (with
-:mod:`ctypes`) on the first packed walk, so a process-pool or service
+(:mod:`repro.sim.vector`) and the native kernels (with :mod:`ctypes`)
+on the first packed walk or PPSFP sweep, so a process-pool or service
 worker imports what it unpickles and nothing else.  Import checks run
 in a fresh interpreter: the modules this test session has loaded cannot
 leak in.
@@ -133,6 +133,31 @@ backend = SeuBackend(circuit, random_workload(circuit, 12, seed=5),
 backend.prepare()
 before = [m for m in native if m in sys.modules]
 backend.run_batch([(flop, 3) for flop in circuit.flops])
+print(json.dumps([before, [m for m in native if m in sys.modules]]))
+""")
+    assert (before, after) == ([], ["ctypes", "repro.sim.native"])
+
+
+@needs_native
+def test_native_root_walk_loads_on_the_first_sweep():
+    # importing fault_sim and prepare() (the pattern windows) load
+    # neither ctypes nor the native module; the first sweep does
+    before, after = _fresh("""
+import json, sys
+from repro.circuit.library import random_combinational
+from repro.engine import PpsfpBackend
+from repro.faults.universe import collapse
+from repro.sim import fault_sim
+from repro.sim.logic import random_patterns
+
+native = ("ctypes", "repro.sim.native")
+circuit = random_combinational(8, 60, seed=5)
+faults = collapse(circuit)[0]
+backend = PpsfpBackend(circuit, faults,
+                       [(random_patterns(circuit.inputs, 64, seed=1), 64)])
+backend.prepare()
+before = [m for m in native if m in sys.modules]
+backend.run_batch(faults)
 print(json.dumps([before, [m for m in native if m in sys.modules]]))
 """)
     assert (before, after) == ([], ["ctypes", "repro.sim.native"])

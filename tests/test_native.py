@@ -1,13 +1,14 @@
-"""The native lane walker's build, cache and degraded paths
-(`repro.sim.native`).
+"""The native kernels' build, cache and degraded paths
+(`repro.sim.native`): the lane walker and the PPSFP root walk.
 
-Outcomes never depend on whether the C walker could be had: with no
+Outcomes never depend on whether a C kernel could be had: with no
 compiler on ``PATH``, a compiler that fails, a garbage library at the
-cache path, or a cache directory that cannot be used, the Python walker
-runs with one logged warning and the campaign reports the reference
-(``test_oracle.check``).  The cache is per user, created ``0o700``,
-refused when it is not the user's, and filled by an atomic rename, so
-two processes building one design cold both load a whole library.
+cache path, or a cache directory that cannot be used, the Python
+references run with one logged warning per process and the campaign
+reports the reference (``test_oracle.check``).  The cache is per user,
+created ``0o700``, refused when it is not the user's, and filled by an
+atomic rename, so two processes building one design cold both load a
+whole library.
 """
 
 import json
@@ -23,7 +24,7 @@ import pytest
 from conftest import needs_native
 from repro.engine import SeuBackend
 from repro.engine.lanes import seu_outcomes
-from repro.sim import compiled, native
+from repro.sim import compiled, fault_sim, native
 from test_oracle import Config, _inputs, check
 
 #: a long SEU campaign on the int carrier: several 64-lane walks
@@ -46,11 +47,13 @@ def fresh(monkeypatch, tmp_path):
 
 
 def _python_walker_with_one_warning(caplog):
-    """The campaign reports the reference on the Python walker, and the
-    process logs one warning however many programs ask."""
+    """The campaign reports the reference on the Python walker, neither
+    kernel loads, and the process logs one warning however many programs
+    and kernels ask."""
     with caplog.at_level(logging.WARNING, logger=native.__name__):
         check(CONFIG)
         assert compiled.StepProgram(_design()).native is None
+        assert fault_sim.native_kernel() is None
         check(CONFIG)
     warnings = [r for r in caplog.records if r.name == native.__name__]
     assert len(warnings) == 1, warnings
@@ -81,9 +84,10 @@ def test_compiler_that_fails(fresh, monkeypatch, caplog):
 
 @needs_native
 def test_garbage_library_at_the_cache_path(fresh, caplog):
-    source = compiled.StepProgram(_design()).c_source
-    path = native.library_path(native.compiler(), source)
-    Path(path).write_bytes(b"\x7fELF but not really a library")
+    for source in (compiled.StepProgram(_design()).c_source,
+                   fault_sim._C_ROOT_WALK):
+        path = native.library_path(native.compiler(), source)
+        Path(path).write_bytes(b"\x7fELF but not really a library")
     _python_walker_with_one_warning(caplog)
 
 
@@ -144,7 +148,9 @@ def test_built_once_then_loaded(fresh, monkeypatch):
     first = compiled.StepProgram(_design()).native
     assert first is not None
     # a second program of the design in this process: the same library
-    assert compiled.StepProgram(_design()).native is first
+    source = compiled.StepProgram(_design()).c_source
+    assert native.load(source) is native.load(source)
+    assert compiled.StepProgram(_design()).native.path == first.path
     # a new process (nothing loaded) finds it on disk and builds nothing
     monkeypatch.setattr(native, "_loaded", {})
 
@@ -156,6 +162,33 @@ def test_built_once_then_loaded(fresh, monkeypatch):
     assert again is not None and again.path == first.path
     assert os.listdir(fresh / "cache" / "repro-native") == [
         os.path.basename(first.path)]
+
+
+@needs_native
+def test_two_kernels_are_cached_side_by_side(fresh, monkeypatch):
+    # the lane walker of a design and the PPSFP root walk: two sources,
+    # two libraries, each built once and then loaded from the cache
+    built = []
+    build = native._build
+
+    def counted(cc, source, path):
+        built.append(path)
+        build(cc, source, path)
+
+    monkeypatch.setattr(native, "_build", counted)
+    lane = compiled.StepProgram(_design()).native
+    root = fault_sim.native_kernel()
+    assert lane is not None and root is not None
+    assert fault_sim.native_kernel().path == root.path
+    paths = sorted({lane.path, root.path})
+    assert sorted(built) == paths  # two libraries, one build each
+    cache = fresh / "cache" / "repro-native"
+    assert sorted(str(cache / name) for name in os.listdir(cache)) == paths
+    # a new process (nothing loaded) loads both and builds neither
+    monkeypatch.setattr(native, "_loaded", {})
+    assert compiled.StepProgram(_design()).native.path == lane.path
+    assert fault_sim.native_kernel().path == root.path
+    assert sorted(built) == paths
 
 
 @needs_native

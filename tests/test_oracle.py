@@ -1,10 +1,10 @@
 """One differential oracle over the campaign configuration product.
 
 Whatever runs a campaign — backend, circuit, lane width and carrier,
-the native or the Python lane walker, compiled or interpreted, serial
-loop or process pool, fresh, aborted after chunk *k* and resumed, or N
-``repro.service`` workers, with transient ``ChaosFault`` /
-``HostChaos`` faults — its report
+the native or the Python lane walker and PPSFP root walk, compiled or
+interpreted, serial loop or process pool, fresh, aborted after chunk
+*k* and resumed, or N ``repro.service`` workers, with transient
+``ChaosFault`` / ``HostChaos`` faults — its report
 (``conftest._signature``; ``Injection.detail`` on fresh runs only) and
 its exported ``CampaignDb`` rows equal the serial ``lane_width=1``
 reference interpreter's, memoised per (backend, circuit, workload
@@ -71,8 +71,11 @@ KERNELS = ("vector_add", "reduction")
 LANE_WIDTHS = (1, 7, 64, 192)
 GPGPU_WIDTHS = (1, 8, 64)
 BACKINGS = (None, "int", "soa")
-#: the int carrier's walk: in C where the kernel loads, else in Python
+#: the int carrier's walk and the PPSFP root walks: in C where the
+#: kernel loads, else in Python
 WALKERS = ("native", "python")
+#: the backends a native kernel walks for
+WALKED = (*CARRIERS, "ppsfp")
 PATHS = ("fresh", "resume", "service")
 CHAOS_MODES = ("raise", "malform", "die")
 #: per-worker host fault schedules the threaded service draws
@@ -337,7 +340,7 @@ def configs(draw):
         else ()
     fault = st.tuples(st.integers(0, 999), st.sampled_from(CHAOS_MODES),
                       st.integers(1, 2))
-    walker = draw(st.sampled_from(WALKERS)) if backend in CARRIERS \
+    walker = draw(st.sampled_from(WALKERS)) if backend in WALKED \
         else "native"
     return Config(
         backend=backend,
@@ -387,6 +390,12 @@ PINNED += [Config(backend=backend, lane_width=width, backing="int",
            for backend in CARRIERS
            for width, walker in ((7, "native"), (64, "native"),
                                  (192, "native"), (192, "python"))]
+#: the PPSFP root walks in C and in Python, on a combinational and a
+#: sequential (full-scan) design, with and without an early stop
+PINNED += [Config(backend="ppsfp", circuit=circuit, walker=walker,
+                  stop=stop, batch_size=8)
+           for circuit in ("c17", "rand_seq") for walker in WALKERS
+           for stop in (False, True)]
 
 
 def _pinned(test):

@@ -3,6 +3,7 @@ event-driven, fault simulation."""
 
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,13 @@ from repro.circuit import CircuitBuilder, GateType, load
 from repro.circuit.levelize import fanout_cone
 from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
-from repro.sim import compiled, fault_sim
-from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _REACH_KEY,
-                                 _TAILS_KEY, FaultSimResult,
+from repro.sim import compiled, fault_sim, native
+from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _NATIVE_KEY,
+                                 _REACH_KEY, _TAILS_KEY, FaultSimResult,
                                  _batched_detection, _cone_gates,
-                                 _ffr_links, _observe_nets, _pattern_windows,
-                                 _tail_table, detection_mask)
+                                 _ffr_links, _native_table, _observe_nets,
+                                 _pattern_windows, _root_walk, _tail_table,
+                                 detection_mask)
 from repro.sim.logic import GATE_EVAL
 from repro.sim import (
     EventSim,
@@ -374,7 +376,7 @@ def test_windows_never_split_a_batch():
     windows = _pattern_windows(circuit, batches, None)
     assert windows.n_patterns == sum(widths)
     shape = [(offset, starts, mask.bit_length())
-             for _, mask, offset, starts, _, _ in windows.windows]
+             for _, mask, offset, starts, *_ in windows.windows]
     assert shape == [
         (0, [0, WINDOW_BITS - 64], WINDOW_BITS),  # boundary lands exactly
         (WINDOW_BITS, [0], 1),                    # the next would overflow
@@ -504,10 +506,16 @@ def test_mutation_and_pickling_drop_the_ffr_links():
     table = _tail_table(circuit, observe)
     assert _tail_table(circuit, observe) is table \
         is circuit._cone_cache[tails_key]
+    native_key = (_NATIVE_KEY, observe)
+    flat = _native_table(circuit, observe)
+    assert _native_table(circuit, observe) is flat \
+        is circuit._cone_cache[native_key]
     inner = next(iter(links))  # read by one gate only
     circuit.add_gate("tap", "NOT", [inner])
     assert _FFR_KEY not in circuit._cone_cache
     assert tails_key not in circuit._cone_cache
+    assert native_key not in circuit._cone_cache
+    assert "tap" in _native_table(circuit, observe)[0]
     assert inner not in _ffr_links(circuit)  # fan-out 2: a root now
     _, steps, ends = _tail_table(circuit, observe)
     assert "tap" not in {out for _, out, _ in steps}  # reaches no output
@@ -515,57 +523,162 @@ def test_mutation_and_pickling_drop_the_ffr_links():
     clone = pickle.loads(pickle.dumps(circuit))
     assert _FFR_KEY not in clone._cone_cache
     assert tails_key not in clone._cone_cache
+    assert native_key not in clone._cone_cache
 
 
-def test_root_walks_sum_linear_tails_instead_of_evaluating_them(
-        monkeypatch):
-    """On the ``ppsfp_stat`` circuit, whose outputs are XOR trees, the
-    root walks together evaluate at most 0.35x the gates of their cones:
-    tail gates are summed, never evaluated."""
+def _root_walkers():
+    """The root walks the sweep can run here: in C where the kernel can
+    be had, and in Python."""
+    if fault_sim.native_kernel() is None:
+        return ("python",)
+    return ("native", "python")
+
+
+def _force(monkeypatch, walker):
+    """Make the sweep walk in Python (the loader loading nothing), or
+    leave it in C."""
+    if walker == "python":
+        monkeypatch.setattr(native, "load", lambda source: None)
+        assert fault_sim.native_kernel() is None
+
+
+def _benchmark_sweep():
+    """The ``ppsfp_stat`` circuit, its collapsed faults and 16 x 64
+    patterns (one window)."""
     circuit = random_combinational(32, 2400, seed=13)
     faults, _ = collapse(circuit)
     batches = [(random_patterns(circuit.inputs, 64, seed=7000 + i), 64)
                for i in range(16)]
-    roots, evaluations, walking = [], [0], [False]
+    return circuit, faults, batches
 
-    def counting(evaluate):
-        def wrapper(gate, values, mask):
-            evaluations[0] += walking[0]
-            return evaluate(gate, values, mask)
-        return wrapper
 
-    for gtype, evaluate in list(GATE_EVAL.items()):
-        monkeypatch.setitem(GATE_EVAL, gtype, counting(evaluate))
-    walk = fault_sim._root_walk
+def test_root_walks_sum_linear_tails_instead_of_evaluating_them():
+    """On the ``ppsfp_stat`` circuit, whose outputs are XOR trees, the
+    root walks together evaluate at most 0.35x the gates of their cones,
+    on either walker: tail gates are summed, never evaluated.  The C
+    walk reports the gates it evaluated; the Python walk's are counted
+    at ``GATE_EVAL``."""
+    circuit, faults, batches = _benchmark_sweep()
+    nets = list(_native_table(circuit, _observe_nets(circuit, True))[0])
+    for walker in _root_walkers():
+        roots, evaluations, walking = [], [0], [False]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _force(monkeypatch, walker)
+            if walker == "native":
+                native_walk = native.RootWalker.walk
 
-    def counted_walk(circuit, observe, good, mask, net):
-        roots.append(net)
-        walking[0] = True
-        try:
-            return walk(circuit, observe, good, mask, net)
-        finally:
-            walking[0] = False
+                def counted_native(self, table, good, n_words, last, root):
+                    det, evaluated = native_walk(self, table, good, n_words,
+                                                 last, root)
+                    roots.append(nets[root])
+                    evaluations[0] += evaluated
+                    return det, evaluated
 
-    monkeypatch.setattr(fault_sim, "_root_walk", counted_walk)
-    windows = _pattern_windows(circuit, batches, None)
-    for fault in faults:
-        _batched_detection(circuit, fault, windows, True)
-    assert len(roots) == windows.root_walks > 900
-    cone_gates = sum(len(_cone_gates(circuit, [net])) for net in roots)
-    assert 0 < evaluations[0] <= 0.35 * cone_gates
+                monkeypatch.setattr(native.RootWalker, "walk",
+                                    counted_native)
+            else:
+                def counting(evaluate):
+                    def wrapper(gate, values, mask):
+                        evaluations[0] += walking[0]
+                        return evaluate(gate, values, mask)
+                    return wrapper
+
+                for gtype, evaluate in list(GATE_EVAL.items()):
+                    monkeypatch.setitem(GATE_EVAL, gtype,
+                                        counting(evaluate))
+                walk = fault_sim._root_walk
+
+                def counted_walk(circuit, observe, good, mask, net):
+                    roots.append(net)
+                    walking[0] = True
+                    try:
+                        return walk(circuit, observe, good, mask, net)
+                    finally:
+                        walking[0] = False
+
+                monkeypatch.setattr(fault_sim, "_root_walk", counted_walk)
+            windows = _pattern_windows(circuit, batches, None)
+            for fault in faults:
+                _batched_detection(circuit, fault, windows, True)
+        assert len(roots) == windows.root_walks > 900, walker
+        cone_gates = sum(len(_cone_gates(circuit, [net])) for net in roots)
+        assert 0 < evaluations[0] <= 0.35 * cone_gates, walker
+
+
+def test_native_root_walk_is_the_python_walk_from_every_net():
+    """The C walk of every net of a circuit grafted with the tail and
+    region corner cases, over a window whose width is not a multiple of
+    64: the words :func:`_root_walk` returns."""
+    kernel = fault_sim.native_kernel()
+    if kernel is None:
+        pytest.skip("no native root walk")
+    rng = random.Random(3)
+    for circuit in (_with_ffr_corner_cases(
+                        random_sequential(5, 30, 4, 3, seed=3), rng),
+                    _with_ffr_corner_cases(
+                        random_combinational(6, 25, 3, seed=4), rng)):
+        for full_scan in (True, False):
+            windows = _pattern_windows(
+                circuit, [({pi: rng.getrandbits(100)
+                            for pi in circuit.inputs}, 100)],
+                None, full_scan)
+            (good, mask, _, _, _, walks, _), = windows.windows
+            for net in good:
+                assert walks(net) == _root_walk(
+                    circuit, windows.observe, good, mask, net), net
+            assert walks.native[0] is not None  # it walked in C
+
+
+def test_two_threads_sweeping_one_window_both_get_the_reference():
+    """A chunk abandoned past ``chunk_timeout`` keeps sweeping on its
+    daemon thread, and the C walk releases the GIL: two threads walking
+    and sweeping one window at once each get the reference words, on
+    either walker."""
+    circuit, faults, batches = _benchmark_sweep()
+    with compiled.disabled():
+        reference = fault_simulate_batched(circuit.copy(), faults, batches,
+                                           drop_detected=False)
+    detected = [reference.detected.get(fault, 0) for fault in faults]
+    for walker in _root_walkers():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _force(monkeypatch, walker)
+            windows = _pattern_windows(circuit, batches, None)
+            (good, mask, _, _, _, walks, _), = windows.windows
+            roots = [net for net in good if net not in _ffr_links(circuit)]
+            expected = [_root_walk(circuit, windows.observe, good, mask,
+                                   net) for net in roots]
+            start = threading.Barrier(2)
+            results = [None, None]
+
+            def sweep(i):
+                start.wait()
+                results[i] = ([walks(net) for net in roots],
+                              [_batched_detection(circuit, fault, windows,
+                                                  False)
+                               for fault in faults])
+
+            threads = [threading.Thread(target=sweep, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert results[0] == results[1] == (expected, detected), walker
 
 
 def test_ffr_sweep_matches_per_fault_walks_on_the_benchmark_circuit():
     """Every collapsed fault of the ``ppsfp_stat`` circuit: the
-    region-wise sweep's mask equals the fault's own cone walk."""
-    circuit = random_combinational(32, 2400, seed=13)
-    faults, _ = collapse(circuit)
-    batches = [(random_patterns(circuit.inputs, 64, seed=7000 + i), 64)
-               for i in range(16)]
-    result = fault_simulate_batched(circuit, faults, batches,
-                                    drop_detected=False)
+    region-wise sweep's mask equals the fault's own cone walk, on either
+    walker."""
+    circuit, faults, batches = _benchmark_sweep()
     (good, mask, *_), = _pattern_windows(circuit, batches, None).windows
     observe = _observe_nets(circuit, True)
-    for fault in faults:
-        assert (detection_mask(circuit, fault, good, mask, observe)
-                == result.detected.get(fault, 0)), fault.describe()
+    for walker in _root_walkers():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _force(monkeypatch, walker)
+            result = fault_simulate_batched(circuit, faults, batches,
+                                            drop_detected=False)
+        for fault in faults:
+            assert (detection_mask(circuit, fault, good, mask, observe)
+                    == result.detected.get(fault, 0)), (walker,
+                                                        fault.describe())

@@ -101,9 +101,10 @@ GUARDS = (
           ("src/repro/sim",), include=None, exclude_dirs=()),
     Guard("no_per_site_programs",
           "per-fault-site cone / detection programs, their hit gate and "
-          "source interning are gone: fault simulation walks cones on the "
-          "interpreter (test_lanes has an unrelated property_walkers "
-          "test, hence the word boundaries)",
+          "source interning are gone: fault simulation walks one cone per "
+          "region, in the fixed C root walk or on the interpreter "
+          "(test_lanes has an unrelated property_walkers test, hence the "
+          "word boundaries)",
           r"cone_program|det_program|ConeProgram|DetProgram"
           r"|COMPILE_AFTER_HITS|\b_interned\b|\b_walkers\b",
           CODE),
