@@ -22,6 +22,10 @@ the same injections for the same points on every execution and must
 not accumulate observable side effects across ``run_batch`` calls; all
 backends below satisfy this by construction (their mutable state is
 golden-run caches keyed only by the immutable workload).
+
+The SEU backend packs its points into lane words of any width; every
+width runs on one carrier, the lane walker of :mod:`repro.engine.lanes`
+(in C where the host has a compiler, in Python otherwise).
 """
 
 from __future__ import annotations
@@ -137,21 +141,17 @@ class SeuBackend:
     fault instance *i* and outcomes come back per lane by XOR against
     the golden trace — byte-identical to the per-point path, ~W× fewer
     circuit evaluations, and only while some lane is still undecided:
-    on either carrier every lane runs on its own clock from its own
-    injection cycle, so a group costs as many steps as its slowest lane
-    needs to fail or re-converge (a dozen, not the span of its
-    injection cycles; see :mod:`repro.engine.lanes`).
-    ``lane_width=1`` keeps the per-point
-    :func:`inject_seu` path for parity testing.  ``lane_backing`` names
-    the carrier of the packed word: ``"int"`` (a big int, any width),
-    ``"soa"`` (the level-batched SoA kernel) or ``None`` — auto, which
-    picks SoA from 1024 lanes on circuits with wide levels and ints
-    otherwise (:func:`repro.engine.lanes.resolve_backing`); any other
-    name raises ``ValueError`` here, not in a worker — as do a
-    ``targets`` entry that is not a flop of the circuit and an injection
-    cycle outside the workload.  Without numpy
+    every lane runs on its own clock from its own injection cycle, so a
+    group costs as many steps as its slowest lane needs to fail or
+    re-converge (a dozen, not the span of its injection cycles; see
+    :mod:`repro.engine.lanes`).  ``lane_width=1`` keeps the per-point
+    :func:`inject_seu` path for parity testing.  A ``targets`` entry
+    that is not a flop of the circuit and an injection cycle outside the
+    workload raise ``ValueError`` here, not in a worker.  Without numpy
     widths above 64 degrade to 64 with a logged warning.  Outcomes are
-    byte-identical at every width and backing.
+    byte-identical at every width.  ``lane_backing`` is a retired-name
+    shim: every width runs on the one packed-int carrier, so only
+    ``None`` is accepted.
 
     ``skip_dead_flops=True`` opts into the engine's point-filter stage:
     a flop whose single-cycle fan-out cone reaches no primary output and
@@ -199,10 +199,10 @@ class SeuBackend:
         # resolved here, before the engine chunks points, so parent and
         # process-pool workers agree on the effective width
         self.lane_width = lanes.resolve_lane_width(lane_width)
-        # rejected here, in the parent: prepare() runs per worker, where
-        # a bad name would surface as a broken pool
-        lanes.check_backing(lane_backing)
-        self.lane_backing = lane_backing
+        if lane_backing is not None:
+            raise ValueError(f"lane_backing={lane_backing!r}: the carrier "
+                             "was retired, every width runs on the one "
+                             "packed-int carrier")
         self._golden: tuple | None = None
         self._lane_ctx: lanes.LaneContext | None = None
         self._dead_flops: dict[str, bool] = {}  # flop -> cone verdict cache
@@ -248,8 +248,7 @@ class SeuBackend:
                 self._golden = _golden_run(self.circuit, self.stimuli)
         elif self._lane_ctx is None:
             self._lane_ctx = lanes.build_context(
-                self.circuit, self.stimuli, self.lane_width,
-                backing=self.lane_backing)
+                self.circuit, self.stimuli, self.lane_width)
 
     def __getstate__(self) -> dict:
         """The golden pass (trace or lane context) is dropped: workers

@@ -419,7 +419,7 @@ def plan_campaign(backend: InjectionBackend,
     # :func:`repro.engine.lanes.aligned_batch_size`): chunks larger than
     # one lane are rounded *down* to a lane multiple (no fragmented
     # trailing lane per chunk), and a still-default batch size is raised
-    # to fill one vector-tier lane word.  Pure in the config, so a
+    # to fill one lane word wider than 64.  Pure in the config, so a
     # resumed campaign recomputes the identical chunk partition.
     from .lanes import aligned_batch_size  # lanes imports core: defer
     lane_width = max(1, int(getattr(backend, "lane_width", 1) or 1))

@@ -65,21 +65,15 @@ class ChunkTimeout(Exception):
     thread is abandoned, so there it is a chunk failure like any other.
     """
 
-# auto-probe thresholds (module level so tests and benchmarks can tune):
+# auto-probe cost model (module level so tests and benchmarks can tune):
 # a chunk cheaper than MIN_BATCH_COST_S is dominated by pool dispatch,
-# and a campaign with less than MIN_CAMPAIGN_COST_S of work left cannot
-# amortise spawning worker interpreters.
+# and a pool costs COLD_POOL_COST_S before its first chunk returns —
+# spawning the workers, each worker's prepare() and native library load,
+# and the join (0.27-0.29 s for two workers on a 2-CPU host, a 2000-gate
+# 128-flop SEU campaign, warm native cache) — so it pays only when
+# splitting the remaining work across the workers saves more.
 MIN_BATCH_COST_S = 0.002
-MIN_CAMPAIGN_COST_S = 0.25
-
-# Vector-tier campaigns (lane_width > 64) retire up to lane_width points
-# per dispatched chunk, so the conservative MIN_BATCH_COST_S — tuned to
-# keep *scalar* campaigns from drowning in per-chunk IPC — would send
-# exactly the densest campaigns to the serial loop.  For them the bail
-# threshold drops to the bare per-dispatch overhead instead (the
-# remaining-work guard still keeps genuinely small campaigns out of the
-# pool).
-MIN_DISPATCH_COST_S = 0.0004
+COLD_POOL_COST_S = 0.28
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,18 +166,22 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
 
     Explicit choices pass through untouched; ``auto`` probes and falls
     back with a reason instead of crashing: a campaign the process pool
-    cannot take (cheap batches, little work, unpicklable backend) runs
-    on the serial loop, behind the two chunks the probe executed.  The
-    probe runs chunk 0 untimed — it pays every first-use cost: the lane
-    context, golden tables, walk tables, native library loads — and
-    times chunk 1, which is what each chunk after it costs.
+    cannot take (cheap batches, unpicklable backend) or would not win
+    runs on the serial loop, behind the two chunks the probe executed.
+    The probe runs chunk 0 untimed — it pays every first-use cost: the
+    lane context, golden tables, walk tables, native library loads — and
+    times chunk 1, which is what each chunk after it costs.  The pool is
+    picked only when the remaining work split across the workers, plus
+    the cold pool's cost, finishes sooner than the remaining work run
+    serially.
     """
     choice = getattr(config, "executor", "auto")
     if choice != "auto":  # validated by EngineConfig.__post_init__
         return ExecutorPlan(choice)
     if config.workers <= 1 or len(chunks) <= 1:
         return ExecutorPlan("serial", "single worker or single chunk")
-    if _usable_cpus() < 2:
+    cpus = _usable_cpus()
+    if cpus < 2:
         return ExecutorPlan("serial", "single CPU visible: no pool can scale")
     # cost probe first — it needs no serialization, and cheap campaigns
     # skip the (potentially large) pickle entirely
@@ -193,25 +191,18 @@ def plan_executor(backend: Any, chunks: Sequence[Sequence[Any]],
     probed.append(execute_chunk(backend, chunks[1], seeds[1]))
     per_batch = time.perf_counter() - t0
     remaining = per_batch * (len(chunks) - 2)
-    # Lane-aware cost floor: a vector-tier chunk (lane_width > 64) packs
-    # up to lane_width points into each dispatch, so a "cheap" batch
-    # still amortises process-shipping overhead across a dense point
-    # payload — only batches below the raw dispatch cost bail, and only
-    # when enough total work remains to amortise the pool at all.
-    lane_width = max(1, int(getattr(backend, "lane_width", 1) or 1))
-    batch_floor = (MIN_DISPATCH_COST_S
-                   if lane_width > 64 and remaining >= MIN_CAMPAIGN_COST_S
-                   else MIN_BATCH_COST_S)
-    if per_batch < batch_floor:
+    if per_batch < MIN_BATCH_COST_S:
         return ExecutorPlan(
             "serial",
             f"per-batch cost {per_batch * 1e3:.2f}ms below process dispatch "
             "overhead", probe_batches=probed)
-    if remaining < MIN_CAMPAIGN_COST_S:
+    workers = min(config.workers, cpus)
+    if remaining - remaining / workers < COLD_POOL_COST_S:
         return ExecutorPlan(
             "serial",
-            f"~{remaining * 1e3:.0f}ms of work left: too small to amortise "
-            "process spawn", probe_batches=probed)
+            f"~{remaining * 1e3:.0f}ms of work left: {workers} workers "
+            f"save less than the {COLD_POOL_COST_S * 1e3:.0f}ms a cold "
+            "pool costs", probe_batches=probed)
     # the backend alone answers picklability (prepared state is dropped
     # on pickling); the engine pickles the campaign it actually ships
     try:

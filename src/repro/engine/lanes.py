@@ -31,32 +31,22 @@ that cycle's golden output and state bits, so all lanes flip at step 0
 and a walk lasts as long as its *slowest lane* takes to be decided — a
 dozen steps, wherever in the workload the flips fall.
 
-The walker owns the schedule and the retire arithmetic (lane sets are
-Python ints); how the packed word is *stored* is a **carrier**, and one
-function (:func:`resolve_backing`, called once per
-:func:`build_context`) picks between the two.  ``"int"`` is the packed
-lane word of one bit per lane and net, walked natively where it can be:
-the step program's C walker (:attr:`repro.sim.compiled.StepProgram
-.native`, :func:`_propagate_native`) runs the whole walk — schedule,
-golden gather, lane sets — over ``uint64_t`` blocks, and without a C
-compiler (or when its build or load fails) :class:`_IntLanes` runs it
-in Python, an arbitrary-precision int per net driven through the
-compiled step function — the word simply outgrows the machine word
-beyond 64 lanes, and big-int ops stay near width-insensitive to very
-large widths.  The Python walker is the reference the native one is
-tested against.  ``"soa"`` (:class:`_SoaLanes`) — the choice from ~1k
-lanes on circuits with wide levels — is the structure-of-arrays kernel
-of the same step program (:attr:`repro.sim.compiled.StepProgram.soa`), which
-holds the whole net state in one 2-D block matrix and runs each
-topological level as a handful of fused numpy calls; flips are XORs
-into its flop rows and the golden rows of a step are gathered *per
-64-lane block*, not per lane (``packed_dispatch`` sorts lanes by
-injection cycle, so a block holds two to four distinct start cycles).
-Both carriers, and both walkers of the int carrier, execute the same
-number of steps for the same schedule and are byte-identical to the
-64-lane and 1-lane references, and to the reference interpreter that
-runs underneath them — every cycle from the first flip to the end of
-the workload — when compilation is off.  Without numpy installed,
+The walker owns the schedule and the retire arithmetic, and it runs on
+one **carrier** at every width: the packed lane word of one bit per
+lane and net.  Where it can, the whole walk runs natively: the step
+program's C walker (:attr:`repro.sim.compiled.StepProgram.native`,
+:func:`_propagate_native`) runs schedule, golden gather and lane sets
+over as many 64-lane ``uint64_t`` blocks as the lanes present occupy.
+Without a C compiler (or when its build or load fails)
+:class:`_IntLanes` runs it in Python, an arbitrary-precision int per net
+driven through the compiled step function — the word simply outgrows
+the machine word beyond 64 lanes, and big-int ops stay near
+width-insensitive to very large widths.  The Python walker is the
+reference the native one is tested against.  Both walkers execute the
+same number of steps for the same schedule and are byte-identical to
+the 64-lane and 1-lane references, and to the reference interpreter
+that runs underneath them — every cycle from the first flip to the end
+of the workload — when compilation is off.  Without numpy installed,
 widths above 64 degrade to 64 with a one-time logged warning
 (:func:`resolve_lane_width`).
 
@@ -104,11 +94,11 @@ def resolve_lane_width(width: int) -> int:
     """Validate a requested lane width (:func:`check_lane_width`) and
     clamp it to what the host supports.
 
-    Widths above 64 are declared against numpy (the SoA carrier and the
-    one-pass unpacking of wide outcome words need it); without it they
-    degrade to the classic 64-lane packing with a one-time logged
-    warning.  (Outcomes are identical at every width, so degradation
-    only costs throughput.)
+    Widths above 64 are declared against numpy (the Python walker's
+    golden transpose and the one-pass unpacking of wide outcome words
+    need it); without it they degrade to the classic 64-lane packing
+    with a one-time logged warning.  (Outcomes are identical at every
+    width, so degradation only costs throughput.)
     """
     check_lane_width(width)
     if width > DEFAULT_LANE_WIDTH and not _vector.HAVE_NUMPY:
@@ -160,10 +150,9 @@ def packed_dispatch(
     outcome list follows the original point order — what ``run_batch``
     must preserve for executor-identity.  Every lane runs on its own
     clock, so a group executes the same number of steps in any order;
-    the sort keeps both carriers' golden gathers cheap: neighbouring
+    the sort keeps the walkers' golden gathers cheap: neighbouring
     lanes share a start cycle or follow each other by one, so a 64-lane
-    block holds few distinct start cycles (one product each on the int
-    carrier, one column gather each on the SoA carrier).
+    block holds few distinct start cycles (one gather each).
     """
     order = sorted(range(len(points)), key=lambda i: cycle_of(points[i]))
     outcomes: list[str | None] = [None] * len(points)
@@ -182,7 +171,7 @@ class LaneContext:
     rebuild it): per cycle the 1-bit stimulus, the 1-bit golden PO
     trace and the 1-bit golden state *entering* the cycle (what a packed
     run starting mid-workload is seeded from), plus the golden final
-    state (the latent check reference).  Each compiled carrier derives
+    state (the latent check reference).  Each compiled walker derives
     its own layout of these on first use (:meth:`golden_table`); the
     interpreter reference replicates a bit across the lanes on the fly.
     """
@@ -193,13 +182,12 @@ class LaneContext:
     trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
-    #: The carrier :func:`resolve_backing` picked: ``"int"`` (packed
-    #: big int — any width) or ``"soa"`` (the level-batched
-    #: structure-of-arrays kernel).
-    backing: str = "int"
-    #: Steps the walker executed on this context, on either carrier (a
-    #: walk lasts as long as its slowest lane takes to be decided).
+    #: Steps the walker executed on this context, natively or in Python
+    #: (a walk lasts as long as its slowest lane takes to be decided).
     steps_run: int = 0
+    #: The one carrier, a packed lane word at every width: a retired-name
+    #: shim for callers that still read which carrier a context runs.
+    backing = "int"
 
     @property
     def n_cycles(self) -> int:
@@ -251,11 +239,13 @@ def build_context(
     entering states plus full net values — to avoid a second golden
     simulation when the backend already keeps one.
 
-    ``backing`` requests a carrier by name (``None``: auto); what the
-    context actually runs on is :func:`resolve_backing`'s answer,
-    recorded as ``LaneContext.backing``.
+    ``backing`` is a retired-name shim: every width runs on the one
+    carrier, so ``None``, ``"int"`` and the retired ``"soa"`` all build
+    the same context, and any other name raises ``ValueError``.
     """
-    resolved_backing = resolve_backing(backing, circuit, width)
+    if backing not in (None, "int", "soa"):
+        raise ValueError(f"unknown lane backing {backing!r}: every width "
+                         "runs on the one packed-int carrier")
     if golden is not None:
         states = [dict(st) for st in golden[0]]
         values = golden[1]
@@ -278,17 +268,7 @@ def build_context(
     bit_stimuli = [{pi: stim.get(pi, 0) & 1 for pi in circuit.inputs}
                    for stim in stimuli]
     return LaneContext(circuit, width, bit_stimuli, trace, states,
-                       final_state, backing=resolved_backing)
-
-
-def check_backing(requested: str | None) -> None:
-    """Reject a requested carrier that is neither ``None`` (auto) nor
-    one of ``vector.BACKINGS`` — what backends call at construction, so
-    a bad name fails in the parent instead of in a worker's
-    ``prepare()``."""
-    if requested is not None and requested not in _vector.BACKINGS:
-        raise ValueError(f"unknown lane backing {requested!r} (expected "
-                         f"None or one of {_vector.BACKINGS})")
+                       final_state)
 
 
 def check_cycles(cycles: Sequence[int], n_cycles: int) -> None:
@@ -307,41 +287,6 @@ def check_cycles(cycles: Sequence[int], n_cycles: int) -> None:
                          f"workload: {bad[:3]}{more}")
 
 
-def resolve_backing(requested: str | None, circuit: Circuit,
-                    width: int) -> str:
-    """The carrier — ``"int"`` or ``"soa"`` — for ``width`` lanes of
-    ``circuit``: the one place that decides it.
-
-    The SoA kernel needs numpy and compiled programs; without either
-    every request resolves to ``"int"`` (same packed-int semantics, so
-    outcomes are unchanged), with the one-time no-numpy warning when
-    ``"soa"`` was asked for by name.  An explicit ``"int"`` or ``"soa"``
-    is otherwise honoured at any width.  Auto (``None``) picks ``"soa"``
-    iff ``width >= vector.SOA_MIN_LANES`` and the step kernel averages
-    at least ``vector.SOA_MIN_LEVEL_WIDTH`` gates per level — below
-    that the per-level dispatch is not amortized and packed ints win.
-    (The SoA kernel this reads is built once per circuit, on its step
-    program, whichever way the choice falls.)  An unknown name raises
-    ``ValueError``.
-    """
-    check_backing(requested)
-    if requested == "int":
-        return "int"
-    if not _vector.HAVE_NUMPY:
-        if requested == "soa":
-            _vector._warn_no_numpy("soa backing requested")
-        return "int"
-    if not _compiled.compilation_enabled():
-        return "int"  # the interpreter carries big ints
-    if requested is None:
-        if width < _vector.SOA_MIN_LANES:
-            return "int"
-        k = _compiled.step_program(circuit).soa
-        if k.n_gates / max(1, k.n_levels) < _vector.SOA_MIN_LEVEL_WIDTH:
-            return "int"
-    return "soa"
-
-
 def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
               start: int, n_lanes: int) -> tuple[int, int]:
     """One packed fault-free propagation with scheduled per-lane flips.
@@ -353,14 +298,13 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     the replicated golden entering-state loses nothing; flips scheduled
     before ``start`` or past the workload never fire.
 
-    Either carrier is driven by the one compiled walker
-    (:func:`_propagate_skewed`), which executes a step only while some
-    lane is still undecided.  With compilation off
+    The compiled walker (:func:`_propagate_skewed`) executes a step only
+    while some lane is still undecided.  With compilation off
     (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``, possibly entered
-    after the context was built) neither carrier has a program and the
-    reference interpreter below runs every cycle from ``start`` to the
-    end of the workload — the full-length reference both carriers are
-    tested against.
+    after the context was built) there is no program and the reference
+    interpreter below runs every cycle from ``start`` to the end of the
+    workload — the full-length reference both walkers are tested
+    against.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
@@ -415,7 +359,7 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
     golden state until a shared clock reaches ``s_i``: at walk step *t*
     it **is** at cycle ``s_i + t``.  Its bit of every stimulus word,
     golden output word and golden state word is therefore that net's
-    golden bit at ``s_i + t`` (gathered by the carrier), every lane
+    golden bit at ``s_i + t`` (gathered per 64-lane block), every lane
     takes its first flip at *t* = 0, and a later flip of the same lane,
     due at cycle *c*, fires at step ``c - s_i``
     (:func:`_skewed_schedule`).  After each step a lane leaves the
@@ -431,23 +375,20 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
     inputs a lane is fed is nobody's business but its own.  A retired
     lane keeps computing on whatever it is fed and is never read again.
 
-    The schedule and the lane sets (Python ints on both carriers — a
-    4096-bit int is free next to a circuit step) live here; the carrier
-    (:class:`_IntLanes` or :class:`_SoaLanes`, by ``ctx.backing``) only
-    stores the lane word: ``flip(due)`` XORs lane masks into flop
-    states, ``step()`` runs one cycle and answers with the lanes
-    whose outputs diverged from their golden bits in it and the lanes
-    whose state differs from the golden state entering the next.
-
-    On the int carrier the whole walk runs natively when the program's
-    C walker is loaded (:attr:`repro.sim.compiled.StepProgram.native`,
-    :func:`_propagate_native`): the same schedule, gather and lane sets, so
-    the same outcomes and the same ``steps_run``.
+    The whole walk runs natively when the program's C walker is loaded
+    (:attr:`repro.sim.compiled.StepProgram.native`,
+    :func:`_propagate_native`): the same schedule, gather and lane sets,
+    so the same outcomes and the same ``steps_run``.  Otherwise the
+    schedule and the lane sets (Python ints — a 4096-bit int is free
+    next to a circuit step) live here and :class:`_IntLanes` stores the
+    lane word: ``flip(due)`` XORs lane masks into flop states,
+    ``step()`` runs one cycle and answers with the lanes whose outputs
+    diverged from their golden bits in it and the lanes whose state
+    differs from the golden state entering the next.
     """
-    if ctx.backing == "int":
-        kernel = program.native
-        if kernel is not None:
-            return _propagate_native(ctx, program, kernel, flips, start, live)
+    kernel = program.native
+    if kernel is not None:
+        return _propagate_native(ctx, program, kernel, flips, start, live)
     cycles = _flip_cycles(ctx, flips, start)
     starts, sched = _skewed_schedule(flips, cycles, live)
     if not starts:  # no live lane flips inside the workload
@@ -459,17 +400,16 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
         waiting[at] = later
         later |= reduce(or_, sched[at].values())
     n_cycles = ctx.n_cycles
-    carrier = (_SoaLanes if ctx.backing == "soa" else _IntLanes)(
-        ctx, program, starts, live)
+    word = _IntLanes(ctx, program, starts, live)
     active = later  # every lane that flips at all
     fail = latent = pending = 0
     step = 0
     while active:
         due = sched.get(step)
         if due:
-            carrier.flip(due)
+            word.flip(due)
             pending = waiting[step]
-        diverged, diff = carrier.step()
+        diverged, diff = word.step()
         fail |= diverged & active
         step += 1
         ended = starts.get(n_cycles - step, 0)  # ran the last cycle
@@ -511,11 +451,13 @@ def _propagate_native(ctx: LaneContext, program, kernel, flips, start: int,
     """:func:`_propagate_skewed` in C: the flips that fire go over as
     flat ``(cycle, flop index)`` pairs and 64-lane block words of their
     ``live`` lanes, the walk builds the schedule and runs to its end,
-    and the fail and latent words come back."""
+    and the fail and latent words come back.  The block words go into
+    one buffer the walk borrows without a copy: at 4096 lanes a chunk's
+    are ~2 MB."""
     n_live = live.bit_length()
     size = 8 * _vector.blocks_for(n_live)
     lo, n_cycles, q_index = max(start, 0), ctx.n_cycles, program.q_index
-    entries, masks = array("q"), []
+    entries, masks = array("q"), bytearray()
     for cyc, due in flips.items():
         if lo <= cyc < n_cycles:
             for q, lane_mask in due.items():
@@ -523,10 +465,10 @@ def _propagate_native(ctx: LaneContext, program, kernel, flips, start: int,
                 if lane_mask:
                     entries.append(cyc)
                     entries.append(q_index[q])
-                    masks.append(lane_mask.to_bytes(size, "little"))
+                    masks += lane_mask.to_bytes(size, "little")
     fail, latent, steps = kernel.walk(
         ctx.golden_table(program, _byte_table), n_cycles, entries.tobytes(),
-        b"".join(masks), start, n_live)
+        masks, start, n_live)
     ctx.steps_run += steps
     return fail, latent
 
@@ -568,7 +510,7 @@ class _IntLanes:
 
 
 def _strided_table(bits: Sequence[Sequence[int]]) -> tuple:
-    """:meth:`LaneContext.golden_table` layout of the int carrier: one
+    """:meth:`LaneContext.golden_table` layout of the Python walker: one
     strided word per cycle with a 64-bit field per row whose bit 0 is
     the row's golden bit, so ``table[cycle] * m`` is the golden word of
     every row at once for the lanes ``m < 2**64`` of one block.  Returns
@@ -659,104 +601,6 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
                    for at in range(0, len(by_row), row_bytes)]
         gathered = unchained
         step += 1
-
-
-class _SoaLanes:
-    """The SoA lane word: one ``(2 * slots, blocks)`` state matrix.
-
-    The whole multi-cycle walk stays inside numpy: the golden rows of a
-    step are gathered from an all-ones/zero ``(n_cycles + 1, rows)``
-    table, the kernel evaluates each level as fused array ops, PO
-    divergence and the next state come back as row gathers.  Flips XOR
-    into the flop rows only — the complement mirror of all source rows
-    is refreshed in one ``invert`` at the top of every step.  The golden
-    word of a row is gathered **per block**: *layer* ``k`` holds, for
-    every 64-lane block, its ``k``-th distinct start cycle and the lanes
-    of the block that start there, so a step costs one ``take`` and one
-    mask per layer — two to four in a cycle-sorted group.  Lanes that
-    never flip (the dead lanes of a partial block among them) read
-    zeros; the walker never reads them back.  The matrix covers only the
-    blocks the lanes present occupy and is allocated per ``propagate``
-    call (a chunk abandoned past ``chunk_timeout`` may still hold the
-    context).
-    """
-
-    def __init__(self, ctx: LaneContext, program, starts: Mapping[int, int],
-                 live: int) -> None:
-        np = _vector.np
-        self.kernel = kernel = program.soa
-        self.q_index = program.q_index
-        self.n_in = len(program.inputs)
-        self.n_io = self.n_in + len(program.outputs)
-        self.gold = ctx.golden_table(program, _cycle_table)
-        self.n_blocks = _vector.blocks_for(live.bit_length())
-        lanes_of = self._words(starts.values())  # (start cycle, block)
-        depth = int(np.count_nonzero(lanes_of, axis=0).max())
-        order = np.argsort(lanes_of == 0, axis=0, kind="stable")[:depth]
-        self.masks = np.take_along_axis(lanes_of, order, axis=0)[..., None]
-        self.cycles = np.asarray(list(starts))[order]
-        n = kernel.n_slots
-        self.S = S = np.zeros((2 * n, self.n_blocks), dtype=np.uint64)
-        S[n] = ~np.uint64(0)
-        self.bound = kernel.bind(S)  # output views, replayed every cycle
-        (pa, pb), (qa, qb), (lo, hi) = (kernel.pi_slice, kernel.q_slice,
-                                        kernel.src_span)
-        self.pi_rows, self.q_rows = S[pa:pb], S[qa:qb]
-        self.src_rows, self.src_mirror = S[lo:hi], S[n + lo:n + hi]
-        self.steps = 0
-        self.rows = self._gather()
-        self.q_rows[...] = self.rows[self.n_io:]
-
-    def _words(self, lane_masks) -> Any:
-        """One row of 64-lane blocks per lane mask (one bytes pass)."""
-        size = 8 * self.n_blocks
-        return _vector.np.frombuffer(
-            b"".join(lane_mask.to_bytes(size, "little")
-                     for lane_mask in lane_masks),
-            dtype="<u8").reshape(-1, self.n_blocks)
-
-    def _gather(self):
-        """The golden word of every row, lane *i* at ``s_i + steps`` (a
-        lane past the end of the workload reads the last entry: it has
-        been retired by then).  Gathered block-major — a block's rows
-        at one cycle are contiguous in the table — and handed back
-        row-major, the layout of the state matrix."""
-        np = _vector.np
-        at = np.minimum(self.cycles + self.steps, len(self.gold) - 1)
-        rows = 0
-        for cycle, mask in zip(at, self.masks):
-            layer = self.gold.take(cycle, axis=0)
-            layer &= mask
-            rows |= layer
-        return np.ascontiguousarray(rows.T)
-
-    def flip(self, due: Mapping[str, int]) -> None:
-        qa, q_index = self.kernel.q_slice[0], self.q_index
-        self.S[[qa + q_index[q] for q in due]] ^= self._words(due.values())
-
-    def step(self) -> tuple[int, int]:
-        np = _vector.np
-        S, rows, kernel = self.S, self.rows, self.kernel
-        self.pi_rows[...] = rows[:self.n_in]
-        np.invert(self.src_rows, out=self.src_mirror)
-        kernel.execute_bound(S, self.bound)
-        po = S.take(kernel.po_rows, axis=0)
-        po ^= rows[self.n_in:self.n_io]
-        self.q_rows[...] = S.take(kernel.d_rows, axis=0)
-        self.steps += 1
-        self.rows = ahead = self._gather()
-        diff = np.bitwise_xor(self.q_rows, ahead[self.n_io:])
-        return (_vector.from_blocks(np.bitwise_or.reduce(po, axis=0)),
-                _vector.from_blocks(np.bitwise_or.reduce(diff, axis=0)))
-
-
-def _cycle_table(bits: Sequence[Sequence[int]]):
-    """:meth:`LaneContext.golden_table` layout of the SoA carrier: an
-    all-ones/zero ``(n_cycles + 1, rows)`` uint64 matrix — the golden
-    word of every row, for a whole block of lanes at one cycle."""
-    np = _vector.np
-    return np.where(np.asarray(bits, dtype=bool), ~np.uint64(0),
-                    np.uint64(0))
 
 
 def _outcome_list(fail: int, latent: int, count: int) -> list[str]:

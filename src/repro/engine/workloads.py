@@ -20,7 +20,9 @@ byte-identical at any worker count and executor choice.
 :class:`SlicingBackend` additionally exercises the engine's point-filter
 stage: its no-activation / no-path skip rules run once against the
 golden pass and resolve doomed injections as first-class ``masked``
-outcomes without simulating them.
+outcomes without simulating them; the injections it keeps share packed
+runs of the one lane walker (:mod:`repro.engine.lanes`) at any lane
+width, as the SEU backend's do.
 """
 
 from __future__ import annotations
@@ -512,12 +514,9 @@ class SlicingBackend:
     share one multi-cycle propagation per ``lane_width`` points
     (:func:`repro.engine.lanes.transient_outcomes`).
     ``lane_width=1`` runs ``_simulate_injection`` point by point: the
-    reference both packings are tested against.  ``lane_backing`` names
-    the lane carrier (``"int"``, ``"soa"``, or ``None`` for the auto
-    rule of :func:`repro.engine.lanes.resolve_backing`); any other name
-    raises ``ValueError`` at construction, as do an injection cycle
+    reference both packings are tested against.  An injection cycle
     outside the workload and a fault that is not on a line of the
-    circuit.
+    circuit raise ``ValueError`` at construction.
     """
 
     name = "slicing"
@@ -527,8 +526,7 @@ class SlicingBackend:
                  stimuli: Sequence[Mapping[str, int]],
                  cycles: Sequence[int] | None = None,
                  use_filter: bool = True,
-                 lane_width: int = DEFAULT_LANE_WIDTH,
-                 lane_backing: str | None = None) -> None:
+                 lane_width: int = DEFAULT_LANE_WIDTH) -> None:
         self.circuit = circuit
         self.circuit_name = circuit.name
         self.faults = list(faults)
@@ -539,8 +537,6 @@ class SlicingBackend:
         lanes.check_cycles(self.cycles, len(self.stimuli))
         self.use_filter = use_filter
         self.lane_width = lanes.resolve_lane_width(lane_width)
-        lanes.check_backing(lane_backing)  # in the parent, not a worker
-        self.lane_backing = lane_backing
         self.workload = (f"slicing[{len(self.stimuli)} cycles, "
                          f"{'sliced' if use_filter else 'naive'}]")
         self._golden: tuple[list, list] | None = None
@@ -570,8 +566,7 @@ class SlicingBackend:
             # ``_golden`` — no second golden simulation
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
-                golden=self._golden,
-                backing=self.lane_backing)
+                golden=self._golden)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

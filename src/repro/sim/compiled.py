@@ -20,14 +20,16 @@ which is the one shape that repays its ``compile()``.
 :class:`StepProgram` fuses combinational evaluation and the flop
 advance for :class:`repro.sim.sequential.SequentialSim` and the lane
 walker, restricted to the cone of influence of the observable nets (POs
-and flop D inputs).  It carries three kernels, each built the first time
-it is read: the generated int function above (:attr:`StepProgram.fn`),
-the SoA level schedule below (:attr:`StepProgram.soa`) and the native
-walker (:attr:`StepProgram.native`) — the same step emitted as C
-(:attr:`StepProgram.c_source`) together with the whole skewed lane walk
-of the int carrier, built by the host C compiler and loaded with
+and flop D inputs).  It carries two kernels, each built the first time
+it is read: the generated int function above (:attr:`StepProgram.fn`)
+and the native walker (:attr:`StepProgram.native`) — the same step
+emitted as C (:attr:`StepProgram.c_source`) together with the whole
+skewed lane walk, built by the host C compiler and loaded with
 :mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where that cannot
-be had.
+be had.  Every lane width runs on them: the lane walker drives the C
+walker over as many 64-lane ``uint64_t`` blocks as its lanes occupy, and
+the int function over arbitrary-precision ints where there is no C
+walker.
 
 One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
 compiled form, because a cold full-circuit compile costs about seventy
@@ -40,14 +42,13 @@ it can (:mod:`repro.sim.fault_sim`): one fixed source for every design
 that interprets flat tables, built once per host.
 
 Every kernel is **byte-identical** to the interpreter at any pattern
-width: each generated expression and each level op is the same boolean
-function the dispatch table computes (the C step evaluates the very
-expressions :attr:`StepProgram.source` does, over ``uint64_t``), so
-every net value and campaign outcome matches bit for bit.
-``RESCUE_NO_COMPILE=1`` — or, within a block, :func:`disabled` — forces
-the reference interpreter for every step; the equivalence tests in
-``tests/test_compiled.py`` and ``tests/test_soa.py`` run the paths
-against each other.
+width: each generated expression is the same boolean function the
+dispatch table computes (the C step evaluates the very expressions
+:attr:`StepProgram.source` does, over ``uint64_t``), so every net value
+and campaign outcome matches bit for bit.  ``RESCUE_NO_COMPILE=1`` — or,
+within a block, :func:`disabled` — forces the reference interpreter for
+every step; the equivalence tests in ``tests/test_compiled.py`` and
+``tests/test_lanes.py`` run the paths against each other.
 
 Caching: the program is memoized in ``Circuit._program_cache`` under the
 one key ``"step"`` and dropped by ``Circuit._invalidate`` alongside the
@@ -55,23 +56,6 @@ topo/fan-out/cone caches, so any mutation rebuilds it.  Nothing pickles
 a program: ``Circuit.__getstate__`` drops the cache and every backend
 drops its lane context, so a process-pool worker builds its own on
 first use.
-
-**SoA kernel**: the int kernel pays one interpreter dispatch *per
-gate*; :class:`_SoaKernel` instead keeps the whole net state in one
-``(2 * n_slots, n_blocks)`` uint64 matrix whose top half mirrors the
-bottom half complemented, and executes each topological level as a
-handful of fused numpy calls over *every* gate in the level.  Polarity
-— NAND/NOR/XNOR outputs, folded NOTs, the complemented inputs of the De
-Morgan rewrite ``a | b == ~(~a & ~b)`` — costs nothing at runtime: it
-is encoded as a row index into the complement mirror at schedule-build
-time, so a level is just two row-gathers, one ``bitwise_and`` over the
-and-family slab, one ``bitwise_xor`` over the xor-family slab, and one
-``invert`` refreshing the level's mirror rows.  Dead lanes of a partial
-last block may hold garbage mid-flight (complement garbage propagates
-only within dead lanes through ``& ^ ~``); the lane walker masks them
-off with its lane sets.  See :mod:`repro.sim.vector` for the measured per-op cost
-model behind the kernel's idioms and
-:func:`repro.engine.lanes.resolve_backing` for when it runs.
 """
 
 from __future__ import annotations
@@ -83,7 +67,6 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
-from . import vector as _vector
 
 #: Environment kill switch: set to anything but ""/"0" to force the
 #: reference interpreter everywhere (benchmark baselines, debugging).
@@ -229,20 +212,18 @@ def _live_gates(circuit: Circuit) -> list[Gate]:
 
 
 class StepProgram:
-    """One clock of one circuit, with an int, an SoA and a native kernel.
+    """One clock of one circuit, with an int and a native kernel.
 
     The header — inputs, flop Qs and inits, outputs, ``q_index`` and the
     live gates — is shared; each kernel is built the first time it is
-    read, so a campaign builds only the kernels its carrier runs.  Only
+    read, so a campaign builds only the kernels its walker runs.  Only
     gates in the cone of influence of the observables (POs and flop D
     inputs) are evaluated: dead logic cannot change a PO or a next state.
 
     * :attr:`fn` — ``fn(pis, state, mask)`` returns ``(po_values,
       next_state)`` tuples over Python ints (generated from
       :attr:`source`);
-    * :attr:`soa` — the level schedule over the SoA state matrix
-      (:class:`_SoaKernel`; needs numpy);
-    * :attr:`native` — the int carrier's whole skewed walk in C
+    * :attr:`native` — the lane walker's whole skewed walk in C
       (:attr:`c_source`, :mod:`repro.sim.native`; needs a C compiler),
       or ``None``.
     """
@@ -276,10 +257,6 @@ class StepProgram:
         exec(compile(self.source, f"<compiled:step:{self.name}>", "exec"),
              namespace)
         return namespace["_run"]
-
-    @cached_property
-    def soa(self) -> _SoaKernel:
-        return _SoaKernel(self)
 
     @cached_property
     def c_source(self) -> str:
@@ -574,185 +551,3 @@ const struct {
                     const uint64_t *, int64_t, int64_t, uint64_t *);
 } rescue_kernel = {circuit_step, walk};
 """
-
-
-# ----------------------------------------------------------------------
-# SoA tier: level-batched kernels over a complement-mirror state matrix
-# ----------------------------------------------------------------------
-#: Input polarity per and-family gate: OR/NOR read the complement rows
-#: of their inputs, turning the whole family into one AND slab via
-#: De Morgan (``a | b == ~(~a & ~b)``).
-_AND_INBASE = {GateType.AND: 0, GateType.NAND: 0,
-               GateType.OR: 1, GateType.NOR: 1}
-#: Output polarity: which half of the mirror consumers read.  The slab
-#: holds ``a & b`` for AND/NAND and ``~(a | b)`` for OR/NOR, so NAND
-#: and OR resolve to the complement row, AND and NOR to the base row.
-_AND_OUTPOL = {GateType.AND: 0, GateType.NAND: 1,
-               GateType.OR: 1, GateType.NOR: 0}
-_XOR_OUTPOL = {GateType.XOR: 0, GateType.XNOR: 1}
-#: Gate kinds that never execute: they become row aliases at build time.
-_SOA_FOLDED = (GateType.CONST0, GateType.CONST1, GateType.BUF,
-               GateType.NOT)
-
-
-class _SoaKernel:
-    """Width-independent level-batched schedule over the mirror matrix.
-
-    State lives in a ``(2 * n_slots, n_blocks)`` uint64 matrix ``S``
-    whose invariant is ``S[row + n_slots] == ~S[row]`` (up to dead-lane
-    garbage past the lane mask).  Row 0 is constant zero, so its mirror
-    is the constant-one word.  Every net aliases to ``(row, pol)``;
-    reading polarity ``pol`` means reading ``S[row + n_slots * pol]`` —
-    NOT gates, NAND/NOR/XNOR outputs and the De Morgan'd OR/NOR inputs
-    all fold into the row index, costing nothing at runtime.
-
-    Each topological level runs as: two row-gathers (``S.take`` of the
-    first- and second-input rows of every gate in the level — measured
-    ~30% faster than one doubled gather), one ``bitwise_and`` over the
-    and-family slab, one ``bitwise_xor`` over the xor-family slab, a
-    rare extra gather+op per input position above 2 (gates are sorted
-    arity-ascending inside each family so those tails are contiguous
-    slices), and one ``invert`` refreshing the level's mirror rows.
-
-    Built once per circuit by :attr:`StepProgram.soa` from the step's
-    live gates; it is width-independent: the lane walker allocates a
-    matrix as wide as the lanes it holds, fills the source rows
-    (:attr:`pi_slice`, :attr:`q_slice`) and reads :attr:`po_rows` and
-    :attr:`d_rows` back after :meth:`execute_bound`.
-    """
-
-    def __init__(self, program: StepProgram) -> None:
-        gates = program.gates
-        alias: dict[str, tuple[int, int]] = {}
-        row = 1  # row 0: constant zero (mirror row n_slots: constant one)
-        slices = []
-        for group in (program.inputs, program.flop_qs):
-            a = row
-            for net in group:
-                alias[net] = (row, 0)
-                row += 1
-            slices.append((a, row))
-        self.pi_slice, self.q_slice = slices
-        self.src_span = (1, row)
-        # pass A: levelize real gates; a folded gate sits at its input's
-        # level so its consumers still level strictly above the producer
-        level: dict[str, int] = {}
-        by_level: dict[int, list[Gate]] = {}
-        for g in gates:
-            if g.gtype in _SOA_FOLDED:
-                level[g.output] = (level.get(g.inputs[0], 0)
-                                   if g.inputs else 0)
-            else:
-                lv = max((level.get(i, 0) for i in g.inputs), default=0) + 1
-                level[g.output] = lv
-                by_level.setdefault(lv, []).append(g)
-        # pass B: assign output rows level by level, and-family first,
-        # arity-ascending inside each family (contiguous wide-gate tails)
-        order = {}
-        for lv in sorted(by_level):
-            gs = by_level[lv]
-            ands = sorted((g for g in gs if g.gtype in _AND_INBASE),
-                          key=lambda g: len(g.inputs))
-            xors = sorted((g for g in gs if g.gtype not in _AND_INBASE),
-                          key=lambda g: len(g.inputs))
-            a = row
-            for g in ands:
-                alias[g.output] = (row, _AND_OUTPOL[g.gtype])
-                row += 1
-            for g in xors:
-                alias[g.output] = (row, _XOR_OUTPOL[g.gtype])
-                row += 1
-            order[lv] = (a, row, ands, xors)
-        self.n_slots = n = row
-        # pass C: folded gates resolve to aliases, in topo order so a
-        # chain of BUF/NOT folds transitively
-        for g in gates:
-            t = g.gtype
-            if t is GateType.CONST0:
-                alias[g.output] = (0, 0)
-            elif t is GateType.CONST1:
-                alias[g.output] = (0, 1)
-            elif t is GateType.BUF:
-                alias[g.output] = alias[g.inputs[0]]
-            elif t is GateType.NOT:
-                r, p = alias[g.inputs[0]]
-                alias[g.output] = (r, p ^ 1)
-        np = _vector.np
-
-        def rowof(net: str, comp: int = 0) -> int:
-            r, p = alias[net]
-            return r + n * (p ^ comp)
-
-        # pass D: per-level op plan
-        plan = []
-        n_calls = 0
-        for lv in sorted(order):
-            a, b, ands, xors = order[lv]
-            K = len(ands) + len(xors)
-            Ka = len(ands)
-            r0 = [rowof(g.inputs[0], _AND_INBASE[g.gtype]) for g in ands]
-            r1 = [rowof(g.inputs[1], _AND_INBASE[g.gtype]) for g in ands]
-            r0 += [rowof(g.inputs[0]) for g in xors]
-            r1 += [rowof(g.inputs[1]) for g in xors]
-            extra = []
-            max_ar = max(len(g.inputs) for g in ands + xors)
-            for pos in range(2, max_ar):
-                for fam, gs, off in (("and", ands, 0), ("xor", xors, Ka)):
-                    sel = [(i, g) for i, g in enumerate(gs)
-                           if len(g.inputs) > pos]
-                    if not sel:
-                        continue
-                    lo, hi = sel[0][0], sel[-1][0] + 1  # arity-sorted tail
-                    rows = np.asarray(
-                        [rowof(g.inputs[pos],
-                               _AND_INBASE[g.gtype] if fam == "and" else 0)
-                         for _, g in sel], dtype=np.intp)
-                    extra.append((fam, off + lo, off + hi, rows))
-            plan.append((np.asarray(r0, dtype=np.intp),
-                         np.asarray(r1, dtype=np.intp),
-                         K, Ka, a, b, tuple(extra)))
-            n_calls += 2 + (Ka > 0) + (Ka < K) + 2 * len(extra) + 1
-        self.plan = tuple(plan)
-        self.n_levels = len(plan)
-        self.n_gates = sum(p[2] for p in plan)
-        self.n_calls = n_calls
-        self.po_rows = np.asarray([rowof(po) for po in program.outputs],
-                                  dtype=np.intp)
-        self.d_rows = np.asarray([rowof(d) for d in program.flop_ds],
-                                 dtype=np.intp)
-
-    def bind(self, S) -> list:
-        """Pre-resolve the plan's output views into ``S``.
-
-        Slice creation is ~0.1-0.2µs apiece — real money next to the
-        ~1µs fused ops it sits between — and a multi-cycle loop reuses
-        one state matrix, so the per-level output/mirror views are
-        built once per matrix and replayed every cycle (measured ~20%
-        off the whole execute at 9600 gates).  The *gather* side stays
-        fresh per cycle: ``take`` into a preallocated ``out=`` buffer
-        measured slower than letting it allocate.
-        """
-        n = self.n_slots
-        return [(r0, r1, K, Ka, S[a:a + Ka], S[a + Ka:b], extra,
-                 S[a:b], S[n + a:n + b])
-                for r0, r1, K, Ka, a, b, extra in self.plan]
-
-    def execute_bound(self, S, bound: list) -> None:
-        """Evaluate every level in place through views bound by
-        :meth:`bind`.  Source rows (and their mirrors) must be filled;
-        afterwards every aliased row holds its net's word, up to
-        dead-lane garbage."""
-        np = _vector.np
-        band, bxor, binv = np.bitwise_and, np.bitwise_xor, np.invert
-        take = S.take
-        for r0, r1, K, Ka, o_and, o_xor, extra, src, dst in bound:
-            g0 = take(r0, 0)
-            g1 = take(r1, 0)
-            if Ka:
-                band(g0[:Ka], g1[:Ka], out=o_and)
-            if Ka < K:
-                bxor(g0[Ka:], g1[Ka:], out=o_xor)
-            for fam, lo, hi, rows in extra:
-                uf = band if fam == "and" else bxor
-                uf(src[lo:hi], take(rows, 0), out=src[lo:hi])
-            binv(src, out=dst)

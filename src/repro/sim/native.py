@@ -94,16 +94,21 @@ class LaneWalker:
         exports = lib.exports(_LaneExports)
         self.step, self._walk = exports.step, exports.walk
 
-    def walk(self, gold: bytes, n_cycles: int, entries: bytes, masks: bytes,
-             start: int, n_live: int) -> tuple[int, int, int]:
+    def walk(self, gold: bytes, n_cycles: int, entries: bytes,
+             masks: bytearray, start: int,
+             n_live: int) -> tuple[int, int, int]:
         """The skewed walk of ``n_live`` lanes (argument layout:
-        :data:`repro.sim.compiled._C_WALKER`; ``entries`` and ``masks``
-        as bytes of int64 pairs and of ``uint64_t`` block words).
-        Returns ``(fail, latent, steps)``."""
+        :data:`repro.sim.compiled._C_WALKER`; ``entries`` as bytes of
+        int64 pairs, ``masks`` a buffer of ``uint64_t`` block words that
+        is lent to C, not copied).  Returns ``(fail, latent, steps)``."""
+        # lent by its first byte: a c_char array type per length would
+        # cost a type creation, and a cache entry, per distinct size
+        lent = ctypes.byref(ctypes.c_char.from_buffer(masks)) if masks \
+            else None
         size = 8 * ((n_live + 63) >> 6)
         out = ctypes.create_string_buffer(2 * size)
         steps = self._walk(gold, n_cycles, len(entries) // 16, entries,
-                           masks, start, n_live, out)
+                           lent, start, n_live, out)
         if steps < 0:
             raise MemoryError("native lane walker: out of memory")
         raw = out.raw

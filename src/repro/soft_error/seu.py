@@ -10,6 +10,12 @@ machine against the golden run:
 The per-flop failure probability is the architectural vulnerability
 factor (AVF) — the "functional derating" leaf of the FIT chain, and the
 training label for the ML predictors of experiment E5.
+
+:func:`run_campaign` runs on the campaign engine
+(:class:`repro.engine.backends.SeuBackend`): 64 injections share one
+packed sequential run, walked in C where the host has a compiler and by
+the compiled Python step otherwise (:mod:`repro.engine.lanes`);
+:func:`inject_seu` is the per-point reference both are tested against.
 """
 
 from __future__ import annotations
@@ -124,9 +130,9 @@ def run_campaign(
     (serial/process/auto) — results are identical to the serial
     run for any combination.  ``lane_width`` overrides the engine's
     lane packing (injections simulated per packed sequential run;
-    default 64, ``1`` forces the per-point reference path; the carrier
-    of the packed word is :func:`repro.engine.lanes.resolve_backing`'s
-    choice) — outcomes are byte-identical at every width.  ``resume``
+    default 64, ``1`` forces the per-point reference path; every width
+    runs on the one lane walker of :mod:`repro.engine.lanes`) — outcomes
+    are byte-identical at every width.  ``resume``
     restarts a checkpointed campaign (requires the ``db`` it was
     recorded in) from its last committed chunk, byte-identical to an
     uninterrupted run.

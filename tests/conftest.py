@@ -12,16 +12,16 @@ from repro.sim import compiled, native
 from repro.soft_error import random_workload
 
 #: Tests that assert compiled programs themselves (their caches,
-#: pickling, invalidation, SoA schedules, the carrier resolved with
-#: compilation on) skip under ``RESCUE_NO_COMPILE``; everything else in
-#: the suite runs on the reference interpreter unchanged.
+#: pickling, invalidation, the walkers' step counts) skip under
+#: ``RESCUE_NO_COMPILE``; everything else in the suite runs on the
+#: reference interpreter unchanged.
 needs_compiled = pytest.mark.skipif(
     not compiled.compilation_enabled(),
     reason="asserts compiled programs (RESCUE_NO_COMPILE is set)")
 
 #: Tests that assert the native walker itself skip where there is no C
-#: compiler on ``PATH`` (or compilation is off); everywhere else the int
-#: carrier falls back to the Python walker with identical outcomes.
+#: compiler on ``PATH`` (or compilation is off); everywhere else the lane
+#: walk falls back to the Python walker with identical outcomes.
 needs_native = pytest.mark.skipif(
     native.compiler() is None or not compiled.compilation_enabled(),
     reason="asserts the native lane walker (no C compiler on PATH)")

@@ -2,11 +2,10 @@
 
 The contract under test: the one compiled program per circuit — the
 fused sequential step, whose int kernel and native C step are tested
-here (its SoA kernel in ``tests/test_soa.py``) — is byte-identical to
-the reference interpreter at any pattern width, is rebuilt by every
-process worker
-from the circuit it unpickles, and is invalidated by circuit mutation
-exactly like the structural caches.
+here — is byte-identical to the reference interpreter at any pattern
+width, is rebuilt by every process worker from the circuit it
+unpickles, and is invalidated by circuit mutation exactly like the
+structural caches.
 ``logic.simulate`` has no compiled form: it is the reference the step
 programs are held to.  Whole campaigns on the compiled tier are held to
 the interpreter by ``tests/test_oracle.py``; the ones here pin named
@@ -36,6 +35,7 @@ from repro.engine import (
     SlicingBackend,
     run_campaign,
 )
+from repro.engine import lanes
 from repro.faults import collapse
 from repro.sim import compiled, vector
 from repro.sim.fault_sim import sequential_fault_simulate
@@ -264,7 +264,7 @@ class TestInvalidation:
 
 # ----------------------------------------------------------------------
 # one program per circuit: fault simulation compiles nothing, and every
-# lane width and carrier shares the one step program
+# lane width shares the one step program
 # ----------------------------------------------------------------------
 @needs_compiled
 def test_stuck_at_campaigns_cache_only_per_circuit_programs():
@@ -280,14 +280,10 @@ def test_stuck_at_campaigns_cache_only_per_circuit_programs():
     run_campaign(SlicingBackend(circuit, faults, workload), config)
     sequential_fault_simulate(circuit, faults, workload)
     program = circuit._program_cache["step"]
-    backings = ("int", "soa") if vector.HAVE_NUMPY else ("int",)
     for width in (1, 64, 192, 1024):
-        for backing in backings:
-            run_campaign(SeuBackend(circuit, workload, lane_width=width,
-                                    lane_backing=backing), config)
-            run_campaign(SlicingBackend(circuit, faults[:8], workload,
-                                        lane_width=width,
-                                        lane_backing=backing), config)
+        run_campaign(SeuBackend(circuit, workload, lane_width=width), config)
+        run_campaign(SlicingBackend(circuit, faults[:8], workload,
+                                    lane_width=width), config)
     assert set(circuit._program_cache) == {"step"}
     assert circuit._program_cache["step"] is program
 
@@ -398,26 +394,22 @@ class TestNativeStep:
 
 
 # ----------------------------------------------------------------------
-# uint64 block array -> packed int
+# packed int -> 64-lane blocks (the Python walker's golden gather)
 # ----------------------------------------------------------------------
 VECTOR_WIDTHS = (1, 64, 65, 192, 1000)
 
-needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
-                                 reason="numpy not installed")
 
-
-@needs_numpy
 class TestVectorPrograms:
     def test_block_conversions_roundtrip(self):
-        np = vector.np
         for width in VECTOR_WIDTHS:
             blocks = vector.blocks_for(width)
             full = (1 << width) - 1
             for value in (0, 1, full, full >> 1, 0x5 << max(0, width - 4)):
                 value &= full
-                arr = np.array([(value >> (64 * i)) & (2**64 - 1)
-                                for i in range(blocks)], dtype=np.uint64)
-                assert vector.from_blocks(arr) == value
+                words = lanes._block_words(value, blocks)
+                assert len(words) == blocks
+                assert sum(word << (64 * i)
+                           for i, word in enumerate(words)) == value
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ executors and worker counts.
 
 import pickle
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,20 +103,25 @@ class NoisyBackend:
                 for p in points]
 
 
-class CheapWideLaneBackend:
-    """Batches cheaper than MIN_BATCH_COST_S but denser than a scalar
-    chunk: a vector-tier lane width means each dispatch retires many
-    points, so the auto probe must not bail to serial on the
-    per-batch floor alone."""
+class PinnedCostWideBackend:
+    """A wide-lane backend whose chunks cost what the test pins: every
+    ``run_batch`` advances :meth:`clock` by ``cost_s``, and the test
+    hands that clock to the auto probe as its ``time.perf_counter``."""
 
-    name = "cheap-wide"
+    name = "pinned-wide"
     circuit_name = "toy"
     fault_model = "none"
     workload = "toy"
 
-    def __init__(self, n: int = 96, lane_width: int = 1024) -> None:
-        self.n = n
+    def __init__(self, n_chunks: int, cost_s: float,
+                 lane_width: int = 1024) -> None:
+        self.n = 8 * n_chunks
+        self.cost_s = cost_s
         self.lane_width = lane_width
+        self.now = 0.0
+
+    def clock(self) -> float:
+        return self.now
 
     def enumerate_points(self):
         return list(range(self.n))
@@ -124,6 +130,7 @@ class CheapWideLaneBackend:
         return None
 
     def run_batch(self, points):
+        self.now += self.cost_s
         return [Injection(point=p, location=f"p{p}", cycle=0,
                           outcome="ok") for p in points]
 
@@ -295,7 +302,7 @@ class TestAutoProbe:
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         # zero thresholds so the probe reaches the pickle attempt
         monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        monkeypatch.setattr(executors, "COLD_POOL_COST_S", 0.0)
         backend = UnpicklableBackend()
         plan = plan_executor(backend, [[0], [1]],
                              EngineConfig(workers=2), [1, 2])
@@ -343,36 +350,37 @@ class TestAutoProbe:
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         check(Config(lane_width=64, executor="auto", batch_size=4))
 
-    def test_wide_lane_cheap_batches_still_pick_process(self, monkeypatch):
-        # a vector-tier chunk (lane_width > 64) retires up to lane_width
-        # points per dispatch, so the conservative per-batch floor must
-        # not send large wide-lane campaigns to the serial loop: only
-        # batches below the raw dispatch cost bail
+    def test_pool_is_picked_only_when_it_beats_serial(self, monkeypatch):
+        # the pool pays COLD_POOL_COST_S before its first chunk returns,
+        # at any lane width: two workers must save more than that.  The
+        # chunk costs are pinned on a fake clock, so no measurement
+        # decides a verdict
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
-        # the floors are pinned so that no measured batch cost can decide
-        # either verdict: every cost clears the dispatch floor and the
-        # remaining-work bar, none clears the scalar per-batch floor
-        monkeypatch.setattr(executors, "MIN_DISPATCH_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", float("inf"))
-        backend = CheapWideLaneBackend(lane_width=1024)
-        points = list(backend.enumerate_points())
-        chunks = [points[i:i + 8] for i in range(0, len(points), 8)]
-        seeds = [chunk_seed(0, i) for i in range(len(chunks))]
-        plan = plan_executor(backend, chunks, EngineConfig(workers=2), seeds)
-        assert plan.name == "process"
-        # the scalar-width control with the identical cost profile bails
-        # at the per-batch floor
-        control = CheapWideLaneBackend(lane_width=1)
-        plan1 = plan_executor(control, chunks, EngineConfig(workers=2),
-                              seeds)
-        assert plan1.name == "serial"
-        assert "below process dispatch overhead" in plan1.reason
+        verdicts = []
+        for cost_s, n_chunks in ((0.001, 302), (0.005, 62), (0.005, 202)):
+            backend = PinnedCostWideBackend(n_chunks, cost_s)
+            monkeypatch.setattr(executors, "time", SimpleNamespace(
+                perf_counter=backend.clock))
+            points = backend.enumerate_points()
+            chunks = [points[i:i + 8] for i in range(0, len(points), 8)]
+            seeds = [chunk_seed(0, i) for i in range(len(chunks))]
+            plan = plan_executor(backend, chunks, EngineConfig(workers=2),
+                                 seeds)
+            verdicts.append((plan.name, plan.reason.split(":")[0]))
+        assert verdicts == [
+            # ~1 ms a chunk, 0.3 s left: cheaper than dispatching it
+            ("serial", "per-batch cost 1.00ms below process dispatch "
+                       "overhead"),
+            # 0.3 s left: two workers save 0.15 s, less than a cold pool
+            ("serial", "~300ms of work left"),
+            # 1 s left: they save 0.5 s
+            ("process", "picklable backend, 5.0ms/batch x 200 chunks "
+                        "remaining")]
 
     def test_costly_picklable_campaign_resolves_process(self, monkeypatch):
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        monkeypatch.setattr(executors, "COLD_POOL_COST_S", 0.0)
         backend = _seu_backend()
         points = list(backend.enumerate_points())
         chunks = [points[i:i + 8] for i in range(0, 32, 8)]
@@ -430,7 +438,7 @@ class TestAutoProbe:
 
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        monkeypatch.setattr(executors, "COLD_POOL_COST_S", 0.0)
         with caplog.at_level(logging.INFO, logger="repro.engine"):
             report = run_campaign(
                 UnpicklableBackend(),

@@ -4,12 +4,13 @@ facades.
 
 The load-bearing property is *lane exactness*: a packed campaign
 reports what the per-point interpreter does, at every lane width, on
-both carriers, on every executor, with and without the point-filter
-stage.  That is ``tests/test_oracle.py``'s property; the campaign-level
-tests here pin named configurations of it (``check``).  This module
-holds what the oracle cannot see: the walker against the full-length
-interpreter lane by lane, its work bounds, the carrier resolver and the
-validation of widths, cycles and targets.
+the native and the Python walker, on every executor, with and without
+the point-filter stage.  That is ``tests/test_oracle.py``'s property;
+the campaign-level tests here pin named configurations of it
+(``check``).  This module holds what the oracle cannot see: both
+walkers against the full-length interpreter lane by lane, their work
+bounds, the retired carrier names and the validation of widths, cycles
+and targets.
 """
 
 import glob
@@ -48,9 +49,15 @@ from repro.soft_error.seu import _golden_run, inject_seu
 from test_oracle import Config, _inputs, check
 
 WIDTHS = (1, 7, 64)
-VECTOR_WIDTHS = (65, 192, 1000)
-BACKINGS = ("int", "soa")
+#: the lane walk in C where the kernel loads, and in Python
+WALKERS = ("native", "python")
 EXECUTORS = ("serial", "process")
+VECTOR_WIDTHS = (65, 192, 1000)
+#: the wide campaigns keep the ids of the two carriers they once ran
+#: on: the SoA carrier is deleted, so its slot runs the Python walker
+#: and the int slot the native one
+CARRIER_SLOTS = (pytest.param("native", id="int"),
+                 pytest.param("python", id="soa"))
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -163,27 +170,27 @@ class TestSeuLanes:
 
 
 # ----------------------------------------------------------------------
-# widths beyond 64 on both carriers
+# widths beyond 64
 # ----------------------------------------------------------------------
 class TestVectorLanes:
     # the default batch (64) is raised to one chunk per lane width;
     # without numpy these widths degrade to 64: still the reference
-    @pytest.mark.parametrize("backing", BACKINGS)
+    @pytest.mark.parametrize("walker", CARRIER_SLOTS)
     @pytest.mark.parametrize("width", VECTOR_WIDTHS)
-    def test_seu_identical_to_per_point(self, width, backing):
-        check(Config(lane_width=width, backing=backing, batch_size=64,
+    def test_seu_identical_to_per_point(self, width, walker):
+        check(Config(lane_width=width, walker=walker, batch_size=64,
                      long=True))
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_slicing_identical_to_64(self, backing):
-        check(Config(backend="slicing", lane_width=192, backing=backing,
+    @pytest.mark.parametrize("walker", CARRIER_SLOTS)
+    def test_slicing_identical_to_64(self, walker):
+        check(Config(backend="slicing", lane_width=192, walker=walker,
                      batch_size=32, long=True))
 
     def test_property_vector_equals_packed_equals_interpreter(self):
         # the widths the oracle's property does not draw
-        for circuit, width, backing, compiling in itertools.product(
-                ("rnd1", "rnd2"), (65, 1000), BACKINGS, (True, False)):
-            check(Config(circuit=circuit, lane_width=width, backing=backing,
+        for circuit, width, compiling in itertools.product(
+                ("rnd1", "rnd2"), (65, 1000), (True, False)):
+            check(Config(circuit=circuit, lane_width=width,
                          compiled=compiling, batch_size=64, long=True))
 
     @pytest.mark.parametrize("executor", EXECUTORS)
@@ -236,138 +243,70 @@ class TestVectorLanes:
 
 
 # ----------------------------------------------------------------------
-# the carrier decision: one resolver, one table
+# one carrier: what is left of its resolver is the retired names
 # ----------------------------------------------------------------------
 REMOVED_KNOBS = ("RESCUE_VECTOR_BACKING", "RESCUE_SOA_MIN_LANES",
                  "RESCUE_NDARRAY_MIN_LANES", "RESCUE_CALIBRATE_CROSSOVER")
 
 
-# ~48 live gates per level of the step kernel (threshold: 32)
-WIDE = dict(n_inputs=80, n_gates=2400, n_flops=120, n_outputs=16, seed=3)
-
-
-@needs_numpy
 class TestBackingResolver:
-    @pytest.fixture(scope="class")
-    def circuits(self):
-        found = {"wide": random_sequential(**WIDE),
-                 "narrow": load("rand_seq")}
-        per_level = {}
-        for shape, circuit in found.items():
-            k = compiled.step_program(circuit).soa
-            per_level[shape] = k.n_gates / k.n_levels
-        assert per_level["narrow"] < vector.SOA_MIN_LEVEL_WIDTH \
-            <= per_level["wide"], per_level
-        return found
-
-    # (requested, numpy?, compile?, width, gates/level) -> backing
-    @pytest.mark.parametrize(
-        "requested, have_numpy, compiling, width, shape, expected", [
-            pytest.param("soa", True, True, 256, "narrow", "soa",
-                         id="explicit-soa-at-256"),
-            pytest.param("soa", True, True, 65, "narrow", "soa",
-                         id="explicit-soa-any-width"),
-            pytest.param("int", True, True, 4096, "wide", "int",
-                         id="explicit-int-at-4096"),
-            pytest.param(None, True, True, 1023, "wide", "int",
-                         id="auto-1023-wide"),
-            pytest.param(None, True, True, 1024, "wide", "soa",
-                         id="auto-1024-wide"),
-            pytest.param(None, True, True, 1023, "narrow", "int",
-                         id="auto-1023-narrow"),
-            pytest.param(None, True, True, 1024, "narrow", "int",
-                         id="auto-1024-narrow"),
-            pytest.param(None, True, True, 1 << 16, "narrow", "int",
-                         id="auto-65536-narrow"),
-            pytest.param(None, True, True, 4096, "wide", "soa",
-                         id="auto-4096-wide"),
-            pytest.param("soa", False, True, 4096, "wide", "int",
-                         id="soa-without-numpy"),
-            pytest.param(None, False, True, 4096, "wide", "int",
-                         id="auto-without-numpy"),
-            pytest.param("soa", True, False, 4096, "wide", "int",
-                         id="soa-compile-off"),
-            pytest.param(None, True, False, 4096, "wide", "int",
-                         id="auto-compile-off"),
-            pytest.param("bogus", True, True, 4096, "wide", ValueError,
-                         id="unknown-name"),
-            pytest.param("ndarray", True, True, 4096, "wide", ValueError,
-                         id="removed-name"),
-        ])
-    @needs_compiled
-    def test_resolver_table(self, circuits, monkeypatch, caplog, requested,
-                            have_numpy, compiling, width, shape, expected):
-        circuit = circuits[shape]
-        monkeypatch.setattr(vector, "HAVE_NUMPY", have_numpy)
-        monkeypatch.setattr(vector, "_warned_no_numpy", False)
-        for knob in REMOVED_KNOBS:  # the resolver reads no environment
-            monkeypatch.setenv(knob, "garbage")
-
-        def resolve():
-            if compiling:
-                return lanes.resolve_backing(requested, circuit, width)
-            with compiled.disabled():
-                return lanes.resolve_backing(requested, circuit, width)
-
-        if expected is ValueError:
-            with pytest.raises(ValueError, match="backing"):
-                resolve()
-            return
-        with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
-            assert resolve() == expected
-            assert resolve() == expected
-        # a named "soa" that cannot run says so, once; nothing else warns
-        assert len(caplog.records) == int(requested == "soa"
-                                          and not have_numpy)
-
-    @needs_compiled
-    def test_build_context_records_the_resolved_carrier(self, circuits):
-        workload = random_workload(circuits["wide"], 2, seed=1)
-        for requested, width, expected in ((None, 1024, "soa"),
-                                           (None, 1023, "int"),
-                                           ("soa", 256, "soa")):
-            ctx = lanes.build_context(circuits["wide"], workload, width,
+    def test_build_context_records_the_resolved_carrier(self, seq_setup):
+        # every width runs on the packed-int carrier; the names callers
+        # may still pass build that context, any other name is refused
+        circuit, workload = seq_setup
+        for requested, width in ((None, 1024), ("int", 65), ("soa", 4096)):
+            ctx = lanes.build_context(circuit, workload, width,
                                       backing=requested)
-            assert ctx.backing == expected
+            assert (ctx.backing, ctx.width) == ("int", width)
+        for bogus in ("bogus", "ndarray"):
+            with pytest.raises(ValueError, match="backing"):
+                lanes.build_context(circuit, workload, 64, backing=bogus)
 
     def test_removed_env_knobs_are_never_read(self):
         # a fresh interpreter with every removed knob set to garbage:
-        # the import must not raise (the parent parsed two of them with
-        # int() at import time) and the choices must not move
+        # the import must not raise and wide campaigns still walk on the
+        # one carrier
         script = (
             "import json\n"
             "from repro.circuit import load\n"
-            "from repro.circuit.library import random_sequential\n"
-            "from repro.engine import lanes\n"
-            f"wide = random_sequential(**{WIDE!r})\n"
-            "print(json.dumps([\n"
-            "    lanes.resolve_backing(None, wide, 1024),\n"
-            "    lanes.resolve_backing(None, wide, 1023),\n"
-            "    lanes.resolve_backing(None, load('rand_seq'), 65536),\n"
-            "    lanes.resolve_backing('soa', load('rand_seq'), 256)]))\n")
+            "from repro.engine import EngineConfig, SeuBackend, "
+            "run_campaign\n"
+            "from repro.soft_error import random_workload\n"
+            "circuit = load('rand_seq')\n"
+            "stimuli = random_workload(circuit, 8, seed=2)\n"
+            "found = []\n"
+            "for width in (64, 1024):\n"
+            "    backend = SeuBackend(circuit, stimuli, lane_width=width)\n"
+            "    report = run_campaign(backend, EngineConfig())\n"
+            "    found.append([backend._lane_ctx.backing,\n"
+            "                  sorted(report.outcomes.items())])\n"
+            "print(json.dumps(found))\n")
         env = dict(os.environ, **dict.fromkeys(REMOVED_KNOBS, "garbage"))
         env.pop("RESCUE_NO_COMPILE", None)
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == ["soa", "int", "int", "soa"]
+        (narrow, outcomes), (wide, wide_outcomes) = json.loads(done.stdout)
+        assert narrow == wide == "int" and outcomes == wide_outcomes
 
 
 class TestBackingValidatedAtConstruction:
-    """A bad ``lane_backing`` must fail where it is given: ``prepare()``
-    runs in each worker on its first task, where the same error is a
-    failed chunk and reaches the caller only through the parent's
-    retry, after a pool was spawned for nothing."""
+    """A carrier named at construction fails where it is given, not in
+    a worker's ``prepare()``: ``SeuBackend`` keeps ``lane_backing`` only
+    as a retired-name shim that accepts ``None``, and ``SlicingBackend``
+    takes no carrier at all."""
 
     def test_backends_reject_unknown_backing_without_a_pool(self, seq_setup,
                                                             no_pool):
         circuit, workload = seq_setup
         faults, _ = collapse(circuit)
-        with pytest.raises(ValueError, match="backing"):
-            SeuBackend(circuit.copy(), workload, lane_backing="bogus")
-        with pytest.raises(ValueError, match="backing"):
+        SeuBackend(circuit.copy(), workload, lane_backing=None)
+        for name in ("soa", "int", "bogus"):
+            with pytest.raises(ValueError, match="retired"):
+                SeuBackend(circuit.copy(), workload, lane_backing=name)
+        with pytest.raises(TypeError, match="lane_backing"):
             SlicingBackend(circuit.copy(), faults[:4], workload,
-                           lane_backing="ndarray")
+                           lane_backing="soa")
 
 
 class TestWidthAndCyclesValidatedAtConstruction:
@@ -409,7 +348,7 @@ class TestWidthAndCyclesValidatedAtConstruction:
 
 
 # ----------------------------------------------------------------------
-# the walker: lanes on their own clocks, on both carriers; work bounds
+# the walker: lanes on their own clocks, native and in Python; work bounds
 # ----------------------------------------------------------------------
 SHAPES = ("first", "last", "tail", "anywhere", "sparse", "ramp", "twice",
           "scattered")
@@ -424,7 +363,7 @@ def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
     outside the workload, ``ramp`` has lane *i + 1* start one cycle
     after lane *i* (the flop-major default chunk), ``scattered`` gives
     every lane of a 64-lane block its own start cycle where the workload
-    is long enough (the deepest per-block gather of the SoA carrier)."""
+    is long enough (the deepest per-block gather)."""
     flops = list(circuit.flops)
     flips = {}
     offset = rng.randrange(n_cycles)
@@ -496,6 +435,15 @@ def _observable_toy():
     return circuit
 
 
+def _on_walker(monkeypatch, circuit, walker):
+    """Walk ``circuit``'s lanes on ``walker``: ``"python"`` blanks the
+    native kernel of its step program (where compilation is on); where
+    no kernel loads, both names walk in Python."""
+    program = compiled.step_program(circuit)
+    if walker == "python" and program is not None:
+        monkeypatch.setitem(vars(program), "native", None)
+
+
 @needs_numpy
 class TestBusyWindow:
     @needs_compiled
@@ -519,31 +467,34 @@ class TestBusyWindow:
         start = _start_of(flips, n_cycles)
         fires = any(0 <= cyc < n_cycles for cyc in flips)
         steps = {}
-        for backing in ("int", "soa"):
-            ctx = lanes.build_context(circuit.copy(), workload, width,
-                                      backing=backing)
-            assert ctx.backing == backing
-            assert lanes.propagate(ctx, flips, start, n_lanes) == expected, \
-                backing
-            # one walk: no longer than the cycles left after its start ...
-            assert ctx.steps_run <= (n_cycles - start if fires else 0)
-            steps[backing] = ctx.steps_run
-            if n_lanes <= 65:  # ... and it lasts as long as its slowest
-                assert steps[backing] == max(  # lane, no longer
-                    _steps_lane_by_lane(ctx, flips, n_lanes))
-        assert steps["int"] == steps["soa"]  # one schedule, two carriers
+        for walker in WALKERS:
+            copy = circuit.copy()
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _on_walker(monkeypatch, copy, walker)
+                ctx = lanes.build_context(copy, workload, width)
+                assert lanes.propagate(ctx, flips, start, n_lanes) \
+                    == expected, walker
+                # one walk: no longer than the cycles left after its
+                # start ...
+                assert ctx.steps_run <= (n_cycles - start if fires else 0)
+                steps[walker] = ctx.steps_run
+                if n_lanes <= 65:  # ... and it lasts as long as its
+                    assert steps[walker] == max(  # slowest lane, no longer
+                        _steps_lane_by_lane(ctx, flips, n_lanes))
+        assert steps["native"] == steps["python"]  # one schedule
 
     @needs_compiled
-    @pytest.mark.parametrize("backing", ("int", "soa"))
-    def test_fail_then_reconverge_latent_and_masked(self, backing):
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_fail_then_reconverge_latent_and_masked(self, monkeypatch,
+                                                    walker):
         circuit = _observable_toy()
         workload = [{"a": cyc & 1} for cyc in range(10)]
         # lane 0 fails at cycle 1 and is golden again at cycle 2, lane 1
         # stays latent, lane 2 is masked, lane 3 flips in the last cycle
         flips = {1: {"seen": 0b0001, "hold": 0b0010, "blind": 0b0100},
                  9: {"hold": 0b1000}}
-        ctx = lanes.build_context(circuit, workload, 70, backing=backing)
-        assert ctx.backing == backing
+        _on_walker(monkeypatch, circuit, walker)
+        ctx = lanes.build_context(circuit, workload, 70)
         assert lanes.propagate(ctx, flips, 1, 4) == (0b0001, 0b1010)
         assert lanes.propagate(ctx, flips, 1, 4) == _interpreter_reference(
             circuit, workload, 70, flips, 4)
@@ -557,11 +508,12 @@ class TestBusyWindow:
         assert ctx.steps_run - before == 1
         assert _steps_lane_by_lane(ctx, flips, 4) == [1, 0, 1, 1]
 
-    @pytest.mark.parametrize("backing", ("int", "soa"))
-    def test_flips_outside_the_workload_never_fire(self, backing):
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_flips_outside_the_workload_never_fire(self, monkeypatch, walker):
         circuit = _observable_toy()
         workload = [{"a": 1}] * 4
-        ctx = lanes.build_context(circuit, workload, 70, backing=backing)
+        _on_walker(monkeypatch, circuit, walker)
+        ctx = lanes.build_context(circuit, workload, 70)
         flips = {-1: {"seen": 1}, 4: {"seen": 2}, 7: {"hold": 4}}
         assert lanes.propagate(ctx, flips, 0, 3) == (0, 0)
         assert ctx.steps_run == 0
@@ -594,8 +546,9 @@ class TestBusyWindow:
         assert ctx.steps_run <= 0.15 * full_length
 
     @needs_compiled
-    @pytest.mark.parametrize("backing", ("int", "soa"))
-    def test_flip_every_cycle_pays_no_quiescence_test(self, backing):
+    @pytest.mark.parametrize("walker", WALKERS)
+    def test_flip_every_cycle_pays_no_quiescence_test(self, monkeypatch,
+                                                      walker):
         # the slicing_filtered shape, one lane per cycle: a shared clock
         # would have to run the whole workload; the lanes start together
         # and the walk stops with the slowest
@@ -606,7 +559,8 @@ class TestBusyWindow:
         flops = list(circuit.flops)
         flips = {cyc: {flops[cyc % len(flops)]: 1 << (cyc - first)}
                  for cyc in range(first, n_cycles)}
-        ctx = lanes.build_context(circuit, workload, 128, backing=backing)
+        _on_walker(monkeypatch, circuit, walker)
+        ctx = lanes.build_context(circuit, workload, 128)
         got = lanes.propagate(ctx, flips, first, n_cycles - first)
         assert got == _interpreter_reference(circuit, workload, 128, flips,
                                              n_cycles - first)
@@ -616,21 +570,33 @@ class TestBusyWindow:
     @needs_compiled
     def test_only_the_blocks_of_the_lanes_present_are_computed(
             self, monkeypatch):
+        # a 4096-lane context walking one 200-lane group: both walkers
+        # carry the 4 blocks its lanes occupy, not the context's 64
         circuit = load("rand_seq")
         workload = random_workload(circuit, 20, seed=7)
-        ctx = lanes.build_context(circuit, workload, 4096, backing="soa")
+        ctx = lanes.build_context(circuit, workload, 4096)
         points = [(flop, cyc) for cyc in range(20)
                   for flop in circuit.flops][:200]
-        kernel = compiled.step_program(circuit).soa
-        bound = []
-        monkeypatch.setattr(
-            kernel, "bind",
-            lambda S: bound.append(S.shape[1]) or type(kernel).bind(kernel, S))
-        assert lanes.seu_outcomes(ctx, points) == lanes.seu_outcomes(
-            lanes.build_context(circuit, workload, 4096, backing="int"),
-            points)
-        # one matrix for the one group: 200 lanes, not the context's 4096
-        assert bound == [vector.blocks_for(200)] == [4]
+        program = compiled.step_program(circuit)
+        blocks = []
+        gather = lanes._skewed_golden
+        monkeypatch.setattr(lanes, "_skewed_golden", lambda *args: (
+            blocks.append(("python", args[-1])) or gather(*args)))
+        kernel = program.native
+        if kernel is not None:
+            walk = kernel.walk
+
+            def spy(gold, n_cycles, entries, masks, start, n_live):
+                # 16 bytes per (cycle, flop) entry, 8 per block word
+                blocks.append(("native", 2 * len(masks) // len(entries)))
+                return walk(gold, n_cycles, entries, masks, start, n_live)
+
+            monkeypatch.setattr(kernel, "walk", spy)
+        native_got = lanes.seu_outcomes(ctx, points)
+        monkeypatch.setitem(vars(program), "native", None)
+        assert lanes.seu_outcomes(ctx, points) == native_got
+        first = "python" if kernel is None else "native"
+        assert blocks == [(first, 4), ("python", 4)]
 
     @needs_compiled
     def test_campaign_walks_last_as_long_as_their_slowest_lane(
@@ -640,13 +606,12 @@ class TestBusyWindow:
         groups = []
         monkeypatch.setattr(lanes, "seu_outcomes", lambda ctx, group: (
             groups.append(group) or walk(ctx, group)))
-        for backing in ("int", "soa"):
-            backend = SeuBackend(circuit.copy(), workload, lane_width=64,
-                                 lane_backing=backing)
+        for walker in WALKERS:
+            backend = SeuBackend(circuit.copy(), workload, lane_width=64)
+            _on_walker(monkeypatch, backend.circuit, walker)
             groups.clear()
             run_campaign(backend, EngineConfig(executor="serial"))
-            alone = lanes.build_context(circuit, workload, 64,
-                                        backing=backing)
+            alone = lanes.build_context(backend.circuit, workload, 64)
             slowest = 0
             for group in groups:  # each lane's decision time, by itself
                 per_lane = []
@@ -655,7 +620,7 @@ class TestBusyWindow:
                     walk(alone, [point])
                     per_lane.append(alone.steps_run - before)
                 slowest += max(per_lane)
-            assert backend._lane_ctx.steps_run == slowest > 0, backing
+            assert backend._lane_ctx.steps_run == slowest > 0, walker
 
 
 @pytest.mark.parametrize("n_lanes", (1, 5, 64))
@@ -688,10 +653,10 @@ def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
 # the native walker against the Python walker, on one context
 # ----------------------------------------------------------------------
 def _both_walkers(monkeypatch, circuit, workload, width, flips, n_lanes):
-    """``propagate`` on the int carrier by the native walker, then by
-    the Python walker with the program's native kernel blanked, on one
-    context: ``{walker: (fail, latent, steps)}``."""
-    ctx = lanes.build_context(circuit, workload, width, backing="int")
+    """``propagate`` by the native walker, then by the Python walker
+    with the program's native kernel blanked, on one context:
+    ``{walker: (fail, latent, steps)}``."""
+    ctx = lanes.build_context(circuit, workload, width)
     program = compiled.step_program(circuit)
     start = _start_of(flips, len(workload))
     got = {}
@@ -765,6 +730,20 @@ def test_native_walker_equals_python_walker(seed, n_cycles, n_lanes, shape):
         got = _both_walkers(monkeypatch, circuit, workload,
                             max(64, n_lanes), flips, n_lanes)
     assert got["native"] == got["python"]
+
+
+@needs_numpy
+def test_outcome_list_wide_matches_probe():
+    # wide outcome words unpack through numpy in one pass; the per-lane
+    # probe is the reference
+    rng = random.Random(3)
+    for count in (65, 200, 1024):
+        fail = rng.getrandbits(count)
+        latent = rng.getrandbits(count) & ~fail
+        probe = [lanes.FAILURE if (fail >> i) & 1 else
+                 lanes.LATENT if (latent >> i) & 1 else lanes.MASKED
+                 for i in range(count)]
+        assert lanes._outcome_list(fail, latent, count) == probe
 
 
 def test_golden_table_is_kept_per_layout():

@@ -27,8 +27,8 @@ from repro.engine.lanes import seu_outcomes
 from repro.sim import compiled, fault_sim, native
 from test_oracle import Config, _inputs, check
 
-#: a long SEU campaign on the int carrier: several 64-lane walks
-CONFIG = Config(lane_width=64, backing="int", long=True, batch_size=64)
+#: a long SEU campaign: several 64-lane walks
+CONFIG = Config(lane_width=64, long=True, batch_size=64)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -1,7 +1,7 @@
 """One differential oracle over the campaign configuration product.
 
-Whatever runs a campaign — backend, circuit, lane width and carrier,
-the native or the Python lane walker and PPSFP root walk, compiled or
+Whatever runs a campaign — backend, circuit, lane width, the native or
+the Python lane walker and PPSFP root walk, compiled or
 interpreted, serial loop or process pool, fresh, aborted after chunk
 *k* and resumed, or N ``repro.service`` workers, with transient
 ``ChaosFault`` / ``HostChaos`` faults — its report
@@ -62,6 +62,7 @@ from repro.soft_error import random_workload
 
 BACKENDS = ("seu", "seu-filter", "slicing", "slicing-nofilter", "ppsfp",
             "gpgpu")
+#: the backends that pack lanes on the lane walker
 CARRIERS = ("seu", "seu-filter", "slicing", "slicing-nofilter")
 #: the outcome an early stop watches (``failure`` where not named)
 STOP_OUTCOME = {"ppsfp": "detected", "gpgpu": "sdc"}
@@ -70,9 +71,8 @@ CIRCUITS = ("s27", "rand_seq", "rnd1", "rnd2")
 KERNELS = ("vector_add", "reduction")
 LANE_WIDTHS = (1, 7, 64, 192)
 GPGPU_WIDTHS = (1, 8, 64)
-BACKINGS = (None, "int", "soa")
-#: the int carrier's walk and the PPSFP root walks: in C where the
-#: kernel loads, else in Python
+#: the lane walk and the PPSFP root walks: in C where the kernel loads,
+#: else in Python
 WALKERS = ("native", "python")
 #: the backends a native kernel walks for
 WALKED = (*CARRIERS, "ppsfp")
@@ -97,7 +97,6 @@ class Config:
     circuit: str = "rand_seq"
     long: bool = False
     lane_width: int = 1
-    backing: str | None = None
     walker: str = "native"
     compiled: bool = True
     executor: str = "serial"
@@ -165,15 +164,16 @@ def _inputs(backend, name, long=False):
 def _backend(config):
     kind = config.backend
     inputs = _inputs(kind, config.circuit, config.long)
-    lanes = dict(lane_width=config.lane_width, lane_backing=config.backing)
     if kind in ("seu", "seu-filter"):
         circuit, stimuli = inputs
         backend = SeuBackend(circuit.copy(), stimuli,
-                             skip_dead_flops=kind == "seu-filter", **lanes)
+                             skip_dead_flops=kind == "seu-filter",
+                             lane_width=config.lane_width)
     elif kind.startswith("slicing"):
         circuit, faults, stimuli = inputs
         backend = SlicingBackend(circuit.copy(), faults, stimuli,
-                                 use_filter=kind == "slicing", **lanes)
+                                 use_filter=kind == "slicing",
+                                 lane_width=config.lane_width)
     elif kind == "ppsfp":
         circuit, faults, batches = inputs
         backend = PpsfpBackend(circuit.copy(), faults, batches)
@@ -347,8 +347,6 @@ def configs(draw):
         circuit=draw(st.sampled_from(KERNELS if gpgpu else CIRCUITS)),
         lane_width=1 if backend == "ppsfp" else draw(
             st.sampled_from(GPGPU_WIDTHS if gpgpu else LANE_WIDTHS)),
-        backing=draw(st.sampled_from(BACKINGS)) if backend in CARRIERS
-        else None,
         walker=walker,
         compiled=draw(st.booleans()),
         # the Python walker is forced in this process only
@@ -369,23 +367,22 @@ def configs(draw):
         hosts=hosts)
 
 
-#: every backend on every path: widest lane, SoA carrier where there is
-#: one, a transient chunk fault on the engine paths, an early stop on the
-#: replayed ones.  The carriers run the long workload in engine-default
-#: chunks, which their 192 lanes raise to three 64-bit words.
+#: every backend on every path: widest lane, a transient chunk fault on
+#: the engine paths, an early stop on the replayed ones.  The lane
+#: backends run the long workload in engine-default chunks, which their
+#: 192 lanes raise to three 64-bit words.
 PINNED = [Config(backend=backend,
                  circuit="reduction" if backend == "gpgpu" else "rand_seq",
                  lane_width={"ppsfp": 1, "gpgpu": 64}.get(backend, 192),
-                 backing="soa" if backend in CARRIERS else None,
                  path=path, stop=path != "fresh", shuffle=path != "fresh",
                  commit_every=1,
                  faults=() if path == "service" else ((30, "raise", 1),),
                  **(dict(long=True, batch_size=64, kill_after=1)
                     if backend in CARRIERS else {}))
           for backend in BACKENDS for path in PATHS]
-#: the native walker on every lane backend at 7, 64 and 192 lanes (the
-#: int carrier, where it runs), and the Python walker beside it at 192
-PINNED += [Config(backend=backend, lane_width=width, backing="int",
+#: the native walker on every lane backend at 7, 64 and 192 lanes, and
+#: the Python walker beside it at 192
+PINNED += [Config(backend=backend, lane_width=width,
                   walker=walker, long=True, batch_size=64)
            for backend in CARRIERS
            for width, walker in ((7, "native"), (64, "native"),
@@ -407,7 +404,7 @@ def _pinned(test):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(configs())
 @_pinned
-@example(Config(lane_width=64))  # the int carrier's skewed walker
+@example(Config(lane_width=64))  # the skewed lane walker
 @example(Config(path="resume", executor="process", commit_every=1,
                 kill_after=2))  # the pool starts at the resumed chunk
 def test_every_configuration_reports_the_reference(config):

@@ -267,7 +267,7 @@ class TestResume:
         absolute index — a resumed campaign must not execute shifted
         chunks (or shifted seeds) and still report identity."""
         monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 0.0)
-        monkeypatch.setattr(executors, "MIN_CAMPAIGN_COST_S", 0.0)
+        monkeypatch.setattr(executors, "COLD_POOL_COST_S", 0.0)
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 2)
         resumed = check(Config(path="resume", executor="auto", batch_size=8,
                                commit_every=1, kill_after=3))

@@ -8,9 +8,9 @@ kernel-level identity against it (``run_batch`` on every chunk shape,
 point by point, and the filter's tags and losslessness), the work
 counts the packing promises (no timers), and the rejection of injection
 cycles outside the workload.  Whole slicing campaigns, at every lane
-width, carrier, executor and path, are ``tests/test_oracle.py``'s.
+width, executor and path, are ``tests/test_oracle.py``'s.
 
-Nothing here asserts which carrier or program ran, so the module passes
+Nothing here asserts which walker or program ran, so the module passes
 unchanged under ``RESCUE_NO_COMPILE=1`` (CI runs it both ways).
 """
 

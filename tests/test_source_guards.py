@@ -146,8 +146,8 @@ GUARDS = (
           ("src/repro/sim/logic.py",)),
     Guard("one_step_program",
           "StepProgram is the only program object: its int kernel replaced "
-          "CompiledProgram, its SoA kernel the per-width SoA step programs "
-          "and their factory",
+          "CompiledProgram; the per-width SoA step programs and their "
+          "factory are gone",
           r"SoaStepProgram|soa_step_program|\bat_width\b|CompiledProgram",
           CODE),
     Guard("no_block_conversions",
@@ -157,16 +157,24 @@ GUARDS = (
           r"\bto_blocks\b|\bmask_array\b",
           CODE),
     Guard("no_soa_step_key",
-          "Circuit._program_cache holds the one 'step' key; the SoA "
-          "kernel is an attribute of that program, not a cache entry",
+          "Circuit._program_cache holds the one 'step' key; its kernels "
+          "are attributes of that program, not cache entries",
           r"[\"']soa_step[\"']",
           CODE),
     Guard("no_facade_lane_backing",
-          "the façades take no carrier: resolve_backing picks it, and "
-          "SeuBackend / SlicingBackend keep lane_backing for callers that "
-          "force one by name",
+          "the façades take no carrier: there is one, and only "
+          "SeuBackend keeps lane_backing, as a retired-name shim that "
+          "accepts None",
           r"lane_backing",
           ("src/repro/soft_error/seu.py", "src/repro/safety/slicing.py")),
+    Guard("one_lane_carrier",
+          "every lane width runs on the packed-int carrier (the native "
+          "walker, the Python walker as reference and fallback): the SoA "
+          "kernel, its lane word, golden table and level-width "
+          "crossovers, and the carrier resolver and its validator are gone",
+          r"_SoaKernel|_SoaLanes|_cycle_table|SOA_MIN_|resolve_backing"
+          r"|check_backing|\.soa\b",
+          ("src",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -235,6 +243,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "no_block_conversions": "arr = vector.to_blocks(v, 4)\n",
         "no_soa_step_key": 'cache[("soa_step", w)] = prog\n',
         "no_facade_lane_backing": "    lane_backing: str | None = None,\n",
+        "one_lane_carrier": "kernel = compiled.step_program(c).soa\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -273,5 +282,7 @@ def test_clean_names_pass():
     assert not regexes["no_block_conversions"].search(
         "vector.from_blocks(arr)")
     assert not regexes["no_soa_step_key"].search("def _soa_step(c, w):")
+    assert not regexes["one_lane_carrier"].search(
+        'name="seu_soa4096", backing="soa"')
     assert not regexes["one_copy_of_each_test_helper"].search(
         "def _rows_of(report):")
