@@ -33,10 +33,15 @@ dozen steps, wherever in the workload the flips fall.
 
 The walker owns the schedule and the retire arithmetic, and it runs on
 one **carrier** at every width: the packed lane word of one bit per
-lane and net.  Where it can, the whole walk runs natively: the step
-program's C walker (:attr:`repro.sim.compiled.StepProgram.native`,
-:func:`_propagate_native`) runs schedule, golden gather and lane sets
-over as many 64-lane ``uint64_t`` blocks as the lanes present occupy.
+lane and net.  Its one schedule format is a flat ``array("q")`` of
+``(cycle, flop index, lane)`` **flip triples**, one per flip, which the
+front ends emit straight from their points (:func:`_propagate`;
+:func:`propagate` adapts a ``{cycle: {flop: lane mask}}`` mapping).
+Where it can, the whole walk runs natively: the step program's C walker
+(:attr:`repro.sim.compiled.StepProgram.native`) reads the triples in
+place and runs schedule, golden gather and lane sets over as many
+64-lane ``uint64_t`` blocks as the lanes present occupy, and the golden
+pass of :func:`build_context` runs on the same C step.
 Without a C compiler (or when its build or load fails)
 :class:`_IntLanes` runs it in Python, an arbitrary-precision int per net
 driven through the compiled step function — the word simply outgrows
@@ -65,7 +70,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import or_, xor
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -172,8 +177,10 @@ class LaneContext:
     trace and the 1-bit golden state *entering* the cycle (what a packed
     run starting mid-workload is seeded from), plus the golden final
     state (the latent check reference).  Each compiled walker derives
-    its own layout of these on first use (:meth:`golden_table`); the
-    interpreter reference replicates a bit across the lanes on the fly.
+    its own layout of these on first use (:meth:`golden_table`) — the
+    native walker's comes ready-made from the C golden pass where that
+    ran — and the interpreter reference replicates a bit across the
+    lanes on the fly.
     """
 
     circuit: Circuit
@@ -192,6 +199,12 @@ class LaneContext:
     @property
     def n_cycles(self) -> int:
         return len(self.stimuli)
+
+    @cached_property
+    def flop_index(self) -> dict[str, int]:
+        """A flop's index in a flip triple: its place in the circuit's
+        flop order, which is the step program's."""
+        return {q: i for i, q in enumerate(self.circuit.flops)}
 
     def golden_table(self, program, layout: Callable[[list], Any]) -> Any:
         """The golden run in a walker's ``layout``, built on the first
@@ -230,9 +243,13 @@ def build_context(
 ) -> LaneContext:
     """Run (or reuse) the golden pass and keep it for ``width`` lanes.
 
-    The pass is one 1-bit :class:`~repro.sim.sequential.SequentialSim`
-    run — on the compiled step program, which the packed runs need
-    anyway, or on the interpreter when compilation is off.
+    The pass is one 1-bit run of the step program the packed runs use
+    anyway: in C when its native walker loads
+    (:meth:`repro.sim.native.LaneWalker.golden`, which lays out the
+    walker's golden table directly, so the campaign never builds the int
+    kernel), else one :class:`~repro.sim.sequential.SequentialSim` run on
+    the compiled step function, or on the interpreter when compilation
+    is off.
 
     ``golden`` may hand in an existing ``(states, values)`` pair in the
     :func:`repro.safety.slicing._golden_states` format — per-cycle
@@ -246,6 +263,12 @@ def build_context(
     if backing not in (None, "int", "soa"):
         raise ValueError(f"unknown lane backing {backing!r}: every width "
                          "runs on the one packed-int carrier")
+    bit_stimuli = [{pi: stim.get(pi, 0) & 1 for pi in circuit.inputs}
+                   for stim in stimuli]
+    program = None if golden is not None \
+        else _compiled.step_program(circuit)
+    if program is not None and program.native is not None:
+        return _native_context(circuit, width, bit_stimuli, program)
     if golden is not None:
         states = [dict(st) for st in golden[0]]
         values = golden[1]
@@ -257,18 +280,37 @@ def build_context(
                        {q: (1 if f.init else 0)
                         for q, f in circuit.flops.items()})
     else:
-        # one 1-bit pass on the step program the packed runs use anyway
-        # (the interpreter when compilation is off)
         sim = SequentialSim(circuit, 1)
         states, trace = [], []
         for stim in stimuli:
             states.append(sim.state)  # step() rebinds, never mutates
             trace.append(sim.step(stim))
         final_state = sim.state
-    bit_stimuli = [{pi: stim.get(pi, 0) & 1 for pi in circuit.inputs}
-                   for stim in stimuli]
     return LaneContext(circuit, width, bit_stimuli, trace, states,
                        final_state)
+
+
+def _native_context(circuit: Circuit, width: int,
+                    bit_stimuli: list[dict[str, int]],
+                    program) -> LaneContext:
+    """The golden pass in C: its table is the native walker's
+    (:func:`_byte_table` layout) as it stands, and the per-cycle dicts
+    the Python walker and the interpreter read are cut from it."""
+    inputs, outputs, flops = program.inputs, program.outputs, program.flop_qs
+    n_in, n_io = len(inputs), len(inputs) + len(outputs)
+    n_rows = n_io + len(flops)
+    stim = bytes(bits[pi] for bits in bit_stimuli for pi in inputs)
+    init = bytes(map(bool, program.flop_inits))
+    n_cycles = len(bit_stimuli)
+    gold = program.native.golden(stim, n_cycles, init)
+    rows = range(0, n_cycles * n_rows, n_rows)
+    ctx = LaneContext(
+        circuit, width, bit_stimuli,
+        [dict(zip(outputs, gold[at + n_in:at + n_io])) for at in rows],
+        [dict(zip(flops, gold[at + n_io:at + n_rows])) for at in rows],
+        dict(zip(flops, gold[n_cycles * n_rows + n_io:])))
+    ctx.__dict__["_tables"] = {_byte_table: (program, gold)}
+    return ctx
 
 
 def check_cycles(cycles: Sequence[int], n_cycles: int) -> None:
@@ -293,28 +335,65 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
 
     ``flips[cycle][flop]`` is the lane mask XORed into that flop's state
     *before* the cycle is evaluated (an SEU flip, or the state delta a
-    transient injection left behind).  Lanes are golden until their
-    first flip, so starting at ``start`` (the earliest flip cycle) from
-    the replicated golden entering-state loses nothing; flips scheduled
-    before ``start`` or past the workload never fire.
-
-    The compiled walker (:func:`_propagate_skewed`) executes a step only
-    while some lane is still undecided.  With compilation off
-    (``RESCUE_NO_COMPILE`` / ``compiled.disabled()``, possibly entered
-    after the context was built) there is no program and the reference
-    interpreter below runs every cycle from ``start`` to the end of the
-    workload — the full-length reference both walkers are tested
-    against.
+    transient injection left behind); lanes at or above ``n_lanes`` (or
+    the context's width) are not run.  A thin adapter: the mask bits go
+    to :func:`_propagate` as the flip triples the front ends build
+    directly.
 
     Returns ``(fail_mask, latent_mask)``: lanes whose PO bits diverged
     from the golden trace in some cycle, and lanes whose final state
     differs without any PO divergence.
     """
-    mask = mask_of(ctx.width)
-    lanes = mask_of(n_lanes) & mask
+    n_live = min(n_lanes, ctx.width)
+    index = ctx.flop_index
+    triples = array("q")
+    for cyc, due in flips.items():
+        for q, lane_mask in due.items():
+            if lane_mask.bit_length() > n_live:
+                lane_mask &= mask_of(n_live)
+            while lane_mask:
+                lane = lane_mask.bit_length() - 1
+                triples.extend((cyc, index[q], lane))
+                lane_mask ^= 1 << lane
+    return _propagate(ctx, triples, start, n_live)
+
+
+def _propagate(ctx: LaneContext, triples: array, start: int,
+               n_live: int) -> tuple[int, int]:
+    """The packed propagation of ``n_live`` lanes under one flip
+    schedule: ``triples`` is an ``array("q")`` of flat ``(cycle, flop
+    index, lane)`` triples, one per flip (:attr:`LaneContext
+    .flop_index`; a triple repeated flips twice).  Lanes are golden until
+    their first flip, so starting at ``start`` (the earliest flip cycle)
+    from the golden entering-state loses nothing; flips scheduled before
+    ``start`` or past the workload never fire.  A lane outside ``[0,
+    n_live)`` or an unknown flop index raises ``ValueError``.
+
+    The compiled walker (:func:`_propagate_skewed`, in C where the
+    program's native walker loads) executes a step only while some lane
+    is still undecided.  With compilation off (``RESCUE_NO_COMPILE`` /
+    ``compiled.disabled()``, possibly entered after the context was
+    built) there is no program and the reference interpreter below runs
+    every cycle from ``start`` to the end of the workload — the
+    full-length reference both walkers are tested against.
+    """
     program = _compiled.step_program(ctx.circuit)
     if program is not None:
-        return _propagate_skewed(ctx, program, flips, start, lanes)
+        kernel = program.native
+        if kernel is not None:
+            fail, latent, steps = kernel.walk(
+                ctx.golden_table(program, _byte_table), ctx.n_cycles,
+                triples, start, n_live)
+            ctx.steps_run += steps
+            return fail, latent
+        return _propagate_skewed(ctx, program, triples, start, n_live)
+    mask = mask_of(ctx.width)
+    flops = list(ctx.circuit.flops)
+    flips: dict[int, dict[str, int]] = {}
+    for cyc, q, lane in _fired(triples, start, ctx.n_cycles, n_live,
+                               len(flops)):
+        per_cycle = flips.setdefault(cyc, {})
+        per_cycle[flops[q]] = per_cycle.get(flops[q], 0) ^ 1 << lane
 
     def replicated(bits: Mapping[str, int]) -> dict[str, int]:
         return {net: mask if bit else 0 for net, bit in bits.items()}
@@ -333,17 +412,27 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
     diff = 0
     for q, word in replicated(ctx.final_state).items():
         diff |= sim.state[q] ^ word
+    lanes = mask_of(n_live)
     fail &= lanes
     return fail, diff & lanes & ~fail
 
 
-def _flip_cycles(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
-                 start: int) -> list[int]:
-    """The cycles at which ``flips`` fires inside ``[start, n_cycles)``,
-    ascending."""
-    start = max(start, 0)  # a negative index would wrap into golden data
-    return sorted(cyc for cyc, cyc_flips in flips.items()
-                  if cyc_flips and start <= cyc < ctx.n_cycles)
+def _fired(triples: array, start: int, n_cycles: int, n_live: int,
+           n_flops: int) -> list[tuple[int, int, int]]:
+    """The triples of the Python walkers that fire — cycle inside
+    ``[max(start, 0), n_cycles)`` — once every triple is checked as the
+    native walker checks it."""
+    lo = max(start, 0)  # a negative index would wrap into golden data
+    it = iter(triples)
+    fired = []
+    for cyc, q, lane in zip(it, it, it):
+        if not (0 <= lane < n_live and 0 <= q < n_flops):
+            raise ValueError(f"flip triple (cycle, flop, lane) = "
+                             f"{(cyc, q, lane)} names a lane outside "
+                             f"[0, {n_live}) or an unknown flop")
+        if lo <= cyc < n_cycles:
+            fired.append((cyc, q, lane))
+    return fired
 
 
 def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
@@ -351,8 +440,8 @@ def _diverged(words: Sequence[int], golden: Sequence[int]) -> int:
     return reduce(or_, map(xor, words, golden), 0)
 
 
-def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
-                      live: int) -> tuple[int, int]:
+def _propagate_skewed(ctx: LaneContext, program, triples: array,
+                      start: int, n_live: int) -> tuple[int, int]:
     """The compiled packed propagation: every lane on its own clock.
 
     Lane *i*, whose first flip is due at cycle ``s_i``, does not sit in
@@ -375,33 +464,24 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
     inputs a lane is fed is nobody's business but its own.  A retired
     lane keeps computing on whatever it is fed and is never read again.
 
-    The whole walk runs natively when the program's C walker is loaded
-    (:attr:`repro.sim.compiled.StepProgram.native`,
-    :func:`_propagate_native`): the same schedule, gather and lane sets,
-    so the same outcomes and the same ``steps_run``.  Otherwise the
-    schedule and the lane sets (Python ints — a 4096-bit int is free
-    next to a circuit step) live here and :class:`_IntLanes` stores the
-    lane word: ``flip(due)`` XORs lane masks into flop states,
-    ``step()`` runs one cycle and answers with the lanes whose outputs
-    diverged from their golden bits in it and the lanes whose state
-    differs from the golden state entering the next.
+    This is the Python walker, the reference the native one
+    (:data:`repro.sim.compiled._C_WALKER`, the same schedule, gather and
+    lane sets from the same triples, so the same outcomes and the same
+    ``steps_run``) is tested against and the fallback where it does not
+    load.  The schedule and the lane sets (Python ints — a 4096-bit int
+    is free next to a circuit step) live here and :class:`_IntLanes`
+    stores the lane word: ``flip(due)`` XORs lane masks into flop
+    states, ``step()`` runs one cycle and answers with the lanes whose
+    outputs diverged from their golden bits in it and the lanes whose
+    state differs from the golden state entering the next.
     """
-    kernel = program.native
-    if kernel is not None:
-        return _propagate_native(ctx, program, kernel, flips, start, live)
-    cycles = _flip_cycles(ctx, flips, start)
-    starts, sched = _skewed_schedule(flips, cycles, live)
+    starts, sched, waiting = _skewed_schedule(
+        _fired(triples, start, ctx.n_cycles, n_live, len(program.flop_qs)))
     if not starts:  # no live lane flips inside the workload
         return 0, 0
-    # waiting[t]: the lanes with a flip of their own still to come once
-    # step t's flips are in
-    waiting, later = {}, 0
-    for at in sorted(sched, reverse=True):
-        waiting[at] = later
-        later |= reduce(or_, sched[at].values())
     n_cycles = ctx.n_cycles
-    word = _IntLanes(ctx, program, starts, live)
-    active = later  # every lane that flips at all
+    word = _IntLanes(ctx, program, starts, mask_of(n_live))
+    active = reduce(or_, starts.values())  # every lane that flips at all
     fail = latent = pending = 0
     step = 0
     while active:
@@ -419,58 +499,34 @@ def _propagate_skewed(ctx: LaneContext, program, flips, start: int,
     return fail, latent
 
 
-def _skewed_schedule(flips: Mapping[int, Mapping[str, int]],
-                     cycles: Sequence[int], live: int
-                     ) -> tuple[dict[int, int], dict[int, dict[str, int]]]:
-    """``flips`` at its (ascending) ``cycles``, re-timed to the lanes'
-    own clocks: ``starts[c]`` are the ``live`` lanes whose first flip
-    is due at cycle ``c``, ``sched[t][flop]`` the lanes that flip
-    ``flop`` at walk step ``t`` — their own start plus ``t``."""
+def _skewed_schedule(fired: Sequence[tuple[int, int, int]]
+                     ) -> tuple[dict[int, int], dict[int, dict[int, int]],
+                                dict[int, int]]:
+    """The ``fired`` triples re-timed to the lanes' own clocks:
+    ``starts[c]`` are the lanes whose first flip is due at cycle ``c``,
+    ``sched[t][q]`` the lanes that flip flop index ``q`` at walk step
+    ``t`` — their own start plus ``t`` — and ``waiting[t]`` the lanes
+    with a flip of their own still to come once step ``t``'s flips are
+    in."""
+    first: dict[int, int] = {}
+    for cyc, _, lane in fired:
+        if first.get(lane, cyc) >= cyc:
+            first[lane] = cyc
     starts: dict[int, int] = {}
-    sched: dict[int, dict[str, int]] = {}
-    started = 0
-    for cyc in cycles:
-        due = flips[cyc]
-        fresh = reduce(or_, due.values()) & live & ~started
-        if fresh:
-            starts[cyc] = fresh
-        for q, lane_mask in due.items():
-            # (a lane already on its way is looked up among all starts;
-            # the usual schedule, one flip cycle per lane, has none)
-            for first, group in (starts.items() if lane_mask & started
-                                 else ((cyc, fresh),)):
-                if lane_mask & group:
-                    at = sched.setdefault(cyc - first, {})
-                    at[q] = at.get(q, 0) | lane_mask & group
-        started |= fresh
-    return starts, sched
-
-
-def _propagate_native(ctx: LaneContext, program, kernel, flips, start: int,
-                      live: int) -> tuple[int, int]:
-    """:func:`_propagate_skewed` in C: the flips that fire go over as
-    flat ``(cycle, flop index)`` pairs and 64-lane block words of their
-    ``live`` lanes, the walk builds the schedule and runs to its end,
-    and the fail and latent words come back.  The block words go into
-    one buffer the walk borrows without a copy: at 4096 lanes a chunk's
-    are ~2 MB."""
-    n_live = live.bit_length()
-    size = 8 * _vector.blocks_for(n_live)
-    lo, n_cycles, q_index = max(start, 0), ctx.n_cycles, program.q_index
-    entries, masks = array("q"), bytearray()
-    for cyc, due in flips.items():
-        if lo <= cyc < n_cycles:
-            for q, lane_mask in due.items():
-                lane_mask &= live
-                if lane_mask:
-                    entries.append(cyc)
-                    entries.append(q_index[q])
-                    masks += lane_mask.to_bytes(size, "little")
-    fail, latent, steps = kernel.walk(
-        ctx.golden_table(program, _byte_table), n_cycles, entries.tobytes(),
-        masks, start, n_live)
-    ctx.steps_run += steps
-    return fail, latent
+    for lane, cyc in first.items():
+        starts[cyc] = starts.get(cyc, 0) | 1 << lane
+    sched: dict[int, dict[int, int]] = {}
+    flipping: dict[int, int] = {}  # the lanes with a flip at step t
+    for cyc, q, lane in fired:
+        at = cyc - first[lane]
+        due = sched.setdefault(at, {})
+        due[q] = due.get(q, 0) ^ 1 << lane
+        flipping[at] = flipping.get(at, 0) | 1 << lane
+    waiting, later = {}, 0
+    for at in sorted(sched, reverse=True):
+        waiting[at] = later
+        later |= flipping[at]
+    return starts, sched, waiting
 
 
 def _byte_table(bits: Sequence[Sequence[int]]) -> bytes:
@@ -488,7 +544,6 @@ class _IntLanes:
                  live: int) -> None:
         self.n_in = len(program.inputs)
         self.n_io = self.n_in + len(program.outputs)
-        self.q_index = program.q_index
         self.fn = program.fn
         self.live = live
         self.golden = _skewed_golden(ctx, program, starts,
@@ -496,10 +551,10 @@ class _IntLanes:
         self.rows = next(self.golden)
         self.state = self.rows[self.n_io:]
 
-    def flip(self, due: Mapping[str, int]) -> None:
+    def flip(self, due: Mapping[int, int]) -> None:
         state = self.state = list(self.state)
         for q, lane_mask in due.items():
-            state[self.q_index[q]] ^= lane_mask
+            state[q] ^= lane_mask
 
     def step(self) -> tuple[int, int]:
         rows, n_in, n_io = self.rows, self.n_in, self.n_io
@@ -644,20 +699,17 @@ def seu_outcomes(ctx: LaneContext,
     if len(points) > ctx.width:
         raise ValueError(f"{len(points)} points exceed lane width "
                          f"{ctx.width}")
-    flips: dict[int, dict[str, int]] = {}
-    n_cycles = start = ctx.n_cycles
-    for lane, (flop, cyc) in enumerate(points):
-        if cyc < 0 or cyc >= n_cycles:
-            # the flip never fires inside the workload: provably masked
-            # (matching inject_seu; a negative index must not reach the
-            # context lists, where it would wrap around)
-            continue
-        per_cycle = flips.setdefault(cyc, {})
-        per_cycle[flop] = per_cycle.get(flop, 0) | (1 << lane)
-        start = min(start, cyc)
-    if start >= n_cycles:
+    index, n_cycles = ctx.flop_index, ctx.n_cycles
+    # outside the workload a flip never fires: provably masked, matching
+    # inject_seu (a negative index must not reach the context lists,
+    # where it would wrap around)
+    triples = array("q", [
+        field for lane, (flop, cyc) in enumerate(points)
+        if 0 <= cyc < n_cycles for field in (cyc, index[flop], lane)])
+    if not triples:
         return [MASKED] * len(points)
-    fail, latent = propagate(ctx, flips, start, len(points))
+    start = min(triples[::3])
+    fail, latent = _propagate(ctx, triples, start, len(points))
     return _outcome_list(fail, latent, len(points))
 
 
@@ -684,7 +736,8 @@ def transient_outcomes(
         raise ValueError(f"{len(points)} points exceed lane width "
                          f"{ctx.width}")
     outcomes: list[str | None] = [None] * len(points)
-    flips: dict[int, dict[str, int]] = {}
+    index = ctx.flop_index
+    triples = array("q")
     start = ctx.n_cycles
     lane_of: list[int] = []
     for i, (fault, cyc) in enumerate(points):
@@ -704,14 +757,13 @@ def transient_outcomes(
         if cyc + 1 >= ctx.n_cycles:
             outcomes[i] = LATENT  # perturbed state survives to the end
             continue
-        lane_mask = 1 << len(lane_of)
-        per_cycle = flips.setdefault(cyc + 1, {})
+        lane = len(lane_of)
         for q in perturbed:
-            per_cycle[q] = per_cycle.get(q, 0) | lane_mask
+            triples.extend((cyc + 1, index[q], lane))
         start = min(start, cyc + 1)
         lane_of.append(i)
     if lane_of:
-        fail, latent = propagate(ctx, flips, start, len(lane_of))
+        fail, latent = _propagate(ctx, triples, start, len(lane_of))
         labels = _outcome_list(fail, latent, len(lane_of))
         for i, label in zip(lane_of, labels):
             outcomes[i] = label

@@ -24,12 +24,13 @@ and flop D inputs).  It carries two kernels, each built the first time
 it is read: the generated int function above (:attr:`StepProgram.fn`)
 and the native walker (:attr:`StepProgram.native`) — the same step
 emitted as C (:attr:`StepProgram.c_source`) together with the whole
-skewed lane walk, built by the host C compiler and loaded with
-:mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where that cannot
-be had.  Every lane width runs on them: the lane walker drives the C
-walker over as many 64-lane ``uint64_t`` blocks as its lanes occupy, and
-the int function over arbitrary-precision ints where there is no C
-walker.
+skewed lane walk and the golden pass, built by the host C compiler and
+loaded with :mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where
+that cannot be had.  Every lane width runs on them: the lane walker
+drives the C walker over as many 64-lane ``uint64_t`` blocks as its
+lanes occupy, and the int function over arbitrary-precision ints where
+there is no C walker.  A campaign on the C walker runs its golden pass
+in C too, so it never builds the int function.
 
 One-shot evaluations interpret: :func:`repro.sim.logic.simulate` has no
 compiled form, because a cold full-circuit compile costs about seventy
@@ -214,18 +215,18 @@ def _live_gates(circuit: Circuit) -> list[Gate]:
 class StepProgram:
     """One clock of one circuit, with an int and a native kernel.
 
-    The header — inputs, flop Qs and inits, outputs, ``q_index`` and the
-    live gates — is shared; each kernel is built the first time it is
-    read, so a campaign builds only the kernels its walker runs.  Only
-    gates in the cone of influence of the observables (POs and flop D
-    inputs) are evaluated: dead logic cannot change a PO or a next state.
+    The header — inputs, flop Qs and inits, outputs and the live gates —
+    is shared; each kernel is built the first time it is read, so a
+    campaign builds only the kernels its walker runs.  Only gates in the
+    cone of influence of the observables (POs and flop D inputs) are
+    evaluated: dead logic cannot change a PO or a next state.
 
     * :attr:`fn` — ``fn(pis, state, mask)`` returns ``(po_values,
       next_state)`` tuples over Python ints (generated from
       :attr:`source`);
-    * :attr:`native` — the lane walker's whole skewed walk in C
-      (:attr:`c_source`, :mod:`repro.sim.native`; needs a C compiler),
-      or ``None``.
+    * :attr:`native` — the lane walker's whole skewed walk and the
+      golden pass in C (:attr:`c_source`, :mod:`repro.sim.native`;
+      needs a C compiler), or ``None``.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -235,7 +236,6 @@ class StepProgram:
         self.flop_inits = tuple(f.init for f in circuit.flops.values())
         self.flop_ds = tuple(f.d for f in circuit.flops.values())
         self.outputs = tuple(circuit.outputs)
-        self.q_index = {q: i for i, q in enumerate(self.flop_qs)}
         self.gates = _live_gates(circuit)
 
     @cached_property
@@ -261,8 +261,8 @@ class StepProgram:
     @cached_property
     def c_source(self) -> str:
         """One C translation unit: this step as a ``static`` function
-        over one 64-lane ``uint64_t`` block, then the skewed walker that
-        drives it (:data:`_C_WALKER`)."""
+        over one 64-lane ``uint64_t`` block, then the skewed walker and
+        the golden pass that drive it (:data:`_C_WALKER`)."""
         emit = _Emitter("    const uint64_t {} = {};")
         loads = [f"    const uint64_t {slot} = {arg}[{i}];"
                  for arg, nets in (("pis", self.inputs),
@@ -299,7 +299,8 @@ class StepProgram:
         then runs the int kernel :attr:`fn`."""
         from . import native
         lib = native.load(self.c_source)
-        return None if lib is None else native.LaneWalker(lib)
+        return None if lib is None else native.LaneWalker(
+            lib, len(self.inputs), len(self.outputs), len(self.flop_qs))
 
     def run(self, pi_values: Mapping[str, int], state: Mapping[str, int],
             mask: int) -> tuple[dict[str, int], dict[str, int]]:
@@ -331,17 +332,25 @@ def step_program(circuit: Circuit) -> StepProgram | None:
 #: The walker half of :attr:`StepProgram.c_source`, the same for every
 #: circuit: :func:`repro.engine.lanes._propagate_skewed` with its
 #: schedule, golden gather and lane sets, over ``n_blocks`` 64-lane
-#: ``uint64_t`` words.  Every function is ``static`` but the one export,
-#: ``rescue_kernel``: a table of the step and the walk (a non-static
-#: ``step`` would bind to glibc's legacy ``step()``).
+#: ``uint64_t`` words, and the golden pass.  Every function is
+#: ``static`` but the one export, ``rescue_kernel``: a table of the
+#: step, the walk and the golden pass (a non-static ``step`` would bind
+#: to glibc's legacy ``step()``).
 #:
-#: ``rescue_walk(gold, n_cycles, n_entries, entries, masks, start,
-#: n_live, out)``: ``gold`` is the golden table, one byte (0/1) per row
-#: — inputs, outputs, flops entering the cycle — per cycle, plus the
-#: final state; entry *e* flips flop ``entries[2e + 1]`` at cycle
-#: ``entries[2e]`` in the lanes of ``masks[e * n_blocks ...]``.  Writes
-#: the fail words then the latent words to ``out`` and returns the
-#: steps it ran (-1: out of memory).
+#: ``walk(gold, n_cycles, n_triples, triples, start, n_live, out)``:
+#: ``gold`` is the golden table, one byte (0/1) per row — inputs,
+#: outputs, flops entering the cycle — per cycle, plus the final state;
+#: triple *e* flips flop ``triples[3e + 1]`` of lane ``triples[3e + 2]``
+#: before cycle ``triples[3e]``.  A triple whose cycle is outside
+#: ``[max(start, 0), n_cycles)`` never fires.  Writes the fail words then
+#: the latent words of the ``ceil(n_live / 64)`` blocks to ``out`` and
+#: returns the steps it ran; -1: out of memory; ``-2 - e``: triple *e*
+#: names a lane outside ``[0, n_live)`` or a flop outside ``[0,
+#: N_FLOPS)`` (nothing is walked).
+#:
+#: ``golden(stim, n_cycles, init, gold)``: the golden pass on lane 0 from
+#: the flops' ``init`` bytes, over ``stim``, ``N_IN`` bytes (0/1) per
+#: cycle; writes ``gold`` in the layout ``walk`` reads.
 _C_WALKER = r"""
 #define N_ROWS (N_IN + N_OUT + N_FLOPS)
 #define N_IO (N_IN + N_OUT)
@@ -388,22 +397,25 @@ static int by_step(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-static int64_t walk(const uint8_t *gold, int64_t n_cycles, int64_t n_entries,
-                    const int64_t *entries, const uint64_t *masks,
-                    int64_t start, int64_t n_live, uint64_t *out)
+static int64_t walk(const uint8_t *gold, int64_t n_cycles, int64_t n_triples,
+                    const int64_t *triples, int64_t start, int64_t n_live,
+                    uint64_t *out)
 {
     const int64_t nb = (n_live + 63) / 64, lo = start > 0 ? start : 0;
-    int64_t n_bits = 0, n_all = 0, n_unchained = 0, n_flips = 0;
+    int64_t n_all = 0, n_unchained = 0, n_flips = 0;
+    for (int64_t e = 0; e < n_triples; e++) {
+        int64_t flop = triples[3 * e + 1], lane = triples[3 * e + 2];
+        if (lane < 0 || lane >= n_live || flop < 0 || flop >= N_FLOPS)
+            return -2 - e;
+    }
     if (n_live <= 0)
         return 0;
-    for (int64_t e = 0; e < n_entries * nb; e++)
-        n_bits += __builtin_popcountll(masks[e]);
     int64_t *first = malloc((n_live + 1) * sizeof *first);
     int64_t *last_flip = malloc((n_live + 1) * sizeof *last_flip);
     int64_t *at = malloc(2 * (nb + 1) * sizeof *at);
     group_t *all = malloc((n_live + 1) * sizeof *all);
     group_t *unchained = malloc((n_live + 1) * sizeof *unchained);
-    flip_t *flips = malloc((n_bits + 1) * sizeof *flips);
+    flip_t *flips = malloc((n_triples + 1) * sizeof *flips);
     uint64_t *words = malloc(nb * (N_ROWS + N_FLOPS + 3) * sizeof *words);
     int64_t steps = -1;
     if (!first || !last_flip || !at || !all || !unchained || !flips
@@ -417,16 +429,11 @@ static int64_t walk(const uint8_t *gold, int64_t n_cycles, int64_t n_entries,
     for (int64_t b = 0; b < 2 * nb; b++)
         out[b] = 0;
     /* each lane starts at its first flip inside [start, n_cycles) */
-    for (int64_t e = 0; e < n_entries; e++) {
-        int64_t cycle = entries[2 * e];
-        if (cycle < lo || cycle >= n_cycles)
-            continue;
-        for (int64_t b = 0; b < nb; b++)
-            for (uint64_t m = masks[e * nb + b]; m; m &= m - 1) {
-                int64_t lane = 64 * b + __builtin_ctzll(m);
-                if (lane < n_live && (first[lane] < 0 || cycle < first[lane]))
-                    first[lane] = cycle;
-            }
+    for (int64_t e = 0; e < n_triples; e++) {
+        int64_t cycle = triples[3 * e], lane = triples[3 * e + 2];
+        if (cycle >= lo && cycle < n_cycles
+            && (first[lane] < 0 || cycle < first[lane]))
+            first[lane] = cycle;
     }
     /* per block: every lane's start group, and the groups of the lanes
        whose upper neighbour does not start one cycle later */
@@ -453,32 +460,17 @@ static int64_t walk(const uint8_t *gold, int64_t n_cycles, int64_t n_entries,
     at[2 * nb] = n_all;
     at[2 * nb + 1] = n_unchained;
     /* the flips on the lanes' own clocks: step = cycle - lane start */
-    for (int64_t e = 0; e < n_entries; e++) {
-        int64_t cycle = entries[2 * e];
+    for (int64_t e = 0; e < n_triples; e++) {
+        int64_t cycle = triples[3 * e], lane = triples[3 * e + 2];
         if (cycle < lo || cycle >= n_cycles)
             continue;
-        for (int64_t b = 0; b < nb; b++) {
-            uint64_t m = masks[e * nb + b] & active[b];
-            while (m) {
-                int64_t step = cycle - first[64 * b + __builtin_ctzll(m)];
-                uint64_t same = 0;
-                for (uint64_t rest = m; rest; rest &= rest - 1) {
-                    int64_t bit = __builtin_ctzll(rest);
-                    if (cycle - first[64 * b + bit] == step)
-                        same |= (uint64_t)1 << bit;
-                }
-                flips[n_flips].step = step;
-                flips[n_flips].flop = entries[2 * e + 1];
-                flips[n_flips].block = b;
-                flips[n_flips++].lanes = same;
-                m &= ~same;
-                for (; same; same &= same - 1) {
-                    int64_t lane = 64 * b + __builtin_ctzll(same);
-                    if (step > last_flip[lane])
-                        last_flip[lane] = step;
-                }
-            }
-        }
+        int64_t step = cycle - first[lane];
+        flips[n_flips].step = step;
+        flips[n_flips].flop = triples[3 * e + 1];
+        flips[n_flips].block = lane / 64;
+        flips[n_flips++].lanes = (uint64_t)1 << (lane % 64);
+        if (step > last_flip[lane])
+            last_flip[lane] = step;
     }
     qsort(flips, n_flips, sizeof *flips, by_step);
     steps = 0;
@@ -544,10 +536,37 @@ done:
     return steps;
 }
 
+/* the golden run on lane 0 of one block: per cycle the stimulus, the
+   outputs and the state entering it, then the final state */
+static void golden(const uint8_t *stim, int64_t n_cycles, const uint8_t *init,
+                   uint8_t *gold)
+{
+    uint64_t pis[N_IN + 1], state[N_FLOPS + 1], po[N_OUT + 1],
+        nxt[N_FLOPS + 1];
+    for (int64_t q = 0; q < N_FLOPS; q++)
+        state[q] = init[q] & 1;
+    for (int64_t c = 0; c < n_cycles; c++, gold += N_ROWS) {
+        for (int64_t i = 0; i < N_IN; i++)
+            gold[i] = pis[i] = stim[c * N_IN + i] & 1;
+        circuit_step(pis, state, po, nxt);
+        for (int64_t o = 0; o < N_OUT; o++)
+            gold[N_IN + o] = po[o] & 1;
+        for (int64_t q = 0; q < N_FLOPS; q++) {
+            gold[N_IO + q] = state[q];
+            state[q] = nxt[q] & 1;
+        }
+    }
+    for (int64_t r = 0; r < N_IO; r++)
+        gold[r] = 0;
+    for (int64_t q = 0; q < N_FLOPS; q++)
+        gold[N_IO + q] = state[q];
+}
+
 const struct {
     void (*step)(const uint64_t *restrict, const uint64_t *restrict,
                  uint64_t *restrict, uint64_t *restrict);
     int64_t (*walk)(const uint8_t *, int64_t, int64_t, const int64_t *,
-                    const uint64_t *, int64_t, int64_t, uint64_t *);
-} rescue_kernel = {circuit_step, walk};
+                    int64_t, int64_t, uint64_t *);
+    void (*golden)(const uint8_t *, int64_t, const uint8_t *, uint8_t *);
+} rescue_kernel = {circuit_step, walk, golden};
 """

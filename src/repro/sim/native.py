@@ -5,9 +5,9 @@ Two kernels are served, each one translation unit:
 
 * the lane walker of a step program
   (:attr:`repro.sim.compiled.StepProgram.c_source`, one per circuit: the
-  step over one 64-lane ``uint64_t`` block and the whole skewed walk of
-  :func:`repro.engine.lanes._propagate_skewed`), wrapped by
-  :class:`LaneWalker`;
+  step over one 64-lane ``uint64_t`` block, the whole skewed walk of
+  :func:`repro.engine.lanes._propagate_skewed` and the golden pass that
+  lays out its golden table), wrapped by :class:`LaneWalker`;
 * the PPSFP root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one
   source for every design: it interprets the flat tables
   :func:`repro.sim.fault_sim._native_table` builds), wrapped by
@@ -33,8 +33,9 @@ build, a library that does not load or an unusable cache directory,
 :func:`load` logs one warning per process and returns ``None``, and the
 caller runs its Python reference — the int lane walker, or
 :func:`repro.sim.fault_sim._root_walk` — that the kernel is tested
-against.  This module (and :mod:`ctypes`) is imported on the first
-native walk, not before.
+against.  This module (and :mod:`ctypes`) is imported by the first
+kernel asked for — a design's golden pass (:func:`repro.engine.lanes
+.build_context`) or the first PPSFP sweep — not before.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
 
 log = logging.getLogger(__name__)
 
@@ -80,40 +82,71 @@ class _LaneExports(ctypes.Structure):
         ("step", ctypes.CFUNCTYPE(None, _u64p, _u64p, _u64p, _u64p)),
         ("walk", ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_char_p,
                                   ctypes.c_int64, ctypes.c_int64,
-                                  ctypes.c_char_p, ctypes.c_char_p,
-                                  ctypes.c_int64, ctypes.c_int64, _u64p))]
+                                  ctypes.c_void_p, ctypes.c_int64,
+                                  ctypes.c_int64, _u64p)),
+        ("golden", ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_int64,
+                                    ctypes.c_char_p, _u64p))]
 
 
 class LaneWalker:
-    """A loaded lane walker: :meth:`walk`, and :attr:`step` —
-    ``step(pis, state, po, nxt)`` over ``uint64_t`` arrays, one clock of
-    one 64-lane block (what the walk calls; exposed for the tests)."""
+    """A loaded lane walker of a design with ``n_in`` inputs, ``n_out``
+    outputs and ``n_flops`` flops: :meth:`walk`, :meth:`golden`, and
+    :attr:`step` — ``step(pis, state, po, nxt)`` over ``uint64_t``
+    arrays, one clock of one 64-lane block (what both call; exposed for
+    the tests).  The buffers C reads are checked against that shape
+    first."""
 
-    def __init__(self, lib: Library) -> None:
+    def __init__(self, lib: Library, n_in: int, n_out: int,
+                 n_flops: int) -> None:
         self.path = lib.path
         exports = lib.exports(_LaneExports)
         self.step, self._walk = exports.step, exports.walk
+        self._golden = exports.golden
+        self.n_in, self.n_flops = n_in, n_flops
+        self.n_rows = n_in + n_out + n_flops
 
-    def walk(self, gold: bytes, n_cycles: int, entries: bytes,
-             masks: bytearray, start: int,
+    def walk(self, gold: bytes, n_cycles: int, triples: array, start: int,
              n_live: int) -> tuple[int, int, int]:
         """The skewed walk of ``n_live`` lanes (argument layout:
-        :data:`repro.sim.compiled._C_WALKER`; ``entries`` as bytes of
-        int64 pairs, ``masks`` a buffer of ``uint64_t`` block words that
-        is lent to C, not copied).  Returns ``(fail, latent, steps)``."""
-        # lent by its first byte: a c_char array type per length would
-        # cost a type creation, and a cache entry, per distinct size
-        lent = ctypes.byref(ctypes.c_char.from_buffer(masks)) if masks \
-            else None
+        :data:`repro.sim.compiled._C_WALKER`): ``triples`` is an
+        ``array("q")`` of flat ``(cycle, flop index, lane)`` triples,
+        one per flip, that C reads in place.  Returns ``(fail, latent,
+        steps)``; raises :class:`ValueError` on a triple whose lane is
+        outside ``[0, n_live)`` or whose flop is not one of the
+        design's (a cycle outside the workload only never fires)."""
+        if triples.typecode != "q" or len(triples) % 3:
+            raise ValueError("flip triples must be an array('q') of "
+                             "(cycle, flop, lane) triples")
+        if len(gold) != (n_cycles + 1) * self.n_rows:
+            raise ValueError(f"golden table of {len(gold)} bytes for "
+                             f"{n_cycles} cycles of {self.n_rows} rows")
         size = 8 * ((n_live + 63) >> 6)
         out = ctypes.create_string_buffer(2 * size)
-        steps = self._walk(gold, n_cycles, len(entries) // 16, entries,
-                           lent, start, n_live, out)
-        if steps < 0:
+        steps = self._walk(gold, n_cycles, len(triples) // 3,
+                           triples.buffer_info()[0], start, n_live, out)
+        if steps == -1:
             raise MemoryError("native lane walker: out of memory")
+        if steps < 0:
+            at = 3 * (-2 - steps)
+            raise ValueError(f"flip triple (cycle, flop, lane) = "
+                             f"{tuple(triples[at:at + 3])} names a lane "
+                             f"outside [0, {n_live}) or an unknown flop")
         raw = out.raw
         return (int.from_bytes(raw[:size], "little"),
                 int.from_bytes(raw[size:], "little"), steps)
+
+    def golden(self, stim: bytes, n_cycles: int, init: bytes) -> bytes:
+        """The golden pass over ``n_cycles`` of ``stim`` (one byte, 0 or
+        1, per input per cycle) from the flop ``init`` bytes: the golden
+        table the walk reads, one byte per row per cycle plus the
+        final-state row (layout: :data:`repro.sim.compiled._C_WALKER`)."""
+        if len(stim) != n_cycles * self.n_in or len(init) != self.n_flops:
+            raise ValueError(f"{len(stim)} stimulus and {len(init)} init "
+                             f"bytes for {n_cycles} cycles of {self.n_in} "
+                             f"inputs and {self.n_flops} flops")
+        out = ctypes.create_string_buffer((n_cycles + 1) * self.n_rows)
+        self._golden(stim, n_cycles, init, out)
+        return out.raw
 
 
 class _RootExports(ctypes.Structure):

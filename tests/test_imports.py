@@ -117,25 +117,30 @@ print(json.dumps([executors_used, sorted(modules)]))
 
 
 @needs_native
-def test_native_walker_loads_on_the_first_walk():
-    # prepare() builds the golden run and the step program; the native
-    # library (and ctypes) load with the first packed walk, not before
-    before, after = _fresh("""
+def test_native_walker_loads_with_the_golden_pass():
+    # building the backend loads neither ctypes nor the native module;
+    # prepare() runs the golden pass on the native step, so it loads
+    # both, and neither it nor the first packed walk builds the step
+    # program's int kernel
+    before, after, fn = _fresh("""
 import json, sys
 from repro.circuit.library import random_sequential
 from repro.engine import SeuBackend
+from repro.sim import compiled
 from repro.soft_error.seu import random_workload
 
 native = ("ctypes", "repro.sim.native")
 circuit = random_sequential(6, 60, 8, 4, seed=5)
 backend = SeuBackend(circuit, random_workload(circuit, 12, seed=5),
                      lane_width=64)
-backend.prepare()
 before = [m for m in native if m in sys.modules]
+backend.prepare()
+after = [m for m in native if m in sys.modules]
 backend.run_batch([(flop, 3) for flop in circuit.flops])
-print(json.dumps([before, [m for m in native if m in sys.modules]]))
+print(json.dumps([before, after,
+                  "fn" in vars(compiled.step_program(circuit))]))
 """)
-    assert (before, after) == ([], ["ctypes", "repro.sim.native"])
+    assert (before, after, fn) == ([], ["ctypes", "repro.sim.native"], False)
 
 
 @needs_native

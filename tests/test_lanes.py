@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from array import array
 from dataclasses import replace
 from functools import partial
 
@@ -354,16 +355,18 @@ SHAPES = ("first", "last", "tail", "anywhere", "sparse", "ramp", "twice",
           "scattered")
 
 
-def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
+def _random_schedule(rng, circuit, n_cycles, n_lanes, shape, extra=0):
     """A flip schedule in ``propagate``'s format: every lane flips one
-    to three flops in one cycle (``twice``: and again later), lanes in
-    no particular order.  ``first`` / ``last`` / ``sparse`` put many
-    lanes on one start cycle, ``tail`` starts them in the last two
-    cycles (latent at retirement), ``anywhere`` also draws cycles
-    outside the workload, ``ramp`` has lane *i + 1* start one cycle
-    after lane *i* (the flop-major default chunk), ``scattered`` gives
-    every lane of a 64-lane block its own start cycle where the workload
-    is long enough (the deepest per-block gather)."""
+    to three flops in one cycle (``twice``: and again later; ``extra``:
+    and that many more times, each within three cycles of its first
+    flip, possibly the same cycle), lanes in no particular order.
+    ``first`` / ``last`` / ``sparse`` put many lanes on one start cycle,
+    ``tail`` starts them in the last two cycles (latent at retirement),
+    ``anywhere`` also draws cycles outside the workload, ``ramp`` has
+    lane *i + 1* start one cycle after lane *i* (the flop-major default
+    chunk), ``scattered`` gives every lane of a 64-lane block its own
+    start cycle where the workload is long enough (the deepest
+    per-block gather)."""
     flops = list(circuit.flops)
     flips = {}
     offset = rng.randrange(n_cycles)
@@ -387,6 +390,8 @@ def _random_schedule(rng, circuit, n_cycles, n_lanes, shape):
             # the next cycle or two (often still undecided), or long
             # after the lane is back on golden, or past the workload
             flip(lane, cyc + rng.choice((1, 2, 5, n_cycles // 2 + 1)))
+        for _ in range(extra):
+            flip(lane, cyc + rng.randint(0, 3))
     return flips
 
 
@@ -453,14 +458,14 @@ class TestBusyWindow:
            n_outputs=st.sampled_from((0, 1, 4)),
            n_cycles=st.sampled_from((1, 2, 3, 5, 8, 12, 70)),
            n_lanes=st.sampled_from((1, 5, 64, 65, 100, 130, 200, 1000)),
-           shape=st.sampled_from(SHAPES))
+           shape=st.sampled_from(SHAPES), extra=st.sampled_from((0, 0, 2)))
     def test_property_walkers_equal_full_length_interpreter(
-            self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape):
+            self, seed, n_flops, n_outputs, n_cycles, n_lanes, shape, extra):
         circuit = random_sequential(n_inputs=3, n_gates=25, n_flops=n_flops,
                                     n_outputs=n_outputs, seed=seed)
         workload = random_workload(circuit, n_cycles, seed=seed + 1)
         flips = _random_schedule(random.Random(seed), circuit, n_cycles,
-                                 n_lanes, shape)
+                                 n_lanes, shape, extra)
         width = max(64, n_lanes)
         expected = _interpreter_reference(circuit, workload, width, flips,
                                           n_lanes)
@@ -586,10 +591,13 @@ class TestBusyWindow:
         if kernel is not None:
             walk = kernel.walk
 
-            def spy(gold, n_cycles, entries, masks, start, n_live):
-                # 16 bytes per (cycle, flop) entry, 8 per block word
-                blocks.append(("native", 2 * len(masks) // len(entries)))
-                return walk(gold, n_cycles, entries, masks, start, n_live)
+            def spy(gold, n_cycles, triples, start, n_live):
+                # one (cycle, flop, lane) triple per point, and the C
+                # walk runs the blocks of its n_live lanes
+                assert len(triples) == 3 * len(points)
+                assert max(triples[2::3]) < n_live
+                blocks.append(("native", vector.blocks_for(n_live)))
+                return walk(gold, n_cycles, triples, start, n_live)
 
             monkeypatch.setattr(kernel, "walk", spy)
         native_got = lanes.seu_outcomes(ctx, points)
@@ -719,17 +727,121 @@ def test_native_walker_edges(monkeypatch, width, n_cycles):
 @given(seed=st.integers(0, 10_000),
        n_cycles=st.sampled_from((1, 3, 12, 70)),
        n_lanes=st.sampled_from((1, 5, 64, 65, 130, 200)),
-       shape=st.sampled_from(SHAPES))
-def test_native_walker_equals_python_walker(seed, n_cycles, n_lanes, shape):
+       shape=st.sampled_from(SHAPES), extra=st.sampled_from((0, 1, 2)))
+def test_native_walker_equals_python_walker(seed, n_cycles, n_lanes, shape,
+                                            extra):
+    # through the propagate adapter: one lane flipping several flops, or
+    # at several cycles, becomes several triples of that lane
     circuit = random_sequential(n_inputs=3, n_gates=25, n_flops=4,
                                 n_outputs=2, seed=seed % 7)
     workload = random_workload(circuit, n_cycles, seed=seed)
     flips = _random_schedule(random.Random(seed), circuit, n_cycles,
-                             n_lanes, shape)
+                             n_lanes, shape, extra)
     with pytest.MonkeyPatch.context() as monkeypatch:
         got = _both_walkers(monkeypatch, circuit, workload,
                             max(64, n_lanes), flips, n_lanes)
     assert got["native"] == got["python"]
+
+
+# ----------------------------------------------------------------------
+# the flip triples at the C boundary, and the golden pass in C
+# ----------------------------------------------------------------------
+@needs_native
+@pytest.mark.parametrize("n_live", (1, 64, 130))
+def test_triples_out_of_bounds_are_refused(n_live):
+    # lanes cross into C as indexes: a lane outside [0, n_live) or a flop
+    # outside the design is an error on both walkers, never a write past
+    # a buffer; a cycle outside the workload only never fires
+    circuit = load("rand_seq")
+    n_flops = len(circuit.flops)
+    ctx = lanes.build_context(circuit, random_workload(circuit, 6, seed=2),
+                              max(64, n_live))
+    program = compiled.step_program(circuit)
+    kernel = program.native
+    gold = ctx.golden_table(program, lanes._byte_table)
+    good = (2, n_flops - 1, n_live - 1)
+    for bad in ((2, 0, -1), (2, 0, n_live), (2, -1, 0), (2, n_flops, 0),
+                (-1, n_flops, 0), (6, 0, n_live)):
+        triples = array("q", good + bad)
+        with pytest.raises(ValueError, match=r"flip triple .* = \(" +
+                           ", ".join(map(str, bad))):
+            kernel.walk(gold, 6, triples, 0, n_live)
+        with pytest.MonkeyPatch.context() as python:
+            python.setitem(vars(program), "native", None)
+            with pytest.raises(ValueError, match="flip triple"):
+                lanes._propagate(ctx, triples, 0, n_live)
+    for malformed in (array("i", good), array("q", good[:2])):
+        with pytest.raises(ValueError, match="array"):
+            kernel.walk(gold, 6, malformed, 0, n_live)
+    # and every buffer C reads is sized against the design first
+    with pytest.raises(ValueError, match="golden table"):
+        kernel.walk(gold, 7, array("q", good), 0, n_live)
+    init = bytes(n_flops)
+    for stim, flops in ((bytes(len(circuit.inputs)), init[1:]),
+                        (bytes(len(circuit.inputs) - 1), init)):
+        with pytest.raises(ValueError, match="stimulus"):
+            kernel.golden(stim, 1, flops)
+    for skipped in ((-1, 0, 0), (6, 0, 0), (99, n_flops - 1, n_live - 1)):
+        assert kernel.walk(gold, 6, array("q", skipped), 0, n_live) \
+            == (0, 0, 0)
+    fail, latent, steps = kernel.walk(gold, 6, array("q", good), 0, n_live)
+    assert (fail, latent) == lanes.propagate(
+        ctx, {2: {list(circuit.flops)[-1]: 1 << (n_live - 1)}}, 2, n_live)
+    assert steps > 0
+
+
+def _ragged(circuit, n_cycles, seed):
+    """Stimuli as callers write them: some inputs left out of some
+    cycles (they read 0) and multi-bit values (bit 0 is the stimulus)."""
+    rng = random.Random(seed)
+    return [{pi: rng.randrange(8) for pi in circuit.inputs
+             if rng.random() < 0.7} for _ in range(n_cycles)]
+
+
+@needs_native
+@pytest.mark.parametrize("n_cycles", (0, 1, 23))
+@pytest.mark.parametrize("name", ("c17", "s27", "cnt8", "lfsr8", "sr16",
+                                  "rand_seq", "no_outputs"))
+def test_native_golden_pass_equals_the_python_pass(name, n_cycles):
+    circuit = (random_sequential(n_inputs=3, n_gates=30, n_flops=5,
+                                 n_outputs=0, seed=4)
+               if name == "no_outputs" else load(name))
+    for q, flop in list(circuit.flops.items())[1::2]:
+        circuit.flops[q] = replace(flop, init=1)  # before any program
+    workload = _ragged(circuit, n_cycles, seed=n_cycles)
+    program = compiled.step_program(circuit)
+    ctx = lanes.build_context(circuit, workload, 64)
+    # the walker's table is the C pass's, as it stands
+    assert vars(ctx)["_tables"][lanes._byte_table][0] is program
+    table = ctx.golden_table(program, lanes._byte_table)
+    with pytest.MonkeyPatch.context() as python:
+        python.setitem(vars(program), "native", None)
+        reference = lanes.build_context(circuit, workload, 64)
+        assert "_tables" not in vars(reference)
+        assert table == reference.golden_table(program, lanes._byte_table)
+    with compiled.disabled():
+        interpreted = lanes.build_context(circuit.copy(), workload, 64)
+    for other in (reference, interpreted):
+        assert (ctx.stimuli, ctx.trace, ctx.states, ctx.final_state) == (
+            other.stimuli, other.trace, other.states, other.final_state)
+    assert len(table) == (n_cycles + 1) * (
+        len(circuit.inputs) + len(circuit.outputs) + len(circuit.flops))
+
+
+@needs_native
+def test_native_campaign_never_builds_the_int_kernel(monkeypatch,
+                                                     seq_setup):
+    circuit, workload = seq_setup
+    backend = SeuBackend(circuit.copy(), workload, lane_width=128)
+    report = run_campaign(backend, EngineConfig(executor="serial"))
+    program = compiled.step_program(backend.circuit)
+    assert program.native is not None and backend._lane_ctx.steps_run > 0
+    assert "fn" not in vars(program) and "source" not in vars(program)
+    python = SeuBackend(circuit.copy(), workload, lane_width=128)
+    _on_walker(monkeypatch, python.circuit, "python")
+    assert _rows(run_campaign(python, EngineConfig(executor="serial"))) \
+        == _rows(report)
+    assert "fn" in vars(compiled.step_program(python.circuit))
 
 
 @needs_numpy

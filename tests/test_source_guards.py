@@ -175,6 +175,14 @@ GUARDS = (
           r"_SoaKernel|_SoaLanes|_cycle_table|SOA_MIN_|resolve_backing"
           r"|check_backing|\.soa\b",
           ("src",)),
+    Guard("no_dense_flip_masks",
+          "flips cross into the native lane walker as one (cycle, flop, "
+          "lane) triple each, read in place: the dense per-entry block "
+          "masks, their to_bytes packing and the buffer lent through "
+          "c_char.from_buffer are gone",
+          r"c_char\.from_buffer|\bmasks\s*(?::\s*bytearray|\[)"
+          r"|uint64_t\s*\*\s*masks\b|\bentries,\s*masks\b",
+          ("src",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -244,6 +252,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "no_soa_step_key": 'cache[("soa_step", w)] = prog\n',
         "no_facade_lane_backing": "    lane_backing: str | None = None,\n",
         "one_lane_carrier": "kernel = compiled.step_program(c).soa\n",
+        "no_dense_flip_masks": "lent = ctypes.c_char.from_buffer(masks)\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -284,5 +293,8 @@ def test_clean_names_pass():
     assert not regexes["no_soa_step_key"].search("def _soa_step(c, w):")
     assert not regexes["one_lane_carrier"].search(
         'name="seu_soa4096", backing="soa"')
+    for clean in ("detection masks ride in detail",
+                  "per-warp active masks", "lane masks into flop states"):
+        assert not regexes["no_dense_flip_masks"].search(clean)
     assert not regexes["one_copy_of_each_test_helper"].search(
         "def _rows_of(report):")
