@@ -147,11 +147,10 @@ class SeuBackend:
     :mod:`repro.engine.lanes`).  ``lane_width=1`` keeps the per-point
     :func:`inject_seu` path for parity testing.  A ``targets`` entry
     that is not a flop of the circuit and an injection cycle outside the
-    workload raise ``ValueError`` here, not in a worker.  Without numpy
-    widths above 64 degrade to 64 with a logged warning.  Outcomes are
-    byte-identical at every width.  ``lane_backing`` is a retired-name
-    shim: every width runs on the one packed-int carrier, so only
-    ``None`` is accepted.
+    workload raise ``ValueError`` here, not in a worker.  Every host
+    runs the width asked for, and outcomes are byte-identical at every
+    width.  ``lane_backing`` is a retired-name shim: every width runs
+    on the one packed-int carrier, so only ``None`` is accepted.
 
     ``skip_dead_flops=True`` opts into the engine's point-filter stage:
     a flop whose single-cycle fan-out cone reaches no primary output and
@@ -196,9 +195,8 @@ class SeuBackend:
         lanes.check_cycles(self.cycles, len(self.stimuli))
         self.skip_dead_flops = skip_dead_flops
         self.use_filter = skip_dead_flops  # engine filter-stage gate
-        # resolved here, before the engine chunks points, so parent and
-        # process-pool workers agree on the effective width
-        self.lane_width = lanes.resolve_lane_width(lane_width)
+        lanes.check_lane_width(lane_width)
+        self.lane_width = lane_width
         if lane_backing is not None:
             raise ValueError(f"lane_backing={lane_backing!r}: the carrier "
                              "was retired, every width runs on the one "

@@ -51,9 +51,9 @@ reference the native one is tested against.  Both walkers execute the
 same number of steps for the same schedule and are byte-identical to
 the 64-lane and 1-lane references, and to the reference interpreter
 that runs underneath them — every cycle from the first flip to the end
-of the workload — when compilation is off.  Without numpy installed,
-widths above 64 degrade to 64 with a one-time logged warning
-(:func:`resolve_lane_width`).
+of the workload — when compilation is off.  Both run on the standard
+library alone at every width, so a lane width means the same chunk
+partition, and the same campaign, on every host.
 
 Two front-ends are provided: :func:`seu_outcomes` (flip one flop at one
 cycle — :class:`repro.engine.backends.SeuBackend`) and
@@ -93,23 +93,6 @@ def check_lane_width(width: int) -> None:
     ``2.5`` a width nobody asked for."""
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"lane_width must be an int >= 1, got {width!r}")
-
-
-def resolve_lane_width(width: int) -> int:
-    """Validate a requested lane width (:func:`check_lane_width`) and
-    clamp it to what the host supports.
-
-    Widths above 64 are declared against numpy (the Python walker's
-    golden transpose and the one-pass unpacking of wide outcome words
-    need it); without it they degrade to the classic 64-lane packing
-    with a one-time logged warning.  (Outcomes are identical at every
-    width, so degradation only costs throughput.)
-    """
-    check_lane_width(width)
-    if width > DEFAULT_LANE_WIDTH and not _vector.HAVE_NUMPY:
-        _vector._warn_no_numpy(f"lane width {width} requested")
-        return DEFAULT_LANE_WIDTH
-    return width
 
 
 def aligned_batch_size(lane_width: int, batch_size: int,
@@ -611,8 +594,11 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
     *chained* lanes are advanced by one shift of the block's previous
     word, and only the lanes with no such upper neighbour are gathered
     from the table.  The blocks are then transposed into one word per
-    row (numpy above one block — :func:`resolve_lane_width` guarantees
-    it there; a single block needs only :mod:`struct`).
+    row: :mod:`struct` splits a single block, and past one block row *r*
+    is the stride slice ``flat[r::n_rows]`` of the blocks' fields read
+    as one ``array("Q")`` — the slice moves whole 8-byte items, so the
+    little-endian bytes come back out unchanged whatever the host's
+    byte order.
     """
     table, unit, fields = ctx.golden_table(program, _strided_table)
     last = len(table) - 1
@@ -636,7 +622,7 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
     keep = [chained * unit for chained in keep]  # in every field
     words = [0] * n_blocks
     gathered = everyone  # step 0 has no previous word to shift
-    row_bytes = 8 * n_blocks
+    n_rows = fields.size // 8
     step = 0
     while True:
         for block, groups in enumerate(gathered):
@@ -648,12 +634,10 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
         if n_blocks == 1:
             yield fields.unpack(words[0].to_bytes(fields.size, "little"))
         else:
-            by_row = _vector.np.frombuffer(  # numpy only past one block
-                b"".join(word.to_bytes(fields.size, "little")
-                         for word in words),
-                dtype="<u8").reshape(n_blocks, -1).T.tobytes()
-            yield [int.from_bytes(by_row[at:at + row_bytes], "little")
-                   for at in range(0, len(by_row), row_bytes)]
+            flat = array("Q", b"".join(word.to_bytes(fields.size, "little")
+                                       for word in words))
+            yield [int.from_bytes(flat[row::n_rows].tobytes(), "little")
+                   for row in range(n_rows)]
         gathered = unchained
         step += 1
 
@@ -661,30 +645,16 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
 def _outcome_list(fail: int, latent: int, count: int) -> list[str]:
     """Per-lane outcome labels from the packed fail/latent words.
 
-    The naive per-lane ``(word >> i) & 1`` probe rescans the big int
-    per lane — quadratic in width once words span thousands of bits —
-    so wide words unpack through numpy in one pass and only the set
-    bits are visited.
+    Lane *i* is digit *i* of each word's reversed binary string: one
+    pass per word, where a per-lane ``(word >> i) & 1`` probe rescans
+    the big int per lane — quadratic in width once words span
+    thousands of bits.  Fail wins where both bits are set (they can't
+    be, but keep the precedence explicit).
     """
-    if count > 64 and _vector.HAVE_NUMPY and (fail | latent):
-        np = _vector.np
-        nbytes = (count + 7) // 8
-        outcomes = [MASKED] * count
-
-        def hot(word: int):
-            arr = np.frombuffer(word.to_bytes(nbytes, "little"),
-                                dtype=np.uint8)
-            return np.flatnonzero(
-                np.unpackbits(arr, bitorder="little")[:count]).tolist()
-
-        for i in hot(latent):
-            outcomes[i] = LATENT
-        for i in hot(fail):  # fail wins where both are set (they can't
-            outcomes[i] = FAILURE  # be, but keep the precedence explicit)
-        return outcomes
-    return [FAILURE if (fail >> i) & 1 else
-            LATENT if (latent >> i) & 1 else MASKED
-            for i in range(count)]
+    fails = format(fail, f"0{count}b")[::-1]
+    latents = format(latent, f"0{count}b")[::-1]
+    return [FAILURE if f == "1" else LATENT if lat == "1" else MASKED
+            for f, lat in zip(fails[:count], latents)]
 
 
 def seu_outcomes(ctx: LaneContext,

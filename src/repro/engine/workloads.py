@@ -536,7 +536,8 @@ class SlicingBackend:
                            else range(len(self.stimuli)))
         lanes.check_cycles(self.cycles, len(self.stimuli))
         self.use_filter = use_filter
-        self.lane_width = lanes.resolve_lane_width(lane_width)
+        lanes.check_lane_width(lane_width)
+        self.lane_width = lane_width
         self.workload = (f"slicing[{len(self.stimuli)} cycles, "
                          f"{'sliced' if use_filter else 'naive'}]")
         self._golden: tuple[list, list] | None = None

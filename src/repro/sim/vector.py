@@ -12,56 +12,27 @@ width-insensitive well past a thousand bits (one AND on this class of
 host: ~0.08µs at 1024 bits, ~0.13µs at 4096 bits).
 
 This module holds what both walkers share: the block count of a lane
-word (:func:`blocks_for`), numpy on first use and the one-time warning
-when it is missing.  numpy serves two wide-word paths: the Python
-walker's transpose of its golden blocks into one word per row, and the
-one-pass unpacking of wide outcome words
-(:func:`repro.engine.lanes._outcome_list`).  Without numpy lane widths
-above 64 degrade to the classic 64-lane packing (one-time logged
-warning) — see :func:`repro.engine.lanes.resolve_lane_width`.
-
-numpy is imported on first use, not with this module: :data:`HAVE_NUMPY`
-asks the import system whether numpy is installed without loading it,
-and ``vector.np`` binds the module the first time it is read.  The
-walkers at 64 lanes, PPSFP and slicing never read it, so a process-pool
-or service worker running them starts without numpy (~0.05 s of its
-cold start); the first wide-lane call pays that import instead.
+word (:func:`blocks_for`).  Both walkers, and the unpacking of wide
+outcome words, run on the standard library alone, so no campaign
+loads numpy and every lane width runs as asked on every host;
+:data:`HAVE_NUMPY` stays only for the campaign benchmark's notes.
 """
 
 from __future__ import annotations
 
-import logging
 from importlib.util import find_spec
 
-try:  # numpy is a declared dependency, but degrade rather than crash
+#: Whether numpy is installed (asked of the import system, not
+#: imported).  Nothing in the engine or the simulators reads it: it
+#: stays only because the campaign benchmark's ``probes.have_numpy``
+#: records it in each run's notes.
+try:
     HAVE_NUMPY = find_spec("numpy") is not None
 except ImportError:  # a finder that refuses numpy: absent
     HAVE_NUMPY = False
 
-log = logging.getLogger(__name__)
-
-
-def __getattr__(name: str):
-    if name == "np":  # bound on first read; later reads skip this hook
-        import numpy
-        globals()["np"] = numpy
-        return numpy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-#: Bits per block (numpy uint64).
+#: Bits per block (one ``uint64_t``).
 BLOCK_BITS = 64
-
-_warned_no_numpy = False
-
-
-def _warn_no_numpy(context: str) -> None:
-    """One-time logged warning when numpy-backed features degrade."""
-    global _warned_no_numpy
-    if not _warned_no_numpy:
-        log.warning("numpy unavailable: %s — degrading to 64-bit packing",
-                    context)
-        _warned_no_numpy = True
 
 
 def blocks_for(n_lanes: int) -> int:

@@ -1,10 +1,10 @@
 """The import graph matches the work.
 
 Package ``__init__`` modules re-export their public names lazily
-(:func:`repro._lazy.lazy_exports`), numpy loads on first use
-(:mod:`repro.sim.vector`) and the native kernels (with :mod:`ctypes`)
-on the first packed walk or PPSFP sweep, so a process-pool or service
-worker imports what it unpickles and nothing else.  Import checks run
+(:func:`repro._lazy.lazy_exports`), no campaign loads numpy, and the
+native kernels (with :mod:`ctypes`) load on the first packed walk or
+PPSFP sweep, so a process-pool or service worker imports what it
+unpickles and nothing else.  Import checks run
 in a fresh interpreter: the modules this test session has loaded cannot
 leak in.
 """
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from conftest import needs_native
-from repro.sim import vector
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -169,10 +168,10 @@ print(json.dumps([before, [m for m in native if m in sys.modules]]))
 
 
 @needs_native
-@pytest.mark.skipif(not vector.HAVE_NUMPY, reason="numpy not installed")
-def test_wide_lanes_walk_natively_and_load_numpy():
-    # 4096 lanes run on the native walker like 64 do; numpy loads on
-    # first use, for the one-pass unpacking of the wide outcome words
+def test_wide_lanes_walk_natively_without_numpy():
+    # 4096 lanes run on the native walker like 64 do, and the wide
+    # outcome words unpack on the standard library: no campaign loads
+    # numpy
     before, after = _fresh("""
 import json, sys
 from repro.circuit.library import random_sequential
@@ -188,7 +187,7 @@ run_campaign(backend, EngineConfig(executor="serial"))
 assert backend._lane_ctx.steps_run > 0
 print(json.dumps([before, [m for m in loaded if m in sys.modules]]))
 """)
-    assert (before, after) == ([], ["numpy", "repro.sim.native"])
+    assert (before, after) == ([], ["repro.sim.native"])
 
 
 # ----------------------------------------------------------------------

@@ -60,10 +60,6 @@ VECTOR_WIDTHS = (65, 192, 1000)
 CARRIER_SLOTS = (pytest.param("native", id="int"),
                  pytest.param("python", id="soa"))
 
-needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
-                                 reason="numpy not installed")
-
-
 # ----------------------------------------------------------------------
 # SEU lane packing
 # ----------------------------------------------------------------------
@@ -174,8 +170,7 @@ class TestSeuLanes:
 # widths beyond 64
 # ----------------------------------------------------------------------
 class TestVectorLanes:
-    # the default batch (64) is raised to one chunk per lane width;
-    # without numpy these widths degrade to 64: still the reference
+    # the default batch (64) is raised to one chunk per lane width
     @pytest.mark.parametrize("walker", CARRIER_SLOTS)
     @pytest.mark.parametrize("width", VECTOR_WIDTHS)
     def test_seu_identical_to_per_point(self, width, walker):
@@ -199,25 +194,53 @@ class TestVectorLanes:
         check(Config(lane_width=256, batch_size=64, long=True,
                      executor=executor))
 
-    def test_degrades_to_64_without_numpy(self, seq_setup, monkeypatch,
-                                          caplog):
+    def test_wide_width_honoured_without_numpy(self, seq_setup, monkeypatch,
+                                               caplog):
+        # a width means the same campaign on every host: no degradation
+        # to 64 lanes, and nothing to warn about
         circuit, workload = seq_setup
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-        monkeypatch.setattr(vector, "_warned_no_numpy", False)
-        with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
+        with caplog.at_level(logging.WARNING, logger="repro"):
             backend = SeuBackend(circuit.copy(), workload, lane_width=1000)
-        assert backend.lane_width == 64  # degraded, not crashed
-        assert any("numpy unavailable" in rec.message
-                   for rec in caplog.records)
-        # the warning is one-time: a second backend stays quiet
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="repro.sim.vector"):
-            SeuBackend(circuit.copy(), workload, lane_width=1000)
+            check(Config(lane_width=1000, batch_size=64, long=True))
+        assert backend.lane_width == 1000
         assert not caplog.records
-        # and outcomes still match the reference
-        check(Config(lane_width=1000, batch_size=64, long=True))
 
-    @needs_numpy
+    def test_wide_plan_is_the_same_without_numpy(self):
+        # a host without numpy plans the same chunks and fingerprint, so
+        # a resume or a service worker there accepts the campaign
+        script = (
+            "from repro.circuit import load\n"
+            "from repro.engine import EngineConfig, SeuBackend, "
+            "SlicingBackend\n"
+            "from repro.engine.core import plan_campaign\n"
+            "from repro.faults import collapse\n"
+            "from repro.soft_error import random_workload\n"
+            "circuit = load('rand_seq')\n"
+            "workload = random_workload(circuit, 20, seed=7)\n"
+            "backends = (SeuBackend(circuit.copy(), workload, "
+            "lane_width=1000),\n"
+            "            SlicingBackend(circuit.copy(), "
+            "collapse(circuit)[0][:40], workload, lane_width=1000))\n"
+            "found = [[plan.lane_width, len(plan.chunks), plan.fingerprint]\n"
+            "         for plan in (plan_campaign(backend, EngineConfig())\n"
+            "                      for backend in backends)]\n")
+        here = {}
+        exec(script, here)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(tests, os.pardir, "src"),
+                                os.path.join(tests, "no_numpy")])
+        done = subprocess.run(
+            [sys.executable, "-c", script + "import json\n"
+             "from repro.sim import vector\n"
+             "assert not vector.HAVE_NUMPY\n"
+             "print(json.dumps(found))\n"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert [width for width, _, _ in here["found"]] == [1000, 1000]
+        assert json.loads(done.stdout) == here["found"]
+
     def test_wide_default_batches_fill_the_lane(self, seq_setup):
         # the engine raises the default batch size to one full lane for
         # vector-tier widths (underfilled wide words waste the tier)
@@ -326,7 +349,7 @@ class TestWidthAndCyclesValidatedAtConstruction:
         circuit, workload = seq_setup
         faults, _ = collapse(circuit)
         with pytest.raises(ValueError, match="lane_width"):
-            lanes.resolve_lane_width(width)
+            lanes.check_lane_width(width)
         with pytest.raises(ValueError, match="lane_width"):
             SeuBackend(circuit.copy(), workload, lane_width=width)
         with pytest.raises(ValueError, match="lane_width"):
@@ -449,7 +472,6 @@ def _on_walker(monkeypatch, circuit, walker):
         monkeypatch.setitem(vars(program), "native", None)
 
 
-@needs_numpy
 class TestBusyWindow:
     @needs_compiled
     @settings(max_examples=60, deadline=None)
@@ -631,10 +653,12 @@ class TestBusyWindow:
             assert backend._lane_ctx.steps_run == slowest > 0, walker
 
 
-@pytest.mark.parametrize("n_lanes", (1, 5, 64))
+@pytest.mark.parametrize("n_lanes", (1, 5, 64, 65, 192, 1000))
 def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
-    # up to 64 lanes the int walker gathers its golden words with struct
-    # alone (wider words are declared against numpy: resolve_lane_width)
+    # the Python walker gathers its golden words with the standard
+    # library at every width: struct splits one block, and past one
+    # block the transpose into row words is a stride slice of one
+    # array("Q")
     circuit = random_sequential(n_inputs=4, n_gates=60, n_flops=9,
                                 n_outputs=3, seed=21)
     workload = random_workload(circuit, 16, seed=4)
@@ -642,19 +666,19 @@ def test_one_block_walk_needs_no_numpy(monkeypatch, n_lanes):
                                   shape) for n, shape in enumerate(SHAPES)]
     points = [(q, cyc) for q in circuit.flops for cyc in range(16)]
 
-    def run():
-        ctx = lanes.build_context(circuit.copy(), workload, 64)
+    def run(walker):
+        walked = circuit.copy()
+        _on_walker(monkeypatch, walked, walker)
+        ctx = lanes.build_context(walked, workload, max(64, n_lanes))
         return ([lanes.propagate(ctx, flips, _start_of(flips, 16),
                                  n_lanes) for flips in schedules],
                 [lanes.seu_outcomes(ctx, group)
                  for group in lanes.lane_groups(points, n_lanes)])
 
-    reference = run()
+    reference = run("native")
     monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-    # any use would raise (set in the module dict: reading vector.np
-    # first would import numpy)
-    monkeypatch.setitem(vars(vector), "np", None)
-    assert run() == reference
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import raises
+    assert run("python") == reference
 
 
 # ----------------------------------------------------------------------
@@ -705,8 +729,7 @@ def _edge_schedule(circuit, n_cycles, n_lanes):
 @needs_native
 @pytest.mark.parametrize("n_cycles", (1, 2, 9))
 @pytest.mark.parametrize("width", (
-    1, 63, 64, pytest.param(65, marks=needs_numpy),
-    pytest.param(192, marks=needs_numpy)))
+    1, 63, 64, 65, 192))
 def test_native_walker_edges(monkeypatch, width, n_cycles):
     circuit = random_sequential(n_inputs=3, n_gates=30, n_flops=5,
                                 n_outputs=2, seed=8)
@@ -722,7 +745,6 @@ def test_native_walker_edges(monkeypatch, width, n_cycles):
 
 
 @needs_native
-@needs_numpy
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10_000),
        n_cycles=st.sampled_from((1, 3, 12, 70)),
@@ -844,14 +866,17 @@ def test_native_campaign_never_builds_the_int_kernel(monkeypatch,
     assert "fn" in vars(compiled.step_program(python.circuit))
 
 
-@needs_numpy
 def test_outcome_list_wide_matches_probe():
-    # wide outcome words unpack through numpy in one pass; the per-lane
-    # probe is the reference
+    # outcome words unpack in one pass per word at every width; the
+    # per-lane probe is the reference
     rng = random.Random(3)
-    for count in (65, 200, 1024):
+    cases = []
+    for count in (0, 1, 63, 64, 65, 200, 1024):
         fail = rng.getrandbits(count)
-        latent = rng.getrandbits(count) & ~fail
+        cases.append((fail, rng.getrandbits(count) & ~fail, count))
+        every = (1 << count) - 1
+        cases += [(every, 0, count), (0, every, count), (0, 0, count)]
+    for fail, latent, count in cases:
         probe = [lanes.FAILURE if (fail >> i) & 1 else
                  lanes.LATENT if (latent >> i) & 1 else lanes.MASKED
                  for i in range(count)]

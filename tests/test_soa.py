@@ -15,14 +15,9 @@ from repro.engine import lanes
 from repro.sim import vector
 from test_oracle import Config, check
 
-needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
-                                 reason="numpy not installed")
-
-
 # ----------------------------------------------------------------------
 # engine lanes at the widths the SoA carrier served
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSoaLanes:
     # the default batch (64) is raised to one chunk per lane width
     @pytest.mark.parametrize("width", (65, 192, 1000, 1024))
@@ -46,14 +41,15 @@ class TestSoaLanes:
 
 
 # ----------------------------------------------------------------------
-# degradation: no numpy, no crash, no divergence
+# no numpy: the width asked for, no divergence
 # ----------------------------------------------------------------------
 class TestSoaDegradation:
+    # the id dates from when a host without numpy degraded wide widths
+    # to 64 lanes; now every width runs as asked on every host
     def test_campaign_without_numpy_matches_packed_64(self, seq_setup,
                                                       monkeypatch):
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-        monkeypatch.setattr(vector, "_warned_no_numpy", True)
         circuit, workload = seq_setup
         backend = SeuBackend(circuit.copy(), workload, lane_width=2048)
-        assert backend.lane_width == 64  # degraded, not crashed
+        assert backend.lane_width == 2048
         check(Config(lane_width=2048, batch_size=64, long=True))

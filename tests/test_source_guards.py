@@ -183,6 +183,14 @@ GUARDS = (
           r"c_char\.from_buffer|\bmasks\s*(?::\s*bytearray|\[)"
           r"|uint64_t\s*\*\s*masks\b|\bentries,\s*masks\b",
           ("src",)),
+    Guard("engine_needs_no_numpy",
+          "every lane width runs on the standard library on every host: "
+          "the lane walkers and outcome unpacking read no numpy, so a "
+          "width never degrades and no campaign loads it (vector."
+          "HAVE_NUMPY stays, via find_spec, for the frozen benchmark)",
+          r"\bimport numpy\b|\bfrom numpy\b|\bnp\.|vector\.np\b",
+          tuple(f"src/repro/{pkg}"
+                for pkg in ("engine", "sim", "core", "service"))),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -253,6 +261,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "no_facade_lane_backing": "    lane_backing: str | None = None,\n",
         "one_lane_carrier": "kernel = compiled.step_program(c).soa\n",
         "no_dense_flip_masks": "lent = ctypes.c_char.from_buffer(masks)\n",
+        "engine_needs_no_numpy": "by_row = _vector.np.frombuffer(buf)\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -298,3 +307,9 @@ def test_clean_names_pass():
         assert not regexes["no_dense_flip_masks"].search(clean)
     assert not regexes["one_copy_of_each_test_helper"].search(
         "def _rows_of(report):")
+    for clean in ('HAVE_NUMPY = find_spec("numpy") is not None',
+                  "inp.append(x)", "snp.x", "no campaign loads numpy"):
+        assert not regexes["engine_needs_no_numpy"].search(clean)
+    for dirty in ("import numpy as np\n", "from numpy import uint64\n",
+                  "x = np.zeros(4)\n", "mod = _vector.np\n"):
+        assert regexes["engine_needs_no_numpy"].search(dirty), dirty
