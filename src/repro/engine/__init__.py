@@ -16,8 +16,9 @@ The names below resolve on first use (:func:`repro._lazy.lazy_exports`):
 ``import repro.engine`` loads no submodule, and a process-pool or
 service worker that unpickles one backend imports that backend's module
 graph only — the circuit backends live in :mod:`.backends`, every other
-family (SoC, RSN, laser, SCA, GPGPU, slicing, composite) in
-:mod:`.workloads`, the chaos wrappers in :mod:`.chaos`.
+family (SoC, RSN, laser, SCA, GPGPU, slicing) in :mod:`.workloads`, the
+chaos wrappers in :mod:`.chaos`.  A multi-round facade (RSN diagnosis,
+the GPGPU encoding study) runs one campaign per round.
 """
 
 from .._lazy import lazy_exports
@@ -31,10 +32,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "executors": ("EXECUTOR_CHOICES", "ChunkTimeout", "ExecutorPlan",
                   "chunk_seed", "plan_executor", "shutdown_pools"),
     "lanes": ("DEFAULT_LANE_WIDTH",),
-    "workloads": ("CompositeBackend", "GpgpuSeuBackend", "LaserFiBackend",
-                  "RsnDiagnosisBackend", "SKIP_DEAD_FLOP",
-                  "SKIP_NO_ACTIVATION", "SKIP_NO_PATH", "ScaTraceBackend",
-                  "SlicingBackend", "SocBackend", "point_seed"),
+    "workloads": ("GpgpuSeuBackend", "LaserFiBackend", "RsnDiagnosisBackend",
+                  "SKIP_DEAD_FLOP", "SKIP_NO_ACTIVATION", "SKIP_NO_PATH",
+                  "ScaTraceBackend", "SlicingBackend", "SocBackend",
+                  "point_seed"),
     "chaos": ("ChaosBackend", "ChaosError", "ChaosFault", "HostChaos",
               "HostFault", "cleanup_scratch"),
 })

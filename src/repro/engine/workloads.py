@@ -699,66 +699,3 @@ class SlicingBackend:
                 last, location = fault, fault.describe()
             out.append(Injection(point, location, point[1], outcome))
         return out
-
-
-# ----------------------------------------------------------------------
-# round batching: several campaigns behind one engine run
-# ----------------------------------------------------------------------
-class CompositeBackend:
-    """Several independent backends fused into one campaign.
-
-    Multi-round facades (``gpgpu.encoding_style_study`` comparing two
-    kernel encodings, ``rsn.diagnostic_test`` evaluating a window of
-    candidate tests) used to run one engine campaign per round, paying
-    campaign setup — and, on the process executor, backend shipping —
-    once per round.  A composite fuses the rounds: points are
-    ``(tag, sub_point)`` pairs, ``run_batch`` routes each chunk slice to
-    its part (so per-part lane packing still applies within a chunk),
-    and callers recover per-round results by filtering injections on the
-    tag (``Injection.location`` is prefixed with it for DB readability).
-
-    Parts must follow the usual contract (pure ``run_batch``, idempotent
-    ``prepare``, prepared state dropped on pickling); the composite then
-    inherits picklability and process-executor support for free.
-    """
-
-    def __init__(self, parts: Sequence[tuple[str, Any]]) -> None:
-        if not parts:
-            raise ValueError("CompositeBackend needs at least one part")
-        self.parts = list(parts)
-        self._by_tag = dict(self.parts)
-        if len(self._by_tag) != len(self.parts):
-            raise ValueError("CompositeBackend tags must be unique")
-        first = self.parts[0][1]
-        self.name = f"composite[{first.name} x{len(self.parts)}]"
-        self.circuit_name = first.circuit_name
-        self.fault_model = first.fault_model
-        self.workload = f"{len(self.parts)} rounds batched"
-
-    @property
-    def lane_width(self) -> int:
-        return max(int(getattr(b, "lane_width", 1) or 1)
-                   for _, b in self.parts)
-
-    def part(self, tag: str) -> Any:
-        return self._by_tag[tag]
-
-    def enumerate_points(self) -> Sequence[tuple[str, Any]]:
-        return [(tag, point) for tag, backend in self.parts
-                for point in backend.enumerate_points()]
-
-    def prepare(self) -> None:
-        for _, backend in self.parts:
-            backend.prepare()
-
-    def run_batch(self, points: Sequence[tuple[str, Any]]) -> list[Injection]:
-        out: list[Injection | None] = [None] * len(points)
-        groups: dict[str, list[tuple[int, Any]]] = {}
-        for pos, (tag, point) in enumerate(points):
-            groups.setdefault(tag, []).append((pos, point))
-        for tag, items in groups.items():
-            batch = self._by_tag[tag].run_batch([p for _, p in items])
-            for (pos, _), inj in zip(items, batch):
-                out[pos] = inj._replace(point=(tag, inj.point),
-                                        location=f"{tag}:{inj.location}")
-        return out  # type: ignore[return-value]

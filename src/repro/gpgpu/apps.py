@@ -14,8 +14,9 @@ The campaign injects pipeline-register transients at random issue slots
 and compares outcome distributions (masked / SDC) between encodings —
 the [40] experiment shape — plus a plain SEU study on vector-add and
 reduction kernels ([25]).  Both studies execute on the unified campaign
-engine via :class:`repro.engine.GpgpuSeuBackend`, keeping their result
-types while gaining ``db=``/``workers=``/``executor=``.
+engine via :class:`repro.engine.GpgpuSeuBackend`, one campaign per
+kernel, keeping their result types while gaining
+``db=``/``workers=``/``executor=``.
 """
 
 from __future__ import annotations
@@ -150,38 +151,24 @@ def encoding_style_study(
 ) -> list[EncodingStudyResult]:
     """Inject pipeline transients into both encodings of the same kernel.
 
-    Both encodings run as **one** engine campaign (a
-    :class:`repro.engine.CompositeBackend` with one part per encoding),
-    so campaign setup — and, on the process executor, worker spawn and
-    backend shipping — is paid once instead of per round.  The fault
+    Each encoding runs as its own engine campaign, recorded under its
+    own circuit (``simt-branchy``, ``simt-predicated``).  The fault
     sequences continue a single RNG stream exactly like the pre-engine
     loop, so the outcome counts are draw-for-draw identical.
     """
-    from ..engine.core import EngineConfig, run_campaign
-    from ..engine.workloads import CompositeBackend, GpgpuSeuBackend
-
     rng = random.Random(seed)
     inputs = [rng.randrange(90) for _ in range(128)]
-    rounds = []
+    results = []
     for name, kernel in (("branchy", saturating_add_branchy(limit)),
                          ("predicated", saturating_add_predicated(limit))):
         _golden, golden_issues = _run(kernel, inputs, [])
         faults = _draw_faults(rng, n_injections, 16, golden_issues)
-        rounds.append((name, kernel, golden_issues, faults))
-    backend = CompositeBackend(
-        [(name, GpgpuSeuBackend(kernel, inputs, faults, label=name))
-         for name, kernel, _issues, faults in rounds])
-    report = run_campaign(
-        backend, EngineConfig(batch_size=16, workers=workers,
-                              executor=executor), db=db)
-    by_tag: dict[str, dict[str, int]] = {name: {} for name, *_ in rounds}
-    for inj in report.injections:
-        counts = by_tag[inj.point[0]]
-        counts[inj.outcome] = counts.get(inj.outcome, 0) + 1
-    return [EncodingStudyResult(
-        name, golden_issues, masked=by_tag[name].get("masked", 0),
-        sdc=by_tag[name].get("sdc", 0), injections=n_injections)
-        for name, _kernel, golden_issues, _faults in rounds]
+        report = _seu_report(kernel, inputs, faults, name, db, workers,
+                             executor)
+        results.append(EncodingStudyResult(
+            name, golden_issues, masked=report.count("masked"),
+            sdc=report.count("sdc"), injections=n_injections))
+    return results
 
 
 def seu_campaign_on_kernel(

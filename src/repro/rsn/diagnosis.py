@@ -5,7 +5,8 @@ the set of candidate faults whose simulated signatures match.  The
 quality metric is *resolution*: the average candidate-set size over all
 faults (1.0 = perfect diagnosis).  [45] generates dedicated sequences to
 shrink that set; ``diagnostic_test`` here augments a base test with
-per-SIB discriminating vectors until resolution stops improving.
+per-SIB discriminating vectors, one signature campaign per round, and
+keeps each vector that lowers the resolution.
 
 Signature campaigns execute on the unified engine
 (:class:`repro.engine.RsnDiagnosisBackend`): every facade keeps its
@@ -135,45 +136,6 @@ def _extend_with_toggle(factory: Callable[[], RSN], test: RsnTest,
     return extended
 
 
-def _speculated_tables(
-    factory: Callable[[], RSN],
-    faults: Sequence[object],
-    speculated: Sequence[tuple[int, RsnTest]],
-    workers: int,
-    executor: str,
-) -> dict[int, DiagnosisResult]:
-    """Signature tables for a window of candidate tests.
-
-    A window of one runs a plain campaign; larger windows fuse every
-    candidate into a single :class:`repro.engine.CompositeBackend`
-    campaign (one part per round), so the engine — and, on the process
-    executor, its worker pool — is entered once per window instead of
-    once per round.
-    """
-    if len(speculated) == 1:
-        round_idx, test = speculated[0]
-        return {round_idx: build_signature_table(
-            factory, faults, test, workers=workers, executor=executor)}
-    from ..engine.core import EngineConfig, run_campaign
-    from ..engine.workloads import CompositeBackend, RsnDiagnosisBackend
-
-    parts = [(f"r{round_idx}", RsnDiagnosisBackend(factory, faults, test))
-             for round_idx, test in speculated]
-    backend = CompositeBackend(parts)
-    report = run_campaign(
-        backend, EngineConfig(batch_size=8, workers=workers,
-                              executor=executor))
-    tables: dict[int, DiagnosisResult] = {}
-    for (round_idx, _test), (_tag, part) in zip(speculated, parts):
-        result = DiagnosisResult()
-        result.golden_signature = part.golden_signature
-        tables[round_idx] = result
-    for inj in report.injections:
-        tag, fault = inj.point
-        tables[int(tag[1:])].signatures[fault] = inj.detail
-    return tables
-
-
 def diagnostic_test(
     factory: Callable[[], RSN],
     faults: Sequence[object],
@@ -181,23 +143,16 @@ def diagnostic_test(
     max_extra_rounds: int = 8,
     workers: int = 1,
     executor: str = "auto",
-    batch_rounds: bool = True,
 ) -> tuple[RsnTest, DiagnosisResult]:
-    """Extend ``base`` with discriminating vectors until resolution stalls.
+    """Extend ``base`` with discriminating vectors while rounds remain.
 
-    Each round appends, for the most ambiguous candidate class, a
-    configuration that toggles one SIB appearing in those faults plus a
-    flush — the classic divide-and-conquer refinement of [45].
-
-    With ``batch_rounds`` (the default) candidate rounds are evaluated
-    in *speculative windows*: a window assumes the current best test
-    survives, builds every candidate in it, and runs all of them as one
-    composite engine campaign.  Rounds are still consumed strictly in
-    order, and an improvement discards the rest of its window (those
-    candidates assumed the superseded test), so the returned
-    ``(test, table)`` is identical to the one-campaign-per-round loop —
-    the window only doubles (1, 2, 4, …) while no improvement lands,
-    which bounds wasted speculation to one window.
+    Round ``r`` extends the best test so far with a configuration that
+    sets SIB ``r mod n`` (the network's ``n`` SIBs in name order, taken
+    round-robin) to ``(r + 1) % 2``, plus a flush — the divide-and-conquer
+    refinement of [45] — and runs one signature campaign on it.  The
+    extension is kept only when it lowers the resolution.  At most
+    ``max_extra_rounds`` rounds run, and none once the resolution reaches
+    1.0 or when the network has no SIB.
     """
     test = RsnTest("diagnostic", [Step(list(s.bits), s.update) for s in base.steps])
     table = build_signature_table(factory, faults, test,
@@ -210,27 +165,13 @@ def diagnostic_test(
     sib_names = [name for name, node in sorted(network.registry.items())
                  if isinstance(node, Sib)]
     round_idx = 0
-    window = 1
     while round_idx < max_extra_rounds and best > 1.0 and sib_names:
-        hi = min(round_idx + (window if batch_rounds else 1),
-                 max_extra_rounds)
-        speculated = [
-            (r, _extend_with_toggle(factory, test,
-                                    sib_names[r % len(sib_names)], r))
-            for r in range(round_idx, hi)
-        ]
-        tables = _speculated_tables(factory, faults, speculated, workers,
-                                    executor)
-        improved = False
-        for r, extended in speculated:
-            round_idx = r + 1
-            candidate_table = tables[r]
-            resolution = candidate_table.resolution()
-            if resolution < best:
-                best = resolution
-                test = extended
-                table = candidate_table
-                improved = True
-                break  # the rest of the window assumed the old test
-        window = 1 if improved else min(2 * window, max_extra_rounds)
+        extended = _extend_with_toggle(
+            factory, test, sib_names[round_idx % len(sib_names)], round_idx)
+        candidate = build_signature_table(factory, faults, extended,
+                                          workers=workers, executor=executor)
+        resolution = candidate.resolution()
+        if resolution < best:
+            best, test, table = resolution, extended, candidate
+        round_idx += 1
     return test, table

@@ -120,10 +120,6 @@ class RSN:
             elif isinstance(node, Mux):
                 for branch in node.branches:
                     self._register_segment(branch)
-        for node in segment.nodes:
-            if isinstance(node, Mux) and node.control not in self.registry:
-                # control may be registered later at an outer level; check at use
-                pass
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -313,20 +309,19 @@ class CellStuck:
         return f"cell {self.name}[{self.bit}] s-a-{self.value}"
 
 
-def all_rsn_faults(network: RSN, include_cells: bool = True) -> list[object]:
+def all_rsn_faults(network: RSN) -> list[object]:
     """The standard RSN fault universe over a network."""
     faults: list[object] = []
     for name, node in sorted(network.registry.items()):
         if isinstance(node, Sib):
             faults.append(SibStuck(name, True))
             faults.append(SibStuck(name, False))
-            if include_cells:
-                faults.append(CellStuck(name, 0, 0))
-                faults.append(CellStuck(name, 0, 1))
+            faults.append(CellStuck(name, 0, 0))
+            faults.append(CellStuck(name, 0, 1))
         elif isinstance(node, Mux):
             for b in range(len(node.branches)):
                 faults.append(MuxSelStuck(name, b))
-        elif isinstance(node, Reg) and include_cells:
+        elif isinstance(node, Reg):
             for bit in (0, node.length - 1):
                 faults.append(CellStuck(name, bit, 0))
                 faults.append(CellStuck(name, bit, 1))

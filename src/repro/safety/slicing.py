@@ -100,12 +100,11 @@ def _simulate_injection(
     stimuli: Sequence[Mapping[str, int]],
     golden_values: list[dict[str, int]],
     golden_states: list[dict[str, int]],
-    persistent: bool = False,
 ) -> str:
     """Simulate from the injection cycle on; classify failure/latent/masked.
 
-    ``persistent`` False models a transient stuck condition lasting one
-    cycle (an SET-like event); True keeps the line forced to the end.
+    The fault is a transient stuck condition lasting the injection cycle
+    only (an SET-like event).
     """
     state = dict(golden_states[cycle])
     for cyc in range(cycle, len(stimuli)):
@@ -114,17 +113,15 @@ def _simulate_injection(
         # differs from golden (equal would have returned "masked")
         good_vals = (golden_values[cyc] if cyc == cycle
                      else simulate(circuit, stimuli[cyc], 1, state))
-        if cyc == cycle or persistent:
-            vals = faulty_values(circuit, fault, good_vals, 1)
-        else:
-            vals = good_vals
+        vals = (faulty_values(circuit, fault, good_vals, 1) if cyc == cycle
+                else good_vals)
         if any(vals.get(po, 0) != golden_values[cyc].get(po, 0)
                for po in circuit.outputs):
             return "failure"
         state = {}
         for q, flop in circuit.flops.items():
             if (not fault.line.is_stem and fault.line.sink == q
-                    and (cyc == cycle or persistent)):
+                    and cyc == cycle):
                 state[q] = vals.get(f"__flopD__{q}", vals[flop.d])
             else:
                 state[q] = vals[flop.d]

@@ -247,10 +247,8 @@ class CampaignWorker:
 
 
 def worker_main(db_path: str, worker_kwargs: dict | None = None,
-                idle_timeout: float = 0.0,
-                handle_signals: bool = True) -> int:
+                idle_timeout: float = 0.0) -> int:
     """Process entry point (top-level, so spawn can import it)."""
     worker = CampaignWorker(db_path, **(worker_kwargs or {}))
-    if handle_signals:
-        worker.install_signal_handlers()
+    worker.install_signal_handlers()
     return worker.run(idle_timeout=idle_timeout)

@@ -271,6 +271,26 @@ class TestGpgpuStudies:
         for r in results:
             assert r.masked + r.sdc == r.injections
 
+    def test_encoding_style_study_records_one_campaign_per_encoding(self):
+        # was: both encodings ran as one fused campaign, recorded as
+        # ``composite[gpgpu-seu x2]`` with every row under simt-branchy
+        from repro.core import CampaignDb
+
+        db = CampaignDb()
+        results = encoding_style_study(n_injections=20, executor="serial",
+                                       db=db)
+        circuits = [row[0] for row in db.conn.execute(
+            "SELECT circuit FROM campaigns ORDER BY id")]
+        assert circuits == ["simt-branchy", "simt-predicated"]
+        assert db.campaigns_for("simt-predicated")
+        for result in results:
+            (campaign,) = db.campaigns_for(f"simt-{result.encoding}")
+            summary = db.summary(campaign)
+            assert summary.total == result.injections == 20
+            assert summary.outcomes.get("masked", 0) == result.masked
+            assert summary.outcomes.get("sdc", 0) == result.sdc
+        db.close()
+
     def test_seu_campaign_rates_sum(self):
         rates = seu_campaign_on_kernel(vector_add_kernel(), 40, seed=2)
         assert rates["masked"] + rates["sdc"] == pytest.approx(1.0)

@@ -16,7 +16,6 @@ from repro.circuit import load
 from repro.core import CampaignDb, wilson_interval
 from repro.engine import (
     DETECTED,
-    CompositeBackend,
     EarlyStop,
     EngineConfig,
     Injection,
@@ -140,20 +139,6 @@ class TestInjectionRecord:
                                           pickle.HIGHEST_PROTOCOL))
         assert type(clone) is Injection and clone == with_detail
         assert clone.detail == [0b101]
-
-    def test_composite_tags_point_and_location(self):
-        circuit = load("c17")
-        faults, _ = collapse(circuit)
-        packed, n = exhaustive_patterns(circuit.inputs)
-        part = PpsfpBackend(circuit, faults, [(packed, n)])
-        composite = CompositeBackend([("a", part)])
-        composite.prepare()
-        tagged = composite.run_batch(composite.enumerate_points())
-        assert all(type(inj) is Injection for inj in tagged)
-        assert tagged == [
-            Injection(("a", inj.point), f"a:{inj.location}", inj.cycle,
-                      inj.outcome, inj.detail)
-            for inj in part.run_batch(faults)]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.engine import (
     SKIP_DEAD_FLOP,
     SKIP_NO_ACTIVATION,
     SKIP_NO_PATH,
-    CompositeBackend,
     EarlyStop,
     EngineConfig,
     GpgpuSeuBackend,
@@ -685,10 +684,6 @@ _PREFLIGHT = {
     "rsn-other-type": (lambda: _rsn_with("s1"), "is a str, not an RSN fault"),
     "sca-17-bytes": (lambda: _sca_with(bytes(17)), "17 bytes"),
     "sca-15-bytes": (lambda: _sca_with(bytes(15)), "15 bytes"),
-    "composite-empty": (lambda: CompositeBackend([]), "at least one part"),
-    "composite-duplicate-tag": (
-        lambda: CompositeBackend([("a", _rsn_backend()),
-                                  ("a", _rsn_backend())]), "unique"),
 }
 
 

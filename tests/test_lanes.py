@@ -1,6 +1,5 @@
-"""Tests for lane-packed injection simulation (`repro.engine.lanes`),
-the process pool's per-campaign lifetime, and the round-batching
-facades.
+"""Tests for lane-packed injection simulation (`repro.engine.lanes`)
+and the process pool's per-campaign lifetime.
 
 The load-bearing property is *lane exactness*: a packed campaign
 reports what the per-point interpreter does, at every lane width, on
@@ -25,7 +24,6 @@ import sys
 import tempfile
 from array import array
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +33,6 @@ from conftest import _rows, needs_compiled, needs_native
 from repro.circuit import load
 from repro.circuit.library import random_sequential
 from repro.engine import (
-    CompositeBackend,
     EngineConfig,
     SeuBackend,
     SlicingBackend,
@@ -1031,64 +1028,6 @@ class TestPoolLifetime:
         assert report.executor == ("serial" if ending == "die"
                                    else "process")
         assert report.converged == (ending == "early-stop")
-
-
-# ----------------------------------------------------------------------
-# round batching: composite campaigns
-# ----------------------------------------------------------------------
-class TestRoundBatching:
-    def test_composite_matches_separate_campaigns(self, seq_setup):
-        circuit, workload = seq_setup
-        part_a = SeuBackend(circuit.copy(), workload, cycles=range(4))
-        part_b = SeuBackend(circuit.copy(), workload, cycles=range(4, 8))
-        composite = CompositeBackend([("a", part_a), ("b", part_b)])
-        fused = run_campaign(composite,
-                             EngineConfig(batch_size=16, executor="serial"))
-        separate = []
-        for cycles in (range(4), range(4, 8)):
-            report = run_campaign(
-                SeuBackend(circuit.copy(), workload, cycles=cycles),
-                EngineConfig(batch_size=16, executor="serial"))
-            separate.extend(_rows(report))
-        assert [(loc.split(":", 1)[1], cyc, out)
-                for loc, cyc, out in _rows(fused)] == separate
-        assert fused.population == len(separate)
-
-    def test_composite_rejects_duplicate_tags(self, seq_setup):
-        circuit, workload = seq_setup
-        backend = SeuBackend(circuit.copy(), workload)
-        with pytest.raises(ValueError, match="unique"):
-            CompositeBackend([("a", backend), ("a", backend)])
-
-    def test_encoding_style_study_single_campaign(self):
-        from repro.core import CampaignDb
-        from repro.gpgpu import encoding_style_study
-
-        db = CampaignDb()
-        results = encoding_style_study(n_injections=20, executor="serial",
-                                       db=db)
-        campaigns = db.conn.execute(
-            "SELECT COUNT(*) FROM campaigns").fetchone()[0]
-        assert campaigns == 1  # both encodings fused into one campaign
-        assert [r.encoding for r in results] == ["branchy", "predicated"]
-        assert all(r.masked + r.sdc == 20 for r in results)
-        db.close()
-
-    def test_diagnostic_test_batched_matches_sequential(self):
-        from repro.rsn import (all_rsn_faults, compact_test, diagnostic_test,
-                               sib_tree)
-
-        factory = partial(sib_tree, depth=2, regs_per_leaf=1, reg_bits=4)
-        faults = all_rsn_faults(factory())
-        base = compact_test(factory)
-        seq_test, seq_table = diagnostic_test(factory, faults, base,
-                                              batch_rounds=False)
-        bat_test, bat_table = diagnostic_test(factory, faults, base,
-                                              batch_rounds=True)
-        assert [(s.bits, s.update) for s in seq_test.steps] \
-            == [(s.bits, s.update) for s in bat_test.steps]
-        assert seq_table.signatures == bat_table.signatures
-        assert seq_table.resolution() == bat_table.resolution()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for IEEE 1687-style reconfigurable scan networks."""
 
+import hashlib
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +249,31 @@ class TestDiagnosis:
         _test, refined = diagnostic_test(factory, faults, base,
                                          max_extra_rounds=4)
         assert refined.resolution() <= base_table.resolution()
+
+    def test_diagnostic_test_output_is_pinned(self):
+        # recorded from the speculative-window implementation this loop
+        # replaced: no round lowers the resolution here, so the returned
+        # test is the base test
+        factory = partial(sib_tree, depth=2, regs_per_leaf=1, reg_bits=4)
+        faults = all_rsn_faults(factory())
+        test, table = diagnostic_test(factory, faults, compact_test(factory),
+                                      max_extra_rounds=8)
+        alternating = "01" * 13
+        assert [("".join(map(str, s.bits)), s.update) for s in test.steps] \
+            == [("11", True), (alternating, False), ("111111", True),
+                (alternating, False), ("0" * 22, True), (alternating, False)]
+        assert "".join(map(str, table.golden_signature)) == (
+            "0000100101010101010101010101001001000010000110000100001101"
+            "01000010000110000100001100010101010101010101010101")
+        rows = sorted((repr(fault), "".join(map(str, signature)))
+                      for fault, signature in table.signatures.items())
+        assert len(rows) == 40 and len(set(table.signatures.values())) == 33
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "3599bc0e9473873e32cae04e396ff4791d8de86febe9e223386b9d9c7c0b2a47")
+        assert table.resolution() == 1.35
+        again = build_signature_table(factory, faults, test)
+        assert again.signatures == table.signatures
+        assert again.golden_signature == table.golden_signature
 
 
 class TestRsnAging:

@@ -191,6 +191,13 @@ GUARDS = (
           r"\bimport numpy\b|\bfrom numpy\b|\bnp\.|vector\.np\b",
           tuple(f"src/repro/{pkg}"
                 for pkg in ("engine", "sim", "core", "service"))),
+    Guard("no_round_batching",
+          "a multi-round facade (RSN diagnosis, the GPGPU encoding study) "
+          "runs one plain campaign per round: the fused composite "
+          "backend, its speculative diagnosis windows and their knob are "
+          "gone",
+          r"CompositeBackend|batch_rounds|_speculated_tables",
+          ("src",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -262,6 +269,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "one_lane_carrier": "kernel = compiled.step_program(c).soa\n",
         "no_dense_flip_masks": "lent = ctypes.c_char.from_buffer(masks)\n",
         "engine_needs_no_numpy": "by_row = _vector.np.frombuffer(buf)\n",
+        "no_round_batching": "backend = CompositeBackend(parts)\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -313,3 +321,11 @@ def test_clean_names_pass():
     for dirty in ("import numpy as np\n", "from numpy import uint64\n",
                   "x = np.zeros(4)\n", "mod = _vector.np\n"):
         assert regexes["engine_needs_no_numpy"].search(dirty), dirty
+    for clean in ("composite cells (mux, decoders)", "RsnDiagnosisBackend",
+                  "max_extra_rounds: int = 8", "batch_size=8",
+                  "one campaign per round"):
+        assert not regexes["no_round_batching"].search(clean)
+    for dirty in ("diagnostic_test(f, faults, base, batch_rounds=False)",
+                  "tables = _speculated_tables(factory, faults, window)",
+                  "from repro.engine import CompositeBackend"):
+        assert regexes["no_round_batching"].search(dirty), dirty
