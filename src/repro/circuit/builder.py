@@ -8,7 +8,7 @@ half/full adder) built from the primitive gate set.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .netlist import Circuit, GateType
 
@@ -72,9 +72,6 @@ class CircuitBuilder:
     def const0(self, name: str | None = None) -> str:
         return self.gate(GateType.CONST0, name=name)
 
-    def const1(self, name: str | None = None) -> str:
-        return self.gate(GateType.CONST1, name=name)
-
     def flop(self, d: str, init: int = 0, name: str | None = None) -> str:
         q = name or self.fresh("q")
         self.circuit.add_flop(q, d, init)
@@ -121,9 +118,6 @@ class CircuitBuilder:
         """Declare ``width`` primary inputs named ``prefix0 .. prefix{w-1}``
         (index 0 = LSB)."""
         return [self.input(f"{prefix}{i}") for i in range(width)]
-
-    def output_bus(self, nets: Iterable[str]) -> list[str]:
-        return [self.output(net) for net in nets]
 
     def done(self) -> Circuit:
         """Validate and return the finished circuit."""

@@ -43,11 +43,6 @@ class GateType(str, Enum):
             return 1
         return 2
 
-    @property
-    def is_inverting(self) -> bool:
-        """True when the gate's output inverts its 'natural' body function."""
-        return self in (GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -203,10 +198,6 @@ class Circuit:
         for out in self.gates:
             seen.setdefault(out)
         return list(seen)
-
-    @property
-    def is_sequential(self) -> bool:
-        return bool(self.flops)
 
     def driver_of(self, net: str) -> Gate | Flop | str | None:
         """Return the driver of ``net``: a Gate, a Flop, the string ``"input"``

@@ -26,7 +26,11 @@ A block is self-contained (:func:`pack_block` / :func:`unpack_block`):
 
 There is no block-external dictionary, so a block decodes on its own:
 concurrent writers never contend on a shared string table and a
-copied-out BLOB is the interchange unit.  Every read side —
+copied-out BLOB is the interchange unit.  In memory a block is an
+:class:`Outcomes` — one chunk's points as columns — which is what the
+campaign engine carries from a backend to :meth:`CampaignDb.record_chunk`
+(packed straight from its columns) and what
+:meth:`CampaignDb.chunk_rows` hands back on resume.  Every read side —
 :meth:`CampaignDb.chunk_rows`, :meth:`CampaignDb.summary`,
 :meth:`CampaignDb.failure_rate_by_location`,
 :meth:`CampaignDb.cross_campaign_outcomes` — sits behind the decoder,
@@ -66,10 +70,14 @@ import sqlite3
 import sys
 from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -162,41 +170,49 @@ Row = tuple[str, int, str]
 
 _INDEX_CODES = "BHIQ"   # 1/2/4/8-byte unsigned: dictionary indices
 _CYCLE_CODES = "bhiq"   # 1/2/4/8-byte signed: cycles may be negative
+#: the values each typecode holds
+_RANGES = {code: (0, (1 << 8 * array(code).itemsize) - 1)
+           for code in _INDEX_CODES} | {
+    code: (-(1 << 8 * array(code).itemsize - 1),
+           (1 << 8 * array(code).itemsize - 1) - 1) for code in _CYCLE_CODES}
 
 
-def _dictionary(values: Sequence[str]) -> tuple[list[str], Iterable[int]]:
+def _dictionary(values: Sequence[str]) -> tuple[list[str], bytes | array]:
     """Distinct ``values`` in first-appearance order, and each value's
-    index into them."""
-    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
-    return list(index), map(index.__getitem__, values)
+    index into them: one byte each up to 256 distinct values."""
+    names = list(dict.fromkeys(values))
+    if len(names) == 1:
+        return names, bytes(len(values))
+    ids = map(dict(zip(names, range(len(names)))).__getitem__, values)
+    return names, bytes(ids) if len(names) <= 256 else array("I", ids)
 
 
 def _pack_column(codes: str, values: Iterable[int], lo: int,
                  hi: int) -> tuple[str, array]:
     """``values`` (all within ``[lo, hi]``) at the narrowest typecode of
     ``codes`` that holds both bounds; a constant column keeps one item.
-    Past 64 bits the widest typecode raises ``OverflowError``, as the
-    SQLite INTEGER column it replaces did."""
-    code = codes[-1]
-    for candidate in codes[:-1]:
-        try:
-            array(candidate, (lo, hi))
-        except OverflowError:
-            continue
-        code = candidate
-        break
+    ``bytes`` values are one-byte indices, and so ``B``.  Past 64 bits
+    the widest typecode raises ``OverflowError``, as the SQLite INTEGER
+    column it replaces did."""
+    code = next((code for code in codes
+                 if _RANGES[code][0] <= lo and hi <= _RANGES[code][1]),
+                codes[-1])
     column = array(code, (lo,) if lo == hi else values)
     if sys.byteorder == "big":
         column.byteswap()
     return code, column
 
 
-def pack_block(rows: Sequence[Row]) -> bytes:
-    """Encode ``rows`` as one self-contained block (format: module
-    docstring).  ``unpack_block(pack_block(rows)) == list(rows)``."""
-    locations, cycles, outcomes = zip(*rows) if rows else ((), (), ())
+def _names_json(names: Sequence[str]) -> str:
+    """``json.dumps(names)`` of a list of strings, ASCII-escaped."""
+    return f"[{','.join(map(encode_basestring_ascii, names))}]"
+
+
+def _encode(locations: Sequence[str], cycles: Sequence[int],
+            outcome_names: list[str], outcome_ids: bytes | array) -> bytes:
+    """One block from its location and cycle columns and its outcome
+    dictionary (names in first-appearance order, one index per point)."""
     location_names, location_ids = _dictionary(locations)
-    outcome_names, outcome_ids = _dictionary(outcomes)
     columns = [
         _pack_column(_INDEX_CODES, location_ids,
                      0, max(len(location_names) - 1, 0)),
@@ -205,43 +221,186 @@ def pack_block(rows: Sequence[Row]) -> bytes:
         _pack_column(_INDEX_CODES, outcome_ids,
                      0, max(len(outcome_names) - 1, 0)),
     ]
-    header = json.dumps(
-        {"n": len(rows), "locations": location_names,
-         "outcomes": outcome_names,
-         "columns": [[code, len(column)] for code, column in columns]},
-        separators=(",", ":"))
-    # ensure_ascii JSON escapes every control character, so the first
-    # newline of a block is always the end of its header
+    # what json.dumps(separators=(",", ":")) makes of the header dict;
+    # ensure_ascii escaping escapes every control character, so the
+    # first newline of a block is always the end of its header
+    header = (f'{{"n":{len(cycles)},'
+              f'"locations":{_names_json(location_names)},'
+              f'"outcomes":{_names_json(outcome_names)},"columns":['
+              + ",".join(f'["{code}",{len(column)}]'
+                         for code, column in columns) + "]}")
     return b"".join([header.encode("ascii"), b"\n",
                      *(column.tobytes() for _, column in columns)])
 
 
-def _unpack_columns(payload: bytes) -> tuple[list[str], list[int], list[str]]:
-    """A block's three columns as parallel lists."""
-    end = payload.index(b"\n")
-    header = json.loads(payload[:end])
-    n, offset, columns = header["n"], end + 1, []
-    for code, items in header["columns"]:
-        column = array(code)
-        size = items * column.itemsize
-        column.frombytes(payload[offset:offset + size])
-        offset += size
-        if sys.byteorder == "big":
-            column.byteswap()
-        columns.append(column * n if items == 1 else column)
-    if offset != len(payload) or any(len(column) != n for column in columns):
-        raise ValueError("corrupt outcome block: column sizes do not match"
-                         f" its header ({n} points)")
-    location_ids, cycles, outcome_ids = columns
-    return (list(map(header["locations"].__getitem__, location_ids)),
-            cycles.tolist(),
-            list(map(header["outcomes"].__getitem__, outcome_ids)))
+def pack_block(rows: Sequence[Row]) -> bytes:
+    """Encode ``rows`` as one self-contained block (format: module
+    docstring).  ``unpack_block(pack_block(rows)) == list(rows)``; a
+    chunk already held as an :class:`Outcomes` block packs to the same
+    bytes with :meth:`Outcomes.pack`."""
+    locations, cycles, outcomes = zip(*rows) if rows else ((), (), ())
+    return _encode(locations, cycles, *_dictionary(outcomes))
 
 
 def unpack_block(payload: bytes) -> list[Row]:
     """Decode one block back into its ``(location, cycle, outcome)``
     rows, in the order they were recorded."""
-    return list(zip(*_unpack_columns(payload)))
+    return Outcomes.unpack(payload).rows()
+
+
+class Outcomes(Sequence):
+    """One chunk's executed points as columns — what a backend returns,
+    the engine folds, the database stores and the report reads.
+
+    ``points`` is the chunk by reference (``None`` on a block read back
+    from the database, which stores no points); ``locations`` and
+    ``cycles`` are one entry per point; ``codes`` is one index per point
+    into the ``names`` of the block's outcomes — ``bytes``, or an
+    ``array`` past 256 outcomes; ``details`` is the backends' per-point
+    extras, or ``None`` when there are none.  The columns are what the
+    engine reads: :meth:`tally` counts outcomes with one ``count`` each,
+    and :meth:`pack` encodes the block with no row in between (byte for
+    byte what :func:`pack_block` makes of the same rows, so either reads
+    the other's databases).
+
+    It is also a ``Sequence[Injection]``: indexing and iterating build
+    the chunk's :class:`repro.engine.core.Injection` records — once, on
+    first read, then cached — so it compares equal to the list the
+    backend would have returned.  A block without points has no records
+    to build: its items are its ``(location, cycle, outcome)`` rows.
+    """
+
+    __slots__ = ("points", "locations", "cycles", "codes", "names",
+                 "details", "_items")
+
+    def __init__(self, points: Sequence[Any] | None,
+                 locations: Sequence[str], cycles: Sequence[int],
+                 codes: bytes | array, names: Sequence[str],
+                 details: Sequence[Any] | None = None) -> None:
+        self.points, self.locations, self.cycles = points, locations, cycles
+        self.codes, self.names, self.details = codes, tuple(names), details
+        self._items: list | None = None
+
+    @classmethod
+    def of(cls, injections: Sequence[Any]) -> "Outcomes":
+        """The block of a list of ``Injection`` records (what a backend
+        without a columnar path returns); the list itself is kept as the
+        block's records, ``detail`` and all."""
+        if not injections:
+            return cls((), (), (), b"", ())
+        points, locations, cycles, outcomes, details = zip(*injections)
+        names, codes = _dictionary(outcomes)
+        block = cls(points, locations, cycles, codes, names,
+                    None if details.count(None) == len(details)
+                    else details)
+        block._items = list(injections)
+        return block
+
+    @classmethod
+    def unpack(cls, payload: bytes) -> "Outcomes":
+        """Decode one stored block (format: module docstring); it has no
+        points, and no per-point outcome string is built."""
+        end = payload.index(b"\n")
+        header = json.loads(payload[:end])
+        n, offset, columns = header["n"], end + 1, []
+        for code, items in header["columns"]:
+            column = array(code)
+            size = items * column.itemsize
+            column.frombytes(payload[offset:offset + size])
+            offset += size
+            if sys.byteorder == "big":
+                column.byteswap()
+            columns.append(column * n if items == 1 else column)
+        names = header["outcomes"]
+        location_ids, cycles, outcome_ids = columns
+        if (offset != len(payload)
+                or any(len(column) != n for column in columns)
+                or n and max(outcome_ids) >= len(names)):
+            raise ValueError("corrupt outcome block: columns do not match"
+                             f" its header ({n} points)")
+        return cls(None, list(map(header["locations"].__getitem__,
+                                  location_ids)),
+                   cycles.tolist(), bytes(outcome_ids)
+                   if outcome_ids.itemsize == 1 else outcome_ids, names)
+
+    def pack(self) -> bytes:
+        """The stored form: :func:`pack_block` of :meth:`rows`, built
+        from the columns (the outcome dictionary is the codes present,
+        renumbered in first-appearance order by one ``translate``)."""
+        present, codes = self._present(), self.codes
+        if isinstance(codes, bytes):
+            table = bytearray(256)
+            for new, code in enumerate(present):
+                table[code] = new
+            ids = codes.translate(table)
+        else:
+            ids = map({code: new for new, code in enumerate(present)}
+                      .__getitem__, codes)
+        return _encode(self.locations, self.cycles,
+                       [self.names[code] for code in present], ids)
+
+    def _present(self) -> list[int]:
+        """The codes that occur, in first-appearance order."""
+        codes = self.codes
+        if isinstance(codes, bytes):  # a few names: a few C scans
+            return sorted(filter(codes.__contains__, range(len(self.names))),
+                          key=codes.find)
+        return list(dict.fromkeys(codes))
+
+    def with_points(self, points: Sequence[Any]) -> "Outcomes":
+        """This block's columns with ``points`` attached (a replayed
+        chunk gets its points back from the plan)."""
+        return Outcomes(points, self.locations, self.cycles, self.codes,
+                        self.names, self.details)
+
+    def tally(self) -> dict[str, int]:
+        """Points per outcome, in first-appearance order."""
+        return {self.names[code]: self.codes.count(code)
+                for code in self._present()}
+
+    def rows(self) -> list[Row]:
+        """The stored ``(location, cycle, outcome)`` triples, in order."""
+        return list(zip(self.locations, self.cycles,
+                        map(self.names.__getitem__, self.codes)))
+
+    def _records(self) -> list:
+        if self._items is None:
+            if self.points is None:
+                self._items = self.rows()
+            else:
+                from ..engine.core import Injection  # engine imports core
+                self._items = list(map(
+                    partial(tuple.__new__, Injection),
+                    zip(self.points, self.locations, self.cycles,
+                        map(self.names.__getitem__, self.codes),
+                        repeat(None) if self.details is None
+                        else self.details)))
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._records())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return self._records() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        # the columns travel, the cached records are rebuilt on arrival
+        return (Outcomes, (self.points, self.locations, self.cycles,
+                           self.codes, self.names, self.details))
+
+    def __repr__(self) -> str:
+        return (f"Outcomes({len(self)} points: "
+                f"{', '.join(f'{k}={v}' for k, v in self.tally().items())})")
 
 
 @dataclass(frozen=True)
@@ -396,30 +555,34 @@ class CampaignDb:
         commits unless in a :meth:`transaction` block)."""
         self.record_many(campaign_id, [(location, cycle, outcome)])
 
-    def record_many(self, campaign_id: int, rows: Sequence[Row],
+    def record_many(self, campaign_id: int, rows: Sequence[Row] | Outcomes,
                     chunk_index: int | None = None) -> None:
-        """Record ``rows`` as one packed block (census rows unless
-        ``chunk_index`` names the chunk they belong to)."""
+        """Record ``rows`` (or an :class:`Outcomes` block) as one packed
+        block (census rows unless ``chunk_index`` names the chunk they
+        belong to)."""
         self._insert_block(campaign_id, chunk_index, rows)
         self._maybe_commit()
 
     def _insert_block(self, campaign_id: int, chunk_index: int | None,
-                      rows: Sequence[Row]) -> None:
+                      rows: Sequence[Row] | Outcomes) -> None:
         if rows:
             self.conn.execute(
                 "INSERT INTO outcome_blocks (campaign_id, chunk_index,"
                 " n_points, payload) VALUES (?, ?, ?, ?)",
-                (campaign_id, chunk_index, len(rows), pack_block(rows)))
+                (campaign_id, chunk_index, len(rows),
+                 rows.pack() if isinstance(rows, Outcomes)
+                 else pack_block(rows)))
 
     # ------------------------------------------------------------------
     # chunk checkpointing: the engine's crash-consistent progress log
     # ------------------------------------------------------------------
     def record_chunk(self, campaign_id: int, chunk_index: int,
-                     rows: Sequence[Row], seed: int = 0,
+                     rows: Sequence[Row] | Outcomes, seed: int = 0,
                      status: str = "done", attempts: int = 1,
                      error: str | None = None) -> bool:
-        """Checkpoint one chunk: its rows as one block plus a ``chunks``
-        record, idempotently.
+        """Checkpoint one chunk: its :class:`Outcomes` block (packed
+        straight from its columns) or its rows as one block, plus a
+        ``chunks`` record, idempotently.
 
         ``INSERT OR IGNORE`` on the ``(campaign_id, chunk_index)`` key
         makes replays no-ops: if the chunk record already committed, the
@@ -466,11 +629,12 @@ class CampaignDb:
                 (campaign_id,))
         }
 
-    def chunk_rows(self, campaign_id: int) -> dict[int, list[Row]]:
-        """Checkpointed rows grouped by chunk, each chunk's in the order
-        it recorded them (= execution order within the chunk)."""
+    def chunk_rows(self, campaign_id: int) -> dict[int, Outcomes]:
+        """Checkpointed chunks as :class:`Outcomes` blocks (no points;
+        their items are the rows), keyed by chunk, each in the order it
+        recorded them (= execution order within the chunk)."""
         return {
-            chunk_index: unpack_block(payload)
+            chunk_index: Outcomes.unpack(payload)
             for chunk_index, payload in self.conn.execute(
                 "SELECT chunk_index, payload FROM outcome_blocks"
                 " WHERE campaign_id=? AND chunk_index IS NOT NULL"
@@ -499,7 +663,7 @@ class CampaignDb:
     def _outcome_counts(self, campaign_id: int | None) -> dict[str, int]:
         counts: Counter[str] = Counter()
         for _, _, payload in self._blocks(campaign_id):
-            counts.update(_unpack_columns(payload)[2])
+            counts.update(Outcomes.unpack(payload).tally())
         return dict(sorted(counts.items()))
 
     # ------------------------------------------------------------------
@@ -523,11 +687,12 @@ class CampaignDb:
         totals: Counter[str] = Counter()
         fails: Counter[str] = Counter()
         for _, _, payload in self._blocks(campaign_id):
-            locations, _, outcomes = _unpack_columns(payload)
-            totals.update(locations)
-            fails.update(location
-                         for location, outcome in zip(locations, outcomes)
-                         if outcome == failure_outcome)
+            block = Outcomes.unpack(payload)
+            totals.update(block.locations)
+            if failure_outcome in block.names:
+                failed = block.names.index(failure_outcome)
+                fails.update(compress(block.locations,
+                                      map(failed.__eq__, block.codes)))
         return {location: fails[location] / n
                 for location, n in totals.items()}
 

@@ -52,10 +52,6 @@ class FlowReport:
     stages: list[StageReport] = field(default_factory=list)
     artifacts: dict[str, object] = field(default_factory=dict)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.stages)
-
     def rows(self) -> list[tuple]:
         return [(s.name, s.aspect, round(s.seconds, 4), ", ".join(s.produced))
                 for s in self.stages]

@@ -49,9 +49,6 @@ class Registry:
             raise ValueError(f"duplicate tool {entry.name!r}")
         self.entries.append(entry)
 
-    def by_aspect(self, aspect: Aspect) -> list[ToolEntry]:
-        return [e for e in self.entries if aspect in e.aspects]
-
     def figure1_data(self) -> list[tuple[str, str, str, int]]:
         """Rows (tool, aspects, lead, weight) for the Fig. 1 bubble map."""
         return [

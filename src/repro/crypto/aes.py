@@ -60,15 +60,23 @@ def xtime(a: int) -> int:
     return a & 0xFF
 
 
+# log / antilog tables of GF(2^8) over the generator 3 (x + 1): the
+# antilog table is doubled so a sum of two logs needs no reduction
+_EXP = [0] * 510
+_LOG = [0] * 256
+_x = 1
+for _i in range(255):
+    _EXP[_i] = _EXP[_i + 255] = _x
+    _LOG[_x] = _i
+    _x ^= xtime(_x)
+
+
 def gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication (schoolbook; used by MixColumns and DFA)."""
-    result = 0
-    for _ in range(8):
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a = xtime(a)
-    return result
+    """GF(2^8) multiplication of two bytes (used by MixColumns and DFA):
+    one antilog lookup of the sum of their logs."""
+    if not a or not b:
+        return 0
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def expand_key(key: bytes) -> list[list[int]]:
@@ -143,7 +151,7 @@ def encrypt_block(plaintext: bytes, key: bytes,
 
 
 def hamming_weight(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 # ----------------------------------------------------------------------

@@ -30,9 +30,12 @@ width runs on one carrier, the lane walker of :mod:`repro.engine.lanes`
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
+from ..core.campaign import Outcomes
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
 from ..sim.fault_sim import (PatternWindows, _batched_detection,
@@ -256,7 +259,8 @@ class SeuBackend:
         state["_lane_ctx"] = None
         return state
 
-    def run_batch(self, points: Sequence[tuple[str, int]]) -> list[Injection]:
+    def run_batch(self, points: Sequence[tuple[str, int]]
+                  ) -> Outcomes | list[Injection]:
         if self.lane_width > 1:
             return self._run_batch_packed(points)
         out: list[Injection] = []
@@ -268,14 +272,16 @@ class SeuBackend:
         return out
 
     def _run_batch_packed(self, points: Sequence[tuple[str, int]]
-                          ) -> list[Injection]:
+                          ) -> Outcomes:
         """Lane-packed path: up to ``lane_width`` points per sequential
-        run (grouped by cycle, emitted in point order)."""
-        outcomes = lanes.packed_dispatch(
-            points, self.lane_width, lambda p: p[1],
-            lambda group: lanes.seu_outcomes(self._lane_ctx, group))
-        return [Injection(point, point[0], point[1], outcome)
-                for point, outcome in zip(points, outcomes)]
+        run (grouped by cycle), returned as one block in point order —
+        the walker's outcome codes and the points' own flop and cycle
+        columns, no per-point record."""
+        cycles = list(map(itemgetter(1), points))
+        codes = lanes.packed_codes(points, cycles, self.lane_width,
+                                   partial(lanes.seu_outcomes, self._lane_ctx))
+        return Outcomes(points, list(map(itemgetter(0), points)), cycles,
+                        codes, lanes.OUTCOMES)
 
 
 class SafetyBackend:

@@ -23,7 +23,10 @@ accounting.  This module is the one execution core behind all of them:
   the requested margin;
 * streaming batched persistence of every injection into
   :class:`repro.core.campaign.CampaignDb`, so cross-campaign queries see
-  all workloads in one place;
+  all workloads in one place — a chunk's outcomes stay one columnar
+  :class:`repro.core.campaign.Outcomes` block from the backend through
+  the fold to the database, and the report reads them as
+  :class:`Injection` records only when asked (:class:`InjectionView`);
 * **fault tolerance for the campaign itself**: every executed chunk is
   checkpointed to the database in crash-consistent transactions, so a
   killed campaign resumes from its last committed chunk
@@ -46,13 +49,16 @@ import logging
 import pickle
 import random
 import time
+from collections import Counter
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Iterator, NamedTuple, Protocol, Sequence,
-                    runtime_checkable)
+from itertools import chain
+from operator import attrgetter
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
-from ..core.campaign import CampaignDb
+from ..core.campaign import CampaignDb, Outcomes
 from ..core.stats import Interval, wilson_interval
 from ..faults.sampling import sample_size
 from . import executors as _executors
@@ -70,13 +76,15 @@ class Injection(NamedTuple):
     that are not persisted to the database — and so not restored:
     a chunk replayed from a checkpoint has ``detail=None``.
 
-    A record is one immutable tuple with no ``__dict__``: a campaign
-    builds one per point and keeps them all, so what a record costs to
-    build and how many GC-tracked objects it adds is the engine's
-    per-point bookkeeping.  Backends build records positionally and
-    reuse the point object they were handed.  The trade-off: a record
-    compares equal to the plain tuple of its fields, and orders and
-    iterates like one.
+    A record is what a reader of a report sees, not what the campaign
+    carries: a chunk's outcomes travel from the backend to the database
+    as one :class:`repro.core.campaign.Outcomes` block of columns, and
+    ``report.injections`` builds the records from those blocks on first
+    read (:class:`InjectionView`).  Backends without a columnar path
+    still return a list of records, built positionally, which the
+    engine adapts into a block once.  A record is one immutable tuple
+    with no ``__dict__``; it compares equal to the plain tuple of its
+    fields, and orders and iterates like one.
     """
 
     point: Any
@@ -137,8 +145,12 @@ class InjectionBackend(Protocol):
         """One-time golden-run / cache setup before the first batch."""
         ...
 
-    def run_batch(self, points: Sequence[Any]) -> list[Injection]:
-        """Execute the given injection points; one Injection per point."""
+    def run_batch(self, points: Sequence[Any]) -> Outcomes | list[Injection]:
+        """Execute the given injection points, one outcome per point in
+        point order: an :class:`repro.core.campaign.Outcomes` block
+        (``points`` by reference, columns of equal length — what the
+        lane-packed backends return), or a list of :class:`Injection`
+        records, which the engine adapts into a block once."""
         ...
 
 
@@ -246,14 +258,80 @@ class QuarantinedChunk:
     error: str
 
 
+class InjectionView(Sequence):
+    """A campaign's executed points: the chunks' :class:`Outcomes`
+    blocks in accounting order, read as one ``Sequence[Injection]``.
+
+    The fold appends blocks and their outcome tallies, so ``len`` and
+    :meth:`counts` never build a record.  The first read that needs
+    records (indexing, slicing, iterating, ``==``, ``+ list``) builds
+    every block's records once and keeps them; blocks appended later
+    are added to that list on the next such read.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[Outcomes] = []
+        self._counts: dict[str, int] = {}
+        self._records: list[Injection] = []
+        self._built = 0  # blocks whose records are in _records
+        self._n = 0
+
+    def append(self, block: Outcomes, counts: Mapping[str, int]) -> None:
+        """Add ``block``, whose tally is ``counts``."""
+        self.blocks.append(block)
+        self._n += len(block)
+        for outcome, n in counts.items():
+            self._counts[outcome] = self._counts.get(outcome, 0) + n
+
+    def counts(self) -> dict[str, int]:
+        """Points per outcome, in first-appearance order."""
+        return self._counts
+
+    def _list(self) -> list[Injection]:
+        if self._built < len(self.blocks):
+            self._records.extend(chain.from_iterable(
+                self.blocks[self._built:]))
+            self._built = len(self.blocks)
+        return self._records
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator[Injection]:
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return self._list() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other: Sequence) -> list:
+        return self._list() + list(other)
+
+    def __radd__(self, other: Sequence) -> list:
+        return list(other) + self._list()
+
+    def __repr__(self) -> str:
+        return f"InjectionView({self._n} points in {len(self.blocks)} blocks)"
+
+
 @dataclass
 class CampaignReport:
     """Aggregated engine output, common to every backend.
 
-    ``injections`` holds executed points; ``skipped`` holds points the
-    backend's filter stage resolved from golden data alone.  Both are
+    ``injections`` holds executed points — an :class:`InjectionView`
+    over the chunks' outcome blocks, whose records are built on first
+    read; ``skipped`` holds points the backend's filter stage resolved
+    from golden data alone (fixed at construction).  Both are
     first-class outcomes: counts, rates and confidence intervals cover
     their union, so a filter only changes *cost*, never statistics.
+    Those are read off tallies the fold keeps, so they cost one step
+    per outcome, not per point.
 
     ``quarantined`` is the campaign's ``failed`` stratum: chunks whose
     execution kept failing (see :class:`QuarantinedChunk`).  Their
@@ -267,7 +345,7 @@ class CampaignReport:
     circuit: str
     fault_model: str
     workload: str
-    injections: list[Injection] = field(default_factory=list)
+    injections: InjectionView = field(default_factory=InjectionView)
     skipped: list[Injection] = field(default_factory=list)
     population: int = 0
     planned: int = 0
@@ -279,6 +357,11 @@ class CampaignReport:
     quarantined: list[QuarantinedChunk] = field(default_factory=list)
     resumed_chunks: int = 0
     retried_chunks: int = 0
+    _census: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._census = dict(Counter(map(attrgetter("outcome"),
+                                        self.skipped)))
 
     @property
     def executed(self) -> int:
@@ -299,16 +382,14 @@ class CampaignReport:
 
     @property
     def outcomes(self) -> dict[str, int]:
-        acc: dict[str, int] = {}
-        for inj in self.injections:
-            acc[inj.outcome] = acc.get(inj.outcome, 0) + 1
-        for inj in self.skipped:
-            acc[inj.outcome] = acc.get(inj.outcome, 0) + 1
+        acc = dict(self.injections.counts())
+        for outcome, n in self._census.items():
+            acc[outcome] = acc.get(outcome, 0) + n
         return acc
 
     def count(self, outcome: str) -> int:
-        n = sum(1 for inj in self.injections if inj.outcome == outcome)
-        return n + sum(1 for inj in self.skipped if inj.outcome == outcome)
+        return (self.injections.counts().get(outcome, 0)
+                + self._census.get(outcome, 0))
 
     def rate(self, outcome: str) -> float:
         return self.count(outcome) / self.total if self.total else 0.0
@@ -348,6 +429,10 @@ class CampaignReport:
                 f"({self.injections_per_second:.0f} inj/s"
                 f"{', converged early' if self.converged else ''}); "
                 f"outcomes: {counts or 'none'}{suffix}")
+
+
+#: The block of a chunk with no points (a quarantine record's payload).
+_EMPTY = Outcomes.of([])
 
 
 def _chunked(points: Sequence[Any], size: int) -> list[Sequence[Any]]:
@@ -519,46 +604,70 @@ def open_campaign(backend: InjectionBackend, config: EngineConfig,
                 },
             )
             if plan.skipped:  # filtered outcomes are first-class DB rows
-                db.record_many(report.campaign_id,
-                               [inj.row() for inj in plan.skipped])
+                db.record_many(report.campaign_id, Outcomes.of(plan.skipped))
     return report
 
 
 @dataclass(frozen=True)
 class ChunkEvent:
     """One resolved chunk, as every source reports it to the fold:
-    ``batch`` is the result (*done*) or ``None`` (*failed*: quarantined,
-    ``error`` says why) after ``attempts`` executions.  ``executor``
-    names the ladder rung that resolved it — ``None`` for an event
-    replayed from a checkpoint, which the fold neither re-checkpoints
-    nor counts as a retry; its ``batch`` is the checkpointed ``(location,
-    cycle, outcome)`` rows, to which the fold re-attaches the points."""
+    ``batch`` is the result, an :class:`Outcomes` block (*done*), or
+    ``None`` (*failed*: quarantined, ``error`` says why) after
+    ``attempts`` executions.  ``executor`` names the ladder rung that
+    resolved it — ``None`` for an event replayed from a checkpoint,
+    which the fold neither re-checkpoints nor counts as a retry; its
+    ``batch`` is the checkpointed block, without points, to which the
+    fold re-attaches the plan's."""
 
     index: int
     attempts: int
-    batch: list | None = None
+    batch: Outcomes | None = None
     error: str | None = None
     executor: str | None = None
 
 
-def check_batch(batch: Any, chunk: Sequence[Any], index: int) -> str | None:
-    """O(1) shape check on a chunk result: the error text of a malformed
-    batch (a crashed deserialization, a corrupted return), else ``None``
-    — a chunk failure, retried and then quarantined, not corrupt
-    accounting."""
-    if (isinstance(batch, list) and len(batch) == len(chunk)
-            and (not batch or isinstance(batch[0], Injection))):
-        return None
-    got = (f"{type(batch).__name__}[{len(batch)}]"
-           if isinstance(batch, (list, tuple)) else type(batch).__name__)
-    return (f"ValueError: malformed result for chunk {index}: expected "
-            f"{len(chunk)} Injection entries, got {got}")
+def check_batch(batch: Any, chunk: Sequence[Any], index: int
+                ) -> tuple[Outcomes | None, str | None]:
+    """The one seam between a chunk result and the accounting:
+    ``(block, None)``, or ``(None, error)`` for a malformed batch (a
+    crashed deserialization, a corrupted return) — a chunk failure,
+    retried and then quarantined, not corrupt accounting.
+
+    A block must hold one point per chunk point in columns of equal
+    length, its codes naming its outcomes; a list of :class:`Injection`
+    records is adapted into a block here, once.  The checks are
+    C-speed column reads, no per-point Python."""
+    if isinstance(batch, list) and (not batch
+                                    or isinstance(batch[0], Injection)):
+        try:
+            batch = Outcomes.of(batch)
+        except (TypeError, ValueError) as exc:
+            return None, (f"ValueError: malformed result for chunk {index}: "
+                          f"{type(exc).__name__}: {exc}")
+    if isinstance(batch, Outcomes):
+        n = len(batch.codes)
+        columns = [batch.points, batch.locations, batch.cycles]
+        if batch.details is not None:
+            columns.append(batch.details)
+        if (n == len(chunk) and all(column is not None and len(column) == n
+                                    for column in columns)
+                and (not n or max(batch.codes) < len(batch.names))):
+            return batch, None
+        got = (f"Outcomes[{n}] with columns of "
+               f"{[None if c is None else len(c) for c in columns]} "
+               f"points, codes up to {max(batch.codes, default=0)} for "
+               f"{len(batch.names)} outcome names")
+    else:
+        got = (f"{type(batch).__name__}[{len(batch)}]"
+               if isinstance(batch, (list, tuple)) else type(batch).__name__)
+    return None, (f"ValueError: malformed result for chunk {index}: expected "
+                  f"{len(chunk)} Injection entries, got {got}")
 
 
 def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,
                   timeout: float | None
-                  ) -> tuple[list[Injection] | None, str | None]:
-    """Execute chunk ``index`` once, here: ``(batch, None)``, or ``(None,
+                  ) -> tuple[Outcomes | None, str | None]:
+    """Execute chunk ``index`` once, here: ``(block, None)``, or ``(None,
     error)`` when the backend raised or the result was malformed or
     overdue — ``timeout`` is a deadline, so a deterministically hung
     chunk spends its budget and quarantines instead of blocking."""
@@ -568,8 +677,7 @@ def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,
                                                plan.seeds[index], timeout)
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
-    error = check_batch(batch, chunk, index)
-    return (batch, None) if error is None else (None, error)
+    return check_batch(batch, chunk, index)
 
 
 def retry_backoff_s(config: EngineConfig, attempts: int) -> float:
@@ -611,11 +719,12 @@ def _chunk_event(result: Any, backend: InjectionBackend, plan: CampaignPlan,
     """What a rung made of chunk ``index``: ``result`` is its batch or,
     as a value, the exception it raised — that, like a malformed batch,
     is a chunk failure and resolved by :func:`_retried`."""
-    error = (f"{type(result).__name__}: {result}"
-             if isinstance(result, Exception)
-             else check_batch(result, plan.chunks[index], index))
+    if isinstance(result, Exception):
+        block, error = None, f"{type(result).__name__}: {result}"
+    else:
+        block, error = check_batch(result, plan.chunks[index], index)
     if error is None:
-        return ChunkEvent(index, 1, result, executor=executor)
+        return ChunkEvent(index, 1, block, executor=executor)
     return _retried(backend, plan, config, index, error, executor)
 
 
@@ -706,13 +815,13 @@ def replayed(db: CampaignDb, campaign_id: int,
     records past that gap (a peer worker's speculative chunks) are
     ignored and would re-execute idempotently."""
     records = db.chunk_records(campaign_id)
-    rows = db.chunk_rows(campaign_id)
+    blocks = db.chunk_rows(campaign_id)
     for index in range(n_chunks):
         record = records.get(index)
         if record is None:
             return
         yield ChunkEvent(index, record.attempts, error=record.error, batch=(
-            rows.get(index, []) if record.status == "done" else None))
+            blocks.get(index, _EMPTY) if record.status == "done" else None))
 
 
 class StopRule:
@@ -724,8 +833,8 @@ class StopRule:
     executed-sample Wilson half-width scaled by the kept stratum's share
     of the campaign — treating skips as Bernoulli draws would bias the
     interval whenever the filtered subpopulation differs from the kept
-    one.  Running tallies keep the per-chunk check O(batch), not
-    O(history).  ``index`` is the first chunk not yet folded; fed in
+    one.  Running tallies, fed one outcome tally per chunk, keep the
+    per-chunk check O(outcomes), not O(history).  ``index`` is the first chunk not yet folded; fed in
     chunk order — by the engine's fold or, counts only, by
     :func:`replayed_stop` — the rule converges on the same chunk.
     """
@@ -736,12 +845,12 @@ class StopRule:
         self.kept, self.planned = plan.n_kept, plan.planned
         self.executed = self.hits = self.index = 0
 
-    def add(self, outcomes: list[str]) -> None:
-        """Fold one executed chunk's outcomes."""
+    def add(self, counts: Mapping[str, int]) -> None:
+        """Fold one executed chunk's outcome tally (points per outcome)."""
         self.index += 1
-        self.executed += len(outcomes)
+        self.executed += sum(counts.values())
         if self.stop is not None:
-            self.hits += outcomes.count(self.stop.outcome)
+            self.hits += counts.get(self.stop.outcome, 0)
 
     def skip(self) -> None:
         """Pass a quarantined chunk: an unexecuted point has no outcome,
@@ -776,14 +885,15 @@ def replayed_stop(db: CampaignDb, campaign_id: int, plan: CampaignPlan,
         if event.batch is None:
             rule.skip()
         else:
-            rule.add([outcome for _, _, outcome in event.batch])
+            rule.add(event.batch.tally())
     return rule
 
 
 class CheckpointSink:
     """Sink: chunk events → crash-consistent ``CampaignDb`` checkpoints
-    (a chunk's rows plus its record keyed by ``(campaign_id,
-    chunk_index)``), one transaction per ``commit_every`` chunks."""
+    (a chunk's block, packed from its columns, plus its record keyed by
+    ``(campaign_id, chunk_index)``), one transaction per
+    ``commit_every`` chunks."""
 
     def __init__(self, db: CampaignDb, campaign_id: int,
                  seeds: Sequence[int], commit_every: int) -> None:
@@ -805,7 +915,7 @@ class CheckpointSink:
                 done = event.batch is not None
                 self.db.record_chunk(
                     self.campaign_id, event.index,
-                    [inj.row() for inj in event.batch] if done else [],
+                    event.batch if done else _EMPTY,
                     seed=self.seeds[event.index],
                     status="done" if done else "failed",
                     attempts=event.attempts, error=event.error)
@@ -856,11 +966,10 @@ class CampaignFold:
                     f"campaign {report.campaign_id} checkpointed {len(batch)} "
                     f"rows for chunk {event.index} of {len(chunk)} points; "
                     "the database does not match this campaign")
-            batch = [Injection(point, location, cycle, outcome)
-                     for point, (location, cycle, outcome)
-                     in zip(chunk, batch)]
-        report.injections.extend(batch)
-        rule.add([inj.outcome for inj in batch])
+            batch = batch.with_points(chunk)
+        counts = batch.tally()
+        report.injections.append(batch, counts)
+        rule.add(counts)
         if self.on_chunk is not None:
             self.on_chunk(report)
         report.converged = rule.converged

@@ -72,7 +72,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from operator import or_, xor
+from operator import itemgetter, or_, xor
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -119,6 +119,15 @@ MASKED = "masked"
 LATENT = "latent"
 FAILURE = "failure"
 
+#: The lane walkers' outcomes; a lane's outcome code indexes this.
+OUTCOMES = (MASKED, LATENT, FAILURE)
+
+_FAILURE_CODE = OUTCOMES.index(FAILURE)
+_LATENT_CODE = OUTCOMES.index(LATENT)
+# binary digits -> codes, one translate per packed word
+_FAIL_CODES = bytes.maketrans(b"01", bytes((0, _FAILURE_CODE)))
+_LATENT_CODES = bytes.maketrans(b"01", bytes((0, _LATENT_CODE)))
+
 
 def lane_groups(items: Sequence[Any], width: int) -> list[Sequence[Any]]:
     """Split ``items`` into consecutive groups of at most ``width`` —
@@ -126,29 +135,55 @@ def lane_groups(items: Sequence[Any], width: int) -> list[Sequence[Any]]:
     return _chunked(items, max(1, width))
 
 
+def _cycle_order(cycles: Sequence[int]) -> list[int]:
+    """Point indices by ascending injection cycle, ties in point order.
+
+    Every lane runs on its own clock, so a group executes the same
+    number of steps in any order; the sort keeps the walkers' golden
+    gathers cheap: neighbouring lanes share a start cycle or follow each
+    other by one, so a 64-lane block holds few distinct start cycles
+    (one gather each)."""
+    return sorted(range(len(cycles)), key=cycles.__getitem__)
+
+
+def packed_codes(points: Sequence[Any], cycles: Sequence[int], width: int,
+                 codes_fn: Callable[[list[Any]], bytes]) -> bytes:
+    """Group ``points`` into lanes by ascending cycle (``cycles[i]`` is
+    point *i*'s) and classify them: one outcome code per point, in point
+    order — what ``run_batch`` must preserve for executor-identity.
+    ``codes_fn`` returns one code per point of a group.  Sorting and
+    scattering are ``sorted`` / ``map`` over the cycle column, no
+    per-point Python; a chunk already in cycle order is not scattered."""
+    order = _cycle_order(cycles)
+    in_order = order == list(range(len(order)))
+    if in_order and len(order) <= width:
+        return codes_fn(points)  # one group, in order: nothing to move
+    got = b"".join(codes_fn(list(map(points.__getitem__, group)))
+                   for group in lane_groups(order, width))
+    if in_order:
+        return got
+    # got[j] belongs to point order[j]: the inverse permutation reads it
+    return bytes(map(got.__getitem__,
+                     sorted(range(len(order)), key=order.__getitem__)))
+
+
 def packed_dispatch(
     points: Sequence[Any],
     width: int,
     cycle_of: Callable[[Any], int],
-    outcomes_fn: Callable[[list[Any]], list[str]],
-) -> list[str]:
-    """Group ``points`` into lanes and classify them, in point order.
-
-    Points are visited by ascending injection cycle, but the returned
-    outcome list follows the original point order — what ``run_batch``
-    must preserve for executor-identity.  Every lane runs on its own
-    clock, so a group executes the same number of steps in any order;
-    the sort keeps the walkers' golden gathers cheap: neighbouring
-    lanes share a start cycle or follow each other by one, so a 64-lane
-    block holds few distinct start cycles (one gather each).
-    """
-    order = sorted(range(len(points)), key=lambda i: cycle_of(points[i]))
-    outcomes: list[str | None] = [None] * len(points)
+    outcomes_fn: Callable[[list[Any]], Sequence[Any]],
+) -> list[Any]:
+    """:func:`packed_codes`' lane groups for any per-point results,
+    returned in point order.  No backend calls it: it is how
+    ``benchmarks/campaign/probes.py`` replays the groups a chunk is
+    walked in."""
+    order = _cycle_order(list(map(cycle_of, points)))
+    outcomes: list[Any] = [None] * len(points)
     for group in lane_groups(order, width):
         got = outcomes_fn([points[i] for i in group])
         for i, outcome in zip(group, got):
             outcomes[i] = outcome
-    return outcomes  # type: ignore[return-value]
+    return outcomes
 
 
 @dataclass
@@ -642,53 +677,68 @@ def _skewed_golden(ctx: LaneContext, program, starts: Mapping[int, int],
         step += 1
 
 
-def _outcome_list(fail: int, latent: int, count: int) -> list[str]:
-    """Per-lane outcome labels from the packed fail/latent words.
+def _lane_codes(fail: int, latent: int, count: int) -> bytes:
+    """Per-lane outcome codes (indexes into :data:`OUTCOMES`) from the
+    packed fail/latent words, one byte per lane.
 
-    Lane *i* is digit *i* of each word's reversed binary string: one
-    pass per word, where a per-lane ``(word >> i) & 1`` probe rescans
-    the big int per lane — quadratic in width once words span
-    thousands of bits.  Fail wins where both bits are set (they can't
-    be, but keep the precedence explicit).
+    Lane *i* is digit *i* of each word's reversed binary string, and one
+    ``translate`` per word turns its digits into codes: one pass per
+    word, where a per-lane ``(word >> i) & 1`` probe rescans the big int
+    per lane — quadratic in width once words span thousands of bits.
+    Fail wins where both bits are set (they can't be, but keep the
+    precedence explicit).
     """
-    fails = format(fail, f"0{count}b")[::-1]
-    latents = format(latent, f"0{count}b")[::-1]
-    return [FAILURE if f == "1" else LATENT if lat == "1" else MASKED
-            for f, lat in zip(fails[:count], latents)]
+    if count <= 0:
+        return b""
+    fails = format(fail, f"0{count}b")[::-1][:count].encode()
+    latents = format(latent & ~fail, f"0{count}b")[::-1][:count].encode()
+    codes = (int.from_bytes(fails.translate(_FAIL_CODES), "little")
+             | int.from_bytes(latents.translate(_LATENT_CODES), "little"))
+    return codes.to_bytes(count, "little")
 
 
 def seu_outcomes(ctx: LaneContext,
-                 points: Sequence[tuple[str, int]]) -> list[str]:
-    """Classify up to ``ctx.width`` SEU points in one packed run.
+                 points: Sequence[tuple[str, int]]) -> bytes:
+    """Classify up to ``ctx.width`` SEU points in one packed run: one
+    outcome code per point (an index into :data:`OUTCOMES`).
 
     Lane *i* flips ``points[i] = (flop, cycle)`` before that cycle is
     evaluated — exactly :func:`repro.soft_error.seu.inject_seu`'s
     semantics — and the masked/latent/failure split is recovered per
     lane by XOR against the shared golden trace.
     """
-    if len(points) > ctx.width:
-        raise ValueError(f"{len(points)} points exceed lane width "
-                         f"{ctx.width}")
+    n = len(points)
+    if n > ctx.width:
+        raise ValueError(f"{n} points exceed lane width {ctx.width}")
     index, n_cycles = ctx.flop_index, ctx.n_cycles
-    # outside the workload a flip never fires: provably masked, matching
-    # inject_seu (a negative index must not reach the context lists,
-    # where it would wrap around)
-    triples = array("q", [
-        field for lane, (flop, cyc) in enumerate(points)
-        if 0 <= cyc < n_cycles for field in (cyc, index[flop], lane)])
-    if not triples:
-        return [MASKED] * len(points)
-    start = min(triples[::3])
-    fail, latent = _propagate(ctx, triples, start, len(points))
-    return _outcome_list(fail, latent, len(points))
+    lanes = list(range(n))
+    cycles = list(map(itemgetter(1), points))
+    if not (n and 0 <= min(cycles) and max(cycles) < n_cycles):
+        # outside the workload a flip never fires: provably masked,
+        # matching inject_seu (a negative index must not reach the
+        # context lists, where it would wrap around)
+        lanes = [lane for lane in lanes if 0 <= cycles[lane] < n_cycles]
+        if not lanes:
+            return bytes(n)
+        points = list(map(points.__getitem__, lanes))
+        cycles = list(map(cycles.__getitem__, lanes))
+    # one (cycle, flop index, lane) triple per flip, interleaved by
+    # strided slice assignment
+    triples = array("q", bytes(24 * len(lanes)))
+    triples[0::3] = array("q", cycles)
+    triples[1::3] = array("q", [index[flop] for flop, _ in points])
+    triples[2::3] = array("q", lanes)
+    fail, latent = _propagate(ctx, triples, min(cycles), n)
+    return _lane_codes(fail, latent, n)
 
 
 def transient_outcomes(
     ctx: LaneContext,
     points: Sequence[tuple[Any, int]],
     inject: Callable[[Any, int], tuple[bool, Sequence[str]]],
-) -> list[str]:
-    """Classify up to ``ctx.width`` transient injections in one packed run.
+) -> bytes:
+    """Classify up to ``ctx.width`` transient injections in one packed
+    run: one outcome code per point (an index into :data:`OUTCOMES`).
 
     ``inject(fault, cycle)`` answers for the backend-specific injection
     cycle against golden data with ``(failed_now, perturbed)``: whether
@@ -705,7 +755,7 @@ def transient_outcomes(
     if len(points) > ctx.width:
         raise ValueError(f"{len(points)} points exceed lane width "
                          f"{ctx.width}")
-    outcomes: list[str | None] = [None] * len(points)
+    codes = bytearray(len(points))  # masked unless classified below
     index = ctx.flop_index
     triples = array("q")
     start = ctx.n_cycles
@@ -719,13 +769,12 @@ def transient_outcomes(
                              f"{ctx.n_cycles}-cycle workload")
         failed_now, perturbed = inject(fault, cyc)
         if failed_now:
-            outcomes[i] = FAILURE
+            codes[i] = _FAILURE_CODE
             continue
         if not perturbed:
-            outcomes[i] = MASKED
             continue
         if cyc + 1 >= ctx.n_cycles:
-            outcomes[i] = LATENT  # perturbed state survives to the end
+            codes[i] = _LATENT_CODE  # perturbed state survives to the end
             continue
         lane = len(lane_of)
         for q in perturbed:
@@ -734,7 +783,7 @@ def transient_outcomes(
         lane_of.append(i)
     if lane_of:
         fail, latent = _propagate(ctx, triples, start, len(lane_of))
-        labels = _outcome_list(fail, latent, len(lane_of))
-        for i, label in zip(lane_of, labels):
-            outcomes[i] = label
-    return outcomes  # type: ignore[return-value]
+        for i, code in zip(lane_of,
+                           _lane_codes(fail, latent, len(lane_of))):
+            codes[i] = code
+    return bytes(codes)

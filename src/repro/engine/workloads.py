@@ -28,10 +28,12 @@ width, as the SEU backend's do.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from ..circuit import levelize
 from ..circuit.netlist import Circuit
+from ..core.campaign import Outcomes
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
 from ..sim import fault_sim
@@ -620,7 +622,7 @@ class SlicingBackend:
         return kept, skipped
 
     def run_batch(self, points: Sequence[tuple[StuckAtFault, int]]
-                  ) -> list[Injection]:
+                  ) -> Outcomes | list[Injection]:
         if self.lane_width > 1:
             return self._run_batch_packed(points)
         from ..safety.slicing import _simulate_injection
@@ -666,12 +668,12 @@ class SlicingBackend:
         return failed, deltas
 
     def _run_batch_packed(self, points: Sequence[tuple[StuckAtFault, int]]
-                          ) -> list[Injection]:
+                          ) -> Outcomes:
         """Packed path: one :meth:`_inject_window` per distinct (fault,
         window) of the chunk — the memo lives for this call only — then
         per point a bit read, and the multi-cycle propagation of the
         surviving state perturbations shared across up to ``lane_width``
-        lanes."""
+        lanes; returned as one block of outcome codes in point order."""
         span, windows = self._windows
         walked: dict[tuple[StuckAtFault, int],
                      tuple[int, dict[str, int]]] = {}
@@ -687,15 +689,15 @@ class SlicingBackend:
                 return True, []
             return False, [q for q, word in deltas.items() if word >> bit & 1]
 
-        outcomes = lanes.packed_dispatch(
-            points, self.lane_width, lambda p: p[1],
+        cycles = list(map(itemgetter(1), points))
+        codes = lanes.packed_codes(
+            points, cycles, self.lane_width,
             lambda group: lanes.transient_outcomes(
                 self._lane_ctx, group, inject))
-        out: list[Injection] = []
+        locations: list[str] = []
         last = location = None
-        for point, outcome in zip(points, outcomes):
-            fault = point[0]
+        for fault in map(itemgetter(0), points):
             if fault is not last:  # a fault-major run is described once
                 last, location = fault, fault.describe()
-            out.append(Injection(point, location, point[1], outcome))
-        return out
+            locations.append(location)
+        return Outcomes(points, locations, cycles, codes, lanes.OUTCOMES)

@@ -141,6 +141,3 @@ class ScrubbingSchedule:
     def double_error_probability(self) -> float:
         lam = self.upset_rate_per_cycle * self.period_cycles
         return 0.5 * lam * lam
-
-    def scrubs_per_second(self, clock_hz: float) -> float:
-        return clock_hz / self.period_cycles if self.period_cycles else 0.0

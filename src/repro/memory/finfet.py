@@ -51,9 +51,6 @@ class FinFet:
             return 0.0
         return self.k_per_fin * self.effective_fins() * overdrive ** 2
 
-    def off_current(self) -> float:
-        return self.leakage
-
     def drive_ratio_vs(self, reference: "FinFet", vdd: float = 0.8) -> float:
         """This device's drive as a fraction of a reference device's."""
         ref = reference.on_current(vdd)

@@ -192,8 +192,5 @@ class SramArray:
         for row in self.cells:
             yield from row
 
-    def faulty_cells(self) -> list[str]:
-        return [c.name for c in self.all_cells() if c.is_functional_faulty()]
-
     def weak_cells(self, current_threshold: float = 0.85) -> list[str]:
         return [c.name for c in self.all_cells() if c.is_weak(current_threshold)]

@@ -139,9 +139,6 @@ class RSN:
     def inject(self, fault: object) -> None:
         self.faults.append(fault)
 
-    def clear_faults(self) -> None:
-        self.faults = []
-
     def _sib_open(self, sib: Sib) -> bool:
         for fault in self.faults:
             if isinstance(fault, SibStuck) and fault.name == sib.name:

@@ -32,7 +32,6 @@ from ..circuit.netlist import Circuit
 from ..faults.models import StuckAtFault
 from ..sim.fault_sim import fault_simulate, fault_simulate_batched
 from ..sim.logic import exhaustive_patterns, pack_patterns
-from .iso26262 import FaultClass
 from ..atpg.podem import Podem
 
 DETECTABLE = "detectable"
@@ -183,15 +182,3 @@ def default_engines() -> dict[str, Classifier]:
     }
 
 
-def iso_fault_class_of(verdict: Verdict, safety_relevant: bool) -> FaultClass:
-    """Bridge from detectability verdicts to ISO fault classes.
-
-    Used by the safety campaign when a mechanism's detection logic is the
-    observation point: detectable faults are DETECTED, undetectable but
-    safety-relevant ones are RESIDUAL candidates.
-    """
-    if verdict == DETECTABLE:
-        return FaultClass.DETECTED
-    if safety_relevant:
-        return FaultClass.RESIDUAL
-    return FaultClass.SAFE

@@ -39,9 +39,9 @@ import threading
 import time
 from typing import Any
 
-from ..core.campaign import CampaignDb
-from ..engine.core import (EngineConfig, Injection, attempt_chunk,
-                           plan_campaign, retry_backoff_s)
+from ..core.campaign import CampaignDb, Outcomes
+from ..engine.core import (EngineConfig, attempt_chunk, plan_campaign,
+                           retry_backoff_s)
 from .leases import LeaseManager, Lease
 from .queue import CampaignQueue
 
@@ -190,7 +190,7 @@ class CampaignWorker:
                 # nothing claimable right now: peers hold live leases
                 time.sleep(self.poll_s)
                 continue
-            done: list[tuple[Lease, list[Injection]]] = []
+            done: list[tuple[Lease, Outcomes]] = []
             for lease in claimed:
                 if self.chaos is not None:
                     self.chaos.on_chunk_claimed()  # a due sigkill fires
@@ -214,8 +214,7 @@ class CampaignWorker:
                 with queue.db.transaction():
                     for lease, batch in done:
                         queue.db.record_chunk(
-                            campaign_id, lease.chunk_index,
-                            [inj.row() for inj in batch],
+                            campaign_id, lease.chunk_index, batch,
                             seed=plan.seeds[lease.chunk_index],
                             status="done", attempts=lease.attempts)
                         leases.complete(campaign_id, lease.chunk_index,

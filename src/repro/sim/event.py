@@ -60,10 +60,6 @@ class SETOutcome:
     glitched_outputs: list[str]
     filtered: bool
 
-    @property
-    def is_masked(self) -> bool:
-        return not self.captured_flops and not self.glitched_outputs
-
 
 class EventSim:
     """Small event-driven gate-level simulator.

@@ -76,14 +76,6 @@ class FaultSimResult:
             bits ^= low
         return indices
 
-    def essential_patterns(self) -> set[int]:
-        """Patterns that are the sole detector of at least one fault."""
-        essential = set()
-        for mask in self.detected.values():
-            if mask and mask & (mask - 1) == 0:
-                essential.add(mask.bit_length() - 1)
-        return essential
-
 
 #: Keys of the reachability table, of the fan-out-free-region links and
 #: (paired with an observe tuple) of the linear-tail walk table and its
@@ -1050,15 +1042,3 @@ def sequential_fault_simulate(
         else:
             result.undetected.append(fault)
     return result
-
-
-def fault_coverage(
-    circuit: Circuit,
-    faults: Sequence[StuckAtFault],
-    pi_values: Mapping[str, int],
-    n_patterns: int,
-    full_scan: bool = True,
-) -> float:
-    """Convenience wrapper returning just the coverage fraction."""
-    return fault_simulate(circuit, faults, pi_values, n_patterns,
-                          full_scan=full_scan).coverage

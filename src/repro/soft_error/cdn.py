@@ -32,10 +32,6 @@ class ClockTree:
     depth: int
     leaf_groups: tuple[tuple[str, ...], ...]
 
-    @property
-    def n_buffers(self) -> int:
-        return (1 << (self.depth + 1)) - 1
-
     def buffers_at_level(self, level: int) -> int:
         return 1 << level
 

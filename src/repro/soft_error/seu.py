@@ -59,14 +59,6 @@ class SeuCampaignResult:
     def failure_rate(self) -> float:
         return self.count(FAILURE) / self.total if self.total else 0.0
 
-    @property
-    def masked_rate(self) -> float:
-        return self.count(MASKED) / self.total if self.total else 0.0
-
-    @property
-    def latent_rate(self) -> float:
-        return self.count(LATENT) / self.total if self.total else 0.0
-
     def avf_per_flop(self) -> dict[str, float]:
         """Per-flop failure probability (AVF) over the campaign."""
         totals: dict[str, int] = {}

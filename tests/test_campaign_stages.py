@@ -2,6 +2,7 @@
 replay source driven by synthetic chunk events — no backend, no pool.
 """
 
+from collections import Counter
 from itertools import chain
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import _signature
 from repro.core import CampaignDb
+from repro.core.campaign import Outcomes, pack_block
 from repro.engine import CampaignReport, EarlyStop, Injection
 from repro.engine.core import (
     CampaignFold,
@@ -43,7 +45,8 @@ def _plan(chunk_sizes, census=()):
 def _events(plan, outcomes):
     """Executed events: one outcome string per point, or None for a
     chunk that quarantines."""
-    return [ChunkEvent(i, 1, [_inj(p, o) for p, o in zip(chunk, outs)],
+    return [ChunkEvent(i, 1, Outcomes.of([_inj(p, o)
+                                          for p, o in zip(chunk, outs)]),
                        executor="serial") if outs is not None
             else ChunkEvent(i, 3, error="ChaosError: boom",
                             executor="serial")
@@ -80,25 +83,25 @@ class TestStopRule:
         # the same executed sample: too wide alone, tight enough once a
         # census makes the kept stratum a small share of the campaign
         alone = StopRule(STOP, _plan([4]))
-        alone.add(["failure", "failure", "masked", "masked"])
+        alone.add(Counter(["failure", "failure", "masked", "masked"]))
         assert not alone.converged
         weighted = StopRule(STOP, _plan([4], census=["masked"] * 36))
         assert not weighted.converged  # nothing executed yet
-        weighted.add(["failure", "failure", "masked", "masked"])
+        weighted.add(Counter(["failure", "failure", "masked", "masked"]))
         assert weighted.converged
 
     def test_min_injections_gates_convergence(self):
         gated = EarlyStop("failure", margin=0.9, min_injections=6)
         rule = StopRule(gated, _plan([4, 4]))
-        rule.add(["masked"] * 4)
+        rule.add(Counter(["masked"] * 4))
         assert not rule.converged
-        rule.add(["masked"] * 4)
+        rule.add(Counter(["masked"] * 4))
         assert rule.converged and rule.index == 2
 
     def test_min_injections_counts_the_census(self):
         gated = EarlyStop("failure", margin=0.9, min_injections=6)
         rule = StopRule(gated, _plan([4], census=["masked"] * 2))
-        rule.add(["masked"] * 4)
+        rule.add(Counter(["masked"] * 4))
         assert rule.converged
 
     def test_skip_moves_only_the_cursor(self):
@@ -134,9 +137,10 @@ class TestFold:
         plan = _plan([2, 2])
         batch = [_inj(0, "masked"), _inj(1, "masked")]
         report, _ = _fold(plan, None, [
-            # replayed, as bare rows: not a retry of this run
-            ChunkEvent(0, 2, [inj.row() for inj in batch]),
-            ChunkEvent(1, 2, batch, executor="process")])
+            # replayed, as stored rows: not a retry of this run
+            ChunkEvent(0, 2, Outcomes.unpack(
+                pack_block([inj.row() for inj in batch]))),
+            ChunkEvent(1, 2, Outcomes.of(batch), executor="process")])
         assert (report.resumed_chunks, report.retried_chunks) == (1, 1)
         assert report.executor == "process"
 

@@ -863,9 +863,9 @@ def test_native_campaign_never_builds_the_int_kernel(monkeypatch,
     assert "fn" in vars(compiled.step_program(python.circuit))
 
 
-def test_outcome_list_wide_matches_probe():
-    # outcome words unpack in one pass per word at every width; the
-    # per-lane probe is the reference
+def test_lane_codes_wide_match_probe():
+    # outcome words unpack into one code byte per lane in one pass per
+    # word at every width; the per-lane probe is the reference
     rng = random.Random(3)
     cases = []
     for count in (0, 1, 63, 64, 65, 200, 1024):
@@ -877,7 +877,8 @@ def test_outcome_list_wide_matches_probe():
         probe = [lanes.FAILURE if (fail >> i) & 1 else
                  lanes.LATENT if (latent >> i) & 1 else lanes.MASKED
                  for i in range(count)]
-        assert lanes._outcome_list(fail, latent, count) == probe
+        assert [lanes.OUTCOMES[code] for code
+                in lanes._lane_codes(fail, latent, count)] == probe
 
 
 def test_golden_table_is_kept_per_layout():

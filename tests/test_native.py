@@ -205,7 +205,7 @@ backend = SeuBackend(circuit.copy(), stimuli, lane_width=64)
 backend.prepare()
 points = backend.enumerate_points()[:64]
 kernel = compiled.step_program(backend.circuit).native
-print(json.dumps([kernel.path, seu_outcomes(backend._lane_ctx, points)]))
+print(json.dumps([kernel.path, list(seu_outcomes(backend._lane_ctx, points))]))
 """
     env = dict(os.environ, PYTHONPATH=SRC,
                XDG_CACHE_HOME=str(fresh / "cache"))
@@ -225,5 +225,5 @@ print(json.dumps([kernel.path, seu_outcomes(backend._lane_ctx, points)]))
     with mock.patch.object(native, "load", lambda source: None):
         backend = SeuBackend(circuit.copy(), stimuli, lane_width=64)
         backend.prepare()
-        assert results[0][1] == seu_outcomes(
-            backend._lane_ctx, backend.enumerate_points()[:64])
+        assert results[0][1] == list(seu_outcomes(
+            backend._lane_ctx, backend.enumerate_points()[:64]))

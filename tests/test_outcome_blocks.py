@@ -8,14 +8,23 @@ per-row database is in ``test_db_concurrency.py``.
 """
 
 import json
+import pickle
 import sqlite3
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _signature
+from repro.circuit import load
 from repro.core import CampaignDb
-from repro.core.campaign import pack_block, unpack_block
+from repro.core.campaign import Outcomes, pack_block, unpack_block
+from repro.engine import (EngineConfig, Injection, PpsfpBackend, SeuBackend,
+                          resume_campaign, run_campaign)
+from repro.engine.core import check_batch
+from repro.faults import collapse
+from repro.sim import random_patterns
 
 
 def _header(block: bytes) -> dict:
@@ -181,3 +190,197 @@ class TestBlockStore:
         db.record_many(cid, [("f1", 0, "masked")])
         db.record_many(cid, [("f2", 0, "masked")])
         assert _blocks(db) == [(cid, 0, 1), (cid, None, 1), (cid, None, 1)]
+
+
+# ----------------------------------------------------------------------
+# the columnar chunk result: backend -> engine -> database -> report
+# ----------------------------------------------------------------------
+_INJECTIONS = st.lists(st.tuples(
+    st.sampled_from([f"ff{i}" for i in range(300)] + ["", "flöp→7\n"]),
+    st.one_of(st.integers(-3, 3),
+              st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)),
+    st.sampled_from(["masked", "failure", "latent", "sdc ⚡"])),
+    max_size=60)
+
+
+def _records(rows):
+    return [Injection((i, location), location, cycle, outcome)
+            for i, (location, cycle, outcome) in enumerate(rows)]
+
+
+def _coded(rows):
+    """The block a columnar backend builds for ``rows``: outcome codes
+    into a fixed outcome table, not the rows' first-appearance order."""
+    names = ("latent", "sdc ⚡", "failure", "masked")
+    return Outcomes([(i, row[0]) for i, row in enumerate(rows)],
+                    [row[0] for row in rows], [row[1] for row in rows],
+                    bytes(names.index(row[2]) for row in rows), names)
+
+
+class TestOutcomesBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(_INJECTIONS)
+    def test_packing_a_block_is_byte_identical_to_its_rows(self, rows):
+        # a database written from rows (an older version, the census)
+        # and one written from blocks are the same bytes, so either
+        # resumes from the other
+        assert Outcomes.of(_records(rows)).pack() == pack_block(rows)
+        assert _coded(rows).pack() == pack_block(rows)
+
+    def test_packing_edge_cases(self):
+        cases = {
+            "empty": [],
+            "negative cycles": [("ff0", -5, "masked"), ("ff1", -1, "failure")],
+            "64-bit cycles": [("ff0", -(1 << 63), "masked"),
+                              ("ff0", (1 << 63) - 1, "latent")],
+            "> 256 locations": [(f"ff{i}", i, "masked") for i in range(700)],
+            "constant columns": [("ff0", 7, "failure")] * 9,
+        }
+        for name, rows in cases.items():
+            for block in (Outcomes.of(_records(rows)), _coded(rows)):
+                assert block.pack() == pack_block(rows), name
+                assert Outcomes.unpack(block.pack()) == rows, name
+
+    def test_more_than_256_outcomes(self):
+        rows = [(f"ff{i}", 0, f"out{i % 300}") for i in range(600)]
+        block = Outcomes.of(_records(rows))
+        assert block.pack() == pack_block(rows)
+        assert Outcomes.unpack(pack_block(rows)).rows() == rows
+        assert block.tally() == {f"out{i}": 2 for i in range(300)}
+
+    def test_records_are_the_backends_records(self):
+        rows = [("ff1", 3, "failure"), ("ff0", 3, "masked"),
+                ("ff1", 4, "latent")]
+        block = _coded(rows)
+        expected = [Injection((i, row[0]), *row) for i, row in
+                    enumerate(rows)]
+        assert list(block) == expected == block
+        assert block[-1] == expected[-1] and block[:2] == expected[:2]
+        assert all(inj.detail is None for inj in block)
+        assert block.tally() == {"failure": 1, "masked": 1, "latent": 1}
+        # read back, a block has no points: its items are its rows
+        assert Outcomes.unpack(block.pack()) == rows
+        assert Outcomes.unpack(block.pack()).with_points(
+            block.points) == expected
+        # the adapter keeps the backend's own records, detail and all
+        records = [Injection("p", "ff0", 0, "detected", 0b1010)]
+        adapted = Outcomes.of(records)
+        assert adapted[0] is records[0] and adapted.details == (0b1010,)
+
+    def test_a_block_pickles_without_its_records(self):
+        block = Outcomes.of(_records([("ff0", 1, "masked")] * 3))
+        copy = pickle.loads(pickle.dumps(block))
+        assert copy._items is None and copy == block
+
+
+class _Malformed:
+    """A SEU-shaped backend whose blocks are broken in one chosen way."""
+
+    name, fault_model, workload = "malformed", "seu", "w"
+    circuit_name = "c"
+
+    def __init__(self, how):
+        self.how = how
+
+    def enumerate_points(self):
+        return [(f"ff{i}", i) for i in range(8)]
+
+    def prepare(self):
+        pass
+
+    def run_batch(self, points):
+        n = len(points)
+        columns = dict(points=points, locations=[p[0] for p in points],
+                       cycles=[p[1] for p in points], codes=bytes(n),
+                       names=("masked",))
+        if self.how == "ragged":
+            columns["cycles"] = columns["cycles"][:-1]
+        elif self.how == "short":
+            columns = dict(points=points[:-1],
+                           locations=columns["locations"][:-1],
+                           cycles=columns["cycles"][:-1],
+                           codes=bytes(n - 1), names=("masked",))
+        elif self.how == "unnamed":
+            columns["codes"] = bytes([0] * (n - 1) + [1])
+        return Outcomes(**columns)
+
+
+@pytest.mark.parametrize("how", ["ragged", "short", "unnamed"])
+def test_a_malformed_block_is_retried_then_quarantined(how, no_pool):
+    chunk = ["ff0", "ff1", "ff2", "ff3"]
+    assert check_batch(_Malformed(how).run_batch(
+        [(f, 0) for f in chunk]), chunk, 0)[0] is None
+    db = CampaignDb()
+    report = run_campaign(_Malformed(how), EngineConfig(
+        batch_size=4, executor="serial", max_chunk_retries=1,
+        retry_backoff_s=0), db=db)
+    assert [(q.index, q.attempts) for q in report.quarantined] == [
+        (0, 2), (1, 2)]
+    assert all("malformed result" in q.error for q in report.quarantined)
+    assert report.executed == 0 and list(db.rows()) == []
+    assert [r.status for r in db.chunk_records(report.campaign_id)
+            .values()] == ["failed", "failed"]
+    good = run_campaign(_Malformed("fine"), EngineConfig(
+        batch_size=4, executor="serial"))
+    assert good.outcomes == {"masked": 8} and not good.quarantined
+
+
+class TestInjectionView:
+    def test_view_reads_as_the_list_of_records(self, seq_setup, no_pool):
+        circuit, workload = seq_setup
+        packed = SeuBackend(circuit.copy(), workload, lane_width=64)
+        report = run_campaign(packed, EngineConfig(batch_size=40,
+                                                   executor="serial"))
+        reference = SeuBackend(circuit.copy(), workload, lane_width=1)
+        reference.prepare()
+        expected = reference.run_batch(packed.enumerate_points())
+        view = report.injections
+        assert len(view) == len(expected) == report.executed
+        assert not view._records  # counts and len built no record
+        assert list(view) == expected and view == expected
+        assert view[0] == expected[0] and view[-1] == expected[-1]
+        assert view[5:9] == expected[5:9]
+        assert view + [] == expected and [] + view == expected
+        assert report.outcomes == dict(Counter(
+            inj.outcome for inj in expected))
+        assert report.count("failure") == sum(
+            inj.outcome == "failure" for inj in expected)
+
+    def test_row_packed_checkpoints_resume_identically(self, seq_setup,
+                                                       no_pool):
+        # every stored chunk is the bytes pack_block makes of its rows,
+        # so a database checkpointed from rows resumes as one from blocks
+        circuit, workload = seq_setup
+        config = EngineConfig(batch_size=40, executor="serial")
+        reference = run_campaign(SeuBackend(circuit.copy(), workload),
+                                 config)
+        db = CampaignDb()
+        cid = run_campaign(SeuBackend(circuit.copy(), workload), config,
+                           db=db).campaign_id
+        stored = dict(db.conn.execute(
+            "SELECT chunk_index, payload FROM outcome_blocks"
+            " WHERE campaign_id=?", (cid,)).fetchall())
+        chunks = [list(reference.injections)[i:i + 40]
+                  for i in range(0, reference.executed, 40)]
+        assert stored == {i: pack_block([inj.row() for inj in chunk])
+                          for i, chunk in enumerate(chunks)}
+        db.conn.execute("DELETE FROM outcome_blocks WHERE chunk_index >= 2")
+        db.conn.execute("DELETE FROM chunks WHERE chunk_index >= 2")
+        db.conn.commit()
+        resumed = resume_campaign(SeuBackend(circuit.copy(), workload), cid,
+                                  config, db=db)
+        assert resumed.resumed_chunks == 2
+        assert _signature(resumed) == _signature(reference)
+
+    def test_details_survive_a_fresh_run(self, no_pool):
+        circuit = load("c17")
+        faults = collapse(circuit)[0]
+        batches = [(random_patterns(circuit.inputs, 8, seed=1), 8)]
+        report = run_campaign(PpsfpBackend(circuit, faults, batches),
+                              EngineConfig(batch_size=5, executor="serial"))
+        backend = PpsfpBackend(circuit, faults, batches)
+        backend.prepare()
+        expected = backend.run_batch(faults)
+        assert [tuple(inj) for inj in report.injections] == [
+            tuple(inj) for inj in expected]
+        assert any(inj.detail for inj in report.injections)

@@ -72,6 +72,23 @@ class TestAes:
         assert gmul(0x57, 0x13) == 0xFE  # FIPS-197 example
         assert gmul(1, 0xAB) == 0xAB
 
+    def test_gmul_tables_match_schoolbook_product(self):
+        # the log / antilog lookup against shift-and-add over xtime, on
+        # every pair of bytes
+        def schoolbook(a, b):
+            product = 0
+            for _ in range(8):
+                if b & 1:
+                    product ^= a
+                b >>= 1
+                a = xtime(a)
+            return product
+
+        assert all(gmul(a, b) == schoolbook(a, b)
+                   for a in range(256) for b in range(256))
+        assert [hamming_weight(x) for x in (0, 1, 0xFF, 0x1234, -5)] == [
+            bin(x).count("1") for x in (0, 1, 0xFF, 0x1234, -5)]
+
     def test_fault_hook_changes_ciphertext(self):
         pt = bytes(16)
         clean = encrypt_block(pt, KEY)

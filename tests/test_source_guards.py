@@ -198,6 +198,13 @@ GUARDS = (
           "gone",
           r"CompositeBackend|batch_rounds|_speculated_tables",
           ("src",)),
+    Guard("outcomes_stay_columns",
+          "a chunk's outcomes travel as one Outcomes block from the "
+          "backend to the database: the fold, CheckpointSink, the replay "
+          "source and the service worker rebuild no per-point row tuple "
+          "or Injection record (report.injections builds them on read)",
+          r"\.row\(\)|(?<!class )\bInjection\((?!NamedTuple)",
+          ("src/repro/engine/core.py", "src/repro/service")),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -270,6 +277,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "no_dense_flip_masks": "lent = ctypes.c_char.from_buffer(masks)\n",
         "engine_needs_no_numpy": "by_row = _vector.np.frombuffer(buf)\n",
         "no_round_batching": "backend = CompositeBackend(parts)\n",
+        "outcomes_stay_columns": "[inj.row() for inj in event.batch]\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -315,6 +323,11 @@ def test_clean_names_pass():
         assert not regexes["no_dense_flip_masks"].search(clean)
     assert not regexes["one_copy_of_each_test_helper"].search(
         "def _rows_of(report):")
+    assert not regexes["outcomes_stay_columns"].search(
+        "class Injection(NamedTuple):\n    rows = block.rows()")
+    for dirty in ("batch = [Injection(point, location, cycle, outcome)",
+                  "[inj.row() for inj in batch]"):
+        assert regexes["outcomes_stay_columns"].search(dirty), dirty
     for clean in ('HAVE_NUMPY = find_spec("numpy") is not None',
                   "inp.append(x)", "snp.x", "no campaign loads numpy"):
         assert not regexes["engine_needs_no_numpy"].search(clean)
