@@ -27,11 +27,12 @@ A block is self-contained (:func:`pack_block` / :func:`unpack_block`):
 There is no block-external dictionary, so a block decodes on its own:
 concurrent writers never contend on a shared string table and a
 copied-out BLOB is the interchange unit.  In memory a block is an
-:class:`Outcomes` — one chunk's points as columns — which is what the
-campaign engine carries from a backend to :meth:`CampaignDb.record_chunk`
-(packed straight from its columns) and what
-:meth:`CampaignDb.chunk_rows` hands back on resume.  Every read side —
-:meth:`CampaignDb.chunk_rows`, :meth:`CampaignDb.summary`,
+:class:`Outcomes` — one chunk's points, or the filter census, as
+columns — which is what the campaign engine carries from a backend to
+:meth:`CampaignDb.record_chunk` (and the census from the filter to
+:meth:`CampaignDb.record_many`), packed straight from its columns, and
+what :meth:`CampaignDb.chunk_rows` hands back on resume.  Every read
+side — :meth:`CampaignDb.chunk_rows`, :meth:`CampaignDb.summary`,
 :meth:`CampaignDb.failure_rate_by_location`,
 :meth:`CampaignDb.cross_campaign_outcomes` — sits behind the decoder,
 and :meth:`CampaignDb.rows` yields the flat ``(campaign_id, chunk_index,
@@ -249,8 +250,9 @@ def unpack_block(payload: bytes) -> list[Row]:
 
 
 class Outcomes(Sequence):
-    """One chunk's executed points as columns — what a backend returns,
-    the engine folds, the database stores and the report reads.
+    """One chunk's executed points, or a filter's census of the points it
+    resolved, as columns — what a backend returns, the engine folds, the
+    database stores and the report reads.
 
     ``points`` is the chunk by reference (``None`` on a block read back
     from the database, which stores no points); ``locations`` and

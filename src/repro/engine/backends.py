@@ -212,33 +212,32 @@ class SeuBackend:
         return [(flop, cyc) for flop in self.targets for cyc in self.cycles]
 
     def filter_points(self, points: Sequence[tuple[str, int]]
-                      ) -> tuple[list, list[Injection]]:
+                      ) -> tuple[list, Outcomes]:
         """Resolve injections on dead flops as ``masked`` without
-        simulating them (only when ``skip_dead_flops`` is set)."""
+        simulating them (only when ``skip_dead_flops`` is set).  The
+        census is one :class:`Outcomes` block: the skipped points, their
+        flops and cycles, all ``masked``, each with the dead-flop rule
+        in ``details``."""
         if not self.skip_dead_flops:
-            return list(points), []
+            return list(points), Outcomes.of(())
         from ..circuit.levelize import fanout_cone
         from .workloads import SKIP_DEAD_FLOP
 
         observables = set(self.circuit.outputs)
         d_nets = {flop.d for flop in self.circuit.flops.values()}
         dead = self._dead_flops  # structural verdicts survive campaigns
-
-        def is_dead(flop: str) -> bool:
-            if flop not in dead:
-                cone = fanout_cone(self.circuit, [flop], through_flops=False)
-                dead[flop] = not (cone & observables) and not (cone & d_nets)
-            return dead[flop]
-
-        kept, skipped = [], []
+        for flop in set(map(itemgetter(0), points)) - dead.keys():
+            cone = fanout_cone(self.circuit, [flop], through_flops=False)
+            dead[flop] = not (cone & observables) and not (cone & d_nets)
+        kept: list[tuple[str, int]] = []
+        skipped: list[tuple[str, int]] = []
+        keep, skip = kept.append, skipped.append
         for point in points:
-            flop, cyc = point
-            if is_dead(flop):
-                skipped.append(Injection(point, flop, cyc, "masked",
-                                         SKIP_DEAD_FLOP))
-            else:
-                kept.append(point)
-        return kept, skipped
+            (skip if dead[point[0]] else keep)(point)
+        n = len(skipped)
+        return kept, Outcomes(skipped, list(map(itemgetter(0), skipped)),
+                              list(map(itemgetter(1), skipped)), bytes(n),
+                              ("masked",), [SKIP_DEAD_FLOP] * n)
 
     def prepare(self) -> None:
         # idempotent (re-run per worker process); one golden pass either

@@ -49,13 +49,11 @@ import logging
 import pickle
 import random
 import time
-from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 from ..core.campaign import CampaignDb, Outcomes
@@ -119,17 +117,21 @@ class InjectionBackend(Protocol):
     choice.
 
     Backends that can prove some outcomes from the golden run alone may
-    provide an optional ``filter_points(points) -> (kept,
-    skipped_outcomes)`` method.  The engine calls it exactly once, in
-    the parent, after sampling and before chunking (``prepare()`` runs
-    first so the filter can consult golden data); ``skipped_outcomes``
-    is a list of ready-made :class:`Injection` results that are
-    accounted — and persisted — as first-class outcomes without ever
-    being executed.  Filters must be *lossless*: a skipped point's
-    outcome must equal what ``run_batch`` would have produced.  A
-    backend with a switchable filter may also expose a ``use_filter``
-    attribute; when it is False the stage (including its parent-side
-    ``prepare()``) is skipped entirely.
+    provide an optional ``filter_points(points) -> (kept, census)``
+    method.  The engine calls it exactly once, in the parent, after
+    sampling and before chunking (``prepare()`` runs first so the filter
+    can consult golden data); ``census`` holds the skipped points'
+    outcomes, accounted — and persisted — as first-class outcomes
+    without ever being executed: one
+    :class:`repro.core.campaign.Outcomes` block (the skipped points by
+    reference, their locations and cycles, one outcome code per point,
+    the skip rule in ``details`` — what the in-tree filters build), or a
+    list of ready-made :class:`Injection` records, which
+    :func:`plan_campaign` adapts into a block once.  Filters must be
+    *lossless*: a skipped point's outcome must equal what ``run_batch``
+    would have produced.  A backend with a switchable filter may also
+    expose a ``use_filter`` attribute; when it is False the stage
+    (including its parent-side ``prepare()``) is skipped entirely.
     """
 
     name: str
@@ -327,11 +329,14 @@ class CampaignReport:
     ``injections`` holds executed points — an :class:`InjectionView`
     over the chunks' outcome blocks, whose records are built on first
     read; ``skipped`` holds points the backend's filter stage resolved
-    from golden data alone (fixed at construction).  Both are
+    from golden data alone (fixed at construction): the plan's census,
+    one :class:`Outcomes` block whose :class:`Injection` records, skip
+    rule in ``detail``, are likewise built on first read (a list of
+    records passed in is adapted into a block once).  Both are
     first-class outcomes: counts, rates and confidence intervals cover
     their union, so a filter only changes *cost*, never statistics.
-    Those are read off tallies the fold keeps, so they cost one step
-    per outcome, not per point.
+    Those are read off tallies — the fold's, and the census block's,
+    taken once — so they cost one step per outcome, not per point.
 
     ``quarantined`` is the campaign's ``failed`` stratum: chunks whose
     execution kept failing (see :class:`QuarantinedChunk`).  Their
@@ -346,7 +351,7 @@ class CampaignReport:
     fault_model: str
     workload: str
     injections: InjectionView = field(default_factory=InjectionView)
-    skipped: list[Injection] = field(default_factory=list)
+    skipped: Outcomes = field(default_factory=lambda: Outcomes.of(()))
     population: int = 0
     planned: int = 0
     converged: bool = False
@@ -360,8 +365,9 @@ class CampaignReport:
     _census: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._census = dict(Counter(map(attrgetter("outcome"),
-                                        self.skipped)))
+        if not isinstance(self.skipped, Outcomes):
+            self.skipped = Outcomes.of(list(self.skipped))
+        self._census = self.skipped.tally()
 
     @property
     def executed(self) -> int:
@@ -431,7 +437,8 @@ class CampaignReport:
                 f"outcomes: {counts or 'none'}{suffix}")
 
 
-#: The block of a chunk with no points (a quarantine record's payload).
+#: The block of no points: a quarantine record's payload, and the census
+#: of a campaign without a filter stage.
 _EMPTY = Outcomes.of([])
 
 
@@ -449,10 +456,14 @@ class CampaignPlan:
     sampling, filter and chunk partition — the fingerprint proves it),
     so chunks can be claimed by bare index across hosts and executed
     anywhere while staying byte-compatible with a serial run.
+
+    ``skipped`` is the filter census: one :class:`Outcomes` block of the
+    points the filter resolved, in the filter's order, which the report
+    holds and the database stores as it is.
     """
 
     points: list[Any]
-    skipped: list[Injection]
+    skipped: Outcomes
     chunks: list[Sequence[Any]]
     seeds: list[int]
     batch_size: int
@@ -487,15 +498,15 @@ def plan_campaign(backend: InjectionBackend,
         points = rng.sample(points, population)
     planned = len(points)
 
-    skipped: list[Injection] = []
+    skipped = _EMPTY
     filter_points = getattr(backend, "filter_points", None)
     # backends with a switchable filter expose ``use_filter`` so a
     # disabled filter costs nothing (no parent-side prepare)
     if filter_points is not None and getattr(backend, "use_filter", True):
         backend.prepare()  # filters consult golden-run data
-        kept, skipped_outcomes = filter_points(points)
+        kept, census = filter_points(points)
         points = list(kept)
-        skipped = list(skipped_outcomes)
+        skipped = _census_block(backend, census)
         if len(points) + len(skipped) != planned:
             raise ValueError(
                 f"{backend.name}.filter_points dropped points: kept "
@@ -518,6 +529,23 @@ def plan_campaign(backend: InjectionBackend,
                         seeds=seeds, batch_size=batch_size,
                         lane_width=lane_width, population=population,
                         planned=planned, fingerprint=fingerprint)
+
+
+def _census_block(backend: InjectionBackend, census: Any) -> Outcomes:
+    """The one seam between a filter's census and the campaign: a block
+    as it is, a list of :class:`Injection` records adapted once.  A
+    malformed census raises ``ValueError`` here, at plan time, before
+    any chunk runs."""
+    try:
+        if not isinstance(census, Outcomes):
+            census = Outcomes.of(list(census))
+        problem = _malformed(census, len(census.codes))
+    except (TypeError, ValueError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+    if problem is not None:
+        raise ValueError(f"{backend.name}.filter_points returned a "
+                         f"malformed census: {problem}")
+    return census
 
 
 #: Ceiling on the exponential retry backoff (seconds).
@@ -603,8 +631,8 @@ def open_campaign(backend: InjectionBackend, config: EngineConfig,
                     "fingerprint": plan.fingerprint,
                 },
             )
-            if plan.skipped:  # filtered outcomes are first-class DB rows
-                db.record_many(report.campaign_id, Outcomes.of(plan.skipped))
+            if plan.skipped:  # the census block is one first-class block
+                db.record_many(report.campaign_id, report.skipped)
     return report
 
 
@@ -645,23 +673,32 @@ def check_batch(batch: Any, chunk: Sequence[Any], index: int
             return None, (f"ValueError: malformed result for chunk {index}: "
                           f"{type(exc).__name__}: {exc}")
     if isinstance(batch, Outcomes):
-        n = len(batch.codes)
-        columns = [batch.points, batch.locations, batch.cycles]
-        if batch.details is not None:
-            columns.append(batch.details)
-        if (n == len(chunk) and all(column is not None and len(column) == n
-                                    for column in columns)
-                and (not n or max(batch.codes) < len(batch.names))):
+        got = _malformed(batch, len(chunk))
+        if got is None:
             return batch, None
-        got = (f"Outcomes[{n}] with columns of "
-               f"{[None if c is None else len(c) for c in columns]} "
-               f"points, codes up to {max(batch.codes, default=0)} for "
-               f"{len(batch.names)} outcome names")
     else:
         got = (f"{type(batch).__name__}[{len(batch)}]"
                if isinstance(batch, (list, tuple)) else type(batch).__name__)
     return None, (f"ValueError: malformed result for chunk {index}: expected "
                   f"{len(chunk)} Injection entries, got {got}")
+
+
+def _malformed(block: Outcomes, n: int) -> str | None:
+    """``None`` when ``block`` holds ``n`` points in columns of equal
+    length, its codes naming its outcomes; else what it holds instead.
+    C-speed column reads, no per-point Python."""
+    columns = [block.points, block.locations, block.cycles]
+    if block.details is not None:
+        columns.append(block.details)
+    if (len(block.codes) == n and all(column is not None
+                                      and len(column) == n
+                                      for column in columns)
+            and (not n or max(block.codes) < len(block.names))):
+        return None
+    return (f"Outcomes[{len(block.codes)}] with columns of "
+            f"{[None if c is None else len(c) for c in columns]} "
+            f"points, codes up to {max(block.codes, default=0)} for "
+            f"{len(block.names)} outcome names")
 
 
 def attempt_chunk(backend: InjectionBackend, plan: CampaignPlan, index: int,

@@ -579,23 +579,30 @@ class SlicingBackend:
         return state
 
     def filter_points(self, points: Sequence[tuple[StuckAtFault, int]]
-                      ) -> tuple[list, list[Injection]]:
+                      ) -> tuple[list, Outcomes]:
         """The slicing skip rules, engine-side (runs after prepare()).
 
         One backward sweep from the observables (through flops) settles
         *no path* for every net at once; *no activation* at cycle ``c``
         is bit ``c`` of ``golden word ^ forced word`` being clear.  Per
         distinct fault the site is looked up, XORed and described once.
+        The census is one :class:`Outcomes` block, filled column by
+        column: the skipped points, their locations and cycles, all
+        ``masked``, the rule that skipped each in ``details``.
         """
         if not self.use_filter:
-            return list(points), []
+            return list(points), Outcomes.of(())
         span, windows = self._windows
         observable = levelize.fanin_cone(
             self.circuit, self.circuit.outputs, through_flops=True)
         #: fault -> (location, per-window activation words | None: no path)
         sites: dict[StuckAtFault, tuple[str, list[int] | None]] = {}
         kept: list[tuple[StuckAtFault, int]] = []
-        skipped: list[Injection] = []
+        skipped: list[tuple[StuckAtFault, int]] = []
+        locations: list[str] = []
+        rules: list[str] = []
+        keep, skip = kept.append, skipped.append
+        locate, rule = locations.append, rules.append
         last = None
         for point in points:
             fault, cyc = point
@@ -612,14 +619,17 @@ class SlicingBackend:
                         if net in observable else None)
                 location, active = site
             if active is None:
-                skipped.append(Injection(point, location, cyc, "masked",
-                                         SKIP_NO_PATH))
+                rule(SKIP_NO_PATH)
             elif not active[cyc // span] >> (cyc % span) & 1:
-                skipped.append(Injection(point, location, cyc, "masked",
-                                         SKIP_NO_ACTIVATION))
+                rule(SKIP_NO_ACTIVATION)
             else:
-                kept.append(point)
-        return kept, skipped
+                keep(point)
+                continue
+            skip(point)
+            locate(location)
+        return kept, Outcomes(skipped, locations,
+                              list(map(itemgetter(1), skipped)),
+                              bytes(len(skipped)), ("masked",), rules)
 
     def run_batch(self, points: Sequence[tuple[StuckAtFault, int]]
                   ) -> Outcomes | list[Injection]:

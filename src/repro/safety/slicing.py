@@ -20,7 +20,9 @@ skip fraction can no longer drift from the classification table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -62,21 +64,22 @@ class CampaignOutcome:
     @classmethod
     def from_report(cls, report) -> "CampaignOutcome":
         """Build the outcome from an engine report: classifications from
-        executed + filtered injections, counters from the engine's
-        filter accounting."""
+        the executed blocks and the filter census, read as columns, and
+        the per-rule counters from one tally of the census's ``details``
+        column (the skip rule of each point)."""
         from ..engine.workloads import SKIP_NO_ACTIVATION, SKIP_NO_PATH
 
+        census = report.skipped
         outcome = cls(simulated=report.executed)
-        for inj in report.injections:
-            outcome.classifications[inj.point] = inj.outcome
-        for inj in report.skipped:
-            outcome.classifications[inj.point] = inj.outcome
-            if inj.detail == SKIP_NO_PATH:
-                outcome.skipped_no_path += 1
-            elif inj.detail == SKIP_NO_ACTIVATION:
-                outcome.skipped_no_activation += 1
-            else:  # a rule this result type cannot attribute
-                raise ValueError(f"unknown skip rule {inj.detail!r}")
+        for block in (*report.injections.blocks, census):
+            outcome.classifications.update(zip(
+                block.points, map(block.names.__getitem__, block.codes)))
+        rules = Counter(census.details if census.details is not None
+                        else repeat(None, len(census)))
+        outcome.skipped_no_path = rules.pop(SKIP_NO_PATH, 0)
+        outcome.skipped_no_activation = rules.pop(SKIP_NO_ACTIVATION, 0)
+        if rules:  # a rule this result type cannot attribute
+            raise ValueError(f"unknown skip rule {next(iter(rules))!r}")
         assert outcome.total == report.total == len(outcome.classifications)
         return outcome
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -137,10 +138,12 @@ def run_campaign(
     config = EngineConfig(workers=workers, sample=sample, seed=seed,
                           executor=executor)
     report = run_engine(backend, config, db=db, resume=resume)
-    result = SeuCampaignResult(n_cycles=len(stimuli))
-    result.injections = [SeuInjection(inj.location, inj.cycle, inj.outcome)
-                         for inj in report.injections]
-    return result
+    # straight from the chunks' columns: no engine record is built
+    injections = list(chain.from_iterable(
+        map(SeuInjection, block.locations, block.cycles,
+            map(block.names.__getitem__, block.codes))
+        for block in report.injections.blocks))
+    return SeuCampaignResult(injections, n_cycles=len(stimuli))
 
 
 def random_workload(circuit: Circuit, n_cycles: int, seed: int = 0) -> list[dict[str, int]]:

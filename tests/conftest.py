@@ -6,7 +6,7 @@ import tempfile
 
 import pytest
 
-from repro.circuit import load
+from repro.circuit import CircuitBuilder, load
 from repro.engine import executors
 from repro.sim import compiled, native
 from repro.soft_error import random_workload
@@ -63,6 +63,19 @@ def seq_setup():
     wherever a cache they build must not leak into the next test."""
     circuit = load("rand_seq")
     return circuit, random_workload(circuit, 20, seed=7)
+
+
+def dead_flop_circuit():
+    """Two flops: ``live_q`` reaches the output ``y``; ``dead_q`` feeds
+    only a gate nobody observes (no flop D input, no output), so every
+    SEU on it is provably masked — the SEU dead-flop filter's case."""
+    bld = CircuitBuilder("deadflop")
+    a, b = bld.input("a"), bld.input("b")
+    live = bld.flop(bld.xor(a, b), name="live_q")
+    bld.output(bld.and_(live, a, name="y"))
+    dead = bld.flop(bld.or_(a, b), name="dead_q")
+    bld.and_(dead, b, name="dangling")
+    return bld.done()
 
 
 def _rows(report):

@@ -14,8 +14,8 @@ from functools import partial
 
 import pytest
 
-from conftest import _db_rows, _rows
-from repro.circuit import CircuitBuilder, load
+from conftest import _db_rows, _rows, dead_flop_circuit
+from repro.circuit import load
 from repro.core import CampaignDb
 from repro.crypto import AesConstantTime, AesLeaky
 from repro.engine import (
@@ -489,19 +489,8 @@ class TestFacadeEquivalence:
 # SeuBackend reuses the filter stage for dead flops
 # ----------------------------------------------------------------------
 class TestSeuDeadFlopFilter:
-    @staticmethod
-    def _circuit_with_dead_flop():
-        bld = CircuitBuilder("deadflop")
-        a, b = bld.input("a"), bld.input("b")
-        live = bld.flop(bld.xor(a, b), name="live_q")
-        bld.output(bld.and_(live, a, name="y"))
-        # dead: feeds only a gate nobody observes, no flop D, no output
-        dead = bld.flop(bld.or_(a, b), name="dead_q")
-        bld.and_(dead, b, name="dangling")
-        return bld.done()
-
     def test_dead_flop_filter_is_lossless(self):
-        circuit = self._circuit_with_dead_flop()
+        circuit = dead_flop_circuit()
         workload = random_workload(circuit, 8, seed=4)
         plain = run_campaign(SeuBackend(circuit, workload),
                              EngineConfig(batch_size=8))

@@ -3,8 +3,11 @@
 Covers the codec (``rows → block → rows`` is the identity, each column
 at the narrowest width that holds it, a constant column stored once),
 the schema constraint behind "a chunk is never recorded with two
-payloads", and ``CampaignDb.rows()``.  The in-place migration of a
-per-row database is in ``test_db_concurrency.py``.
+payloads", ``CampaignDb.rows()``, chunk results and the filter census
+as ``Outcomes`` blocks (the census equal to the record list a
+per-record filter builds, stored as the same bytes, checked at plan
+time).  The in-place migration of a per-row database is in
+``test_db_concurrency.py``.
 """
 
 import json
@@ -16,15 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _signature
+from conftest import _signature, dead_flop_circuit
 from repro.circuit import load
+from repro.circuit.levelize import fanin_cone, fanout_cone
 from repro.core import CampaignDb
 from repro.core.campaign import Outcomes, pack_block, unpack_block
 from repro.engine import (EngineConfig, Injection, PpsfpBackend, SeuBackend,
-                          resume_campaign, run_campaign)
-from repro.engine.core import check_batch
+                          SlicingBackend, resume_campaign, run_campaign)
+from repro.engine.core import CampaignReport, check_batch, plan_campaign
+from repro.engine.workloads import (SKIP_DEAD_FLOP, SKIP_NO_ACTIVATION,
+                                    SKIP_NO_PATH)
 from repro.faults import collapse
+from repro.safety.slicing import CampaignOutcome
 from repro.sim import random_patterns
+from repro.soft_error import random_workload
 
 
 def _header(block: bytes) -> dict:
@@ -384,3 +392,195 @@ class TestInjectionView:
         assert [tuple(inj) for inj in report.injections] == [
             tuple(inj) for inj in expected]
         assert any(inj.detail for inj in report.injections)
+
+
+# ----------------------------------------------------------------------
+# the filter census: one block from filter_points to the database
+# ----------------------------------------------------------------------
+def _seu_census(backend, points):
+    """The census as the per-record filter built it: one ``Injection``
+    per point on a flop whose one-cycle fan-out reaches no output and no
+    flop D input, in point order."""
+    circuit = backend.circuit
+    live = set(circuit.outputs) | {f.d for f in circuit.flops.values()}
+    return [Injection(point, point[0], point[1], "masked", SKIP_DEAD_FLOP)
+            for point in points
+            if not fanout_cone(circuit, [point[0]]) & live]
+
+
+def _slicing_census(backend, points):
+    """The census as the per-record filter built it: *no path* when the
+    site is outside the observables' fan-in (through flops), *no
+    activation* when the golden value already is the forced one."""
+    circuit = backend.circuit
+    observable = fanin_cone(circuit, circuit.outputs, through_flops=True)
+    values = backend._golden[1]
+    census = []
+    for fault, cycle in points:
+        net = fault.line.net
+        if net not in observable:
+            rule = SKIP_NO_PATH
+        elif values[cycle].get(net, 0) == fault.value:
+            rule = SKIP_NO_ACTIVATION
+        else:
+            continue
+        census.append(Injection((fault, cycle), fault.describe(), cycle,
+                                "masked", rule))
+    return census
+
+
+def _seu_filtered(use_filter=True):
+    circuit = dead_flop_circuit()
+    return SeuBackend(circuit, random_workload(circuit, 100, seed=4),
+                      skip_dead_flops=use_filter)
+
+
+def _slicing_filtered(use_filter=True):
+    circuit = load("rand_seq")
+    return SlicingBackend(circuit, collapse(circuit)[0][:40],
+                          random_workload(circuit, 20, seed=21),
+                          use_filter=use_filter)
+
+
+_FILTERED = {"seu": (_seu_filtered, _seu_census),
+             "slicing": (_slicing_filtered, _slicing_census)}
+_CENSUS_CONFIGS = {
+    "plain": EngineConfig(batch_size=8, executor="serial"),
+    "sample": EngineConfig(batch_size=8, executor="serial", sample=150,
+                           seed=3),
+    "shuffle": EngineConfig(batch_size=8, executor="serial", shuffle=True,
+                            seed=5),
+}
+
+
+class _RecordFilter:
+    """A filter outside the tree: the wrapped backend's census handed
+    back as a ``list[Injection]``, as filters returned it before."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def filter_points(self, points):
+        kept, census = self.inner.filter_points(points)
+        return kept, list(census)
+
+
+class TestFilterCensus:
+    @pytest.mark.parametrize("config", sorted(_CENSUS_CONFIGS))
+    @pytest.mark.parametrize("backend", sorted(_FILTERED))
+    def test_census_is_the_record_list_the_filter_built(self, backend,
+                                                        config, no_pool):
+        make, reference = _FILTERED[backend]
+        config = _CENSUS_CONFIGS[config]
+        unfiltered = make(False)
+        unfiltered.prepare()
+        # the post-sampling point order, from the same plan unfiltered
+        points = plan_campaign(unfiltered, config).points
+        assert len(points) == (config.sample or len(
+            unfiltered.enumerate_points()))
+        expected = reference(unfiltered, points)
+        assert expected and len({inj.detail for inj in expected}) == (
+            2 if backend == "slicing" else 1)
+        db = CampaignDb()
+        report = run_campaign(make(), config, db=db)
+        census = report.skipped
+        assert isinstance(census, Outcomes) and census._items is None
+        assert report.outcomes["masked"] >= len(expected)  # no record yet
+        assert census._items is None
+        assert census == expected  # order, points and detail
+        assert [type(inj) for inj in census] == [Injection] * len(expected)
+        # stored as the bytes pack_block makes of the parent's rows, so
+        # a database written from records resumes as this one does
+        [(payload,)] = db.conn.execute(
+            "SELECT payload FROM outcome_blocks WHERE campaign_id=? AND"
+            " chunk_index IS NULL", (report.campaign_id,)).fetchall()
+        assert payload == pack_block([inj.row() for inj in expected])
+        db.conn.execute("DELETE FROM outcome_blocks WHERE chunk_index >= 2")
+        db.conn.execute("DELETE FROM chunks WHERE chunk_index >= 2")
+        db.conn.commit()
+        resumed = resume_campaign(make(), report.campaign_id, config, db=db)
+        assert resumed.resumed_chunks == 2
+        assert _signature(resumed) == _signature(report)
+        assert _signature(resumed, details=True)[1] == \
+            _signature(report, details=True)[1]  # census details kept
+
+    @pytest.mark.parametrize("backend", sorted(_FILTERED))
+    def test_a_filter_returning_records_still_works(self, backend, no_pool):
+        make, _ = _FILTERED[backend]
+        config = _CENSUS_CONFIGS["shuffle"]
+        native_db, listed_db = CampaignDb(), CampaignDb()
+        native = run_campaign(make(), config, db=native_db)
+        listed = run_campaign(_RecordFilter(make()), config, db=listed_db)
+        assert isinstance(listed.skipped, Outcomes)
+        assert _signature(listed, details=True) == \
+            _signature(native, details=True)
+        assert list(listed_db.rows()) == list(native_db.rows())
+
+    @pytest.mark.parametrize("how", ["ragged", "short", "unnamed",
+                                     "records"])
+    def test_a_malformed_census_fails_the_plan(self, how, no_pool):
+        executed = []
+
+        class Broken(_Malformed):
+            def filter_points(self, points):
+                skipped = points[:5]
+                n = len(skipped)
+                columns = dict(points=skipped,
+                               locations=[p[0] for p in skipped],
+                               cycles=[p[1] for p in skipped],
+                               codes=bytes(n), names=("masked",))
+                if how == "ragged":
+                    columns["locations"] = columns["locations"][:-1]
+                elif how == "short":  # a whole point missing
+                    columns = {k: v[:-1] if k != "names" else v
+                               for k, v in columns.items()}
+                elif how == "unnamed":
+                    columns["codes"] = bytes([0] * (n - 1) + [1])
+                else:  # records of the wrong shape
+                    return points[5:], [p[0] for p in skipped]
+                return points[5:], Outcomes(**columns)
+
+            def run_batch(self, points):
+                executed.append(points)
+                return super().run_batch(points)
+
+        db = CampaignDb()
+        with pytest.raises(ValueError, match="malformed census|dropped"):
+            run_campaign(Broken(how), EngineConfig(executor="serial"),
+                         db=db)
+        assert executed == [] and list(db.rows()) == []
+
+    def test_a_report_built_with_a_list_adapts_it(self):
+        records = [Injection(1, "ff0", 0, "masked", SKIP_DEAD_FLOP),
+                   Injection(2, "ff1", 3, "latent"),
+                   Injection(3, "ff0", 1, "masked", SKIP_DEAD_FLOP)]
+        report = CampaignReport(backend="b", circuit="c", fault_model="f",
+                                workload="w", skipped=records)
+        assert isinstance(report.skipped, Outcomes)
+        assert report.skipped == records and report.skipped[1] is records[1]
+        assert report.outcomes == {"masked": 2, "latent": 1}
+        assert report.total == 3 and report.skip_fraction == 1.0
+        assert "3 filtered" in report.describe()
+        empty = CampaignReport(backend="b", circuit="c", fault_model="f",
+                               workload="w")
+        assert empty.skipped == [] and empty.outcomes == {}
+
+    def test_slicing_outcome_counts_rules_off_the_details(self, no_pool):
+        report = run_campaign(_slicing_filtered(),
+                              _CENSUS_CONFIGS["plain"])
+        outcome = CampaignOutcome.from_report(report)
+        assert outcome.skipped_no_path == sum(
+            inj.detail == SKIP_NO_PATH for inj in report.skipped) > 0
+        assert outcome.skipped_no_activation == sum(
+            inj.detail == SKIP_NO_ACTIVATION for inj in report.skipped) > 0
+        assert outcome.classifications == {
+            inj.point: inj.outcome
+            for inj in report.injections + report.skipped}
+        stray = CampaignReport(
+            backend="b", circuit="c", fault_model="f", workload="w",
+            skipped=[Injection(1, "x", 0, "masked", SKIP_DEAD_FLOP)])
+        with pytest.raises(ValueError, match="unknown skip rule"):
+            CampaignOutcome.from_report(stray)

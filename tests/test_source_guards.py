@@ -205,6 +205,15 @@ GUARDS = (
           "or Injection record (report.injections builds them on read)",
           r"\.row\(\)|(?<!class )\bInjection\((?!NamedTuple)",
           ("src/repro/engine/core.py", "src/repro/service")),
+    Guard("census_stays_columns",
+          "a filter's census is one Outcomes block from filter_points to "
+          "the database and the report: the in-tree filters build no "
+          "per-point Injection, and the engine stores plan.skipped as it "
+          "is instead of re-zipping records into columns",
+          r"def filter_points\((?:(?!\n {0,4}def |\nclass )[\s\S])*?"
+          r"\bInjection\(|Outcomes\.of\(plan\.skipped\)",
+          ("src/repro/engine/backends.py", "src/repro/engine/workloads.py",
+           "src/repro/engine/core.py")),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -278,6 +287,10 @@ def test_guards_bite(tmp_path, monkeypatch):
         "engine_needs_no_numpy": "by_row = _vector.np.frombuffer(buf)\n",
         "no_round_batching": "backend = CompositeBackend(parts)\n",
         "outcomes_stay_columns": "[inj.row() for inj in event.batch]\n",
+        "census_stays_columns": (
+            "    def filter_points(self, points):\n"
+            "        return [], [Injection(p, 'x', 0, 'masked')"
+            " for p in points]\n"),
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -328,6 +341,20 @@ def test_clean_names_pass():
     for dirty in ("batch = [Injection(point, location, cycle, outcome)",
                   "[inj.row() for inj in batch]"):
         assert regexes["outcomes_stay_columns"].search(dirty), dirty
+    census = regexes["census_stays_columns"]
+    assert not census.search(
+        "    def filter_points(self, points):\n"
+        "        def is_dead(flop):\n            return True\n"
+        "        return kept, Outcomes(skipped, locations, cycles, codes,\n"
+        "                              ('masked',), rules)\n\n"
+        "    def run_batch(self, points):\n"
+        "        return [Injection(p, 'x', 0, 'masked') for p in points]\n")
+    assert not census.search("db.record_many(cid, report.skipped)")
+    for dirty in ("    def filter_points(self, points):\n"
+                  "        for point in points:\n"
+                  "            skipped.append(Injection(point, flop, cyc,\n",
+                  "db.record_many(cid, Outcomes.of(plan.skipped))"):
+        assert census.search(dirty), dirty
     for clean in ('HAVE_NUMPY = find_spec("numpy") is not None',
                   "inp.append(x)", "snp.x", "no campaign loads numpy"):
         assert not regexes["engine_needs_no_numpy"].search(clean)
