@@ -254,30 +254,35 @@ class Circuit:
         """
         if self._topo_cache is not None:
             return self._topo_cache
+        gates = self.gates
+        # one pass: a gate's in-degree counts its gate-driven inputs (a
+        # repeated input once per occurrence, matched by one fan-out
+        # entry per occurrence)
         indeg: dict[str, int] = {}
-        sources = set(self.inputs) | set(self.flops)
-        for gate in self.gates.values():
-            indeg[gate.output] = sum(1 for src in gate.inputs if src in self.gates)
-        ready = [g.output for g in self.gates.values() if indeg[g.output] == 0]
-        ready.sort()
-        order: list[Gate] = []
         fanout_to_gates: dict[str, list[str]] = {}
-        for gate in self.gates.values():
+        for out, gate in gates.items():
+            n = 0
             for src in gate.inputs:
-                if src in self.gates:
-                    fanout_to_gates.setdefault(src, []).append(gate.output)
+                if src in gates:
+                    n += 1
+                    consumers = fanout_to_gates.get(src)
+                    if consumers is None:
+                        fanout_to_gates[src] = [out]
+                    else:
+                        consumers.append(out)
+            indeg[out] = n
+        ready = sorted(out for out, n in indeg.items() if n == 0)
+        order: list[Gate] = []
         while ready:
             net = ready.pop()
-            gate = self.gates[net]
-            order.append(gate)
+            order.append(gates[net])
             for dst in fanout_to_gates.get(net, ()):
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     ready.append(dst)
-        if len(order) != len(self.gates):
-            cyclic = sorted(set(self.gates) - {g.output for g in order})
+        if len(order) != len(gates):
+            cyclic = sorted(set(gates) - {g.output for g in order})
             raise CircuitError(f"combinational cycle through nets {cyclic[:5]}")
-        del sources  # documented above; sources need no ordering
         self._topo_cache = order
         return order
 

@@ -6,11 +6,11 @@ Python call per gate, and a string-keyed dict read per gate input.  At
 campaign scale that interpretive overhead *is* the simulation cost — the
 bitwise work itself is a handful of C-level big-int ops.
 
-This module translates a levelized :class:`~repro.circuit.netlist
-.Circuit` into one generated Python function: every net becomes a local
-variable slot, every gate one straight-line bitwise expression, constants
-and buffers are folded into their consumers, and PI/flop loads and
-result stores are vectorized through tuples.  CPython then executes the
+This module translates a :class:`~repro.circuit.netlist.Circuit` into
+one generated Python function: every net becomes a local variable slot,
+every gate one straight-line bitwise expression, constants and buffers
+are folded into their consumers, and PI/flop loads and result stores
+are vectorized through tuples.  CPython then executes the
 whole circuit as consecutive ``LOAD_FAST``/``BINARY_OP`` bytecodes — no
 per-gate dispatch, no per-input hashing.
 
@@ -20,13 +20,16 @@ which is the one shape that repays its ``compile()``.
 :class:`StepProgram` fuses combinational evaluation and the flop
 advance for :class:`repro.sim.sequential.SequentialSim` and the lane
 walker, restricted to the cone of influence of the observable nets (POs
-and flop D inputs).  It carries two kernels, each built the first time
-it is read: the generated int function above (:attr:`StepProgram.fn`)
-and the native walker (:attr:`StepProgram.native`) — the same step
-emitted as C (:attr:`StepProgram.c_source`) together with the whole
-skewed lane walk and the golden pass, built by the host C compiler and
-loaded with :mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where
-that cannot be had.  Every lane width runs on them: the lane walker
+and flop D inputs).  That cone is ordered by one depth-first walk from
+the observables (:func:`_live_gates`): building a program never sorts
+the whole netlist, so dead logic costs nothing.  It carries two
+kernels, each built the first time it is read: the generated int
+function above (:attr:`StepProgram.fn`) and the native walker
+(:attr:`StepProgram.native`) — the same step emitted as C
+(:attr:`StepProgram.c_source`) together with the whole skewed lane walk
+and the golden pass, built by the host C compiler and loaded with
+:mod:`ctypes` (:mod:`repro.sim.native`), or ``None`` where that cannot
+be had.  Every lane width runs on them: the lane walker
 drives the C walker over as many 64-lane ``uint64_t`` blocks as its
 lanes occupy, and the int function over arbitrary-precision ints where
 there is no C walker.  A campaign on the C walker runs its golden pass
@@ -53,10 +56,10 @@ every step; the equivalence tests in ``tests/test_compiled.py`` and
 
 Caching: the program is memoized in ``Circuit._program_cache`` under the
 one key ``"step"`` and dropped by ``Circuit._invalidate`` alongside the
-topo/fan-out/cone caches, so any mutation rebuilds it.  Nothing pickles
-a program: ``Circuit.__getstate__`` drops the cache and every backend
-drops its lane context, so a process-pool worker builds its own on
-first use.
+structural caches (gate order, fan-out, cones), so any mutation
+rebuilds it.  Nothing pickles a program: ``Circuit.__getstate__`` drops
+the cache and every backend drops its lane context, so a process-pool
+worker builds its own on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from contextlib import contextmanager
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from ..circuit.netlist import Circuit, Gate, GateType
+from ..circuit.netlist import Circuit, CircuitError, Gate, GateType
 
 #: Environment kill switch: set to anything but ""/"0" to force the
 #: reference interpreter everywhere (benchmark baselines, debugging).
@@ -196,20 +199,55 @@ class _Emitter:
 # fused sequential step (SequentialSim.step)
 # ----------------------------------------------------------------------
 def _live_gates(circuit: Circuit) -> list[Gate]:
-    """The gates in the cone of influence of the observables (POs and
-    flop D inputs), in topo order — all a clock step has to evaluate."""
-    needed: set[str] = set()
-    work = list(circuit.outputs) + [f.d for f in circuit.flops.values()]
+    """The gates in the cone of influence of the observables (POs, then
+    flop D inputs), each after every gate that drives one of its inputs
+    — all a clock step has to evaluate, and nothing else.
+
+    One iterative depth-first walk from those observables over
+    ``circuit.gates`` emits each gate once all its inputs are emitted
+    (post-order), so the cone is ordered without sorting the whole
+    netlist: dead logic is never visited.  An explicit stack bounds the
+    depth by memory, not by the recursion limit, and the order is fixed
+    by the circuit alone: outputs, then flops, then each gate's inputs
+    in declaration order.
+
+    A gate input still on the walk's stack closes a combinational cycle
+    and raises :class:`~repro.circuit.netlist.CircuitError`.  A cycle
+    confined to dead logic is never walked, so it is not reported here
+    (:meth:`~repro.circuit.netlist.Circuit.validate` still reports it)."""
     gates = circuit.gates
-    while work:
-        net = work.pop()
-        if net in needed:
+    done: set[str] = set()
+    on_stack: set[str] = set()
+    order: list[Gate] = []
+    roots = itertools.chain(circuit.outputs,
+                            (f.d for f in circuit.flops.values()))
+    for root in roots:
+        gate = gates.get(root)
+        if gate is None or root in done:
             continue
-        needed.add(net)
-        gate = gates.get(net)
-        if gate is not None:
-            work.extend(gate.inputs)
-    return [g for g in circuit.topo_order() if g.output in needed]
+        on_stack.add(root)
+        stack = [(gate, iter(gate.inputs))]
+        while stack:
+            gate, pending = stack[-1]
+            for net in pending:
+                child = gates.get(net)
+                if child is None or net in done:
+                    continue
+                if net in on_stack:
+                    cycle = [g.output for g, _ in stack]
+                    cycle = sorted(cycle[cycle.index(net):])
+                    raise CircuitError(
+                        f"combinational cycle through nets {cycle[:5]}")
+                on_stack.add(net)
+                stack.append((child, iter(child.inputs)))
+                break
+            else:
+                stack.pop()
+                out = gate.output
+                on_stack.discard(out)
+                done.add(out)
+                order.append(gate)
+    return order
 
 
 class StepProgram:
@@ -219,7 +257,9 @@ class StepProgram:
     is shared; each kernel is built the first time it is read, so a
     campaign builds only the kernels its walker runs.  Only gates in the
     cone of influence of the observables (POs and flop D inputs) are
-    evaluated: dead logic cannot change a PO or a next state.
+    evaluated, in the order one walk of that cone emits them
+    (:func:`_live_gates`): dead logic cannot change a PO or a next state,
+    and it is never visited.
 
     * :attr:`fn` — ``fn(pis, state, mask)`` returns ``(po_values,
       next_state)`` tuples over Python ints (generated from

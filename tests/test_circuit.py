@@ -1,5 +1,7 @@
 """Tests for the gate-level circuit substrate."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,86 @@ class TestNetlistConstruction:
         dup = c.copy("dup")
         dup.add_output("N10")
         assert "N10" not in c.outputs
+
+
+def _kahn_reference(circuit):
+    """The two-pass Kahn sort ``topo_order`` ran before it counted
+    in-degrees and fan-out in one loop: the order it is held to."""
+    gates = circuit.gates
+    indeg = {}
+    for gate in gates.values():
+        indeg[gate.output] = sum(1 for src in gate.inputs if src in gates)
+    ready = [g.output for g in gates.values() if indeg[g.output] == 0]
+    ready.sort()
+    order = []
+    fanout_to_gates = {}
+    for gate in gates.values():
+        for src in gate.inputs:
+            if src in gates:
+                fanout_to_gates.setdefault(src, []).append(gate.output)
+    while ready:
+        net = ready.pop()
+        order.append(gates[net])
+        for dst in fanout_to_gates.get(net, ()):
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+    if len(order) != len(gates):
+        cyclic = sorted(set(gates) - {g.output for g in order})
+        raise CircuitError(f"combinational cycle through nets {cyclic[:5]}")
+    return order
+
+
+def _reshuffled(circuit, seed):
+    """``circuit`` with its gates declared in a random order, plus gates
+    that read one net twice: the sort's output depends on both."""
+    rng = random.Random(seed)
+    dup = Circuit(circuit.name)
+    for pi in circuit.inputs:
+        dup.add_input(pi)
+    gates = list(circuit.gates.values())
+    rng.shuffle(gates)
+    for gate in gates:
+        dup.add_gate(gate.output, gate.gtype, gate.inputs)
+    for flop in circuit.flops.values():
+        dup.add_flop(flop.q, flop.d, flop.init)
+    nets = list(circuit.gates)
+    for i in range(4):
+        src = rng.choice(nets)
+        dup.add_gate(f"twice{i}", rng.choice(["AND", "XOR", "NOR"]),
+                     [src, src])
+        nets.append(f"twice{i}")
+    for po in circuit.outputs:
+        dup.add_output(po)
+    return dup
+
+
+class TestTopoOrderIdentity:
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_library_circuits(self, name):
+        circuit = load(name)
+        assert circuit.topo_order() == _kahn_reference(circuit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), sequential=st.booleans())
+    def test_random_circuits(self, seed, sequential):
+        circuit = (random_sequential(5, 40, 6, 4, seed=seed) if sequential
+                   else random_combinational(6, 50, 4, seed=seed))
+        circuit = _reshuffled(circuit, seed)
+        assert circuit.topo_order() == _kahn_reference(circuit)
+
+    def test_cycle_message_unchanged(self):
+        c = Circuit()
+        c.add_input("a")
+        for i in range(7):  # a ring of seven, more than the message names
+            c.add_gate(f"r{i}", GateType.AND, ["a", f"r{(i + 1) % 7}"])
+        c.add_gate("tail", GateType.NOT, ["r0"])
+        with pytest.raises(CircuitError) as expected:
+            _kahn_reference(c)
+        with pytest.raises(CircuitError) as got:
+            c.topo_order()
+        assert str(got.value) == str(expected.value)
+        assert "cycle through nets" in str(got.value)
 
 
 class TestBenchmarkLibrary:

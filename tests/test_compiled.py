@@ -14,6 +14,7 @@ configurations of it.
 
 import ctypes
 import pickle
+import random
 import re
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import needs_compiled, needs_native
-from repro.circuit import load
+from repro.circuit import Circuit, CircuitError, fanin_cone, load
 from repro.circuit.library import (
     BENCHMARKS,
     random_combinational,
@@ -239,6 +240,124 @@ class TestStepEquivalence:
             expected = ref.step(stim)
         assert sim.step(stim) == expected
         assert sim.state == ref.state
+
+
+# ----------------------------------------------------------------------
+# the live cone: one depth-first walk from the observables orders exactly
+# the gates a step evaluates, without sorting the whole netlist
+# ----------------------------------------------------------------------
+def _with_dead_logic(circuit, seed):
+    """``circuit`` plus gates nothing observable reads: some read live
+    nets, some read each other, some read one net twice."""
+    rng = random.Random(seed)
+    nets = [*circuit.inputs, *circuit.flops, *circuit.gates]
+    for i in range(12):
+        gtype = rng.choice(["AND", "OR", "XOR", "NAND", "NOT", "BUF"])
+        arity = 1 if gtype in ("NOT", "BUF") else rng.randint(2, 3)
+        circuit.add_gate(f"dead{i}", gtype,
+                         [rng.choice(nets) for _ in range(arity)])
+        nets.append(f"dead{i}")
+    return circuit
+
+
+class TestLiveCone:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), sequential=st.booleans())
+    def test_walk_orders_exactly_the_observable_cone(self, seed, sequential):
+        circuit = _with_dead_logic(_random_circuit(seed, sequential), seed)
+        live = compiled._live_gates(circuit)
+        observables = [*circuit.outputs,
+                       *(f.d for f in circuit.flops.values())]
+        position = {gate.output: i for i, gate in enumerate(live)}
+        assert len(position) == len(live)  # each gate once
+        assert set(position) \
+            == fanin_cone(circuit, observables) & set(circuit.gates)
+        for gate in live:
+            for net in gate.inputs:
+                if net in circuit.gates:
+                    assert position[net] < position[gate.output], (net, gate)
+        assert compiled._live_gates(circuit) == live
+        assert compiled._live_gates(circuit.copy()) == live
+
+    def test_sources_straight_to_observables(self):
+        # a PO driven by a PI and one by a flop Q, a flop D that is a PI:
+        # nothing to evaluate, and the step still moves the values
+        circuit = Circuit("wires")
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_flop("q", "b", init=1)
+        circuit.add_output("a")
+        circuit.add_output("q")
+        assert compiled._live_gates(circuit) == []
+        pis = {"a": 0b1010, "b": 0b0110}
+        assert compiled.StepProgram(circuit).run(pis, {}, 0b1111) \
+            == _step_reference(circuit, pis, 4, {})
+
+    def test_repeated_input_is_walked_once(self):
+        circuit = Circuit("twice")
+        circuit.add_input("a")
+        circuit.add_gate("x", "XOR", ["a", "a"])
+        circuit.add_gate("y", "AND", ["x", "x"])
+        circuit.add_output("y")
+        assert [g.output for g in compiled._live_gates(circuit)] \
+            == ["x", "y"]
+
+    def test_buffer_and_constant_chains_in_walk_order(self):
+        # outputs first, then flop Ds, each gate after its inputs in
+        # input order: the order is fixed by the circuit alone
+        circuit = Circuit("chains")
+        circuit.add_input("a")
+        circuit.add_gate("one", "CONST1", [])
+        circuit.add_gate("b1", "BUF", ["one"])
+        circuit.add_gate("b2", "BUF", ["b1"])
+        circuit.add_gate("zero", "CONST0", [])
+        circuit.add_gate("n", "NOT", ["b2"])
+        circuit.add_gate("out", "OR", ["n", "a", "zero"])
+        circuit.add_gate("z1", "BUF", ["zero"])
+        circuit.add_flop("q", "z1")
+        circuit.add_flop("r", "b2")
+        circuit.add_output("out")
+        assert [g.output for g in compiled._live_gates(circuit)] \
+            == ["one", "b1", "b2", "n", "zero", "out", "z1"]
+        program = compiled.StepProgram(circuit)
+        pis = {"a": 0b1100}
+        assert program.run(pis, {}, 0b1111) \
+            == _step_reference(circuit, pis, 4, {})
+
+    def test_deep_chain_needs_no_recursion(self):
+        circuit = Circuit("deep")
+        circuit.add_input("a")
+        prev = "a"
+        for i in range(20_000):
+            circuit.add_gate(f"n{i}", "NOT", [prev])
+            prev = f"n{i}"
+        circuit.add_output(prev)
+        live = compiled._live_gates(circuit)
+        assert [g.output for g in live] == [f"n{i}" for i in range(20_000)]
+
+    def test_live_cycle_raises(self):
+        circuit = Circuit("loop")
+        circuit.add_input("a")
+        circuit.add_gate("x", "AND", ["a", "y"])
+        circuit.add_gate("y", "OR", ["a", "x"])
+        circuit.add_gate("out", "NOT", ["x"])
+        circuit.add_output("out")
+        with pytest.raises(CircuitError,
+                           match=r"cycle through nets \['x', 'y'\]"):
+            compiled._live_gates(circuit)
+
+    def test_dead_cycle_is_not_walked(self):
+        # pinned: a cycle that feeds no PO or flop D is never visited, so
+        # the walk orders the live cone; the full sort still reports it
+        circuit = Circuit("dead_loop")
+        circuit.add_input("a")
+        circuit.add_gate("live", "NOT", ["a"])
+        circuit.add_gate("x", "AND", ["a", "y"])
+        circuit.add_gate("y", "OR", ["live", "x"])
+        circuit.add_output("live")
+        assert [g.output for g in compiled._live_gates(circuit)] == ["live"]
+        with pytest.raises(CircuitError, match="cycle"):
+            circuit.topo_order()
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,13 @@ GUARDS = (
           r"\bInjection\(|Outcomes\.of\(plan\.skipped\)",
           ("src/repro/engine/backends.py", "src/repro/engine/workloads.py",
            "src/repro/engine/core.py")),
+    Guard("step_program_orders_its_cone",
+          "a step program orders its live cone by one walk from the "
+          "observables: the full-netlist sort (and the index built on "
+          "it) stays off the SEU campaign path, whose designs are mostly "
+          "dead logic",
+          r"\btopo_(?:order|index)\b",
+          ("src/repro/sim/compiled.py",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -291,6 +298,9 @@ def test_guards_bite(tmp_path, monkeypatch):
             "    def filter_points(self, points):\n"
             "        return [], [Injection(p, 'x', 0, 'masked')"
             " for p in points]\n"),
+        "step_program_orders_its_cone": (
+            "    return [g for g in circuit.topo_order()"
+            " if g.output in needed]\n"),
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -369,3 +379,10 @@ def test_clean_names_pass():
                   "tables = _speculated_tables(factory, faults, window)",
                   "from repro.engine import CompositeBackend"):
         assert regexes["no_round_batching"].search(dirty), dirty
+    cone = regexes["step_program_orders_its_cone"]
+    for clean in ("each gate after its inputs: a topological order",
+                  "self._topo_cache = None", "def _live_gates(circuit):"):
+        assert not cone.search(clean), clean
+    for dirty in ("order = circuit.topo_order()",
+                  "index = circuit.topo_index()"):
+        assert cone.search(dirty), dirty
