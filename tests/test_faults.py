@@ -1,11 +1,16 @@
 """Tests for fault models, universes, collapsing and sampling."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import load
-from repro.circuit.library import random_combinational
+from repro.circuit import CircuitBuilder, load
+from repro.circuit.library import (
+    BENCHMARKS,
+    random_combinational,
+    random_sequential,
+)
+from repro.circuit.netlist import Circuit, GateType
 from repro.faults import (
     DelayFault,
     DelayFaultKind,
@@ -15,12 +20,13 @@ from repro.faults import (
     StuckAtFault,
     all_stuck_at,
     collapse,
-    collapse_ratio,
     draw_sample,
     lines_of,
     sample_size,
     stratified_sample,
 )
+from repro.sim.fault_sim import detection_mask
+from repro.sim.logic import exhaustive_patterns, simulate
 
 
 class TestModels:
@@ -72,11 +78,12 @@ class TestUniverse:
         assert set(reps) == set(classes)
 
     def test_c17_collapse_ratio_textbook(self):
-        # the classic figure for c17 is 22 collapsed / 34 total ≈ 0.647
-        assert abs(collapse_ratio(load("c17")) - 22 / 34) < 1e-9
+        # the classic figure for c17: 22 collapsed of 34 faults
+        reps, classes = collapse(load("c17"))
+        assert len(reps) == 22
+        assert sum(len(group) for group in classes.values()) == 34
 
     def test_inverter_chain_collapses_fully(self):
-        from repro.circuit import CircuitBuilder
         bld = CircuitBuilder("chain")
         net = bld.input("a")
         for _ in range(4):
@@ -146,3 +153,253 @@ def test_collapse_is_partition(seed):
 def test_sample_size_never_exceeds_population(population, margin, confidence):
     n = sample_size(population, margin, confidence)
     assert 0 < n <= population
+
+
+# ----------------------------------------------------------------------
+# collapse against the union-find over fault objects it replaced
+# ----------------------------------------------------------------------
+
+def _reference_lines_of(circuit: Circuit) -> list[Line]:
+    """All fault sites: stems for every net, branches for fanout > 1."""
+    sites: list[Line] = [Line(net) for net in circuit.nets]
+    fmap = circuit.fanout_map()
+    for gate in circuit.gates.values():
+        for pin, src in enumerate(gate.inputs):
+            if len(fmap.get(src, ())) > 1:
+                sites.append(Line(src, gate.output, pin))
+    for q, flop in circuit.flops.items():
+        if len(fmap.get(flop.d, ())) > 1:
+            sites.append(Line(flop.d, q, 0))
+    return sites
+
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[StuckAtFault, StuckAtFault] = {}
+
+    def find(self, item: StuckAtFault) -> StuckAtFault:
+        parent = self.parent.setdefault(item, item)
+        if parent is item:
+            return item
+        root = self.find(parent)
+        self.parent[item] = root
+        return root
+
+    def union(self, a: StuckAtFault, b: StuckAtFault) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # deterministic representative: the smaller by ordering
+            lo, hi = sorted((ra, rb))
+            self.parent[hi] = lo
+
+
+def _input_line(circuit: Circuit, gate_out: str, pin: int, src: str) -> Line:
+    """Line of a gate input: the branch if the source has fanout, else the stem."""
+    if len(circuit.fanout_map().get(src, ())) > 1:
+        return Line(src, gate_out, pin)
+    return Line(src)
+
+
+def _reference_collapse(circuit: Circuit) -> tuple[list[StuckAtFault], dict[StuckAtFault, list[StuckAtFault]]]:
+    """The previous ``collapse``, kept verbatim as the identity reference.
+
+    It merges a primary output's stem fault into the gate that stem
+    feeds alone, so it is the reference only on circuits where no
+    output feeds exactly one gate (:func:`_po_feeds_one_gate`)."""
+    universe = all_stuck_at(circuit)
+    uf = _UnionFind()
+    for fault in universe:
+        uf.find(fault)
+
+    for gate in circuit.gates.values():
+        out_stem = Line(gate.output)
+        for pin, src in enumerate(gate.inputs):
+            in_line = _input_line(circuit, gate.output, pin, src)
+            if gate.gtype is GateType.AND:
+                uf.union(StuckAtFault(in_line, 0), StuckAtFault(out_stem, 0))
+            elif gate.gtype is GateType.NAND:
+                uf.union(StuckAtFault(in_line, 0), StuckAtFault(out_stem, 1))
+            elif gate.gtype is GateType.OR:
+                uf.union(StuckAtFault(in_line, 1), StuckAtFault(out_stem, 1))
+            elif gate.gtype is GateType.NOR:
+                uf.union(StuckAtFault(in_line, 1), StuckAtFault(out_stem, 0))
+            elif gate.gtype is GateType.BUF:
+                uf.union(StuckAtFault(in_line, 0), StuckAtFault(out_stem, 0))
+                uf.union(StuckAtFault(in_line, 1), StuckAtFault(out_stem, 1))
+            elif gate.gtype is GateType.NOT:
+                uf.union(StuckAtFault(in_line, 0), StuckAtFault(out_stem, 1))
+                uf.union(StuckAtFault(in_line, 1), StuckAtFault(out_stem, 0))
+            # XOR/XNOR/CONST have no local stuck-at equivalences
+
+    classes: dict[StuckAtFault, list[StuckAtFault]] = {}
+    for fault in universe:
+        classes.setdefault(uf.find(fault), []).append(fault)
+    reps = sorted(classes)
+    for members in classes.values():
+        members.sort()
+    return reps, classes
+
+
+def _po_feeds_one_gate(circuit: Circuit) -> bool:
+    fmap = circuit.fanout_map()
+    return any(len(fmap.get(net, ())) == 1 and fmap[net][0] in circuit.gates
+               for net in circuit.outputs)
+
+
+def _assert_matches_reference(circuit: Circuit) -> None:
+    assert not _po_feeds_one_gate(circuit), circuit.name
+    assert lines_of(circuit) == _reference_lines_of(circuit)
+    reps, classes = collapse(circuit)
+    ref_reps, ref_classes = _reference_collapse(circuit)
+    assert reps == ref_reps
+    assert list(classes) == list(ref_classes)  # dict order too
+    for rep, members in ref_classes.items():
+        assert classes[rep] == members
+
+
+class TestCollapseIdentity:
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_every_benchmark_circuit(self, name):
+        _assert_matches_reference(load(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_in=st.integers(2, 8), n_gates=st.integers(1, 60),
+           n_out=st.integers(1, 4), seed=st.integers(0, 10_000))
+    def test_random_combinational(self, n_in, n_gates, n_out, seed):
+        _assert_matches_reference(
+            random_combinational(n_in, n_gates, n_out, seed=seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_in=st.integers(2, 6), n_gates=st.integers(2, 60),
+           n_flops=st.integers(1, 8), seed=st.integers(0, 10_000))
+    def test_random_sequential(self, n_in, n_gates, n_flops, seed):
+        # flops read gate outputs that also feed gates: flop-D branches
+        _assert_matches_reference(
+            random_sequential(n_in, n_gates, n_flops, 3, seed=seed))
+
+    def test_repeated_gate_input(self):
+        bld = CircuitBuilder("repeat")
+        a, b = bld.input("a"), bld.input("b")
+        bld.output(bld.and_(a, a, name="y"))
+        bld.output(bld.nand(b, b, a, name="z"))
+        c = bld.done()
+        # a pin read twice fans out: each pin is its own branch
+        assert Line("a", "y", 1) in lines_of(c)
+        _assert_matches_reference(c)
+
+    def test_buf_not_chains(self):
+        bld = CircuitBuilder("chains")
+        net = bld.input("a")
+        for k in range(6):
+            net = (bld.buf if k % 3 else bld.not_)(net, name=f"c{k}")
+        side = bld.buf(bld.not_(net, name="d0"), name="d1")
+        bld.output(bld.and_(net, side, name="y"))
+        _assert_matches_reference(bld.done())
+
+    def test_xor_xnor_const_gates_take_no_rule(self):
+        bld = CircuitBuilder("linear")
+        a, b = bld.input("a"), bld.input("b")
+        one = bld.gate(GateType.CONST1, name="k1")
+        zero = bld.const0(name="k0")
+        x = bld.xor(a, b, name="x")
+        bld.output(bld.xnor(x, one, name="y"))
+        bld.output(bld.or_(zero, b, name="z"))
+        c = bld.done()
+        _assert_matches_reference(c)
+        _reps, classes = collapse(c)
+        for net in ("x", "y", "k1"):
+            for value in (0, 1):
+                fault = StuckAtFault(Line(net), value)
+                assert classes[fault] == [fault]
+        # a constant is an OR input like any other: k0 s-a-1 = z s-a-1
+        assert classes[StuckAtFault(Line("b", "z", 1), 1)] == [
+            StuckAtFault(Line("b", "z", 1), 1), StuckAtFault(Line("k0"), 1),
+            StuckAtFault(Line("z"), 1)]
+
+    def test_twenty_thousand_inverter_chain(self):
+        # each output sorts below its input, so every union re-roots the
+        # class and the reference's recursive find ran out of stack
+        bld = CircuitBuilder("chain")
+        net = bld.input("z")
+        for k in range(20_000):
+            net = bld.not_(net, name=f"n{20_000 - k:05d}")
+        bld.output(net)
+        c = bld.done()
+        reps, classes = collapse(c)
+        last = Line("n00001")
+        assert reps == [StuckAtFault(last, 0), StuckAtFault(last, 1)]
+        assert list(classes) == reps  # z s-a-0 comes first: even depth
+        for rep, group in classes.items():
+            assert len(group) == 20_001
+            assert all(a < b for a, b in zip(group, group[1:]))
+            # nK sits 20 001 - K inverters deep: odd K keeps z's polarity
+            assert all((f.value == rep.value)
+                       == (f.line.net == "z" or int(f.line.net[1:]) % 2 == 1)
+                       for f in group)
+
+
+def _exhaustive_masks(circuit: Circuit) -> dict[StuckAtFault, int]:
+    """Each fault's detection mask at the outputs over all 2^n inputs."""
+    packed, n = exhaustive_patterns(circuit.inputs)
+    good = simulate(circuit, packed, n)
+    mask = (1 << n) - 1
+    return {fault: detection_mask(circuit, fault, good, mask, circuit.outputs)
+            for fault in all_stuck_at(circuit)}
+
+
+@st.composite
+def _outputs_that_feed_gates(draw) -> Circuit:
+    """A small combinational circuit whose outputs include nets that
+    gates also read: primary inputs and gate outputs alike."""
+    bld = CircuitBuilder("po_feeds")
+    nets = [bld.input(f"i{k}") for k in range(draw(st.integers(1, 4)))]
+    read: list[str] = []
+    for k in range(draw(st.integers(1, 7))):
+        gtype = draw(st.sampled_from(list(GateType)))
+        arity = (0 if gtype in (GateType.CONST0, GateType.CONST1)
+                 else 1 if gtype in (GateType.NOT, GateType.BUF)
+                 else draw(st.integers(2, 3)))
+        ins = [draw(st.sampled_from(nets)) for _ in range(arity)]
+        read.extend(ins)
+        nets.append(bld.gate(gtype, *ins, name=f"g{k}"))
+    outputs = {nets[-1]} | draw(st.sets(st.sampled_from(nets), max_size=3))
+    if read:
+        outputs.add(draw(st.sampled_from(read)))
+    for net in nets:
+        if net in outputs:
+            bld.output(net)
+    return bld.done()
+
+
+def _output_feeding_one_gate() -> Circuit:
+    """``y = AND(a, x)`` with ``a`` a primary output as well."""
+    bld = CircuitBuilder("po_feeds")
+    a, x = bld.input("a"), bld.input("x")
+    bld.output(a)
+    bld.output(bld.and_(a, x, name="y"))
+    return bld.done()
+
+
+class TestCollapseSoundness:
+    def test_output_stem_feeding_one_gate_keeps_its_own_class(self):
+        # a is an output and feeds y alone: a s-a-0 shows at a on every
+        # pattern with a = 1, y s-a-0 only when x = 1 as well
+        c = _output_feeding_one_gate()
+        masks = _exhaustive_masks(c)
+        a0, y0 = StuckAtFault(Line("a"), 0), StuckAtFault(Line("y"), 0)
+        assert masks[a0] != masks[y0]
+        _reps, classes = collapse(c)
+        assert classes[a0] == [a0]
+        # the rule still holds for the pin whose stem is no output
+        assert classes[StuckAtFault(Line("x"), 0)] == [
+            StuckAtFault(Line("x"), 0), y0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=_outputs_that_feed_gates())
+    @example(circuit=_output_feeding_one_gate())
+    def test_every_class_is_detected_alike(self, circuit):
+        masks = _exhaustive_masks(circuit)
+        _reps, classes = collapse(circuit)
+        for rep, members in classes.items():
+            assert {masks[fault] for fault in members} == {masks[rep]}, (
+                rep.describe(), [fault.describe() for fault in members])

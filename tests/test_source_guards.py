@@ -221,6 +221,13 @@ GUARDS = (
           "dead logic",
           r"\btopo_(?:order|index)\b",
           ("src/repro/sim/compiled.py",)),
+    Guard("collapse_compares_no_faults",
+          "collapse unions integer fault ids whose order is fault order: "
+          "the union-find over StuckAtFault objects, which compared and "
+          "hashed faults on every union, and the per-pin fanout lookup "
+          "are gone (tests/test_faults.py keeps them as the reference)",
+          r"\b_UnionFind\b|\b_input_line\b",
+          ("src/repro/faults/universe.py",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -301,6 +308,7 @@ def test_guards_bite(tmp_path, monkeypatch):
         "step_program_orders_its_cone": (
             "    return [g for g in circuit.topo_order()"
             " if g.output in needed]\n"),
+        "collapse_compares_no_faults": "    uf = _UnionFind()\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -386,3 +394,10 @@ def test_clean_names_pass():
     for dirty in ("order = circuit.topo_order()",
                   "index = circuit.topo_index()"):
         assert cone.search(dirty), dirty
+    ids = regexes["collapse_compares_no_faults"]
+    for clean in ("parent = list(range(2 * len(lines)))",
+                  "_input_lines = 3", "lines, reads = _sites(circuit)"):
+        assert not ids.search(clean), clean
+    for dirty in ("class _UnionFind:",
+                  "in_line = _input_line(circuit, gate.output, pin, src)"):
+        assert ids.search(dirty), dirty
