@@ -57,12 +57,13 @@ partition, and the same campaign, on every host.
 
 Two front-ends are provided: :func:`seu_outcomes` (flip one flop at one
 cycle — :class:`repro.engine.backends.SeuBackend`) and
-:func:`transient_outcomes` (arbitrary injection-cycle physics supplied
-by the backend, e.g. a transient stuck-at; the lane carries the
-resulting *state perturbation* — :class:`repro.engine.workloads
-.SlicingBackend`).  Both are provably lane-exact: each lane computes the
-same boolean function of the same inputs as the per-point simulation,
-so outcome multisets are byte-identical at every lane width.
+:func:`transient_outcomes` (arbitrary injection-cycle physics already
+answered by the backend, e.g. a transient stuck-at, and handed over as
+per-point columns; the lane carries the resulting *state perturbation*
+— :class:`repro.engine.workloads.SlicingBackend`).  Both are provably
+lane-exact: each lane computes the same boolean function of the same
+inputs as the per-point simulation, so outcome multisets are
+byte-identical at every lane width.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter, or_, xor
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -126,6 +127,8 @@ _FAILURE_CODE = OUTCOMES.index(FAILURE)
 _LATENT_CODE = OUTCOMES.index(LATENT)
 # binary digits -> codes, one translate per packed word
 _FAIL_CODES = bytes.maketrans(b"01", bytes((0, _FAILURE_CODE)))
+#: A failed-now flag to its code: any non-zero flag fails.
+_FAILED_NOW_CODES = bytes((0,)) + bytes((_FAILURE_CODE,)) * 255
 _LATENT_CODES = bytes.maketrans(b"01", bytes((0, _LATENT_CODE)))
 
 
@@ -734,56 +737,56 @@ def seu_outcomes(ctx: LaneContext,
 
 def transient_outcomes(
     ctx: LaneContext,
-    points: Sequence[tuple[Any, int]],
-    inject: Callable[[Any, int], tuple[bool, Sequence[str]]],
+    cycles: Sequence[int],
+    failed_now: Sequence[int],
+    perturbed: Sequence[Sequence[int]],
 ) -> bytes:
-    """Classify up to ``ctx.width`` transient injections in one packed
-    run: one outcome code per point (an index into :data:`OUTCOMES`).
+    """Classify transient injections: one outcome code per point (an
+    index into :data:`OUTCOMES`).
 
-    ``inject(fault, cycle)`` answers for the backend-specific injection
-    cycle against golden data with ``(failed_now, perturbed)``: whether
-    a primary output already differs in the injection cycle, and the
-    flops whose state entering ``cycle + 1`` the fault leaves flipped.
-    It is called once per point, in point order, and may answer from
-    anything the backend computed for several points at once
-    (:class:`repro.engine.workloads.SlicingBackend` reads one bit per
-    point off a per-fault word covering a whole window of cycles).
+    The points come as columns: point *i* is injected at ``cycles[i]``,
+    and the backend-specific injection cycle has already been answered
+    against golden data — ``failed_now[i]`` (a byte) is non-zero where
+    a primary output differs in the injection cycle itself,
+    ``perturbed[i]`` lists the indexes (:attr:`LaneContext.flop_index`)
+    of the flops whose state entering ``cycles[i] + 1`` the fault leaves
+    flipped.  (:class:`repro.engine.workloads.SlicingBackend` reads both
+    off one pair of words per fault covering a whole window of cycles.)
     Points that fail immediately, leave no perturbation (masked), or
     perturb only the post-workload state (latent) are resolved without
-    a lane; the rest share one packed propagation.
+    a lane; the rest take lanes in ascending cycle order (what
+    :func:`packed_codes` gives :func:`seu_outcomes`: cheap golden
+    gathers) and share one packed propagation per ``ctx.width`` lanes.
+    A cycle outside the workload raises ``ValueError``.
     """
-    if len(points) > ctx.width:
-        raise ValueError(f"{len(points)} points exceed lane width "
-                         f"{ctx.width}")
-    codes = bytearray(len(points))  # masked unless classified below
-    index = ctx.flop_index
-    triples = array("q")
-    start = ctx.n_cycles
-    lane_of: list[int] = []
-    for i, (fault, cyc) in enumerate(points):
-        if not 0 <= cyc < ctx.n_cycles:
-            # a negative index would silently wrap into golden data here
-            # (and in the per-point reference), one past the workload
-            # has no golden data to inject against — refuse loudly
-            raise ValueError(f"injection cycle {cyc} is outside the "
-                             f"{ctx.n_cycles}-cycle workload")
-        failed_now, perturbed = inject(fault, cyc)
-        if failed_now:
-            codes[i] = _FAILURE_CODE
+    n_cycles = ctx.n_cycles
+    if cycles and not (0 <= min(cycles) and max(cycles) < n_cycles):
+        # a negative index would silently wrap into golden data here
+        # (and in the per-point reference), one past the workload has
+        # no golden data to inject against — refuse loudly
+        bad = next(cyc for cyc in cycles if not 0 <= cyc < n_cycles)
+        raise ValueError(f"injection cycle {bad} is outside the "
+                         f"{n_cycles}-cycle workload")
+    # failed now, else masked unless perturbed below
+    codes = bytearray(bytes(failed_now).translate(_FAILED_NOW_CODES))
+    last = n_cycles - 1
+    laned: list[int] = []
+    for i in compress(range(len(cycles)), perturbed):
+        if codes[i]:
             continue
-        if not perturbed:
-            continue
-        if cyc + 1 >= ctx.n_cycles:
+        if cycles[i] == last:
             codes[i] = _LATENT_CODE  # perturbed state survives to the end
-            continue
-        lane = len(lane_of)
-        for q in perturbed:
-            triples.extend((cyc + 1, index[q], lane))
-        start = min(start, cyc + 1)
-        lane_of.append(i)
-    if lane_of:
-        fail, latent = _propagate(ctx, triples, start, len(lane_of))
-        for i, code in zip(lane_of,
-                           _lane_codes(fail, latent, len(lane_of))):
+        else:
+            laned.append(i)
+    laned.sort(key=cycles.__getitem__)
+    for group in lane_groups(laned, ctx.width):
+        triples = array("q")
+        for lane, i in enumerate(group):
+            cyc = cycles[i] + 1
+            for k in perturbed[i]:
+                triples.extend((cyc, k, lane))
+        fail, latent = _propagate(ctx, triples, cycles[group[0]] + 1,
+                                  len(group))
+        for i, code in zip(group, _lane_codes(fail, latent, len(group))):
             codes[i] = code
     return bytes(codes)

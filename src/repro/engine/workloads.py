@@ -28,6 +28,7 @@ width, as the SEU backend's do.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
@@ -507,18 +508,24 @@ class SlicingBackend:
     *time*: ``prepare()`` lays the golden net values of consecutive
     cycles side by side, one word per net per window of at most
     :data:`repro.sim.fault_sim.WINDOW_BITS` cycles (bit *t* = cycle *t*
-    of the window), so one ``faulty_values`` walk over a window is the
-    injection cycle of a fault at every cycle of it — a chunk evaluates
-    each distinct fault once per window holding one of its cycles, and
-    every point's ``(failed_now, perturbed flops)`` is a bit read (the
-    filter reads its no-activation bit off the same words).  Along
-    *lanes*: the state perturbations that survive the injection cycle
-    share one multi-cycle propagation per ``lane_width`` points
-    (:func:`repro.engine.lanes.transient_outcomes`).
-    ``lane_width=1`` runs ``_simulate_injection`` point by point: the
-    reference both packings are tested against.  An injection cycle
-    outside the workload and a fault that is not on a line of the
-    circuit raise ``ValueError`` at construction.
+    of the window), so one word operation is the injection cycle of a
+    fault at every cycle of a window.  Each distinct (fault, window) of
+    a chunk is resolved once (:meth:`_inject_window`) on the PPSFP
+    root walk: in a cycle where the fault is active the faulty machine
+    is the golden one with one net flipped, so the fault's activation
+    word ANDed with that net's per-observed-net flip effects
+    (:meth:`repro.sim.fault_sim._RootWalks.effects`, one walk per
+    fan-out-free region, in C where it can) is the primary-output
+    divergence and each flop's captured delta at every cycle of the
+    window, and every point's ``(failed_now, perturbed flops)`` is a
+    bit read (the filter reads its no-activation bit off the same
+    words).  Along *lanes*: the state perturbations that survive the
+    injection cycle share one multi-cycle propagation per
+    ``lane_width`` of them (:func:`repro.engine.lanes
+    .transient_outcomes`).  ``lane_width=1`` runs ``_simulate_injection``
+    point by point: the reference both packings are tested against.  An
+    injection cycle outside the workload and a fault that is not on a
+    line of the circuit raise ``ValueError`` at construction.
     """
 
     name = "slicing"
@@ -545,6 +552,7 @@ class SlicingBackend:
         self._golden: tuple[list, list] | None = None
         self._windows: tuple[int, list[tuple[dict[str, int], int]]] | None \
             = None
+        self._walks: list[fault_sim._RootWalks] | None = None
         self._lane_ctx: lanes.LaneContext | None = None
 
     def enumerate_points(self) -> Sequence[tuple[StuckAtFault, int]]:
@@ -564,6 +572,12 @@ class SlicingBackend:
             self._windows = (span, [
                 (pack_patterns(cycles), mask_of(len(cycles)))
                 for cycles in spans])
+            # per window its root walks, PPSFP's observe set (full scan:
+            # the outputs, then every flop's D), packed on first use
+            observe = fault_sim._observe_nets(self.circuit, True)
+            self._walks = [fault_sim._RootWalks(self.circuit, observe, good,
+                                                mask)
+                           for good, mask in self._windows[1]]
         if self.lane_width > 1 and self._lane_ctx is None:
             # the lane context replicates the golden pass already held in
             # ``_golden`` — no second golden simulation
@@ -575,6 +589,7 @@ class SlicingBackend:
         state = self.__dict__.copy()
         state["_golden"] = None  # workers re-run the golden pass
         state["_windows"] = None
+        state["_walks"] = None
         state["_lane_ctx"] = None
         return state
 
@@ -645,69 +660,119 @@ class SlicingBackend:
             out.append(Injection((fault, cyc), fault.describe(), cyc, cls))
         return out
 
-    def _inject_window(self, fault: StuckAtFault, good: Mapping[str, int],
-                       mask: int) -> tuple[int, dict[str, int]]:
-        """The injection cycle of one fault at every cycle of a window.
+    def _inject_window(self, fault: StuckAtFault, index: int,
+                       memo: dict[str, tuple[int, tuple]]
+                       ) -> tuple[int, list[tuple[int, int]]]:
+        """The injection cycle of one fault at every cycle of window
+        ``index``.
 
         Returns ``(failed, deltas)``: the cycles (bits) in which a
         primary output differs from golden in the injection cycle, and
-        per flop whose captured value changed in some cycle the word of
-        those cycles — bit for bit the first loop iteration of
-        :func:`repro.safety.slicing._simulate_injection` (including the
-        flop-branch ``__flopD__`` capture rule), for all cycles of the
-        window in one walk of the fault's cone.  A window in which the
-        site's golden word already is the forced word never activates
-        the fault and is not walked.
+        ``(flop index, word)`` for each flop whose captured value
+        changed in some cycle — bit for bit the first loop iteration of
+        :func:`repro.safety.slicing._simulate_injection`.  The fault is
+        active where the site's golden word differs from the forced one
+        (a stem), or where the one gate reading the forced pin changes
+        its output (a gate branch); there the faulty machine is the
+        golden one with that net flipped, so the activation word ANDed
+        with the net's flip effects is exact per bit.  The effects are
+        its region root's walk restricted on the way down the fan-out-
+        free links (:func:`repro.sim.fault_sim._climb`), and ``memo``
+        (this window's, for one ``run_batch`` call) keeps each net's
+        ``(restriction, root effects)``.  A branch into a flop D changes
+        that flop's capture alone.
         """
+        good, mask = self._windows[1][index]
         line = fault.line
-        if good.get(line.net, 0) == (mask if fault.value else 0):
-            return 0, {}
-        vals = fault_sim.faulty_values(self.circuit, fault, good, mask)
-        failed = 0
-        for po in self.circuit.outputs:
-            failed |= vals.get(po, 0) ^ good.get(po, 0)
-        pin = None if line.is_stem else line.sink  # branch into a flop D?
-        deltas: dict[str, int] = {}
-        for q, flop in self.circuit.flops.items():
-            d = flop.d
-            captured = (vals.get(f"__flopD__{q}", vals[d]) if q == pin
-                        else vals[d])
-            word = captured ^ good[d]
-            if word:
-                deltas[q] = word
-        return failed, deltas
+        forced = mask if fault.value else 0
+        act = good.get(line.net, 0) ^ forced
+        if not act:
+            return 0, []
+        at = line.net
+        if not line.is_stem:
+            gate = self.circuit.gates.get(line.sink)
+            if gate is None:  # a branch into a flop D
+                return 0, [(self._lane_ctx.flop_index[line.sink], act)]
+            at = line.sink
+            act = fault_sim._output_diff(gate, good, line.net, forced, mask)
+            if not act:
+                return 0, []
+        entry = memo.get(at)
+        if entry is None:
+            chain, top, entry = fault_sim._climb(self.circuit, memo, at)
+            if entry is None:  # the region's root: walk it
+                rows = self._walks[index].effects(top)
+                n_out = len(self.circuit.outputs)
+                failed = 0
+                for row in rows[:n_out]:
+                    failed |= row
+                entry = memo[top] = (mask, (failed, [
+                    (k, row) for k, row in enumerate(rows[n_out:]) if row]))
+            word, effects = entry
+            for inner, gate in reversed(chain):
+                if word:
+                    word &= fault_sim._output_diff(gate, good, inner,
+                                                   good[inner] ^ mask, mask)
+                memo[inner] = entry = (word, effects)
+        word, (failed, flops) = entry
+        act &= word
+        if not act:
+            return 0, []
+        return act & failed, [(k, act & row) for k, row in flops
+                              if act & row]
 
     def _run_batch_packed(self, points: Sequence[tuple[StuckAtFault, int]]
                           ) -> Outcomes:
         """Packed path: one :meth:`_inject_window` per distinct (fault,
-        window) of the chunk — the memo lives for this call only — then
-        per point a bit read, and the multi-cycle propagation of the
-        surviving state perturbations shared across up to ``lane_width``
-        lanes; returned as one block of outcome codes in point order."""
+        window) of the chunk — its memos live for this call only — then
+        per run of a fault's points the per-point columns of
+        :func:`repro.engine.lanes.transient_outcomes`, read off the
+        run's words: whether an output failed in the injection cycle,
+        and else the flops it perturbed.  The surviving perturbations
+        share one multi-cycle propagation per ``lane_width`` of them;
+        returned as one block of outcome codes in point order."""
         span, windows = self._windows
-        walked: dict[tuple[StuckAtFault, int],
-                     tuple[int, dict[str, int]]] = {}
-
-        def inject(fault: StuckAtFault, cyc: int) -> tuple[bool, list[str]]:
-            index, bit = divmod(cyc, span)
-            words = walked.get((fault, index))
-            if words is None:
-                words = walked[fault, index] = self._inject_window(
-                    fault, *windows[index])
-            failed, deltas = words
-            if failed >> bit & 1:
-                return True, []
-            return False, [q for q, word in deltas.items() if word >> bit & 1]
-
         cycles = list(map(itemgetter(1), points))
-        codes = lanes.packed_codes(
-            points, cycles, self.lane_width,
-            lambda group: lanes.transient_outcomes(
-                self._lane_ctx, group, inject))
+        if cycles and not (0 <= min(cycles)
+                           and max(cycles) < len(self.stimuli)):
+            lanes.check_cycles(cycles, len(self.stimuli))  # raises
+        memos: list[dict] = [{} for _ in windows]
+        #: (fault, window) -> (failed cycles, [(flop index, the cycles
+        #: it is perturbed in and no output failed), ...])
+        resolved: dict[tuple[StuckAtFault, int],
+                       tuple[int, list[tuple[int, int]]]] = {}
+
+        def resolve(fault: StuckAtFault, index: int
+                    ) -> tuple[int, list[tuple[int, int]]]:
+            entry = resolved.get((fault, index))
+            if entry is None:
+                failed, deltas = self._inject_window(fault, index,
+                                                     memos[index])
+                base = index * span
+                entry = resolved[fault, index] = (failed << base, [
+                    (k, (word & ~failed) << base) for k, word in deltas
+                    if word & ~failed])
+            return entry
+
+        failed_now = bytearray()
+        perturbed: list[Sequence[int]] = []
         locations: list[str] = []
-        last = location = None
-        for fault in map(itemgetter(0), points):
-            if fault is not last:  # a fault-major run is described once
-                last, location = fault, fault.describe()
-            locations.append(location)
+        for fault, run in groupby(points, itemgetter(0)):
+            run = list(map(itemgetter(1), run))
+            locations.extend([fault.describe()] * len(run))
+            first, last = min(run) // span, max(run) // span
+            failed, deltas = resolve(fault, first)
+            for index in range(first + 1, last + 1):  # straddles windows
+                more, extra = resolve(fault, index)
+                failed |= more
+                deltas = deltas + extra  # a flop twice: disjoint cycles
+            failed_now.extend([failed >> cyc & 1 for cyc in run]
+                              if failed else bytes(len(run)))
+            if not deltas:
+                perturbed.extend([()] * len(run))
+            else:
+                perturbed.extend([[k for k, word in deltas if word >> cyc & 1]
+                                  for cyc in run])
+        codes = lanes.transient_outcomes(self._lane_ctx, cycles, failed_now,
+                                         perturbed)
         return Outcomes(points, locations, cycles, codes, lanes.OUTCOMES)

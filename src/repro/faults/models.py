@@ -15,11 +15,11 @@ Three families cover the paper's needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """A fault site: a net stem or one gate-input pin (fanout branch).
 
@@ -47,12 +47,26 @@ class Line:
         return self._key() < other._key()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StuckAtFault:
     """Line permanently stuck at ``value``."""
 
     line: Line
     value: int
+    #: The hash, cached on first use (every fault-keyed dict and set of
+    #: the simulators and backends asks for it): not compared, shown or
+    #: pickled.  A line is hashed when its fault first is, so it keeps
+    #: no cache of its own (one int fewer per fault in memory).
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # the value the generated hash gave, so set and dict orders stay
+            h = hash((self.line, self.value))
+            _cache_hash(self, h)
+        return h
 
     def __post_init__(self) -> None:
         if self.value not in (0, 1):
@@ -63,6 +77,27 @@ class StuckAtFault:
 
     def __lt__(self, other: "StuckAtFault") -> bool:
         return (self.line._key(), self.value) < (other.line._key(), other.value)
+
+
+#: The slot's own setter: what a frozen fault's cache is filled with.
+_cache_hash = StuckAtFault._hash.__set__
+
+
+def _fault_getstate(self: StuckAtFault) -> tuple:
+    # no cached hash: a string's hash differs per process
+    return self.line, self.value
+
+
+def _fault_setstate(self: StuckAtFault, state: tuple) -> None:
+    object.__setattr__(self, "line", state[0])
+    object.__setattr__(self, "value", state[1])
+    _cache_hash(self, None)
+
+
+# set after the decorator: on Python 3.10 ``slots=True`` replaces the
+# class body's pickling methods with its own, which ship every field
+StuckAtFault.__getstate__ = _fault_getstate  # type: ignore[method-assign]
+StuckAtFault.__setstate__ = _fault_setstate  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True, order=True)

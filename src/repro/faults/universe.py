@@ -21,29 +21,33 @@ def _sites(circuit: Circuit) -> tuple[list[Line], list[GateType], array, array]:
     """The fault sites in universe order (stems, then the fanout branches
     of gate pins, then of flop Ds), and per gate input pin its gate's type
     and output stem and the site it reads: the branch when the source fans
-    out, else its stem (-1 if nothing drives it)."""
+    out, else its stem (-1 if nothing drives it).  A primary output counts
+    as one more consumer of its net: an output that also feeds a gate pin
+    or a flop D fans out, and that pin is a branch of its own."""
     lines = [Line(net) for net in circuit.nets]
     stem = {line.net: i for i, line in enumerate(lines)}
     fmap = circuit.fanout_map()
+    outputs = set(circuit.outputs)
     # columns, not a tuple per pin: no garbage among the kept lines
     kinds, outs, reads = [], array("q"), array("q")
     for gate in circuit.gates.values():
         for pin, src in enumerate(gate.inputs):
             kinds.append(gate.gtype)
             outs.append(stem[gate.output])
-            if len(fmap.get(src, ())) > 1:
+            if len(fmap.get(src, ())) + (src in outputs) > 1:
                 reads.append(len(lines))
                 lines.append(Line(src, gate.output, pin))
             else:
                 reads.append(stem.get(src, -1))
     for q, flop in circuit.flops.items():
-        if len(fmap.get(flop.d, ())) > 1:
+        if len(fmap.get(flop.d, ())) + (flop.d in outputs) > 1:
             lines.append(Line(flop.d, q, 0))
     return lines, kinds, outs, reads
 
 
 def lines_of(circuit: Circuit) -> list[Line]:
-    """All fault sites: stems for every net, branches for fanout > 1."""
+    """All fault sites: stems for every net, branches for fanout > 1 (a
+    primary output counting as a consumer)."""
     return _sites(circuit)[0]
 
 
@@ -93,8 +97,9 @@ def collapse(circuit: Circuit) -> tuple[list[StuckAtFault], dict[StuckAtFault, l
     * OR:  any input s-a-1 ≡ output s-a-1;  NOR: input s-a-1 ≡ output s-a-0
     * BUF: input s-a-v ≡ output s-a-v;      NOT: input s-a-v ≡ output s-a-(1-v)
 
-    A pin that reads a primary output's stem takes no rule: the output
-    observes that stem's fault before the gate, so the two differ.
+    A pin never reads a primary output's stem: the output counts as a
+    consumer, so such a pin is a branch, and the output still observes
+    the stem's fault before the gate.
 
     Faults are ids ``2 * rank + value``, a line's rank in ``Line._key``
     order (stable sorts by pin, sink, then net: no key tuple per line).
@@ -119,9 +124,8 @@ def collapse(circuit: Circuit) -> tuple[list[StuckAtFault], dict[StuckAtFault, l
             parent[x] = x = parent[parent[x]]
         return x
 
-    observed = set(circuit.outputs)
     for gtype, out, site in zip(kinds, outs, reads):
-        if site < 0 or lines[site].is_stem and lines[site].net in observed:
+        if site < 0:
             continue
         for v_in, v_out in _RULES.get(gtype, ()):
             a, b = find(base[site] + v_in), find(base[out] + v_out)

@@ -28,10 +28,14 @@ host by :mod:`repro.sim.native` and called through :mod:`ctypes`,
 interprets flat tables of the walk (:func:`_native_table`) over each
 window's good words, packed once per window (:class:`_RootWalks`).  It
 is event-driven: of a root's cone it evaluates only the gates an input
-of which changed.  With no C compiler, or with compilation off
-(``RESCUE_NO_COMPILE``, :func:`repro.sim.compiled.disabled`), the
-interpreter walks (:func:`_root_walk`), with identical results: it is
-the reference the C walk is tested against.  Everything else here
+of which changed.  The same walk, read as one word per observed net
+(:meth:`_RootWalks.effects`), is the injection cycle of the slicing
+backend (:class:`repro.engine.workloads.SlicingBackend`), which climbs
+the same fan-out-free links (:func:`_climb`).  With no C compiler, or
+with compilation off (``RESCUE_NO_COMPILE``,
+:func:`repro.sim.compiled.disabled`), the interpreter walks
+(:func:`_root_walk`), with identical results: it is the reference the C
+walk is tested against.  Everything else here
 interprets (``GATE_EVAL``): the per-fault reference walks, the region
 climb, and every good-machine simulation
 (:func:`repro.sim.logic.simulate`, run once per pattern window or cycle
@@ -546,8 +550,11 @@ def _root_walk(
     good: Mapping[str, int],
     mask: int,
     net: str,
-) -> int:
-    """Patterns in which flipping ``net`` reaches one of ``observe``.
+    rows: bool = False,
+) -> int | list[int]:
+    """Patterns in which flipping ``net`` reaches one of ``observe``
+    (with ``rows``: one word per observed net, the patterns in which the
+    flip reaches that net).
 
     :func:`_detection_mask_interp` of the stem forced to its complement,
     walked over :func:`_tail_table`'s kept gates only: whenever a walked
@@ -575,6 +582,9 @@ def _root_walk(
             if diff:
                 for end in targets:
                     values[end] ^= diff
+    if rows:
+        return [(values.get(obs_net, 0) ^ good.get(obs_net, 0)) & mask
+                for obs_net in observe]
     det = 0
     for obs_net in observe:
         det |= values.get(obs_net, 0) ^ good.get(obs_net, 0)
@@ -595,7 +605,9 @@ def native_kernel():
 
 class _RootWalks:
     """The root walks of one pattern window: ``walks(net)`` is
-    :func:`_root_walk` of ``net`` over the window's good words.
+    :func:`_root_walk` of ``net`` over the window's good words, and
+    ``walks.effects(net)`` its one word per observed net (what
+    :class:`repro.engine.workloads.SlicingBackend` reads).
 
     On the first call the kernel is resolved (:func:`native_kernel`) and,
     when it loaded, the window's good words are packed for it once —
@@ -629,29 +641,44 @@ class _RootWalks:
         last = self.mask >> 64 * (n_words - 1)
         return kernel, index, table, words, n_words, last
 
-    def __call__(self, net: str) -> int:
+    def _kernel(self) -> tuple:
         native = self.native
         if native is None:
             native = self.native = self._resolve()
+        return native
+
+    def __call__(self, net: str) -> int:
+        native = self._kernel()
         if not native:
             return _root_walk(self.circuit, self.observe, self.good,
                               self.mask, net)
         kernel, index, table, words, n_words, last = native
         return kernel.walk(table, words, n_words, last, index[net])[0]
 
+    def effects(self, net: str) -> list[int]:
+        native = self._kernel()
+        if not native:
+            return _root_walk(self.circuit, self.observe, self.good,
+                              self.mask, net, rows=True)
+        kernel, index, table, words, n_words, last = native
+        return kernel.effects(table, words, n_words, last, index[net])
+
 
 #: The C root walk, one translation unit for every design: the tables of
 #: :func:`_native_table` and a window's good words (``n_nets`` rows of
 #: ``nw`` words, the last word of a row holding ``last``'s bits) in, the
-#: detection words of one flipped net out.  ``rescue_kernel.walk(tab,
-#: good, nw, last, root, det)`` returns the gates it evaluated (-1: out
-#: of memory).  :func:`_root_walk` event by event: a pending bitmap over
-#: the kept steps in topological order holds the steps an input of
-#: which changed; a step that changes its net XORs the difference into
-#: the net's tail ends and marks their readers.  A net's words are
-#: copied out of ``good`` into the call's own scratch when it first
-#: changes (``slot`` maps a net to its scratch row), so ``good`` is read
-#: only and nothing outlives the call.
+#: detection words of one flipped net out into ``det``, and, when
+#: ``rows`` is not ``NULL``, one row of ``nw`` words per observed net:
+#: the patterns in which the flip reaches that net (the PPSFP sweep
+#: passes no ``rows``, the slicing backend no ``det``).
+#: ``rescue_kernel.walk(tab, good, nw, last, root, det, rows)`` returns
+#: the gates it evaluated (-1: out of memory).  :func:`_root_walk` event
+#: by event: a pending bitmap over the kept steps in topological order
+#: holds the steps an input of which changed; a step that changes its
+#: net XORs the difference into the net's tail ends and marks their
+#: readers.  A net's words are copied out of ``good`` into the call's
+#: own scratch when it first changes (``slot`` maps a net to its scratch
+#: row), so ``good`` is read only and nothing outlives the call.
 _C_ROOT_WALK = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -768,7 +795,8 @@ static void eval(const walk_t *w, int32_t k, uint64_t *acc)
 }
 
 static int64_t walk(const int32_t *tab, const uint64_t *good, int64_t nw,
-                    uint64_t last, int64_t root, uint64_t *det)
+                    uint64_t last, int64_t root, uint64_t *det,
+                    uint64_t *rows)
 {
     walk_t w = {0};
     int64_t evaluated = -1, n_pend;
@@ -828,14 +856,22 @@ static int64_t walk(const int32_t *tab, const uint64_t *good, int64_t nw,
                 goto done;
             }
         }
-    memset(det, 0, nw * sizeof *det);
+    if (det)
+        memset(det, 0, nw * sizeof *det);
     for (int32_t j = 0; j < w.t.n_obs; j++) {
         int32_t n = w.t.obs[j];
+        uint64_t *row = rows ? rows + (int64_t)j * nw : NULL;
         if (w.slot[n]) {
             const uint64_t *v = value(&w, n), *g = good + n * nw;
-            for (int64_t i = 0; i < nw; i++)
-                det[i] |= v[i] ^ g[i];
-        }
+            for (int64_t i = 0; i < nw; i++) {
+                uint64_t d = v[i] ^ g[i];
+                if (det)
+                    det[i] |= d;
+                if (row)
+                    row[i] = d;
+            }
+        } else if (row)
+            memset(row, 0, nw * sizeof *row);
     }
 done:
     free(w.slot);
@@ -847,7 +883,7 @@ done:
 
 typedef struct {
     int64_t (*walk)(const int32_t *, const uint64_t *, int64_t, uint64_t,
-                    int64_t, uint64_t *);
+                    int64_t, uint64_t *, uint64_t *);
 } exports_t;
 
 const exports_t rescue_kernel = { walk };
@@ -874,25 +910,41 @@ def _observability(
     patterns in which flipping the net flips the consumer.  Every net on
     the way is memoised.
     """
-    links = _ffr_links(circuit)
-    chain: list[tuple[str, Gate]] = []
-    word = None
-    gate = links.get(net)
-    while gate is not None:
-        chain.append((net, gate))
-        net = gate.output
-        word = obs.get(net)
-        if word is not None:
-            break
-        gate = links.get(net)
+    chain, top, word = _climb(circuit, obs, net)
     walked = word is None
     if walked:
-        word = obs[net] = walks(net)
+        word = obs[top] = walks(top)
     for inner, gate in reversed(chain):
         if word:
             word &= _output_diff(gate, good, inner, good[inner] ^ mask, mask)
         obs[inner] = word
     return word, walked
+
+
+def _climb(circuit: Circuit, memo: Mapping[str, object], net: str
+           ) -> tuple[list[tuple[str, Gate]], str, object]:
+    """Follow the fan-out-free links up from ``net`` to the first net
+    already in ``memo`` or to its region's root.  Returns the links
+    passed as ``(net, its one consuming gate)`` from ``net`` up, the net
+    the climb stopped at and its memo entry (``None`` at a root not in
+    ``memo``).  Inside a region a net reaches anything only through its
+    consumer, so a flip of it shows wherever a flip of the consumer's
+    output does, in the patterns where it flips that output: coming
+    back down, a caller restricts the top's entry link by link
+    (:func:`_observability`, and the slicing backend's per-observed-net
+    effects)."""
+    links = _ffr_links(circuit)
+    chain: list[tuple[str, Gate]] = []
+    entry = None
+    gate = links.get(net)
+    while gate is not None:
+        chain.append((net, gate))
+        net = gate.output
+        entry = memo.get(net)
+        if entry is not None:
+            break
+        gate = links.get(net)
+    return chain, net, entry
 
 
 def _batched_detection(

@@ -8,10 +8,13 @@ Two kernels are served, each one translation unit:
   step over one 64-lane ``uint64_t`` block, the whole skewed walk of
   :func:`repro.engine.lanes._propagate_skewed` and the golden pass that
   lays out its golden table), wrapped by :class:`LaneWalker`;
-* the PPSFP root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one
-  source for every design: it interprets the flat tables
+* the root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one source
+  for every design: it interprets the flat tables
   :func:`repro.sim.fault_sim._native_table` builds), wrapped by
-  :class:`RootWalker`.
+  :class:`RootWalker`.  It serves two backends: the PPSFP sweep reads
+  one detection word per walk, and the slicing backend
+  (:class:`repro.engine.workloads.SlicingBackend`) one word per observed
+  net, from which it answers every injection cycle of a window.
 
 :func:`load` builds a source once with the host C compiler (``gcc``,
 else ``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
@@ -35,7 +38,7 @@ caller runs its Python reference — the int lane walker, or
 :func:`repro.sim.fault_sim._root_walk` — that the kernel is tested
 against.  This module (and :mod:`ctypes`) is imported by the first
 kernel asked for — a design's golden pass (:func:`repro.engine.lanes
-.build_context`) or the first PPSFP sweep — not before.
+.build_context`) or the first root walk — not before.
 """
 
 from __future__ import annotations
@@ -152,11 +155,13 @@ class LaneWalker:
 class _RootExports(ctypes.Structure):
     _fields_ = [("walk", ctypes.CFUNCTYPE(
         ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
-        ctypes.c_uint64, ctypes.c_int64, _u64p))]
+        ctypes.c_uint64, ctypes.c_int64, _u64p, _u64p))]
 
 
 class RootWalker:
-    """A loaded PPSFP root walk (:meth:`walk`).  The call keeps all its
+    """A loaded root walk: :meth:`walk` for the PPSFP sweep, which reads
+    one detection word, and :meth:`effects` for the slicing backend,
+    which reads one word per observed net.  The call keeps all its
     scratch to itself and releases the GIL, so threads may walk one
     window's words at once."""
 
@@ -171,10 +176,26 @@ class RootWalker:
         in which the flip reaches an observed net, and the number of
         gates the walk evaluated."""
         out = ctypes.create_string_buffer(8 * n_words)
-        evaluated = self._walk(table, good, n_words, last, root, out)
+        evaluated = self._walk(table, good, n_words, last, root, out, None)
         if evaluated < 0:
             raise MemoryError("native root walk: out of memory")
         return int.from_bytes(out.raw, "little"), evaluated
+
+    def effects(self, table: bytes, good: bytes, n_words: int, last: int,
+                root: int) -> list[int]:
+        """The same walk, read per observed net: for each of the table's
+        observed nets, in order, the patterns in which the flip of
+        ``root`` reaches it."""
+        n_obs = array("i", table[:12])[2]  # the header sizes the rows
+        out = ctypes.create_string_buffer(8 * n_words * n_obs)
+        if self._walk(table, good, n_words, last, root, None, out) < 0:
+            raise MemoryError("native root walk: out of memory")
+        raw = out.raw
+        if n_words == 1:
+            return array("Q", raw).tolist()
+        size = 8 * n_words
+        return [int.from_bytes(raw[at:at + size], "little")
+                for at in range(0, len(raw), size)]
 
 
 class _Unavailable(Exception):

@@ -1,5 +1,9 @@
 """Tests for fault models, universes, collapsing and sampling."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +48,42 @@ class TestModels:
                   StuckAtFault(Line("a", "g", 0), 0)]
         ordered = sorted(faults)
         assert ordered[0].line.net == "a"
+
+    def test_hash_is_cached_with_the_generated_value(self):
+        line = Line("n", "g", 1)
+        fault = StuckAtFault(line, 1)
+        # the values the dataclass-generated hashes gave: set and dict
+        # iteration orders do not move
+        assert hash(line) == hash(("n", "g", 1))
+        assert hash(fault) == hash((line, 1))
+        assert hash(fault) == hash(fault) and fault._hash is not None
+        twin = StuckAtFault(Line("n", "g", 1), 1)
+        assert twin == fault and hash(twin) == hash(fault)
+        assert {fault: 1}[twin] == 1
+        # the cache is no field of equality, order or repr
+        assert StuckAtFault(Line("n", "g", 1), 1) == fault
+        assert not fault < twin and not twin < fault
+        assert "_hash" not in repr(fault)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fault.value = 0  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            line.net = "m"  # type: ignore[misc]
+        other = StuckAtFault(Line("b"), 0)
+        assert Line("n") < Line("n", "g", 0)
+        assert sorted([fault, other]) == [other, fault]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickled_fault_carries_no_hash(self, protocol):
+        # a string's hash differs per process: the receiver rehashes
+        fault = StuckAtFault(Line("n", "g", 1), 0)
+        cached = hash(fault)
+        blob = pickle.dumps(fault, protocol)
+        assert str(cached).encode() not in blob
+        assert cached.to_bytes(8, "little", signed=True) not in blob
+        back = pickle.loads(blob)
+        assert back._hash is None
+        assert back == fault and hash(back) == cached
+        assert copy.deepcopy(fault) == fault
 
     def test_other_fault_kinds(self):
         assert "SEU" in SEUFault("q1", 5).describe()
@@ -159,16 +199,20 @@ def test_sample_size_never_exceeds_population(population, margin, confidence):
 # collapse against the union-find over fault objects it replaced
 # ----------------------------------------------------------------------
 
+def _fanout(circuit: Circuit, net: str) -> int:
+    """A net's consumers, a primary output counting as one."""
+    return len(circuit.fanout_map().get(net, ())) + (net in circuit.outputs)
+
+
 def _reference_lines_of(circuit: Circuit) -> list[Line]:
     """All fault sites: stems for every net, branches for fanout > 1."""
     sites: list[Line] = [Line(net) for net in circuit.nets]
-    fmap = circuit.fanout_map()
     for gate in circuit.gates.values():
         for pin, src in enumerate(gate.inputs):
-            if len(fmap.get(src, ())) > 1:
+            if _fanout(circuit, src) > 1:
                 sites.append(Line(src, gate.output, pin))
     for q, flop in circuit.flops.items():
-        if len(fmap.get(flop.d, ())) > 1:
+        if _fanout(circuit, flop.d) > 1:
             sites.append(Line(flop.d, q, 0))
     return sites
 
@@ -195,17 +239,17 @@ class _UnionFind:
 
 def _input_line(circuit: Circuit, gate_out: str, pin: int, src: str) -> Line:
     """Line of a gate input: the branch if the source has fanout, else the stem."""
-    if len(circuit.fanout_map().get(src, ())) > 1:
+    if _fanout(circuit, src) > 1:
         return Line(src, gate_out, pin)
     return Line(src)
 
 
 def _reference_collapse(circuit: Circuit) -> tuple[list[StuckAtFault], dict[StuckAtFault, list[StuckAtFault]]]:
-    """The previous ``collapse``, kept verbatim as the identity reference.
-
-    It merges a primary output's stem fault into the gate that stem
-    feeds alone, so it is the reference only on circuits where no
-    output feeds exactly one gate (:func:`_po_feeds_one_gate`)."""
+    """The union-find ``collapse`` replaced, kept as the identity
+    reference, with the one change ``_sites`` made since: a primary
+    output counts as a consumer of its net (:func:`_fanout`), so a pin
+    reading an output is a branch and no rule merges the output's stem
+    into the gate."""
     universe = all_stuck_at(circuit)
     uf = _UnionFind()
     for fault in universe:
@@ -240,14 +284,7 @@ def _reference_collapse(circuit: Circuit) -> tuple[list[StuckAtFault], dict[Stuc
     return reps, classes
 
 
-def _po_feeds_one_gate(circuit: Circuit) -> bool:
-    fmap = circuit.fanout_map()
-    return any(len(fmap.get(net, ())) == 1 and fmap[net][0] in circuit.gates
-               for net in circuit.outputs)
-
-
 def _assert_matches_reference(circuit: Circuit) -> None:
-    assert not _po_feeds_one_gate(circuit), circuit.name
     assert lines_of(circuit) == _reference_lines_of(circuit)
     reps, classes = collapse(circuit)
     ref_reps, ref_classes = _reference_collapse(circuit)
@@ -390,9 +427,31 @@ class TestCollapseSoundness:
         assert masks[a0] != masks[y0]
         _reps, classes = collapse(c)
         assert classes[a0] == [a0]
-        # the rule still holds for the pin whose stem is no output
-        assert classes[StuckAtFault(Line("x"), 0)] == [
-            StuckAtFault(Line("x"), 0), y0]
+        # the AND rule holds for both pins: the one reading the output a
+        # is a branch of a (its class's smallest fault), the other x
+        pin0 = StuckAtFault(Line("a", "y", 0), 0)
+        assert classes[pin0] == [pin0, StuckAtFault(Line("x"), 0), y0]
+
+    def test_output_feeding_one_gate_has_a_branch(self):
+        # the output counts as a consumer of a: the pin of y that reads
+        # it is a branch, stuck while the output still reads a good a
+        c = _output_feeding_one_gate()
+        branch = Line("a", "y", 0)
+        assert branch in lines_of(c)
+        masks = _exhaustive_masks(c)
+        a0, pin0 = StuckAtFault(Line("a"), 0), StuckAtFault(branch, 0)
+        assert masks[pin0] != masks[a0]
+        _assert_matches_reference(c)
+
+    def test_output_feeding_one_flop_has_a_branch(self):
+        bld = CircuitBuilder("po_flop")
+        a = bld.input("a")
+        y = bld.not_(a, name="y")
+        bld.output(y)
+        bld.output(bld.flop(y, name="q"))
+        c = bld.done()
+        assert Line("y", "q", 0) in lines_of(c)
+        _assert_matches_reference(c)
 
     @settings(max_examples=60, deadline=None)
     @given(circuit=_outputs_that_feed_gates())

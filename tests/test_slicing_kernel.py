@@ -5,9 +5,10 @@ window of golden cycles packed side by side and reads every point's
 injection-cycle verdict off the resulting words.  The reference is the
 per-point ``safety.slicing._simulate_injection``; this module holds the
 kernel-level identity against it (``run_batch`` on every chunk shape,
-point by point, and the filter's tags and losslessness), the work
-counts the packing promises (no timers), and the rejection of injection
-cycles outside the workload.  Whole slicing campaigns, at every lane
+point by point, and the filter's tags and losslessness), one
+``(fault, window)`` read off the root walk against the faulty-machine
+cone walk it replaced, the work counts the packing promises (no
+timers), and the rejection of injection cycles outside the workload.  Whole slicing campaigns, at every lane
 width, executor and path, are ``tests/test_oracle.py``'s.
 
 Nothing here asserts which walker or program ran, so the module passes
@@ -19,11 +20,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import levelize
+from repro.circuit import CircuitBuilder, levelize
 from repro.circuit.library import random_sequential
+from repro.circuit.netlist import GateType
 from repro.engine import EngineConfig, SlicingBackend, run_campaign
 from repro.engine.lanes import lane_groups
 from repro.engine.workloads import SKIP_NO_ACTIVATION, SKIP_NO_PATH
@@ -31,7 +33,7 @@ from repro.faults.models import Line, StuckAtFault
 from repro.faults.universe import all_stuck_at
 from repro.safety.slicing import (_golden_states, _simulate_injection,
                                   run_sliced_campaign)
-from repro.sim import fault_sim
+from repro.sim import fault_sim, native
 from repro.soft_error.seu import random_workload
 
 N_CYCLES = 20
@@ -143,6 +145,105 @@ def test_packed_cycles_equal_the_per_point_reference(seed):
         assert filtered[point] == (location, cyc, outcome)
 
 
+# ----------------------------------------------------------------------
+# one (fault, window) against the faulty-machine walk it replaced
+# ----------------------------------------------------------------------
+def _reference_window(circuit, fault, good, mask):
+    """``(failed, deltas)`` of one fault over one window of packed golden
+    cycles by simulating the faulty machine's whole cone
+    (``fault_sim.faulty_values``), the flop-D branch's ``__flopD__``
+    capture included; deltas keyed by flop index."""
+    line = fault.line
+    if good.get(line.net, 0) == (mask if fault.value else 0):
+        return 0, {}
+    vals = fault_sim.faulty_values(circuit, fault, good, mask)
+    failed = 0
+    for po in circuit.outputs:
+        failed |= vals.get(po, 0) ^ good.get(po, 0)
+    pin = None if line.is_stem else line.sink
+    deltas = {}
+    for k, (q, flop) in enumerate(circuit.flops.items()):
+        captured = (vals.get(f"__flopD__{q}", vals[flop.d]) if q == pin
+                    else vals[flop.d])
+        if captured ^ good[flop.d]:
+            deltas[k] = captured ^ good[flop.d]
+    return failed, deltas
+
+
+_GATES = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+          GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT,
+          GateType.CONST0, GateType.CONST1)
+_LINEAR = (GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT)
+
+
+@st.composite
+def _designs(draw):
+    """A small sequential design: gates read inputs, flop Qs and earlier
+    gates (a pin may repeat a net), linear gates are drawn as often as
+    the others, and the outputs are drawn from every net — so a flop's D
+    can be an output, and an output can feed gates and flops."""
+    bld = CircuitBuilder("window")
+    n_in, n_flops = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = [bld.input(f"i{k}") for k in range(n_in)]
+    pool += [f"q{k}" for k in range(n_flops)]
+    for k in range(draw(st.integers(2, 14))):
+        gtype = draw(st.sampled_from(_GATES + _LINEAR))
+        arity = (0 if gtype in (GateType.CONST0, GateType.CONST1)
+                 else 1 if gtype in (GateType.BUF, GateType.NOT)
+                 else draw(st.integers(2, 3)))
+        ins = [draw(st.sampled_from(pool)) for _ in range(arity)]
+        pool.append(bld.gate(gtype, *ins, name=f"g{k}"))
+    gates = pool[n_in + n_flops:]
+    for k in range(n_flops):
+        bld.circuit.add_flop(f"q{k}", draw(st.sampled_from(gates)),
+                             init=draw(st.integers(0, 1)))
+    for net in sorted(draw(st.sets(st.sampled_from(pool), min_size=1,
+                                   max_size=3))):
+        bld.output(net)
+    return bld.done()
+
+
+def _every_site_kind():
+    """Stems, gate and flop-D branches, PI and flop-Q sites, an XOR /
+    XNOR / BUF / NOT chain, and an output that is also a flop's D."""
+    bld = CircuitBuilder("kinds")
+    a, b = bld.input("a"), bld.input("b")
+    x = bld.and_(a, "q0", name="x")
+    t = bld.not_(bld.buf(bld.xnor(bld.xor(x, b, name="t0"), "q1",
+                                  name="t1"), name="t2"), name="t3")
+    y = bld.or_(t, x, name="y")
+    bld.circuit.add_flop("q0", y)
+    bld.circuit.add_flop("q1", x)  # x fans out to a gate and a flop
+    bld.output(y)  # an output that is also q0's D
+    bld.output(bld.nand(t, a, name="z"))
+    return bld.done()
+
+
+@pytest.mark.parametrize("walker", ("native", "python"))
+@settings(max_examples=40, deadline=None)
+@given(circuit=_designs(), seed=st.integers(0, 10_000))
+@example(circuit=_every_site_kind(), seed=3)
+def test_a_window_equals_the_faulty_machine(walker, circuit, seed):
+    faults = all_stuck_at(circuit)
+    random.Random(seed).shuffle(faults)  # memo hits in any order
+    workload = random_workload(circuit, 11, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fault_sim, "WINDOW_BITS", 4)  # 4, 4 and 3
+        if walker == "python":
+            monkeypatch.setattr(native, "load", lambda source: None)
+        backend = SlicingBackend(circuit, faults, workload,
+                                 use_filter=False, lane_width=64)
+        backend.prepare()
+        for index, (good, mask) in enumerate(backend._windows[1]):
+            memo: dict = {}
+            for fault in faults:
+                failed, deltas = backend._inject_window(fault, index, memo)
+                assert (failed, dict(deltas)) == _reference_window(
+                    circuit, fault, good, mask), (fault.describe(), index)
+    if circuit.name == "kinds":
+        assert all(_site_kinds(circuit).values())
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "no_path is not lossless on dead state: a site whose cone reaches a "
     "flop but no observable is skipped as masked, while the reference "
@@ -182,13 +283,15 @@ class TestWorkCounts:
                                  lane_width=64)
         backend.prepare()
         walks = []
-        real = fault_sim.faulty_values
+        real = fault_sim._RootWalks.effects
 
-        def counting(circuit, fault, good, mask):
-            walks.append(fault)
-            return real(circuit, fault, good, mask)
+        def counting(self, net):
+            walks.append(net)
+            return real(self, net)
 
-        monkeypatch.setattr(fault_sim, "faulty_values", counting)
+        # one root walk per fan-out-free region and window at most: the
+        # faults of a region share it
+        monkeypatch.setattr(fault_sim._RootWalks, "effects", counting)
         total = 0
         fault_major = backend.enumerate_points()
         for chunk in lane_groups(fault_major, 64):

@@ -228,6 +228,13 @@ GUARDS = (
           "are gone (tests/test_faults.py keeps them as the reference)",
           r"\b_UnionFind\b|\b_input_line\b",
           ("src/repro/faults/universe.py",)),
+    Guard("slicing_reads_root_walks",
+          "a slicing chunk answers each (fault, window) from the PPSFP "
+          "root walk's per-observed-net words: the per-fault walk of the "
+          "faulty machine's cone is gone from the backend "
+          "(tests/test_slicing_kernel.py keeps it as the reference)",
+          r"\bfaulty_values\b",
+          ("src/repro/engine/workloads.py",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -309,6 +316,9 @@ def test_guards_bite(tmp_path, monkeypatch):
             "    return [g for g in circuit.topo_order()"
             " if g.output in needed]\n"),
         "collapse_compares_no_faults": "    uf = _UnionFind()\n",
+        "slicing_reads_root_walks": (
+            "        vals = fault_sim.faulty_values(self.circuit, fault, "
+            "good, mask)\n"),
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -401,3 +411,10 @@ def test_clean_names_pass():
     for dirty in ("class _UnionFind:",
                   "in_line = _input_line(circuit, gate.output, pin, src)"):
         assert ids.search(dirty), dirty
+    walks = regexes["slicing_reads_root_walks"]
+    for clean in ("_faulty_values_interp(circuit, line, forced, good, mask)",
+                  "rows = self._walks[index].effects(top)"):
+        assert not walks.search(clean), clean
+    for dirty in ("vals = fault_sim.faulty_values(circuit, fault, good, 1)",
+                  "from ..sim.fault_sim import faulty_values"):
+        assert walks.search(dirty), dirty
