@@ -276,8 +276,8 @@ def random_combinational(
     for idx, net in enumerate(dangling):
         groups[idx % n_outputs].append(net)
     for i, group in enumerate(groups):
-        if not group:
-            bld.output(bld.buf(pool[-(i + 1)], name=f"po{i}"))
+        if not group:  # more outputs than nets left: reuse from the end
+            bld.output(bld.buf(pool[-(i % len(pool)) - 1], name=f"po{i}"))
         elif len(group) == 1:
             bld.output(bld.buf(group[0], name=f"po{i}"))
         else:

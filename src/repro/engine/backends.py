@@ -31,15 +31,15 @@ width runs on one carrier, the lane walker of :mod:`repro.engine.lanes`
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, not_
 from typing import Any, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
 from ..core.campaign import Outcomes
 from ..faults.models import StuckAtFault
 from ..faults.universe import check_sites
-from ..sim.fault_sim import (PatternWindows, _batched_detection,
-                             _pattern_windows)
+from ..sim.fault_sim import PatternWindows, _pattern_windows, _sweep
 from ..sim.logic import mask_of, simulate
 from ..soft_error.seu import _golden_run, inject_seu
 from . import lanes
@@ -60,8 +60,12 @@ class PpsfpBackend:
     simulation each); per window a fault costs one gate evaluation and
     a read of the window's observability memo, and a cone is walked once
     per fan-out-free region the faults touch, not once per fault (the
-    memo holds one word per net and window asked, ``nets x windows x
-    WINDOW_BITS / 8`` bytes at most, and goes with the windows).
+    memo holds one word per net and window, ``nets x windows x
+    WINDOW_BITS / 8`` bytes at most, and goes with the windows).  Where
+    the C kernel loads, a chunk is one call per window
+    (:func:`repro.sim.fault_sim._sweep`), and ``run_batch`` returns one
+    :class:`repro.core.campaign.Outcomes` block: outcome codes,
+    ``describe()`` locations and the detection words as ``details``.
 
     The pattern batches pickle with the backend: they ride the campaign
     payload (one temp file, loaded once per process-pool worker) and the
@@ -122,14 +126,15 @@ class PpsfpBackend:
         state["_windows"] = None
         return state
 
-    def run_batch(self, points: Sequence[StuckAtFault]) -> list[Injection]:
-        out: list[Injection] = []
-        for fault in points:
-            acc = _batched_detection(self.circuit, fault, self._windows,
-                                     self.drop_detected)
-            out.append(Injection(fault, fault.describe(), 0,
-                                 DETECTED if acc else UNDETECTED, acc))
-        return out
+    def run_batch(self, points: Sequence[StuckAtFault]) -> Outcomes:
+        """One block: the sweep's detection words (one C call per window
+        where the kernel loaded) as ``details``, ``detected`` where a
+        word is not zero."""
+        words = _sweep(self.circuit, points, self._windows,
+                       self.drop_detected)
+        return Outcomes(points, list(map(StuckAtFault.describe, points)),
+                        [0] * len(words), bytes(map(not_, words)),
+                        (DETECTED, UNDETECTED), words)
 
 
 class SeuBackend:
@@ -371,14 +376,20 @@ def ppsfp_result(report, n_patterns: int) -> Any:
     from ..sim.fault_sim import FaultSimResult
 
     result = FaultSimResult(n_patterns=n_patterns)
-    for inj in report.injections:
-        if inj.outcome == DETECTED:
-            if inj.detail is None:
+    detected, undetected = result.detected, result.undetected
+    for block in report.injections.blocks:  # columns: no record is built
+        details = (repeat(None) if block.details is None
+                   else block.details)
+        for fault, location, outcome, word in zip(
+                block.points, block.locations,
+                map(block.names.__getitem__, block.codes), details):
+            if outcome != DETECTED:
+                undetected.append(fault)
+            elif word is None:
                 raise ValueError(
-                    f"detected fault {inj.location} carries no detection "
+                    f"detected fault {location} carries no detection "
                     "mask: the report was resumed or assembled by service "
                     "replay, which does not restore Injection.detail")
-            result.detected[inj.point] = inj.detail
-        else:
-            result.undetected.append(inj.point)
+            else:
+                detected[fault] = word
     return result

@@ -22,25 +22,30 @@ trees, adders and output compressors end in: a difference crosses a
 tail as one XOR into the tail's end (:func:`_root_walk`,
 :func:`_tail_table`).
 
-The batched sweep's root walks run in C where they can: one fixed
-translation unit for every design (:data:`_C_ROOT_WALK`), built once per
-host by :mod:`repro.sim.native` and called through :mod:`ctypes`,
-interprets flat tables of the walk (:func:`_native_table`) over each
-window's good words, packed once per window (:class:`_RootWalks`).  It
-is event-driven: of a root's cone it evaluates only the gates an input
-of which changed.  The same walk, read as one word per observed net
-(:meth:`_RootWalks.effects`), is the injection cycle of the slicing
+The batched sweep runs in C where it can: one fixed translation unit
+for every design (:data:`_C_ROOT_WALK`), built once per host by
+:mod:`repro.sim.native` and called through :mod:`ctypes`, interprets
+flat tables of the circuit (:func:`_native_table`) over each window's
+good words, packed once per window (:class:`_RootWalks`).  Its
+``sweep`` takes a whole chunk of faults as three int columns and
+answers every fault's detection word in one call per window
+(:func:`_sweep`): the activation test, the one-gate difference, the
+region climb on the window's memo and, on a miss, the root walk.  The
+walk is event-driven: of a root's cone it evaluates only the gates an
+input of which changed.  The same walk, read as one word per observed
+net (:meth:`_RootWalks.effects`), is the injection cycle of the slicing
 backend (:class:`repro.engine.workloads.SlicingBackend`), which climbs
 the same fan-out-free links (:func:`_climb`).  With no C compiler, or
 with compilation off (``RESCUE_NO_COMPILE``,
-:func:`repro.sim.compiled.disabled`), the interpreter walks
-(:func:`_root_walk`), with identical results: it is the reference the C
-walk is tested against.  Everything else here
-interprets (``GATE_EVAL``): the per-fault reference walks, the region
-climb, and every good-machine simulation
-(:func:`repro.sim.logic.simulate`, run once per pattern window or cycle
-and kept).  Neither :mod:`ctypes` nor :mod:`repro.sim.native` is
-imported before the first root walk.
+:func:`repro.sim.compiled.disabled`), the Python loop sweeps
+(:func:`_batched_detection`, :func:`_observability`,
+:func:`_root_walk`), with identical results: it is the reference the C
+sweep and walk are tested against.  Everything else here interprets
+(``GATE_EVAL``): the per-fault reference walks, a branch into a flop D,
+and every good-machine simulation (:func:`repro.sim.logic.simulate`,
+run once per pattern window or cycle and kept).  Neither :mod:`ctypes`
+nor :mod:`repro.sim.native` is imported before the first sweep or root
+walk.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, chain, compress
+from operator import attrgetter
 from typing import Collection, Mapping, Sequence
 
 from ..circuit.netlist import Circuit, Gate, GateType
@@ -82,12 +88,14 @@ class FaultSimResult:
 
 
 #: Keys of the reachability table, of the fan-out-free-region links and
-#: (paired with an observe tuple) of the linear-tail walk table and its
-#: flat form for the C walk inside ``Circuit._cone_cache`` (cone keys are
-#: tuples of net names, so none can collide with one).
+#: (paired with an observe tuple) of the linear-tail walk table, its
+#: reachability bits and its flat form for the C walk inside
+#: ``Circuit._cone_cache`` (cone keys are tuples of net names, so none
+#: can collide with one).
 _REACH_KEY = None
 _FFR_KEY = "ffr"
 _TAILS_KEY = "tails"
+_TAIL_REACH_KEY = "tail_reach"
 _NATIVE_KEY = "native"
 
 #: Gates whose output difference is the XOR of their input differences.
@@ -206,7 +214,7 @@ def _ffr_links(circuit: Circuit) -> dict[str, Gate]:
 def _tail_table(
     circuit: Circuit,
     observe: Sequence[str],
-) -> tuple[dict[str, int], list, dict[str, tuple[str, ...]]]:
+) -> tuple[list, dict[str, tuple[str, ...]]]:
     """The walk table of :func:`_root_walk` for one observe set.
 
     A net is a *linear link* when exactly one gate pin reads it, that
@@ -220,11 +228,11 @@ def _tail_table(
 
     A walk evaluates the non-linear gates and visits the linear tail ends
     that pass a difference on; every other linear gate is summed, never
-    evaluated.  ``bits`` is :func:`_reach_table` over those kept gates,
-    reachability passing through the rest, and ``steps[i]`` is kept gate
-    *i* as ``(gate, or None for a linear one, its output, the output's
-    ends)``.  Cached per observe tuple beside the other structural
-    tables: mutation and pickling drop it.
+    evaluated.  ``steps`` lists those kept gates in topological order,
+    each as ``(gate, or None for a linear one, its output, the output's
+    ends)``; their reachability bits are :func:`_tail_reach`, built only
+    for the Python walk.  Cached per observe tuple beside the other
+    structural tables: mutation and pickling drop it.
     """
     key = (_TAILS_KEY, tuple(observe))
     cache = circuit._cone_cache
@@ -255,76 +263,117 @@ def _tail_table(
         odd = tuple(end for end in dict.fromkeys(hits) if hits.count(end) % 2)
         if odd:
             ends[net] = odd
-    keep = {gate.output for gate in order
-            if gate.gtype not in _LINEAR
-            or (gate.output not in reader and gate.output in ends)}
-    bits, kept = _reach_table(circuit, keep)
     steps = [(None if gate.gtype in _LINEAR else gate, gate.output,
-              ends.get(gate.output, ())) for gate in kept]
-    table = cache[key] = (bits, steps, ends)
+              ends.get(gate.output, ())) for gate in order
+             if gate.gtype not in _LINEAR
+             or (gate.output not in reader and gate.output in ends)]
+    table = cache[key] = (steps, ends)
     return table
 
 
-#: Opcodes of the C walk's steps: a summed tail end (``SUMMED``) or one
-#: of the non-linear gates, which are the only ones a walk evaluates.
+def _tail_reach(circuit: Circuit, observe: Sequence[str]) -> dict[str, int]:
+    """:func:`_reach_table` over :func:`_tail_table`'s kept steps (bit
+    *i* stands for ``steps[i]``, reachability passing through the other
+    gates), which only :func:`_root_walk` reads: the C walk marks its
+    steps event by event.  Built on the first Python walk and cached per
+    observe tuple beside the tail table: mutation and pickling drop it."""
+    key = (_TAIL_REACH_KEY, tuple(observe))
+    cache = circuit._cone_cache
+    bits = cache.get(key)
+    if bits is None:
+        steps, _ = _tail_table(circuit, observe)
+        bits = cache[key] = _reach_table(
+            circuit, {out for _, out, _ in steps})[0]
+    return bits
+
+
+#: Opcodes of the C kernel: a kept step is a summed tail end
+#: (``SUMMED``) or one of the non-linear gates, the only ones a walk
+#: evaluates; the per-net gate section of the table (what the sweep's
+#: one-gate differences read) uses every gate type.
 _OPCODES = {None: 0, GateType.AND: 1, GateType.NAND: 2, GateType.OR: 3,
-            GateType.NOR: 4, GateType.CONST0: 5, GateType.CONST1: 6}
+            GateType.NOR: 4, GateType.CONST0: 5, GateType.CONST1: 6,
+            GateType.XOR: 7, GateType.XNOR: 8, GateType.BUF: 9,
+            GateType.NOT: 10}
+
+#: The sweep's ``at`` column for a stem fault (the site itself) and for
+#: a branch into a flop D (no combinational cone: the interpreter's).
+_AT_STEM = -1
+_AT_FLOP_D = -2
 
 
 def _native_table(
     circuit: Circuit,
     observe: Sequence[str],
-) -> tuple[dict[str, int], bytes]:
+) -> tuple[dict[str, int], bytes, dict[str | None, int]]:
     """:func:`_tail_table` flattened for :data:`_C_ROOT_WALK`.
 
     Nets are numbered inputs, flops, then gate outputs in topological
     order; the returned index maps each net to its number, which is also
     its row in a window's packed good words (:class:`_RootWalks`).  The
     table is one run of int32: the header ``n_nets, n_steps, n_obs,
-    n_in, n_end, n_rd``, then per kept step its opcode and output, its
-    inputs as a CSR (offsets, then nets; none for a summed tail end),
-    per net its tail ends as a CSR, per net the kept steps to mark when
-    it changes as a CSR — the non-linear steps reading it, and the tail
-    end's own step — and the observed nets.  Cached per observe tuple
-    beside the tail table: mutation and pickling drop it.
+    n_in, n_end, n_rd, n_gin``, then per kept step its opcode and
+    output, its inputs as a CSR (offsets, then nets; none for a summed
+    tail end), per net its tail ends as a CSR, per net the kept steps to
+    mark when it changes as a CSR — the non-linear steps reading it, and
+    the tail end's own step — the observed nets, per net the opcode of
+    the gate driving it (-1 for an input or flop) and that gate's inputs
+    as a CSR, and per net its fan-out-free link: the net its one
+    consuming gate drives (:func:`_ffr_links`), -1 at a region root.
+    The third entry maps a branch fault's sink to the sweep's ``at``
+    column: a gate to its output's number, a flop to
+    :data:`_AT_FLOP_D`, ``None`` (a stem) to :data:`_AT_STEM`.  Cached
+    per observe tuple beside the tail table: mutation and pickling drop
+    it.
     """
     key = (_NATIVE_KEY, tuple(observe))
     cache = circuit._cone_cache
     table = cache.get(key)
     if table is not None:
         return table
-    _, steps, ends = _tail_table(circuit, observe)
-    index: dict[str, int] = {}
-    for net in (*circuit.inputs, *circuit.flops,
-                *(gate.output for gate in circuit.topo_order())):
-        index.setdefault(net, len(index))
-    ops, outs, in_off, ins, end_off, end_nets, rd_off, rd = (
-        array("i") for _ in range(8))
-    readers: list[list[int]] = [[] for _ in index]
+    steps, ends = _tail_table(circuit, observe)
+    gates = circuit.gates
+    nets = list(dict.fromkeys((*circuit.inputs, *circuit.flops,
+                               *(gate.output for gate in
+                                 circuit.topo_order()))))
+    index = dict(zip(nets, range(len(nets))))
+    number = index.__getitem__
+    ops, outs, in_off, ins = [], [], [], []
+    readers: list[list[int]] = [[] for _ in nets]
     for k, (gate, out, _) in enumerate(steps):
         ops.append(_OPCODES[None if gate is None else gate.gtype])
-        outs.append(index[out])
+        outs.append(number(out))
         in_off.append(len(ins))
         if gate is None:
-            readers[index[out]].append(k)
+            readers[number(out)].append(k)
         else:
-            ins.extend(index[src] for src in gate.inputs)
-            for src in dict.fromkeys(gate.inputs):
-                readers[index[src]].append(k)
+            srcs = list(map(number, gate.inputs))
+            ins += srcs
+            for src in dict.fromkeys(srcs):
+                readers[src].append(k)
     in_off.append(len(ins))
-    for net, i in index.items():
-        end_off.append(len(end_nets))
-        end_nets.extend(index[end] for end in ends.get(net, ()))
-        rd_off.append(len(rd))
-        rd.extend(readers[i])
-    end_off.append(len(end_nets))
-    rd_off.append(len(rd))
-    obs = array("i", (index[net] for net in observe))
-    header = array("i", (len(index), len(steps), len(obs), len(ins),
-                         len(end_nets), len(rd)))
-    table = cache[key] = (index, b"".join(
-        part.tobytes() for part in (header, ops, outs, in_off, ins, end_off,
-                                    end_nets, rd_off, rd, obs)))
+    net_ends = [ends.get(net, ()) for net in nets]
+    drivers = list(map(gates.get, nets))
+    driven = [() if gate is None else gate.inputs for gate in drivers]
+    links = _ffr_links(circuit)
+    header = (len(nets), len(steps), len(observe), len(ins),
+              sum(map(len, net_ends)), sum(map(len, readers)),
+              sum(map(len, driven)))
+    flat = array("i", chain(
+        header, ops, outs, in_off, ins,
+        (0, *accumulate(map(len, net_ends))),
+        map(number, chain.from_iterable(net_ends)),
+        (0, *accumulate(map(len, readers))), chain.from_iterable(readers),
+        map(number, observe),
+        (-1 if gate is None else _OPCODES[gate.gtype] for gate in drivers),
+        (0, *accumulate(map(len, driven))),
+        map(number, chain.from_iterable(driven)),
+        (-1 if gate is None else number(gate.output)
+         for gate in map(links.get, nets))))
+    targets: dict[str | None, int] = dict(index)  # a sink is a gate ...
+    targets.update(dict.fromkeys(circuit.flops, _AT_FLOP_D))  # or a flop
+    targets[None] = _AT_STEM
+    table = cache[key] = (index, flat.tobytes(), targets)
     return table
 
 
@@ -465,15 +514,18 @@ class PatternWindows:
     net, the window's width mask, its first pattern's global number, per
     batch the bit position it starts at inside the window and its own
     mask already shifted there, the window's root walks
-    (:class:`_RootWalks`) and its observability memo — per net, the
-    patterns in which a *flip* of that net reaches one of ``observe``
-    (:func:`_observability` fills it on demand).  A memo entry is a pure
-    function of the window and the net, so a chunk abandoned past
-    ``chunk_timeout`` that is still sweeping on its daemon thread can
-    only write the value the live sweep would; the walks share nothing
-    writable between calls, in Python or in C.  ``root_walks`` counts
-    the cone walks the detection sweeps paid for (at most one per
-    fan-out-free region and window); it never influences an outcome.
+    (:class:`_RootWalks`) and the Python loop's observability memo — per
+    net, the patterns in which a *flip* of that net reaches one of
+    ``observe`` (:func:`_observability` fills it on demand).  The C
+    sweep keeps the same memo in C, beside the window's packed words in
+    its :class:`_RootWalks`.  A memo entry is a pure function of the
+    window and the net, so a chunk abandoned past ``chunk_timeout`` that
+    is still sweeping on its daemon thread can only write the value the
+    live sweep would; the Python memo is a dict, and the C sweep holds
+    the GIL while it writes its own.  ``root_walks`` counts the cone
+    walks the detection sweeps paid for, on either path (at most one per
+    fan-out-free region and window and path); it never influences an
+    outcome.
     """
 
     windows: list[tuple[dict[str, int], int, int, list[int], list[int],
@@ -562,7 +614,8 @@ def _root_walk(
     it feeds linearly, so by the time the walk reaches a tail end in
     topological order that value is already the faulty one.
     """
-    bits, steps, ends = _tail_table(circuit, observe)
+    steps, ends = _tail_table(circuit, observe)
+    bits = _tail_reach(circuit, observe)
     values = dict(good)
     flipped = values[net] = ~good.get(net, 0) & mask
     diff = flipped ^ good.get(net, 0)
@@ -617,9 +670,19 @@ class _RootWalks:
     threads may share a window (a second thread that resolves at the
     same time packs the same words).  Without the kernel every call is
     :func:`_root_walk`.
+
+    :meth:`sweep` runs the C sweep (:func:`_sweep`) on the window's
+    observability memo, allocated on its first call: a row of words and
+    a known flag per net, zeroed, filled by the sweeps of every chunk
+    that runs on the window.  The sweep writes the memo, so it holds the
+    GIL for the whole call: two sweeps of one window — say a chunk
+    abandoned past ``chunk_timeout`` and its re-execution — run one
+    after the other, and a memo entry, a pure function of window and
+    net, is only ever read whole.  Pickling drops the packed words and
+    the memo: the copy resolves its own.
     """
 
-    __slots__ = ("circuit", "observe", "good", "mask", "native")
+    __slots__ = ("circuit", "observe", "good", "mask", "native", "memo")
 
     def __init__(self, circuit: Circuit, observe: Sequence[str],
                  good: Mapping[str, int], mask: int) -> None:
@@ -628,12 +691,17 @@ class _RootWalks:
         self.good = good
         self.mask = mask
         self.native = None  # resolved on the first walk: () for Python
+        self.memo = None  # the C sweep's, allocated on its first call
+
+    def __reduce__(self) -> tuple:
+        return (_RootWalks, (self.circuit, self.observe, self.good,
+                             self.mask))
 
     def _resolve(self) -> tuple:
         kernel = native_kernel()
         if kernel is None:
             return ()
-        index, table = _native_table(self.circuit, self.observe)
+        index, table, _ = _native_table(self.circuit, self.observe)
         n_words = max(1, (self.mask.bit_length() + 63) >> 6)
         good = self.good
         words = b"".join(good.get(net, 0).to_bytes(8 * n_words, "little")
@@ -663,33 +731,61 @@ class _RootWalks:
         kernel, index, table, words, n_words, last = native
         return kernel.effects(table, words, n_words, last, index[net])
 
+    def sweep(self, site: array, at: array, value: array,
+              bounds: array) -> tuple[list[int], int]:
+        """The C sweep of one chunk's fault columns over this window
+        (:func:`_sweep`; the kernel has loaded): one detection word per
+        fault, and the root walks the memo's misses cost."""
+        kernel, index, table, words, n_words, last = self._kernel()
+        memo = self.memo
+        if memo is None:
+            memo = self.memo = kernel.memo(len(index), n_words)
+        return kernel.sweep(table, words, n_words, last, memo, site, at,
+                            value, bounds)
 
-#: The C root walk, one translation unit for every design: the tables of
-#: :func:`_native_table` and a window's good words (``n_nets`` rows of
-#: ``nw`` words, the last word of a row holding ``last``'s bits) in, the
-#: detection words of one flipped net out into ``det``, and, when
+
+#: The C root walk and the sweep on it, one translation unit for every
+#: design: the tables of :func:`_native_table` and a window's good words
+#: (``n_nets`` rows of ``nw`` words, the last word of a row holding
+#: ``last``'s bits) in.
+#:
+#: ``rescue_kernel.walk(tab, good, nw, last, root, det, rows)`` writes
+#: the detection words of one flipped net into ``det`` and, when
 #: ``rows`` is not ``NULL``, one row of ``nw`` words per observed net:
-#: the patterns in which the flip reaches that net (the PPSFP sweep
-#: passes no ``rows``, the slicing backend no ``det``).
-#: ``rescue_kernel.walk(tab, good, nw, last, root, det, rows)`` returns
-#: the gates it evaluated (-1: out of memory).  :func:`_root_walk` event
-#: by event: a pending bitmap over the kept steps in topological order
-#: holds the steps an input of which changed; a step that changes its
-#: net XORs the difference into the net's tail ends and marks their
-#: readers.  A net's words are copied out of ``good`` into the call's
-#: own scratch when it first changes (``slot`` maps a net to its scratch
-#: row), so ``good`` is read only and nothing outlives the call.
+#: the patterns in which the flip reaches that net (the sweep passes no
+#: ``rows``, the slicing backend no ``det``); it returns the gates it
+#: evaluated (-1: out of memory).  :func:`_root_walk` event by event: a
+#: pending bitmap over the kept steps in topological order holds the
+#: steps an input of which changed; a step that changes its net XORs
+#: the difference into the net's tail ends and marks their readers.  A
+#: net's words are copied out of ``good`` into the call's own scratch
+#: when it first changes (``slot`` maps a net to its scratch row), so
+#: ``good`` is read only and nothing outlives the call.
+#:
+#: ``rescue_kernel.sweep(tab, good, nw, last, memo, known, n, site, at,
+#: value, n_bounds, bounds, det)`` is :func:`_batched_detection` of
+#: ``n`` faults in one window: columns ``site`` (the faulty net), ``at``
+#: (the net the difference first shows on: the site for a stem, the
+#: sink gate's output for a branch) and ``value`` (stuck-at 0 or 1) in,
+#: one row of ``nw`` detection words per fault out into ``det``.  The
+#: observability memo is the window's: ``memo`` holds a row of ``nw``
+#: words per net and ``known`` one flag byte per net; a miss climbs the
+#: fan-out-free links (:func:`_observability`), walks the region's root
+#: with ``walk`` and memoises every net on the way.  ``bounds`` is the
+#: window's batch starts then its width (``n_bounds`` 0: no dropping):
+#: a detected fault keeps only the batch holding its lowest set bit.
+#: Returns the root walks it ran (-1: out of memory).
 _C_ROOT_WALK = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { SUMMED, AND, NAND, OR, NOR, CONST0, CONST1 };
+enum { SUMMED, AND, NAND, OR, NOR, CONST0, CONST1, XOR, XNOR, BUF, NOT };
 
 typedef struct {
     int32_t n_nets, n_steps, n_obs;
     const int32_t *op, *out, *in_off, *in, *end_off, *end, *rd_off, *rd,
-        *obs;
+        *obs, *gop, *gin_off, *gin, *link;
 } table_t;
 
 typedef struct {
@@ -704,7 +800,7 @@ typedef struct {
 
 static void parse(const int32_t *h, table_t *t)
 {
-    const int32_t *p = h + 6;
+    const int32_t *p = h + 7;
     t->n_nets = h[0];
     t->n_steps = h[1];
     t->n_obs = h[2];
@@ -716,7 +812,11 @@ static void parse(const int32_t *h, table_t *t)
     t->end = p;     p += h[4];
     t->rd_off = p;  p += h[0] + 1;
     t->rd = p;      p += h[5];
-    t->obs = p;
+    t->obs = p;     p += h[2];
+    t->gop = p;     p += h[0];
+    t->gin_off = p; p += h[0] + 1;
+    t->gin = p;     p += h[6];
+    t->link = p;
 }
 
 static const uint64_t *value(const walk_t *w, int32_t net)
@@ -881,12 +981,189 @@ done:
     return evaluated;
 }
 
+static uint64_t any_set(const uint64_t *v, int64_t nw)
+{
+    uint64_t any = 0;
+    for (int64_t i = 0; i < nw; i++)
+        any |= v[i];
+    return any;
+}
+
+/* the good-vs-faulty XOR at net o's gate when every pin of it that
+   reads net x reads word instead (_output_diff) */
+static void gate_diff(const table_t *t, const uint64_t *good, int64_t nw,
+                      uint64_t last, int32_t o, int32_t x,
+                      const uint64_t *word, uint64_t *out)
+{
+    int32_t op = t->gop[o], lo = t->gin_off[o], hi = t->gin_off[o + 1];
+    const uint64_t *g = good + (int64_t)o * nw;
+    int inv = op == NAND || op == NOR || op == XNOR || op == NOT;
+    if (op == CONST0 || op == CONST1 || lo == hi) {
+        memset(out, 0, nw * sizeof *out);
+        return;
+    }
+    for (int32_t j = lo; j < hi; j++) {
+        int32_t n = t->gin[j];
+        const uint64_t *v = n == x ? word : good + (int64_t)n * nw;
+        if (j == lo)
+            memcpy(out, v, nw * sizeof *out);
+        else if (op == AND || op == NAND)
+            for (int64_t i = 0; i < nw; i++)
+                out[i] &= v[i];
+        else if (op == OR || op == NOR)
+            for (int64_t i = 0; i < nw; i++)
+                out[i] |= v[i];
+        else
+            for (int64_t i = 0; i < nw; i++)
+                out[i] ^= v[i];
+    }
+    for (int64_t i = 0; i < nw; i++)
+        out[i] = (inv ? ~out[i] : out[i]) ^ g[i];
+    out[nw - 1] &= last;
+}
+
+/* memo row of net, filled (_observability): climb the fan-out-free
+   links to the first known net or the region's root, walk the root if
+   it is not known, then restrict the word link by link on the way back
+   down, memoising every net.  Returns 1 when it walked, 0 when it did
+   not, -1 out of memory.  chain holds n_nets nets, scratch 3 * nw
+   words. */
+static int64_t observe(const int32_t *tab, const table_t *t,
+                       const uint64_t *good, int64_t nw, uint64_t last,
+                       uint64_t *memo, uint8_t *known, int32_t net,
+                       int32_t *chain, uint64_t *scratch)
+{
+    uint64_t *word = scratch, *flip = scratch + nw, *diff = flip + nw;
+    int32_t top = net, depth = 0;
+    int64_t walked = 0;
+    while (t->link[top] >= 0) {
+        chain[depth++] = top;
+        top = t->link[top];
+        if (known[top])
+            break;
+    }
+    if (!known[top]) {
+        if (walk(tab, good, nw, last, top, memo + (int64_t)top * nw,
+                 NULL) < 0)
+            return -1;
+        known[top] = 1;
+        walked = 1;
+    }
+    memcpy(word, memo + (int64_t)top * nw, nw * sizeof *word);
+    while (depth--) {
+        int32_t inner = chain[depth];
+        if (any_set(word, nw)) {
+            const uint64_t *g = good + (int64_t)inner * nw;
+            for (int64_t i = 0; i < nw; i++)
+                flip[i] = ~g[i];
+            flip[nw - 1] &= last;
+            gate_diff(t, good, nw, last, t->link[inner], inner, flip, diff);
+            for (int64_t i = 0; i < nw; i++)
+                word[i] &= diff[i];
+        }
+        memcpy(memo + (int64_t)inner * nw, word, nw * sizeof *word);
+        known[inner] = 1;
+    }
+    return walked;
+}
+
+/* keep only the batch [bounds[b], bounds[b + 1]) holding d's lowest
+   set bit (d is not zero) */
+static void first_batch(uint64_t *d, int64_t nw, int64_t n_bounds,
+                        const int64_t *bounds)
+{
+    int64_t i = 0, low, lo, hi, b = 0;
+    while (!d[i])
+        i++;
+    low = i * 64 + __builtin_ctzll(d[i]);
+    while (b + 2 < n_bounds && bounds[b + 1] <= low)
+        b++;
+    lo = bounds[b];
+    hi = bounds[b + 1];
+    for (i = 0; i < nw; i++) {
+        int64_t first = i * 64;
+        uint64_t keep = ~(uint64_t)0;
+        if (first + 64 <= lo || first >= hi)
+            keep = 0;
+        else {
+            if (lo > first)
+                keep &= ~(uint64_t)0 << (lo - first);
+            if (hi < first + 64)
+                keep &= ((uint64_t)1 << (hi - first)) - 1;
+        }
+        d[i] &= keep;
+    }
+}
+
+static int64_t sweep(const int32_t *tab, const uint64_t *good, int64_t nw,
+                     uint64_t last, uint64_t *memo, uint8_t *known,
+                     int64_t n, const int32_t *site, const int32_t *at,
+                     const int32_t *value, int64_t n_bounds,
+                     const int64_t *bounds, uint64_t *det)
+{
+    table_t t;
+    int64_t walks = -1;
+    int32_t *chain;
+    uint64_t *forced;
+    parse(tab, &t);
+    chain = malloc((t.n_nets + 1) * sizeof *chain);
+    forced = malloc(4 * nw * sizeof *forced);
+    if (!chain || !forced)
+        goto done;
+    walks = 0;
+    for (int64_t f = 0; f < n; f++) {
+        int32_t s = site[f], a = at[f];
+        const uint64_t *g = good + (int64_t)s * nw, *obs;
+        uint64_t *d = det + f * nw, any = 0;
+        for (int64_t i = 0; i < nw; i++) {
+            forced[i] = value[f] ? ~(uint64_t)0 : 0;
+            if (i == nw - 1)
+                forced[i] &= last;
+            any |= g[i] ^ forced[i];
+        }
+        if (!any) {  /* never activated in this window */
+            memset(d, 0, nw * sizeof *d);
+            continue;
+        }
+        if (a == s)
+            for (int64_t i = 0; i < nw; i++)
+                d[i] = g[i] ^ forced[i];
+        else
+            gate_diff(&t, good, nw, last, a, s, forced, d);
+        if (!any_set(d, nw))
+            continue;
+        if (!known[a]) {
+            int64_t walked = observe(tab, &t, good, nw, last, memo, known,
+                                     a, chain, forced + nw);
+            if (walked < 0) {
+                walks = -1;
+                goto done;
+            }
+            walks += walked;
+        }
+        obs = memo + (int64_t)a * nw;
+        any = 0;
+        for (int64_t i = 0; i < nw; i++)
+            any |= d[i] &= obs[i];
+        if (any && n_bounds > 2)
+            first_batch(d, nw, n_bounds, bounds);
+    }
+done:
+    free(chain);
+    free(forced);
+    return walks;
+}
+
 typedef struct {
     int64_t (*walk)(const int32_t *, const uint64_t *, int64_t, uint64_t,
                     int64_t, uint64_t *, uint64_t *);
+    int64_t (*sweep)(const int32_t *, const uint64_t *, int64_t, uint64_t,
+                     uint64_t *, uint8_t *, int64_t, const int32_t *,
+                     const int32_t *, const int32_t *, int64_t,
+                     const int64_t *, uint64_t *);
 } exports_t;
 
-const exports_t rescue_kernel = { walk };
+const exports_t rescue_kernel = { walk, sweep };
 """
 
 
@@ -1017,6 +1294,71 @@ def _batched_detection(
     return acc
 
 
+def _sweep(
+    circuit: Circuit,
+    faults: Sequence[StuckAtFault],
+    windows: PatternWindows,
+    drop_detected: bool,
+) -> list[int]:
+    """:func:`_batched_detection` of every fault of ``faults``, in order.
+
+    Where the C kernel loaded, a window is one call for the whole list
+    (``sweep`` of :data:`_C_ROOT_WALK`): the faults go in as three int32
+    columns — site, the net the difference first shows on, stuck value —
+    and the detection words come back per fault, on the window's own
+    memo (:class:`_RootWalks`).  Under ``drop_detected`` a fault
+    detected in a window is not handed to the later ones.  A branch into
+    a flop D has no combinational cone and stays on
+    :func:`_batched_detection`, as does every fault when a window
+    resolved without the kernel (no compiler, or compilation off when it
+    first walked): it is the reference the C sweep is tested against.
+    Every window is resolved up front, its good words packed even if
+    dropping leaves it no fault.  ``windows.root_walks`` counts the
+    walks either way.
+    """
+    spans = windows.windows
+    if not spans or not all(span[5]._kernel() for span in spans):
+        return [_batched_detection(circuit, fault, windows, drop_detected)
+                for fault in faults]
+    index, _, targets = _native_table(circuit, windows.observe)
+    lines = list(map(attrgetter("line"), faults))
+    sites = list(map(index.__getitem__, map(attrgetter("net"), lines)))
+    ats = list(map(targets.__getitem__, map(attrgetter("sink"), lines)))
+    values = list(map(attrgetter("value"), faults))
+    acc = [0] * len(faults)
+    todo = []
+    for i, at in enumerate(ats):
+        if at == _AT_FLOP_D:
+            acc[i] = _batched_detection(circuit, faults[i], windows,
+                                        drop_detected)
+        else:
+            if at == _AT_STEM:
+                ats[i] = sites[i]
+            todo.append(i)
+    for _, mask, offset, starts, _, walks, _ in spans:
+        if not todo:
+            break
+        bounds = (array("q", (*starts, mask.bit_length()))
+                  if drop_detected and len(starts) > 1 else array("q"))
+        found, walked = walks.sweep(
+            *(array("i", map(column.__getitem__, todo))
+              for column in (sites, ats, values)), bounds)
+        windows.root_walks += walked
+        if drop_detected:
+            left = []
+            for i, word in zip(todo, found):
+                if word:
+                    acc[i] = word << offset
+                else:
+                    left.append(i)
+            todo = left
+        else:
+            for i, word in zip(todo, found):
+                if word:
+                    acc[i] |= word << offset
+    return acc
+
+
 def fault_simulate_batched(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
@@ -1031,7 +1373,8 @@ def fault_simulate_batched(
     bits are reported in the global pattern numbering (batch 0 first).
     Batches are concatenated into windows of up to :data:`WINDOW_BITS`
     patterns; a fault is one gate evaluation per window and a cone is
-    walked once per fan-out-free region and window.
+    walked once per fan-out-free region and window, all of it in one C
+    call per window where the kernel loads (:func:`_sweep`).
     The detected/undetected split (and hence coverage) is identical to
     simulating all patterns in one pass; only the detection masks of
     batches after the first detecting one are forgone for dropped
@@ -1039,8 +1382,8 @@ def fault_simulate_batched(
     """
     windows = _pattern_windows(circuit, batches, state, full_scan)
     result = FaultSimResult(windows.n_patterns)
-    for fault in faults:
-        acc = _batched_detection(circuit, fault, windows, drop_detected)
+    for fault, acc in zip(faults, _sweep(circuit, faults, windows,
+                                         drop_detected)):
         if acc:
             result.detected[fault] = acc
         else:

@@ -11,10 +11,12 @@ Two kernels are served, each one translation unit:
 * the root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one source
   for every design: it interprets the flat tables
   :func:`repro.sim.fault_sim._native_table` builds), wrapped by
-  :class:`RootWalker`.  It serves two backends: the PPSFP sweep reads
-  one detection word per walk, and the slicing backend
-  (:class:`repro.engine.workloads.SlicingBackend`) one word per observed
-  net, from which it answers every injection cycle of a window.
+  :class:`RootWalker`.  It serves two backends: the PPSFP sweep hands
+  it a chunk's faults and reads one detection word per fault, walking
+  the roots it needs inside the call, and the slicing backend
+  (:class:`repro.engine.workloads.SlicingBackend`) reads one word per
+  observed net of a walk, from which it answers every injection cycle
+  of a window.
 
 :func:`load` builds a source once with the host C compiler (``gcc``,
 else ``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
@@ -153,21 +155,31 @@ class LaneWalker:
 
 
 class _RootExports(ctypes.Structure):
-    _fields_ = [("walk", ctypes.CFUNCTYPE(
-        ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
-        ctypes.c_uint64, ctypes.c_int64, _u64p, _u64p))]
+    _fields_ = [
+        ("walk", ctypes.CFUNCTYPE(
+            ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
+            ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64, _u64p, _u64p)),
+        # PYFUNCTYPE: the sweep writes a window's memo, so it keeps the GIL
+        ("sweep", ctypes.PYFUNCTYPE(
+            ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
+            ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p))]
 
 
 class RootWalker:
-    """A loaded root walk: :meth:`walk` for the PPSFP sweep, which reads
-    one detection word, and :meth:`effects` for the slicing backend,
-    which reads one word per observed net.  The call keeps all its
-    scratch to itself and releases the GIL, so threads may walk one
-    window's words at once."""
+    """A loaded root walk: :meth:`walk` for one root's detection word,
+    :meth:`sweep` for the PPSFP sweep, which answers a list of faults in
+    one call, and :meth:`effects` for the slicing backend, which reads
+    one word per observed net.  A walk keeps all its scratch to itself
+    and releases the GIL, so threads may walk one window's words at
+    once; a sweep writes the window's memo and holds the GIL."""
 
     def __init__(self, lib: Library) -> None:
         self.path = lib.path
-        self._walk = lib.exports(_RootExports).walk
+        exports = lib.exports(_RootExports)
+        self._walk, self._sweep = exports.walk, exports.sweep
 
     def walk(self, table: bytes, good: bytes, n_words: int, last: int,
              root: int) -> tuple[int, int]:
@@ -181,6 +193,39 @@ class RootWalker:
             raise MemoryError("native root walk: out of memory")
         return int.from_bytes(out.raw, "little"), evaluated
 
+    @staticmethod
+    def memo(n_nets: int, n_words: int) -> tuple:
+        """A window's empty observability memo for :meth:`sweep`: a row
+        of ``n_words`` words and a known flag per net, all zero."""
+        return (ctypes.create_string_buffer(8 * n_words * n_nets),
+                ctypes.create_string_buffer(n_nets))
+
+    def sweep(self, table: bytes, good: bytes, n_words: int, last: int,
+              memo: tuple, site: array, at: array, value: array,
+              bounds: array) -> tuple[list[int], int]:
+        """The detection words of one window for the faults given as the
+        int32 columns ``site``, ``at`` and ``value``, on the window's
+        ``memo`` (argument layout: :data:`repro.sim.fault_sim
+        ._C_ROOT_WALK`); ``bounds`` is an ``array("q")`` of the window's
+        batch starts and its width, empty for no dropping.  Returns one
+        word per fault and the number of root walks the memo's misses
+        cost."""
+        n = len(site)
+        if not n:
+            return [], 0
+        if not (len(at) == len(value) == n and site.typecode == at.typecode
+                == value.typecode == "i" and bounds.typecode == "q"):
+            raise ValueError("fault columns must be three int32 arrays "
+                             "of one length and bounds an array('q')")
+        out = ctypes.create_string_buffer(8 * n_words * n)
+        walks = self._sweep(table, good, n_words, last, *memo, n,
+                            site.buffer_info()[0], at.buffer_info()[0],
+                            value.buffer_info()[0], len(bounds),
+                            bounds.buffer_info()[0], out)
+        if walks < 0:
+            raise MemoryError("native PPSFP sweep: out of memory")
+        return _words(out.raw, n_words), walks
+
     def effects(self, table: bytes, good: bytes, n_words: int, last: int,
                 root: int) -> list[int]:
         """The same walk, read per observed net: for each of the table's
@@ -190,12 +235,17 @@ class RootWalker:
         out = ctypes.create_string_buffer(8 * n_words * n_obs)
         if self._walk(table, good, n_words, last, root, None, out) < 0:
             raise MemoryError("native root walk: out of memory")
-        raw = out.raw
-        if n_words == 1:
-            return array("Q", raw).tolist()
-        size = 8 * n_words
-        return [int.from_bytes(raw[at:at + size], "little")
-                for at in range(0, len(raw), size)]
+        return _words(out.raw, n_words)
+
+
+def _words(raw: bytes, n_words: int) -> list[int]:
+    """``raw`` read as rows of ``n_words`` little-endian words, one int
+    per row."""
+    if n_words == 1:
+        return array("Q", raw).tolist()
+    size = 8 * n_words
+    return [int.from_bytes(raw[at:at + size], "little")
+            for at in range(0, len(raw), size)]
 
 
 class _Unavailable(Exception):

@@ -517,7 +517,7 @@ def test_mutation_and_pickling_drop_the_ffr_links():
     assert native_key not in circuit._cone_cache
     assert "tap" in _native_table(circuit, observe)[0]
     assert inner not in _ffr_links(circuit)  # fan-out 2: a root now
-    _, steps, ends = _tail_table(circuit, observe)
+    steps, ends = _tail_table(circuit, observe)
     assert "tap" not in {out for _, out, _ in steps}  # reaches no output
     assert ends[inner] == ("tap",)  # its one linear pin ends there
     clone = pickle.loads(pickle.dumps(circuit))
