@@ -26,7 +26,8 @@ The batched sweep runs in C where it can: one fixed translation unit
 for every design (:data:`_C_ROOT_WALK`), built once per host by
 :mod:`repro.sim.native` and called through :mod:`ctypes`, interprets
 flat tables of the circuit (:func:`_native_table`) over each window's
-good words, packed once per window (:class:`_RootWalks`).  Its
+good words, packed once per window a fault reaches
+(:class:`_RootWalks`).  Its
 ``sweep`` takes a whole chunk of faults as three int columns and
 answers every fault's detection word in one call per window
 (:func:`_sweep`): the activation test, the one-gate difference, the
@@ -39,13 +40,14 @@ the same fan-out-free links (:func:`_climb`).  With no C compiler, or
 with compilation off (``RESCUE_NO_COMPILE``,
 :func:`repro.sim.compiled.disabled`), the Python loop sweeps
 (:func:`_batched_detection`, :func:`_observability`,
-:func:`_root_walk`), with identical results: it is the reference the C
-sweep and walk are tested against.  Everything else here interprets
-(``GATE_EVAL``): the per-fault reference walks, a branch into a flop D,
-and every good-machine simulation (:func:`repro.sim.logic.simulate`,
-run once per pattern window or cycle and kept).  Neither :mod:`ctypes`
-nor :mod:`repro.sim.native` is imported before the first sweep or root
-walk.
+:func:`_root_walk`), with identical results; it always walks in
+Python, and it is the reference the C sweep and walk are tested
+against.  Every C call releases the GIL.  Everything else here
+interprets (``GATE_EVAL``): the per-fault reference walks, a branch
+into a flop D, and every good-machine simulation
+(:func:`repro.sim.logic.simulate`, run once per pattern window or cycle
+and kept).  Neither :mod:`ctypes` nor :mod:`repro.sim.native` is
+imported before the first sweep or root walk.
 """
 
 from __future__ import annotations
@@ -287,11 +289,11 @@ def _tail_reach(circuit: Circuit, observe: Sequence[str]) -> dict[str, int]:
     return bits
 
 
-#: Opcodes of the C kernel: a kept step is a summed tail end
-#: (``SUMMED``) or one of the non-linear gates, the only ones a walk
-#: evaluates; the per-net gate section of the table (what the sweep's
-#: one-gate differences read) uses every gate type.
-_OPCODES = {None: 0, GateType.AND: 1, GateType.NAND: 2, GateType.OR: 3,
+#: Opcodes of the C kernel's per-net gate section: a kept step whose
+#: gate is linear (XOR and up) is a summed tail end, the others are the
+#: gates a walk evaluates; the sweep's one-gate differences read them
+#: all.
+_OPCODES = {GateType.AND: 1, GateType.NAND: 2, GateType.OR: 3,
             GateType.NOR: 4, GateType.CONST0: 5, GateType.CONST1: 6,
             GateType.XOR: 7, GateType.XNOR: 8, GateType.BUF: 9,
             GateType.NOT: 10}
@@ -312,14 +314,14 @@ def _native_table(
     order; the returned index maps each net to its number, which is also
     its row in a window's packed good words (:class:`_RootWalks`).  The
     table is one run of int32: the header ``n_nets, n_steps, n_obs,
-    n_in, n_end, n_rd, n_gin``, then per kept step its opcode and
-    output, its inputs as a CSR (offsets, then nets; none for a summed
-    tail end), per net its tail ends as a CSR, per net the kept steps to
-    mark when it changes as a CSR — the non-linear steps reading it, and
-    the tail end's own step — the observed nets, per net the opcode of
-    the gate driving it (-1 for an input or flop) and that gate's inputs
-    as a CSR, and per net its fan-out-free link: the net its one
-    consuming gate drives (:func:`_ffr_links`), -1 at a region root.
+    n_end, n_rd, n_gin``, then per kept step its output (the step's gate
+    is that net's driver; a linear one is a summed tail end), per net
+    its tail ends as a CSR, per net the kept steps to mark when it
+    changes as a CSR — the non-linear steps reading it, and the tail
+    end's own step — the observed nets, per net the opcode of the gate
+    driving it (-1 for an input or flop) and that gate's inputs as a
+    CSR, and per net its fan-out-free link: the net its one consuming
+    gate drives (:func:`_ffr_links`), -1 at a region root.
     The third entry maps a branch fault's sink to the sweep's ``at``
     column: a gate to its output's number, a flop to
     :data:`_AT_FLOP_D`, ``None`` (a stem) to :data:`_AT_STEM`.  Cached
@@ -338,29 +340,22 @@ def _native_table(
                                  circuit.topo_order()))))
     index = dict(zip(nets, range(len(nets))))
     number = index.__getitem__
-    ops, outs, in_off, ins = [], [], [], []
     readers: list[list[int]] = [[] for _ in nets]
     for k, (gate, out, _) in enumerate(steps):
-        ops.append(_OPCODES[None if gate is None else gate.gtype])
-        outs.append(number(out))
-        in_off.append(len(ins))
         if gate is None:
             readers[number(out)].append(k)
         else:
-            srcs = list(map(number, gate.inputs))
-            ins += srcs
-            for src in dict.fromkeys(srcs):
+            for src in dict.fromkeys(map(number, gate.inputs)):
                 readers[src].append(k)
-    in_off.append(len(ins))
     net_ends = [ends.get(net, ()) for net in nets]
     drivers = list(map(gates.get, nets))
     driven = [() if gate is None else gate.inputs for gate in drivers]
     links = _ffr_links(circuit)
-    header = (len(nets), len(steps), len(observe), len(ins),
+    header = (len(nets), len(steps), len(observe),
               sum(map(len, net_ends)), sum(map(len, readers)),
               sum(map(len, driven)))
     flat = array("i", chain(
-        header, ops, outs, in_off, ins,
+        header, (number(out) for _, out, _ in steps),
         (0, *accumulate(map(len, net_ends))),
         map(number, chain.from_iterable(net_ends)),
         (0, *accumulate(map(len, readers))), chain.from_iterable(readers),
@@ -521,10 +516,12 @@ class PatternWindows:
     its :class:`_RootWalks`.  A memo entry is a pure function of the
     window and the net, so a chunk abandoned past ``chunk_timeout`` that
     is still sweeping on its daemon thread can only write the value the
-    live sweep would; the Python memo is a dict, and the C sweep holds
-    the GIL while it writes its own.  ``root_walks`` counts the cone
+    live sweep would; the Python memo is a dict, and the C sweep, which
+    releases the GIL, publishes each row of its own before the row's
+    known flag (:class:`_RootWalks`).  ``root_walks`` counts the cone
     walks the detection sweeps paid for, on either path (at most one per
-    fan-out-free region and window and path); it never influences an
+    fan-out-free region and window and path, unless two threads miss
+    the same region of one window at once); it never influences an
     outcome.
     """
 
@@ -658,28 +655,33 @@ def native_kernel():
 
 class _RootWalks:
     """The root walks of one pattern window: ``walks(net)`` is
-    :func:`_root_walk` of ``net`` over the window's good words, and
-    ``walks.effects(net)`` its one word per observed net (what
-    :class:`repro.engine.workloads.SlicingBackend` reads).
+    :func:`_root_walk` of ``net`` over the window's good words (the
+    Python loop's walk), ``walks.effects(net)`` the same walk read as
+    one word per observed net (what
+    :class:`repro.engine.workloads.SlicingBackend` reads) and
+    :meth:`sweep` the C sweep of a chunk's faults (:func:`_sweep`).
 
-    On the first call the kernel is resolved (:func:`native_kernel`) and,
-    when it loaded, the window's good words are packed for it once —
-    one row of ``ceil(width / 64)`` little-endian ``uint64_t`` per net
-    of :func:`_native_table` — and kept; every call then walks in C.
-    The C walk allocates its scratch per call and releases the GIL, so
-    threads may share a window (a second thread that resolves at the
-    same time packs the same words).  Without the kernel every call is
+    The first ``effects`` or ``sweep`` resolves the kernel
+    (:func:`native_kernel`) and, when it loaded, packs the window's good
+    words for it once — one row of ``ceil(width / 64)`` little-endian
+    ``uint64_t`` per net of :func:`_native_table` — and keeps them; every
+    later call then runs in C.  Without the kernel ``effects`` is
     :func:`_root_walk`.
 
-    :meth:`sweep` runs the C sweep (:func:`_sweep`) on the window's
-    observability memo, allocated on its first call: a row of words and
-    a known flag per net, zeroed, filled by the sweeps of every chunk
-    that runs on the window.  The sweep writes the memo, so it holds the
-    GIL for the whole call: two sweeps of one window — say a chunk
-    abandoned past ``chunk_timeout`` and its re-execution — run one
-    after the other, and a memo entry, a pure function of window and
-    net, is only ever read whole.  Pickling drops the packed words and
-    the memo: the copy resolves its own.
+    :meth:`sweep` runs on the window's observability memo, allocated on
+    its first call: a row of words and a known flag per net, zeroed,
+    filled by the sweeps of every chunk that runs on the window.  Every
+    C call releases the GIL, so a long sweep stalls neither
+    ``chunk_timeout`` nor a service worker's heartbeat, and threads may
+    share a window — say a chunk abandoned past ``chunk_timeout`` and
+    its re-execution, or a second thread that resolves at the same time
+    and packs the same words.  A walk keeps its scratch to itself; a
+    sweep writes a memo row whole before it sets the row's flag (a
+    release store) and reads a row only after it saw the flag set (an
+    acquire load).  A memo entry is a pure function of window and net,
+    so two sweeps that miss the same net at once both write the same
+    words, and a row is never read half-written.  Pickling drops the
+    packed words and the memo: the copy resolves its own.
     """
 
     __slots__ = ("circuit", "observe", "good", "mask", "native", "memo")
@@ -690,7 +692,7 @@ class _RootWalks:
         self.observe = observe
         self.good = good
         self.mask = mask
-        self.native = None  # resolved on the first walk: () for Python
+        self.native = None  # resolved on the first C call: () for none
         self.memo = None  # the C sweep's, allocated on its first call
 
     def __reduce__(self) -> tuple:
@@ -716,12 +718,8 @@ class _RootWalks:
         return native
 
     def __call__(self, net: str) -> int:
-        native = self._kernel()
-        if not native:
-            return _root_walk(self.circuit, self.observe, self.good,
-                              self.mask, net)
-        kernel, index, table, words, n_words, last = native
-        return kernel.walk(table, words, n_words, last, index[net])[0]
+        return _root_walk(self.circuit, self.observe, self.good, self.mask,
+                          net)
 
     def effects(self, net: str) -> list[int]:
         native = self._kernel()
@@ -732,10 +730,11 @@ class _RootWalks:
         return kernel.effects(table, words, n_words, last, index[net])
 
     def sweep(self, site: array, at: array, value: array,
-              bounds: array) -> tuple[list[int], int]:
+              bounds: array) -> tuple[list[int], int, int]:
         """The C sweep of one chunk's fault columns over this window
         (:func:`_sweep`; the kernel has loaded): one detection word per
-        fault, and the root walks the memo's misses cost."""
+        fault, the root walks the memo's misses cost and the gates those
+        walks evaluated."""
         kernel, index, table, words, n_words, last = self._kernel()
         memo = self.memo
         if memo is None:
@@ -760,10 +759,13 @@ class _RootWalks:
 #: the difference into the net's tail ends and marks their readers.  A
 #: net's words are copied out of ``good`` into the call's own scratch
 #: when it first changes (``slot`` maps a net to its scratch row), so
-#: ``good`` is read only and nothing outlives the call.
+#: ``good`` is read only and nothing outlives the call.  A step's gate
+#: is its net's driver in the per-net gate section; one evaluator
+#: (``eval``) serves the walk and the sweep's one-gate differences.
 #:
 #: ``rescue_kernel.sweep(tab, good, nw, last, memo, known, n, site, at,
-#: value, n_bounds, bounds, det)`` is :func:`_batched_detection` of
+#: value, n_bounds, bounds, det, evaluated)`` is
+#: :func:`_batched_detection` of
 #: ``n`` faults in one window: columns ``site`` (the faulty net), ``at``
 #: (the net the difference first shows on: the site for a stem, the
 #: sink gate's output for a branch) and ``value`` (stuck-at 0 or 1) in,
@@ -771,21 +773,24 @@ class _RootWalks:
 #: observability memo is the window's: ``memo`` holds a row of ``nw``
 #: words per net and ``known`` one flag byte per net; a miss climbs the
 #: fan-out-free links (:func:`_observability`), walks the region's root
-#: with ``walk`` and memoises every net on the way.  ``bounds`` is the
-#: window's batch starts then its width (``n_bounds`` 0: no dropping):
-#: a detected fault keeps only the batch holding its lowest set bit.
-#: Returns the root walks it ran (-1: out of memory).
+#: with ``walk`` and memoises every net on the way, each row written
+#: whole before its flag is set (release store; flags are read with
+#: acquire loads), so sweeps of one window may run at once.  ``bounds``
+#: is the window's batch starts then its width (``n_bounds`` 0: no
+#: dropping): a detected fault keeps only the batch holding its lowest
+#: set bit.  Returns the root walks it ran (-1: out of memory) and
+#: stores the gates they evaluated in ``*evaluated``.
 _C_ROOT_WALK = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { SUMMED, AND, NAND, OR, NOR, CONST0, CONST1, XOR, XNOR, BUF, NOT };
+enum { AND = 1, NAND, OR, NOR, CONST0, CONST1, XOR, XNOR, BUF, NOT };
 
 typedef struct {
     int32_t n_nets, n_steps, n_obs;
-    const int32_t *op, *out, *in_off, *in, *end_off, *end, *rd_off, *rd,
-        *obs, *gop, *gin_off, *gin, *link;
+    const int32_t *out, *end_off, *end, *rd_off, *rd, *obs, *gop, *gin_off,
+        *gin, *link;
 } table_t;
 
 typedef struct {
@@ -800,22 +805,19 @@ typedef struct {
 
 static void parse(const int32_t *h, table_t *t)
 {
-    const int32_t *p = h + 7;
+    const int32_t *p = h + 6;
     t->n_nets = h[0];
     t->n_steps = h[1];
     t->n_obs = h[2];
-    t->op = p;      p += h[1];
     t->out = p;     p += h[1];
-    t->in_off = p;  p += h[1] + 1;
-    t->in = p;      p += h[3];
     t->end_off = p; p += h[0] + 1;
-    t->end = p;     p += h[4];
+    t->end = p;     p += h[3];
     t->rd_off = p;  p += h[0] + 1;
-    t->rd = p;      p += h[5];
+    t->rd = p;      p += h[4];
     t->obs = p;     p += h[2];
     t->gop = p;     p += h[0];
     t->gin_off = p; p += h[0] + 1;
-    t->gin = p;     p += h[6];
+    t->gin = p;     p += h[5];
     t->link = p;
 }
 
@@ -870,27 +872,32 @@ static int spread(walk_t *w, int32_t net, const uint64_t *diff)
     return 0;
 }
 
-static void eval(const walk_t *w, int32_t k, uint64_t *acc)
+/* net o's gate over its inputs' words in w, except that every pin
+   reading net x reads word instead (x -1: none) */
+static void eval(const walk_t *w, int32_t o, int32_t x, const uint64_t *word,
+                 uint64_t *acc)
 {
-    int32_t op = w->t.op[k], lo = w->t.in_off[k], hi = w->t.in_off[k + 1];
-    if (op == CONST0 || op == CONST1) {
-        for (int64_t i = 0; i < w->nw; i++)
-            acc[i] = op == CONST1 ? ~(uint64_t)0 : 0;
-    } else {
-        memcpy(acc, value(w, w->t.in[lo]), w->nw * sizeof *acc);
-        for (int32_t j = lo + 1; j < hi; j++) {
-            const uint64_t *v = value(w, w->t.in[j]);
-            if (op == AND || op == NAND)
-                for (int64_t i = 0; i < w->nw; i++)
-                    acc[i] &= v[i];
-            else
-                for (int64_t i = 0; i < w->nw; i++)
-                    acc[i] |= v[i];
-        }
-        if (op == NAND || op == NOR)
+    int32_t op = w->t.gop[o], lo = w->t.gin_off[o], hi = w->t.gin_off[o + 1];
+    if (lo == hi)
+        memset(acc, op == CONST1 ? 0xff : 0, w->nw * sizeof *acc);
+    for (int32_t j = lo; j < hi; j++) {
+        int32_t n = w->t.gin[j];
+        const uint64_t *v = n == x ? word : value(w, n);
+        if (j == lo)
+            memcpy(acc, v, w->nw * sizeof *acc);
+        else if (op == AND || op == NAND)
             for (int64_t i = 0; i < w->nw; i++)
-                acc[i] = ~acc[i];
+                acc[i] &= v[i];
+        else if (op == OR || op == NOR)
+            for (int64_t i = 0; i < w->nw; i++)
+                acc[i] |= v[i];
+        else
+            for (int64_t i = 0; i < w->nw; i++)
+                acc[i] ^= v[i];
     }
+    if (op == NAND || op == NOR || op == XNOR || op == NOT)
+        for (int64_t i = 0; i < w->nw; i++)
+            acc[i] = ~acc[i];
     acc[w->nw - 1] &= w->last;
 }
 
@@ -930,9 +937,9 @@ static int64_t walk(const int32_t *tab, const uint64_t *good, int64_t nw,
             const uint64_t *g = good + o * nw;
             uint64_t any = 0;
             w.pend[b] &= w.pend[b] - 1;
-            if (w.t.op[k] != SUMMED) {
+            if (w.t.gop[o] < XOR) {  /* non-linear: evaluated */
                 uint64_t *v;
-                eval(&w, k, acc);
+                eval(&w, o, -1, NULL, acc);
                 evaluated++;
                 for (int64_t i = 0; i < nw; i++)
                     any |= diff[i] = acc[i] ^ g[i];
@@ -944,7 +951,7 @@ static int64_t walk(const int32_t *tab, const uint64_t *good, int64_t nw,
                 }
                 memcpy(v, acc, nw * sizeof *v);
                 changed(&w, o, -1);
-            } else {
+            } else {  /* a tail end: its differences are summed in */
                 const uint64_t *v = value(&w, o);
                 for (int64_t i = 0; i < nw; i++)
                     any |= diff[i] = v[i] ^ g[i];
@@ -990,79 +997,74 @@ static uint64_t any_set(const uint64_t *v, int64_t nw)
 }
 
 /* the good-vs-faulty XOR at net o's gate when every pin of it that
-   reads net x reads word instead (_output_diff) */
-static void gate_diff(const table_t *t, const uint64_t *good, int64_t nw,
-                      uint64_t last, int32_t o, int32_t x,
+   reads net x reads word instead (_output_diff); every net of g is
+   good */
+static void gate_diff(const walk_t *g, int32_t o, int32_t x,
                       const uint64_t *word, uint64_t *out)
 {
-    int32_t op = t->gop[o], lo = t->gin_off[o], hi = t->gin_off[o + 1];
-    const uint64_t *g = good + (int64_t)o * nw;
-    int inv = op == NAND || op == NOR || op == XNOR || op == NOT;
-    if (op == CONST0 || op == CONST1 || lo == hi) {
-        memset(out, 0, nw * sizeof *out);
-        return;
-    }
-    for (int32_t j = lo; j < hi; j++) {
-        int32_t n = t->gin[j];
-        const uint64_t *v = n == x ? word : good + (int64_t)n * nw;
-        if (j == lo)
-            memcpy(out, v, nw * sizeof *out);
-        else if (op == AND || op == NAND)
-            for (int64_t i = 0; i < nw; i++)
-                out[i] &= v[i];
-        else if (op == OR || op == NOR)
-            for (int64_t i = 0; i < nw; i++)
-                out[i] |= v[i];
-        else
-            for (int64_t i = 0; i < nw; i++)
-                out[i] ^= v[i];
-    }
-    for (int64_t i = 0; i < nw; i++)
-        out[i] = (inv ? ~out[i] : out[i]) ^ g[i];
-    out[nw - 1] &= last;
+    const uint64_t *v = g->good + (int64_t)o * g->nw;
+    eval(g, o, x, word, out);
+    for (int64_t i = 0; i < g->nw; i++)
+        out[i] ^= v[i];
+}
+
+/* a memo row is published by its known flag: the row is written whole,
+   then the flag set with a release store; a reader loads the flag with
+   acquire before it reads the row */
+static int is_known(const uint8_t *known, int32_t net)
+{
+    return __atomic_load_n(known + net, __ATOMIC_ACQUIRE);
+}
+
+static void publish(uint64_t *memo, uint8_t *known, int64_t nw, int32_t net,
+                    const uint64_t *word)
+{
+    memcpy(memo + (int64_t)net * nw, word, nw * sizeof *word);
+    __atomic_store_n(known + net, 1, __ATOMIC_RELEASE);
 }
 
 /* memo row of net, filled (_observability): climb the fan-out-free
    links to the first known net or the region's root, walk the root if
    it is not known, then restrict the word link by link on the way back
    down, memoising every net.  Returns 1 when it walked, 0 when it did
-   not, -1 out of memory.  chain holds n_nets nets, scratch 3 * nw
-   words. */
-static int64_t observe(const int32_t *tab, const table_t *t,
-                       const uint64_t *good, int64_t nw, uint64_t last,
-                       uint64_t *memo, uint8_t *known, int32_t net,
-                       int32_t *chain, uint64_t *scratch)
+   not, -1 out of memory; adds the gates the walk evaluated to
+   *evaluated.  chain holds n_nets nets, scratch 3 * nw words. */
+static int64_t observe(const int32_t *tab, const walk_t *g, uint64_t *memo,
+                       uint8_t *known, int32_t net, int32_t *chain,
+                       uint64_t *scratch, int64_t *evaluated)
 {
+    int64_t nw = g->nw;
     uint64_t *word = scratch, *flip = scratch + nw, *diff = flip + nw;
     int32_t top = net, depth = 0;
     int64_t walked = 0;
-    while (t->link[top] >= 0) {
+    while (g->t.link[top] >= 0) {
         chain[depth++] = top;
-        top = t->link[top];
-        if (known[top])
+        top = g->t.link[top];
+        if (is_known(known, top))
             break;
     }
-    if (!known[top]) {
-        if (walk(tab, good, nw, last, top, memo + (int64_t)top * nw,
-                 NULL) < 0)
+    if (is_known(known, top))
+        memcpy(word, memo + (int64_t)top * nw, nw * sizeof *word);
+    else {
+        int64_t e = walk(tab, g->good, nw, g->last, top, word, NULL);
+        if (e < 0)
             return -1;
-        known[top] = 1;
+        *evaluated += e;
+        publish(memo, known, nw, top, word);
         walked = 1;
     }
-    memcpy(word, memo + (int64_t)top * nw, nw * sizeof *word);
     while (depth--) {
         int32_t inner = chain[depth];
         if (any_set(word, nw)) {
-            const uint64_t *g = good + (int64_t)inner * nw;
+            const uint64_t *v = g->good + (int64_t)inner * nw;
             for (int64_t i = 0; i < nw; i++)
-                flip[i] = ~g[i];
-            flip[nw - 1] &= last;
-            gate_diff(t, good, nw, last, t->link[inner], inner, flip, diff);
+                flip[i] = ~v[i];
+            flip[nw - 1] &= g->last;
+            gate_diff(g, g->t.link[inner], inner, flip, diff);
             for (int64_t i = 0; i < nw; i++)
                 word[i] &= diff[i];
         }
-        memcpy(memo + (int64_t)inner * nw, word, nw * sizeof *word);
-        known[inner] = 1;
+        publish(memo, known, nw, inner, word);
     }
     return walked;
 }
@@ -1099,27 +1101,33 @@ static int64_t sweep(const int32_t *tab, const uint64_t *good, int64_t nw,
                      uint64_t last, uint64_t *memo, uint8_t *known,
                      int64_t n, const int32_t *site, const int32_t *at,
                      const int32_t *value, int64_t n_bounds,
-                     const int64_t *bounds, uint64_t *det)
+                     const int64_t *bounds, uint64_t *det,
+                     int64_t *evaluated)
 {
-    table_t t;
+    walk_t g = {0};  /* the good machine: no net owned */
     int64_t walks = -1;
     int32_t *chain;
     uint64_t *forced;
-    parse(tab, &t);
-    chain = malloc((t.n_nets + 1) * sizeof *chain);
+    parse(tab, &g.t);
+    g.good = good;
+    g.nw = nw;
+    g.last = last;
+    g.slot = calloc(g.t.n_nets, sizeof *g.slot);
+    chain = malloc((g.t.n_nets + 1) * sizeof *chain);
     forced = malloc(4 * nw * sizeof *forced);
-    if (!chain || !forced)
+    *evaluated = 0;
+    if (!g.slot || !chain || !forced)
         goto done;
     walks = 0;
     for (int64_t f = 0; f < n; f++) {
         int32_t s = site[f], a = at[f];
-        const uint64_t *g = good + (int64_t)s * nw, *obs;
+        const uint64_t *v = good + (int64_t)s * nw, *obs;
         uint64_t *d = det + f * nw, any = 0;
         for (int64_t i = 0; i < nw; i++) {
             forced[i] = value[f] ? ~(uint64_t)0 : 0;
             if (i == nw - 1)
                 forced[i] &= last;
-            any |= g[i] ^ forced[i];
+            any |= v[i] ^ forced[i];
         }
         if (!any) {  /* never activated in this window */
             memset(d, 0, nw * sizeof *d);
@@ -1127,14 +1135,14 @@ static int64_t sweep(const int32_t *tab, const uint64_t *good, int64_t nw,
         }
         if (a == s)
             for (int64_t i = 0; i < nw; i++)
-                d[i] = g[i] ^ forced[i];
+                d[i] = v[i] ^ forced[i];
         else
-            gate_diff(&t, good, nw, last, a, s, forced, d);
+            gate_diff(&g, a, s, forced, d);
         if (!any_set(d, nw))
             continue;
-        if (!known[a]) {
-            int64_t walked = observe(tab, &t, good, nw, last, memo, known,
-                                     a, chain, forced + nw);
+        if (!is_known(known, a)) {
+            int64_t walked = observe(tab, &g, memo, known, a, chain,
+                                     forced + nw, evaluated);
             if (walked < 0) {
                 walks = -1;
                 goto done;
@@ -1149,6 +1157,7 @@ static int64_t sweep(const int32_t *tab, const uint64_t *good, int64_t nw,
             first_batch(d, nw, n_bounds, bounds);
     }
 done:
+    free(g.slot);
     free(chain);
     free(forced);
     return walks;
@@ -1160,7 +1169,7 @@ typedef struct {
     int64_t (*sweep)(const int32_t *, const uint64_t *, int64_t, uint64_t,
                      uint64_t *, uint8_t *, int64_t, const int32_t *,
                      const int32_t *, const int32_t *, int64_t,
-                     const int64_t *, uint64_t *);
+                     const int64_t *, uint64_t *, int64_t *);
 } exports_t;
 
 const exports_t rescue_kernel = { walk, sweep };
@@ -1181,8 +1190,8 @@ def _observability(
     climb follows the fan-out-free links up to the first net already in
     the memo, or to the region's root, whose word is one walk of its
     cone (observed at the sweep's observe nets) with the root forced to
-    the complement of its good word (``walks``: :func:`_root_walk`, in C
-    where it can, which sums linear tails instead of evaluating them).
+    the complement of its good word (``walks``: :func:`_root_walk`,
+    which sums linear tails instead of evaluating them).
     Coming back down, a net's word is its consumer's, restricted to the
     patterns in which flipping the net flips the consumer.  Every net on
     the way is memoised.
@@ -1307,17 +1316,18 @@ def _sweep(
     columns — site, the net the difference first shows on, stuck value —
     and the detection words come back per fault, on the window's own
     memo (:class:`_RootWalks`).  Under ``drop_detected`` a fault
-    detected in a window is not handed to the later ones.  A branch into
-    a flop D has no combinational cone and stays on
-    :func:`_batched_detection`, as does every fault when a window
-    resolved without the kernel (no compiler, or compilation off when it
-    first walked): it is the reference the C sweep is tested against.
-    Every window is resolved up front, its good words packed even if
-    dropping leaves it no fault.  ``windows.root_walks`` counts the
-    walks either way.
+    detected in a window is not handed to the later ones, and a window
+    is resolved (its good words packed, its memo allocated) only when a
+    fault is left for it.  A branch into a flop D has no combinational
+    cone and stays on :func:`_batched_detection`, as does every fault
+    when the first window resolved without the kernel (no compiler, or
+    compilation off when it first swept): it is the reference the C
+    sweep is tested against.  A later window that resolved without the
+    kernel hands it the faults still open, for the windows from there
+    on.  ``windows.root_walks`` counts the walks either way.
     """
     spans = windows.windows
-    if not spans or not all(span[5]._kernel() for span in spans):
+    if not spans or not spans[0][5]._kernel():
         return [_batched_detection(circuit, fault, windows, drop_detected)
                 for fault in faults]
     index, _, targets = _native_table(circuit, windows.observe)
@@ -1335,12 +1345,20 @@ def _sweep(
             if at == _AT_STEM:
                 ats[i] = sites[i]
             todo.append(i)
-    for _, mask, offset, starts, _, walks, _ in spans:
+    for w, (_, mask, offset, starts, _, walks, _) in enumerate(spans):
         if not todo:
+            break
+        if not walks._kernel():
+            rest = PatternWindows(spans[w:], windows.n_patterns,
+                                  windows.observe)
+            for i in todo:
+                acc[i] |= _batched_detection(circuit, faults[i], rest,
+                                             drop_detected)
+            windows.root_walks += rest.root_walks
             break
         bounds = (array("q", (*starts, mask.bit_length()))
                   if drop_detected and len(starts) > 1 else array("q"))
-        found, walked = walks.sweep(
+        found, walked, _ = walks.sweep(
             *(array("i", map(column.__getitem__, todo))
               for column in (sites, ats, values)), bounds)
         windows.root_walks += walked
@@ -1357,6 +1375,13 @@ def _sweep(
                 if word:
                     acc[i] |= word << offset
     return acc
+
+
+#: Faults :func:`fault_simulate_batched` hands :func:`_sweep` at once,
+#: as the campaign engine hands ``PpsfpBackend`` a chunk: the call's
+#: output words and their ints exist for one chunk at a time, and a
+#: fault's word across windows is whole before the next chunk starts.
+_SWEEP_CHUNK = 1024
 
 
 def fault_simulate_batched(
@@ -1382,12 +1407,14 @@ def fault_simulate_batched(
     """
     windows = _pattern_windows(circuit, batches, state, full_scan)
     result = FaultSimResult(windows.n_patterns)
-    for fault, acc in zip(faults, _sweep(circuit, faults, windows,
-                                         drop_detected)):
-        if acc:
-            result.detected[fault] = acc
-        else:
-            result.undetected.append(fault)
+    for lo in range(0, len(faults), _SWEEP_CHUNK):
+        chunk = faults[lo:lo + _SWEEP_CHUNK]
+        for fault, acc in zip(chunk, _sweep(circuit, chunk, windows,
+                                            drop_detected)):
+            if acc:
+                result.detected[fault] = acc
+            else:
+                result.undetected.append(fault)
     return result
 
 

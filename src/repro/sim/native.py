@@ -159,39 +159,28 @@ class _RootExports(ctypes.Structure):
         ("walk", ctypes.CFUNCTYPE(
             ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
             ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64, _u64p, _u64p)),
-        # PYFUNCTYPE: the sweep writes a window's memo, so it keeps the GIL
-        ("sweep", ctypes.PYFUNCTYPE(
+        ("sweep", ctypes.CFUNCTYPE(
             ctypes.c_int64, ctypes.c_char_p, ctypes.c_char_p,
             ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p))]
+            ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_int64)))]
 
 
 class RootWalker:
-    """A loaded root walk: :meth:`walk` for one root's detection word,
-    :meth:`sweep` for the PPSFP sweep, which answers a list of faults in
-    one call, and :meth:`effects` for the slicing backend, which reads
-    one word per observed net.  A walk keeps all its scratch to itself
-    and releases the GIL, so threads may walk one window's words at
-    once; a sweep writes the window's memo and holds the GIL."""
+    """A loaded root walk: :meth:`sweep` for the PPSFP sweep, which
+    answers a list of faults in one call, walking the roots it needs on
+    the way, and :meth:`effects` for the slicing backend, which reads
+    one word per observed net of one walk.  Both release the GIL: a walk
+    keeps all its scratch to itself, and a sweep publishes each row of
+    the window's memo before the row's flag, so threads may run on one
+    window at once."""
 
     def __init__(self, lib: Library) -> None:
         self.path = lib.path
         exports = lib.exports(_RootExports)
         self._walk, self._sweep = exports.walk, exports.sweep
-
-    def walk(self, table: bytes, good: bytes, n_words: int, last: int,
-             root: int) -> tuple[int, int]:
-        """The walk of net ``root`` flipped (argument layout:
-        :data:`repro.sim.fault_sim._C_ROOT_WALK`).  Returns the patterns
-        in which the flip reaches an observed net, and the number of
-        gates the walk evaluated."""
-        out = ctypes.create_string_buffer(8 * n_words)
-        evaluated = self._walk(table, good, n_words, last, root, out, None)
-        if evaluated < 0:
-            raise MemoryError("native root walk: out of memory")
-        return int.from_bytes(out.raw, "little"), evaluated
 
     @staticmethod
     def memo(n_nets: int, n_words: int) -> tuple:
@@ -202,29 +191,31 @@ class RootWalker:
 
     def sweep(self, table: bytes, good: bytes, n_words: int, last: int,
               memo: tuple, site: array, at: array, value: array,
-              bounds: array) -> tuple[list[int], int]:
+              bounds: array) -> tuple[list[int], int, int]:
         """The detection words of one window for the faults given as the
         int32 columns ``site``, ``at`` and ``value``, on the window's
         ``memo`` (argument layout: :data:`repro.sim.fault_sim
         ._C_ROOT_WALK`); ``bounds`` is an ``array("q")`` of the window's
         batch starts and its width, empty for no dropping.  Returns one
-        word per fault and the number of root walks the memo's misses
-        cost."""
+        word per fault, the number of root walks the memo's misses cost
+        and the gates those walks evaluated."""
         n = len(site)
         if not n:
-            return [], 0
+            return [], 0, 0
         if not (len(at) == len(value) == n and site.typecode == at.typecode
                 == value.typecode == "i" and bounds.typecode == "q"):
             raise ValueError("fault columns must be three int32 arrays "
                              "of one length and bounds an array('q')")
         out = ctypes.create_string_buffer(8 * n_words * n)
+        evaluated = ctypes.c_int64()
         walks = self._sweep(table, good, n_words, last, *memo, n,
                             site.buffer_info()[0], at.buffer_info()[0],
                             value.buffer_info()[0], len(bounds),
-                            bounds.buffer_info()[0], out)
+                            bounds.buffer_info()[0], out,
+                            ctypes.byref(evaluated))
         if walks < 0:
             raise MemoryError("native PPSFP sweep: out of memory")
-        return _words(out.raw, n_words), walks
+        return _words(out, n_words), walks, evaluated.value
 
     def effects(self, table: bytes, good: bytes, n_words: int, last: int,
                 root: int) -> list[int]:
@@ -235,14 +226,17 @@ class RootWalker:
         out = ctypes.create_string_buffer(8 * n_words * n_obs)
         if self._walk(table, good, n_words, last, root, None, out) < 0:
             raise MemoryError("native root walk: out of memory")
-        return _words(out.raw, n_words)
+        return _words(out, n_words)
 
 
-def _words(raw: bytes, n_words: int) -> list[int]:
-    """``raw`` read as rows of ``n_words`` little-endian words, one int
-    per row."""
+def _words(out: ctypes.Array, n_words: int) -> list[int]:
+    """The buffer ``out`` read in place as rows of ``n_words``
+    little-endian words, one int per row."""
+    raw = memoryview(out).cast("B")
     if n_words == 1:
-        return array("Q", raw).tolist()
+        words = array("Q")
+        words.frombytes(raw)
+        return words.tolist()
     size = 8 * n_words
     return [int.from_bytes(raw[at:at + size], "little")
             for at in range(0, len(raw), size)]

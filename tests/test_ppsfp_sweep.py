@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import Circuit
+from repro.circuit import Circuit, load
 from repro.circuit.library import random_combinational
 from repro.engine import EngineConfig, PpsfpBackend, run_campaign
 from repro.faults import all_stuck_at
@@ -21,7 +21,7 @@ from repro.sim import compiled, fault_sim, native
 from repro.sim.fault_sim import (PatternWindows, _batched_detection,
                                  _ffr_links, _native_table, _pattern_windows,
                                  _sweep, fault_simulate)
-from repro.sim.logic import random_patterns
+from repro.sim.logic import exhaustive_patterns, random_patterns
 
 _TYPES = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "BUF", "NOT",
           "CONST0", "CONST1")
@@ -238,28 +238,57 @@ def test_no_path_walks_a_region_twice_per_window():
 
 def test_a_window_resolved_without_the_kernel_sweeps_in_python(
         monkeypatch):
-    """A window whose walks resolved with compilation off sends the
-    whole call to the Python loop, with the reference's words."""
+    """A window whose walks resolved with compilation off hands the
+    faults still open to the Python loop, for the windows from there
+    on: the first window, the whole call; a later one, the rest.  The
+    words are the reference's and the walks the Python loop's."""
+    _kernel_or_skip()
     circuit = random_combinational(8, 80, 3, seed=5)
     faults = all_stuck_at(circuit)
     batches = [(random_patterns(circuit.inputs, 16, seed=s), 16)
                for s in range(4)]
     monkeypatch.setattr(fault_sim, "WINDOW_BITS", 32)
     for drop in (True, False):
-        windows = _pattern_windows(circuit, batches, None)
-        with compiled.disabled():
-            windows.windows[1][5]._kernel()  # resolves to ()
-        assert _sweep(circuit, faults, windows, drop) == _reference(
-            circuit, faults, batches, None, True, drop)
-        assert windows.windows[1][5].native == ()
-        assert all(span[5].memo is None for span in windows.windows)
+        with pytest.MonkeyPatch.context() as python:
+            _python(python)
+            loop = _pattern_windows(circuit, batches, None)
+            for fault in faults:
+                _batched_detection(circuit, fault, loop, drop)
+        for off in (0, 1):
+            windows = _pattern_windows(circuit, batches, None)
+            with compiled.disabled():
+                windows.windows[off][5]._kernel()  # resolves to ()
+            assert _sweep(circuit, faults, windows, drop) == _reference(
+                circuit, faults, batches, None, True, drop)
+            assert windows.root_walks == loop.root_walks
+            memos = [span[5].memo is not None for span in windows.windows]
+            assert memos == [off == 1, False], (drop, off)
+
+
+def test_dropping_leaves_windows_without_faults_unresolved():
+    """Under dropping a window no fault is left for is never resolved:
+    its good words are not packed and it gets no memo."""
+    _kernel_or_skip()
+    circuit = load("c17")
+    faults = all_stuck_at(circuit)
+    every, n = exhaustive_patterns(circuit.inputs)  # detects every fault
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fault_sim, "WINDOW_BITS", n)
+        windows = _pattern_windows(circuit, [(every, n)] * 3, None)
+    assert all(_sweep(circuit, faults, windows, True))
+    assert [span[5].native is not None for span in windows.windows] \
+        == [True, False, False]
+    assert [span[5].memo is not None for span in windows.windows] \
+        == [True, False, False]
+    assert all(_sweep(circuit, faults, windows, False))
+    assert all(span[5].memo is not None for span in windows.windows)
 
 
 def test_two_threads_sweeping_one_window_both_get_the_reference():
     """A chunk abandoned past ``chunk_timeout`` keeps sweeping on its
     daemon thread while the chunk re-runs: two threads sweeping one
     window's memo at once each get the reference words (the C sweep
-    holds the GIL for its call)."""
+    releases the GIL and publishes a memo row before its flag)."""
     circuit = random_combinational(16, 600, 6, seed=13)
     faults = all_stuck_at(circuit)
     batches = [(random_patterns(circuit.inputs, 64, seed=s), 64)

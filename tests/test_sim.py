@@ -555,27 +555,34 @@ def _benchmark_sweep():
 def test_root_walks_sum_linear_tails_instead_of_evaluating_them():
     """On the ``ppsfp_stat`` circuit, whose outputs are XOR trees, the
     root walks together evaluate at most 0.35x the gates of their cones,
-    on either walker: tail gates are summed, never evaluated.  The C
-    walk reports the gates it evaluated; the Python walk's are counted
+    on either sweep: tail gates are summed, never evaluated.  The C
+    sweep reports the gates its walks evaluated, and its walked roots
+    are the region roots its memo knows; the Python loop's are counted
     at ``GATE_EVAL``."""
     circuit, faults, batches = _benchmark_sweep()
-    nets = list(_native_table(circuit, _observe_nets(circuit, True))[0])
+    observe = _observe_nets(circuit, True)
+    index = _native_table(circuit, observe)[0]
+    links = _ffr_links(circuit)
     for walker in _root_walkers():
         roots, evaluations, walking = [], [0], [False]
         with pytest.MonkeyPatch.context() as monkeypatch:
             _force(monkeypatch, walker)
             if walker == "native":
-                native_walk = native.RootWalker.walk
+                native_sweep = native.RootWalker.sweep
 
-                def counted_native(self, table, good, n_words, last, root):
-                    det, evaluated = native_walk(self, table, good, n_words,
-                                                 last, root)
-                    roots.append(nets[root])
+                def counted_sweep(self, *args):
+                    words, walks, evaluated = native_sweep(self, *args)
                     evaluations[0] += evaluated
-                    return det, evaluated
+                    return words, walks, evaluated
 
-                monkeypatch.setattr(native.RootWalker, "walk",
-                                    counted_native)
+                monkeypatch.setattr(native.RootWalker, "sweep",
+                                    counted_sweep)
+                windows = _pattern_windows(circuit, batches, None)
+                fault_sim._sweep(circuit, faults, windows, True)
+                (*_, walks, _), = windows.windows
+                known = walks.memo[1].raw
+                roots = [net for net, i in index.items()
+                         if net not in links and known[i]]
             else:
                 def counting(evaluate):
                     def wrapper(gate, values, mask):
@@ -597,9 +604,9 @@ def test_root_walks_sum_linear_tails_instead_of_evaluating_them():
                         walking[0] = False
 
                 monkeypatch.setattr(fault_sim, "_root_walk", counted_walk)
-            windows = _pattern_windows(circuit, batches, None)
-            for fault in faults:
-                _batched_detection(circuit, fault, windows, True)
+                windows = _pattern_windows(circuit, batches, None)
+                for fault in faults:
+                    _batched_detection(circuit, fault, windows, True)
         assert len(roots) == windows.root_walks > 900, walker
         cone_gates = sum(len(_cone_gates(circuit, [net])) for net in roots)
         assert 0 < evaluations[0] <= 0.35 * cone_gates, walker
@@ -608,7 +615,7 @@ def test_root_walks_sum_linear_tails_instead_of_evaluating_them():
 def test_native_root_walk_is_the_python_walk_from_every_net():
     """The C walk of every net of a circuit grafted with the tail and
     region corner cases, over a window whose width is not a multiple of
-    64: the words :func:`_root_walk` returns."""
+    64, read per observed net: the words :func:`_root_walk` returns."""
     kernel = fault_sim.native_kernel()
     if kernel is None:
         pytest.skip("no native root walk")
@@ -624,16 +631,17 @@ def test_native_root_walk_is_the_python_walk_from_every_net():
                 None, full_scan)
             (good, mask, _, _, _, walks, _), = windows.windows
             for net in good:
-                assert walks(net) == _root_walk(
-                    circuit, windows.observe, good, mask, net), net
-            assert walks.native[0] is not None  # it walked in C
+                assert walks.effects(net) == _root_walk(
+                    circuit, windows.observe, good, mask, net,
+                    rows=True), net
+            assert walks.native  # it walked in C
 
 
 def test_two_threads_sweeping_one_window_both_get_the_reference():
     """A chunk abandoned past ``chunk_timeout`` keeps sweeping on its
-    daemon thread, and the C walk releases the GIL: two threads walking
-    and sweeping one window at once each get the reference words, on
-    either walker."""
+    daemon thread, and every C call releases the GIL: two threads
+    walking and sweeping one window at once each get the reference
+    words, on either walker."""
     circuit, faults, batches = _benchmark_sweep()
     with compiled.disabled():
         reference = fault_simulate_batched(circuit.copy(), faults, batches,
@@ -646,16 +654,15 @@ def test_two_threads_sweeping_one_window_both_get_the_reference():
             (good, mask, _, _, _, walks, _), = windows.windows
             roots = [net for net in good if net not in _ffr_links(circuit)]
             expected = [_root_walk(circuit, windows.observe, good, mask,
-                                   net) for net in roots]
+                                   net, rows=True) for net in roots]
             start = threading.Barrier(2)
             results = [None, None]
 
             def sweep(i):
                 start.wait()
-                results[i] = ([walks(net) for net in roots],
-                              [_batched_detection(circuit, fault, windows,
-                                                  False)
-                               for fault in faults])
+                results[i] = ([walks.effects(net) for net in roots],
+                              fault_sim._sweep(circuit, faults, windows,
+                                               False))
 
             threads = [threading.Thread(target=sweep, args=(i,))
                        for i in range(2)]
