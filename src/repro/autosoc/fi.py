@@ -164,12 +164,14 @@ def run_campaign(
                         EngineConfig(workers=workers, batch_size=8,
                                      executor=executor),
                         db=db)
-    result = SocCampaignResult(config.value, app.name)
-    for inj in report.injections:
-        result.outcomes[inj.outcome] += 1
-        result.total += 1
-        if inj.detail is not None and inj.outcome == DETECTED_LOCKSTEP:
-            result.lockstep_latencies.append(inj.detail)
+    view = report.injections
+    latencies = [latency for outcome, latency in zip(view.column("outcomes"),
+                                                     view.column("details"))
+                 if outcome == DETECTED_LOCKSTEP and latency is not None]
+    result = SocCampaignResult(config.value, app.name,
+                               lockstep_latencies=latencies,
+                               total=report.executed)
+    result.outcomes.update(report.outcomes)
     return result
 
 

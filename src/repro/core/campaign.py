@@ -249,7 +249,27 @@ def unpack_block(payload: bytes) -> list[Row]:
     return Outcomes.unpack(payload).rows()
 
 
-class Outcomes(Sequence):
+class ListSequence(Sequence):
+    """A read-only sequence that compares equal to, and concatenates
+    like, the list of its items (``+`` either way gives a ``list``)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other: Iterable) -> list:
+        return [*self, *other]
+
+    def __radd__(self, other: Iterable) -> list:
+        return [*other, *self]
+
+
+class Outcomes(ListSequence):
     """One chunk's executed points, or a filter's census of the points it
     resolved, as columns — what a backend returns, the engine folds, the
     database stores and the report reads.
@@ -259,9 +279,10 @@ class Outcomes(Sequence):
     ``cycles`` are one entry per point; ``codes`` is one index per point
     into the ``names`` of the block's outcomes — ``bytes``, or an
     ``array`` past 256 outcomes; ``details`` is the backends' per-point
-    extras, or ``None`` when there are none.  The columns are what the
-    engine reads: :meth:`tally` counts outcomes with one ``count`` each,
-    and :meth:`pack` encodes the block with no row in between (byte for
+    extras, or ``None`` when there are none.  Readers take the columns
+    through :meth:`column` (which decodes the outcomes), :meth:`tally`
+    (one ``count`` per outcome) and :func:`rate_by_location`;
+    :meth:`pack` encodes the block with no row in between (byte for
     byte what :func:`pack_block` makes of the same rows, so either reads
     the other's databases).
 
@@ -355,6 +376,18 @@ class Outcomes(Sequence):
         return Outcomes(points, self.locations, self.cycles, self.codes,
                         self.names, self.details)
 
+    def column(self, name: str) -> Iterable:
+        """One per-point column — ``"points"``, ``"locations"``,
+        ``"cycles"``, ``"outcomes"`` (decoded from the codes) or
+        ``"details"`` (a ``None`` per point on a block without them); a
+        block read back from the database has no points (``None``)."""
+        if name == "outcomes":
+            return map(self.names.__getitem__, self.codes)
+        values = getattr(self, name)
+        if values is None and name == "details":
+            return repeat(None, len(self))
+        return values
+
     def tally(self) -> dict[str, int]:
         """Points per outcome, in first-appearance order."""
         return {self.names[code]: self.codes.count(code)
@@ -362,8 +395,7 @@ class Outcomes(Sequence):
 
     def rows(self) -> list[Row]:
         """The stored ``(location, cycle, outcome)`` triples, in order."""
-        return list(zip(self.locations, self.cycles,
-                        map(self.names.__getitem__, self.codes)))
+        return list(zip(self.locations, self.cycles, self.column("outcomes")))
 
     def _records(self) -> list:
         if self._items is None:
@@ -374,9 +406,7 @@ class Outcomes(Sequence):
                 self._items = list(map(
                     partial(tuple.__new__, Injection),
                     zip(self.points, self.locations, self.cycles,
-                        map(self.names.__getitem__, self.codes),
-                        repeat(None) if self.details is None
-                        else self.details)))
+                        self.column("outcomes"), self.column("details"))))
         return self._items
 
     def __len__(self) -> int:
@@ -388,13 +418,6 @@ class Outcomes(Sequence):
     def __iter__(self) -> Iterator:
         return iter(self._records())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return self._records() == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __reduce__(self) -> tuple:
         # the columns travel, the cached records are rebuilt on arrival
         return (Outcomes, (self.points, self.locations, self.cycles,
@@ -403,6 +426,20 @@ class Outcomes(Sequence):
     def __repr__(self) -> str:
         return (f"Outcomes({len(self)} points: "
                 f"{', '.join(f'{k}={v}' for k, v in self.tally().items())})")
+
+
+def rate_by_location(blocks: Iterable[Outcomes],
+                     outcome: str) -> dict[str, float]:
+    """Per location, the share of its points over ``blocks`` that ended
+    in ``outcome`` — a flop's AVF when ``outcome`` is the failure —
+    locations in first-appearance order."""
+    totals: Counter[str] = Counter()
+    hits: Counter[str] = Counter()
+    for block in blocks:
+        totals.update(block.locations)
+        hits.update(compress(block.locations,
+                             map(outcome.__eq__, block.column("outcomes"))))
+    return {location: hits[location] / n for location, n in totals.items()}
 
 
 @dataclass(frozen=True)
@@ -686,17 +723,10 @@ class CampaignDb:
     def failure_rate_by_location(self, campaign_id: int,
                                  failure_outcome: str = "failure") -> dict[str, float]:
         """Per-location failure probability — AVF-style aggregation."""
-        totals: Counter[str] = Counter()
-        fails: Counter[str] = Counter()
-        for _, _, payload in self._blocks(campaign_id):
-            block = Outcomes.unpack(payload)
-            totals.update(block.locations)
-            if failure_outcome in block.names:
-                failed = block.names.index(failure_outcome)
-                fails.update(compress(block.locations,
-                                      map(failed.__eq__, block.codes)))
-        return {location: fails[location] / n
-                for location, n in totals.items()}
+        return rate_by_location(
+            (Outcomes.unpack(payload)
+             for _, _, payload in self._blocks(campaign_id)),
+            failure_outcome)
 
     def cross_campaign_outcomes(self) -> dict[str, int]:
         """Community-database view: outcome histogram over everything."""

@@ -31,7 +31,6 @@ width runs on one carrier, the lane walker of :mod:`repro.engine.lanes`
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
 from operator import itemgetter, not_
 from typing import Any, Mapping, Sequence
 
@@ -377,19 +376,17 @@ def ppsfp_result(report, n_patterns: int) -> Any:
 
     result = FaultSimResult(n_patterns=n_patterns)
     detected, undetected = result.detected, result.undetected
-    for block in report.injections.blocks:  # columns: no record is built
-        details = (repeat(None) if block.details is None
-                   else block.details)
-        for fault, location, outcome, word in zip(
-                block.points, block.locations,
-                map(block.names.__getitem__, block.codes), details):
-            if outcome != DETECTED:
-                undetected.append(fault)
-            elif word is None:
-                raise ValueError(
-                    f"detected fault {location} carries no detection "
-                    "mask: the report was resumed or assembled by service "
-                    "replay, which does not restore Injection.detail")
-            else:
-                detected[fault] = word
+    view = report.injections
+    for fault, outcome, word in zip(view.column("points"),
+                                    view.column("outcomes"),
+                                    view.column("details")):
+        if outcome != DETECTED:
+            undetected.append(fault)
+        elif word is None:
+            raise ValueError(
+                f"detected fault {fault.describe()} carries no detection "
+                "mask: the report was resumed or assembled by service "
+                "replay, which does not restore Injection.detail")
+        else:
+            detected[fault] = word
     return result

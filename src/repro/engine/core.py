@@ -49,6 +49,8 @@ import logging
 import pickle
 import random
 import time
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
@@ -56,9 +58,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, NamedTuple, Protocol, runtime_checkable
 
-from ..core.campaign import CampaignDb, Outcomes
+from ..core.campaign import CampaignDb, ListSequence, Outcomes
 from ..core.stats import Interval, wilson_interval
-from ..faults.sampling import sample_size
 from . import executors as _executors
 from .executors import (EXECUTOR_CHOICES, ChunkTimeout, ExecutorPlan,
                         chunk_seed, plan_executor)
@@ -260,66 +261,54 @@ class QuarantinedChunk:
     error: str
 
 
-class InjectionView(Sequence):
+class InjectionView(ListSequence):
     """A campaign's executed points: the chunks' :class:`Outcomes`
     blocks in accounting order, read as one ``Sequence[Injection]``.
 
     The fold appends blocks and their outcome tallies, so ``len`` and
-    :meth:`counts` never build a record.  The first read that needs
-    records (indexing, slicing, iterating, ``==``, ``+ list``) builds
-    every block's records once and keeps them; blocks appended later
-    are added to that list on the next such read.
+    :meth:`counts` never build a record, and :meth:`column` chains one
+    column over the blocks.  Indexing, slicing, iterating, ``==`` and
+    ``+`` read each block's own records, built once per block on its
+    first such read.
     """
 
     def __init__(self) -> None:
         self.blocks: list[Outcomes] = []
-        self._counts: dict[str, int] = {}
-        self._records: list[Injection] = []
-        self._built = 0  # blocks whose records are in _records
-        self._n = 0
+        self._offsets = [0]  # each block's first point, then the total
+        self._counts: Counter[str] = Counter()
 
     def append(self, block: Outcomes, counts: Mapping[str, int]) -> None:
         """Add ``block``, whose tally is ``counts``."""
         self.blocks.append(block)
-        self._n += len(block)
-        for outcome, n in counts.items():
-            self._counts[outcome] = self._counts.get(outcome, 0) + n
+        self._offsets.append(len(self) + len(block))
+        self._counts.update(counts)
 
     def counts(self) -> dict[str, int]:
         """Points per outcome, in first-appearance order."""
         return self._counts
 
-    def _list(self) -> list[Injection]:
-        if self._built < len(self.blocks):
-            self._records.extend(chain.from_iterable(
-                self.blocks[self._built:]))
-            self._built = len(self.blocks)
-        return self._records
+    def column(self, name: str) -> Iterator:
+        """One :meth:`Outcomes.column` over every block, in order."""
+        return chain.from_iterable(block.column(name)
+                                   for block in self.blocks)
 
     def __len__(self) -> int:
-        return self._n
+        return self._offsets[-1]
 
     def __getitem__(self, index):
-        return self._list()[index]
+        if isinstance(index, slice):
+            return list(self)[index]
+        if not -len(self) <= index < len(self):
+            raise IndexError("InjectionView index out of range")
+        index %= len(self)
+        block = bisect_right(self._offsets, index) - 1
+        return self.blocks[block][index - self._offsets[block]]
 
     def __iter__(self) -> Iterator[Injection]:
-        return iter(self._list())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return self._list() == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: Sequence) -> list:
-        return self._list() + list(other)
-
-    def __radd__(self, other: Sequence) -> list:
-        return list(other) + self._list()
+        return chain.from_iterable(self.blocks)
 
     def __repr__(self) -> str:
-        return f"InjectionView({self._n} points in {len(self.blocks)} blocks)"
+        return f"InjectionView({len(self)} points in {len(self.blocks)} blocks)"
 
 
 @dataclass
@@ -362,12 +351,12 @@ class CampaignReport:
     quarantined: list[QuarantinedChunk] = field(default_factory=list)
     resumed_chunks: int = 0
     retried_chunks: int = 0
-    _census: dict[str, int] = field(init=False, repr=False, compare=False)
+    _census: Counter[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.skipped, Outcomes):
             self.skipped = Outcomes.of(list(self.skipped))
-        self._census = self.skipped.tally()
+        self._census = Counter(self.skipped.tally())
 
     @property
     def executed(self) -> int:
@@ -388,14 +377,10 @@ class CampaignReport:
 
     @property
     def outcomes(self) -> dict[str, int]:
-        acc = dict(self.injections.counts())
-        for outcome, n in self._census.items():
-            acc[outcome] = acc.get(outcome, 0) + n
-        return acc
+        return dict(self.injections.counts() + self._census)
 
     def count(self, outcome: str) -> int:
-        return (self.injections.counts().get(outcome, 0)
-                + self._census.get(outcome, 0))
+        return self.injections.counts()[outcome] + self._census[outcome]
 
     def rate(self, outcome: str) -> float:
         return self.count(outcome) / self.total if self.total else 0.0
@@ -407,11 +392,6 @@ class CampaignReport:
     @property
     def injections_per_second(self) -> float:
         return self.total / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    def recommended_sample(self, margin: float = 0.05,
-                           confidence: float = 0.95) -> int:
-        """Leveugle bound for this campaign's population."""
-        return sample_size(self.population, margin, confidence)
 
     def describe(self) -> str:
         """One-line human summary (what the examples print)."""

@@ -395,19 +395,17 @@ class GpgpuSeuBackend:
         self.circuit_name = f"simt-{label}"
         self.workload = f"gpgpu-seu[{len(self.faults)} transients]"
         self._golden: list[int] | None = None
-        self._golden_issues: int = 0
 
     def enumerate_points(self) -> Sequence[tuple[int, Any]]:
         return list(enumerate(self.faults))
 
     def prepare(self) -> None:
         if self._golden is None:  # idempotent: re-run per worker process
-            self._golden, self._golden_issues = self._run([])
+            self._golden = self._run([])[0]
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_golden"] = None  # workers re-run the golden kernel
-        state["_golden_issues"] = 0
         return state
 
     def _run(self, faults: list[Any]) -> tuple[list[int], int]:
@@ -415,11 +413,6 @@ class GpgpuSeuBackend:
 
         return _run(self.kernel, self.inputs, faults,
                     n_warps=self.n_warps, warp_size=self.warp_size)
-
-    @property
-    def golden_issues(self) -> int:
-        self.prepare()
-        return self._golden_issues
 
     def run_batch(self, points: Sequence[tuple[int, Any]]) -> list[Injection]:
         if self.lane_width > 1:

@@ -17,6 +17,7 @@ result type but gains ``db=``/``workers=``/``executor=``, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,14 +40,10 @@ class DiagnosisResult:
 
     def resolution(self) -> float:
         """Mean candidate-set size over all detectable faults (lower=better)."""
-        detectable = [f for f, sig in self.signatures.items()
+        sizes = Counter(self.signatures.values())
+        detectable = [sizes[sig] for sig in self.signatures.values()
                       if sig != self.golden_signature]
-        if not detectable:
-            return 0.0
-        total = 0
-        for fault in detectable:
-            total += len(self.candidates(self.signatures[fault]))
-        return total / len(detectable)
+        return sum(detectable) / len(detectable) if detectable else 0.0
 
     def detected_fraction(self) -> float:
         if not self.signatures:
@@ -79,13 +76,13 @@ def signature_campaign(
     report = run_campaign(
         backend, EngineConfig(batch_size=8, workers=workers,
                               executor=executor), db=db)
-    result = DiagnosisResult()
-    result.golden_signature = backend.golden_signature
-    for inj in report.injections:
-        result.signatures[inj.point] = inj.detail
-        assert (inj.outcome == DETECTED) == \
-            (inj.detail != result.golden_signature)
-    return result, report
+    view, golden = report.injections, backend.golden_signature
+    assert all((outcome == DETECTED) == (signature != golden)
+               for outcome, signature in zip(view.column("outcomes"),
+                                             view.column("details")))
+    return DiagnosisResult(dict(zip(view.column("points"),
+                                    view.column("details"))),
+                           golden), report
 
 
 def build_signature_table(

@@ -16,6 +16,7 @@ persistence come from the shared core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -39,11 +40,9 @@ class SafetyCampaignResult:
         return sum(1 for f in self.classified if f.fault_class is fault_class)
 
     def rows(self) -> list[tuple]:
-        order = [FaultClass.SAFE, FaultClass.DETECTED, FaultClass.RESIDUAL,
-                 FaultClass.LATENT_DETECTED, FaultClass.LATENT]
         total = len(self.classified) or 1
         return [(fc.value, self.count(fc), round(self.count(fc) / total, 4))
-                for fc in order]
+                for fc in FaultClass]
 
 
 def classify_injection_values(
@@ -111,10 +110,8 @@ def run_safety_campaign(
     report = run_campaign(backend,
                           EngineConfig(workers=workers, executor=executor),
                           db=db, resume=resume)
-    result = SafetyCampaignResult()
-    for inj in report.injections:
-        result.classified.append(
-            ClassifiedFault(inj.location, FaultClass(inj.outcome),
-                            fit_per_fault))
-    result.metrics = compute_metrics(result.classified)
-    return result
+    view = report.injections
+    classified = list(map(ClassifiedFault, view.column("locations"),
+                          map(FaultClass, view.column("outcomes")),
+                          repeat(fit_per_fault)))
+    return SafetyCampaignResult(classified, compute_metrics(classified))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -71,11 +70,10 @@ class CampaignOutcome:
 
         census = report.skipped
         outcome = cls(simulated=report.executed)
-        for block in (*report.injections.blocks, census):
-            outcome.classifications.update(zip(
-                block.points, map(block.names.__getitem__, block.codes)))
-        rules = Counter(census.details if census.details is not None
-                        else repeat(None, len(census)))
+        for points in (report.injections, census):
+            outcome.classifications.update(zip(points.column("points"),
+                                               points.column("outcomes")))
+        rules = Counter(census.column("details"))
         outcome.skipped_no_path = rules.pop(SKIP_NO_PATH, 0)
         outcome.skipped_no_activation = rules.pop(SKIP_NO_ACTIVATION, 0)
         if rules:  # a rule this result type cannot attribute

@@ -238,11 +238,10 @@ def sensitivity_map(
     report = run_campaign(
         backend, EngineConfig(batch_size=32, workers=workers,
                               executor=executor), db=db)
-    grid = {}
-    for inj in report.injections:
-        _index, shot = inj.point
-        grid[(shot.x_um, shot.y_um)] = inj.detail
-    return grid, report
+    view = report.injections
+    return {(shot.x_um, shot.y_um): flipped
+            for (_index, shot), flipped in zip(view.column("points"),
+                                               view.column("details"))}, report
 
 
 def unlock_register_attack(

@@ -74,13 +74,10 @@ def trace_campaign(cipher, n_traces: int, seed: int = 0, db=None,
     points = [(i, "collected", pt)
               for i, pt in enumerate(_random_plaintexts(n_traces, seed))]
     report = _run_trace_campaign(cipher, points, seed, db, workers, executor)
-    rows = [None] * len(report.injections)
-    plaintexts: list[bytes] = [b""] * len(report.injections)
-    for inj in report.injections:
-        index, _group, pt = inj.point
-        plaintexts[index] = pt
-        rows[index] = inj.detail[1]
-    return (TraceSet(plaintexts, np.asarray(rows, dtype=float)), report)
+    view = report.injections  # in point order: the fold goes by chunk
+    plaintexts = [pt for _index, _group, pt in view.column("points")]
+    rows = [power for _cycles, power in view.column("details")]
+    return TraceSet(plaintexts, np.asarray(rows, dtype=float)), report
 
 
 def collect_traces(cipher, n_traces: int, seed: int = 0, db=None,
@@ -168,11 +165,12 @@ def tvla_campaign(cipher, n_traces: int = 200, seed: int = 0, db=None,
         points.append((2 * i, "fixed", fixed_pt))
         points.append((2 * i + 1, "random", randoms[i]))
     report = _run_trace_campaign(cipher, points, seed, db, workers, executor)
-    fixed_rows = [inj.detail[1] for inj in report.injections
-                  if inj.point[1] == "fixed"]
-    random_rows = [inj.detail[1] for inj in report.injections
-                   if inj.point[1] == "random"]
-    return _tvla_from_rows(fixed_rows, random_rows), report
+    rows = {"fixed": [], "random": []}
+    view = report.injections
+    for group, (_cycles, power) in zip(view.column("outcomes"),
+                                       view.column("details")):
+        rows[group].append(power)
+    return _tvla_from_rows(rows["fixed"], rows["random"]), report
 
 
 def tvla(cipher, n_traces: int = 200, seed: int = 0, db=None,

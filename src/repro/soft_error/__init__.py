@@ -16,6 +16,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "seu": ("FAILURE", "LATENT", "MASKED", "SeuCampaignResult",
             "SeuInjection", "inject_seu", "random_workload", "run_campaign"),
     "statistical": ("AccuracyPoint", "AdaptiveEstimate", "StatisticalStudy",
-                    "adaptive_estimate", "cost_accuracy_rows", "run_study",
-                    "verify_fresh_sample_consistency"),
+                    "adaptive_estimate", "cost_accuracy_rows", "run_study"),
 })

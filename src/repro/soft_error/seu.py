@@ -21,12 +21,16 @@ the compiled Python step otherwise (:mod:`repro.engine.lanes`);
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Mapping, Sequence
+from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
+from ..core.campaign import ListSequence, rate_by_location
 from ..sim.sequential import SequentialSim
+
+if TYPE_CHECKING:
+    from ..engine.core import CampaignReport, InjectionView
 
 MASKED = "masked"
 LATENT = "latent"
@@ -42,33 +46,53 @@ class SeuInjection:
     outcome: str
 
 
+class SeuInjections(ListSequence):
+    """A campaign's points as :class:`SeuInjection` records, read off the
+    report's columns on demand: nothing is stored but the report, and
+    ``len`` builds no record."""
+
+    def __init__(self, injections: InjectionView) -> None:
+        self._view = injections
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [SeuInjection(*inj.row()) for inj in self._view[index]]
+        return SeuInjection(*self._view[index].row())
+
+    def __iter__(self) -> Iterator[SeuInjection]:
+        view = self._view
+        return map(SeuInjection, view.column("locations"),
+                   view.column("cycles"), view.column("outcomes"))
+
+
 @dataclass
 class SeuCampaignResult:
-    """Aggregated campaign outcome."""
+    """Aggregated campaign outcome: the engine report, read through its
+    tallies and columns."""
 
-    injections: list[SeuInjection] = field(default_factory=list)
-    n_cycles: int = 0
+    report: CampaignReport
+
+    @property
+    def injections(self) -> SeuInjections:
+        return SeuInjections(self.report.injections)
 
     @property
     def total(self) -> int:
-        return len(self.injections)
+        return self.report.total
 
     def count(self, outcome: str) -> int:
-        return sum(1 for inj in self.injections if inj.outcome == outcome)
+        return self.report.count(outcome)
 
     @property
     def failure_rate(self) -> float:
-        return self.count(FAILURE) / self.total if self.total else 0.0
+        return self.report.rate(FAILURE)
 
     def avf_per_flop(self) -> dict[str, float]:
         """Per-flop failure probability (AVF) over the campaign."""
-        totals: dict[str, int] = {}
-        fails: dict[str, int] = {}
-        for inj in self.injections:
-            totals[inj.flop] = totals.get(inj.flop, 0) + 1
-            if inj.outcome == FAILURE:
-                fails[inj.flop] = fails.get(inj.flop, 0) + 1
-        return {f: fails.get(f, 0) / totals[f] for f in totals}
+        return rate_by_location(self.report.injections.blocks, FAILURE)
 
 
 def _golden_run(circuit: Circuit, stimuli: Sequence[Mapping[str, int]]):
@@ -137,13 +161,8 @@ def run_campaign(
     backend = SeuBackend(circuit, stimuli, targets, cycles, **kwargs)
     config = EngineConfig(workers=workers, sample=sample, seed=seed,
                           executor=executor)
-    report = run_engine(backend, config, db=db, resume=resume)
-    # straight from the chunks' columns: no engine record is built
-    injections = list(chain.from_iterable(
-        map(SeuInjection, block.locations, block.cycles,
-            map(block.names.__getitem__, block.codes))
-        for block in report.injections.blocks))
-    return SeuCampaignResult(injections, n_cycles=len(stimuli))
+    return SeuCampaignResult(run_engine(backend, config, db=db,
+                                        resume=resume))
 
 
 def random_workload(circuit: Circuit, n_cycles: int, seed: int = 0) -> list[dict[str, int]]:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from ..circuit.netlist import Circuit
 from ..core.stats import wilson_interval
 from ..faults.sampling import sample_size
-from .seu import FAILURE, SeuCampaignResult, inject_seu, run_campaign
+from .seu import FAILURE, SeuCampaignResult, run_campaign
 
 
 @dataclass
@@ -89,10 +89,11 @@ def run_study(
     study.recommended_n = sample_size(exhaustive.total, margin, confidence)
     rng = random.Random(seed)
     true_rate = exhaustive.failure_rate
+    # the same draws as sampling exhaustive.injections, read as outcomes
+    outcomes = list(exhaustive.report.injections.column("outcomes"))
     for n in sample_sizes:
-        n_eff = min(n, exhaustive.total)
-        drawn = rng.sample(exhaustive.injections, n_eff)
-        fails = sum(1 for inj in drawn if inj.outcome == FAILURE)
+        n_eff = min(n, len(outcomes))
+        fails = rng.sample(outcomes, n_eff).count(FAILURE)
         est = fails / n_eff if n_eff else 0.0
         ci = wilson_interval(fails, n_eff, confidence)
         study.points.append(AccuracyPoint(n_eff, est, true_rate, ci.low, ci.high))
@@ -158,22 +159,6 @@ def adaptive_estimate(
         n_injections=report.total,
         population=population,
         converged=report.converged,
-    )
-
-
-def verify_fresh_sample_consistency(
-    circuit: Circuit,
-    stimuli: Sequence[Mapping[str, int]],
-    n: int,
-    seed: int = 1,
-) -> bool:
-    """Sanity check used by tests: drawing a fresh sampled campaign (with
-    real re-injection) matches the table-lookup estimator exactly."""
-    exhaustive = run_campaign(circuit, stimuli)
-    table = {(inj.flop, inj.cycle): inj.outcome for inj in exhaustive.injections}
-    sampled = run_campaign(circuit, stimuli, sample=n, seed=seed)
-    return all(
-        table[(inj.flop, inj.cycle)] == inj.outcome for inj in sampled.injections
     )
 
 

@@ -378,8 +378,3 @@ class TestStatistics:
         ref = wilson_interval(fails, report.total)
         assert (ci.low, ci.high) == (ref.low, ref.high)
 
-    def test_recommended_sample_below_population(self, seq_setup):
-        circuit, workload = seq_setup
-        report = run_campaign(SeuBackend(circuit, workload),
-                              EngineConfig(batch_size=64))
-        assert 0 < report.recommended_sample(margin=0.05) < report.population

@@ -12,8 +12,10 @@ time).  The in-place migration of a per-row database is in
 
 import json
 import pickle
+import random
 import sqlite3
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +28,15 @@ from repro.core import CampaignDb
 from repro.core.campaign import Outcomes, pack_block, unpack_block
 from repro.engine import (EngineConfig, Injection, PpsfpBackend, SeuBackend,
                           SlicingBackend, resume_campaign, run_campaign)
-from repro.engine.core import CampaignReport, check_batch, plan_campaign
+from repro.engine.core import (CampaignReport, InjectionView, check_batch,
+                               plan_campaign)
 from repro.engine.workloads import (SKIP_DEAD_FLOP, SKIP_NO_ACTIVATION,
                                     SKIP_NO_PATH)
 from repro.faults import collapse
 from repro.safety.slicing import CampaignOutcome
 from repro.sim import random_patterns
-from repro.soft_error import random_workload
+from repro.soft_error import FAILURE, SeuInjection, random_workload
+from repro.soft_error import run_campaign as seu_campaign
 
 
 def _header(block: bytes) -> dict:
@@ -344,7 +348,8 @@ class TestInjectionView:
         expected = reference.run_batch(packed.enumerate_points())
         view = report.injections
         assert len(view) == len(expected) == report.executed
-        assert not view._records  # counts and len built no record
+        # counts and len built no record
+        assert all(block._items is None for block in view.blocks)
         assert list(view) == expected and view == expected
         assert view[0] == expected[0] and view[-1] == expected[-1]
         assert view[5:9] == expected[5:9]
@@ -353,6 +358,66 @@ class TestInjectionView:
             inj.outcome for inj in expected))
         assert report.count("failure") == sum(
             inj.outcome == "failure" for inj in expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_INJECTIONS, max_size=6), st.data())
+    def test_view_is_its_blocks_chained(self, chunks, data):
+        # indexing, slicing, iterating, == and + read the blocks' own
+        # records: the view is list(chain(*blocks)), also for blocks
+        # appended after a read
+        blocks = [_coded(rows) if i % 2 else Outcomes.of(_records(rows))
+                  for i, rows in enumerate(chunks)]
+        view = InjectionView()
+        early = data.draw(st.integers(0, len(blocks)), label="read after")
+        for n_blocks in (early, len(blocks)):
+            for block in blocks[len(view.blocks):n_blocks]:
+                view.append(block, block.tally())
+            expected = list(chain(*blocks[:n_blocks]))
+            n = len(expected)
+            assert len(view) == n
+            assert list(view) == expected and view == expected == view
+            for index in range(-n, n):
+                assert view[index] == expected[index]
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[index]
+            cut = data.draw(st.slices(n), label="slice")
+            assert view[cut] == expected[cut]
+            extra = [Injection("p", "ff0", 0, "masked")]
+            assert view + extra == expected + extra
+            assert extra + view == extra + expected
+            assert view + view == expected + expected
+            assert list(view.column("outcomes")) == [
+                inj.outcome for inj in expected]
+            assert view.counts() == dict(Counter(
+                inj.outcome for inj in expected))
+
+    @pytest.mark.parametrize("lane_width", [1, 64])
+    def test_seu_facade_reads_the_report_lazily(self, seq_setup, lane_width,
+                                                no_pool):
+        # the SEU facade's points are the record list it used to build,
+        # read off the report: equal item by item, drawn alike by
+        # random.sample, counted and rated from the tally
+        circuit, workload = seq_setup
+        result = seu_campaign(circuit.copy(), workload, executor="serial",
+                              lane_width=lane_width)
+        old = [SeuInjection(inj.location, inj.cycle, inj.outcome)
+               for inj in result.report.injections]
+        view = result.injections
+        assert len(view) == len(old) == result.total == 240
+        assert view == old and list(view) == old and old == view
+        assert [view[i] for i in range(-len(old), len(old))] == old + old
+        assert view[5:200:3] == old[5:200:3] and view[-9:] == old[-9:]
+        for seed, k in ((1, 3), (2, 30), (3, 100), (4, 240)):
+            assert (random.Random(seed).sample(view, k)
+                    == random.Random(seed).sample(old, k))
+        fails = [inj.outcome == FAILURE for inj in old]
+        assert result.count(FAILURE) == sum(fails)
+        assert result.failure_rate == sum(fails) / len(old)
+        flops = list(dict.fromkeys(inj.flop for inj in old))
+        assert result.avf_per_flop() == {
+            flop: sum(f for inj, f in zip(old, fails) if inj.flop == flop)
+            / sum(inj.flop == flop for inj in old) for flop in flops}
 
     def test_row_packed_checkpoints_resume_identically(self, seq_setup,
                                                        no_pool):

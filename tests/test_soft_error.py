@@ -33,7 +33,6 @@ from repro.soft_error import (
     split_indices,
     standardize,
     validate_against_event_sim,
-    verify_fresh_sample_consistency,
 )
 from repro.soft_error.ml import FEATURE_NAMES
 
@@ -147,9 +146,16 @@ class TestStatisticalStudy:
         assert study.points[0].abs_error == pytest.approx(0.0)
 
     def test_table_lookup_equals_fresh_runs(self):
+        # a fresh sampled campaign (real re-injection) reads every drawn
+        # point's outcome off the exhaustive table
         c = load("rand_seq")
         wl = random_workload(c, 8, seed=11)
-        assert verify_fresh_sample_consistency(c, wl, 25, seed=12)
+        table = {(inj.flop, inj.cycle): inj.outcome
+                 for inj in run_campaign(c, wl).injections}
+        sampled = run_campaign(c, wl, sample=25, seed=12).injections
+        assert len(sampled) == 25
+        assert all(table[(inj.flop, inj.cycle)] == inj.outcome
+                   for inj in sampled)
 
     def test_recommended_n_uses_leveugle(self):
         c = load("rand_seq")

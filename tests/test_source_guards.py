@@ -8,8 +8,9 @@ when it matches nowhere).  Patterns are searched per file with
 span lines.
 
 Scopes mirror ``grep -r``: a directory is searched recursively, an
-``include`` glob narrows the file names, and ``exclude_dirs`` drops any
-directory of that name at any depth.  ``benchmarks/campaign`` is the
+``include`` glob narrows the file names, ``exclude_dirs`` drops any
+directory of that name at any depth, and ``exclude_files`` drops the
+files at those repository paths.  ``benchmarks/campaign`` is the
 frozen benchmark, excluded wherever it would be scanned: its files
 never named the deleted code.  Two things are never scanned: bytecode
 under ``__pycache__`` (generated from the scanned sources) and this
@@ -39,6 +40,7 @@ class Guard:
     paths: tuple[str, ...]
     include: str | None = "*.py"
     exclude_dirs: tuple[str, ...] = ("campaign",)
+    exclude_files: tuple[str, ...] = ()
     present: bool = False
 
 
@@ -235,6 +237,24 @@ GUARDS = (
           "(tests/test_slicing_kernel.py keeps it as the reference)",
           r"\bfaulty_values\b",
           ("src/repro/engine/workloads.py",)),
+    Guard("facades_read_columns",
+          "a facade answers from the report's tallies and columns "
+          "(InjectionView.column, Outcomes.column, rate_by_location): "
+          "only the engine walks report.injections record by record",
+          r"\bfor\b[^\n]*\bin\s+(?:\w+\.)*report\.injections\b(?![\w.])",
+          ("src",), exclude_files=("src/repro/engine/core.py",)),
+    Guard("outcome_codes_decoded_in_one_place",
+          "an outcome block's codes are decoded behind Outcomes.column "
+          "and its reductions; a facade that maps names over codes "
+          "itself is a second decoder",
+          r"names\.__getitem__|\.codes\b",
+          ("src",), exclude_files=("src/repro/core/campaign.py",
+                                   "src/repro/engine/core.py")),
+    Guard("injection_view_keeps_no_list",
+          "InjectionView reads its blocks' own cached records: the second "
+          "record list beside them and its build counter are gone",
+          r"\bself\._(?:records|built)\b|\bdef _list\(",
+          ("src/repro/engine/core.py",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -256,7 +276,8 @@ def _files(guard: Guard) -> list[Path]:
             if (found.is_file() and "__pycache__" not in parts
                     and not set(parts) & set(guard.exclude_dirs)):
                 files.append(found)
-    return [f for f in files if f.resolve() != SELF]
+    excluded = {SELF} | {(ROOT / rel).resolve() for rel in guard.exclude_files}
+    return [f for f in files if f.resolve() not in excluded]
 
 
 def _matches(guard: Guard) -> list[str]:
@@ -319,6 +340,10 @@ def test_guards_bite(tmp_path, monkeypatch):
         "slicing_reads_root_walks": (
             "        vals = fault_sim.faulty_values(self.circuit, fault, "
             "good, mask)\n"),
+        "facades_read_columns": "    for inj in report.injections:\n",
+        "outcome_codes_decoded_in_one_place": (
+            "    outcomes = map(block.names.__getitem__, block.codes)\n"),
+        "injection_view_keeps_no_list": "        self._built = 0\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
     }
     forbidding = [g for g in GUARDS if not g.present]
@@ -418,3 +443,24 @@ def test_clean_names_pass():
     for dirty in ("vals = fault_sim.faulty_values(circuit, fault, good, 1)",
                   "from ..sim.fault_sim import faulty_values"):
         assert walks.search(dirty), dirty
+    facades = regexes["facades_read_columns"]
+    for clean in ("view = report.injections",
+                  "for point in report.injections.column(\"points\"):",
+                  "for inj in self.injections:", "len(report.injections)"):
+        assert not facades.search(clean), clean
+    for dirty in ("for inj in report.injections:",
+                  "rows = [i.detail for i in report.injections if i]",
+                  "for inj in result.report.injections:"):
+        assert facades.search(dirty), dirty
+    codes = regexes["outcome_codes_decoded_in_one_place"]
+    for clean in ("outcomes = view.column(\"outcomes\")",
+                  "error_codes = [1, 2]", "tally = block.tally()"):
+        assert not codes.search(clean), clean
+    for dirty in ("map(block.names.__getitem__, ids)",
+                  "failed = [c == 2 for c in block.codes]"):
+        assert codes.search(dirty), dirty
+    view = regexes["injection_view_keeps_no_list"]
+    for clean in ("block._records()", "self._offsets.append(n)"):
+        assert not view.search(clean), clean
+    for dirty in ("self._records.extend(block)", "def _list(self):"):
+        assert view.search(dirty), dirty
