@@ -10,6 +10,7 @@ machinery on scan-vector sequences.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from ..circuit.netlist import Circuit
@@ -28,7 +29,9 @@ def compact_greedy(
 
     Fault-simulates the whole set once, then repeatedly keeps the pattern
     covering the most not-yet-covered faults (ties broken by pattern
-    order, so the result is deterministic).
+    order, so the result is deterministic).  Gains are re-counted
+    lazily, from a heap of the last counts: only the patterns that reach
+    the top are.
     """
     if not patterns:
         return []
@@ -46,11 +49,18 @@ def compact_greedy(
             bits ^= low
     uncovered = set(sim.detected)
     kept: list[int] = []
-    while uncovered:
-        best = max(range(n), key=lambda i: (len(by_pattern[i] & uncovered), -i))
+    # lazy greedy: a pattern's gain only shrinks as faults get covered,
+    # so a popped entry whose gain is still current beats every stale
+    # one below it (ties go to the lower index, as in the heap order)
+    heap = [(-len(hits), i) for i, hits in by_pattern.items() if hits]
+    heapify(heap)
+    while uncovered and heap:
+        stale, best = heappop(heap)
         gain = by_pattern[best] & uncovered
-        if not gain:
-            break
+        if len(gain) != -stale:
+            if gain:
+                heappush(heap, (-len(gain), best))
+            continue
         kept.append(best)
         uncovered -= gain
     kept.sort()

@@ -41,9 +41,6 @@ class DftResult:
     measurements: dict[str, float] = field(default_factory=dict)
     operations: int = 0
 
-    def flags(self) -> list[str]:
-        return sorted(self.flagged)
-
 
 def current_sweep(array: SramArray, config: CurrentSensorConfig | None = None,
                   seed: int = 0) -> DftResult:

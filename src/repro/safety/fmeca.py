@@ -36,11 +36,6 @@ class FailureMode:
         """Risk priority number = S × O × D."""
         return self.severity * self.occurrence * self.detection
 
-    @property
-    def criticality(self) -> int:
-        """Criticality (S × O), independent of detection."""
-        return self.severity * self.occurrence
-
 
 def occurrence_from_fit(fit: float) -> int:
     """Map a failure rate in FIT onto the 1–10 occurrence scale.

@@ -25,9 +25,11 @@ tail as one XOR into the tail's end (:func:`_root_walk`,
 The batched sweep runs in C where it can: one fixed translation unit
 for every design (:data:`_C_ROOT_WALK`), built once per host by
 :mod:`repro.sim.native` and called through :mod:`ctypes`, interprets
-flat tables of the circuit (:func:`_native_table`) over each window's
-good words, packed once per window a fault reaches
-(:class:`_RootWalks`).  Its
+a flat table of the circuit over each window's good words, packed once
+per window a fault reaches (:class:`_RootWalks`).  The kernel builds
+that table too, from the numbered netlist Python hands it
+(:func:`_native_table`), so the C path builds none of the Python walk's
+dict tables.  Its
 ``sweep`` takes a whole chunk of faults as three int columns and
 answers every fault's detection word in one call per window
 (:func:`_sweep`): the activation test, the one-gate difference, the
@@ -89,15 +91,16 @@ class FaultSimResult:
         return indices
 
 
-#: Keys of the reachability table, of the fan-out-free-region links and
-#: (paired with an observe tuple) of the linear-tail walk table, its
-#: reachability bits and its flat form for the C walk inside
-#: ``Circuit._cone_cache`` (cone keys are tuples of net names, so none
-#: can collide with one).
+#: Keys of the reachability table, of the fan-out-free-region links, of
+#: the C table's net numbering and (paired with an observe tuple) of the
+#: linear-tail walk table, its reachability bits and the flat table for
+#: the C walk inside ``Circuit._cone_cache`` (cone keys are tuples of
+#: net names, so none can collide with one).
 _REACH_KEY = None
 _FFR_KEY = "ffr"
 _TAILS_KEY = "tails"
 _TAIL_REACH_KEY = "tail_reach"
+_INDEX_KEY = "index"
 _NATIVE_KEY = "native"
 
 #: Gates whose output difference is the XOR of their input differences.
@@ -304,16 +307,38 @@ _AT_STEM = -1
 _AT_FLOP_D = -2
 
 
+def _net_index(circuit: Circuit) -> dict[str, int]:
+    """Each net's number in :func:`_native_table`: inputs, flops, then
+    gate outputs in topological order.  It is also the net's row in a
+    window's packed good words (:class:`_RootWalks`).  Needs no kernel;
+    cached beside the other structural tables: mutation and pickling
+    drop it."""
+    cache = circuit._cone_cache
+    index = cache.get(_INDEX_KEY)
+    if index is None:
+        nets = dict.fromkeys((*circuit.inputs, *circuit.flops,
+                              *(gate.output for gate in
+                                circuit.topo_order())))
+        index = cache[_INDEX_KEY] = dict(zip(nets, range(len(nets))))
+    return index
+
+
 def _native_table(
     circuit: Circuit,
     observe: Sequence[str],
+    kernel,
 ) -> tuple[dict[str, int], bytes, dict[str | None, int]]:
-    """:func:`_tail_table` flattened for :data:`_C_ROOT_WALK`.
+    """The flat table :data:`_C_ROOT_WALK` walks, built by ``kernel``
+    (:func:`native_kernel`).
 
-    Nets are numbered inputs, flops, then gate outputs in topological
-    order; the returned index maps each net to its number, which is also
-    its row in a window's packed good words (:class:`_RootWalks`).  The
-    table is one run of int32: the header ``n_nets, n_steps, n_obs,
+    Python numbers the nets (:func:`_net_index`, the returned index) and
+    hands the kernel's ``table`` the structure as int32 arrays: per net
+    the opcode of its gate and the gate's inputs as a CSR, the observed
+    nets, the primary outputs and the flop Ds.  C derives the rest (the
+    linear-tail walk table and the fan-out-free links that the Python
+    walk builds as dicts), so none of those is built here.
+
+    The table is one run of int32: the header ``n_nets, n_steps, n_obs,
     n_end, n_rd, n_gin``, then per kept step its output (the step's gate
     is that net's driver; a linear one is a summed tail end), per net
     its tail ends as a CSR, per net the kept steps to mark when it
@@ -321,54 +346,37 @@ def _native_table(
     end's own step — the observed nets, per net the opcode of the gate
     driving it (-1 for an input or flop) and that gate's inputs as a
     CSR, and per net its fan-out-free link: the net its one consuming
-    gate drives (:func:`_ffr_links`), -1 at a region root.
+    gate drives, -1 at a region root.
+
     The third entry maps a branch fault's sink to the sweep's ``at``
     column: a gate to its output's number, a flop to
     :data:`_AT_FLOP_D`, ``None`` (a stem) to :data:`_AT_STEM`.  Cached
-    per observe tuple beside the tail table: mutation and pickling drop
-    it.
+    per observe tuple beside the other structural tables: mutation and
+    pickling drop it.
     """
     key = (_NATIVE_KEY, tuple(observe))
     cache = circuit._cone_cache
     table = cache.get(key)
     if table is not None:
         return table
-    steps, ends = _tail_table(circuit, observe)
-    gates = circuit.gates
-    nets = list(dict.fromkeys((*circuit.inputs, *circuit.flops,
-                               *(gate.output for gate in
-                                 circuit.topo_order()))))
-    index = dict(zip(nets, range(len(nets))))
+    index = _net_index(circuit)
     number = index.__getitem__
-    readers: list[list[int]] = [[] for _ in nets]
-    for k, (gate, out, _) in enumerate(steps):
-        if gate is None:
-            readers[number(out)].append(k)
-        else:
-            for src in dict.fromkeys(map(number, gate.inputs)):
-                readers[src].append(k)
-    net_ends = [ends.get(net, ()) for net in nets]
-    drivers = list(map(gates.get, nets))
-    driven = [() if gate is None else gate.inputs for gate in drivers]
-    links = _ffr_links(circuit)
-    header = (len(nets), len(steps), len(observe),
-              sum(map(len, net_ends)), sum(map(len, readers)),
-              sum(map(len, driven)))
-    flat = array("i", chain(
-        header, (number(out) for _, out, _ in steps),
-        (0, *accumulate(map(len, net_ends))),
-        map(number, chain.from_iterable(net_ends)),
-        (0, *accumulate(map(len, readers))), chain.from_iterable(readers),
-        map(number, observe),
-        (-1 if gate is None else _OPCODES[gate.gtype] for gate in drivers),
-        (0, *accumulate(map(len, driven))),
-        map(number, chain.from_iterable(driven)),
-        (-1 if gate is None else number(gate.output)
-         for gate in map(links.get, nets))))
+    order = circuit.topo_order()
+    n_sources = len(index) - len(order)
+    driven = [gate.inputs for gate in order]
+    opcodes = array("i", [-1]) * n_sources
+    opcodes.extend(map(_OPCODES.__getitem__, map(attrgetter("gtype"), order)))
+    offsets = array("i", bytes(4 * n_sources))  # a source drives no gate
+    offsets.extend(accumulate(map(len, driven), initial=0))
+    flat = kernel.table(
+        opcodes, offsets, array("i", map(number, chain.from_iterable(driven))),
+        *(array("i", map(number, nets)) for nets in (
+            observe, circuit.outputs,
+            map(attrgetter("d"), circuit.flops.values()))))
     targets: dict[str | None, int] = dict(index)  # a sink is a gate ...
     targets.update(dict.fromkeys(circuit.flops, _AT_FLOP_D))  # or a flop
     targets[None] = _AT_STEM
-    table = cache[key] = (index, flat.tobytes(), targets)
+    table = cache[key] = (index, flat, targets)
     return table
 
 
@@ -703,7 +711,7 @@ class _RootWalks:
         kernel = native_kernel()
         if kernel is None:
             return ()
-        index, table, _ = _native_table(self.circuit, self.observe)
+        index, table, _ = _native_table(self.circuit, self.observe, kernel)
         n_words = max(1, (self.mask.bit_length() + 63) >> 6)
         good = self.good
         words = b"".join(good.get(net, 0).to_bytes(8 * n_words, "little")
@@ -780,6 +788,19 @@ class _RootWalks:
 #: dropping): a detected fault keeps only the batch holding its lowest
 #: set bit.  Returns the root walks it ran (-1: out of memory) and
 #: stores the gates they evaluated in ``*evaluated``.
+#:
+#: ``rescue_kernel.table(n, gop, gin_off, gin, n_obs, obs, n_po, po,
+#: n_fd, fd, out)`` builds the table both read, :func:`_native_table`'s
+#: layout, from the circuit's structure as int32 arrays over the ``n``
+#: numbered nets: per net the opcode of its gate (-1: an input or flop)
+#: and the gate's inputs as a CSR (``gin_off``, ``gin``; repeated pins
+#: kept), the observed nets, the primary outputs and the flop Ds.  It
+#: derives the rest the way :func:`_tail_table` and :func:`_ffr_links`
+#: define it: the consumers of each net (a gate once per pin, a flop
+#: once per D), the linear links, the tail ends with pairs cancelled,
+#: the kept steps, the readers and the fan-out-free links.  Returns the
+#: ints written to ``out`` (-1: out of memory, -2: an id outside the
+#: nets or offsets that do not rise from 0).
 _C_ROOT_WALK = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -1163,6 +1184,174 @@ done:
     return walks;
 }
 
+/* per-net flags of table: observed, a primary output, and the parity
+   of a tail end's hits while one net's ends are counted */
+enum { OBSERVED = 1, OUTPUT = 2, ODD = 4 };
+
+/* every one of the m ids names one of n nets */
+static int ids_ok(const int32_t *ids, int64_t m, int64_t n)
+{
+    for (int64_t j = 0; j < m; j++)
+        if (ids[j] < 0 || ids[j] >= n)
+            return 0;
+    return 1;
+}
+
+/* the flat table of _native_table from the circuit's structure; out
+   has room for 9 + 7 n + 3 n_gin + n_obs ints.  Returns the ints
+   written, -1 out of memory, -2 a net id out of range or offsets that
+   do not rise from 0. */
+static int64_t table(int64_t n, const int32_t *gop, const int32_t *gin_off,
+                     const int32_t *gin, int64_t n_obs, const int32_t *obs,
+                     int64_t n_po, const int32_t *po, int64_t n_fd,
+                     const int32_t *fd, int32_t *out)
+{
+    int64_t n_gin = gin_off[n], n_steps = 0, size = -1;
+    int32_t *mem = calloc(11 * n + 3 * n_gin + 4, sizeof *mem);
+    int32_t *sinks, *one, *next, *tail, *stamp, *cur, *hit_off, *hit,
+        *end_off, *end, *step, *rd_off, *rd, *p = mem;
+    uint8_t *flag = calloc(n + 1, 1);
+    if (!mem || !flag)
+        goto done;
+    size = -2;
+    for (int64_t o = 0; o < n; o++)
+        if (gin_off[o + 1] < gin_off[o])
+            goto done;
+    if (gin_off[0] || !ids_ok(gin, n_gin, n) || !ids_ok(obs, n_obs, n)
+        || !ids_ok(po, n_po, n) || !ids_ok(fd, n_fd, n))
+        goto done;
+    sinks = p;   p += n;
+    one = p;     p += n;
+    next = p;    p += n;
+    tail = p;    p += n;
+    stamp = p;   p += n;
+    cur = p;     p += n;
+    step = p;    p += n;
+    hit_off = p; p += n + 1;
+    end_off = p; p += n + 1;
+    rd_off = p;  p += n + 1;
+    hit = p;     p += n_gin;
+    end = p;     p += n_gin;
+    rd = p;
+    /* consumers as fanout_map counts them, a gate once per pin and a
+       flop once per D, and the one consumer's net when there is one
+       (-1: a flop) */
+    for (int64_t o = 0; o < n; o++)
+        one[o] = -1;
+    for (int64_t o = 0; o < n; o++)
+        for (int32_t j = gin_off[o]; j < gin_off[o + 1]; j++) {
+            sinks[gin[j]]++;
+            one[gin[j]] = (int32_t)o;
+        }
+    for (int64_t j = 0; j < n_fd; j++) {
+        sinks[fd[j]]++;
+        one[fd[j]] = -1;
+    }
+    for (int64_t j = 0; j < n_obs; j++)
+        flag[obs[j]] |= OBSERVED;
+    for (int64_t j = 0; j < n_po; j++)
+        flag[po[j]] |= OUTPUT;
+    /* a linear link: read by one pin, of a linear gate, and not
+       observed; its tail end is the first net down the links that is
+       not one (a link's reader is numbered later) */
+    for (int64_t o = n - 1; o >= 0; o--) {
+        int32_t r = one[o];
+        next[o] = sinks[o] == 1 && r >= 0 && !(flag[o] & OBSERVED)
+            && gop[r] >= XOR ? r : -1;
+        tail[o] = next[o] < 0 ? (int32_t)o : tail[next[o]];
+    }
+    /* per net the tail ends its linear pins feed, in gate and pin
+       order; its ends are those hit an odd number of times, in the
+       order of their first hit */
+    for (int64_t o = 0; o < n; o++)
+        if (gop[o] >= XOR)
+            for (int32_t j = gin_off[o]; j < gin_off[o + 1]; j++)
+                hit_off[gin[j] + 1]++;
+    for (int64_t o = 0; o < n; o++) {
+        hit_off[o + 1] += hit_off[o];
+        cur[o] = hit_off[o];
+        stamp[o] = -1;
+    }
+    for (int64_t o = 0; o < n; o++)
+        if (gop[o] >= XOR)
+            for (int32_t j = gin_off[o]; j < gin_off[o + 1]; j++)
+                hit[cur[gin[j]]++] = tail[o];
+    for (int64_t s = 0; s < n; s++) {
+        int32_t m = end_off[s];
+        for (int32_t h = hit_off[s]; h < hit_off[s + 1]; h++)
+            flag[hit[h]] ^= ODD;
+        for (int32_t h = hit_off[s]; h < hit_off[s + 1]; h++)
+            if (stamp[hit[h]] != s) {
+                stamp[hit[h]] = (int32_t)s;
+                if (flag[hit[h]] & ODD) {
+                    end[m++] = hit[h];
+                    flag[hit[h]] &= ~ODD;
+                }
+            }
+        end_off[s + 1] = m;
+    }
+    /* the kept steps: every non-linear gate, and a linear one that is
+       a tail end passing its difference on */
+    for (int64_t o = 0; o < n; o++)
+        if (gop[o] >= 0 && (gop[o] < XOR
+                            || (next[o] < 0 && end_off[o + 1] > end_off[o])))
+            step[n_steps++] = (int32_t)o;
+    /* per net the steps to mark when it changes: the non-linear steps
+       reading it (once however many pins), a tail end's own step */
+    for (int pass = 0; pass < 2; pass++) {
+        for (int64_t o = 0; o < n; o++) {
+            stamp[o] = -1;
+            if (pass)
+                cur[o] = rd_off[o];
+        }
+        for (int32_t k = 0; k < n_steps; k++) {
+            int32_t o = step[k], linear = gop[o] >= XOR;
+            int32_t lo = linear ? 0 : gin_off[o];
+            int32_t hi = linear ? 1 : gin_off[o + 1];
+            for (int32_t j = lo; j < hi; j++) {
+                int32_t src = linear ? o : gin[j];
+                if (stamp[src] == k)
+                    continue;
+                stamp[src] = k;
+                if (pass)
+                    rd[cur[src]++] = k;
+                else
+                    rd_off[src + 1]++;
+            }
+        }
+        if (!pass)
+            for (int64_t o = 0; o < n; o++)
+                rd_off[o + 1] += rd_off[o];
+    }
+    /* the layout _native_table documents */
+    p = out;
+    *p++ = (int32_t)n;
+    *p++ = (int32_t)n_steps;
+    *p++ = (int32_t)n_obs;
+    *p++ = end_off[n];
+    *p++ = rd_off[n];
+    *p++ = (int32_t)n_gin;
+    memcpy(p, step, n_steps * sizeof *p);       p += n_steps;
+    memcpy(p, end_off, (n + 1) * sizeof *p);    p += n + 1;
+    memcpy(p, end, end_off[n] * sizeof *p);     p += end_off[n];
+    memcpy(p, rd_off, (n + 1) * sizeof *p);     p += n + 1;
+    memcpy(p, rd, rd_off[n] * sizeof *p);       p += rd_off[n];
+    memcpy(p, obs, n_obs * sizeof *p);          p += n_obs;
+    memcpy(p, gop, n * sizeof *p);              p += n;
+    memcpy(p, gin_off, (n + 1) * sizeof *p);    p += n + 1;
+    memcpy(p, gin, n_gin * sizeof *p);          p += n_gin;
+    /* the fan-out-free link: the one consuming gate's net, unless the
+       net is a primary output or a flop reads it */
+    for (int64_t o = 0; o < n; o++)
+        *p++ = sinks[o] == 1 && one[o] >= 0 && !(flag[o] & OUTPUT)
+            ? one[o] : -1;
+    size = p - out;
+done:
+    free(mem);
+    free(flag);
+    return size;
+}
+
 typedef struct {
     int64_t (*walk)(const int32_t *, const uint64_t *, int64_t, uint64_t,
                     int64_t, uint64_t *, uint64_t *);
@@ -1170,9 +1359,12 @@ typedef struct {
                      uint64_t *, uint8_t *, int64_t, const int32_t *,
                      const int32_t *, const int32_t *, int64_t,
                      const int64_t *, uint64_t *, int64_t *);
+    int64_t (*table)(int64_t, const int32_t *, const int32_t *,
+                     const int32_t *, int64_t, const int32_t *, int64_t,
+                     const int32_t *, int64_t, const int32_t *, int32_t *);
 } exports_t;
 
-const exports_t rescue_kernel = { walk, sweep };
+const exports_t rescue_kernel = { walk, sweep, table };
 """
 
 
@@ -1327,10 +1519,11 @@ def _sweep(
     on.  ``windows.root_walks`` counts the walks either way.
     """
     spans = windows.windows
-    if not spans or not spans[0][5]._kernel():
+    native = spans[0][5]._kernel() if spans else ()
+    if not native:
         return [_batched_detection(circuit, fault, windows, drop_detected)
                 for fault in faults]
-    index, _, targets = _native_table(circuit, windows.observe)
+    index, _, targets = _native_table(circuit, windows.observe, native[0])
     lines = list(map(attrgetter("line"), faults))
     sites = list(map(index.__getitem__, map(attrgetter("net"), lines)))
     ats = list(map(targets.__getitem__, map(attrgetter("sink"), lines)))

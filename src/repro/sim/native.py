@@ -9,14 +9,14 @@ Two kernels are served, each one translation unit:
   :func:`repro.engine.lanes._propagate_skewed` and the golden pass that
   lays out its golden table), wrapped by :class:`LaneWalker`;
 * the root walk (:data:`repro.sim.fault_sim._C_ROOT_WALK`, one source
-  for every design: it interprets the flat tables
-  :func:`repro.sim.fault_sim._native_table` builds), wrapped by
-  :class:`RootWalker`.  It serves two backends: the PPSFP sweep hands
-  it a chunk's faults and reads one detection word per fault, walking
-  the roots it needs inside the call, and the slicing backend
-  (:class:`repro.engine.workloads.SlicingBackend`) reads one word per
-  observed net of a walk, from which it answers every injection cycle
-  of a window.
+  for every design: it builds the flat table of a design from its
+  numbered structure, :func:`repro.sim.fault_sim._native_table`, and
+  interprets it), wrapped by :class:`RootWalker`.  It serves two
+  backends: the PPSFP sweep hands it a chunk's faults and reads one
+  detection word per fault, walking the roots it needs inside the call,
+  and the slicing backend (:class:`repro.engine.workloads
+  .SlicingBackend`) reads one word per observed net of a walk, from
+  which it answers every injection cycle of a window.
 
 :func:`load` builds a source once with the host C compiler (``gcc``,
 else ``cc``, found on ``PATH``) at the one fixed flag set :data:`CFLAGS`,
@@ -165,22 +165,54 @@ class _RootExports(ctypes.Structure):
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
             ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.POINTER(ctypes.c_int64)))]
+            ctypes.POINTER(ctypes.c_int64))),
+        ("table", ctypes.CFUNCTYPE(
+            ctypes.c_int64, ctypes.c_int64, *(ctypes.c_void_p,) * 3,
+            *(ctypes.c_int64, ctypes.c_void_p) * 3, ctypes.c_void_p))]
 
 
 class RootWalker:
-    """A loaded root walk: :meth:`sweep` for the PPSFP sweep, which
-    answers a list of faults in one call, walking the roots it needs on
-    the way, and :meth:`effects` for the slicing backend, which reads
-    one word per observed net of one walk.  Both release the GIL: a walk
-    keeps all its scratch to itself, and a sweep publishes each row of
-    the window's memo before the row's flag, so threads may run on one
-    window at once."""
+    """A loaded root walk: :meth:`table` builds a design's flat table,
+    :meth:`sweep` for the PPSFP sweep answers a list of faults in one
+    call, walking the roots it needs on the way, and :meth:`effects` for
+    the slicing backend reads one word per observed net of one walk.
+    All three release the GIL: a walk keeps all its scratch to itself,
+    and a sweep publishes each row of the window's memo before the row's
+    flag, so threads may run on one window at once."""
 
     def __init__(self, lib: Library) -> None:
         self.path = lib.path
         exports = lib.exports(_RootExports)
-        self._walk, self._sweep = exports.walk, exports.sweep
+        self._walk, self._sweep, self._table = (exports.walk, exports.sweep,
+                                                exports.table)
+
+    def table(self, opcodes: array, offsets: array, inputs: array,
+              observed: array, outputs: array, flop_ds: array) -> bytes:
+        """The flat table both walks read, built from a circuit's
+        numbered structure (argument layout: :data:`repro.sim.fault_sim
+        ._C_ROOT_WALK`): int32 arrays of the opcode per net, the
+        gate-input CSR's offsets (one per net and one more) and inputs,
+        the observed nets, the primary outputs and the flop Ds."""
+        n = len(opcodes)
+        arrays = (opcodes, offsets, inputs, observed, outputs, flop_ds)
+        if not (all(a.typecode == "i" for a in arrays)
+                and len(offsets) == n + 1
+                and len(inputs) == offsets[n]):
+            raise ValueError("table columns must be int32 arrays, with "
+                             "one offset per net and one more")
+        out = ctypes.create_string_buffer(
+            4 * (9 + 7 * n + 3 * len(inputs) + len(observed)))
+        size = self._table(
+            n, *(a.buffer_info()[0] for a in arrays[:3]),
+            *(x for a in arrays[3:] for x in (len(a), a.buffer_info()[0])),
+            out)
+        if size == -1:
+            raise MemoryError("native walk table: out of memory")
+        if size < 0:
+            raise ValueError("table columns name a net outside [0, "
+                             f"{n}) or hold offsets that do not rise "
+                             "from 0")
+        return ctypes.string_at(out, 4 * size)
 
     @staticmethod
     def memo(n_nets: int, n_words: int) -> tuple:

@@ -154,6 +154,58 @@ def test_sweep_callers_match_the_per_fault_reference(caller, sequential,
     assert run(circuit.copy(), faults, patterns) == swept
 
 
+def _reference_compact_greedy(circuit, faults, patterns, full_scan=True):
+    """``compact_greedy`` with its former set cover: every round
+    re-counts every pattern's uncovered faults and keeps the largest
+    count, the lowest index on a tie."""
+    if not patterns:
+        return []
+    packed = pack_patterns(patterns)
+    n = len(patterns)
+    sim = fault_simulate(circuit, list(faults), packed, n, state=packed,
+                         full_scan=full_scan)
+    by_pattern = {i: set() for i in range(n)}
+    for fault, mask in sim.detected.items():
+        for i in range(n):
+            if mask >> i & 1:
+                by_pattern[i].add(fault)
+    uncovered = set(sim.detected)
+    kept = []
+    while uncovered:
+        best = max(range(n), key=lambda i: (len(by_pattern[i] & uncovered),
+                                            -i))
+        gain = by_pattern[best] & uncovered
+        if not gain:
+            break
+        kept.append(best)
+        uncovered -= gain
+    kept.sort()
+    return [dict(patterns[i]) for i in kept]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), n_gates=st.integers(3, 60),
+       n_patterns=st.integers(1, 90), n_flops=st.integers(0, 3),
+       repeats=st.booleans())
+def test_lazy_greedy_keeps_what_the_full_recount_kept(seed, n_gates,
+                                                      n_patterns, n_flops,
+                                                      repeats):
+    """The lazy set cover keeps exactly the patterns the per-round
+    recount kept, ties included: small designs and repeated patterns
+    make many equal gains."""
+    rng = random.Random(seed)
+    circuit = (random_sequential(4, n_gates, n_flops, seed=seed) if n_flops
+               else random_combinational(4, n_gates, seed=seed))
+    faults = all_stuck_at(circuit)
+    names = [*circuit.inputs, *circuit.flops]
+    patterns = [{net: rng.randint(0, 1) for net in names}
+                for _ in range(n_patterns)]
+    if repeats:
+        patterns = [rng.choice(patterns) for _ in patterns]
+    assert compact_greedy(circuit, faults, patterns) \
+        == _reference_compact_greedy(circuit, faults, patterns)
+
+
 class TestUntestable:
     def test_dead_logic_structurally_untestable(self):
         bld = CircuitBuilder("dead")

@@ -8,19 +8,24 @@ property checks that fallback instead."""
 import pickle
 import random
 import threading
+from array import array
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit, load
-from repro.circuit.library import random_combinational
+from repro.circuit.library import random_combinational, random_sequential
 from repro.engine import EngineConfig, PpsfpBackend, run_campaign
 from repro.faults import all_stuck_at
 from repro.sim import compiled, fault_sim, native
-from repro.sim.fault_sim import (PatternWindows, _batched_detection,
-                                 _ffr_links, _native_table, _pattern_windows,
-                                 _sweep, fault_simulate)
+from repro.sim.fault_sim import (_AT_FLOP_D, _AT_STEM, _FFR_KEY, _OPCODES,
+                                 _TAILS_KEY, PatternWindows,
+                                 _batched_detection, _ffr_links,
+                                 _native_table, _net_index, _observe_nets,
+                                 _pattern_windows, _sweep, _tail_table,
+                                 fault_simulate)
 from repro.sim.logic import exhaustive_patterns, random_patterns
 
 _TYPES = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "BUF", "NOT",
@@ -133,8 +138,10 @@ def test_the_sweep_is_the_python_loop_and_the_per_batch_reference(
 
 
 def _kernel_or_skip():
-    if fault_sim.native_kernel() is None:
+    kernel = fault_sim.native_kernel()
+    if kernel is None:
         pytest.skip("no native kernel on this host")
+    return kernel
 
 
 def _counting(monkeypatch):
@@ -158,9 +165,8 @@ def _counting(monkeypatch):
 def _known_roots(circuit, windows) -> int:
     """Region roots whose word a window's C memo holds, summed over the
     windows: each C root walk fills one, and only a walk does."""
-    index = _native_table(circuit, windows.observe)[0]
     links = _ffr_links(circuit)
-    roots = [i for net, i in index.items() if net not in links]
+    roots = [i for net, i in _net_index(circuit).items() if net not in links]
     total = 0
     for *_, walks, _ in windows.windows:
         if walks.memo is not None:
@@ -193,8 +199,7 @@ def test_a_chunk_is_one_sweep_call_per_window(drop, monkeypatch):
                           for lo in range(0, len(faults), 100))
                          for _ in range(3)]
     # every walk fills a distinct (window, root) memo entry
-    n_roots = len(_native_table(circuit, windows.observe)[0]) \
-        - len(_ffr_links(circuit))
+    n_roots = len(_net_index(circuit)) - len(_ffr_links(circuit))
     assert 0 < windows.root_walks == _known_roots(circuit, windows) \
         <= 3 * n_roots
     assert [inj.detail for inj in report.injections] == _reference(
@@ -327,3 +332,153 @@ def test_pickling_a_window_drops_its_packed_words_and_memo():
     again = PatternWindows([(*windows.windows[0][:5], clone, {})],
                            windows.n_patterns, windows.observe)
     assert _sweep(circuit, faults, again, False) == first
+
+
+def _reference_native_table(circuit, observe):
+    """The C walk table as Python flattened it before the kernel built
+    it: :func:`_tail_table` (linear links, tail ends with pairs
+    cancelled, the kept steps) and :func:`_ffr_links`, numbered and
+    chained into one int32 run.  The reference ``table`` is checked
+    against."""
+    steps, ends = _tail_table(circuit, observe)
+    gates = circuit.gates
+    nets = list(dict.fromkeys((*circuit.inputs, *circuit.flops,
+                               *(gate.output for gate in
+                                 circuit.topo_order()))))
+    index = dict(zip(nets, range(len(nets))))
+    number = index.__getitem__
+    readers: list[list[int]] = [[] for _ in nets]
+    for k, (gate, out, _) in enumerate(steps):
+        if gate is None:
+            readers[number(out)].append(k)
+        else:
+            for src in dict.fromkeys(map(number, gate.inputs)):
+                readers[src].append(k)
+    net_ends = [ends.get(net, ()) for net in nets]
+    drivers = list(map(gates.get, nets))
+    driven = [() if gate is None else gate.inputs for gate in drivers]
+    links = _ffr_links(circuit)
+    header = (len(nets), len(steps), len(observe),
+              sum(map(len, net_ends)), sum(map(len, readers)),
+              sum(map(len, driven)))
+    flat = array("i", chain(
+        header, (number(out) for _, out, _ in steps),
+        (0, *accumulate(map(len, net_ends))),
+        map(number, chain.from_iterable(net_ends)),
+        (0, *accumulate(map(len, readers))), chain.from_iterable(readers),
+        map(number, observe),
+        (-1 if gate is None else _OPCODES[gate.gtype] for gate in drivers),
+        (0, *accumulate(map(len, driven))),
+        map(number, chain.from_iterable(driven)),
+        (-1 if gate is None else number(gate.output)
+         for gate in map(links.get, nets))))
+    targets = dict(index)
+    targets.update(dict.fromkeys(circuit.flops, _AT_FLOP_D))
+    targets[None] = _AT_STEM
+    return index, flat.tobytes(), targets
+
+
+def _chain_circuit(rng: random.Random, n_in: int, n_gates: int,
+                   n_flops: int, linear: float) -> Circuit:
+    """A netlist whose gates are XOR / XNOR / BUF / NOT with probability
+    ``linear``, mostly reading the last few nets so that linear chains
+    and trees form, with repeated pins (an even count cancels on a
+    linear gate), CONST gates, a primary output that feeds one gate, and
+    flops whose Ds are gate outputs, inputs or other flops."""
+    circuit = Circuit("chains")
+    nets = [circuit.add_input(f"i{k}") for k in range(n_in)]
+    qs = [f"q{k}" for k in range(n_flops)]
+    nets += qs
+
+    def pick():
+        return rng.choice(nets[-3:] if rng.random() < 0.6 else nets)
+
+    for k in range(n_gates):
+        if rng.random() < 0.08:
+            gtype, ins = rng.choice(["CONST0", "CONST1"]), []
+        elif rng.random() < linear:
+            gtype = rng.choice(["XOR", "XNOR", "BUF", "NOT"])
+            ins = ([pick()] if gtype in ("BUF", "NOT")
+                   else [pick() for _ in range(rng.randint(2, 4))])
+        else:
+            gtype = rng.choice(["AND", "NAND", "OR", "NOR"])
+            ins = [pick() for _ in range(rng.randint(2, 3))]
+        if len(ins) > 1 and rng.random() < 0.3:
+            ins.append(rng.choice(ins))  # a repeated pin
+        nets.append(circuit.add_gate(f"g{k}", gtype, ins).output)
+    po = nets[-1]
+    circuit.add_output(po)
+    circuit.add_gate("po_reader", "XOR", [po, nets[0]])  # a PO feeding one
+    circuit.add_output("po_reader")                      # gate
+    for q in qs:
+        circuit.add_flop(q, rng.choice(nets), init=rng.randint(0, 1))
+    for net in rng.sample(nets, min(2, len(nets))):
+        if net not in circuit.outputs:
+            circuit.add_output(net)
+    circuit.validate()
+    return circuit
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), n_gates=st.integers(1, 60),
+       n_flops=st.integers(0, 4), linear=st.sampled_from([0.4, 0.8, 1.0]),
+       full_scan=st.booleans(), mixed=st.booleans())
+def test_the_c_table_is_the_python_flattening(seed, n_gates, n_flops, linear,
+                                              full_scan, mixed):
+    """``_native_table`` (numbering in Python, the rest in C) returns
+    the same index, the byte-identical table and the same targets as the
+    Python flattening, with and without scan, on linear-chain designs
+    and on the sweep property's designs."""
+    kernel = _kernel_or_skip()
+    rng = random.Random(seed)
+    n_in = rng.randint(1, 6)
+    circuit = (_circuit(rng, max(n_in, 2), n_gates + 2, n_flops) if mixed
+               else _chain_circuit(rng, n_in, n_gates, n_flops, linear))
+    observe = _observe_nets(circuit, full_scan)
+    expected = _reference_native_table(circuit.copy(), observe)
+    assert _native_table(circuit, observe, kernel) == expected
+
+
+@pytest.mark.parametrize("design", ["ppsfp_stat", "slicing_filtered"])
+def test_the_benchmark_designs_build_the_reference_table(design):
+    kernel = _kernel_or_skip()
+    circuit = (random_combinational(32, 2400, seed=13)
+               if design == "ppsfp_stat"
+               else random_sequential(10, 400, 40, seed=14))
+    for full_scan in (True, False):
+        observe = _observe_nets(circuit, full_scan)
+        assert _native_table(circuit.copy(), observe, kernel) \
+            == _reference_native_table(circuit.copy(), observe)
+
+
+def test_the_table_refuses_columns_outside_the_nets():
+    kernel = _kernel_or_skip()
+    ok = (array("i", [-1, -1, 1]), array("i", [0, 0, 0, 2]),
+          array("i", [0, 1]), array("i", [2]), array("i", [2]),
+          array("i"))
+    assert kernel.table(*ok)[:4] == array("i", [3]).tobytes()
+    for at, bad in ((2, array("i", [0, 3])),  # a net past the last
+                    (1, array("i", [0, 2, 0, 2])),  # falling offsets
+                    (5, array("i", [-1])),  # a flop D before the first
+                    (1, array("i", [0, 0, 2]))):  # one offset short
+        with pytest.raises(ValueError):
+            kernel.table(*ok[:at], bad, *ok[at + 1:])
+
+
+def test_a_c_campaign_builds_no_python_walk_table():
+    """A C-path PPSFP campaign on a fresh copy leaves the Python walk
+    tables unbuilt: no tail table, no fan-out-free links, no fan-out
+    map (the kernel derives all three from the numbered structure)."""
+    _kernel_or_skip()
+    design = random_combinational(12, 300, 4, seed=3)
+    faults = all_stuck_at(design)
+    batches = [(random_patterns(design.inputs, 64, seed=s), 64)
+               for s in range(3)]
+    circuit = design.copy()
+    report = run_campaign(PpsfpBackend(circuit, faults, batches),
+                          EngineConfig(executor="serial"))
+    assert report.executed == len(faults)
+    assert not [key for key in circuit._cone_cache
+                if key == _FFR_KEY
+                or isinstance(key, tuple) and key[0] == _TAILS_KEY]
+    assert circuit._fanout_cache is None

@@ -14,12 +14,12 @@ from repro.circuit.levelize import fanout_cone
 from repro.circuit.library import random_combinational, random_sequential
 from repro.faults import Line, StuckAtFault, all_stuck_at, collapse
 from repro.sim import compiled, fault_sim, native
-from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _NATIVE_KEY,
-                                 _REACH_KEY, _TAILS_KEY, FaultSimResult,
-                                 _batched_detection, _cone_gates,
-                                 _ffr_links, _native_table, _observe_nets,
-                                 _pattern_windows, _root_walk, _tail_table,
-                                 detection_mask)
+from repro.sim.fault_sim import (WINDOW_BITS, _FFR_KEY, _INDEX_KEY,
+                                 _NATIVE_KEY, _REACH_KEY, _TAILS_KEY,
+                                 FaultSimResult, _batched_detection,
+                                 _cone_gates, _ffr_links, _native_table,
+                                 _net_index, _observe_nets, _pattern_windows,
+                                 _root_walk, _tail_table, detection_mask)
 from repro.sim.logic import GATE_EVAL
 from repro.sim import (
     EventSim,
@@ -506,16 +506,21 @@ def test_mutation_and_pickling_drop_the_ffr_links():
     table = _tail_table(circuit, observe)
     assert _tail_table(circuit, observe) is table \
         is circuit._cone_cache[tails_key]
+    index = _net_index(circuit)
+    assert _net_index(circuit) is index is circuit._cone_cache[_INDEX_KEY]
     native_key = (_NATIVE_KEY, observe)
-    flat = _native_table(circuit, observe)
-    assert _native_table(circuit, observe) is flat \
-        is circuit._cone_cache[native_key]
+    kernel = fault_sim.native_kernel()
+    if kernel is not None:
+        flat = _native_table(circuit, observe, kernel)
+        assert _native_table(circuit, observe, kernel) is flat \
+            is circuit._cone_cache[native_key]
     inner = next(iter(links))  # read by one gate only
     circuit.add_gate("tap", "NOT", [inner])
     assert _FFR_KEY not in circuit._cone_cache
     assert tails_key not in circuit._cone_cache
+    assert _INDEX_KEY not in circuit._cone_cache
     assert native_key not in circuit._cone_cache
-    assert "tap" in _native_table(circuit, observe)[0]
+    assert "tap" in _net_index(circuit)
     assert inner not in _ffr_links(circuit)  # fan-out 2: a root now
     steps, ends = _tail_table(circuit, observe)
     assert "tap" not in {out for _, out, _ in steps}  # reaches no output
@@ -523,6 +528,7 @@ def test_mutation_and_pickling_drop_the_ffr_links():
     clone = pickle.loads(pickle.dumps(circuit))
     assert _FFR_KEY not in clone._cone_cache
     assert tails_key not in clone._cone_cache
+    assert _INDEX_KEY not in clone._cone_cache
     assert native_key not in clone._cone_cache
 
 
@@ -560,8 +566,7 @@ def test_root_walks_sum_linear_tails_instead_of_evaluating_them():
     are the region roots its memo knows; the Python loop's are counted
     at ``GATE_EVAL``."""
     circuit, faults, batches = _benchmark_sweep()
-    observe = _observe_nets(circuit, True)
-    index = _native_table(circuit, observe)[0]
+    index = _net_index(circuit)
     links = _ffr_links(circuit)
     for walker in _root_walkers():
         roots, evaluations, walking = [], [0], [False]

@@ -241,7 +241,10 @@ GUARDS = (
           "a facade answers from the report's tallies and columns "
           "(InjectionView.column, Outcomes.column, rate_by_location): "
           "only the engine walks report.injections record by record",
-          r"\bfor\b[^\n]*\bin\s+(?:\w+\.)*report\.injections\b(?![\w.])",
+          r"\bfor\b[^\n]*\bin\s+(?:\w+\.)*report\.injections\b(?![\w.])"
+          # the view bound to a name, then walked in the same function
+          r"|\b(\w+)\s*=\s*(?:\w+\.)*report\.injections[ \t]*$"
+          r"(?:(?!\n[ \t]*def )[\s\S])*?\bfor\b[^\n]*\bin\s+\1\b(?![\w.])",
           ("src",), exclude_files=("src/repro/engine/core.py",)),
     Guard("outcome_codes_decoded_in_one_place",
           "an outcome block's codes are decoded behind Outcomes.column "
@@ -255,6 +258,14 @@ GUARDS = (
           "record list beside them and its build counter are gone",
           r"\bself\._(?:records|built)\b|\bdef _list\(",
           ("src/repro/engine/core.py",)),
+    Guard("walk_table_built_in_c",
+          "the C root walk's table is built by the kernel from the "
+          "numbered structure: _native_table builds none of the Python "
+          "walk's dict tables (tests/test_ppsfp_sweep.py keeps the "
+          "Python flattening as the reference)",
+          r"def _native_table\((?:(?!\n {0,4}def |\nclass )[\s\S])*?"
+          r"\b(?:_tail_table|fanout_map|_ffr_links)\b",
+          ("src/repro/sim/fault_sim.py",)),
     Guard("one_copy_of_each_test_helper",
           "report identity is one signature and one row list, defined in "
           "tests/conftest.py and imported wherever a test compares reports",
@@ -341,6 +352,9 @@ def test_guards_bite(tmp_path, monkeypatch):
             "        vals = fault_sim.faulty_values(self.circuit, fault, "
             "good, mask)\n"),
         "facades_read_columns": "    for inj in report.injections:\n",
+        "walk_table_built_in_c": (
+            "def _native_table(circuit, observe, kernel):\n"
+            "    steps, ends = _tail_table(circuit, observe)\n"),
         "outcome_codes_decoded_in_one_place": (
             "    outcomes = map(block.names.__getitem__, block.codes)\n"),
         "injection_view_keeps_no_list": "        self._built = 0\n",
@@ -448,10 +462,30 @@ def test_clean_names_pass():
                   "for point in report.injections.column(\"points\"):",
                   "for inj in self.injections:", "len(report.injections)"):
         assert not facades.search(clean), clean
+    for clean in ("    view = report.injections\n    n = len(view)\n",
+                  "    view = report.injections\n"
+                  "    for o in view.column(\"outcomes\"):\n",
+                  "    view = report.injections\n    return view\n\n"
+                  "def other(view):\n    for inj in view:\n"):
+        assert not facades.search(clean), clean
     for dirty in ("for inj in report.injections:",
                   "rows = [i.detail for i in report.injections if i]",
-                  "for inj in result.report.injections:"):
+                  "for inj in result.report.injections:",
+                  "    view = report.injections\n    for inj in view:\n",
+                  "    view = self.report.injections\n    total = 0\n"
+                  "    rows = [inj.detail for inj in view]\n"):
         assert facades.search(dirty), dirty
+    table = regexes["walk_table_built_in_c"]
+    assert not table.search(
+        "def _native_table(circuit, observe, kernel):\n"
+        "    index = _net_index(circuit)\n\n\n"
+        "def _root_walk(circuit, observe, good, mask, net):\n"
+        "    steps, ends = _tail_table(circuit, observe)\n")
+    for dirty in ("def _native_table(c, o, k):\n    links = _ffr_links(c)\n",
+                  "def _native_table(c, o, k):\n    fmap = c.fanout_map()\n",
+                  "def _native_table(\n    circuit,\n):\n"
+                  "    steps, ends = _tail_table(circuit, observe)\n"):
+        assert table.search(dirty), dirty
     codes = regexes["outcome_codes_decoded_in_one_place"]
     for clean in ("outcomes = view.column(\"outcomes\")",
                   "error_codes = [1, 2]", "tally = block.tally()"):
