@@ -6,8 +6,10 @@ SoC-level, RSN test/diagnosis, laser-FI, side-channel trace and GPGPU
 SEU campaigns — plus the dynamic-slicing campaign, which drives the
 engine's point-filter stage — onto a shared chunked/parallel/
 early-stopping runner with streaming CampaignDb persistence.
-Execution strategies (serial / spawn-safe multicore processes on a pool
-that lives for one campaign / auto probing) are pluggable via
+Execution strategies (serial / multicore processes on a pool that
+lives for one campaign, its workers forked from a single-threaded
+caller on Linux and spawned otherwise, each task a run of chunks / auto
+probing) are pluggable via
 :mod:`repro.engine.executors`, and sequential fault models
 pack up to :data:`repro.engine.lanes.DEFAULT_LANE_WIDTH` injections into
 one bit-parallel run via :mod:`repro.engine.lanes`.

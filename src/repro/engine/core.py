@@ -196,9 +196,11 @@ class EngineConfig:
 
     ``executor`` picks the execution strategy (see
     :mod:`repro.engine.executors`): ``"serial"``, ``"process"``
-    (a spawn-safe process pool of the campaign's own: the backend ships
-    to each worker once, true multicore scaling applies, and the pool
-    is joined before the campaign returns), or
+    (a process pool of the campaign's own, its workers forked on Linux
+    from a single-threaded caller and spawned otherwise: the backend
+    ships to each worker once, a task carries a run of chunks, true
+    multicore scaling applies, and the pool is joined before the
+    campaign returns), or
     ``"auto"`` (default), which probes CPU count, backend picklability
     and per-batch cost, and falls back to serial with a logged reason
     instead of crashing.

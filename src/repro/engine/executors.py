@@ -5,12 +5,16 @@ list of point chunks; this module owns *how* those chunks execute:
 
 * ``serial``  — in the calling thread, chunk by chunk (each against
   ``chunk_timeout`` when one is set);
-* ``process`` — a spawn-safe ``ProcessPoolExecutor`` of the campaign's
-  own, joined when the rung ends.  The backend and the chunk list are
-  pickled **once** into a temp file each worker loads on its first task
-  and calls ``prepare()`` itself (golden runs and caches are rebuilt
-  per process, never pickled); tasks are just chunk indices.  True
-  multicore scaling for CPU-bound backends;
+* ``process`` — a ``ProcessPoolExecutor`` of the campaign's own,
+  joined when the rung ends.  Its workers are forked on Linux when the
+  caller runs one Python thread, and spawned otherwise, and each is
+  pinned to a CPU of its own while the usable CPUs suffice.  The backend
+  and the chunk list are pickled **once** into a temp file each worker
+  loads on its first task and calls ``prepare()`` itself (golden runs
+  and caches are rebuilt per process, never pickled); a task is a run
+  of consecutive chunk indices, sized from the workers' own timings so
+  that a task costs about ``MIN_BATCH_COST_S``.  True multicore scaling
+  for CPU-bound backends;
 * ``auto``    — probes the campaign (visible CPUs, backend picklability,
   per-batch cost measured on the first chunk) and picks the process
   pool when it can pay off, logging the reason instead of crashing when
@@ -34,7 +38,9 @@ worker but a hung one outlives the campaign.
 
 from __future__ import annotations
 
+import gc
 import logging
+import math
 import multiprocessing
 import os
 import pickle
@@ -66,14 +72,16 @@ class ChunkTimeout(Exception):
     """
 
 # auto-probe cost model (module level so tests and benchmarks can tune):
-# a chunk cheaper than MIN_BATCH_COST_S is dominated by pool dispatch,
-# and a pool costs COLD_POOL_COST_S before its first chunk returns —
-# spawning the workers, each worker's prepare() and native library load,
-# and the join (0.27-0.29 s for two workers on a 2-CPU host, a 2000-gate
-# 128-flop SEU campaign, warm native cache) — so it pays only when
-# splitting the remaining work across the workers saves more.
+# a chunk cheaper than MIN_BATCH_COST_S is dominated by pool dispatch
+# (so a pool task groups chunks up to that cost), and a pool costs
+# COLD_POOL_COST_S before its first chunk returns — forking the workers,
+# each worker's payload load and prepare(), and the join (0.029-0.031 s
+# for two forked workers on a 2-CPU host, a 2000-gate 128-flop SEU
+# campaign, warm native cache; 0.26-0.28 s when they are spawned) — so
+# it pays only when splitting the remaining work across the workers
+# saves more.
 MIN_BATCH_COST_S = 0.002
-COLD_POOL_COST_S = 0.28
+COLD_POOL_COST_S = 0.03
 
 _MASK64 = (1 << 64) - 1
 
@@ -141,9 +149,25 @@ def _usable_cpus() -> int:
 
 
 def _window(workers: int) -> int:
-    """Sliding submission window: keeps every worker busy while bounding
-    the speculative work discarded when early stop converges."""
+    """Sliding submission window, in pool tasks: keeps every worker busy
+    while bounding the speculative work discarded when early stop
+    converges."""
     return max(4, 2 * workers)
+
+
+def _task_size(chunk_s: float | None, left: int, workers: int,
+               timeout: float | None) -> int:
+    """Chunks in the next pool task: one while no task has reported its
+    time yet, or when a deadline must stay per chunk; else enough that
+    the task costs ``MIN_BATCH_COST_S`` at the last task's ``chunk_s``
+    seconds a chunk, but never more than an even share of the ``left``
+    chunks not yet dispatched."""
+    if chunk_s is None or timeout is not None:
+        return 1
+    share = -(-left // workers)
+    if chunk_s <= 0:
+        return share
+    return max(1, min(math.ceil(MIN_BATCH_COST_S / chunk_s), share))
 
 
 @dataclass
@@ -235,9 +259,9 @@ def run_serial(backend: Any, chunks: Sequence[Sequence[Any]],
         yield result
 
 
-def _drain(futures: deque) -> None:
-    """Cancel queued futures and wait out in-flight ones, aggregating
-    their errors into one log line instead of silently swallowing them
+def _drain(futures: Sequence[Any]) -> None:
+    """Cancel queued tasks and wait out in-flight ones, aggregating their
+    chunks' errors into one log line instead of silently swallowing them
     (a speculative chunk past an early stop may legitimately fail — but
     a *pattern* of suppressed failures is a harness bug worth seeing)."""
     for future in futures:
@@ -246,9 +270,11 @@ def _drain(futures: deque) -> None:
     for future in futures:  # wait out whatever could not cancel
         if not future.cancelled():
             try:
-                future.result()
+                _, results = future.result()
             except Exception as exc:  # noqa: BLE001 - collected, not masked
-                suppressed.append(f"{type(exc).__name__}: {exc}")
+                results = [exc]
+            suppressed += [f"{type(exc).__name__}: {exc}" for exc in results
+                           if isinstance(exc, Exception)]
     if suppressed:
         log.warning(
             "engine: drained %d suppressed chunk error(s) after stop: %s",
@@ -256,36 +282,49 @@ def _drain(futures: deque) -> None:
             + ("; ..." if len(suppressed) > 3 else ""))
 
 
-def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
-              window: int, start: int,
+def _run_pool(pool: Any, submit: Callable[[int, int], Any], n_chunks: int,
+              workers: int, start: int,
               timeout: float | None = None) -> Iterator[Any]:
     """Sliding-window dispatch yielding results in chunk order.
 
-    Futures are consumed strictly in submission (= chunk) order, and the
-    next chunk is submitted only once the consumer asks for more; a
-    chunk that raised yields its exception in its slot and the window
-    slides on, every index submitted exactly once.  When the consumer
-    closes the generator (early stop, or an error of its own) — and on
-    any error here — queued chunks are cancelled and in-flight ones are
-    waited out (their errors aggregated into one log line), so no
-    speculative batch is yielded or left running in the background; the
-    caller then joins the idle pool.
+    A task is a run of consecutive chunks, ``submit(first, count)``,
+    whose future returns ``(seconds, results)``: the worker's time on
+    those chunks and one result per chunk, a chunk that raised holding
+    its exception in its slot.  Each task is sized by
+    :func:`_task_size` from the last task's time.  Tasks are consumed
+    strictly in submission (= chunk) order and yielded chunk by chunk;
+    the next task is submitted only once the consumer asks for more
+    than the last one held, every index is submitted exactly once, and
+    at most :func:`_window` tasks are in flight.  A task whose whole
+    result raised yields that exception in each of its slots.  When
+    the consumer closes the generator (early stop, or an error of its
+    own) — and on any error here — queued tasks are cancelled and
+    in-flight ones are waited out (their errors aggregated into one log
+    line), so no speculative batch is yielded or left running in the
+    background; the caller then joins the idle pool.
 
-    With a ``timeout``, a chunk whose result is overdue raises
-    :class:`ChunkTimeout`; the hung task cannot be waited out, so the
-    pool is shut down without waiting and never drained.
+    With a ``timeout`` every task is one chunk, and a chunk whose result
+    is overdue raises :class:`ChunkTimeout`; the hung task cannot be
+    waited out, so the pool is shut down without waiting and never
+    drained.
     """
-    futures: deque = deque()
+    tasks: deque = deque()  # (count, future), in chunk order
     next_chunk = start
+    chunk_s = None
     hung = False
     try:
-        while next_chunk < n_chunks and len(futures) < window:
-            futures.append(submit(next_chunk))
-            next_chunk += 1
-        while futures:
-            future = futures.popleft()
+        while True:
+            while next_chunk < n_chunks and len(tasks) < _window(workers):
+                count = _task_size(chunk_s, n_chunks - next_chunk, workers,
+                                   timeout)
+                tasks.append((count, submit(next_chunk, count)))
+                next_chunk += count
+            if not tasks:
+                break
+            count, future = tasks.popleft()
             try:
-                result = future.result(timeout)
+                busy_s, results = future.result(timeout)
+                chunk_s = busy_s / count
             # FutureTimeout: on 3.10 concurrent.futures raises its own
             # TimeoutError (an Exception, not the builtin) — without it
             # the timeout would pass for a chunk failure and the finally
@@ -296,18 +335,15 @@ def _run_pool(pool: Any, submit: Callable[[int], Any], n_chunks: int,
                     f"chunk result overdue after {timeout}s") from exc
             except (BrokenProcessPool, OSError):
                 raise  # pool-level failure: the engine degrades the ladder
-            except Exception as exc:  # noqa: BLE001 - the chunk's, a value
-                result = exc
-            yield result
-            if next_chunk < n_chunks:
-                futures.append(submit(next_chunk))
-                next_chunk += 1
+            except Exception as exc:  # noqa: BLE001 - the task's, a value
+                results = [exc] * count
+            yield from results
     finally:
         if hung:
             # never wait on a hung task — abandon the pool wholesale
             pool.shutdown(wait=False, cancel_futures=True)
         else:
-            _drain(futures)
+            _drain([future for _, future in tasks])
 
 
 # ----------------------------------------------------------------------
@@ -322,20 +358,72 @@ _payload_path = ""  # worker-side: set by the pool initializer
 _campaign: tuple | None = None  # worker-side: (backend, chunks, seeds)
 
 
-def _worker_init(path: str) -> None:
+def _worker_init(path: str, cpus: Any = None) -> None:
     global _payload_path
     _payload_path = path
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(0, {cpus.get()})
+        except OSError:  # pragma: no cover - the CPU went away: unpinned
+            pass
+    # a forked worker never collects what it inherited: no finalizer of
+    # the parent's objects (an open database connection among them) runs
+    # here, and the collector does not copy the parent's pages
+    gc.freeze()
 
 
-def _worker_run(index: int) -> tuple[int, list]:
+def _worker_run(first: int, count: int) -> tuple[float, list]:
+    """Chunks ``first..first + count - 1``: the seconds spent on them
+    (the worker's one-off load and ``prepare()`` not counted) and one
+    result per chunk, a chunk failure as its exception."""
     global _campaign
-    if _campaign is None:
-        with open(_payload_path, "rb") as fh:
-            backend, chunks, seeds = pickle.load(fh)
-        backend.prepare()  # once per worker; a raise fails this chunk
-        _campaign = (backend, chunks, seeds)
-    backend, chunks, seeds = _campaign
-    return index, execute_chunk(backend, chunks[index], seeds[index])
+    results: list = []
+    t0 = time.perf_counter()
+    for index in range(first, first + count):
+        try:
+            if _campaign is None:
+                with open(_payload_path, "rb") as fh:
+                    backend, chunks, seeds = pickle.load(fh)
+                backend.prepare()  # once per worker; a raise fails this chunk
+                _campaign = (backend, chunks, seeds)
+                t0 = time.perf_counter()
+            backend, chunks, seeds = _campaign
+            results.append(execute_chunk(backend, chunks[index],
+                                         seeds[index]))
+        except Exception as exc:  # noqa: BLE001 - a chunk failure is a value
+            results.append(exc)
+    return time.perf_counter() - t0, results
+
+
+def _start_method() -> str:
+    """``fork`` on Linux from a process running one Python thread — a
+    forked worker inherits the imported modules and loaded native
+    libraries instead of booting an interpreter — else ``spawn``: a
+    fork from a multi-threaded process can deadlock on a lock another
+    thread held (Python 3.12 warns about it)."""
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+def _worker_cpus(context: Any, workers: int) -> Any:
+    """A queue of ``workers`` distinct usable CPUs, one taken by each
+    worker's initializer to pin itself; ``None`` (workers unpinned) on
+    a platform without CPU affinity or when the workers outnumber the
+    CPUs.  Left to the Linux scheduler, workers that a parent wakes
+    with short tasks stay packed on the parent's CPU while the other
+    CPUs idle — the pool then runs no faster than one core, or as fast
+    as two, depending on what last kept the CPUs busy."""
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return None
+    if not 1 < workers <= len(allowed):
+        return None
+    cpus = context.SimpleQueue()
+    for cpu in allowed[:workers]:
+        cpus.put(cpu)
+    return cpus
 
 
 def shutdown_pools() -> None:
@@ -352,35 +440,31 @@ def shutdown_pools() -> None:
 def run_process(payload: bytes, n_chunks: int, workers: int, start: int = 0,
                 timeout: float | None = None) -> Iterator[Any]:
     """Chunks ``start..n_chunks`` of the pickled ``(backend, chunks,
-    seeds)`` in ``payload`` on a spawn pool of this rung's own, in index
-    order (the caller pickles, so that a pickling failure is not
-    mistaken for a pool failure) — one ``prepare()`` per worker, however
-    many chunks fail.  The pool is joined when the rung ends, abandoned
-    only past a :class:`ChunkTimeout` (a hung worker never joins); the
-    payload file is deleted last."""
+    seeds)`` in ``payload`` on a pool of this rung's own, forked or
+    spawned (:func:`_start_method`), its workers pinned to distinct CPUs
+    (:func:`_worker_cpus`), in index order (the caller pickles,
+    so that a pickling failure is not mistaken for a pool failure) —
+    one ``prepare()`` per worker, however many chunks fail.  The pool
+    is joined when the rung ends, abandoned only past a
+    :class:`ChunkTimeout` (a hung worker never joins); the payload file
+    is deleted last."""
     n_workers = max(1, min(workers, n_chunks - start))
     fd, path = tempfile.mkstemp(prefix="repro-engine-payload-",
                                 suffix=".pkl")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        context = multiprocessing.get_context(_start_method())
         pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_init, initargs=(path,))
-        results = _run_pool(pool, lambda i: pool.submit(_worker_run, i),
-                            n_chunks, _window(n_workers), start,
-                            timeout=timeout)
+            max_workers=n_workers, mp_context=context,
+            initializer=_worker_init,
+            initargs=(path, _worker_cpus(context, n_workers)))
+        results = _run_pool(
+            pool, lambda first, count: pool.submit(_worker_run, first, count),
+            n_chunks, n_workers, start, timeout=timeout)
         hung = False
         try:
-            for expected, result in enumerate(results, start):
-                if not isinstance(result, Exception):
-                    index, result = result
-                    if index != expected:
-                        raise RuntimeError(
-                            f"chunk results out of order: got {index}, "
-                            f"expected {expected}")
-                yield result
+            yield from results
         except ChunkTimeout:
             hung = True  # _run_pool already abandoned the pool
             raise

@@ -48,10 +48,10 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Fail the test if anything spawns a process pool: for inputs that
+    """Fail the test if anything starts a process pool: for inputs that
     must be rejected in the parent, before any worker could see them."""
     def spawned(*args, **kwargs):
-        pytest.fail("a process pool was spawned")
+        pytest.fail("a process pool was started")
 
     monkeypatch.setattr(executors, "ProcessPoolExecutor", spawned)
 

@@ -8,13 +8,26 @@ speculative injections recorded), and per-chunk RNG determinism across
 executors and worker counts.
 """
 
+import logging
+import math
+import multiprocessing
 import pickle
+import re
+import sqlite3
+import threading
 import time
+import warnings
+from dataclasses import replace
+from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import _db_rows, _rows
+from conftest import _db_rows, _rows, _signature
 from repro.autosoc import APPLICATIONS, SocConfig
 from repro.autosoc.fi import make_injections
 from repro.circuit import load
@@ -34,9 +47,11 @@ from repro.engine import (
     run_campaign,
 )
 from repro.engine import executors
+from repro.engine.core import resume_campaign
 from repro.faults import collapse
 from repro.sim import exhaustive_patterns, fault_simulate, random_patterns, simulate
 from repro.soft_error import random_workload
+from test_imports import _fresh
 from test_oracle import Config, check
 
 EXECUTORS = ("serial", "process")
@@ -133,6 +148,15 @@ class PinnedCostWideBackend:
         self.now += self.cost_s
         return [Injection(point=p, location=f"p{p}", cycle=0,
                           outcome="ok") for p in points]
+
+
+class PinnedWallBackend(PinnedCostWideBackend):
+    """:class:`PinnedCostWideBackend` whose chunks also take their pinned
+    cost in wall time, so that a pool worker's own clock sees it."""
+
+    def run_batch(self, points):
+        time.sleep(self.cost_s)
+        return super().run_batch(points)
 
 
 class UnpicklableBackend:
@@ -354,8 +378,10 @@ class TestAutoProbe:
         # the pool pays COLD_POOL_COST_S before its first chunk returns,
         # at any lane width: two workers must save more than that.  The
         # chunk costs are pinned on a fake clock, so no measurement
-        # decides a verdict
+        # decides a verdict; the pool's cost is pinned too, so that the
+        # verdicts test the rule, not the constant's measured value
         monkeypatch.setattr(executors, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(executors, "COLD_POOL_COST_S", 0.28)
         verdicts = []
         for cost_s, n_chunks in ((0.001, 302), (0.005, 62), (0.005, 202)):
             backend = PinnedCostWideBackend(n_chunks, cost_s)
@@ -521,3 +547,300 @@ class TestChunkRng:
                                          executor=executor, seed=9))
         assert _rows(report) == _rows(reference)
         assert 0 < report.count("hit") < report.total  # both outcomes occur
+
+
+# ----------------------------------------------------------------------
+# the pool's start method: fork from one thread, else spawn
+# ----------------------------------------------------------------------
+class _StartSpy(executors.ProcessPoolExecutor):
+    """The process pool, recording the start method it is handed and
+    every task it is given as ``(first chunk, chunk count)``."""
+
+    methods: list = []
+    tasks: list = []
+
+    def __init__(self, *args, mp_context, **kwargs):
+        self.methods.append(mp_context.get_start_method())
+        super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks.append(args)
+        return super().submit(fn, *args, **kwargs)
+
+
+def _spied():
+    """Patch the pool with :class:`_StartSpy`; the spy's lists, emptied."""
+    _StartSpy.methods, _StartSpy.tasks = [], []
+    return mock.patch.object(executors, "ProcessPoolExecutor", _StartSpy)
+
+
+PROCESS2 = EngineConfig(batch_size=8, executor="process", workers=2)
+SERIAL8 = EngineConfig(batch_size=8, executor="serial")
+
+#: Runs in a fresh interpreter (one thread, whatever this session runs):
+#: two process campaigns, their pools' start methods, and their reports
+#: against the serial one.
+_FORK_SCRIPT = """
+import json, sys, threading
+sys.path.insert(0, {tests!r})
+from conftest import _signature
+from repro.core import CampaignDb
+from repro.engine import run_campaign
+from test_executors import PROCESS2, SERIAL8, _StartSpy, _seu_backend, _spied
+
+reference = _signature(run_campaign(_seu_backend(), SERIAL8))
+threads = threading.active_count()
+db = CampaignDb({db!r}) if {db!r} else None  # held open across the forks
+with _spied():
+    reports = [run_campaign(_seu_backend(), PROCESS2, db=db)
+               for _ in range(2)]
+if db is not None:
+    db.close()
+print(json.dumps([threads, _StartSpy.methods, [r.executor for r in reports],
+                  [_signature(r) == reference for r in reports],
+                  [r.campaign_id for r in reports]]))
+"""
+
+
+def _fresh_process_campaigns(db_path=""):
+    return _fresh(_FORK_SCRIPT.format(
+        tests=str(Path(__file__).resolve().parent), db=str(db_path)))
+
+
+class TestStartMethod:
+    def test_start_method_follows_the_platform_and_the_threads(
+            self, monkeypatch):
+        monkeypatch.setattr(executors.sys, "platform", "linux")
+        monkeypatch.setattr(executors.threading, "active_count", lambda: 1)
+        assert executors._start_method() == "fork"
+        monkeypatch.setattr(executors.threading, "active_count", lambda: 2)
+        assert executors._start_method() == "spawn"
+        monkeypatch.setattr(executors.sys, "platform", "darwin")
+        monkeypatch.setattr(executors.threading, "active_count", lambda: 1)
+        assert executors._start_method() == "spawn"
+
+    @pytest.mark.skipif(not executors.sys.platform.startswith("linux"),
+                        reason="fork is picked on Linux only")
+    def test_a_single_threaded_caller_forks_its_workers(self):
+        threads, methods, rungs, same, _ = _fresh_process_campaigns()
+        assert threads == 1
+        assert methods == ["fork", "fork"]  # one pool per campaign
+        assert rungs == ["process", "process"] and all(same)
+
+    def test_a_multi_threaded_caller_spawns_them(self):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, daemon=True)
+        other.start()
+        try:
+            with _spied(), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = run_campaign(_seu_backend(), PROCESS2)
+        finally:
+            stop.set()
+            other.join(5)
+        assert not other.is_alive()
+        assert _StartSpy.methods == ["spawn"]
+        assert report.executor == "process"
+        assert _signature(report) == _signature(
+            run_campaign(_seu_backend(), SERIAL8))
+        # Python 3.12 warns on a fork from a multi-threaded process
+        assert not [w for w in caught
+                    if "use of fork()" in str(w.message)]
+
+    @pytest.mark.skipif(not executors.sys.platform.startswith("linux"),
+                        reason="fork is picked on Linux only")
+    def test_forked_workers_leave_the_parents_open_database_whole(
+            self, tmp_path):
+        # the parent holds a file-backed WAL CampaignDb open while its
+        # workers fork; they never touch the connection they inherit
+        path = tmp_path / "campaign.sqlite"
+        threads, methods, rungs, same, ids = _fresh_process_campaigns(path)
+        assert methods == ["fork", "fork"] and all(same)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert conn.execute("PRAGMA integrity_check").fetchall() == [
+                ("ok",)]
+        finally:
+            conn.close()
+        reference = run_campaign(_seu_backend(), SERIAL8)
+        with CampaignDb(str(path)) as db:
+            for campaign_id in ids:
+                replayed = resume_campaign(_seu_backend(), campaign_id,
+                                           SERIAL8, db=db)
+                assert replayed.resumed_chunks == len(
+                    replayed.injections) // 8
+                assert _signature(replayed) == _signature(reference)
+
+
+# ----------------------------------------------------------------------
+# each pool worker runs on a CPU of its own
+# ----------------------------------------------------------------------
+class AffinityBackend(NoisyBackend):
+    """Each point's location is the CPU set its worker may run on."""
+
+    name = "affinity"
+
+    def run_batch_seeded(self, points, rng):
+        cpus = ",".join(map(str, sorted(executors.os.sched_getaffinity(0))))
+        return [Injection(point=p, location=cpus, cycle=0, outcome="ok")
+                for p in points]
+
+
+@pytest.mark.skipif(not hasattr(executors.os, "sched_getaffinity"),
+                    reason="CPU affinity is a Linux call")
+class TestWorkerCpus:
+    def test_each_worker_takes_a_distinct_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(executors.os, "sched_getaffinity",
+                            lambda pid: {7, 3, 5})
+        context = multiprocessing.get_context("spawn")
+        cpus = executors._worker_cpus(context, 2)
+        assert [cpus.get(), cpus.get()] == [3, 5] and cpus.empty()
+        cpus.close()
+        # one worker, or more workers than CPUs: left to the scheduler
+        assert executors._worker_cpus(context, 1) is None
+        assert executors._worker_cpus(context, 4) is None
+
+    @pytest.mark.skipif(executors._usable_cpus() < 2,
+                        reason="pinning needs two usable CPUs")
+    def test_process_campaign_workers_run_pinned(self):
+        allowed = {str(cpu) for cpu in executors.os.sched_getaffinity(0)}
+        report = run_campaign(AffinityBackend(), PROCESS2)
+        assert report.executor == "process"
+        assert {inj.location for inj in report.injections} <= allowed
+        # the parent is never pinned by its own pool
+        assert {str(cpu) for cpu in executors.os.sched_getaffinity(0)} == (
+            allowed)
+
+
+# ----------------------------------------------------------------------
+# a pool task is a run of consecutive chunks
+# ----------------------------------------------------------------------
+def _plan(backend, n_chunks):
+    points = backend.enumerate_points()
+    chunks = [points[i:i + 8] for i in range(0, 8 * n_chunks, 8)]
+    return chunks, [chunk_seed(0, i) for i in range(n_chunks)]
+
+
+class TestGroupedTasks:
+    def test_task_size_rule(self):
+        size = executors._task_size
+        floor = executors.MIN_BATCH_COST_S
+        assert size(None, 100, 2, None) == 1  # no timing back yet
+        assert size(floor / 10, 100, 2, 30.0) == 1  # a deadline per chunk
+        assert size(floor / 10, 100, 2, None) == 10
+        assert size(floor / 3, 100, 2, None) == 3  # rounded up
+        assert size(floor, 100, 2, None) == 1
+        assert size(floor * 5, 100, 2, None) == 1
+        assert size(floor / 100, 31, 2, None) == 16  # an even share left
+        assert size(floor / 100, 1, 2, None) == 1
+        assert size(0.0, 9, 4, None) == 3  # a clock too coarse to tick
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n_chunks=st.integers(1, 30), start=st.integers(0, 4),
+           cost_s=st.sampled_from([0.0, 0.0005, 0.003]),
+           workers=st.integers(1, 3),
+           timeout=st.sampled_from([None, None, 30.0]))
+    def test_tasks_yield_the_serial_results_in_order(
+            self, n_chunks, start, cost_s, workers, timeout):
+        start = min(start, n_chunks - 1)
+        backend = PinnedWallBackend(n_chunks, cost_s)
+        chunks, seeds = _plan(backend, n_chunks)
+        payload = pickle.dumps((backend, chunks, seeds))
+        with _spied():
+            results = list(executors.run_process(
+                payload, n_chunks, workers, start=start, timeout=timeout))
+        serial = list(executors.run_serial(backend, chunks, seeds, start))
+        assert [[inj.row() for inj in batch] for batch in results] == [
+            [inj.row() for inj in batch] for batch in serial]
+        tasks = _StartSpy.tasks
+        # consecutive runs covering start.. once each, in chunk order
+        assert [first for first, _ in tasks] == list(accumulate(
+            [count for _, count in tasks], initial=start))[:-1]
+        assert sum(count for _, count in tasks) == n_chunks - start
+        n_workers = min(workers, n_chunks - start)
+        window = executors._window(n_workers)
+        for k, (first, count) in enumerate(tasks):
+            assert count <= math.ceil((n_chunks - first) / n_workers)
+            if k < window or timeout is not None:
+                assert count == 1  # no timing back yet / per-chunk deadline
+            elif cost_s:  # a worker's clock sees at least the pinned cost
+                assert count <= math.ceil(
+                    executors.MIN_BATCH_COST_S / cost_s)
+
+    def test_a_chunk_failure_inside_a_task_fails_only_that_chunk(
+            self, monkeypatch):
+        # tasks as large as an even share allows, whatever the clock
+        # reads: chunk 20 rides in the task of chunks 4..21
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 10.0)
+        inner = PinnedCostWideBackend(40, 0.0)
+        trigger = inner.enumerate_points()[8 * 20]
+        config = replace(PROCESS2, max_chunk_retries=2,
+                         retry_backoff_s=0.001)
+        with _spied():
+            report = run_campaign(ChaosBackend(
+                inner, [ChaosFault(trigger, "raise", 1)]), config)
+        assert (4, 18) in _StartSpy.tasks
+        assert report.executor == "process"
+        assert report.retried_chunks == 1 and not report.quarantined
+        assert _signature(report) == _signature(
+            run_campaign(PinnedCostWideBackend(40, 0.0), SERIAL8))
+        # a chunk that fails every attempt quarantines, alone
+        with _spied():
+            report = run_campaign(ChaosBackend(
+                PinnedCostWideBackend(40, 0.0),
+                [ChaosFault(trigger, "raise", None)]), config)
+        assert (4, 18) in _StartSpy.tasks
+        assert [(q.index, q.attempts) for q in report.quarantined] == [
+            (20, 3)]
+        assert report.executor == "process"
+
+    def test_a_worker_dying_mid_task_retries_the_first_undelivered_chunk(
+            self, monkeypatch, caplog):
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 10.0)
+        inner = PinnedCostWideBackend(40, 0.0)
+        trigger = inner.enumerate_points()[8 * 20]
+        config = replace(PROCESS2, max_chunk_retries=2,
+                         retry_backoff_s=0.001)
+        with _spied(), caplog.at_level(logging.WARNING,
+                                       logger="repro.engine"):
+            report = run_campaign(ChaosBackend(
+                inner, [ChaosFault(trigger, "die", 1)]), config)
+        assert (4, 18) in _StartSpy.tasks
+        fell_back = [int(m.group(1)) for m in (
+            re.search(r"falling back to serial from chunk (\d+)", r.message)
+            for r in caplog.records) if m]
+        # the chunk the rung died on is the first of a task not delivered
+        assert len(fell_back) == 1
+        assert fell_back[0] in {first for first, _ in _StartSpy.tasks}
+        assert fell_back[0] <= 20
+        assert report.executor == "serial" and report.retried_chunks == 1
+        assert _signature(report) == _signature(
+            run_campaign(PinnedCostWideBackend(40, 0.0), SERIAL8))
+
+    @pytest.mark.parametrize("k", [0, 3, 9, 25])
+    def test_closing_after_k_chunks_yields_nothing_past_k(
+            self, monkeypatch, k):
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 10.0)
+        backend = PinnedCostWideBackend(40, 0.0)
+        chunks, seeds = _plan(backend, 40)
+        payload = pickle.dumps((backend, chunks, seeds))
+        source = executors.run_process(payload, 40, 2)
+        taken = [next(source) for _ in range(k)]
+        source.close()
+        assert [[inj.point for inj in batch] for batch in taken] == chunks[:k]
+        assert next(source, None) is None
+        assert multiprocessing.active_children() == []
+
+    def test_a_chunk_timeout_keeps_every_task_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(executors, "MIN_BATCH_COST_S", 10.0)
+        config = replace(PROCESS2, chunk_timeout=30.0)
+        with _spied():
+            report = run_campaign(PinnedCostWideBackend(20, 0.0), config)
+        assert report.executor == "process"
+        assert [count for _, count in _StartSpy.tasks] == [1] * 20
+        # without the deadline the same campaign groups its tasks
+        with _spied():
+            run_campaign(PinnedCostWideBackend(20, 0.0), PROCESS2)
+        assert max(count for _, count in _StartSpy.tasks) > 1
+

@@ -70,8 +70,9 @@ def test_engine_and_service_import_lean():
 
 def test_spawned_worker_runs_int_carrier_backends_without_numpy():
     # the real worker path: payload file unpickled, prepare(), chunks
-    # run in a spawn worker — on a pool of the test's own, so that the
-    # same worker can then report what it has imported
+    # run in a spawn worker (the start method the pool falls back to) —
+    # on a pool of the test's own, so that the same worker can then
+    # report what it has imported
     result = _fresh("""
 import json, pickle, tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -105,7 +106,9 @@ for backend in backends:
         with ProcessPoolExecutor(1, mp_context=get_context("spawn"),
                                  initializer=executors._worker_init,
                                  initargs=(fh.name,)) as pool:
-            list(pool.map(executors._worker_run, range(len(plan.chunks))))
+            _, results = pool.submit(executors._worker_run, 0,
+                                     len(plan.chunks)).result()
+            assert not [r for r in results if isinstance(r, Exception)]
             modules.update(pool.submit(eval, probe).result())
 print(json.dumps([executors_used, sorted(modules)]))
 """)

@@ -330,8 +330,10 @@ class _Warnings(logging.Handler):
 
 def _warm_timeout(executor):
     """A ``chunk_timeout`` only a hang can exceed: on the pool, a cold
-    worker's spawn + imports + ``prepare()`` land on its first chunk, so
-    spawn it on a clean campaign first and leave it a wider deadline."""
+    worker's start (a fork, or a spawn and its imports when the test
+    session runs other threads) + payload load + ``prepare()`` land on
+    its first chunk, so run a clean campaign on the pool first and
+    leave it a wider deadline."""
     if executor != "process":
         return 0.4
     run_campaign(_backend(), EngineConfig(batch_size=8, executor="process",
@@ -672,14 +674,33 @@ class TestLadder:
             return i
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            def submit(i):
-                submitted.append(i)
-                return pool.submit(task, i)
+            tasks = _thread_tasks(pool, task)
+
+            def submit(first, count):
+                submitted.extend(range(first, first + count))
+                return tasks(first, count)
 
             results = list(executors._run_pool(pool, submit, 7, 3, 0))
         assert submitted == list(range(7))
         assert isinstance(results[2], ChaosError)
         assert results[:2] + results[3:] == [0, 1, 3, 4, 5, 6]
+
+
+def _thread_tasks(pool, run_chunk):
+    """``_run_pool``'s ``submit`` on a local pool: a task runs its chunks
+    as a process worker does, a chunk's exception a value in its slot,
+    and reports no time, so each task after the first window takes an
+    even share of the chunks left."""
+    def task(first, count):
+        results = []
+        for index in range(first, first + count):
+            try:
+                results.append(run_chunk(index))
+            except Exception as exc:  # noqa: BLE001 - a value, as in a worker
+                results.append(exc)
+        return 0.0, results
+
+    return lambda first, count: pool.submit(task, first, count)
 
 
 # ----------------------------------------------------------------------
@@ -718,9 +739,9 @@ class TestDrainAggregation:
         with ThreadPoolExecutor(max_workers=2) as pool, \
                 caplog.at_level(logging.WARNING, logger="repro.engine"):
             source = executors._run_pool(
-                pool, lambda i: pool.submit(executors.execute_chunk, backend,
-                                            chunks[i], seeds[i]),
-                len(chunks), 4, 0)
+                pool, _thread_tasks(pool, lambda i: executors.execute_chunk(
+                    backend, chunks[i], seeds[i])),
+                len(chunks), 2, 0)
             assert [inj.point for inj in next(source)] == [0, 1]
             source.close()  # the consumer stops after chunk 0
         drained = [r for r in caplog.records if "suppressed" in r.message]
@@ -778,8 +799,8 @@ class TestExecutorTimeouts:
         pool = _StubPool()
         future = _StubFuture(concurrent.futures.TimeoutError())
         with pytest.raises(executors.ChunkTimeout):
-            next(executors._run_pool(pool, lambda i: future, 1, 2, 0,
-                                     timeout=0.1))
+            next(executors._run_pool(pool, lambda first, count: future, 1,
+                                     2, 0, timeout=0.1))
         # the hung pool was abandoned without waiting, never drained
         assert pool.shutdown_calls == [(False, True)]
 

@@ -67,7 +67,7 @@ GUARDS = (
           r"|BENCH_engine",
           CODE),
     Guard("pool_per_campaign",
-          "run_process spawns its own pool and joins it before returning; "
+          "run_process starts its own pool and joins it before returning; "
           "the cross-campaign registry, campaign tokens, release messages "
           "and pool eviction are gone",
           r"_pool_registry|persistent_pool|_campaign_tokens"
@@ -271,6 +271,13 @@ GUARDS = (
           "tests/conftest.py and imported wherever a test compares reports",
           r"\bdef (?:_signature|_rows)\(",
           ("tests",), include="test_*.py"),
+    Guard("forked_workers_touch_no_database",
+          "a forked pool worker inherits the parent's open SQLite "
+          "connections and must never touch one (SQLite forbids carrying "
+          "an open database across fork()): the executors never name the "
+          "database, only the parent's consumer records chunks",
+          r"\bsqlite3\b|\bCampaignDb\b",
+          ("src/repro/engine/executors.py",)),
 )
 
 
@@ -359,6 +366,8 @@ def test_guards_bite(tmp_path, monkeypatch):
             "    outcomes = map(block.names.__getitem__, block.codes)\n"),
         "injection_view_keeps_no_list": "        self._built = 0\n",
         "one_copy_of_each_test_helper": "    def _rows(self, report):\n",
+        "forked_workers_touch_no_database": (
+            "    if isinstance(backend.db, CampaignDb):\n"),
     }
     forbidding = [g for g in GUARDS if not g.present]
     assert set(samples) == {g.name for g in forbidding}
@@ -493,6 +502,14 @@ def test_clean_names_pass():
     for dirty in ("map(block.names.__getitem__, ids)",
                   "failed = [c == 2 for c in block.codes]"):
         assert codes.search(dirty), dirty
+    database = regexes["forked_workers_touch_no_database"]
+    for clean in ("an open database connection", "sqlite3x = 1",
+                  "campaign_db = None", "MyCampaignDbStub"):
+        assert not database.search(clean), clean
+    for dirty in ("import sqlite3\n", "conn = sqlite3.connect(path)",
+                  "from ..core.campaign import CampaignDb",
+                  "def run(db: CampaignDb | None = None):"):
+        assert database.search(dirty), dirty
     view = regexes["injection_view_keeps_no_list"]
     for clean in ("block._records()", "self._offsets.append(n)"):
         assert not view.search(clean), clean
